@@ -1,15 +1,20 @@
-// Microbenchmarks for the batch-GCD machinery, including the RAM-resident
-// vs recompute remainder-tree ablation (the paper's key optimization over
-// the original disk-spilling implementation).
+// Microbenchmarks for the batch-GCD machinery: the trees, the RAM-resident
+// vs spilled remainder-tree ablation (the paper's key optimization over the
+// original disk-spilling implementation), the k-subset in-process path with
+// its journal and cancellation costs, and the observability overhead
+// ablations on that path.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "batchgcd/batch_gcd.hpp"
-#include "batchgcd/coordinator.hpp"
 #include "batchgcd/distributed.hpp"
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
@@ -19,6 +24,7 @@
 #include "obs/telemetry.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
+#include "util/thread_pool.hpp"
 #include "util/tracked_arena.hpp"
 
 namespace {
@@ -87,9 +93,8 @@ void BM_NaivePairwise(benchmark::State& state) {
 }
 BENCHMARK(BM_NaivePairwise)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-// Ablation: remainder tree reading RAM-resident levels vs recomputing
-// internal products on the way down (the memory-lean strategy the original
-// factorable.net hardware was forced into).
+// Ablation: remainder tree reading RAM-resident levels (this arm) vs
+// streaming them back from a spilled tree (BM_RemainderTreeStreamed).
 void BM_RemainderTreeRam(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
   const batchgcd::ProductTree tree(moduli);
@@ -99,20 +104,6 @@ void BM_RemainderTreeRam(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RemainderTreeRam)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
-
-void BM_RemainderTreeRecompute(benchmark::State& state) {
-  const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
-  const batchgcd::ProductTree tree(moduli);
-  const BigInt root = tree.root();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        batchgcd::remainder_tree_squares_recompute(moduli, root));
-  }
-}
-BENCHMARK(BM_RemainderTreeRecompute)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 /// Storage policy for the out-of-core arms: spill every level (threshold 0)
 /// into a scratch dir next to the binary, two-level resident window.
@@ -154,8 +145,8 @@ BENCHMARK(BM_ProductTreeOutOfCore)
 
 /// Streamed remainder walk over a spilled tree: levels are re-read (and
 /// CRC-verified) from disk as the walk descends, against
-/// BM_RemainderTreeRam's resident levels. Completes the paper's ablation
-/// triangle: RAM-resident vs recompute vs factorable.net-style disk tier.
+/// BM_RemainderTreeRam's resident levels: the paper's RAM-resident tree vs
+/// a factorable.net-style disk tier.
 void BM_RemainderTreeStreamed(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
   util::TrackedArena arena;
@@ -183,20 +174,104 @@ void BM_DistributedK(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedK)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
-/// Telemetry overhead ablation: the fault-tolerant coordinator with full
-/// instrumentation (one span per task attempt, mirrored global and
-/// per-worker counters, task-latency histogram) vs the identical run with
-/// telemetry off. Arg: 0 = disabled, 1 = enabled. The acceptance bar is
-/// <= 5% overhead for the enabled arm.
+constexpr std::size_t kSubsets = 8;
+constexpr std::size_t kThreads = 4;
+
+/// The in-process k-subset path as Study runs it: k^2 tasks on a pool.
+/// Pool construction is inside the loop, as in each Study factoring stage.
+void BM_DistributedFastPath(benchmark::State& state) {
+  const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    util::ThreadPool pool(kThreads);
+    benchmark::DoNotOptimize(
+        batchgcd::batch_gcd_distributed(moduli, kSubsets, &pool));
+  }
+}
+BENCHMARK(BM_DistributedFastPath)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+/// Journaling cost: BM_DistributedFastPath/512 with every task appended to
+/// a CRC-framed resume journal (one flushed record per task, deleted on
+/// success), as a Study with a cache path runs it.
+void BM_DistributedJournaled(benchmark::State& state) {
+  const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
+  batchgcd::DistributedOptions options;
+  options.journal_path = "perf_batchgcd_journal.tmp";
+  for (auto _ : state) {
+    util::ThreadPool pool(kThreads);
+    benchmark::DoNotOptimize(batchgcd::batch_gcd_distributed(
+        moduli, kSubsets, &pool, nullptr, options));
+  }
+  std::remove(options.journal_path.c_str());
+}
+BENCHMARK(BM_DistributedJournaled)->Arg(512)->Unit(benchmark::kMillisecond);
+
+/// Time-to-quiescence after a cooperative cancel lands halfway: a canceller
+/// thread watches the live `coordinator.tasks_executed` counter, trips the
+/// token once half the k^2 tasks have committed, and manual time measures
+/// trip -> batch_gcd_distributed unwinding with util::Cancelled (pool drain
+/// + journal close). Bounded by the slowest in-flight task.
+void BM_DistributedCancel(benchmark::State& state) {
+  using clock = std::chrono::steady_clock;
+  const auto& moduli = corpus(512);
+  const double fraction = static_cast<double>(state.range(0)) / 100.0;
+  util::ThreadPool pool(kThreads);
+  for (auto _ : state) {
+    obs::MetricsRegistry registry;
+    auto& executed = registry.counter("coordinator.tasks_executed");
+    util::CancellationToken token;
+    batchgcd::DistributedOptions options;
+    options.cancel = &token;
+    options.registry = &registry;
+    options.journal_path = "perf_batchgcd_cancel.tmp";
+    const auto trip =
+        static_cast<std::uint64_t>(fraction * kSubsets * kSubsets);
+    std::atomic<std::int64_t> tripped_at_ns{0};
+    std::atomic<bool> finished{false};
+    std::thread canceller([&] {
+      while (executed.value() < trip && !finished.load()) {
+        std::this_thread::yield();
+      }
+      tripped_at_ns.store(clock::now().time_since_epoch().count());
+      token.cancel("bench cancel");
+    });
+    try {
+      batchgcd::batch_gcd_distributed(moduli, kSubsets, &pool, nullptr,
+                                      options);
+    } catch (const util::Cancelled&) {
+    }
+    finished.store(true);
+    canceller.join();
+    double elapsed_s = static_cast<double>(
+                           clock::now().time_since_epoch().count() -
+                           tripped_at_ns.load()) /
+                       1e9;
+    if (elapsed_s <= 0.0) elapsed_s = 1e-9;  // lost the race: already done
+    state.SetIterationTime(elapsed_s);
+    std::remove(options.journal_path.c_str());
+  }
+}
+BENCHMARK(BM_DistributedCancel)
+    ->Arg(50)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Telemetry overhead ablation: the in-process path publishing its
+/// `coordinator.*` progress counters, tree census and thread-pool
+/// instruments vs the identical run with no registry and an uninstrumented
+/// pool. Arg: 0 = disabled, 1 = enabled. The acceptance bar is <= 5%
+/// overhead for the enabled arm.
 void BM_CoordinatedTelemetry(benchmark::State& state) {
   const auto& moduli = corpus(512);
   const bool enabled = state.range(0) != 0;
-  batchgcd::CoordinatorConfig config;
-  config.subsets = 8;
-  config.workers = 4;
-  config.telemetry = enabled ? &bench_telemetry() : nullptr;
+  util::ThreadPool pool(kThreads, enabled ? &bench_telemetry() : nullptr);
+  batchgcd::DistributedOptions options;
+  options.registry = enabled ? &bench_telemetry().metrics() : nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batchgcd::batch_gcd_coordinated(moduli, config));
+    benchmark::DoNotOptimize(batchgcd::batch_gcd_distributed(
+        moduli, kSubsets, &pool, nullptr, options));
   }
 }
 BENCHMARK(BM_CoordinatedTelemetry)
@@ -204,25 +279,25 @@ BENCHMARK(BM_CoordinatedTelemetry)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/// Live-monitor overhead ablation: the same instrumented coordinated run
-/// with the background obs::Monitor ticking (snapshot + JSONL line +
-/// heartbeat every 25ms) vs without it. Arg: 0 = monitor off, 1 = on. The
-/// acceptance bar is <= 5% overhead for the monitored arm: snapshots are
-/// bounded by instrument count, not by event rate.
+/// Live-monitor overhead ablation: the same instrumented run with the
+/// background obs::Monitor ticking (snapshot + JSONL line + heartbeat every
+/// 25ms) vs without it. Arg: 0 = monitor off, 1 = on. The acceptance bar is
+/// <= 5% overhead for the monitored arm: snapshots are bounded by
+/// instrument count, not by event rate.
 void BM_CoordinatedMonitor(benchmark::State& state) {
   const auto& moduli = corpus(512);
   const bool monitored = state.range(0) != 0;
-  batchgcd::CoordinatorConfig config;
-  config.subsets = 8;
-  config.workers = 4;
-  config.telemetry = &bench_telemetry();
+  util::ThreadPool pool(kThreads, &bench_telemetry());
+  batchgcd::DistributedOptions options;
+  options.registry = &bench_telemetry().metrics();
   obs::MonitorConfig monitor_config;
   monitor_config.jsonl_path = "/dev/null";  // schema cost without disk churn
   monitor_config.interval = std::chrono::milliseconds(25);
   obs::Monitor monitor(bench_telemetry(), monitor_config);
   if (monitored) monitor.start();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batchgcd::batch_gcd_coordinated(moduli, config));
+    benchmark::DoNotOptimize(batchgcd::batch_gcd_distributed(
+        moduli, kSubsets, &pool, nullptr, options));
   }
   if (monitored) monitor.stop();
 }
@@ -231,19 +306,18 @@ BENCHMARK(BM_CoordinatedMonitor)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/// Sampling-profiler overhead ablation: the same instrumented coordinated
-/// run with the wall-clock sampler attached at the conventional 97 Hz vs
-/// without it. Arg: 0 = profiler off, 1 = on. The acceptance bar is <= 5%
-/// overhead for the profiled arm (and ~0% for the off arm, which pays one
-/// relaxed load per span): sampling cost scales with thread count and
-/// cadence, not with span rate.
+/// Sampling-profiler overhead ablation: the same instrumented run with the
+/// wall-clock sampler attached at the conventional 97 Hz vs without it.
+/// Arg: 0 = profiler off, 1 = on. The acceptance bar is <= 5% overhead for
+/// the profiled arm (and ~0% for the off arm, which pays one relaxed load
+/// per span): sampling cost scales with thread count and cadence, not with
+/// span rate.
 void BM_CoordinatedProfile(benchmark::State& state) {
   const auto& moduli = corpus(512);
   const bool profiled = state.range(0) != 0;
-  batchgcd::CoordinatorConfig config;
-  config.subsets = 8;
-  config.workers = 4;
-  config.telemetry = &bench_telemetry();
+  util::ThreadPool pool(kThreads, &bench_telemetry());
+  batchgcd::DistributedOptions options;
+  options.registry = &bench_telemetry().metrics();
   std::unique_ptr<obs::Profiler> profiler;
   if (profiled) {
     obs::ProfilerConfig prof_config;
@@ -253,7 +327,8 @@ void BM_CoordinatedProfile(benchmark::State& state) {
     profiler->start();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batchgcd::batch_gcd_coordinated(moduli, config));
+    benchmark::DoNotOptimize(batchgcd::batch_gcd_distributed(
+        moduli, kSubsets, &pool, nullptr, options));
   }
   if (profiler) {
     profiler->stop();

@@ -5,6 +5,8 @@
 
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
+#include "batchgcd/task_set.hpp"
+#include "obs/metrics.hpp"
 
 namespace weakkeys::batchgcd {
 
@@ -13,114 +15,82 @@ using bn::BigInt;
 BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
                                      std::size_t k, util::ThreadPool* pool,
                                      DistributedStats* stats,
-                                     const util::CancellationToken* cancel,
-                                     obs::MetricsRegistry* registry,
-                                     const TreeStorage* storage) {
-  BatchGcdResult result;
-  result.divisors.assign(moduli.size(), BigInt(1));
-  if (moduli.empty()) return result;
-  k = std::clamp<std::size_t>(k, 1, moduli.size());
-
-  // Partition into k contiguous subsets and build their product trees.
-  struct Subset {
-    std::size_t offset = 0;
-    std::span<const BigInt> moduli;
-    std::unique_ptr<ProductTree> tree;
-  };
-  std::vector<Subset> subsets(k);
-  {
-    const std::size_t base = moduli.size() / k;
-    const std::size_t extra = moduli.size() % k;
-    std::size_t offset = 0;
-    for (std::size_t a = 0; a < k; ++a) {
-      const std::size_t len = base + (a < extra ? 1 : 0);
-      subsets[a].offset = offset;
-      subsets[a].moduli = moduli.subspan(offset, len);
-      offset += len;
-    }
+                                     const DistributedOptions& options) {
+  if (moduli.empty()) return {};
+  TaskSet tasks(moduli, k);
+  k = tasks.k();
+  const util::CancellationToken* cancel = options.cancel;
+  const std::size_t resumed = options.journal_path.empty()
+                                  ? 0
+                                  : tasks.open_journal(options.journal_path);
+  obs::Counter* executed = nullptr;
+  if (options.registry != nullptr) {
+    obs::MetricsRegistry& metrics = *options.registry;
+    metrics.counter("coordinator.tasks").set(tasks.size());
+    metrics.counter("coordinator.subsets").set(k);
+    metrics.counter("coordinator.tasks_resumed").set(resumed);
+    executed = &metrics.counter("coordinator.tasks_executed");
   }
-  auto build_tree = [&subsets, cancel, storage](std::size_t a) {
-    if (cancel) cancel->throw_if_cancelled();
-    if (storage != nullptr && storage->enabled()) {
-      // Per-subset spill identity: distinct file base and fault stream so
-      // k trees in one dir never collide and chaos schedules stay pure.
-      TreeStorage subset_storage = *storage;
-      subset_storage.base = storage->base + ".s" + std::to_string(a);
-      subset_storage.fault_stream = storage->fault_stream + a;
-      subsets[a].tree =
-          std::make_unique<ProductTree>(subsets[a].moduli, subset_storage);
+  if (stats) {
+    *stats = {};
+    stats->subsets = k;
+    stats->tasks = tasks.size();
+    stats->tasks_resumed = resumed;
+  }
+
+  std::vector<std::size_t> pending;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    if (!tasks.done(t)) pending.push_back(t);
+  }
+  const auto for_each = [pool, cancel](std::size_t n, const auto& body) {
+    if (pool) {
+      pool->parallel_for(n, body, cancel);
     } else {
-      subsets[a].tree = std::make_unique<ProductTree>(subsets[a].moduli);
+      for (std::size_t i = 0; i < n; ++i) body(i);
     }
   };
-  if (pool) {
-    pool->parallel_for(k, build_tree, cancel);
-  } else {
-    for (std::size_t a = 0; a < k; ++a) build_tree(a);
-  }
-  if (registry) subsets[0].tree->publish_level_stats(*registry);
 
-  // Every product P_b against every subset S_a: k^2 independent tasks.
-  // Each task computes, for each N_i in S_a, a shared-factor candidate:
-  //   b == a: gcd(N_i, (P_a mod N_i^2) / N_i)   (P_a divisible by N_i)
-  //   b != a: gcd(N_i, P_b mod N_i)
-  // Candidates multiply together before a final gcd, which reproduces the
-  // single-tree divisor exactly.
-  std::vector<std::vector<BigInt>> partial(k);  // per subset, per leaf
-  for (std::size_t a = 0; a < k; ++a) {
-    partial[a].assign(subsets[a].moduli.size(), BigInt(1));
-  }
-  std::vector<std::mutex> locks(k);
+  if (!pending.empty()) {
+    std::vector<std::unique_ptr<ProductTree>> trees(k);
+    for_each(k, [&](std::size_t a) {
+      if (cancel) cancel->throw_if_cancelled();
+      const TreeStorage* storage = options.storage;
+      if (storage != nullptr && storage->enabled()) {
+        // Per-subset spill identity: distinct file base and fault stream so
+        // k trees in one dir never collide and chaos schedules stay pure.
+        TreeStorage subset_storage = *storage;
+        subset_storage.base = storage->base + ".s" + std::to_string(a);
+        subset_storage.fault_stream = storage->fault_stream + a;
+        trees[a] = std::make_unique<ProductTree>(tasks.subset(a),
+                                                 subset_storage);
+      } else {
+        trees[a] = std::make_unique<ProductTree>(tasks.subset(a));
+      }
+    });
+    if (options.registry) trees[0]->publish_level_stats(*options.registry);
 
-  auto run_task = [&](std::size_t task) {
-    if (cancel) cancel->throw_if_cancelled();
-    const std::size_t b = task / k;  // product index
-    const std::size_t a = task % k;  // subset index
-    const Subset& subset = subsets[a];
-    const BigInt& product = subsets[b].tree->root();
-    const std::vector<BigInt> rem =
-        remainder_tree_squares(*subset.tree, product);
-    std::vector<BigInt> local(subset.moduli.size());
-    const BigInt one(1);
-    for (std::size_t i = 0; i < subset.moduli.size(); ++i) {
-      const BigInt& n = subset.moduli[i];
-      BigInt g = (b == a) ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i] % n);
-      local[i] = std::move(g);
-    }
-    std::lock_guard guard(locks[a]);
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      if (local[i] > one) {
-        partial[a][i] = partial[a][i] * local[i];
+    for_each(pending.size(), [&](std::size_t i) {
+      if (cancel) cancel->throw_if_cancelled();
+      const std::size_t task = pending[i];
+      const std::size_t b = tasks.product_of(task);
+      const std::size_t a = tasks.subset_of(task);
+      const std::vector<BigInt> rem =
+          remainder_tree_squares(*trees[a], trees[b]->root());
+      tasks.commit(task, leaf_claims(tasks.subset(a), rem, b == a));
+      if (executed) executed->inc();
+    });
+
+    if (stats) {
+      for (const auto& tree : trees) {
+        stats->max_node_limbs =
+            std::max(stats->max_node_limbs, tree->max_node_limbs());
+        stats->total_tree_limbs += tree->total_limbs();
       }
     }
-  };
-  if (pool) {
-    pool->parallel_for(k * k, run_task, cancel);
-  } else {
-    for (std::size_t t = 0; t < k * k; ++t) run_task(t);
   }
 
-  // Final combination per modulus.
-  for (std::size_t a = 0; a < k; ++a) {
-    const Subset& subset = subsets[a];
-    for (std::size_t i = 0; i < subset.moduli.size(); ++i) {
-      result.divisors[subset.offset + i] =
-          bn::gcd(subset.moduli[i], partial[a][i]);
-    }
-  }
-
-  if (stats) {
-    stats->subsets = k;
-    stats->tasks = k * k;
-    stats->max_node_limbs = 0;
-    stats->total_tree_limbs = 0;
-    for (const auto& s : subsets) {
-      stats->max_node_limbs = std::max(stats->max_node_limbs,
-                                       s.tree->max_node_limbs());
-      stats->total_tree_limbs += s.tree->total_limbs();
-    }
-  }
-  return result;
+  tasks.remove_journal();
+  return tasks.combine();
 }
 
 }  // namespace weakkeys::batchgcd

@@ -1,4 +1,5 @@
-// The paper's cluster-parallel batch GCD (Section 3.2, Figure 2).
+// The paper's cluster-parallel batch GCD (Section 3.2, Figure 2), run in
+// process.
 //
 // The moduli are split into k subsets with products P_1..P_k; every product
 // is pushed through a remainder tree over every subset. Total work grows
@@ -6,10 +7,12 @@
 // corpus product — the central bottleneck of the single-tree algorithm — so
 // the k^2 independent (product, subset) tasks parallelize across a cluster.
 // Here the "cluster" is a thread pool; the per-task cost statistics the
-// benchmark reports are the machine-independent story.
+// benchmark reports are the machine-independent story. The decomposition
+// itself lives in task_set.hpp, shared with the process cluster.
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "batchgcd/batch_gcd.hpp"
 #include "util/thread_pool.hpp"
@@ -25,29 +28,44 @@ struct DistributedStats {
   std::size_t tasks = 0;              ///< k * k (product x subset) pairs
   std::size_t max_node_limbs = 0;     ///< largest tree node anywhere
   std::size_t total_tree_limbs = 0;   ///< sum of subset product-tree storage
+  std::size_t tasks_resumed = 0;      ///< replayed from the journal, not run
+};
+
+struct DistributedOptions {
+  /// A tripped token stops dispatching at task granularity (both the tree
+  /// builds and the k^2 remainder-tree tasks poll it) and the call throws
+  /// util::Cancelled after draining in-flight work.
+  const util::CancellationToken* cancel = nullptr;
+  /// Progress counters `coordinator.{tasks,subsets,tasks_executed,
+  /// tasks_resumed}` (what the monitor heartbeat and watchdog read), and
+  /// the first subset tree's per-level byte/node census
+  /// (`batchgcd.product_tree.level<k>.*` + `bytes_peak`): one
+  /// representative tree, so the level gauges always sum to the peak.
+  obs::MetricsRegistry* registry = nullptr;
+  /// Spill policy: each subset tree applies it independently (file base
+  /// "<base>.s<subset>", fault stream offset by subset index) so corpus-
+  /// scale runs bound per-process memory. The k remainder walks that share
+  /// a subset's spilled tree re-read its levels, trading disk reads for the
+  /// bounded window.
+  const TreeStorage* storage = nullptr;
+  /// Resume journal (TaskJournal format, shared with the process cluster);
+  /// empty disables journaling. Every finished task is appended as one
+  /// flushed record, so a killed or cancelled run leaves a journal that the
+  /// next run with the same moduli and k resumes from, re-running only the
+  /// unfinished tasks. Replayed records are verified; fresh in-process
+  /// claims are not. Success deletes the journal.
+  std::string journal_path;
 };
 
 /// k-subset batch GCD. Output is element-for-element identical to
 /// batch_gcd(). `k` is clamped to [1, moduli.size()]. With a pool, the k^2
 /// remainder-tree tasks run concurrently; pass nullptr to run serially.
-/// A tripped `cancel` token stops dispatching at task granularity (both the
-/// tree builds and the k^2 remainder-tree tasks poll it) and the call
-/// throws util::Cancelled after draining in-flight work.
-/// With `registry`, the first subset's product tree publishes its per-level
-/// byte/node census (`batchgcd.product_tree.level<k>.*` + `bytes_peak`) —
-/// one representative tree, so the level gauges always sum to the peak.
-/// With `storage`, each subset tree applies the spill policy independently
-/// (file base "<base>.s<subset>", fault stream offset by subset index) so
-/// corpus-scale runs bound per-process memory; note the k remainder walks
-/// that share a subset's spilled tree re-read its levels, trading disk
-/// reads for the bounded window.
+/// When every task was resumed no tree is built, and the tree fields of
+/// `stats` stay zero.
 BatchGcdResult batch_gcd_distributed(std::span<const bn::BigInt> moduli,
                                      std::size_t k,
                                      util::ThreadPool* pool = nullptr,
                                      DistributedStats* stats = nullptr,
-                                     const util::CancellationToken* cancel =
-                                         nullptr,
-                                     obs::MetricsRegistry* registry = nullptr,
-                                     const TreeStorage* storage = nullptr);
+                                     const DistributedOptions& options = {});
 
 }  // namespace weakkeys::batchgcd

@@ -52,33 +52,4 @@ std::vector<BigInt> remainder_tree_squares(const ProductTree& tree,
   return rem;
 }
 
-std::vector<BigInt> remainder_tree_squares_recompute(
-    std::span<const bn::BigInt> moduli, const BigInt& x) {
-  if (moduli.empty()) return {};
-  if (moduli.size() == 1) {
-    return {reduce_mod_square(x, moduli[0])};
-  }
-  // Split in half, recompute each half's product, and recurse with the
-  // reduced remainder. Costs an extra product per node but holds only the
-  // current path in memory.
-  const std::size_t half = moduli.size() / 2;
-  const auto left = moduli.subspan(0, half);
-  const auto right = moduli.subspan(half);
-
-  auto product = [](std::span<const bn::BigInt> range) {
-    ProductTree t(range);
-    return t.root();
-  };
-  const BigInt left_product = product(left);
-  const BigInt right_product = product(right);
-
-  std::vector<BigInt> out = remainder_tree_squares_recompute(
-      left, reduce_mod_square(x, left_product));
-  std::vector<BigInt> rhs = remainder_tree_squares_recompute(
-      right, reduce_mod_square(x, right_product));
-  out.insert(out.end(), std::make_move_iterator(rhs.begin()),
-             std::make_move_iterator(rhs.end()));
-  return out;
-}
-
 }  // namespace weakkeys::batchgcd

@@ -15,10 +15,4 @@ namespace weakkeys::batchgcd {
 std::vector<bn::BigInt> remainder_tree_squares(const ProductTree& tree,
                                                const bn::BigInt& x);
 
-/// Memory-lean variant that recomputes internal products instead of reading
-/// tree levels; used by the RAM-vs-recompute ablation (the paper's original
-/// hardware had to spill the trees to disk).
-std::vector<bn::BigInt> remainder_tree_squares_recompute(
-    std::span<const bn::BigInt> moduli, const bn::BigInt& x);
-
 }  // namespace weakkeys::batchgcd

@@ -1,8 +1,9 @@
 // The CRC-guarded resume journal for (product x subset) remainder-tree
-// tasks, shared by the in-process coordinator and the multi-process cluster
-// coordinator. One on-disk format means a factoring run started under one
-// coordinator resumes cleanly under the other — the journal, not the
-// execution engine, is the commit log.
+// tasks, written through batchgcd::TaskSet by both the in-process path
+// (batch_gcd_distributed) and the multi-process cluster coordinator. One
+// on-disk format means a factoring run started under one engine resumes
+// cleanly under the other — the journal, not the execution engine, is the
+// commit log.
 //
 // Layout (fixed-width little-endian, see core/binary_io.hpp):
 //

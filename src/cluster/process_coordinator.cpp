@@ -17,9 +17,8 @@
 #include <unistd.h>
 #endif
 
-#include "batchgcd/coordinator.hpp"
 #include "batchgcd/product_tree.hpp"
-#include "batchgcd/task_journal.hpp"
+#include "batchgcd/task_set.hpp"
 #include "cluster/protocol.hpp"
 #include "core/binary_io.hpp"
 #include "obs/fleet.hpp"
@@ -51,8 +50,6 @@ enum class SlotState : std::uint8_t {
   kLost,          ///< death observed, awaiting supervisor handling
   kRetired,       ///< given up (restart budget exhausted or shutting down)
 };
-
-enum class TaskState : std::uint8_t { kQueued, kAssigned, kDone };
 
 struct Pending {
   std::size_t task = 0;
@@ -121,6 +118,7 @@ class ProcessCoordinator {
                      const ClusterConfig& config)
       : config_(config),
         moduli_(moduli),
+        tasks_(moduli, config.subsets),
         fleet_(config.telemetry ? &config.telemetry->metrics() : nullptr,
                /*trace_enabled=*/!config.fleet_trace_path.empty()) {
     if (config_.telemetry) {
@@ -145,9 +143,7 @@ class ProcessCoordinator {
       m_stream_resumes_ = &m.counter("cluster.stream_resumes");
       m_rtt_us_ = &m.histogram("cluster.heartbeat_rtt_us");
     }
-    k_ = std::clamp<std::size_t>(config.subsets, 1,
-                                 std::max<std::size_t>(moduli.size(), 1));
-    total_ = k_ * k_;
+    k_ = tasks_.k();
     remote_n_ = config.remote_workers;
     workers_n_ = remote_n_ > 0 ? config.workers
                                : std::max<std::size_t>(config.workers, 1);
@@ -155,20 +151,6 @@ class ProcessCoordinator {
                                            kMaxFrameBytes / 2);
     window_chunks_ = std::max<std::size_t>(config.stream_window_chunks, 1);
 
-    subsets_.resize(k_);
-    const std::size_t base = moduli.size() / k_;
-    const std::size_t extra = moduli.size() % k_;
-    std::size_t offset = 0;
-    for (std::size_t a = 0; a < k_; ++a) {
-      const std::size_t len = base + (a < extra ? 1 : 0);
-      subsets_[a].offset = offset;
-      subsets_[a].moduli = moduli.subspan(offset, len);
-      offset += len;
-    }
-    partial_.resize(k_);
-    for (std::size_t a = 0; a < k_; ++a) {
-      partial_[a].assign(subsets_[a].moduli.size(), BigInt(1));
-    }
     enc_subset_.resize(k_);
     enc_subset_crc_.assign(k_, 0);
     enc_product_.resize(k_);
@@ -178,34 +160,33 @@ class ProcessCoordinator {
   ~ProcessCoordinator() { cleanup(); }
 
   batchgcd::BatchGcdResult run(ClusterStats* stats) {
-    batchgcd::BatchGcdResult result;
-    result.divisors.assign(moduli_.size(), BigInt(1));
     if (moduli_.empty()) {
       if (stats) *stats = stats_;
-      return result;
+      return {};
     }
+    const std::size_t total = tasks_.size();
     stats_.subsets = k_;
-    stats_.tasks = total_;
+    stats_.tasks = total;
     stats_.workers = workers_n_ + remote_n_;
     if (config_.telemetry) {
       auto& m = config_.telemetry->metrics();
-      m.counter("cluster.tasks").set(total_);
+      m.counter("cluster.tasks").set(total);
       m.counter("cluster.subsets").set(k_);
       m.counter("cluster.workers").set(workers_n_ + remote_n_);
     }
 
-    tstate_.assign(total_, TaskState::kQueued);
-    fingerprint_ = batchgcd::corpus_fingerprint(moduli_, k_);
-    if (!config_.checkpoint_path.empty()) open_journal();
-
-    for (std::size_t t = 0; t < total_; ++t) {
-      if (tstate_[t] != TaskState::kDone) {
-        pending_.push_back({t, 0, Clock::now(), kNoWorker});
-      }
+    fingerprint_ = tasks_.fingerprint();
+    if (!config_.checkpoint_path.empty()) {
+      stats_.tasks_resumed = tasks_.open_journal(config_.checkpoint_path);
+      if (m_tasks_resumed_) m_tasks_resumed_->inc(stats_.tasks_resumed);
     }
-    if (committed_ > 0) {
-      log("checkpoint: resumed " + std::to_string(committed_) + "/" +
-          std::to_string(total_) + " tasks from " + config_.checkpoint_path);
+
+    for (std::size_t t = 0; t < total; ++t) {
+      if (!tasks_.done(t)) pending_.push_back({t, 0, Clock::now(), kNoWorker});
+    }
+    if (stats_.tasks_resumed > 0) {
+      log("checkpoint: resumed " + std::to_string(stats_.tasks_resumed) + "/" +
+          std::to_string(total) + " tasks from " + config_.checkpoint_path);
     }
 
     if (config_.cancel && config_.cancel->cancelled()) cancelled_ = true;
@@ -217,39 +198,22 @@ class ProcessCoordinator {
     cleanup();
     if (stats) *stats = stats_;
     if (fatal_) std::rethrow_exception(fatal_);
+    // On every early exit the journal stays on disk as the resume point.
     if (cancelled_) {
-      journal_.close();
       throw util::Cancelled(config_.cancel ? config_.cancel->reason()
                                            : "cluster");
     }
     if (halted_) {
-      journal_.close();
-      throw batchgcd::CoordinatorInterrupted(
+      throw CoordinatorInterrupted(
           "cluster halted after " + std::to_string(stats_.tasks_executed) +
           " tasks (checkpoint retained)");
     }
 
-    for (std::size_t a = 0; a < k_; ++a) {
-      for (std::size_t i = 0; i < subsets_[a].moduli.size(); ++i) {
-        result.divisors[subsets_[a].offset + i] =
-            bn::gcd(subsets_[a].moduli[i], partial_[a][i]);
-      }
-    }
-    journal_.close();
-    if (!config_.checkpoint_path.empty() &&
-        config_.remove_checkpoint_on_success) {
-      std::remove(config_.checkpoint_path.c_str());
-    }
-    if (stats) *stats = stats_;
-    return result;
+    if (config_.remove_checkpoint_on_success) tasks_.remove_journal();
+    return tasks_.combine();
   }
 
  private:
-  struct Subset {
-    std::size_t offset = 0;
-    std::span<const BigInt> moduli;
-  };
-
   void log(const std::string& message) const {
     if (config_.log) config_.log(message);
   }
@@ -259,26 +223,6 @@ class ProcessCoordinator {
   }
 
   // -- setup ---------------------------------------------------------------
-
-  void open_journal() {
-    journal_.open(
-        config_.checkpoint_path, fingerprint_,
-        static_cast<std::uint32_t>(total_),
-        [this](std::uint32_t task, std::vector<TaskClaim>&& claims) {
-          if (task >= total_ || tstate_[task] == TaskState::kDone)
-            return false;
-          const std::size_t a = task % k_;
-          if (!verify(a, claims)) return false;
-          for (const auto& claim : claims) {
-            partial_[a][claim.leaf] = partial_[a][claim.leaf] * claim.divisor;
-          }
-          tstate_[task] = TaskState::kDone;
-          ++committed_;
-          ++stats_.tasks_resumed;
-          if (m_tasks_resumed_) m_tasks_resumed_->inc();
-          return true;
-        });
-  }
 
   /// Builds each subset's product tree just for its root — workers grow
   /// their own leaf trees, the coordinator only ships products around.
@@ -290,14 +234,14 @@ class ProcessCoordinator {
       if (nthreads <= 1) {
         for (std::size_t b = 0; b < k_; ++b) {
           if (config_.cancel) config_.cancel->throw_if_cancelled();
-          products_[b] = batchgcd::ProductTree(subsets_[b].moduli).root();
+          products_[b] = batchgcd::ProductTree(tasks_.subset(b)).root();
         }
       } else {
         util::ThreadPool pool(nthreads, config_.telemetry);
         pool.parallel_for(
             k_,
             [this](std::size_t b) {
-              products_[b] = batchgcd::ProductTree(subsets_[b].moduli).root();
+              products_[b] = batchgcd::ProductTree(tasks_.subset(b)).root();
             },
             config_.cancel);
       }
@@ -810,11 +754,11 @@ class ProcessCoordinator {
     const auto close_span = [&](bool committed) {
       fleet_.end_assign(assign_span, now_ns(), committed);
     };
-    if (task >= total_) {
+    if (task >= tasks_.size()) {
       close_span(false);
       return;
     }
-    if (tstate_[task] == TaskState::kDone) {
+    if (tasks_.done(task)) {
       close_span(true);  // this attempt's work is done, just redundantly
       ++stats_.duplicate_results;
       if (m_duplicate_results_) m_duplicate_results_->inc();
@@ -822,8 +766,7 @@ class ProcessCoordinator {
       return;  // duplicate of an already committed task
     }
 
-    const std::size_t a = task % k_;
-    if (verify(a, result.claims)) {
+    if (tasks_.verify(task, result.claims)) {
       close_span(true);
       // Commit even when this slot was already timed out for the task —
       // the result is verified, and any later duplicate lands in the
@@ -864,8 +807,8 @@ class ProcessCoordinator {
       if (kind == StreamKind::kSubset) {
         SubsetDataMsg msg;
         msg.subset = static_cast<std::uint32_t>(idx);
-        msg.moduli.assign(subsets_[idx].moduli.begin(),
-                          subsets_[idx].moduli.end());
+        const auto subset = tasks_.subset(idx);
+        msg.moduli.assign(subset.begin(), subset.end());
         bytes = msg.encode();
       } else {
         ProductDataMsg msg;
@@ -992,31 +935,13 @@ class ProcessCoordinator {
 
   // -- task bookkeeping (mu_ held) -----------------------------------------
 
-  [[nodiscard]] bool verify(std::size_t a,
-                            const std::vector<TaskClaim>& claims) const {
-    const BigInt one(1);
-    for (const auto& claim : claims) {
-      if (claim.leaf >= subsets_[a].moduli.size()) return false;
-      const BigInt& n = subsets_[a].moduli[claim.leaf];
-      if (!(claim.divisor > one) || claim.divisor > n) return false;
-      if (!(n % claim.divisor == BigInt(0))) return false;
-    }
-    return true;
-  }
-
   void commit(std::size_t task, const std::vector<TaskClaim>& claims) {
-    const std::size_t a = task % k_;
-    for (const auto& claim : claims) {
-      partial_[a][claim.leaf] = partial_[a][claim.leaf] * claim.divisor;
-    }
-    journal_.append(static_cast<std::uint32_t>(task), claims);
-    tstate_[task] = TaskState::kDone;
-    ++committed_;
+    tasks_.commit(task, claims);
     ++stats_.tasks_executed;
     if (m_tasks_executed_) m_tasks_executed_->inc();
     if (config_.halt_after_tasks != 0 &&
         stats_.tasks_executed >= config_.halt_after_tasks &&
-        committed_ < total_) {
+        !tasks_.complete()) {
       halted_ = true;
     }
   }
@@ -1030,12 +955,7 @@ class ProcessCoordinator {
     }
   }
 
-  [[nodiscard]] bool is_queued_or_assigned(std::size_t task) const {
-    if (tstate_[task] == TaskState::kAssigned) {
-      for (const Slot& slot : slots_) {
-        if (slot.busy && slot.current.task == task) return true;
-      }
-    }
+  [[nodiscard]] bool is_queued(std::size_t task) const {
     for (const Pending& p : pending_) {
       if (p.task == task) return true;
     }
@@ -1043,13 +963,12 @@ class ProcessCoordinator {
   }
 
   /// Requeues `task` for its next attempt, or records the fatal retry
-  /// exhaustion. No-op when the task is done or already queued/assigned
-  /// elsewhere.
+  /// exhaustion. Callers release the task's slot first, so a task is never
+  /// both assigned and requeued. No-op when the task is done or already
+  /// queued.
   void requeue(std::size_t task, std::size_t next_attempt,
                std::uint32_t banned_worker) {
-    if (tstate_[task] == TaskState::kDone) return;
-    tstate_[task] = TaskState::kQueued;
-    if (is_queued_or_assigned(task)) return;
+    if (tasks_.done(task) || is_queued(task)) return;
     if (config_.retry.exhausted(next_attempt)) {
       if (!fatal_) {
         fatal_ = std::make_exception_ptr(ClusterError(
@@ -1095,7 +1014,7 @@ class ProcessCoordinator {
       std::unique_lock lock(mu_);
       if (config_.cancel && config_.cancel->cancelled()) cancelled_ = true;
       if (fatal_ || cancelled_ || halted_) return;
-      if (committed_ == total_) return;
+      if (tasks_.complete()) return;
 
       tick_liveness();
       tick_disconnected(lock);  // may drop the lock to join an RX thread
@@ -1106,12 +1025,12 @@ class ProcessCoordinator {
       tick_assign();
       tick_frame_metrics();
 
-      if (!any_active_slots() && committed_ < total_) {
+      if (!any_active_slots() && !tasks_.complete()) {
         fatal_ = std::make_exception_ptr(
             ClusterError("cluster: all workers lost (restart budget " +
                          std::to_string(config_.restart_budget) +
                          " exhausted) with " +
-                         std::to_string(total_ - committed_) +
+                         std::to_string(tasks_.size() - tasks_.committed()) +
                          " tasks pending"));
         return;
       }
@@ -1293,8 +1212,8 @@ class ProcessCoordinator {
         const Pending& p = pending_[i];
         if (p.banned_worker == slot.id && live_slots() > 1) continue;
         if (p.ready_at > now) continue;
-        const std::size_t a = p.task % k_;
-        const std::size_t b = p.task / k_;
+        const std::size_t a = tasks_.subset_of(p.task);
+        const std::size_t b = tasks_.product_of(p.task);
         if (slot.delivered_subsets[a] && slot.delivered_products[b]) {
           pick = i;
           break;
@@ -1326,8 +1245,8 @@ class ProcessCoordinator {
   /// tick_assign), then applies any process-tier fault decided for this
   /// (task, attempt).
   void assign(Slot& slot, const Pending& p) {
-    const std::size_t b = p.task / k_;
-    const std::size_t a = p.task % k_;
+    const std::size_t b = tasks_.product_of(p.task);
+    const std::size_t a = tasks_.subset_of(p.task);
 
     TaskAssignMsg msg;
     msg.task = static_cast<std::uint32_t>(p.task);
@@ -1356,7 +1275,6 @@ class ProcessCoordinator {
     slot.current = p;
     slot.assign_span = assign_span;
     slot.assigned_at = Clock::now();
-    tstate_[p.task] = TaskState::kAssigned;
     ++stats_.attempts;
     if (m_attempts_) m_attempts_->inc();
     if (p.attempt > 0) {
@@ -1543,14 +1461,13 @@ class ProcessCoordinator {
 
   ClusterConfig config_;
   std::span<const BigInt> moduli_;
+  batchgcd::TaskSet tasks_;  ///< partition, verification, journal, combine
   std::size_t k_ = 1;
-  std::size_t total_ = 0;
   std::size_t workers_n_ = 1;  ///< local (forked) slots
   std::size_t remote_n_ = 0;   ///< dial-in slots after the local ones
   std::size_t chunk_bytes_ = 64 * 1024;
   std::size_t window_chunks_ = 8;
   std::uint64_t fingerprint_ = 0;
-  std::vector<Subset> subsets_;
   std::vector<BigInt> products_;  ///< per-subset product-tree roots
 
   util::net::UniqueFd listen_fd_;
@@ -1564,8 +1481,6 @@ class ProcessCoordinator {
   std::condition_variable cv_;
   std::vector<Slot> slots_;
   std::deque<Pending> pending_;
-  std::vector<TaskState> tstate_;
-  std::size_t committed_ = 0;  ///< resumed + executed
   std::size_t respawns_used_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint32_t next_stream_id_ = 1;
@@ -1574,14 +1489,12 @@ class ProcessCoordinator {
   bool stop_ = false;
   bool cleaned_up_ = false;
   std::exception_ptr fatal_;
-  std::vector<std::vector<BigInt>> partial_;  ///< per subset, per leaf
   // Encoded payload caches, shared across every slot's transfers (the
   // bytes for subset a are identical no matter which worker needs them).
   std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> enc_subset_;
   std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> enc_product_;
   std::vector<std::uint32_t> enc_subset_crc_;
   std::vector<std::uint32_t> enc_product_crc_;
-  batchgcd::TaskJournal journal_;
   ClusterStats stats_;
   std::uint64_t retired_frames_sent_ = 0;
   std::uint64_t retired_frames_dropped_ = 0;

@@ -1,10 +1,11 @@
 // Multi-process batch-GCD cluster coordinator.
 //
-// Where batchgcd::batch_gcd_coordinated() *simulates* a cluster with
-// threads and injected outcomes, this coordinator makes the failure domain
-// real: it fork/execs N worker processes (tools/gcd_worker), distributes
-// the k^2 (product x subset) remainder-tree tasks over the framed TCP
-// protocol in cluster/protocol.hpp, and survives actual process death —
+// Where batchgcd::batch_gcd_distributed() runs the k^2 (product x subset)
+// remainder-tree tasks on a thread pool that never fails, this coordinator
+// runs them across a real failure domain: it fork/execs N worker processes
+// (tools/gcd_worker), distributes the tasks (batchgcd::TaskSet, the same
+// decomposition) over the framed TCP protocol in cluster/protocol.hpp, and
+// survives actual process death —
 // a SIGKILLed worker is a closed socket, a SIGSTOPped worker is a process
 // that silently stops answering heartbeats, a garbled frame is bytes that
 // fail CRC on the wire.
@@ -23,8 +24,7 @@
 //                                 sender accumulates strikes and is demoted
 //                                 (killed + respawned) at the strike limit
 //   task keeps failing            capped-exponential retry with jitter
-//                                 (util::RetryPolicy — the same schedule as
-//                                 the in-process coordinator), preferring a
+//                                 (util::RetryPolicy), preferring a
 //                                 different worker each time
 //   link drops / partitions       with session_grace > 0 a disconnect is
 //                                 not a death: the slot parks in
@@ -40,8 +40,8 @@
 //                                 worker is left with tasks still pending
 //   coordinator killed            every committed task is in the CRC'd
 //                                 resume journal (batchgcd::TaskJournal,
-//                                 same file format as the in-process
-//                                 coordinator) — rerun to resume
+//                                 same file as the in-process path's) —
+//                                 rerun to resume
 //
 // Verified divisor claims are folded commutatively, so the output is
 // element-for-element identical to batch_gcd() under any fault schedule —
@@ -100,8 +100,8 @@ struct ClusterConfig {
   /// A transfer with no ack progress for this long rewinds to the acked
   /// prefix and resends (go-back-N) — recovery for dropped chunks/acks.
   std::chrono::milliseconds stream_retransmit{250};
-  /// Per-task retry schedule — the same policy type (and therefore delay
-  /// curve) as the in-process coordinator.
+  /// Per-task retry schedule: capped exponential backoff with
+  /// deterministic jitter, and the per-task attempt budget.
   util::RetryPolicy retry;
   /// An assignment not answered within this deadline is requeued (the
   /// worker is left alive — slow is not dead; dead is the heartbeat's
@@ -121,11 +121,11 @@ struct ClusterConfig {
   /// deadline or it is killed and respawned (budget permitting).
   std::chrono::milliseconds spawn_timeout{10000};
   /// Resume journal path; empty disables journaling. Same file format as
-  /// the in-process coordinator — runs resume across engines.
+  /// batch_gcd_distributed's journal — runs resume across engines.
   std::string checkpoint_path;
   bool remove_checkpoint_on_success = true;
   /// Test hook: stop dispatching once this many tasks committed this run
-  /// and throw batchgcd::CoordinatorInterrupted (journal retained).
+  /// and throw CoordinatorInterrupted (journal retained).
   std::size_t halt_after_tasks = 0;
   /// Cooperative cancellation; polled every supervisor tick.
   const util::CancellationToken* cancel = nullptr;
@@ -203,12 +203,19 @@ class ClusterError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown by the halt_after_tasks test hook: the simulated coordinator
+/// kill. The checkpoint journal (if any) holds everything committed so far.
+class CoordinatorInterrupted : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Runs the k-subset batch GCD across real worker processes. Output is
 /// element-for-element identical to batch_gcd() under any fault schedule.
 /// Resumes from `config.checkpoint_path` (shared journal format with
-/// batch_gcd_coordinated). Throws util::Cancelled on cancellation (journal
-/// retained), batchgcd::CoordinatorInterrupted from the halt_after_tasks
-/// hook, ClusterError when the run cannot complete.
+/// batch_gcd_distributed). Throws util::Cancelled on cancellation (journal
+/// retained), CoordinatorInterrupted from the halt_after_tasks hook,
+/// ClusterError when the run cannot complete.
 batchgcd::BatchGcdResult batch_gcd_cluster(std::span<const bn::BigInt> moduli,
                                            const ClusterConfig& config,
                                            ClusterStats* stats = nullptr);

@@ -17,6 +17,7 @@
 
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
+#include "batchgcd/task_set.hpp"
 #include "cluster/protocol.hpp"
 #include "core/binary_io.hpp"
 #include "obs/mem.hpp"
@@ -675,18 +676,11 @@ class Worker {
         batchgcd::remainder_tree_squares(*tree, product);
     const std::int64_t t_computed = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.compute", t_dequeue, t_computed, assign);
-    const bool diagonal = assign.product_subset == assign.leaf_subset;
-    const BigInt one(1);
     TaskResultMsg result;
     result.task = assign.task;
     result.worker_id = config_.worker_id;
-    for (std::size_t i = 0; i < moduli.size(); ++i) {
-      const BigInt& n = moduli[i];
-      BigInt g = diagonal ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i] % n);
-      if (g > one) {
-        result.claims.push_back({static_cast<std::uint32_t>(i), std::move(g)});
-      }
-    }
+    result.claims = batchgcd::leaf_claims(
+        moduli, rem, assign.product_subset == assign.leaf_subset);
     const std::int64_t t_verified = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.verify", t_computed, t_verified, assign);
     if (telemetry_enabled_ && t_verified >= t_dequeue) {
@@ -696,12 +690,12 @@ class Worker {
     }
     claims_found_.fetch_add(result.claims.size(), std::memory_order_relaxed);
     if (decision.kind == util::FaultKind::kCorruptResult && !moduli.empty()) {
-      // Same guaranteed-rejectable corruption as the in-process simulation:
-      // n-1 never divides n for n > 2, so verification must catch it.
+      // A guaranteed-rejectable corruption: n-1 never divides n for n > 2,
+      // so the coordinator's verification must catch it.
       const std::size_t slot = decision.corrupt_slot % moduli.size();
       const BigInt& n = moduli[slot];
       if (n > BigInt(2)) {
-        const BigInt bogus = n - one;
+        const BigInt bogus = n - BigInt(1);
         const auto it = std::find_if(
             result.claims.begin(), result.claims.end(),
             [slot](const batchgcd::TaskClaim& c) { return c.leaf == slot; });

@@ -56,10 +56,10 @@ struct WorkerConfig {
   bool tcp_keepalive = false;
   /// Fault injection, worker side. Frame tier applies to the worker's
   /// *outbound* frames (the coordinator injects its own side; each end
-  /// garbles only what it sends, like a real lossy link). The thread-tier
-  /// probabilities make the simulated outcomes real: kCrash is an _exit()
-  /// mid-task (socket EOF at the coordinator), kStraggle sleeps past the
-  /// task deadline then sends the late result anyway, kCorruptResult ships
+  /// garbles only what it sends, like a real lossy link). The task tier
+  /// acts here: kCrash is an _exit() mid-task (socket EOF at the
+  /// coordinator), kStraggle sleeps past the task deadline then sends the
+  /// late result anyway, kCorruptResult ships
   /// a divisor that cannot divide its modulus (the coordinator's
   /// re-verification must quarantine it).
   util::FaultConfig faults;

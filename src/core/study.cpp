@@ -13,7 +13,6 @@
 #endif
 
 #include "analysis/chains.hpp"
-#include "batchgcd/coordinator.hpp"
 #include "batchgcd/distributed.hpp"
 #include "core/binary_io.hpp"
 #include "core/ingest.hpp"
@@ -213,7 +212,6 @@ StudyCheckpointKey Study::checkpoint_key() const {
       kCatalogVersion,
       config_.noise.fingerprint(),
       static_cast<std::uint32_t>(config_.batch_gcd_subsets),
-      config_.fault_tolerant ? 1u : 0u,
   };
 }
 
@@ -769,12 +767,14 @@ void Study::factor_moduli() {
         std::to_string(spill_threshold_mb) + " MiB");
   }
 
+  const std::string journal_path =
+      config_.cache_path.empty() ? "" : config_.cache_path + ".gcdckpt";
   batchgcd::BatchGcdResult result;
   if (worker_processes > 0 || remote_workers > 0) {
     obs::Span gcd_span = telemetry_.tracer().span("gcd.cluster");
     // Multi-process path: fork/exec gcd_worker processes, supervise them
     // over TCP with heartbeats and per-task timeouts, survive crashes via
-    // respawn and the same resume journal the in-process coordinator uses.
+    // respawn and the same resume journal the in-process path writes.
     cluster::ClusterConfig cc;
     cc.subsets = config_.batch_gcd_subsets;
     cc.workers = worker_processes;
@@ -788,8 +788,7 @@ void Study::factor_moduli() {
       cc.telemetry_interval = std::chrono::milliseconds(telemetry_interval_ms);
     }
     cc.fleet_trace_path = fleet_trace_path;
-    cc.checkpoint_path =
-        config_.cache_path.empty() ? "" : config_.cache_path + ".gcdckpt";
+    cc.checkpoint_path = journal_path;
     cc.log = [this](const std::string& message) { log(message); };
     cc.telemetry = &telemetry_;
     cc.cancel = resolve_token();
@@ -813,39 +812,25 @@ void Study::factor_moduli() {
         " reconnects, " + std::to_string(cluster_stats_.results_quarantined) +
         " quarantined, " + std::to_string(cluster_stats_.tasks_resumed) +
         " resumed from checkpoint)");
-  } else if (config_.fault_tolerant) {
-    obs::Span gcd_span = telemetry_.tracer().span("gcd.coordinated");
-    // Fault-tolerant path: verified results, retries, and a checkpoint
-    // journal so a killed run resumes with only the unfinished tasks.
-    batchgcd::CoordinatorConfig coord;
-    coord.subsets = config_.batch_gcd_subsets;
-    coord.workers = config_.threads;
-    coord.checkpoint_path =
-        config_.cache_path.empty() ? "" : config_.cache_path + ".gcdckpt";
-    coord.log = [this](const std::string& message) { log(message); };
-    coord.telemetry = &telemetry_;
-    coord.cancel = resolve_token();
-    util::FaultInjector injector(config_.faults);
-    if (config_.faults.any_faults()) coord.injector = &injector;
-    coord.storage = storage;
-    result = batchgcd::batch_gcd_coordinated(moduli, coord, &coordinator_stats_);
-    gcd_span.end();
-    log("coordinator: " + std::to_string(coordinator_stats_.attempts) +
-        " attempts for " + std::to_string(coordinator_stats_.tasks) +
-        " tasks (" + std::to_string(coordinator_stats_.retries) + " retries, " +
-        std::to_string(coordinator_stats_.corruptions_caught) +
-        " corruptions caught, " +
-        std::to_string(coordinator_stats_.stragglers_killed) +
-        " stragglers killed, " +
-        std::to_string(coordinator_stats_.tasks_resumed) +
-        " resumed from checkpoint)");
   } else {
-    // Fault-free fast path: every task assumed to succeed exactly once.
+    // In-process path: the k^2 tasks on a thread pool, each committed task
+    // journaled so a killed or cancelled run resumes only the rest.
     obs::Span gcd_span = telemetry_.tracer().span("gcd.distributed");
     util::ThreadPool pool(config_.threads, &telemetry_);
-    result = batchgcd::batch_gcd_distributed(
-        moduli, config_.batch_gcd_subsets, &pool, nullptr, resolve_token(),
-        &telemetry_.metrics(), storage);
+    batchgcd::DistributedOptions options;
+    options.cancel = resolve_token();
+    options.registry = &telemetry_.metrics();
+    options.storage = storage;
+    options.journal_path = journal_path;
+    result = batchgcd::batch_gcd_distributed(moduli, config_.batch_gcd_subsets,
+                                             &pool, &distributed_stats_,
+                                             options);
+    if (distributed_stats_.tasks_resumed > 0) {
+      log("checkpoint: resumed " +
+          std::to_string(distributed_stats_.tasks_resumed) + "/" +
+          std::to_string(distributed_stats_.tasks) + " tasks from " +
+          journal_path);
+    }
   }
 
   obs::Span classify_span = telemetry_.tracer().span("study.classify_divisors");
@@ -1100,8 +1085,8 @@ DatasetLoadStatus Study::dataset_cache_status() const {
   return dataset_cache_status_;
 }
 const FactorStats& Study::factor_stats() const { return stats_; }
-const batchgcd::CoordinatorStats& Study::coordinator_stats() const {
-  return coordinator_stats_;
+const batchgcd::DistributedStats& Study::distributed_stats() const {
+  return distributed_stats_;
 }
 const std::vector<FactorRecord>& Study::factored() const { return factored_; }
 const analysis::VulnerableSet& Study::vulnerable() const { return vulnerable_; }

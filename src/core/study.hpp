@@ -27,7 +27,7 @@
 
 #include "analysis/timeseries.hpp"
 #include "batchgcd/batch_gcd.hpp"
-#include "batchgcd/coordinator.hpp"
+#include "batchgcd/distributed.hpp"
 #include "cluster/process_coordinator.hpp"
 #include "fingerprint/divisor_class.hpp"
 #include "fingerprint/ibm_clique.hpp"
@@ -65,22 +65,19 @@ struct StudyConfig {
   /// results are byte-identical to the single-file cache. 0 falls back to
   /// WEAKKEYS_CACHE_SHARDS; still 0 (or 1) keeps the single file.
   std::uint32_t cache_shards = 0;
-  /// Route the factoring stage through the fault-tolerant cluster
-  /// coordinator (batch_gcd_coordinated) instead of the fault-free
-  /// batch_gcd_distributed fast path. Enables checkpoint/resume: completed
-  /// remainder-tree tasks journal to `cache_path + ".gcdckpt"`, so an
-  /// interrupted factoring run re-executes only the unfinished tasks.
-  bool fault_tolerant = false;
-  /// Fault injection for the coordinator (all-zero = no injected faults).
-  /// Only meaningful with fault_tolerant = true.
+  /// Fault injection (all-zero = none): the task, process, frame and
+  /// connection tiers apply to the cluster path, the storage tier to spill
+  /// I/O on either path.
   util::FaultConfig faults;
   /// Route the factoring stage through the multi-process TCP cluster
   /// (batch_gcd_cluster): fork/exec this many gcd_worker processes and
   /// supervise them with heartbeats, per-task timeouts, and respawn.
   /// 0 falls back to the WEAKKEYS_WORKERS environment variable; still 0
-  /// keeps factoring in-process (fault_tolerant / fast path as above).
-  /// The cluster path implies fault tolerance: it shares the coordinator's
-  /// journal format, so cluster and in-process runs resume each other.
+  /// keeps factoring in-process (batch_gcd_distributed on a thread pool).
+  /// Either path journals completed remainder-tree tasks to
+  /// `cache_path + ".gcdckpt"` when cache_path is set, in one format, so an
+  /// interrupted factoring run re-executes only the unfinished tasks —
+  /// under either engine.
   std::size_t worker_processes = 0;
   /// Path to the gcd_worker binary for the cluster path. Empty falls back
   /// to the WEAKKEYS_WORKER_BIN environment variable; required (and
@@ -210,7 +207,7 @@ struct StudyConfig {
   /// the monitor thread, so it needs monitor_path/WEAKKEYS_MONITOR to be
   /// active. 0 disables the watchdog.
   std::size_t watchdog_stall_ticks = 0;
-  /// Resume a previous run of the same configuration: load the WKC1 study
+  /// Resume a previous run of the same configuration: load the WKC2 study
   /// checkpoint (`cache_path + ".study"`) and continue its generation
   /// count. The per-stage caches (corpus, gcdckpt journal, factors) do
   /// the actual work-skipping; this flag additionally surfaces
@@ -295,9 +292,10 @@ class Study {
 
   // -- Factoring ---------------------------------------------------------
   [[nodiscard]] const FactorStats& factor_stats() const;
-  /// Coordinator telemetry (attempts, retries, corruptions caught, ...).
-  /// All zero when the fast path ran or the factor cache was hit.
-  [[nodiscard]] const batchgcd::CoordinatorStats& coordinator_stats() const;
+  /// In-process factoring telemetry (tasks, tasks resumed from the
+  /// journal, tree sizes). All zero when the cluster ran or the factor
+  /// cache was hit.
+  [[nodiscard]] const batchgcd::DistributedStats& distributed_stats() const;
   /// Process-cluster telemetry (respawns, heartbeat deaths, quarantined
   /// results, frame loss, ...). All zero unless the factoring stage ran on
   /// the multi-process cluster (worker_processes / WEAKKEYS_WORKERS).
@@ -420,7 +418,7 @@ class Study {
   std::vector<bn::BigInt> degenerate_moduli_;
 
   FactorStats stats_;
-  batchgcd::CoordinatorStats coordinator_stats_;
+  batchgcd::DistributedStats distributed_stats_;
   cluster::ClusterStats cluster_stats_;
   std::vector<FactorRecord> factored_;
   analysis::VulnerableSet vulnerable_;

@@ -6,7 +6,9 @@
 namespace weakkeys::core {
 
 namespace {
-constexpr std::uint32_t kStudyCheckpointMagic = 0x574b4331;  // "WKC1"
+// WKC2 dropped the key's fault-tolerance flag; a WKC1 file fails the
+// magic check instead of being misread with one field fewer.
+constexpr std::uint32_t kStudyCheckpointMagic = 0x574b4332;  // "WKC2"
 }  // namespace
 
 const char* to_string(StudyStage s) {
@@ -32,7 +34,6 @@ void save_study_checkpoint(const StudyCheckpoint& cp, const std::string& path) {
   w.u32(cp.key.catalog_version);
   w.u64(cp.key.noise_fingerprint);
   w.u32(cp.key.subsets);
-  w.u32(cp.key.fault_tolerant);
   w.u64(cp.generation);
   w.u32(static_cast<std::uint32_t>(cp.stage));
 
@@ -71,7 +72,6 @@ std::optional<StudyCheckpoint> load_study_checkpoint(
     cp.key.catalog_version = r.u32();
     cp.key.noise_fingerprint = r.u64();
     cp.key.subsets = r.u32();
-    cp.key.fault_tolerant = r.u32();
     cp.generation = r.u64();
     const std::uint32_t stage = r.u32();
     if (stage > static_cast<std::uint32_t>(StudyStage::kDone)) {

@@ -1,6 +1,6 @@
-// Generation-stamped end-to-end run checkpoint ("WKC1").
+// Generation-stamped end-to-end run checkpoint ("WKC2").
 //
-// The corpus cache, the coordinator's gcdckpt journal, and the factor cache
+// The corpus cache, the gcdckpt task journal, and the factor cache
 // each make *their* stage resumable; this small record ties them together
 // into one crash-safe run ledger: which pipeline stage last completed, under
 // exactly which configuration, and how many times the checkpoint has been
@@ -39,7 +39,6 @@ struct StudyCheckpointKey {
   std::uint32_t catalog_version = 0;
   std::uint64_t noise_fingerprint = 0;
   std::uint32_t subsets = 0;
-  std::uint32_t fault_tolerant = 0;
 
   friend bool operator==(const StudyCheckpointKey&,
                          const StudyCheckpointKey&) = default;

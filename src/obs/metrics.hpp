@@ -8,7 +8,7 @@
 //
 // Naming convention (see DESIGN.md §5e): dot-separated lowercase paths,
 // `<subsystem>.<noun>[.<qualifier>]`, e.g. `ingest.drop.even-modulus`,
-// `coordinator.worker.3.attempts`, `threadpool.task_us`. Duration-valued
+// `cluster.worker.3.deaths`, `threadpool.task_us`. Duration-valued
 // histograms carry a `_us` suffix and record microseconds.
 #pragma once
 

@@ -34,15 +34,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 }  // namespace
 
 double rate_per_sec(std::uint64_t delta, std::uint64_t interval_us) {
@@ -255,8 +246,8 @@ std::string Monitor::heartbeat_line(const MetricsSnapshot& cur,
     }
   }
 
-  // The in-process coordinator and the multi-process cluster publish the
-  // same task-accounting shape under different prefixes; whichever one is
+  // The in-process path and the multi-process cluster publish the same
+  // task-accounting shape under different prefixes; whichever one is
   // running owns the gcd heartbeat.
   const char* gcd = cur.counter("coordinator.tasks") > 0 ? "coordinator."
                     : cur.counter("cluster.tasks") > 0   ? "cluster."
@@ -286,26 +277,9 @@ std::string Monitor::heartbeat_line(const MetricsSnapshot& cur,
     }
   }
 
-  // Per-worker liveness: a worker is active this interval if its attempt
-  // counter moved. Counters appear as workers start, so the denominator is
-  // the workers observed so far.
-  std::size_t workers = 0;
-  std::size_t active = 0;
-  for (const auto& [name, value] : cur.counters) {
-    if (!starts_with(name, "coordinator.worker.") ||
-        !ends_with(name, ".attempts")) {
-      continue;
-    }
-    ++workers;
-    if (counter_delta(prev.counter(name), value) > 0) ++active;
-  }
-  if (workers > 0) {
-    std::snprintf(buf, sizeof(buf), " | workers %zu/%zu active", active,
-                  workers);
-    line += buf;
-  } else if (cur.counter("cluster.workers") > 0) {
+  if (cur.counter("cluster.workers") > 0) {
     // Multi-process cluster: liveness comes from the coordinator's
-    // heartbeat-tracked gauge rather than per-thread attempt counters.
+    // heartbeat-tracked gauge.
     const auto alive = cur.gauges.find("cluster.workers_alive");
     std::snprintf(
         buf, sizeof(buf), " | workers %lld/%llu alive",

@@ -11,8 +11,8 @@
 //   - appends one JSON object line to the configured JSONL file
 //     (`StudyConfig::monitor_path` / WEAKKEYS_MONITOR), and
 //   - emits a human heartbeat through the TelemetrySink: ingest rate, GCD
-//     tasks done/total with ETA, per-worker liveness derived from the
-//     `coordinator.worker.<w>.attempts` counters, thread-pool queue depth.
+//     tasks done/total with ETA, cluster worker liveness, thread-pool queue
+//     depth.
 //
 // stop() (and the destructor) writes one final snapshot marked
 // `"final":true` whose cumulative counters equal the registry's end state

@@ -10,12 +10,6 @@ bool starts_with(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::string suf(suffix);
-  return s.size() >= suf.size() &&
-         s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
 }  // namespace
 
 Watchdog::Watchdog(Telemetry& telemetry, WatchdogConfig config)
@@ -77,21 +71,6 @@ std::string Watchdog::diagnostic(const MetricsSnapshot& snapshot) const {
   std::string out = "watchdog: stall declared after " +
                     std::to_string(quiet_ticks_) +
                     " quiet ticks (no watched counter moved)";
-
-  // Per-worker liveness: the attempt counters the coordinator maintains.
-  std::string workers;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (!starts_with(name, "coordinator.worker.") ||
-        !ends_with(name, ".attempts")) {
-      continue;
-    }
-    if (!workers.empty()) workers += " ";
-    // "coordinator.worker.<w>.attempts" -> "<w>:<attempts>"
-    const std::size_t start = std::string("coordinator.worker.").size();
-    const std::size_t end = name.size() - std::string(".attempts").size();
-    workers += name.substr(start, end - start) + ":" + std::to_string(value);
-  }
-  if (!workers.empty()) out += " | worker attempts " + workers;
 
   const auto queue = snapshot.gauges.find("threadpool.queue_depth");
   if (queue != snapshot.gauges.end()) {

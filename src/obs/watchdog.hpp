@@ -8,16 +8,16 @@
 // across every watched progress counter. On the tick that crosses the
 // threshold it:
 //   - emits a one-line diagnostic through the TelemetrySink (warn level):
-//     quiet duration, per-worker attempt liveness, thread-pool queue
-//     depth, and the most recent structured events;
+//     quiet duration, thread-pool queue depth, gcd task progress, and the
+//     most recent structured events;
 //   - increments `watchdog.stalls` and invokes the configured on_stall
 //     callback exactly once per stall episode (movement re-arms it).
 //
 // This sits in obs (below util in the layering), so the cancel decision is
 // a callback: core::Study wires on_stall to its CancellationToken. The
-// coordinator's own per-task watchdog (straggler deadline + reassignment,
-// `watchdog.tasks_reassigned`) handles the single-stuck-task case without
-// cancelling the whole run.
+// cluster coordinator's per-task deadline (`cluster.task_timeouts`,
+// reassignment) handles the single-stuck-task case without cancelling the
+// whole run.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +60,8 @@ class Watchdog {
   [[nodiscard]] std::uint64_t stalls_declared() const { return stalls_; }
   [[nodiscard]] std::size_t quiet_ticks() const { return quiet_ticks_; }
 
-  /// The diagnostic state dump: quiet interval, per-worker attempt counts,
-  /// queue depth, and the sink's most recent events.
+  /// The diagnostic state dump: quiet interval, queue depth, gcd task
+  /// progress, and the sink's most recent events.
   [[nodiscard]] std::string diagnostic(const MetricsSnapshot& snapshot) const;
 
  private:

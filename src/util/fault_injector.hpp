@@ -1,8 +1,8 @@
-// Deterministic fault injection for the distributed batch-GCD coordinator.
+// Deterministic fault injection for the distributed batch-GCD cluster.
 //
 // The paper's 86-minute, 22-machine cluster run (Section 3.2) lives in a
 // world where workers crash, straggle, and return garbage. The injector
-// models those failure modes as a pure function of (seed, task, attempt):
+// decides those failure modes as a pure function of (seed, task, attempt):
 // the schedule of injected faults does not depend on thread timing, worker
 // count, or execution order, so every experiment — including the recovery
 // benchmarks — is reproducible from a single seed.
@@ -14,26 +14,24 @@ namespace weakkeys::util {
 
 struct FaultConfig {
   std::uint64_t seed = 0;
-  /// Per-attempt probability that the worker crashes mid-task (no result).
+  // -- Task tier (worker-side, per task attempt) ---------------------------
+
+  /// Per-attempt probability that the worker crashes mid-task (a real
+  /// _exit: the coordinator sees socket EOF).
   double crash_probability = 0.0;
   /// Per-attempt probability that the worker straggles past the
-  /// coordinator's deadline and is killed (its late result is discarded).
+  /// coordinator's task deadline (the task is reassigned; the late result
+  /// arrives as a duplicate).
   double straggle_probability = 0.0;
   /// Per-attempt probability that the worker returns a corrupted divisor
   /// (one that does not divide its modulus — result verification must
   /// catch it).
   double corrupt_probability = 0.0;
-  /// Per-attempt probability that the subset's cached product tree is lost
-  /// before the task runs; the coordinator must rebuild it rather than
-  /// abort. Orthogonal to the three failure outcomes above.
-  double tree_loss_probability = 0.0;
 
-  // -- Process tier (multi-process cluster only) --------------------------
-  // Where the thread coordinator *simulates* crashes and stragglers, the
-  // cluster coordinator makes them real: a kSigkill decision SIGKILLs the
-  // assigned worker process mid-task, a kSigstop SIGSTOPs it so its socket
-  // stalls and heartbeats stop (the liveness detector must notice, not a
-  // flag). Decided per task assignment, like the thread-tier faults.
+  // -- Process tier (coordinator-side, per task assignment) ----------------
+  // A kSigkill decision SIGKILLs the assigned worker process mid-task, a
+  // kSigstop SIGSTOPs it so its socket stalls and heartbeats stop (the
+  // liveness detector must notice, not a flag).
 
   /// Per-assignment probability the assigned worker process is SIGKILLed.
   double sigkill_probability = 0.0;
@@ -106,8 +104,7 @@ struct FaultConfig {
 
   [[nodiscard]] bool any_faults() const {
     return crash_probability > 0 || straggle_probability > 0 ||
-           corrupt_probability > 0 || tree_loss_probability > 0 ||
-           any_process_faults() || any_frame_faults() || any_conn_faults() ||
+           corrupt_probability > 0 || any_process_faults() || any_frame_faults() || any_conn_faults() ||
            any_storage_faults();
   }
   [[nodiscard]] bool any_process_faults() const {
@@ -138,9 +135,6 @@ enum class FaultKind : std::uint8_t {
 
 struct FaultDecision {
   FaultKind kind = FaultKind::kNone;
-  /// Evict the subset's product tree at task start (graceful-degradation
-  /// path); independent of `kind`.
-  bool lose_tree = false;
   /// Which result slot to corrupt when kind == kCorruptResult (taken
   /// modulo the subset size by the worker).
   std::uint64_t corrupt_slot = 0;

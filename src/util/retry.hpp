@@ -1,7 +1,6 @@
-// One retry/backoff policy for every layer that re-attempts failed work:
-// the in-process coordinator's task retries and the cluster coordinator's
-// task reassignment both schedule through a RetryPolicy instead of growing
-// their own capped-doubling loops.
+// The retry/backoff policy for re-attempted work: the cluster
+// coordinator's task reassignment schedules through a RetryPolicy instead
+// of growing its own capped-doubling loop.
 //
 // The schedule is the classic capped exponential: the delay before retrying
 // after failed attempt a (0-based) is min(base * 2^a, cap). Optional

@@ -2,7 +2,6 @@
 
 #include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/distributed.hpp"
-#include "batchgcd/incremental.hpp"
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
 #include "rng/prng_source.hpp"
@@ -94,14 +93,6 @@ TEST(RemainderTree, ComputesXModSquares) {
   }
 }
 
-TEST(RemainderTree, RecomputeVariantMatches) {
-  Corpus corpus = make_corpus(30, 1);
-  const ProductTree tree(corpus.moduli);
-  const auto a = remainder_tree_squares(tree, tree.root());
-  const auto b = remainder_tree_squares_recompute(corpus.moduli, tree.root());
-  EXPECT_EQ(a, b);
-}
-
 // ----------------------------------------------------------- BatchGcd ----
 
 TEST(BatchGcd, FindsPlantedSharedPrimes) {
@@ -189,73 +180,6 @@ TEST(Distributed, CrossSubsetSharingDetected) {
   EXPECT_EQ(result.divisors[0], p);
   EXPECT_EQ(result.divisors[2], p);
   EXPECT_EQ(result.divisors[1], BigInt(1));
-}
-
-// --------------------------------------------------------- incremental ----
-
-TEST(Incremental, MatchesFromScratchForNewBatch) {
-  Corpus corpus = make_corpus(40, 9);
-  // Split the corpus arbitrarily into three monthly batches.
-  const std::size_t n = corpus.moduli.size();
-  const std::span<const BigInt> all(corpus.moduli);
-  IncrementalBatchGcd inc;
-  (void)inc.add_batch(all.subspan(0, n / 3));
-  (void)inc.add_batch(all.subspan(n / 3, n / 3));
-  const auto last = inc.add_batch(all.subspan(2 * (n / 3)));
-
-  // The last batch's divisors must equal the from-scratch result restricted
-  // to those indices.
-  const auto reference = batch_gcd(corpus.moduli);
-  for (std::size_t i = 2 * (n / 3); i < n; ++i) {
-    EXPECT_EQ(last.divisors[i - 2 * (n / 3)], reference.divisors[i]) << i;
-  }
-  EXPECT_EQ(inc.corpus().size(), n);
-}
-
-TEST(Incremental, ReportsRetroactiveHits) {
-  rng::PrngRandomSource rng(10);
-  rsa::KeygenOptions opts;
-  opts.modulus_bits = 128;
-  opts.style = rsa::PrimeStyle::kPlain;
-  opts.sieve_primes = 128;
-  const BigInt p = rsa::generate_prime(rng, 64, opts);
-  const BigInt old_modulus = p * rsa::generate_prime(rng, 64, opts);
-
-  IncrementalBatchGcd inc;
-  // Month 1: the old modulus looks sound.
-  const auto first = inc.add_batch(std::vector<BigInt>{
-      old_modulus, rsa::generate_key(rng, opts).pub.n});
-  EXPECT_EQ(first.divisors[0], BigInt(1));
-  EXPECT_TRUE(first.retroactive.empty());
-
-  // Month 2: a new modulus shares p; both directions must surface.
-  const BigInt new_modulus = p * rsa::generate_prime(rng, 64, opts);
-  const auto second = inc.add_batch(std::vector<BigInt>{new_modulus});
-  EXPECT_EQ(second.divisors[0], p);
-  ASSERT_EQ(second.retroactive.size(), 1u);
-  EXPECT_EQ(second.retroactive[0].corpus_index, 0u);
-  EXPECT_EQ(second.retroactive[0].divisor, p);
-}
-
-TEST(Incremental, DuplicateAcrossBatchesReportsFullModulus) {
-  rng::PrngRandomSource rng(11);
-  rsa::KeygenOptions opts;
-  opts.modulus_bits = 128;
-  opts.style = rsa::PrimeStyle::kPlain;
-  opts.sieve_primes = 128;
-  const BigInt dup = rsa::generate_key(rng, opts).pub.n;
-  IncrementalBatchGcd inc;
-  (void)inc.add_batch(std::vector<BigInt>{dup});
-  const auto second = inc.add_batch(std::vector<BigInt>{dup});
-  EXPECT_EQ(second.divisors[0], dup);
-}
-
-TEST(Incremental, EmptyBatchIsNoop) {
-  IncrementalBatchGcd inc;
-  const auto result = inc.add_batch({});
-  EXPECT_TRUE(result.divisors.empty());
-  EXPECT_TRUE(result.retroactive.empty());
-  EXPECT_EQ(inc.product(), BigInt(1));
 }
 
 // ------------------------------------------------------ recover_factors ----

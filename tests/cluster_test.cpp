@@ -14,10 +14,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "batchgcd/batch_gcd.hpp"
-#include "batchgcd/coordinator.hpp"
+#include "batchgcd/distributed.hpp"
 #include "cluster/process_coordinator.hpp"
 #include "cluster/protocol.hpp"
 #include "obs/telemetry.hpp"
@@ -25,6 +26,7 @@
 #include "rsa/keygen.hpp"
 #include "util/fault_injector.hpp"
 #include "util/net.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::cluster {
 namespace {
@@ -579,8 +581,7 @@ TEST(Cluster, HaltedRunResumesFromJournal) {
   auto config = fast_config(4, 2);
   config.checkpoint_path = path;
   config.halt_after_tasks = 5;
-  EXPECT_THROW(batch_gcd_cluster(moduli, config),
-               batchgcd::CoordinatorInterrupted);
+  EXPECT_THROW(batch_gcd_cluster(moduli, config), CoordinatorInterrupted);
 
   config.halt_after_tasks = 0;
   ClusterStats stats;
@@ -596,9 +597,10 @@ TEST(Cluster, HaltedRunResumesFromJournal) {
 
 TEST(Cluster, JournalIsInterchangeableWithInProcessCoordinator) {
   // A run halted under the cluster engine resumes under the in-process
-  // coordinator, and vice versa: one journal format, two engines.
+  // path, and vice versa: one journal format, two engines.
   const auto moduli = make_moduli(208, 18);
   const auto reference = batchgcd::batch_gcd(moduli);
+  util::ThreadPool pool(2);
 
   {  // cluster -> in-process
     const std::string path = temp_checkpoint("x_engine_a");
@@ -606,34 +608,54 @@ TEST(Cluster, JournalIsInterchangeableWithInProcessCoordinator) {
     auto config = fast_config(4, 2);
     config.checkpoint_path = path;
     config.halt_after_tasks = 4;
-    EXPECT_THROW(batch_gcd_cluster(moduli, config),
-                 batchgcd::CoordinatorInterrupted);
+    EXPECT_THROW(batch_gcd_cluster(moduli, config), CoordinatorInterrupted);
 
-    batchgcd::CoordinatorConfig inproc;
-    inproc.subsets = 4;
-    inproc.workers = 2;
-    inproc.checkpoint_path = path;
-    batchgcd::CoordinatorStats stats;
-    const auto result = batchgcd::batch_gcd_coordinated(moduli, inproc, &stats);
+    batchgcd::DistributedOptions inproc;
+    inproc.journal_path = path;
+    batchgcd::DistributedStats stats;
+    const auto result =
+        batchgcd::batch_gcd_distributed(moduli, 4, &pool, &stats, inproc);
     EXPECT_EQ(result.divisors, reference.divisors);
     EXPECT_GE(stats.tasks_resumed, 4u);
   }
   {  // in-process -> cluster
     const std::string path = temp_checkpoint("x_engine_b");
+    const std::string spill_dir = path + ".spill.d";
     std::remove(path.c_str());
-    batchgcd::CoordinatorConfig inproc;
-    inproc.subsets = 4;
-    inproc.workers = 2;
-    inproc.checkpoint_path = path;
-    inproc.halt_after_tasks = 4;
-    EXPECT_THROW(batchgcd::batch_gcd_coordinated(moduli, inproc),
-                 batchgcd::CoordinatorInterrupted);
+    // Cancelled from its own commit counter once 4 tasks are journaled;
+    // 2 ms stalls on every spill operation keep the cancel mid-run.
+    util::FaultConfig faults;
+    faults.storage_slow_probability = 1.0;
+    faults.storage_slow_ms = 2;
+    const util::FaultInjector injector(faults);
+    batchgcd::TreeStorage storage;
+    storage.spill_dir = spill_dir;
+    storage.spill_threshold_bytes = 0;
+    storage.injector = &injector;
+    obs::MetricsRegistry registry;
+    auto& executed = registry.counter("coordinator.tasks_executed");
+    util::CancellationToken token;
+    batchgcd::DistributedOptions inproc;
+    inproc.cancel = &token;
+    inproc.registry = &registry;
+    inproc.storage = &storage;
+    inproc.journal_path = path;
+    std::thread canceller([&] {
+      while (executed.value() < 4) std::this_thread::yield();
+      token.cancel("simulated kill");
+    });
+    EXPECT_THROW(
+        batchgcd::batch_gcd_distributed(moduli, 4, &pool, nullptr, inproc),
+        util::Cancelled);
+    canceller.join();
+    std::filesystem::remove_all(spill_dir);
 
     auto config = fast_config(4, 2);
     config.checkpoint_path = path;
     ClusterStats stats;
     const auto result = batch_gcd_cluster(moduli, config, &stats);
     EXPECT_EQ(result.divisors, reference.divisors);
+    EXPECT_EQ(stats.tasks_resumed, executed.value());
     EXPECT_GE(stats.tasks_resumed, 4u);
   }
 }

@@ -45,8 +45,7 @@ core::StudyConfig harness_config(const std::string& cache_path) {
   config.sim.miller_rabin_rounds = 4;
   config.batch_gcd_subsets = 3;
   config.threads = 2;
-  config.fault_tolerant = true;  // journaled coordinator path
-  config.cache_path = cache_path;
+  config.cache_path = cache_path;  // the default path journals to .gcdckpt
   return config;
 }
 
@@ -176,7 +175,7 @@ TEST_F(KillResumeTest, KillAfterCorpusPublishResumesFromCorpusCache) {
   // The simulation was skipped; factoring ran fresh (no journal existed).
   EXPECT_EQ(resumed.telemetry().metrics().counter("cache.corpus.hit").value(),
             1u);
-  EXPECT_EQ(resumed.coordinator_stats().tasks_resumed, 0u);
+  EXPECT_EQ(resumed.distributed_stats().tasks_resumed, 0u);
   remove_cache_family(cache);
 }
 
@@ -203,10 +202,14 @@ TEST_F(KillResumeTest, KillMidFactorResumesOnlyUnfinishedTasks) {
   resume_config.resume = true;
   core::Study resumed(resume_config);
   resume_and_verify(cache, resumed);
-  const auto& stats = resumed.coordinator_stats();
+  const auto& stats = resumed.distributed_stats();
+  const auto executed = resumed.telemetry()
+                            .metrics()
+                            .counter("coordinator.tasks_executed")
+                            .value();
   EXPECT_GT(stats.tasks_resumed, 0u) << "journal did not survive the kill";
   EXPECT_LT(stats.tasks_resumed, stats.tasks) << "kill landed after the run";
-  EXPECT_EQ(stats.tasks_resumed + stats.tasks_executed, stats.tasks);
+  EXPECT_EQ(stats.tasks_resumed + executed, stats.tasks);
   EXPECT_EQ(resumed.telemetry().metrics().counter("cache.corpus.hit").value(),
             1u);
   remove_cache_family(cache);

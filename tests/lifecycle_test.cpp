@@ -1,12 +1,13 @@
 // Run lifecycle layer: cooperative cancellation semantics (token, thread
-// pool, coordinator), crash-safe atomic file publication, the stall
-// watchdog, deadline enforcement, signal-driven graceful shutdown, and the
-// WKC1 study checkpoint format.
+// pool, the journaled in-process batch GCD), crash-safe atomic file
+// publication, the stall watchdog, deadline enforcement, signal-driven
+// graceful shutdown, and the WKC2 study checkpoint format.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -23,7 +24,8 @@
 #endif
 
 #include "batchgcd/batch_gcd.hpp"
-#include "batchgcd/coordinator.hpp"
+#include "batchgcd/distributed.hpp"
+#include "core/binary_io.hpp"
 #include "core/study.hpp"
 #include "core/study_checkpoint.hpp"
 #include "obs/status_server.hpp"
@@ -253,95 +255,75 @@ TEST(CoordinatorCancel, PreTrippedTokenThrowsBeforeAnyWork) {
   const auto moduli = lifecycle_moduli(7, 12);
   util::CancellationToken token;
   token.cancel("pre-tripped");
-  batchgcd::CoordinatorConfig config;
-  config.subsets = 3;
-  config.workers = 2;
-  config.cancel = &token;
-  batchgcd::CoordinatorStats stats;
-  EXPECT_THROW(batchgcd::batch_gcd_coordinated(moduli, config, &stats),
+  util::ThreadPool pool(2);
+  obs::MetricsRegistry registry;
+  batchgcd::DistributedOptions options;
+  options.cancel = &token;
+  options.registry = &registry;
+  EXPECT_THROW(batchgcd::batch_gcd_distributed(moduli, 3, &pool, nullptr,
+                                               options),
                util::Cancelled);
-  EXPECT_EQ(stats.tasks_executed, 0u);
+  EXPECT_EQ(registry.counter("coordinator.tasks_executed").value(), 0u);
 }
 
 TEST(CoordinatorCancel, MidRunCancelRetainsJournalAndResumes) {
   const auto moduli = lifecycle_moduli(11, 16);
   const std::string ckpt = "lifecycle_cancel.gcdckpt";
+  const std::string spill_dir = "lifecycle_cancel_spill.d";
   std::remove(ckpt.c_str());
   const auto reference = batchgcd::batch_gcd(moduli);
 
-  obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  util::CancellationToken token;
-  // Injected stragglers (30ms each at 60% per attempt) keep the run busy
-  // long enough that the cancel deterministically lands mid-flight; the
-  // tiny 128-bit tasks alone finish in a few milliseconds.
+  // Spill every tree level with each storage operation stalled 5 ms: that
+  // keeps the run busy long enough that the cancel deterministically lands
+  // mid-flight; the tiny 128-bit tasks alone finish in a few milliseconds.
   util::FaultConfig faults;
   faults.seed = 3;
-  faults.straggle_probability = 0.6;
+  faults.storage_slow_probability = 1.0;
+  faults.storage_slow_ms = 5;
   const util::FaultInjector injector(faults);
-  batchgcd::CoordinatorConfig config;
-  config.subsets = 4;
-  config.workers = 2;
-  config.straggler_deadline = std::chrono::milliseconds(30);
-  config.checkpoint_path = ckpt;
-  config.cancel = &token;
-  config.injector = &injector;
-  config.telemetry = &telemetry;
-  auto& executed = telemetry.metrics().counter("coordinator.tasks_executed");
+  batchgcd::TreeStorage storage;
+  storage.spill_dir = spill_dir;
+  storage.spill_threshold_bytes = 0;
+  storage.injector = &injector;
+
+  obs::MetricsRegistry registry;
+  util::CancellationToken token;
+  util::ThreadPool pool(2);
+  batchgcd::DistributedOptions options;
+  options.cancel = &token;
+  options.registry = &registry;
+  options.storage = &storage;
+  options.journal_path = ckpt;
+  auto& executed = registry.counter("coordinator.tasks_executed");
   std::thread canceller([&] {
     while (executed.value() < 2) std::this_thread::yield();
     token.cancel("mid-run cancel");
   });
-  batchgcd::CoordinatorStats stats;
-  EXPECT_THROW(batchgcd::batch_gcd_coordinated(moduli, config, &stats),
+  EXPECT_THROW(batchgcd::batch_gcd_distributed(moduli, 4, &pool, nullptr,
+                                               options),
                util::Cancelled);
   canceller.join();
-  EXPECT_GT(stats.tasks_executed, 0u);
-  EXPECT_LT(stats.tasks_executed, stats.tasks);
+  EXPECT_GT(executed.value(), 0u);
+  EXPECT_LT(executed.value(), 16u);
   {
     std::ifstream journal(ckpt, std::ios::binary);
     EXPECT_TRUE(journal.good()) << "cancel must retain the journal";
   }
 
-  // Resume without the token: only unfinished tasks execute, output is
-  // element-for-element the reference.
-  batchgcd::CoordinatorConfig resume = config;
-  resume.cancel = nullptr;
-  batchgcd::CoordinatorStats resumed;
-  const auto result = batchgcd::batch_gcd_coordinated(moduli, resume, &resumed);
-  EXPECT_GT(resumed.tasks_resumed, 0u);
-  EXPECT_EQ(resumed.tasks_resumed + resumed.tasks_executed, resumed.tasks);
+  // Resume without the token (or the slow disk): only unfinished tasks
+  // execute, output is element-for-element the reference.
+  batchgcd::DistributedOptions resume;
+  resume.journal_path = ckpt;
+  batchgcd::DistributedStats resumed;
+  const auto result =
+      batchgcd::batch_gcd_distributed(moduli, 4, &pool, &resumed, resume);
+  EXPECT_EQ(resumed.tasks_resumed, executed.value());
   ASSERT_EQ(result.divisors.size(), reference.divisors.size());
   for (std::size_t i = 0; i < reference.divisors.size(); ++i) {
     EXPECT_EQ(result.divisors[i], reference.divisors[i]) << "index " << i;
   }
   std::remove(ckpt.c_str());
-}
-
-TEST(CoordinatorCancel, StragglerDeadlineReassignsAndCountsWatchdogMetric) {
-  const auto moduli = lifecycle_moduli(13, 12);
-  const auto reference = batchgcd::batch_gcd(moduli);
-  obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  util::FaultConfig faults;
-  faults.seed = 5;
-  faults.straggle_probability = 0.4;
-  const util::FaultInjector injector(faults);
-  batchgcd::CoordinatorConfig config;
-  config.subsets = 3;
-  config.workers = 2;
-  config.straggler_deadline = std::chrono::milliseconds(1);
-  config.injector = &injector;
-  config.telemetry = &telemetry;
-  batchgcd::CoordinatorStats stats;
-  const auto result = batchgcd::batch_gcd_coordinated(moduli, config, &stats);
-  EXPECT_GT(stats.stragglers_killed, 0u);
-  // Each straggler kill is a per-task watchdog firing: deadline exceeded,
-  // task reassigned.
-  EXPECT_EQ(
-      telemetry.metrics().counter("watchdog.tasks_reassigned").value(),
-      stats.stragglers_killed);
-  for (std::size_t i = 0; i < reference.divisors.size(); ++i) {
-    EXPECT_EQ(result.divisors[i], reference.divisors[i]);
-  }
+  std::filesystem::remove_all(spill_dir);
 }
 
 // ------------------------------------------------------------ watchdog ----
@@ -393,28 +375,25 @@ TEST(Watchdog, UnwatchedCounterMovementDoesNotResetQuiet) {
   EXPECT_TRUE(watchdog.stalled());
 }
 
-TEST(Watchdog, DiagnosticCarriesWorkerLivenessAndQueueDepth) {
+TEST(Watchdog, DiagnosticCarriesQueueDepthAndGcdProgress) {
   obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  telemetry.metrics().counter("coordinator.worker.0.attempts").inc(7);
-  telemetry.metrics().counter("coordinator.worker.1.attempts").inc(3);
   telemetry.metrics().gauge("threadpool.queue_depth").set(11);
   telemetry.metrics().counter("coordinator.tasks").set(9);
   telemetry.metrics().counter("coordinator.tasks_executed").set(4);
+  telemetry.metrics().counter("coordinator.tasks_resumed").set(2);
   obs::Watchdog watchdog(telemetry, {});
   const std::string diag =
       watchdog.diagnostic(telemetry.metrics().snapshot());
-  EXPECT_NE(diag.find("0:7"), std::string::npos);
-  EXPECT_NE(diag.find("1:3"), std::string::npos);
   EXPECT_NE(diag.find("queue 11"), std::string::npos);
-  EXPECT_NE(diag.find("gcd 4/9"), std::string::npos);
+  EXPECT_NE(diag.find("gcd 6/9"), std::string::npos);
 }
 
-// ------------------------------------------------- WKC1 checkpoint --------
+// ------------------------------------------------- WKC2 checkpoint --------
 
 TEST(StudyCheckpointFormat, RoundTripsAndBindsToKey) {
   const std::string path = "lifecycle_ckpt.study";
   core::StudyCheckpoint cp;
-  cp.key = {1234, 30000, 4, 7, 99, 3, 1};
+  cp.key = {1234, 30000, 4, 7, 99, 3};
   cp.generation = 5;
   cp.stage = core::StudyStage::kFactored;
   core::save_study_checkpoint(cp, path);
@@ -437,7 +416,7 @@ TEST(StudyCheckpointFormat, RoundTripsAndBindsToKey) {
 TEST(StudyCheckpointFormat, RejectsTruncationAndBitFlips) {
   const std::string path = "lifecycle_ckpt_corrupt.study";
   core::StudyCheckpoint cp;
-  cp.key = {1, 2, 3, 4, 5, 6, 0};
+  cp.key = {1, 2, 3, 4, 5, 6};
   cp.generation = 2;
   cp.stage = core::StudyStage::kIngested;
   core::save_study_checkpoint(cp, path);
@@ -458,6 +437,33 @@ TEST(StudyCheckpointFormat, RejectsTruncationAndBitFlips) {
   EXPECT_FALSE(core::load_study_checkpoint(cp.key, path).has_value());
   EXPECT_FALSE(
       core::load_study_checkpoint(cp.key, "does_not_exist.study").has_value());
+  std::remove(path.c_str());
+}
+
+TEST(StudyCheckpointFormat, RejectsPreviousFormatVersion) {
+  // A well-formed WKC1 checkpoint (its key still carried a fault-tolerance
+  // flag) must be rejected outright, never misread as a WKC2 key one field
+  // shorter.
+  const std::string path = "lifecycle_ckpt_wkc1.study";
+  const core::StudyCheckpointKey key{1234, 30000, 4, 7, 99, 3};
+  core::BufferWriter w;
+  w.u32(0x574b4331);  // "WKC1"
+  w.u64(key.seed);
+  w.u64(key.scale_millionths);
+  w.u32(key.mr_rounds);
+  w.u32(key.catalog_version);
+  w.u64(key.noise_fingerprint);
+  w.u32(key.subsets);
+  w.u32(0);  // the WKC1-only fault-tolerance flag
+  w.u64(5);  // generation
+  w.u32(static_cast<std::uint32_t>(core::StudyStage::kFactored));
+  std::vector<std::uint8_t> file = w.data();
+  core::BufferWriter footer;
+  footer.u64(file.size());
+  footer.u32(core::crc32(file));
+  file.insert(file.end(), footer.data().begin(), footer.data().end());
+  util::atomic_write_file(path, file);
+  EXPECT_FALSE(core::load_study_checkpoint(key, path).has_value());
   std::remove(path.c_str());
 }
 
@@ -529,6 +535,46 @@ TEST(StudyLifecycle, CheckpointAdvancesThroughStagesAndSupportsResume) {
   for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
     std::remove((cache + suffix).c_str());
   }
+}
+
+TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
+  // A Study with a cache path journals its factoring stage: cancelled once
+  // two remainder-tree tasks have committed, it keeps "<cache>.gcdckpt",
+  // and the resumed run re-executes only the unfinished tasks.
+  const std::string cache = "lifecycle_factor_cancel.cache";
+  const auto remove_family = [&cache] {
+    for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+      std::remove((cache + suffix).c_str());
+    }
+  };
+  remove_family();
+  auto config = tiny_study_config(782);
+  config.batch_gcd_subsets = 4;
+  config.cache_path = cache;
+  {
+    core::Study study(config);
+    auto& executed =
+        study.telemetry().metrics().counter("coordinator.tasks_executed");
+    std::thread canceller([&] {
+      while (executed.value() < 2) std::this_thread::yield();
+      study.cancel("mid-factor cancel");
+    });
+    EXPECT_THROW(study.run(), util::Cancelled);
+    canceller.join();
+    EXPECT_LT(executed.value(), 16u) << "the cancel landed after factoring";
+    std::ifstream journal(cache + ".gcdckpt", std::ios::binary);
+    EXPECT_TRUE(journal.good()) << "cancel must retain the journal";
+  }
+  auto again = config;
+  again.resume = true;
+  core::Study study(again);
+  study.run();
+  const auto& stats = study.distributed_stats();
+  const auto executed =
+      study.telemetry().metrics().counter("coordinator.tasks_executed").value();
+  EXPECT_GE(stats.tasks_resumed, 2u);
+  EXPECT_EQ(stats.tasks_resumed + executed, stats.tasks);
+  remove_family();
 }
 
 TEST(StudyLifecycle, FlushTelemetryIsIdempotent) {

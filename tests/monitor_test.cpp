@@ -322,8 +322,8 @@ TEST(ExitFlush, RegisteredFlushesRunOnceAndUnregisterSticks) {
 TEST(StatusServer, PrometheusNameMangling) {
   EXPECT_EQ(obs::prometheus_metric_name("ingest.drop.even-modulus"),
             "weakkeys_ingest_drop_even_modulus");
-  EXPECT_EQ(obs::prometheus_metric_name("coordinator.worker.3.attempts"),
-            "weakkeys_coordinator_worker_3_attempts");
+  EXPECT_EQ(obs::prometheus_metric_name("cluster.worker.3.deaths"),
+            "weakkeys_cluster_worker_3_deaths");
   EXPECT_EQ(obs::prometheus_metric_name("already_ok_42"),
             "weakkeys_already_ok_42");
 }

@@ -309,8 +309,10 @@ TEST(SpillStore, DistributedWithStorageIsByteIdentical) {
   obs::MetricsRegistry registry;
   const TreeStorage storage = make_storage(dir, &registry);
   util::ThreadPool pool(4);
-  const BatchGcdResult spilled = batch_gcd_distributed(
-      moduli, 3, &pool, nullptr, nullptr, nullptr, &storage);
+  DistributedOptions options;
+  options.storage = &storage;
+  const BatchGcdResult spilled =
+      batch_gcd_distributed(moduli, 3, &pool, nullptr, options);
   EXPECT_EQ(ram.divisors, spilled.divisors);
   // Each subset tree spilled under its own base.
   EXPECT_GE(registry.snapshot().counter("spill.levels_spilled"), 3u);

@@ -12,6 +12,7 @@
 #include "analysis/transitions.hpp"
 #include "core/scan_store.hpp"
 #include "core/study.hpp"
+#include "crypto/sha256.hpp"
 #include "netsim/catalog.hpp"
 
 namespace weakkeys::core {
@@ -141,6 +142,35 @@ TEST_F(StudyIntegration, FindFactorLookup) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->p, first.p);
   EXPECT_EQ(study_->find_factor(bn::BigInt(35)), nullptr);
+}
+
+// The reproduction's numbers at this seed and scale, pinned exactly: a
+// rewrite of the factoring path (scheduler, arithmetic, journal) that moves
+// any of them has changed the science, not just the bytes.
+constexpr std::size_t kPinnedHostRecords = 81056;
+constexpr std::size_t kPinnedDistinctModuli = 2858;
+constexpr std::size_t kPinnedVulnerable = 270;
+constexpr const char* kPinnedVulnerableSha256 =
+    "9f507b71fbf5a2b4a7e62d700f36a3acf33b85eb489efdf2224fb9004aeb0bbe";
+constexpr std::size_t kPinnedCliqueModuli = 28;
+
+TEST_F(StudyIntegration, PinnedScienceIsReproducedExactly) {
+  EXPECT_EQ(study_->raw_dataset().total_host_records(), kPinnedHostRecords);
+  EXPECT_EQ(study_->factor_stats().distinct_moduli, kPinnedDistinctModuli);
+  EXPECT_EQ(study_->vulnerable().size(), kPinnedVulnerable);
+
+  std::vector<std::string> hex(study_->vulnerable().hex().begin(),
+                               study_->vulnerable().hex().end());
+  std::sort(hex.begin(), hex.end());
+  crypto::Sha256 sha;
+  for (const auto& h : hex) sha.update(h + "\n");
+  EXPECT_EQ(crypto::digest_hex(sha.finish()), kPinnedVulnerableSha256);
+
+  // The IBM nine-prime generator: 9 primes, at most C(9,2) = 36 moduli.
+  ASSERT_FALSE(study_->cliques().empty());
+  const auto& ibm = study_->cliques().front();
+  EXPECT_EQ(ibm.primes.size(), 9u);
+  EXPECT_EQ(ibm.moduli.size(), kPinnedCliqueModuli);
 }
 
 TEST_F(StudyIntegration, RunIsIdempotent) {

@@ -1,22 +1,22 @@
 // End-to-end telemetry test: a noisy, fault-injected Study::run() must
 // produce metrics that agree *exactly* with the pipeline's own accounting
-// structs (IngestStats, CoordinatorStats), a span for every pipeline stage
-// plus at least one per remainder-tree task, and valid trace/metrics JSON
-// files via StudyConfig::trace_path — all with a null text log, proving the
-// sink's always-counted guarantee.
+// structs (IngestStats, DistributedStats), a span for every pipeline stage,
+// and valid trace/metrics JSON files via StudyConfig::trace_path — all with
+// a null text log, proving the sink's always-counted guarantee.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
 
-#include "batchgcd/coordinator.hpp"
+#include "cluster/process_coordinator.hpp"
 #include "core/ingest.hpp"
 #include "core/study.hpp"
 #include "json_lite.hpp"
@@ -39,6 +39,12 @@ std::string slurp(const std::string& path) {
 
 class TelemetryE2E : public ::testing::Test {
  protected:
+  void TearDown() override { std::filesystem::remove_all(spill_dir()); }
+
+  static std::string spill_dir() {
+    return "telemetry_e2e_spill_" + std::to_string(::getpid()) + ".d";
+  }
+
   static core::StudyConfig noisy_config() {
     core::StudyConfig config;
     config.sim.seed = 424;
@@ -47,12 +53,14 @@ class TelemetryE2E : public ::testing::Test {
     config.batch_gcd_subsets = 4;  // 16 remainder-tree tasks
     config.threads = 4;
     config.cache_path.clear();  // always simulate + factor from scratch
-    config.fault_tolerant = true;
+    // Every subset tree spills through a faulty disk: torn writes, failed
+    // fsyncs and silent bit flips on published levels.
+    config.spill_dir = spill_dir();
+    config.spill_threshold_mb = 0;
     config.faults.seed = 7;
-    config.faults.crash_probability = 0.25;
-    config.faults.straggle_probability = 0.10;
-    config.faults.corrupt_probability = 0.25;
-    config.faults.tree_loss_probability = 0.10;
+    config.faults.storage_short_write_probability = 0.20;
+    config.faults.storage_fsync_fail_probability = 0.10;
+    config.faults.storage_bit_flip_probability = 0.20;
     config.noise.seed = 99;
     config.noise.truncated_rate = 0.01;
     config.noise.bitflip_rate = 0.01;
@@ -99,30 +107,23 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
             study.noise_summary().total());
   EXPECT_GT(study.noise_summary().total(), 0u);
 
-  // --- coordinator counters agree exactly with CoordinatorStats ---------
-  const batchgcd::CoordinatorStats& coord = study.coordinator_stats();
-  EXPECT_GT(coord.attempts, 0u);
-  EXPECT_GT(coord.retries, 0u);  // the fault injection actually bit
-  EXPECT_EQ(snap.counter("coordinator.attempts"), coord.attempts);
-  EXPECT_EQ(snap.counter("coordinator.retries"), coord.retries);
-  EXPECT_EQ(snap.counter("coordinator.crashes"), coord.crashes);
-  EXPECT_EQ(snap.counter("coordinator.stragglers_killed"),
-            coord.stragglers_killed);
-  EXPECT_EQ(snap.counter("coordinator.corruptions_caught"),
-            coord.corruptions_caught);
-  EXPECT_EQ(snap.counter("coordinator.trees_rebuilt"), coord.trees_rebuilt);
-  EXPECT_EQ(snap.counter("coordinator.tasks_resumed"), coord.tasks_resumed);
+  // --- task counters agree exactly with DistributedStats ---------------
+  const batchgcd::DistributedStats& gcd = study.distributed_stats();
+  EXPECT_EQ(gcd.tasks, 16u);
+  EXPECT_EQ(snap.counter("coordinator.tasks"), gcd.tasks);
+  EXPECT_EQ(snap.counter("coordinator.subsets"), gcd.subsets);
+  EXPECT_EQ(snap.counter("coordinator.tasks_resumed"), gcd.tasks_resumed);
   EXPECT_EQ(snap.counter("coordinator.tasks_executed"),
-            coord.tasks_executed);
-  // Per-worker counters partition the global ones.
-  std::uint64_t worker_attempts = 0;
-  for (std::size_t w = 0; w < config.threads; ++w) {
-    worker_attempts += snap.counter("coordinator.worker." +
-                                    std::to_string(w) + ".attempts");
-  }
-  EXPECT_EQ(worker_attempts, coord.attempts);
-  // One latency sample per attempt (failed attempts have latencies too).
-  EXPECT_EQ(snap.histograms.at("coordinator.task_us").count, coord.attempts);
+            gcd.tasks - gcd.tasks_resumed);
+  // The pool ran at least one task per tree build and remainder task.
+  EXPECT_GE(snap.counter("threadpool.tasks_completed"),
+            gcd.subsets + gcd.tasks);
+
+  // --- the storage faults bit, and every corrupt read was repaired ------
+  EXPECT_GT(snap.counter("spill.levels_spilled"), 0u);
+  EXPECT_GT(snap.counter("spill.write_retries"), 0u);
+  EXPECT_EQ(snap.counter("spill.verify_failures"),
+            snap.counter("spill.heals") + snap.counter("spill.rebuilds"));
 
   // --- factor counters agree with FactorStats ---------------------------
   EXPECT_EQ(snap.counter("factor.distinct_moduli"),
@@ -137,17 +138,14 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   for (const char* stage :
        {"study.run", "study.build_dataset", "study.simulate",
         "study.apply_noise", "study.ingest", "study.exclude_intermediates",
-        "study.factor_moduli", "gcd.coordinated", "gcd.build_trees",
-        "gcd.task", "study.classify_divisors", "study.second_pass",
+        "study.factor_moduli", "gcd.distributed", "study.classify_divisors",
+        "study.second_pass",
         "study.triage_degenerate", "study.fingerprint",
         "fingerprint.cliques", "fingerprint.subject_labels",
         "fingerprint.prime_pools", "fingerprint.extrapolate",
         "fingerprint.mitm", "sim.scan"}) {
     EXPECT_GE(span_counts[stage], 1u) << "missing span: " << stage;
   }
-  // One gcd.task span per attempt >= one per executed remainder-tree task.
-  EXPECT_EQ(span_counts["gcd.task"], coord.attempts);
-  EXPECT_GE(span_counts["gcd.task"], coord.tasks_executed);
 
   // --- trace files written via trace_path, both valid JSON --------------
   const std::string trace_text = slurp(config.trace_path);
@@ -169,8 +167,8 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
     }
     last_ts[tid] = ts;
   }
-  EXPECT_EQ(metrics.at("counters").at("coordinator.retries").integer(),
-            static_cast<std::int64_t>(coord.retries));
+  EXPECT_EQ(metrics.at("counters").at("coordinator.tasks_executed").integer(),
+            static_cast<std::int64_t>(gcd.tasks - gcd.tasks_resumed));
 
   // --- null text log, yet the sink counted and retained events ----------
   EXPECT_GT(study.telemetry().sink().total_events(), 0u);
@@ -180,10 +178,9 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   std::remove((config.trace_path + ".metrics.json").c_str());
 }
 
-// A fault-injected coordinated run with the live monitor on must leave a
-// JSONL time series whose final snapshot carries the registry's exact
-// end-of-run totals, and whose per-worker commit counters sum to the
-// coordinator's executed-task total.
+// A fault-injected run with the live monitor on must leave a JSONL time
+// series whose final snapshot carries the registry's exact end-of-run
+// totals, with the gcd task counters closing on k^2.
 TEST_F(TelemetryE2E, MonitoredRunTimeSeriesClosesOnFinalTotals) {
   core::StudyConfig config = noisy_config();
   config.trace_path.clear();
@@ -227,20 +224,14 @@ TEST_F(TelemetryE2E, MonitoredRunTimeSeriesClosesOnFinalTotals) {
         << name;
   }
 
-  // Per-worker commit counters partition the executed-task total, and the
-  // coordinator's task total matches k^2.
-  const batchgcd::CoordinatorStats& coord = study.coordinator_stats();
-  EXPECT_EQ(end_state.counter("coordinator.tasks"), coord.tasks);
-  EXPECT_EQ(end_state.counter("coordinator.subsets"), coord.subsets);
-  std::uint64_t committed = 0;
-  for (std::size_t w = 0; w < config.threads; ++w) {
-    committed += end_state.counter("coordinator.worker." + std::to_string(w) +
-                                   ".tasks_committed");
-  }
-  EXPECT_EQ(committed, coord.tasks_executed);
+  // The gcd task total matches k^2, and every task was either executed or
+  // resumed.
+  const batchgcd::DistributedStats& gcd = study.distributed_stats();
+  EXPECT_EQ(end_state.counter("coordinator.tasks"), gcd.tasks);
+  EXPECT_EQ(end_state.counter("coordinator.subsets"), gcd.subsets);
   EXPECT_EQ(end_state.counter("coordinator.tasks_executed") +
                 end_state.counter("coordinator.tasks_resumed"),
-            coord.tasks);
+            gcd.tasks);
 
   // The monitor sampled process self-metrics along the way.
 #if defined(__linux__)
@@ -315,10 +306,10 @@ TEST_F(TelemetryE2E, StatusServerServesPrometheusDuringRun) {
   const std::string text = http_get(port, "/metrics");
   EXPECT_EQ(text.rfind("HTTP/1.0 200", 0), 0u);
   for (const char* family :
-       {"weakkeys_ingest_records_seen", "weakkeys_coordinator_attempts",
+       {"weakkeys_ingest_records_seen", "weakkeys_coordinator_tasks_executed",
         "weakkeys_threadpool_tasks_completed",
-        "weakkeys_coordinator_task_us_bucket{le=\"+Inf\"}",
-        "weakkeys_coordinator_task_us_p99"}) {
+        "weakkeys_threadpool_task_us_bucket{le=\"+Inf\"}",
+        "weakkeys_threadpool_task_us_p99"}) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
 
@@ -327,7 +318,7 @@ TEST_F(TelemetryE2E, StatusServerServesPrometheusDuringRun) {
   ASSERT_NE(pos, std::string::npos);
   const auto doc = jsonlite::parse(status.substr(pos + 4));
   EXPECT_EQ(doc.at("pid").integer(), ::getpid());
-  EXPECT_GT(doc.at("metrics").at("counters").at("coordinator.attempts")
+  EXPECT_GT(doc.at("metrics").at("counters").at("coordinator.tasks_executed")
                 .integer(),
             0);
 }
@@ -335,14 +326,13 @@ TEST_F(TelemetryE2E, StatusServerServesPrometheusDuringRun) {
 #endif  // WEAKKEYS_TEST_SOCKETS
 
 // Regression test for silent telemetry loss: a run that dies mid-pipeline
-// (every attempt crash-faulted until max_attempts) must still flush the
-// trace, the metrics snapshot, and a final monitor line.
+// (its factoring stage routed to a worker binary that does not exist) must
+// still flush the trace, the metrics snapshot, and a final monitor line
+// carrying everything counted before the failure.
 TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
   core::StudyConfig config = noisy_config();
-  config.faults.crash_probability = 1.0;  // no task can ever succeed
-  config.faults.straggle_probability = 0.0;
-  config.faults.corrupt_probability = 0.0;
-  config.faults.tree_loss_probability = 0.0;
+  config.worker_processes = 1;
+  config.worker_binary = "/nonexistent/gcd_worker";
   config.trace_path =
       "telemetry_e2e_abnormal_" + std::to_string(::getpid()) + ".json";
   config.monitor_path = config.trace_path + ".monitor.jsonl";
@@ -350,7 +340,8 @@ TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
 
   {
     core::Study study(config);
-    EXPECT_THROW(study.run(), batchgcd::CoordinatorError);
+    EXPECT_THROW(study.run(), cluster::ClusterError);
+    EXPECT_EQ(study.run_state(), core::RunState::kFailed);
     // The failed run still closed its artifacts on the way out.
   }
 
@@ -359,7 +350,7 @@ TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
   ASSERT_FALSE(trace_text.empty());
   ASSERT_FALSE(metrics_text.empty());
   const auto metrics = jsonlite::parse(metrics_text);
-  EXPECT_GT(metrics.at("counters").at("coordinator.crashes").integer(), 0);
+  EXPECT_GT(metrics.at("counters").at("ingest.records_seen").integer(), 0);
   EXPECT_TRUE(jsonlite::parse(trace_text).has("traceEvents"));
 
   const std::string series = slurp(config.monitor_path);
@@ -368,7 +359,7 @@ TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
       series.substr(series.rfind('\n', series.size() - 2) + 1);
   const auto final_doc = jsonlite::parse(last_line);
   EXPECT_TRUE(final_doc.at("final").boolean());
-  EXPECT_GT(final_doc.at("counters").at("coordinator.crashes").integer(), 0);
+  EXPECT_GT(final_doc.at("counters").at("ingest.records_seen").integer(), 0);
 
   std::remove(config.trace_path.c_str());
   std::remove((config.trace_path + ".metrics.json").c_str());

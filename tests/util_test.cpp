@@ -387,6 +387,38 @@ TEST(Net, UniqueFdMovesAndCloses) {
 
 #endif  // WEAKKEYS_HAVE_NET
 
+// ---------------------------------------------- fault injector, task tier ----
+
+TEST(FaultInjector, DecisionIsPureFunctionOfTaskAndAttempt) {
+  FaultConfig faults;
+  faults.seed = 42;
+  faults.crash_probability = 0.2;
+  faults.straggle_probability = 0.2;
+  faults.corrupt_probability = 0.2;
+  const FaultInjector a(faults);
+  const FaultInjector b(faults);
+  bool saw_fault = false, saw_none = false;
+  for (std::uint64_t task = 0; task < 64; ++task) {
+    for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
+      const auto da = a.decide(task, attempt);
+      const auto db = b.decide(task, attempt);
+      EXPECT_EQ(da.kind, db.kind);
+      EXPECT_EQ(da.corrupt_slot, db.corrupt_slot);
+      (da.kind == FaultKind::kNone ? saw_none : saw_fault) = true;
+    }
+  }
+  EXPECT_TRUE(saw_fault);
+  EXPECT_TRUE(saw_none);
+
+  faults.seed = 43;  // different seed, different schedule
+  const FaultInjector c(faults);
+  bool differs = false;
+  for (std::uint64_t task = 0; task < 64 && !differs; ++task) {
+    differs = c.decide(task, 0).kind != a.decide(task, 0).kind;
+  }
+  EXPECT_TRUE(differs);
+}
+
 // ---------------------------------------------- fault injector, conn tier ----
 
 TEST(FaultInjector, ConnDecisionsAreDeterministicAndSeedKeyed) {
