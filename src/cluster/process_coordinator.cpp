@@ -1,14 +1,12 @@
 #include "cluster/process_coordinator.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -34,20 +32,38 @@ namespace {
 using batchgcd::TaskClaim;
 using bn::BigInt;
 using Clock = std::chrono::steady_clock;
+using util::net::UniqueFd;
 
 constexpr std::uint32_t kNoWorker = static_cast<std::uint32_t>(-1);
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
+/// An accepted connection must identify itself within this long.
+constexpr std::chrono::milliseconds kHandshakeTimeout{250};
+/// Upper bounds on teardown, for wedged (e.g. SIGSTOPped) workers only:
+/// a healthy worker ends the drain with its EOF and the reap with its exit.
+constexpr std::chrono::milliseconds kDrainBound{500};
+constexpr std::chrono::milliseconds kReapBound{500};
+
+/// Self-pipe that wakes the event loop from another thread: the
+/// cancellation callback writes a byte, the loop polls the read end. Held
+/// by shared_ptr so a callback already running when the coordinator
+/// unregisters it still writes into an open pipe.
+struct WakePipe {
+  UniqueFd read_end;
+  UniqueFd write_end;
+
+  WakePipe() {
+    int fds[2];
+    if (::pipe2(fds, O_CLOEXEC | O_NONBLOCK) != 0) return;
+    read_end.reset(fds[0]);
+    write_end.reset(fds[1]);
+  }
+};
 
 enum class SlotState : std::uint8_t {
   kSpawning,      ///< process forked (or dial-in awaited), waiting for Hello
   kLive,          ///< handshake done, serving tasks
   kDisconnected,  ///< link lost but session held; awaiting ReconnectHello
-  kLost,          ///< death observed, awaiting supervisor handling
+  kLost,          ///< death observed, awaiting burial by tick_lost()
   kRetired,       ///< given up (restart budget exhausted or shutting down)
 };
 
@@ -77,21 +93,12 @@ struct Slot {
   bool is_remote = false;  ///< dial-in worker: never forked, killed or reaped
   SlotState state = SlotState::kRetired;
   pid_t pid = -1;
-  /// Bumped per (re)spawn *and* per link attach/detach; the RX thread's
-  /// exit signal. A reconnect within one worker incarnation still retires
-  /// the old RX thread cleanly before the new link gets its own.
-  std::uint64_t epoch = 0;
-  util::net::UniqueFd fd;
+  UniqueFd fd;
   std::unique_ptr<FrameConn> conn;
-  std::thread rx;
   Clock::time_point spawn_at;
   Clock::time_point last_pong;
   Clock::time_point last_ping;
   std::uint64_t ping_seq = 0;
-  /// Negotiated protocol dialect for this incarnation, recorded from the
-  /// Hello: every frame the coordinator sends this worker is encoded for
-  /// this version (v2 workers get legacy bodies, no telemetry).
-  std::uint32_t version = kProtocolVersion;
   bool busy = false;
   Pending current;  ///< valid when busy
   std::uint64_t assign_span = 0;  ///< open fleet assign span (valid when busy)
@@ -107,11 +114,24 @@ struct Slot {
   std::vector<bool> delivered_products;
   std::uint64_t tx_seq_base = 0;    ///< injector counters carried across
   std::uint64_t conn_seq_base = 0;  ///< reconnects (see FrameConn ctor)
-  std::uint64_t worker_frames_sent = 0;  ///< worker-reported, via Pong
-  std::uint64_t worker_frames_dropped = 0;
+  std::uint64_t worker_frames_dropped = 0;  ///< worker-reported, via Pong
   obs::Histogram* rtt_hist = nullptr;  ///< cluster.worker.<id>.rtt_us
 };
 
+/// An accepted connection that has not identified itself yet: its first
+/// frame must be a Hello or ReconnectHello, before `deadline`.
+struct Handshake {
+  UniqueFd fd;
+  std::unique_ptr<FrameConn> conn;
+  Clock::time_point deadline;
+};
+
+/// The coordinator is one thread running one poll(2) loop. Each turn runs
+/// the timer-driven duties (heartbeats, deadlines, retransmits, burials,
+/// dispatch), then sleeps in poll() until a socket is readable, the
+/// cancellation pipe fires, or the nearest deadline those duties track
+/// falls due. Every frame is handled inline on this thread, so no state
+/// needs a lock.
 class ProcessCoordinator {
  public:
   ProcessCoordinator(std::span<const BigInt> moduli,
@@ -263,11 +283,12 @@ class ProcessCoordinator {
                          ":" + std::to_string(config_.port) + ": " +
                          std::strerror(errno));
     }
+    // Non-blocking so accept_pending() stops once the backlog is empty.
+    util::net::set_nonblocking(listen_fd_.get(), true);
     bound_port_ = static_cast<std::uint16_t>(bound);
   }
 
-  /// Clears everything a fresh worker incarnation must not inherit. Caller
-  /// holds mu_.
+  /// Clears everything a fresh worker incarnation must not inherit.
   void reset_session(Slot& slot) {
     slot.session_id = 0;
     slot.rx_result_seq = 0;
@@ -277,11 +298,10 @@ class ProcessCoordinator {
     slot.delivered_products.assign(k_, false);
     slot.tx_seq_base = 0;
     slot.conn_seq_base = 0;
-    slot.worker_frames_sent = 0;
     slot.worker_frames_dropped = 0;
   }
 
-  /// fork/execs one worker into `slot`. Caller holds mu_.
+  /// fork/execs one worker into `slot`.
   void spawn(Slot& slot) {
     std::vector<std::string> args;
     args.push_back(config_.worker_binary);
@@ -299,6 +319,12 @@ class ProcessCoordinator {
       args.push_back(std::to_string(config_.telemetry_interval.count()));
     } else {
       args.push_back("--no-telemetry");
+    }
+    if (!config_.spill_dir.empty()) {
+      args.push_back("--spill-dir");
+      args.push_back(config_.spill_dir);
+      args.push_back("--spill-threshold-mb");
+      args.push_back(std::to_string(config_.spill_threshold_mb));
     }
     if (config_.injector) {
       const util::FaultConfig& f = config_.injector->config();
@@ -346,10 +372,6 @@ class ProcessCoordinator {
         args.push_back(std::to_string(f.corrupt_probability));
       }
     }
-    // Last so they can override anything the coordinator generated.
-    for (const std::string& extra : config_.worker_extra_args) {
-      args.push_back(extra);
-    }
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (auto& a : args) argv.push_back(a.data());
@@ -380,7 +402,6 @@ class ProcessCoordinator {
 
   void arm(Slot& slot) {
     slot.state = SlotState::kSpawning;
-    ++slot.epoch;
     slot.spawn_at = Clock::now();
     slot.last_pong = slot.spawn_at;
     slot.last_ping = slot.spawn_at;
@@ -390,51 +411,55 @@ class ProcessCoordinator {
     ++stats_.workers_spawned;
   }
 
-  /// Accepts any queued connections and completes their handshake. Runs
-  /// without mu_ (locks only to attach); a worker that connects but stalls
-  /// before Hello costs a bounded wait and is cleaned up by spawn_timeout.
+  // -- handshakes ----------------------------------------------------------
+
+  /// Accepts every queued connection into a pending handshake. Nothing is
+  /// read here: the loop polls the new fds like any other.
   void accept_pending() {
-    while (util::net::wait_readable(listen_fd_.get(),
-                                    std::chrono::milliseconds(0))) {
-      util::net::UniqueFd fd(util::net::accept_cloexec(listen_fd_.get()));
+    for (;;) {
+      UniqueFd fd(util::net::accept_cloexec(listen_fd_.get()));
       if (!fd.valid()) return;
       const timeval send_timeout{5, 0};
       ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                    sizeof(send_timeout));
-      handshake(std::move(fd));
+      Handshake hs;
+      hs.conn = std::make_unique<FrameConn>(fd.get(), 0, nullptr);
+      hs.fd = std::move(fd);
+      hs.deadline = Clock::now() + kHandshakeTimeout;
+      handshakes_.push_back(std::move(hs));
     }
   }
 
-  void handshake(util::net::UniqueFd fd) {
-    FrameConn probe(fd.get(), 0, nullptr);
+  /// Decodes what a pending handshake has received. Returns true once it
+  /// is settled — attached, refused or failed — and can be dropped; a
+  /// connection that moved into a slot leaves `hs.fd` empty.
+  bool advance_handshake(Handshake& hs) {
     Frame frame;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(250);
     for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - Clock::now());
-      if (left.count() <= 0) return;
-      const RecvStatus status = probe.recv(&frame, left);
-      if (status == RecvStatus::kCorrupt) continue;
-      if (status != RecvStatus::kOk) return;
-      break;
-    }
-    // Any dialect in [kMinProtocolVersion, kProtocolVersion] is served —
-    // the coordinator speaks each worker's negotiated version per link.
-    if (frame.type == MsgType::kHello) {
-      const auto hello = HelloMsg::decode(frame.body);
-      if (hello && hello->version >= kMinProtocolVersion &&
-          hello->version <= kProtocolVersion) {
-        attach_fresh(*hello, std::move(fd));
+      switch (hs.conn->try_recv(&frame)) {
+        case RecvStatus::kTimeout:
+          return false;
+        case RecvStatus::kCorrupt:
+          continue;
+        case RecvStatus::kClosed:
+          return true;
+        case RecvStatus::kOk:
+          break;
       }
-      return;
-    }
-    if (frame.type == MsgType::kReconnectHello) {
-      const auto msg = ReconnectHelloMsg::decode(frame.body);
-      if (msg && msg->version >= kMinProtocolVersion &&
-          msg->version <= kProtocolVersion) {
-        reattach(*msg, std::move(fd), probe);
+      // Hello is input from outside the program: only this build's
+      // protocol version is served; anything else is closed unanswered.
+      if (frame.type == MsgType::kHello) {
+        const auto hello = HelloMsg::decode(frame.body);
+        if (hello && hello->version == kProtocolVersion) {
+          attach_fresh(*hello, std::move(hs.fd));
+        }
+      } else if (frame.type == MsgType::kReconnectHello) {
+        const auto msg = ReconnectHelloMsg::decode(frame.body);
+        if (msg && msg->version == kProtocolVersion) {
+          reattach(*msg, std::move(hs.fd), *hs.conn);
+        }
       }
-      return;
+      return true;
     }
   }
 
@@ -445,8 +470,7 @@ class ProcessCoordinator {
                                                        : nullptr;
   }
 
-  void attach_fresh(const HelloMsg& hello, util::net::UniqueFd fd) {
-    std::lock_guard guard(mu_);
+  void attach_fresh(const HelloMsg& hello, UniqueFd fd) {
     if (hello.worker_id >= slots_.size()) return;
     Slot& slot = slots_[hello.worker_id];
     if (slot.state != SlotState::kSpawning) return;
@@ -454,7 +478,6 @@ class ProcessCoordinator {
       return;  // stale or impostor connection; UniqueFd closes it
     }
     if (slot.is_remote) slot.pid = static_cast<pid_t>(hello.pid);
-    slot.version = hello.version;
     fleet_.on_worker_fresh(slot.id);
     slot.fd = std::move(fd);
     slot.conn = std::make_unique<FrameConn>(slot.fd.get(), 2ull * slot.id,
@@ -473,10 +496,6 @@ class ProcessCoordinator {
     slot.state = SlotState::kLive;
     slot.last_pong = Clock::now();
     refresh_alive_gauge();
-    ++slot.epoch;
-    slot.rx = std::thread([this, id = slot.id, epoch = slot.epoch] {
-      rx_loop(id, epoch);
-    });
     log("cluster: worker " + std::to_string(slot.id) + " up (pid " +
         std::to_string(slot.pid) + ", session " +
         std::to_string(slot.session_id) + ")");
@@ -487,15 +506,13 @@ class ProcessCoordinator {
   /// counters carried over so the fault schedule continues instead of
   /// replaying), tell the worker our result high-water mark, and resume the
   /// in-flight transfer from its acked prefix.
-  void reattach(const ReconnectHelloMsg& msg, util::net::UniqueFd fd,
-                FrameConn& probe) {
+  void reattach(const ReconnectHelloMsg& msg, UniqueFd fd, FrameConn& probe) {
     const auto reject = [&probe] {
       ReconnectAckMsg nack;
       nack.accepted = 0;
       probe.send(MsgType::kReconnectAck, nack.encode());
     };
-    std::unique_lock lock(mu_);
-    if (!sessions_enabled() || stop_ || msg.worker_id >= slots_.size()) {
+    if (!sessions_enabled() || msg.worker_id >= slots_.size()) {
       reject();
       return;
     }
@@ -507,14 +524,9 @@ class ProcessCoordinator {
       reject();
       return;
     }
-    // The old link may still be attached: not yet torn down by
-    // tick_disconnected, or half-open (the worker noticed before we did).
-    detach_link(slot, lock);
-    if (slot.state != SlotState::kLive &&
-        slot.state != SlotState::kDisconnected) {
-      reject();  // demoted while we joined the old RX thread
-      return;
-    }
+    // The old link is still attached when the worker noticed its loss
+    // before we did (half-open).
+    detach_link(slot);
     slot.fd = std::move(fd);
     slot.conn = std::make_unique<FrameConn>(slot.fd.get(), 2ull * slot.id,
                                             link_injector(),
@@ -548,27 +560,22 @@ class ProcessCoordinator {
     ++stats_.reconnects;
     if (m_reconnects_) m_reconnects_->inc();
     refresh_alive_gauge();
-    ++slot.epoch;
-    slot.rx = std::thread([this, id = slot.id, epoch = slot.epoch] {
-      rx_loop(id, epoch);
-    });
     log("cluster: worker " + std::to_string(slot.id) + " reconnected (session " +
         std::to_string(slot.session_id) + ", replaying past seq " +
         std::to_string(slot.rx_result_seq) + ")");
     pump_streams(slot);
-    cv_.notify_all();
   }
 
-  /// Declares the slot's link dead while holding mu_. With sessions enabled
-  /// the slot parks in kDisconnected (session kept, grace clock started and
-  /// the socket shut down so both the RX thread and a half-open peer see
-  /// EOF); otherwise PR 6 semantics: the worker is lost.
+  /// Declares the slot's link dead. With sessions enabled (and the run not
+  /// tearing down) the slot parks in kDisconnected: session kept, grace
+  /// clock started, and the link closed so a half-open peer sees EOF and
+  /// redials. Otherwise the worker is lost.
   void link_lost(Slot& slot, const char* why) {
     if (slot.state != SlotState::kLive) return;
-    if (sessions_enabled() && !stop_) {
+    if (sessions_enabled() && !cleaned_up_) {
       slot.state = SlotState::kDisconnected;
       slot.disconnected_at = Clock::now();
-      if (slot.fd.valid()) ::shutdown(slot.fd.get(), SHUT_RDWR);
+      detach_link(slot);
       log("cluster: worker " + std::to_string(slot.id) + " link lost (" +
           std::string(why) + "); holding session " +
           std::to_string(slot.session_id) + " for " +
@@ -577,23 +584,11 @@ class ProcessCoordinator {
       slot.state = SlotState::kLost;
     }
     refresh_alive_gauge();
-    cv_.notify_all();
   }
 
-  /// Retires the slot's link without touching the session: bumps the epoch
-  /// so the RX thread exits, joins it (dropping mu_ briefly), banks the
-  /// injector counters for the next link, and folds transport stats. Safe
-  /// across the unlock: only the supervisor thread detaches links, and the
-  /// exiting RX thread touches the slot only under mu_ before the join
-  /// completes.
-  void detach_link(Slot& slot, std::unique_lock<std::mutex>& lock) {
-    if (!slot.conn && !slot.rx.joinable()) return;
-    ++slot.epoch;
-    if (slot.fd.valid()) ::shutdown(slot.fd.get(), SHUT_RDWR);
-    std::thread rx = std::move(slot.rx);
-    lock.unlock();
-    if (rx.joinable()) rx.join();
-    lock.lock();
+  /// Retires the slot's link without touching the session: banks the
+  /// injector counters for the next link, folds transport stats, closes.
+  void detach_link(Slot& slot) {
     if (slot.conn) {
       slot.tx_seq_base = slot.conn->tx_seq();
       slot.conn_seq_base = slot.conn->conn_seq();
@@ -603,46 +598,25 @@ class ProcessCoordinator {
     slot.fd.reset();
   }
 
-  // -- RX path (one thread per live connection) ----------------------------
+  // -- receive path ----------------------------------------------------------
 
-  void rx_loop(std::uint32_t id, std::uint64_t epoch) {
-    FrameConn* conn = nullptr;
-    {
-      std::lock_guard guard(mu_);
-      Slot& slot = slots_[id];
-      if (slot.epoch != epoch || !slot.conn) return;
-      conn = slot.conn.get();
-    }
-    for (;;) {
-      {
-        std::lock_guard guard(mu_);
-        Slot& slot = slots_[id];
-        if (stop_ || slot.epoch != epoch || slot.state != SlotState::kLive) {
-          return;
-        }
-      }
-      Frame frame;
-      switch (conn->recv(&frame, std::chrono::milliseconds(100))) {
+  /// Handles every whole frame a live link has buffered or can read
+  /// without blocking; a partial frame waits in the decoder.
+  void drain_link(Slot& slot) {
+    Frame frame;
+    while (slot.state == SlotState::kLive && slot.conn) {
+      switch (slot.conn->try_recv(&frame)) {
         case RecvStatus::kTimeout:
-          continue;
-        case RecvStatus::kCorrupt: {
-          std::lock_guard guard(mu_);
-          ++stats_.frames_corrupt;
+          return;
+        case RecvStatus::kCorrupt:
           if (m_frames_corrupt_) m_frames_corrupt_->inc();
           continue;
-        }
-        case RecvStatus::kClosed: {
-          std::lock_guard guard(mu_);
-          Slot& slot = slots_[id];
-          if (slot.epoch == epoch) link_lost(slot, "connection closed");
+        case RecvStatus::kClosed:
+          link_lost(slot, "connection closed");
           return;
-        }
         case RecvStatus::kOk:
           break;
       }
-      std::lock_guard guard(mu_);
-      Slot& slot = slots_[id];
-      if (slot.epoch != epoch || slot.state != SlotState::kLive) return;
       switch (frame.type) {
         case MsgType::kPong:
           if (const auto pong = PongMsg::decode(frame.body)) {
@@ -661,7 +635,7 @@ class ProcessCoordinator {
           break;
         case MsgType::kTelemetrySnapshot:
           if (auto snap = TelemetrySnapshotMsg::decode(frame.body)) {
-            on_telemetry(slot, *snap);
+            on_telemetry(slot, std::move(*snap));
           }
           break;
         default:
@@ -672,13 +646,12 @@ class ProcessCoordinator {
 
   void on_pong(Slot& slot, const PongMsg& pong) {
     slot.last_pong = Clock::now();
-    slot.worker_frames_sent = pong.frames_sent;
     slot.worker_frames_dropped = pong.frames_dropped;
-    const std::int64_t recv_ns = now_ns();
-    // v3 Pongs echo the worker's steady clock: one midpoint-method offset
-    // observation per heartbeat (worker_now_ns stays 0 on v2 links and is
-    // ignored). The Pong always precedes the worker's TelemetrySnapshot on
-    // the same link, so span rebasing never runs without an estimate.
+    const std::int64_t recv_ns = steady_now_ns();
+    // Each Pong echoes the worker's steady clock: one midpoint-method
+    // offset observation per heartbeat. The Pong always precedes the
+    // worker's TelemetrySnapshot on the same link, so span rebasing never
+    // runs without an estimate.
     fleet_.observe_clock(slot.id, pong.t_send_ns, recv_ns, pong.worker_now_ns);
     const std::int64_t rtt_ns = recv_ns - pong.t_send_ns;
     if (rtt_ns >= 0) {
@@ -690,43 +663,22 @@ class ProcessCoordinator {
     }
   }
 
-  /// One worker telemetry export under mu_: dedup outbox replays by
-  /// sequence, then hand the decoded snapshot to the fleet aggregator
-  /// (clock-rebased span merge + fleet.* metric fan-out).
-  void on_telemetry(Slot& slot, const TelemetrySnapshotMsg& msg) {
-    if (msg.seq <= slot.rx_telemetry_seq) {
+  /// One worker telemetry export: dedup outbox replays by sequence, then
+  /// hand the snapshot to the fleet aggregator (clock-rebased span merge +
+  /// fleet.* metric fan-out).
+  void on_telemetry(Slot& slot, TelemetrySnapshotMsg&& snap) {
+    if (snap.seq <= slot.rx_telemetry_seq) {
       ++stats_.telemetry_replays;
       return;  // replayed export; everything in it was ingested already
     }
-    slot.rx_telemetry_seq = msg.seq;
-    obs::FleetSnapshot snap;
-    snap.worker_id = slot.id;
-    snap.seq = msg.seq;
-    snap.first_span_index = msg.first_span_index;
-    snap.trace_epoch_ns = msg.trace_epoch_ns;
-    snap.rss_kb = msg.rss_kb;
-    snap.peak_rss_kb = msg.peak_rss_kb;
-    snap.cpu_user_us = msg.cpu_user_us;
-    snap.cpu_sys_us = msg.cpu_sys_us;
-    snap.counters = msg.counters;
-    snap.gauges = msg.gauges;
-    snap.spans.reserve(msg.spans.size());
-    for (const TelemetrySpan& s : msg.spans) {
-      obs::TraceEvent ev;
-      ev.name = s.name;
-      ev.tid = 0;  // worker spans all live on the compute thread's lane
-      ev.ts_us = s.ts_us;
-      ev.dur_us = s.dur_us;
-      ev.depth = s.depth;
-      ev.args = s.args;
-      snap.spans.push_back(std::move(ev));
-    }
+    slot.rx_telemetry_seq = snap.seq;
+    snap.worker_id = slot.id;  // the slot, not whatever id the sender claims
     ++stats_.telemetry_snapshots;
     stats_.telemetry_spans += fleet_.ingest(snap);
   }
 
-  /// Handles one TaskResult under mu_: drop session replays we already
-  /// processed, then re-verify and commit or quarantine. Late results for
+  /// Handles one TaskResult: drop session replays we already processed,
+  /// then re-verify and commit or quarantine. Late results for
   /// reassigned/finished tasks are welcome when valid and fresh (folding is
   /// commutative) and counted as duplicates when the task already committed
   /// — the journal therefore records every task exactly once.
@@ -752,7 +704,7 @@ class ProcessCoordinator {
       slot.assign_span = 0;
     }
     const auto close_span = [&](bool committed) {
-      fleet_.end_assign(assign_span, now_ns(), committed);
+      fleet_.end_assign(assign_span, steady_now_ns(), committed);
     };
     if (task >= tasks_.size()) {
       close_span(false);
@@ -762,7 +714,6 @@ class ProcessCoordinator {
       close_span(true);  // this attempt's work is done, just redundantly
       ++stats_.duplicate_results;
       if (m_duplicate_results_) m_duplicate_results_->inc();
-      cv_.notify_all();
       return;  // duplicate of an already committed task
     }
 
@@ -786,16 +737,15 @@ class ProcessCoordinator {
       if (slot.strikes >= config_.quarantine_strikes &&
           slot.state == SlotState::kLive) {
         ++stats_.workers_demoted;
-        slot.state = SlotState::kLost;  // supervisor kills + respawns
+        slot.state = SlotState::kLost;  // tick_lost kills + respawns
       }
       if (was_current) {
         requeue(task, attempt + 1, slot.id);
       }
     }
-    cv_.notify_all();
   }
 
-  // -- chunked payload streaming (mu_ held) --------------------------------
+  // -- chunked payload streaming -------------------------------------------
 
   [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>>
   encoded_payload(StreamKind kind, std::size_t idx, std::uint32_t* crc) {
@@ -907,7 +857,6 @@ class ProcessCoordinator {
         slot.delivered_products[t.subset] = true;
       }
       slot.transfers.pop_front();
-      cv_.notify_all();  // a blocked assignment may now be satisfiable
     }
     pump_streams(slot);  // window slid, or the next transfer's Begin
   }
@@ -933,7 +882,7 @@ class ProcessCoordinator {
     }
   }
 
-  // -- task bookkeeping (mu_ held) -----------------------------------------
+  // -- task bookkeeping ----------------------------------------------------
 
   void commit(std::size_t task, const std::vector<TaskClaim>& claims) {
     tasks_.commit(task, claims);
@@ -975,7 +924,6 @@ class ProcessCoordinator {
             "cluster: task " + std::to_string(task) + " failed after " +
             std::to_string(next_attempt) + " attempts"));
       }
-      cv_.notify_all();
       return;
     }
     pending_.push_back(
@@ -985,40 +933,43 @@ class ProcessCoordinator {
          slots_.size() > 1 ? banned_worker : kNoWorker});
   }
 
-  // -- supervisor ----------------------------------------------------------
+  // -- event loop ----------------------------------------------------------
 
   void supervise() {
     start_listener();
     if (config_.on_listen) config_.on_listen(bound_port_);
-    {
-      std::lock_guard guard(mu_);
-      slots_.resize(workers_n_ + remote_n_);
-      for (std::size_t w = 0; w < slots_.size(); ++w) {
-        Slot& slot = slots_[w];
-        slot.id = static_cast<std::uint32_t>(w);
-        if (config_.telemetry) {
-          slot.rtt_hist = &config_.telemetry->metrics().histogram(
-              "cluster.worker." + std::to_string(w) + ".rtt_us");
-        }
-        if (w < workers_n_) {
-          spawn(slot);
-        } else {
-          slot.is_remote = true;
-          arm_remote(slot);
-        }
+    if (config_.cancel) {
+      wake_ = std::make_shared<WakePipe>();
+      cancel_callback_ = config_.cancel->add_callback([wake = wake_] {
+        const char byte = 1;
+        [[maybe_unused]] const ssize_t n =
+            ::write(wake->write_end.get(), &byte, 1);
+      });
+    }
+    slots_.resize(workers_n_ + remote_n_);
+    for (std::size_t w = 0; w < slots_.size(); ++w) {
+      Slot& slot = slots_[w];
+      slot.id = static_cast<std::uint32_t>(w);
+      if (config_.telemetry) {
+        slot.rtt_hist = &config_.telemetry->metrics().histogram(
+            "cluster.worker." + std::to_string(w) + ".rtt_us");
+      }
+      if (w < workers_n_) {
+        spawn(slot);
+      } else {
+        slot.is_remote = true;
+        arm_remote(slot);
       }
     }
 
     for (;;) {
-      accept_pending();
-      std::unique_lock lock(mu_);
       if (config_.cancel && config_.cancel->cancelled()) cancelled_ = true;
       if (fatal_ || cancelled_ || halted_) return;
       if (tasks_.complete()) return;
 
       tick_liveness();
-      tick_disconnected(lock);  // may drop the lock to join an RX thread
-      tick_lost(lock);          // may drop the lock to join an RX thread
+      tick_disconnected();
+      tick_lost();
       if (fatal_) return;
       tick_timeouts();
       tick_streams();
@@ -1034,8 +985,106 @@ class ProcessCoordinator {
                          " tasks pending"));
         return;
       }
-      cv_.wait_for(lock, std::chrono::milliseconds(5));
+      poll_events(next_deadline());
     }
+  }
+
+  /// The nearest instant at which a timer-driven duty falls due: a ping, a
+  /// heartbeat death, a spawn/task/handshake deadline, a retry becoming
+  /// ready, a stream retransmit, a session grace expiry, a burial or the
+  /// cancel token's deadline. max() when nothing is armed.
+  [[nodiscard]] Clock::time_point next_deadline() const {
+    const auto now = Clock::now();
+    auto next = Clock::time_point::max();
+    const auto at = [&next](Clock::time_point t) { next = std::min(next, t); };
+    for (const Slot& slot : slots_) {
+      if (slot.state == SlotState::kSpawning) {
+        at(slot.spawn_at + config_.spawn_timeout);
+      } else if (slot.state == SlotState::kLive) {
+        at(slot.last_ping + config_.heartbeat_interval);
+        at(slot.last_pong + config_.heartbeat_interval *
+                                static_cast<int>(config_.heartbeat_misses));
+        if (!slot.transfers.empty()) {
+          at(slot.transfers.front().last_progress + config_.stream_retransmit);
+        }
+      } else if (slot.state == SlotState::kDisconnected) {
+        at(slot.disconnected_at + config_.session_grace);
+      } else if (slot.state == SlotState::kLost) {
+        at(now);  // buried on the next turn
+      }
+      if (slot.busy && (slot.state == SlotState::kLive ||
+                        slot.state == SlotState::kDisconnected)) {
+        at(slot.assigned_at + config_.task_timeout);
+      }
+    }
+    // A ready task waits for an event (a result, an ack, a new link), not a
+    // timer; only backoffs still running need a wake-up.
+    for (const Pending& p : pending_) {
+      if (p.ready_at > now) at(p.ready_at);
+    }
+    for (const Handshake& hs : handshakes_) at(hs.deadline);
+    if (config_.cancel && config_.cancel->deadline_remaining_s() >= 0) {
+      at(now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(
+                       config_.cancel->deadline_remaining_s())));
+    }
+    return next;
+  }
+
+  /// The one poll(2) call site. Sleeps until a watched fd is ready or
+  /// `deadline` passes, then runs each ready fd's handler, in watch order:
+  /// live links, pending handshakes, the listener, the wake pipe.
+  void poll_events(Clock::time_point deadline) {
+    pollfds_.clear();
+    handlers_.clear();
+    const auto watch = [this](int fd, std::function<void()> handler) {
+      pollfds_.push_back(pollfd{fd, POLLIN, 0});
+      handlers_.push_back(std::move(handler));
+    };
+    for (Slot& slot : slots_) {
+      if (slot.state == SlotState::kLive && slot.conn) {
+        watch(slot.fd.get(), [this, &slot] { drain_link(slot); });
+      }
+    }
+    // A settled handshake drops its conn and leaves the list at the end;
+    // the listener, which grows the list, runs after every handshake.
+    for (Handshake& hs : handshakes_) {
+      watch(hs.fd.get(), [this, &hs] {
+        if (advance_handshake(hs)) hs.conn.reset();
+      });
+    }
+    if (listen_fd_.valid()) {
+      watch(listen_fd_.get(), [this] { accept_pending(); });
+    }
+    if (wake_) {
+      watch(wake_->read_end.get(), [this] {
+        char buf[64];
+        while (::read(wake_->read_end.get(), buf, sizeof buf) > 0) {
+        }
+      });
+    }
+
+    int timeout_ms = -1;  // nothing armed: wait for an fd
+    if (deadline != Clock::time_point::max()) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      timeout_ms =
+          static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+    }
+    // A timeout or EINTR returns to the caller, whose duties run next.
+    if (::poll(pollfds_.data(), pollfds_.size(), timeout_ms) > 0) {
+      for (std::size_t i = 0; i < pollfds_.size(); ++i) {
+        if ((pollfds_[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+          handlers_[i]();
+        }
+      }
+    }
+    // Settled handshakes leave, and so do peers that did not identify
+    // themselves in time.
+    const auto now = Clock::now();
+    std::erase_if(handshakes_, [now](const Handshake& hs) {
+      return !hs.conn || now >= hs.deadline;
+    });
   }
 
   [[nodiscard]] bool any_active_slots() const {
@@ -1073,72 +1122,58 @@ class ProcessCoordinator {
         slot.last_ping = now;
         PingMsg ping;
         ping.seq = slot.ping_seq++;
-        ping.t_send_ns = now_ns();
+        ping.t_send_ns = steady_now_ns();
         ping.ack_result_seq = slot.rx_result_seq;
         ping.ack_telemetry_seq = slot.rx_telemetry_seq;
-        if (!slot.conn->send(MsgType::kPing, ping.encode(slot.version))) {
+        if (!slot.conn->send(MsgType::kPing, ping.encode())) {
           link_lost(slot, "ping send failed");
         }
       }
     }
   }
 
-  /// Tends parked sessions: tears down the dead link (the RX thread may
-  /// still be draining) so a redial can splice in cleanly, and expires
-  /// sessions whose grace window ran out — those become ordinary losses.
-  void tick_disconnected(std::unique_lock<std::mutex>& lock) {
-    for (std::size_t w = 0; w < slots_.size(); ++w) {
-      Slot& slot = slots_[w];
-      if (slot.state != SlotState::kDisconnected) continue;
-      detach_link(slot, lock);
-      if (slot.state != SlotState::kDisconnected) continue;
-      if (Clock::now() - slot.disconnected_at > config_.session_grace) {
-        log("cluster: worker " + std::to_string(slot.id) + " session " +
-            std::to_string(slot.session_id) + " expired after " +
-            std::to_string(config_.session_grace.count()) +
-            "ms grace; declaring lost");
-        ++stats_.sessions_expired;
-        if (m_sessions_expired_) m_sessions_expired_->inc();
-        slot.state = SlotState::kLost;
+  /// Expires parked sessions whose grace window ran out — those become
+  /// ordinary losses.
+  void tick_disconnected() {
+    for (Slot& slot : slots_) {
+      if (slot.state != SlotState::kDisconnected ||
+          Clock::now() - slot.disconnected_at <= config_.session_grace) {
+        continue;
       }
+      log("cluster: worker " + std::to_string(slot.id) + " session " +
+          std::to_string(slot.session_id) + " expired after " +
+          std::to_string(config_.session_grace.count()) +
+          "ms grace; declaring lost");
+      ++stats_.sessions_expired;
+      if (m_sessions_expired_) m_sessions_expired_->inc();
+      slot.state = SlotState::kLost;
     }
   }
 
   /// Buries lost workers: requeue their in-flight task, reap the process,
-  /// and respawn within the restart budget (else retire the slot). Joining
-  /// the RX thread requires dropping mu_ briefly.
-  void tick_lost(std::unique_lock<std::mutex>& lock) {
-    for (std::size_t w = 0; w < slots_.size(); ++w) {
-      Slot& slot = slots_[w];
+  /// and respawn within the restart budget (else retire the slot).
+  void tick_lost() {
+    for (Slot& slot : slots_) {
       if (slot.state != SlotState::kLost) continue;
       ++stats_.workers_lost;
       if (m_workers_lost_) m_workers_lost_->inc();
       refresh_alive_gauge();
 
-      // Invalidate the epoch so the RX thread exits, then wake it.
-      ++slot.epoch;
-      if (slot.fd.valid()) ::shutdown(slot.fd.get(), SHUT_RDWR);
-      std::thread rx = std::move(slot.rx);
-      const pid_t pid = slot.is_remote ? -1 : slot.pid;
-
       if (slot.busy) {
         slot.busy = false;
-        fleet_.end_assign(slot.assign_span, now_ns(), /*committed=*/false);
+        fleet_.end_assign(slot.assign_span, steady_now_ns(),
+                          /*committed=*/false);
         slot.assign_span = 0;
         ++stats_.tasks_reassigned;
         if (m_tasks_reassigned_) m_tasks_reassigned_->inc();
         requeue(slot.current.task, slot.current.attempt + 1, slot.id);
       }
 
-      lock.unlock();
-      if (rx.joinable()) rx.join();
-      if (pid > 0) {
-        ::kill(pid, SIGKILL);  // no-op if already gone; un-sticks SIGSTOP
+      if (!slot.is_remote && slot.pid > 0) {
+        ::kill(slot.pid, SIGKILL);  // no-op if already gone; un-sticks SIGSTOP
         int status = 0;
-        ::waitpid(pid, &status, 0);
+        ::waitpid(slot.pid, &status, 0);
       }
-      lock.lock();
-
       fold_conn_stats(slot);
       slot.conn.reset();
       slot.fd.reset();
@@ -1192,7 +1227,7 @@ class ProcessCoordinator {
           " timed out on worker " + std::to_string(slot.id) + "; requeueing");
       const Pending timed_out = slot.current;
       slot.busy = false;
-      fleet_.end_assign(slot.assign_span, now_ns(), /*committed=*/false);
+      fleet_.end_assign(slot.assign_span, steady_now_ns(), /*committed=*/false);
       slot.assign_span = 0;
       requeue(timed_out.task, timed_out.attempt + 1, slot.id);
     }
@@ -1253,20 +1288,18 @@ class ProcessCoordinator {
     msg.product_subset = static_cast<std::uint32_t>(b);
     msg.leaf_subset = static_cast<std::uint32_t>(a);
     msg.attempt = static_cast<std::uint32_t>(p.attempt);
-    // Trace context (v3 only; the v2 body has no room for it): the worker
-    // parents its task spans under this attempt's assign span. trace_id 0
-    // means fleet tracing is off and the worker opens no spans.
-    std::uint64_t assign_span = 0;
-    if (slot.version >= 3) {
-      const std::int64_t t = now_ns();
-      assign_span = fleet_.begin_assign(msg.task, slot.id, msg.attempt, t);
-      msg.trace_id = fleet_.trace_id();
-      msg.parent_span = assign_span;
-      msg.assign_ts_ns = t;
-    }
-    if (!slot.conn->send(MsgType::kTaskAssign, msg.encode(slot.version),
+    // Trace context: the worker parents its task spans under this attempt's
+    // assign span. trace_id 0 means fleet tracing is off and the worker
+    // opens no spans.
+    const std::int64_t t = steady_now_ns();
+    const std::uint64_t assign_span =
+        fleet_.begin_assign(msg.task, slot.id, msg.attempt, t);
+    msg.trace_id = fleet_.trace_id();
+    msg.parent_span = assign_span;
+    msg.assign_ts_ns = t;
+    if (!slot.conn->send(MsgType::kTaskAssign, msg.encode(),
                          /*injectable=*/true)) {
-      fleet_.end_assign(assign_span, now_ns(), /*committed=*/false);
+      fleet_.end_assign(assign_span, steady_now_ns(), /*committed=*/false);
       link_lost(slot, "assign send failed");
       pending_.push_back(p);
       return;
@@ -1314,7 +1347,7 @@ class ProcessCoordinator {
   /// connections are summed on top in tick_frame_metrics()).
   void fold_link_stats(Slot& slot) {
     if (!slot.conn) return;
-    const FrameStats& s = slot.conn->stats();
+    const FrameStats s = slot.conn->stats();
     retired_frames_sent_ += s.sent;
     retired_frames_dropped_ += s.dropped + slot.worker_frames_dropped;
     retired_frames_corrupt_ += s.corrupt;
@@ -1341,7 +1374,7 @@ class ProcessCoordinator {
     std::uint64_t conn_faults = retired_conn_faults_;
     for (const Slot& slot : slots_) {
       if (!slot.conn) continue;
-      const FrameStats& s = slot.conn->stats();
+      const FrameStats s = slot.conn->stats();
       sent += s.sent;
       dropped += s.dropped + slot.worker_frames_dropped;
       corrupt += s.corrupt;
@@ -1354,92 +1387,74 @@ class ProcessCoordinator {
     stats_.conn_faults_injected = conn_faults;
     if (m_frames_sent_) m_frames_sent_->set(sent);
     if (m_frames_dropped_) m_frames_dropped_->set(dropped);
-    // frames_corrupt is inc()'d live by the RX threads.
+    // frames_corrupt is inc()'d live by drain_link().
   }
 
   // -- teardown ------------------------------------------------------------
 
-  /// Stops everything, in an order that cannot deadlock or leak: shutdown
-  /// frames (best effort), RX threads, sockets, then child processes (a
-  /// grace period for clean exits, SIGKILL for the rest — a SIGSTOPped
-  /// worker cannot process Shutdown). Remote workers get the Shutdown frame
+  /// Stops everything, inside the same event loop: Shutdown frames (best
+  /// effort), a drain until every live worker's final telemetry flush and
+  /// EOF, then the sockets, then the children — reaped as they exit,
+  /// SIGKILLed if still alive at the bound (a SIGSTOPped worker cannot
+  /// process Shutdown). Remote workers get the Shutdown frame
   /// but are never signalled or reaped — they are not our children.
   /// Idempotent.
   void cleanup() {
-    {
-      std::lock_guard guard(mu_);
-      if (cleaned_up_) return;
-      cleaned_up_ = true;
-      for (Slot& slot : slots_) {
-        if (slot.state == SlotState::kLive && slot.conn) {
-          slot.conn->send(MsgType::kShutdown, {});
-        }
+    if (cleaned_up_) return;
+    cleaned_up_ = true;
+    handshakes_.clear();
+    listen_fd_.reset();
+    for (Slot& slot : slots_) {
+      if (slot.state == SlotState::kLive && slot.conn) {
+        slot.conn->send(MsgType::kShutdown, {});
       }
     }
     // Drain before severing: a Shutdown-ed worker flushes its final
     // TelemetrySnapshot (the last tasks' spans and counter totals) and
-    // exits, closing its socket — each RX thread keeps ingesting until that
-    // EOF parks the slot. Bounded: a wedged (e.g. SIGSTOPped) worker cannot
-    // flush and is severed at the deadline instead.
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_until(lock, Clock::now() + std::chrono::milliseconds(500),
-                     [this] {
-                       for (const Slot& slot : slots_) {
-                         if (slot.state == SlotState::kLive && slot.conn) {
-                           return false;
-                         }
-                       }
-                       return true;
-                     });
+    // exits, closing its socket — that EOF ends its link here.
+    const auto any_live_link = [this] {
+      return std::any_of(slots_.begin(), slots_.end(), [](const Slot& slot) {
+        return slot.state == SlotState::kLive && slot.conn;
+      });
+    };
+    const auto drain_until = Clock::now() + kDrainBound;
+    while (any_live_link() && Clock::now() < drain_until) {
+      poll_events(drain_until);
     }
-    std::vector<std::thread> rx_threads;
-    std::vector<pid_t> pids;
-    {
-      std::lock_guard guard(mu_);
-      stop_ = true;
-      for (Slot& slot : slots_) {
-        ++slot.epoch;
-        if (slot.fd.valid()) ::shutdown(slot.fd.get(), SHUT_RDWR);
-        if (slot.rx.joinable()) rx_threads.push_back(std::move(slot.rx));
-        if (slot.pid > 0 && !slot.is_remote) pids.push_back(slot.pid);
-      }
+    std::vector<pid_t> exiting;
+    for (Slot& slot : slots_) {
+      fold_conn_stats(slot);
+      slot.conn.reset();
+      slot.fd.reset();
+      if (slot.pid > 0 && !slot.is_remote) exiting.push_back(slot.pid);
+      slot.pid = -1;
+      slot.state = SlotState::kRetired;
     }
-    for (auto& t : rx_threads) t.join();
-    {
-      std::lock_guard guard(mu_);
-      for (Slot& slot : slots_) {
-        fold_conn_stats(slot);
-        slot.conn.reset();
-        slot.fd.reset();
-        slot.pid = -1;
-        if (slot.state != SlotState::kRetired) slot.state = SlotState::kRetired;
-      }
-      tick_frame_metrics();
-      if (m_workers_alive_) m_workers_alive_->set(0);
-    }
-    listen_fd_.reset();
+    tick_frame_metrics();
+    if (m_workers_alive_) m_workers_alive_->set(0);
 
-    // Grace period for clean exits, then SIGKILL stragglers and reap.
-    const auto deadline = Clock::now() + std::chrono::milliseconds(500);
-    std::vector<pid_t>& remaining = pids;
-    while (!remaining.empty() && Clock::now() < deadline) {
-      std::erase_if(remaining, [](pid_t pid) {
+    // Re-check every 10 ms for clean exits until the bound.
+    const auto reap_exited = [&exiting] {  // true while some are left
+      std::erase_if(exiting, [](pid_t pid) {
         int status = 0;
         return ::waitpid(pid, &status, WNOHANG) != 0;
       });
-      if (!remaining.empty()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
+      return !exiting.empty();
+    };
+    const auto reap_until = Clock::now() + kReapBound;
+    while (reap_exited() && Clock::now() < reap_until) {
+      poll_events(
+          std::min(reap_until, Clock::now() + std::chrono::milliseconds(10)));
     }
-    for (const pid_t pid : remaining) {
+    for (pid_t pid : exiting) {
       ::kill(pid, SIGKILL);
       int status = 0;
       ::waitpid(pid, &status, 0);
     }
+    if (config_.cancel) config_.cancel->remove_callback(cancel_callback_);
 
-    // All RX threads are joined: the merged timeline is final. Write the
-    // Chrome trace plus the fleet metrics JSON next to it.
+    // Nothing reads a link any more: the merged timeline is final. Write
+    // the Chrome trace plus the fleet metrics JSON next to it.
     if (!config_.fleet_trace_path.empty()) {
       write_json_file(config_.fleet_trace_path, fleet_.chrome_trace_json());
       write_json_file(config_.fleet_trace_path + ".metrics.json",
@@ -1470,23 +1485,24 @@ class ProcessCoordinator {
   std::uint64_t fingerprint_ = 0;
   std::vector<BigInt> products_;  ///< per-subset product-tree roots
 
-  util::net::UniqueFd listen_fd_;
+  UniqueFd listen_fd_;
   std::uint16_t bound_port_ = 0;
   /// Fleet observability: clock alignment, merged trace, fleet.* metric
-  /// fan-out. Internally synchronized — called from RX threads and the
-  /// supervisor without mu_ ordering concerns.
+  /// fan-out.
   obs::FleetAggregator fleet_;
 
-  std::mutex mu_;  ///< guards everything below
-  std::condition_variable cv_;
   std::vector<Slot> slots_;
+  std::vector<Handshake> handshakes_;
+  std::vector<pollfd> pollfds_;  ///< poll_events() scratch: watched fds
+  std::vector<std::function<void()>> handlers_;  ///< ... and their handlers
+  std::shared_ptr<WakePipe> wake_;  ///< set when a cancel token is given
+  std::uint64_t cancel_callback_ = 0;
   std::deque<Pending> pending_;
   std::size_t respawns_used_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint32_t next_stream_id_ = 1;
   bool halted_ = false;
   bool cancelled_ = false;
-  bool stop_ = false;
   bool cleaned_up_ = false;
   std::exception_ptr fatal_;
   // Encoded payload caches, shared across every slot's transfers (the

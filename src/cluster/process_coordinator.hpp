@@ -127,8 +127,9 @@ struct ClusterConfig {
   /// Test hook: stop dispatching once this many tasks committed this run
   /// and throw CoordinatorInterrupted (journal retained).
   std::size_t halt_after_tasks = 0;
-  /// Cooperative cancellation; polled every supervisor tick.
-  const util::CancellationToken* cancel = nullptr;
+  /// Cooperative cancellation: the coordinator registers a callback that
+  /// wakes its event loop, which then stops at once (journal retained).
+  util::CancellationToken* cancel = nullptr;
   /// Fault source for the process tier (SIGKILL/SIGSTOP per assignment)
   /// and the coordinator's outbound frame tier. Worker-side outbound frame
   /// faults are configured separately via worker argv (see
@@ -143,7 +144,7 @@ struct ClusterConfig {
   /// cluster.heartbeat_rtt_us histogram, and per-worker
   /// cluster.worker.<w>.* instruments. Must outlive the call.
   obs::Telemetry* telemetry = nullptr;
-  /// Telemetry export cadence forwarded to spawned workers (v3): each
+  /// Telemetry export cadence forwarded to spawned workers: each
   /// worker ships a TelemetrySnapshot (metrics + spans + RSS/CPU) at most
   /// this often, piggybacked on the heartbeat path. The coordinator fans
   /// the snapshots into fleet.worker.<id>.* / fleet.* metrics on its
@@ -152,12 +153,15 @@ struct ClusterConfig {
   /// When non-empty, collect a fleet-merged Chrome trace — coordinator
   /// assign spans plus clock-rebased worker task spans — and write it here
   /// at the end of the run (plus fleet metrics JSON at
-  /// `<path>.metrics.json`). Implies trace context on v3 TaskAssigns.
+  /// `<path>.metrics.json`). Implies trace context on TaskAssigns.
   std::string fleet_trace_path;
-  /// Extra argv appended verbatim to every spawned worker (after the
-  /// coordinator-generated flags, so they can override) — how tests pin
-  /// e.g. --protocol-v2 on a worker without a dedicated config knob.
-  std::vector<std::string> worker_extra_args;
+  /// Out-of-core spill directory for the spawned workers' subset trees
+  /// (gcd_worker --spill-dir); empty leaves spilling off. Level files are
+  /// named per worker, so one directory serves them all.
+  std::string spill_dir;
+  /// Per-tree spill threshold in MiB, forwarded with spill_dir
+  /// (--spill-threshold-mb); 0 = always spill.
+  std::size_t spill_threshold_mb = 256;
 };
 
 struct ClusterStats {

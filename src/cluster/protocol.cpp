@@ -1,5 +1,7 @@
 #include "cluster/protocol.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "core/binary_io.hpp"
@@ -146,17 +148,15 @@ std::optional<ProductDataMsg> ProductDataMsg::decode(
   });
 }
 
-std::vector<std::uint8_t> TaskAssignMsg::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> TaskAssignMsg::encode() const {
   core::BufferWriter w;
   w.u32(task);
   w.u32(product_subset);
   w.u32(leaf_subset);
   w.u32(attempt);
-  if (version >= 3) {
-    w.u64(trace_id);
-    w.u64(parent_span);
-    w.i64(assign_ts_ns);
-  }
+  w.u64(trace_id);
+  w.u64(parent_span);
+  w.i64(assign_ts_ns);
   return w.data();
 }
 
@@ -168,11 +168,9 @@ std::optional<TaskAssignMsg> TaskAssignMsg::decode(
     m.product_subset = r.u32();
     m.leaf_subset = r.u32();
     m.attempt = r.u32();
-    if (!r.exhausted()) {  // v3 trace-context tail
-      m.trace_id = r.u64();
-      m.parent_span = r.u64();
-      m.assign_ts_ns = r.i64();
-    }
+    m.trace_id = r.u64();
+    m.parent_span = r.u64();
+    m.assign_ts_ns = r.i64();
     return m;
   });
 }
@@ -209,12 +207,12 @@ std::optional<TaskResultMsg> TaskResultMsg::decode(
   });
 }
 
-std::vector<std::uint8_t> PingMsg::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> PingMsg::encode() const {
   core::BufferWriter w;
   w.u64(seq);
   w.i64(t_send_ns);
   w.u64(ack_result_seq);
-  if (version >= 3) w.u64(ack_telemetry_seq);
+  w.u64(ack_telemetry_seq);
   return w.data();
 }
 
@@ -224,19 +222,19 @@ std::optional<PingMsg> PingMsg::decode(const std::vector<std::uint8_t>& body) {
     m.seq = r.u64();
     m.t_send_ns = r.i64();
     m.ack_result_seq = r.u64();
-    if (!r.exhausted()) m.ack_telemetry_seq = r.u64();  // v3 tail
+    m.ack_telemetry_seq = r.u64();
     return m;
   });
 }
 
-std::vector<std::uint8_t> PongMsg::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> PongMsg::encode() const {
   core::BufferWriter w;
   w.u64(seq);
   w.i64(t_send_ns);
   w.u32(tasks_done);
   w.u64(frames_sent);
   w.u64(frames_dropped);
-  if (version >= 3) w.i64(worker_now_ns);
+  w.i64(worker_now_ns);
   return w.data();
 }
 
@@ -248,7 +246,7 @@ std::optional<PongMsg> PongMsg::decode(const std::vector<std::uint8_t>& body) {
     m.tasks_done = r.u32();
     m.frames_sent = r.u64();
     m.frames_dropped = r.u64();
-    if (!r.exhausted()) m.worker_now_ns = r.i64();  // v3 tail
+    m.worker_now_ns = r.i64();
     return m;
   });
 }
@@ -396,15 +394,11 @@ std::optional<StreamAckMsg> StreamAckMsg::decode(
 
 // -- framed connection ------------------------------------------------------
 
-namespace {
-
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-}  // namespace
 
 FrameConn::FrameConn(int fd, std::uint64_t stream,
                      const util::FaultInjector* injector,
@@ -503,10 +497,73 @@ bool FrameConn::send(MsgType type, const std::vector<std::uint8_t>& body,
   return true;
 }
 
+RecvStatus FrameConn::try_recv(Frame* out) {
+  constexpr std::size_t kHeaderBytes = 8;
+  constexpr std::size_t kReadBytes = 16 * 1024;
+  constexpr std::size_t kKeepBytes = 1024 * 1024;
+  for (;;) {
+    // Cut every whole frame already buffered before touching the socket.
+    const std::size_t avail = rx_end_ - rx_pos_;
+    if (avail >= kHeaderBytes) {
+      const std::uint8_t* header = rx_buf_.data() + rx_pos_;
+      std::uint32_t length = 0;
+      std::uint32_t crc = 0;
+      std::memcpy(&length, header, 4);
+      std::memcpy(&crc, header + 4, 4);
+      if (length == 0 || length > kMaxFrameBytes) return RecvStatus::kClosed;
+      const std::size_t need = kHeaderBytes + length;
+      if (avail >= need) {
+        const std::uint8_t* payload = header + kHeaderBytes;
+        rx_pos_ += need;
+        if (core::crc32(payload, length) != crc) {
+          ++stats_.corrupt;
+          return RecvStatus::kCorrupt;
+        }
+        if (steady_now_ns() <
+            rx_mute_until_ns_.load(std::memory_order_relaxed)) {
+          // Inside an injected partition: the frame arrived at the socket
+          // but "the network" ate it. Consume, discard, keep decoding.
+          ++stats_.rx_discarded;
+          continue;
+        }
+        out->type = static_cast<MsgType>(payload[0]);
+        out->body.assign(payload + 1, payload + length);
+        return RecvStatus::kOk;
+      }
+    }
+
+    // No whole frame: move the partial one to the front, then read what the
+    // socket holds, kReadBytes at a time. The buffer grows with the bytes
+    // that arrive, never with the length a header claims, so a peer that
+    // sends a header and stalls costs one read's worth; once drained, a
+    // buffer that a large frame grew is given back.
+    if (rx_pos_ > 0) {
+      std::memmove(rx_buf_.data(), rx_buf_.data() + rx_pos_, avail);
+    }
+    rx_pos_ = 0;
+    rx_end_ = avail;
+    if (avail == 0 && rx_buf_.size() > kKeepBytes) rx_buf_ = {};
+    if (rx_buf_.size() < avail + kReadBytes) rx_buf_.resize(avail + kReadBytes);
+    const ssize_t n =
+        ::recv(fd_, rx_buf_.data() + avail, kReadBytes, MSG_DONTWAIT);
+    if (n > 0) {
+      rx_end_ += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return RecvStatus::kTimeout;
+    }
+    return RecvStatus::kClosed;  // EOF (possibly mid-frame) or hard error
+  }
+}
+
 RecvStatus FrameConn::recv(Frame* out, std::chrono::milliseconds timeout) {
   const bool bounded = timeout.count() >= 0;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
+    const RecvStatus status = try_recv(out);
+    if (status != RecvStatus::kTimeout) return status;
     auto wait = timeout;
     if (bounded) {
       wait = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -514,32 +571,6 @@ RecvStatus FrameConn::recv(Frame* out, std::chrono::milliseconds timeout) {
       if (wait.count() < 0) wait = std::chrono::milliseconds(0);
     }
     if (!util::net::wait_readable(fd_, wait)) return RecvStatus::kTimeout;
-
-    std::uint8_t header[8];
-    if (!util::net::read_full(fd_, header, sizeof header))
-      return RecvStatus::kClosed;
-    std::uint32_t length = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&length, header, 4);
-    std::memcpy(&crc, header + 4, 4);
-    if (length == 0 || length > kMaxFrameBytes) return RecvStatus::kClosed;
-
-    std::vector<std::uint8_t> payload(length);
-    if (!util::net::read_full(fd_, payload.data(), payload.size()))
-      return RecvStatus::kClosed;
-    if (core::crc32(payload) != crc) {
-      ++stats_.corrupt;
-      return RecvStatus::kCorrupt;
-    }
-    if (steady_now_ns() < rx_mute_until_ns_.load(std::memory_order_relaxed)) {
-      // Inside an injected partition: the frame arrived at the socket but
-      // "the network" ate it. Consume, discard, keep waiting.
-      ++stats_.rx_discarded;
-      continue;
-    }
-    out->type = static_cast<MsgType>(payload[0]);
-    out->body.assign(payload.begin() + 1, payload.end());
-    return RecvStatus::kOk;
   }
 }
 

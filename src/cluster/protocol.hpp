@@ -22,25 +22,19 @@
 //   coordinator -> worker   StreamBegin       (open a subset/product transfer)
 //   coordinator -> worker   StreamChunk       (offset-addressed payload slice)
 //   worker -> coordinator   StreamAck         (contiguous-prefix receipt)
-//   coordinator -> worker   TaskAssign        (task + v3: trace context)
+//   coordinator -> worker   TaskAssign        (task + trace context)
 //   worker -> coordinator   TaskResult        (divisor claims, session seq)
 //   coordinator -> worker   Ping              (liveness + result/telemetry ack)
-//   worker -> coordinator   Pong              (echo + stats + v3: worker clock)
-//   worker -> coordinator   TelemetrySnapshot (v3: metrics/spans/proc stats)
+//   worker -> coordinator   Pong              (echo + stats + worker clock)
+//   worker -> coordinator   TelemetrySnapshot (metrics/spans/proc stats)
 //   worker -> coordinator   ReconnectHello    (resume session after link loss)
 //   coordinator -> worker   ReconnectAck      (accept/reject + replay point)
 //   coordinator -> worker   Shutdown          (drain, flush telemetry, exit 0)
 //
-// Version negotiation: Hello/ReconnectHello carry the worker's protocol
-// version and the coordinator accepts anything in [kMinProtocolVersion,
-// kProtocolVersion], then speaks the *worker's* dialect on that link. The
-// v3 extensions are strictly additive tail fields (TaskAssign trace
-// context, Ping telemetry ack, Pong worker-clock sample) plus one new
-// frame type (TelemetrySnapshot), so a v2 worker keeps working: it never
-// receives the extended encodings (per-slot version-aware encode) and the
-// coordinator simply gets no telemetry from it. Decoders read the tail
-// fields only when present, because decode_guard rejects trailing bytes —
-// an old decoder cannot skip fields it does not know about.
+// Version check: Hello/ReconnectHello carry the worker's protocol version
+// and the coordinator closes any connection whose version is not
+// kProtocolVersion. There is one dialect: every body has a fixed field
+// list, and decode_guard rejects both short bodies and trailing bytes.
 //
 // Subset moduli and product roots are streamed once per *session* in
 // chunked, offset-addressed frames (StreamBegin/Chunk/Ack — go-back-N with
@@ -73,25 +67,21 @@
 
 #include "batchgcd/task_journal.hpp"
 #include "bn/bigint.hpp"
+#include "obs/fleet.hpp"
 #include "util/fault_injector.hpp"
 
 namespace weakkeys::cluster {
 
 /// Bumped on any incompatible frame/message change; Hello carries it and
-/// the coordinator refuses workers outside [kMinProtocolVersion, this].
-/// v2 added sessions (reconnect handshake, result sequencing) and chunked
+/// the coordinator refuses any worker speaking another version. v2 added
+/// sessions (reconnect handshake, result sequencing) and chunked
 /// subset/product streaming; v3 added the telemetry plane (TaskAssign trace
-/// context, TelemetrySnapshot export, Pong clock samples) as additive tail
-/// fields, so v2 remains speakable on a per-link basis.
+/// context, TelemetrySnapshot export, Pong clock samples).
 inline constexpr std::uint32_t kProtocolVersion = 3;
-
-/// Oldest dialect the coordinator still speaks (see version negotiation
-/// notes above).
-inline constexpr std::uint32_t kMinProtocolVersion = 2;
 
 /// Upper bound on a frame payload; a length prefix beyond this means the
 /// stream is garbage (or hostile) and the connection is dropped rather
-/// than letting read_full() wait on gigabytes that will never arrive.
+/// than letting the decoder buffer gigabytes that will never arrive.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 28;  // 256 MiB
 
 enum class MsgType : std::uint8_t {
@@ -109,7 +99,7 @@ enum class MsgType : std::uint8_t {
   kStreamBegin = 12,
   kStreamChunk = 13,
   kStreamAck = 14,
-  kTelemetrySnapshot = 15,  ///< v3: worker metrics/spans/proc-stats export
+  kTelemetrySnapshot = 15,  ///< worker metrics/spans/proc-stats export
 };
 
 struct Frame {
@@ -196,17 +186,14 @@ struct TaskAssignMsg {
   std::uint32_t product_subset = 0;  ///< b
   std::uint32_t leaf_subset = 0;     ///< a
   std::uint32_t attempt = 0;         ///< 0-based, for logging/tracing
-  // v3 trace context: the worker's task spans become children of the
+  // Trace context: the worker's task spans become children of the
   // coordinator's assign span so one task is one causally-linked tree
   // across both processes. Zero trace_id = tracing off (worker opens none).
   std::uint64_t trace_id = 0;        ///< run-unique trace identity
   std::uint64_t parent_span = 0;     ///< coordinator-side assign span id
   std::int64_t assign_ts_ns = 0;     ///< coordinator steady clock at send
 
-  /// v2 peers get the legacy 4-field body (decode_guard rejects trailing
-  /// bytes, so the tail must not be sent to them); v3 gets the full form.
-  [[nodiscard]] std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<TaskAssignMsg> decode(
       const std::vector<std::uint8_t>& body);
 };
@@ -230,14 +217,13 @@ struct PingMsg {
   /// Highest result_seq the coordinator has received this session; the
   /// worker prunes its replay outbox through it.
   std::uint64_t ack_result_seq = 0;
-  /// v3: highest TelemetrySnapshot seq the coordinator has ingested this
+  /// Highest TelemetrySnapshot seq the coordinator has ingested this
   /// session; the worker prunes its telemetry outbox through it (same
   /// loss-tolerance shape as results — unacked snapshots replay after a
   /// reconnect).
   std::uint64_t ack_telemetry_seq = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<PingMsg> decode(const std::vector<std::uint8_t>& body);
 };
 
@@ -247,54 +233,36 @@ struct PongMsg {
   std::uint32_t tasks_done = 0;    ///< tasks this incarnation completed
   std::uint64_t frames_sent = 0;   ///< worker-side transport stats,
   std::uint64_t frames_dropped = 0;  ///< surfaced in cluster.* metrics
-  /// v3: the worker's steady clock when this Pong was built. Combined with
+  /// The worker's steady clock when this Pong was built. Combined with
   /// the coordinator's send/receive timestamps for the same ping seq, this
   /// is one clock-offset observation (midpoint method, error <= RTT/2) —
   /// how the FleetAggregator rebases worker span timestamps.
   std::int64_t worker_now_ns = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<PongMsg> decode(const std::vector<std::uint8_t>& body);
 };
 
-// -- telemetry export (v3) --------------------------------------------------
+// -- telemetry export -------------------------------------------------------
 
 /// One completed worker-side span, timestamped on the worker's steady
 /// clock: `ts_us` is microseconds since the *epoch* named by the owning
 /// snapshot's `trace_epoch_ns`, so the coordinator can rebase it with the
 /// estimated clock offset. `depth` nests spans sharing a thread lane, and
 /// `args` carries small integer annotations (task id, attempt, claims).
-struct TelemetrySpan {
-  std::string name;
-  std::uint64_t ts_us = 0;
-  std::uint64_t dur_us = 0;
-  std::uint32_t depth = 0;
-  std::vector<std::pair<std::string, std::int64_t>> args;
-};
+/// `tid` is not on the wire: worker spans all share one lane.
+using TelemetrySpan = obs::TraceEvent;
 
-/// Periodic worker → coordinator telemetry export (v3 only). Snapshots are
-/// sequenced per session and kept in a worker-side outbox until the Ping
-/// path acks them, so a link flap loses nothing: the worker replays unacked
-/// snapshots after reconnect, and the coordinator dedups by (seq) plus by
-/// each span's global index (`first_span_index` + offset). Counter/gauge
-/// values are absolute (last-write-wins on the coordinator), which makes
-/// replays and droppage harmless.
-struct TelemetrySnapshotMsg {
-  std::uint32_t worker_id = 0;
-  std::uint64_t seq = 0;               ///< session-scoped, 1-based
-  std::uint64_t first_span_index = 0;  ///< global index of spans[0]
-  /// Worker steady-clock ns at this incarnation's span epoch (ts_us == 0).
-  std::int64_t trace_epoch_ns = 0;
-  // Process stats (sample_proc_self at snapshot time; -1 = unavailable).
-  std::int64_t rss_kb = -1;
-  std::int64_t peak_rss_kb = -1;
-  std::int64_t cpu_user_us = -1;
-  std::int64_t cpu_sys_us = -1;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<TelemetrySpan> spans;
-
+/// Periodic worker → coordinator telemetry export: an obs::FleetSnapshot
+/// plus its wire codec, so the coordinator hands it to the aggregator as
+/// is. Snapshots are sequenced per session (`seq`, 1-based) and kept in a
+/// worker-side outbox until the Ping path acks them, so a link flap loses
+/// nothing: the worker replays unacked snapshots after reconnect, and the
+/// coordinator dedups by (seq) plus by each span's global index
+/// (`first_span_index` + offset). Counter/gauge values are absolute
+/// (last-write-wins on the coordinator), which makes replays and droppage
+/// harmless.
+struct TelemetrySnapshotMsg : obs::FleetSnapshot {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<TelemetrySnapshotMsg> decode(
       const std::vector<std::uint8_t>& body);
@@ -350,17 +318,20 @@ struct StreamAckMsg {
 
 // -- framed connection ------------------------------------------------------
 
-/// What recv() observed. kCorrupt keeps the connection usable — the frame
-/// was consumed and discarded; kClosed/kError end it.
+/// This process's steady clock in nanoseconds: the unit of every ping
+/// timestamp, clock sample and span time on the wire.
+std::int64_t steady_now_ns();
+
+/// What recv()/try_recv() observed. kCorrupt keeps the connection usable —
+/// the frame was consumed and discarded; kClosed ends it.
 enum class RecvStatus : std::uint8_t {
   kOk = 0,
-  kTimeout,  ///< nothing arrived within the deadline
+  kTimeout,  ///< no whole frame yet (deadline passed, or would block)
   kCorrupt,  ///< a whole frame arrived but its CRC did not match
   kClosed,   ///< EOF, oversized length prefix, or a hard socket error
 };
 
-/// Cumulative transport counters for one connection. Reads are racy-but-
-/// monotonic (plain loads mirrored into metrics); exactness is not needed.
+/// Cumulative transport counters for one connection.
 struct FrameStats {
   std::uint64_t sent = 0;     ///< frames actually written
   std::uint64_t dropped = 0;  ///< frames the injector swallowed
@@ -379,8 +350,13 @@ struct FrameStats {
 
 /// One framed, fault-injectable connection endpoint. send() is thread-safe
 /// (the worker's RX thread answers pings while its compute thread sends
-/// results); recv() must only be called from one thread at a time. Does not
-/// own the fd.
+/// results); recv()/try_recv() and stats() belong to one reading thread.
+/// Does not own the fd.
+///
+/// Receiving goes through one incremental decoder: bytes are read without
+/// blocking into a per-connection buffer and whole frames are cut from it.
+/// A peer that stalls mid-frame therefore costs nothing but buffered bytes
+/// — the coordinator's event loop keeps serving every other connection.
 class FrameConn {
  public:
   /// `stream` seeds the injector's frame tier: each direction of each
@@ -411,15 +387,23 @@ class FrameConn {
   bool send(MsgType type, const std::vector<std::uint8_t>& body,
             bool injectable = false);
 
-  /// Reads the next frame. Blocks up to `timeout` for the *first* byte
-  /// (negative = forever); once a length prefix arrives the rest of the
-  /// frame is read to completion. Frames arriving inside an RX-mute window
-  /// (injected partition) are consumed and discarded as if the network had
-  /// eaten them; the wait continues against the original deadline.
+  /// Returns the next whole frame without blocking: decodes from the
+  /// buffer, reading whatever the socket already holds when the buffer has
+  /// no whole frame. kTimeout = no whole frame available yet (a partial one
+  /// stays buffered for the next call). Frames arriving inside an RX-mute
+  /// window (injected partition) are consumed and discarded as if the
+  /// network had eaten them.
+  RecvStatus try_recv(Frame* out);
+
+  /// Blocking form of try_recv(): waits up to `timeout` (negative =
+  /// forever) for a whole frame.
   RecvStatus recv(Frame* out, std::chrono::milliseconds timeout);
 
-  [[nodiscard]] const FrameStats& stats() const { return stats_; }
-  [[nodiscard]] int fd() const { return fd_; }
+  /// A copy of the counters, taken under the send lock.
+  [[nodiscard]] FrameStats stats() const {
+    std::lock_guard guard(tx_mu_);
+    return stats_;
+  }
 
   /// Injector-counter snapshots for carrying across a reconnect. Atomic so
   /// a supervisor can snapshot them while a stray late send is in flight.
@@ -436,8 +420,11 @@ class FrameConn {
   std::atomic<std::uint64_t> tx_seq_;
   std::atomic<std::uint64_t> conn_seq_;
   const util::FaultInjector* injector_;
-  std::mutex tx_mu_;
+  mutable std::mutex tx_mu_;  ///< serializes writes; guards stats_ sends
   FrameStats stats_;
+  std::vector<std::uint8_t> rx_buf_;  ///< [rx_pos_, rx_end_) not yet decoded
+  std::size_t rx_pos_ = 0;
+  std::size_t rx_end_ = 0;
   // Connection-tier link state. Deadlines are steady-clock nanoseconds;
   // atomics because a send on any thread opens windows that the (single)
   // recv thread must observe.

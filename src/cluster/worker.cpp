@@ -46,12 +46,6 @@ std::uint64_t tx_stream(std::uint32_t worker_id) {
 /// but the session may still be resumable.
 constexpr int kLinkLost = -1;
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
 /// One TCP connection: fd + framed endpoint. Sessions outlive links — the
 /// worker swaps in a fresh Link per reconnect while the compute thread may
 /// still hold a shared_ptr to the dead one (its sends fail harmlessly; the
@@ -70,10 +64,7 @@ class Worker {
   explicit Worker(const WorkerConfig& config)
       : config_(config),
         injector_(config.faults),
-        version_(config.protocol_version != 0 ? config.protocol_version
-                                              : kProtocolVersion),
-        telemetry_enabled_(version_ >= 3 &&
-                           config.telemetry_interval.count() > 0),
+        telemetry_enabled_(config.telemetry_interval.count() > 0),
         trace_epoch_ns_(steady_now_ns()) {}
 
   int run() {
@@ -191,7 +182,6 @@ class Worker {
     HelloMsg hello;
     hello.worker_id = config_.worker_id;
     hello.pid = static_cast<std::uint64_t>(::getpid());
-    hello.version = version_;
     if (!link->conn.send(MsgType::kHello, hello.encode()))
       return Handshake::kFatal;
     const auto deadline = Clock::now() + config_.connect_timeout;
@@ -223,7 +213,6 @@ class Worker {
     hello.worker_id = config_.worker_id;
     hello.pid = static_cast<std::uint64_t>(::getpid());
     hello.session_id = session_id_;
-    hello.version = version_;
     {
       std::lock_guard guard(mu_);
       hello.last_committed_seq = acked_result_seq_;
@@ -434,13 +423,14 @@ class Worker {
             pong.seq = ping->seq;
             pong.t_send_ns = ping->t_send_ns;
             pong.tasks_done = tasks_done_.load(std::memory_order_relaxed);
-            pong.frames_sent = link->conn.stats().sent;
-            pong.frames_dropped = link->conn.stats().dropped;
+            const FrameStats link_stats = link->conn.stats();
+            pong.frames_sent = link_stats.sent;
+            pong.frames_dropped = link_stats.dropped;
             // The clock sample must be taken as close to the send as
             // possible: it is one endpoint of the coordinator's midpoint
             // offset estimate.
             pong.worker_now_ns = steady_now_ns();
-            if (!link->conn.send(MsgType::kPong, pong.encode(version_)))
+            if (!link->conn.send(MsgType::kPong, pong.encode()))
               return kLinkLost;
             // Telemetry rides the Pong path: the coordinator's heartbeat
             // cadence is the export clock, throttled to telemetry_interval.
@@ -458,23 +448,6 @@ class Worker {
         case MsgType::kStreamChunk: {
           if (auto msg = StreamChunkMsg::decode(frame.body)) {
             if (!on_stream_chunk(link, *msg)) return kLinkLost;
-          }
-          break;
-        }
-        case MsgType::kSubsetData: {
-          // Legacy single-frame fill; the coordinator streams these now but
-          // the handler stays for protocol-level tests and compatibility.
-          if (auto msg = SubsetDataMsg::decode(frame.body)) {
-            std::lock_guard guard(mu_);
-            subsets_[msg->subset] = std::move(msg->moduli);
-            trees_.erase(msg->subset);
-          }
-          break;
-        }
-        case MsgType::kProductData: {
-          if (auto msg = ProductDataMsg::decode(frame.body)) {
-            std::lock_guard guard(mu_);
-            products_[msg->subset] = std::move(msg->product);
           }
           break;
         }
@@ -681,6 +654,9 @@ class Worker {
     result.worker_id = config_.worker_id;
     result.claims = batchgcd::leaf_claims(
         moduli, rem, assign.product_subset == assign.leaf_subset);
+    // This span times leaf_claims (the per-leaf gcds), not a second check:
+    // TaskSet::verify on the coordinator is the only verification. The
+    // name stays because perfbench's cluster.worker_verify_s reads it.
     const std::int64_t t_verified = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.verify", t_computed, t_verified, assign);
     if (telemetry_enabled_ && t_verified >= t_dequeue) {
@@ -736,8 +712,7 @@ class Worker {
 
   WorkerConfig config_;
   util::FaultInjector injector_;
-  const std::uint32_t version_;       ///< negotiated dialect (Hello)
-  const bool telemetry_enabled_;      ///< v3 and interval > 0
+  const bool telemetry_enabled_;      ///< telemetry_interval > 0
   const std::int64_t trace_epoch_ns_; ///< span-timestamp epoch, this clock
 
   std::mutex mu_;  ///< guards queue_, caches, stop_, link_, outboxes, spans

@@ -67,17 +67,11 @@ struct WorkerConfig {
   /// straggle_probability > 0. The coordinator forwards a value beyond its
   /// task_timeout so a straggle is always a timeout there.
   std::chrono::milliseconds straggle_sleep{300};
-  /// Telemetry export cadence (protocol v3): a Ping arriving at least this
-  /// long after the previous export triggers a TelemetrySnapshot frame
-  /// (metrics + completed task spans + RSS/CPU) back to the coordinator.
-  /// 0 disables export entirely; exports are also disabled when
-  /// protocol_version < 3.
+  /// Telemetry export cadence: a Ping arriving at least this long after
+  /// the previous export triggers a TelemetrySnapshot frame (metrics +
+  /// completed task spans + RSS/CPU) back to the coordinator. 0 disables
+  /// export entirely.
   std::chrono::milliseconds telemetry_interval{500};
-  /// Protocol version to advertise in the Hello. 0 = newest
-  /// (kProtocolVersion); 2 pins the legacy v2 dialect — no telemetry
-  /// export, legacy Pong encoding — for compatibility testing against a
-  /// v3 coordinator.
-  std::uint32_t protocol_version = 0;
   /// Sampling-profiler cadence for this worker process (DESIGN.md §5k);
   /// 0 disables. When on, memory accounting is enabled too and
   /// mem_live_kb / mem_peak_kb gauges ride every TelemetrySnapshot so the

@@ -795,12 +795,9 @@ void Study::factor_moduli() {
     util::FaultInjector injector(config_.faults);
     if (config_.faults.any_faults()) cc.injector = &injector;
     if (storage != nullptr) {
-      // Worker processes inherit the environment, so exporting the spill
-      // knobs here reaches every spawned gcd_worker without new spawn
-      // plumbing (the same pattern the profiler knobs use).
-      ::setenv("WEAKKEYS_SPILL_DIR", spill_dir.c_str(), 0);
-      ::setenv("WEAKKEYS_SPILL_THRESHOLD_MB",
-               std::to_string(spill_threshold_mb).c_str(), 0);
+      // The workers build the subset trees, so they get the spill policy.
+      cc.spill_dir = spill_dir;
+      cc.spill_threshold_mb = static_cast<std::size_t>(spill_threshold_mb);
     }
     result = cluster::batch_gcd_cluster(moduli, cc, &cluster_stats_);
     gcd_span.end();

@@ -45,13 +45,10 @@ void FleetAggregator::observe_clock(std::uint32_t worker,
                                     std::int64_t coord_send_ns,
                                     std::int64_t coord_recv_ns,
                                     std::int64_t worker_now_ns) {
-  if (worker_now_ns == 0) return;  // v2 worker: no clock sample in the Pong
-  std::lock_guard lock(mu_);
   workers_[worker].clock.observe(coord_send_ns, coord_recv_ns, worker_now_ns);
 }
 
 ClockOffsetEstimator FleetAggregator::clock_offset(std::uint32_t worker) const {
-  std::lock_guard lock(mu_);
   const auto it = workers_.find(worker);
   return it != workers_.end() ? it->second.clock : ClockOffsetEstimator{};
 }
@@ -61,7 +58,6 @@ std::uint64_t FleetAggregator::begin_assign(std::uint32_t task,
                                             std::uint32_t attempt,
                                             std::int64_t now_ns) {
   if (!trace_enabled_) return 0;
-  std::lock_guard lock(mu_);
   const std::uint64_t id = next_span_id_++;
   open_assigns_[id] = OpenAssign{task, worker, attempt, now_ns};
   return id;
@@ -70,7 +66,6 @@ std::uint64_t FleetAggregator::begin_assign(std::uint32_t task,
 void FleetAggregator::end_assign(std::uint64_t span_id, std::int64_t now_ns,
                                  bool committed) {
   if (span_id == 0) return;
-  std::lock_guard lock(mu_);
   const auto it = open_assigns_.find(span_id);
   if (it == open_assigns_.end()) return;
   const OpenAssign open = it->second;
@@ -92,7 +87,6 @@ void FleetAggregator::end_assign(std::uint64_t span_id, std::int64_t now_ns,
 }
 
 void FleetAggregator::on_worker_fresh(std::uint32_t worker) {
-  std::lock_guard lock(mu_);
   WorkerState& ws = workers_[worker];
   // The new process starts its counters at zero and its span indices at
   // zero, on a brand-new clock. Fold what the dead incarnation reported so
@@ -105,7 +99,7 @@ void FleetAggregator::on_worker_fresh(std::uint32_t worker) {
   ws.clock = ClockOffsetEstimator{};
 }
 
-std::uint64_t FleetAggregator::folded_counter_locked(
+std::uint64_t FleetAggregator::folded_counter(
     const WorkerState& ws, const std::string& name) const {
   std::uint64_t total = 0;
   const auto base = ws.counter_base.find(name);
@@ -116,7 +110,6 @@ std::uint64_t FleetAggregator::folded_counter_locked(
 }
 
 std::size_t FleetAggregator::ingest(const FleetSnapshot& snap) {
-  std::lock_guard lock(mu_);
   WorkerState& ws = workers_[snap.worker_id];
   ++ws.snapshots;
   ++snapshots_total_;
@@ -155,11 +148,11 @@ std::size_t FleetAggregator::ingest(const FleetSnapshot& snap) {
       ++accepted;
     }
   }
-  publish_locked();
+  publish();
   return accepted;
 }
 
-void FleetAggregator::publish_locked() {
+void FleetAggregator::publish() {
   if (!registry_) return;
   std::uint64_t fleet_tasks = 0;
   std::uint64_t fleet_compute_us = 0;
@@ -176,7 +169,7 @@ void FleetAggregator::publish_locked() {
     for (const auto& [name, value] : ws.counter_base) names[name] = 0;
     for (const auto& [name, value] : ws.counter_latest) names[name] = 0;
     for (auto& [name, value] : names) {
-      value = folded_counter_locked(ws, name);
+      value = folded_counter(ws, name);
       registry_->counter(prefix + name).set(value);
     }
     for (const auto& [name, value] : ws.gauge_latest) {
@@ -209,38 +202,33 @@ void FleetAggregator::publish_locked() {
 }
 
 FleetAggregator::Summary FleetAggregator::summary() const {
-  std::lock_guard lock(mu_);
   Summary s;
   s.snapshots = snapshots_total_;
   for (const auto& [id, ws] : workers_) {
     if (ws.snapshots == 0) continue;
     ++s.workers_reporting;
-    s.tasks_executed += folded_counter_locked(ws, "tasks_executed");
-    s.compute_us += folded_counter_locked(ws, "compute_us");
+    s.tasks_executed += folded_counter(ws, "tasks_executed");
+    s.compute_us += folded_counter(ws, "compute_us");
     if (ws.rss_kb >= 0) s.rss_kb += ws.rss_kb;
   }
   return s;
 }
 
 std::vector<FleetEvent> FleetAggregator::events() const {
-  std::vector<FleetEvent> out;
-  {
-    std::lock_guard lock(mu_);
-    out = events_;
-    for (const auto& [id, open] : open_assigns_) {
-      FleetEvent fe;
-      fe.pid = kCoordinatorPid;
-      fe.event.name = "task.assign";
-      fe.event.tid = open.worker;
-      fe.event.ts_us = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(0, (open.start_ns - epoch_ns_) / 1000));
-      fe.event.dur_us = 0;
-      fe.event.args = {{"task", open.task},
-                       {"worker", open.worker},
-                       {"attempt", open.attempt},
-                       {"committed", 0}};
-      out.push_back(std::move(fe));
-    }
+  std::vector<FleetEvent> out = events_;
+  for (const auto& [id, open] : open_assigns_) {
+    FleetEvent fe;
+    fe.pid = kCoordinatorPid;
+    fe.event.name = "task.assign";
+    fe.event.tid = open.worker;
+    fe.event.ts_us = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, (open.start_ns - epoch_ns_) / 1000));
+    fe.event.dur_us = 0;
+    fe.event.args = {{"task", open.task},
+                     {"worker", open.worker},
+                     {"attempt", open.attempt},
+                     {"committed", 0}};
+    out.push_back(std::move(fe));
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const FleetEvent& a, const FleetEvent& b) {
@@ -260,14 +248,8 @@ std::string FleetAggregator::chrome_trace_json() const {
   bool first = true;
   // Label each pid lane so the viewer shows "coordinator" / "worker N"
   // instead of bare numbers.
-  std::vector<std::uint32_t> pids;
-  {
-    std::lock_guard lock(mu_);
-    pids.push_back(kCoordinatorPid);
-    for (const auto& [id, ws] : workers_) {
-      pids.push_back(kWorkerPidBase + id);
-    }
-  }
+  std::vector<std::uint32_t> pids{kCoordinatorPid};
+  for (const auto& [id, ws] : workers_) pids.push_back(kWorkerPidBase + id);
   for (const std::uint32_t pid : pids) {
     const std::string label =
         pid == kCoordinatorPid
@@ -304,7 +286,6 @@ std::string FleetAggregator::chrome_trace_json() const {
 }
 
 std::string FleetAggregator::fleet_metrics_json() const {
-  std::lock_guard lock(mu_);
   std::uint64_t fleet_tasks = 0;
   std::uint64_t fleet_compute_us = 0;
   std::int64_t fleet_rss_kb = 0;
@@ -324,7 +305,7 @@ std::string FleetAggregator::fleet_metrics_json() const {
     workers += ",\"counters\":{";
     bool first_counter = true;
     for (auto& [name, value] : names) {
-      value = folded_counter_locked(ws, name);
+      value = folded_counter(ws, name);
       if (!first_counter) workers += ",";
       first_counter = false;
       workers += "\"" + json_escape(name) + "\":" + std::to_string(value);

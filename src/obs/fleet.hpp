@@ -29,14 +29,13 @@
 //      aggregator folds each dead incarnation's last-seen values into a
 //      per-worker base so the published totals stay cumulative.
 //
-// Everything here is transport-agnostic plain data: the cluster layer
-// converts wire messages into ingest() calls, keeping obs/ free of any
-// cluster dependency.
+// Everything here is transport-agnostic plain data: the cluster layer's
+// TelemetrySnapshotMsg is a FleetSnapshot plus a wire codec, keeping obs/
+// free of any cluster dependency.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,6 +99,7 @@ struct FleetEvent {
   TraceEvent event;
 };
 
+/// Not synchronized: the coordinator's event loop is its only caller.
 class FleetAggregator {
  public:
   /// Chrome-trace pid lanes. The coordinator is pid 1 (matching the
@@ -148,7 +148,7 @@ class FleetAggregator {
   /// Ingests one telemetry export. Replayed spans (global index below the
   /// dedup high-water) are skipped; counter/gauge values are absolute so
   /// replays are naturally idempotent. Returns the number of new spans
-  /// accepted. Thread-safe (called from per-link RX threads).
+  /// accepted.
   std::size_t ingest(const FleetSnapshot& snap);
 
   /// Published fleet totals, also available as fleet.* registry metrics.
@@ -196,16 +196,15 @@ class FleetAggregator {
     std::int64_t start_ns = 0;
   };
 
-  void publish_locked();  // mirror fleet.* into the registry; mu_ held
-  [[nodiscard]] std::uint64_t folded_counter_locked(const WorkerState& ws,
-                                                    const std::string& name) const;
+  void publish();  // mirror fleet.* into the registry
+  [[nodiscard]] std::uint64_t folded_counter(const WorkerState& ws,
+                                             const std::string& name) const;
 
   MetricsRegistry* registry_;
   const bool trace_enabled_;
   const std::int64_t epoch_ns_;
   const std::uint64_t trace_id_;
 
-  mutable std::mutex mu_;
   std::map<std::uint32_t, WorkerState> workers_;
   std::map<std::uint64_t, OpenAssign> open_assigns_;
   std::uint64_t next_span_id_ = 1;

@@ -72,10 +72,10 @@ std::string cluster_workers_json(const MetricsSnapshot& snap) {
   return out;
 }
 
-// /status fleet block: rollups plus per-worker process stats merged from v3
+// /status fleet block: rollups plus per-worker process stats merged from
 // telemetry exports (the fleet.worker.<id>.* / fleet.* registry metrics
 // published by obs::FleetAggregator). Empty until a worker has reported, so
-// the JSON stays unchanged for in-process studies and v2 fleets.
+// the JSON stays unchanged for in-process studies.
 std::string fleet_status_json(const MetricsSnapshot& snap) {
   const auto reporting = snap.gauges.find("fleet.workers_reporting");
   if (reporting == snap.gauges.end() || reporting->second <= 0) return "";

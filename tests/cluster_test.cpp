@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -21,6 +22,8 @@
 #include "batchgcd/distributed.hpp"
 #include "cluster/process_coordinator.hpp"
 #include "cluster/protocol.hpp"
+#include "core/binary_io.hpp"
+#include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
@@ -205,11 +208,15 @@ TEST(ClusterProtocol, SessionAndStreamMessageRoundTrips) {
   EXPECT_FALSE(StreamAckMsg::decode(truncated(sack.encode())));
 }
 
-TEST(ClusterProtocol, TraceContextTailsRoundTripAndDegradeToV2) {
-  // v3 appends trace/telemetry tails to TaskAssign/Ping/Pong. The default
-  // encode() carries them; encode(2) emits the legacy body, which must
-  // still decode — with the tails at their zero defaults — so a v3
-  // coordinator can speak each link's negotiated dialect.
+TEST(ClusterProtocol, TraceContextTailsRoundTripAndAreRequired) {
+  // TaskAssign/Ping/Pong end in trace/telemetry fields. They round-trip,
+  // and a body cut before them (what the retired v2 dialect sent) is
+  // rejected rather than read with the fields at zero.
+  const auto without_tail = [](std::vector<std::uint8_t> body,
+                               std::size_t tail_bytes) {
+    body.resize(body.size() - tail_bytes);
+    return body;
+  };
   TaskAssignMsg assign{11, 2, 3, 1};
   assign.trace_id = 0xfeedfacecafef00dull;
   assign.parent_span = 77;
@@ -220,35 +227,21 @@ TEST(ClusterProtocol, TraceContextTailsRoundTripAndDegradeToV2) {
   EXPECT_EQ(assign3->trace_id, 0xfeedfacecafef00dull);
   EXPECT_EQ(assign3->parent_span, 77u);
   EXPECT_EQ(assign3->assign_ts_ns, 123456789012345);
-  const auto assign_v2_body = assign.encode(2);
-  EXPECT_LT(assign_v2_body.size(), assign.encode().size());
-  const auto assign2 = TaskAssignMsg::decode(assign_v2_body);
-  ASSERT_TRUE(assign2);
-  EXPECT_EQ(assign2->task, 11u);
-  EXPECT_EQ(assign2->attempt, 1u);
-  EXPECT_EQ(assign2->trace_id, 0u);
-  EXPECT_EQ(assign2->parent_span, 0u);
-  EXPECT_EQ(assign2->assign_ts_ns, 0);
+  EXPECT_FALSE(TaskAssignMsg::decode(without_tail(assign.encode(), 24)));
 
   PingMsg ping{42, 99999, 7};
   ping.ack_telemetry_seq = 5;
   const auto ping3 = PingMsg::decode(ping.encode());
   ASSERT_TRUE(ping3);
   EXPECT_EQ(ping3->ack_telemetry_seq, 5u);
-  const auto ping2 = PingMsg::decode(ping.encode(2));
-  ASSERT_TRUE(ping2);
-  EXPECT_EQ(ping2->seq, 42u);
-  EXPECT_EQ(ping2->ack_telemetry_seq, 0u);
+  EXPECT_FALSE(PingMsg::decode(without_tail(ping.encode(), 8)));
 
   PongMsg pong{42, 99999, 3, 17, 2};
   pong.worker_now_ns = 31337;
   const auto pong3 = PongMsg::decode(pong.encode());
   ASSERT_TRUE(pong3);
   EXPECT_EQ(pong3->worker_now_ns, 31337);
-  const auto pong2 = PongMsg::decode(pong.encode(2));
-  ASSERT_TRUE(pong2);
-  EXPECT_EQ(pong2->frames_sent, 17u);
-  EXPECT_EQ(pong2->worker_now_ns, 0);
+  EXPECT_FALSE(PongMsg::decode(without_tail(pong.encode(), 8)));
 }
 
 TEST(ClusterProtocol, TelemetrySnapshotRoundTripsAndRejectsMalformed) {
@@ -423,6 +416,123 @@ TEST_F(FramePair, PeerDeathBetweenFramesFailsSendWithoutSigpipe) {
     failed = !tx.send(MsgType::kPing, PingMsg{2, 0, 0}.encode());
   }
   EXPECT_TRUE(failed);
+}
+
+// --------------------------------------------------------- frame decoder ----
+
+/// One frame as it travels on the wire: u32 length | u32 crc | type | body.
+std::vector<std::uint8_t> wire_frame(MsgType type,
+                                     const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> payload{static_cast<std::uint8_t>(type)};
+  payload.insert(payload.end(), body.begin(), body.end());
+  const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = core::crc32(payload);
+  std::vector<std::uint8_t> out(8 + payload.size());
+  std::memcpy(out.data(), &length, 4);
+  std::memcpy(out.data() + 4, &crc, 4);
+  std::copy(payload.begin(), payload.end(), out.begin() + 8);
+  return out;
+}
+
+class ClusterFrameDecoder : public FramePair {
+ protected:
+  /// Writes bytes [from, to) of `wire` to the far end of the pair.
+  void put(const std::vector<std::uint8_t>& wire, std::size_t from,
+           std::size_t to) {
+    ASSERT_TRUE(util::net::write_full(a_.get(), wire.data() + from, to - from));
+  }
+};
+
+TEST_F(ClusterFrameDecoder, HeaderSplitAcrossReads) {
+  FrameConn rx(b_.get(), 1);
+  const auto wire = wire_frame(MsgType::kPing, PingMsg{7, 8, 9}.encode());
+  Frame frame;
+  put(wire, 0, 5);  // most of the header, not all of it
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kTimeout);
+  put(wire, 5, 8);  // the header completes; no payload yet
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kTimeout);
+  put(wire, 8, wire.size());
+  ASSERT_EQ(rx.try_recv(&frame), RecvStatus::kOk);
+  EXPECT_EQ(frame.type, MsgType::kPing);
+  const auto ping = PingMsg::decode(frame.body);
+  ASSERT_TRUE(ping);
+  EXPECT_EQ(ping->seq, 7u);
+  EXPECT_EQ(ping->ack_result_seq, 9u);
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kTimeout);
+}
+
+TEST_F(ClusterFrameDecoder, PayloadDribbledOneByteAtATime) {
+  FrameConn rx(b_.get(), 1);
+  TaskResultMsg result;
+  result.task = 3;
+  result.result_seq = 12;
+  result.claims.push_back({2, BigInt(1) << 90});
+  const auto wire = wire_frame(MsgType::kTaskResult, result.encode());
+  Frame frame;
+  for (std::size_t i = 0; i + 1 < wire.size(); ++i) {
+    put(wire, i, i + 1);
+    ASSERT_EQ(rx.try_recv(&frame), RecvStatus::kTimeout) << "byte " << i;
+  }
+  put(wire, wire.size() - 1, wire.size());
+  ASSERT_EQ(rx.try_recv(&frame), RecvStatus::kOk);
+  EXPECT_EQ(frame.type, MsgType::kTaskResult);
+  const auto decoded = TaskResultMsg::decode(frame.body);
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(decoded->result_seq, 12u);
+  ASSERT_EQ(decoded->claims.size(), 1u);
+  EXPECT_EQ(decoded->claims[0].divisor, BigInt(1) << 90);
+}
+
+TEST_F(ClusterFrameDecoder, StalledHalfHeaderNeverBlocks) {
+  // A peer that writes half a header and stops (a worker SIGSTOPped
+  // mid-frame): try_recv says "no frame" at once, recv gives up at its
+  // deadline, and the partial bytes still complete a frame later.
+  FrameConn rx(b_.get(), 1);
+  const auto wire = wire_frame(MsgType::kShutdown, {});
+  put(wire, 0, 4);
+  Frame frame;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(rx.recv(&frame, std::chrono::milliseconds(30)),
+            RecvStatus::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  put(wire, 4, wire.size());
+  ASSERT_EQ(rx.recv(&frame, std::chrono::milliseconds(1000)),
+            RecvStatus::kOk);
+  EXPECT_EQ(frame.type, MsgType::kShutdown);
+  // EOF in the middle of a frame ends the connection.
+  put(wire, 0, 6);
+  a_.reset();
+  EXPECT_EQ(rx.recv(&frame, std::chrono::milliseconds(1000)),
+            RecvStatus::kClosed);
+}
+
+TEST_F(ClusterFrameDecoder, BadCrcFollowedByGoodFrame) {
+  FrameConn rx(b_.get(), 1);
+  auto bad = wire_frame(MsgType::kPing, PingMsg{1, 2, 3}.encode());
+  bad.back() ^= 0x5a;  // payload byte flipped after the CRC was computed
+  auto wire = bad;
+  const auto good = wire_frame(MsgType::kPong, PongMsg{4, 5}.encode());
+  wire.insert(wire.end(), good.begin(), good.end());
+  put(wire, 0, wire.size());  // both frames in one write
+  Frame frame;
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kCorrupt);
+  ASSERT_EQ(rx.try_recv(&frame), RecvStatus::kOk);
+  EXPECT_EQ(frame.type, MsgType::kPong);
+  EXPECT_EQ(rx.stats().corrupt, 1u);
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kTimeout);
+}
+
+TEST_F(ClusterFrameDecoder, OversizedLengthClosesTheConnection) {
+  FrameConn rx(b_.get(), 1);
+  std::vector<std::uint8_t> header(8, 0);
+  const std::uint32_t length = kMaxFrameBytes + 1;
+  std::memcpy(header.data(), &length, 4);
+  put(header, 0, header.size());
+  Frame frame;
+  EXPECT_EQ(rx.try_recv(&frame), RecvStatus::kClosed);
 }
 
 // --------------------------------------------------------- fault-free e2e ----
@@ -783,24 +893,6 @@ TEST(ClusterTelemetry, FleetCountersSumToCoordinatorCommitsUnderLinkFaults) {
   EXPECT_EQ(reporting->second, 2);
 }
 
-TEST(ClusterTelemetry, LegacyV2WorkerCompletesAgainstV3Coordinator) {
-  // Version-compat gate: a worker pinned to the v2 dialect (no telemetry,
-  // legacy Hello/Pong bodies, v2 TaskAssign bodies from the coordinator)
-  // still completes a run against the v3 coordinator with identical output.
-  const auto moduli = make_moduli(231, 14);
-  const auto reference = batchgcd::batch_gcd(moduli);
-
-  auto config = fast_config(3, 2);
-  config.worker_extra_args = {"--protocol-v2"};
-  ClusterStats stats;
-  const auto result = batch_gcd_cluster(moduli, config, &stats);
-  EXPECT_EQ(result.divisors, reference.divisors);
-  EXPECT_EQ(stats.tasks_executed, 9u);
-  // v2 workers export nothing; the fleet plane simply stays empty.
-  EXPECT_EQ(stats.telemetry_snapshots, 0u);
-  EXPECT_EQ(stats.telemetry_spans, 0u);
-}
-
 TEST(ClusterTelemetry, MergedFleetTraceCoversEveryCommittedTask) {
   // The tentpole artifact: a run with fleet_trace_path set produces one
   // merged Chrome trace where every committed task contributes a
@@ -866,6 +958,44 @@ TEST(Cluster, CancellationStopsTheRunAndKeepsTheJournal) {
   resume.checkpoint_path = path;
   const auto result = batch_gcd_cluster(moduli, resume, &stats);
   EXPECT_EQ(result.divisors, batchgcd::batch_gcd(moduli).divisors);
+}
+
+TEST(Cluster, CancelWakesTheIdleEventLoop) {
+  // Every worker is parked in a long straggle and heartbeats are 5 s
+  // apart, so the coordinator sits idle in poll(); a cancel must wake it
+  // through the cancellation pipe instead of waiting for the next timer.
+  const auto moduli = make_moduli(212, 14);
+  util::FaultConfig faults;
+  faults.seed = 3;
+  faults.straggle_probability = 1.0;
+  const util::FaultInjector injector(faults);
+  obs::Telemetry telemetry;
+  util::CancellationToken token;
+  auto config = fast_config(3, 2);
+  config.injector = &injector;
+  config.task_timeout = std::chrono::seconds(60);  // workers straggle 90 s
+  config.heartbeat_interval = std::chrono::seconds(5);
+  config.telemetry = &telemetry;
+  config.cancel = &token;
+  const auto& attempts = telemetry.metrics().counter("cluster.attempts");
+  std::chrono::steady_clock::time_point cancelled_at;
+  std::thread canceller([&] {
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(30);
+    while (attempts.value() < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // idle
+    cancelled_at = std::chrono::steady_clock::now();
+    token.cancel("test cancel");
+  });
+  EXPECT_THROW(batch_gcd_cluster(moduli, config), util::Cancelled);
+  const auto ended = std::chrono::steady_clock::now();
+  canceller.join();
+  EXPECT_GE(attempts.value(), 2u);
+  // Drain plus the 500 ms reap bound for the wedged workers, well inside
+  // the 5 s a timer-paced loop would take to notice.
+  EXPECT_LT(ended - cancelled_at, std::chrono::milliseconds(2500));
 }
 
 // ------------------------------------------------- sessions & streaming ----
@@ -990,6 +1120,128 @@ TEST(ClusterStream, MidStreamDisconnectResumesTransfer) {
 }
 
 // ---------------------------------------------------- remote dial-in e2e ----
+
+/// Dials the coordinator's listen port from the test process.
+util::net::UniqueFd dial(std::uint16_t port) {
+  return util::net::UniqueFd(util::net::connect_tcp(
+      "127.0.0.1", port, std::chrono::milliseconds(2000)));
+}
+
+/// True when the peer closes `fd` within `timeout` without having sent a
+/// single byte.
+bool closed_without_reply(int fd, std::chrono::milliseconds timeout) {
+  char byte = 0;
+  return util::net::wait_readable(fd, timeout) && ::recv(fd, &byte, 1, 0) <= 0;
+}
+
+TEST(ClusterRemote, SilentAndHalfFrameConnectionsDoNotStallTheRun) {
+  // Connections that never finish a Hello — one silent, one stalled after
+  // half a frame header — must not wedge the coordinator: the run finishes
+  // with the reference divisors and both connections get closed.
+  const auto moduli = make_moduli(226, 16);
+  const auto reference = batchgcd::batch_gcd(moduli);
+
+  auto config = fast_config(3, 2);
+  util::net::UniqueFd silent;
+  util::net::UniqueFd half_frame;
+  config.on_listen = [&](std::uint16_t port) {
+    silent = dial(port);
+    half_frame = dial(port);
+    const std::uint8_t partial_header[3] = {0x10, 0x00, 0x00};
+    util::net::write_full(half_frame.get(), partial_header,
+                          sizeof partial_header);
+  };
+  ClusterStats stats;
+  const auto result = batch_gcd_cluster(moduli, config, &stats);
+  EXPECT_EQ(result.divisors, reference.divisors);
+  EXPECT_EQ(stats.tasks_executed, 9u);
+  ASSERT_TRUE(silent.valid());
+  ASSERT_TRUE(half_frame.valid());
+  EXPECT_TRUE(closed_without_reply(silent.get(), std::chrono::seconds(2)));
+  EXPECT_TRUE(
+      closed_without_reply(half_frame.get(), std::chrono::seconds(2)));
+}
+
+TEST(ClusterRemote, MaxLengthHeadersDoNotCommitMemory) {
+  // Dial-ins that each announce a kMaxFrameBytes (256 MiB) frame and then
+  // stall: the decoder buffers what arrives, not what a header claims, so
+  // the coordinator's peak RSS barely moves, the run finishes and every
+  // connection is closed.
+  const auto moduli = make_moduli(232, 16);
+  const auto reference = batchgcd::batch_gcd(moduli);
+
+  auto config = fast_config(3, 2);
+  std::vector<util::net::UniqueFd> stalled;
+  config.on_listen = [&](std::uint16_t port) {
+    std::uint8_t header[8] = {};
+    const std::uint32_t length = kMaxFrameBytes;
+    std::memcpy(header, &length, 4);
+    for (int i = 0; i < 4; ++i) {
+      stalled.push_back(dial(port));
+      util::net::write_full(stalled.back().get(), header, sizeof header);
+    }
+  };
+  const auto before = obs::sample_proc_self();
+  ClusterStats stats;
+  const auto result = batch_gcd_cluster(moduli, config, &stats);
+  const auto after = obs::sample_proc_self();
+  EXPECT_EQ(result.divisors, reference.divisors);
+  EXPECT_EQ(stats.tasks_executed, 9u);
+  ASSERT_EQ(stalled.size(), 4u);
+  for (const auto& fd : stalled) {
+    EXPECT_TRUE(closed_without_reply(fd.get(), std::chrono::seconds(2)));
+  }
+  if (before.peak_rss_available && after.peak_rss_available) {
+    EXPECT_LT(after.peak_rss_kb - before.peak_rss_kb, 64 * 1024);
+  }
+}
+
+TEST(ClusterRemote, HelloWithOtherProtocolVersionIsRefused) {
+  // Hello is input from outside the program: dial-ins claiming the remote
+  // slot with any version but kProtocolVersion are closed without a byte
+  // of reply, and the slot stays free for the real worker dialing after.
+  const auto moduli = make_moduli(231, 14);
+  const auto reference = batchgcd::batch_gcd(moduli);
+
+  auto config = fast_config(3, 0);
+  config.remote_workers = 1;
+  config.worker_binary.clear();
+  config.restart_budget = 0;  // an attached impostor would end the run
+  std::vector<util::net::UniqueFd> impostors;
+  pid_t worker = -1;
+  config.on_listen = [&](std::uint16_t port) {
+    for (const std::uint32_t version :
+         {kProtocolVersion - 1, kProtocolVersion + 1}) {
+      impostors.push_back(dial(port));
+      FrameConn conn(impostors.back().get(), 0);
+      const HelloMsg hello{0, static_cast<std::uint64_t>(::getpid()),
+                           version};
+      conn.send(MsgType::kHello, hello.encode());
+    }
+    const std::string bin = worker_binary();
+    const std::string hostport = "127.0.0.1:" + std::to_string(port);
+    worker = ::fork();
+    ASSERT_GE(worker, 0);
+    if (worker == 0) {
+      ::execl(bin.c_str(), bin.c_str(), "--connect", hostport.c_str(),
+              "--worker-id", "0", static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+  };
+  ClusterStats stats;
+  const auto result = batch_gcd_cluster(moduli, config, &stats);
+  EXPECT_EQ(result.divisors, reference.divisors);
+  EXPECT_EQ(stats.tasks_executed, 9u);
+  ASSERT_GT(worker, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(worker, &status, 0), worker);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_EQ(impostors.size(), 2u);
+  for (const auto& fd : impostors) {
+    ASSERT_TRUE(fd.valid());
+    EXPECT_TRUE(closed_without_reply(fd.get(), std::chrono::seconds(2)));
+  }
+}
 
 TEST(ClusterRemote, DialInWorkersMatchBatchGcd) {
   // workers = 0, remote_workers = 2: the coordinator spawns nothing; this

@@ -2,9 +2,14 @@
 // plus the cache layer.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -573,6 +578,45 @@ TEST_F(StudyIntegration, ClusterPathMatchesInProcessPipeline) {
   const std::set<std::string> actual(clustered.vulnerable().hex().begin(),
                                      clustered.vulnerable().hex().end());
   EXPECT_EQ(actual, expected);
+}
+
+TEST_F(StudyIntegration, ClusterSpillGoesToWorkersAsFlagsNotEnvironment) {
+  // The spill settings reach the workers on their command line: the
+  // environment is the same after the run, the workers' spill stores
+  // created spill_dir (in cluster mode only they build trees), and the
+  // vulnerable set matches the in-RAM, in-process run.
+  const auto env = [](const char* name) -> std::optional<std::string> {
+    const char* value = std::getenv(name);
+    return value ? std::optional<std::string>(value) : std::nullopt;
+  };
+  const auto dir_before = env("WEAKKEYS_SPILL_DIR");
+  const auto mb_before = env("WEAKKEYS_SPILL_THRESHOLD_MB");
+  const std::string spill_dir = ::testing::TempDir() + "study_cluster_spill_" +
+                                std::to_string(::getpid()) + ".d";
+  std::filesystem::remove_all(spill_dir);
+
+  StudyConfig config;
+  config.sim.seed = 424242;
+  config.sim.scale = 0.03;
+  config.sim.miller_rabin_rounds = 4;
+  config.batch_gcd_subsets = 3;
+  config.cache_path = "";
+  config.worker_processes = 2;
+  config.worker_binary = WEAKKEYS_GCD_WORKER_BIN;
+  config.spill_dir = spill_dir;
+  config.spill_threshold_mb = 0;
+  Study clustered(config);
+  clustered.run();
+
+  EXPECT_EQ(env("WEAKKEYS_SPILL_DIR"), dir_before);
+  EXPECT_EQ(env("WEAKKEYS_SPILL_THRESHOLD_MB"), mb_before);
+  EXPECT_TRUE(std::filesystem::is_directory(spill_dir));
+  const std::set<std::string> expected(study_->vulnerable().hex().begin(),
+                                       study_->vulnerable().hex().end());
+  const std::set<std::string> actual(clustered.vulnerable().hex().begin(),
+                                     clustered.vulnerable().hex().end());
+  EXPECT_EQ(actual, expected);
+  std::filesystem::remove_all(spill_dir);
 }
 #endif
 

@@ -306,13 +306,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!spill_dir.empty()) {
-    // Cluster mode: the workers build the trees, so export the spill knobs
-    // for the spawned gcd_worker processes to inherit.
-    ::setenv("WEAKKEYS_SPILL_DIR", spill_dir.c_str(), 0);
-    ::setenv("WEAKKEYS_SPILL_THRESHOLD_MB",
-             std::to_string(spill_threshold_mb).c_str(), 0);
-  }
+  // Cluster mode: the workers build the trees, so they get the spill knobs.
+  config.spill_dir = spill_dir;
+  config.spill_threshold_mb = static_cast<std::size_t>(spill_threshold_mb);
 
   if (!quiet) {
     config.log = [](const std::string& line) {

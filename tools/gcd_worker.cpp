@@ -36,7 +36,7 @@ int usage(const char* argv0) {
       "  [--address A] [--connect-timeout-ms MS]\n"
       "  [--session-reconnect] [--reconnect-window-ms MS]\n"
       "  [--ping-deadline-ms MS] [--keepalive]\n"
-      "  [--telemetry-interval-ms MS] [--no-telemetry] [--protocol-v2]\n"
+      "  [--telemetry-interval-ms MS] [--no-telemetry]\n"
       "  [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]\n"
       "  [--spill-dir DIR] [--spill-threshold-mb N]\n"
       "  [--seed S] [--frame-drop P] [--frame-garble P] [--frame-delay P]\n"
@@ -107,10 +107,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--spill-threshold-mb" && (value = next())) {
       config.spill_threshold_mb = std::strtoull(value, nullptr, 10);
       have_spill_threshold = true;
-    } else if (arg == "--protocol-v2") {
-      // Pin the legacy dialect: v2 Hello/Pong bodies, no telemetry export.
-      // Compatibility testing against a v3 coordinator.
-      config.protocol_version = 2;
     } else if (arg == "--seed" && (value = next())) {
       config.faults.seed = std::strtoull(value, nullptr, 10);
     } else if (arg == "--frame-drop" && (value = next())) {
