@@ -83,7 +83,13 @@ void BM_BatchGcd(benchmark::State& state) {
     benchmark::DoNotOptimize(batchgcd::batch_gcd(moduli));
   }
 }
-BENCHMARK(BM_BatchGcd)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchGcd)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NaivePairwise(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));

@@ -2,8 +2,14 @@
 // DESIGN.md calls out:
 //   * Karatsuba vs schoolbook multiplication (threshold sweep),
 //   * Newton-reciprocal vs Knuth Algorithm D division,
-// plus Montgomery modexp and RSA keygen throughput.
+// the Newton reciprocal the scaled remainder tree starts from, Montgomery
+// modexp and RSA keygen throughput, and — when GMP is found at configure
+// time — GMP's multiply and divide at the same sizes as a yardstick for how
+// far the kernels are from the hardware (BM_*_Gmp).
 #include <benchmark/benchmark.h>
+#if WEAKKEYS_BENCH_GMP
+#include <gmp.h>
+#endif
 
 #include "bench_json.hpp"
 #include "bn/detail.hpp"
@@ -42,18 +48,14 @@ void BM_MulKaratsuba(benchmark::State& state) {
         bn::BigIntOps::limbs(a), bn::BigIntOps::limbs(b)));
   }
 }
-BENCHMARK(BM_MulKaratsuba)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_MulToom3(benchmark::State& state) {
-  const auto limbs = static_cast<std::size_t>(state.range(0));
-  const BigInt a = random_bits_of(1, limbs * 64);
-  const BigInt b = random_bits_of(2, limbs * 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bn::detail::mul_toom3(
-        bn::BigIntOps::limbs(a), bn::BigIntOps::limbs(b)));
-  }
-}
-BENCHMARK(BM_MulToom3)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_MulKaratsuba)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(8192)
+    ->Arg(16384);
 
 void BM_DivKnuth(benchmark::State& state) {
   const auto limbs = static_cast<std::size_t>(state.range(0));
@@ -80,6 +82,63 @@ void BM_DivNewton(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DivNewton)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// floor(2^(2b+64) / d) for a b-bit d: the root reciprocal of a k-subset
+/// tree (ProductTree::root_reciprocal), by limbs of d.
+void BM_Reciprocal(benchmark::State& state) {
+  const auto limbs = static_cast<std::size_t>(state.range(0));
+  const BigInt d = random_bits_of(4, limbs * 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bn::reciprocal(d, 2 * d.bit_length() + 64));
+  }
+}
+BENCHMARK(BM_Reciprocal)->Arg(64)->Arg(1024)->Arg(4096)->Arg(16384);
+
+#if WEAKKEYS_BENCH_GMP
+/// A GMP copy of `v`.
+struct Mpz {
+  explicit Mpz(const BigInt& v) {
+    mpz_init_set_str(z, v.to_hex().c_str(), 16);
+  }
+  Mpz() { mpz_init(z); }
+  ~Mpz() { mpz_clear(z); }
+  Mpz(const Mpz&) = delete;
+  Mpz& operator=(const Mpz&) = delete;
+  mpz_t z;
+};
+
+void BM_Mul_Gmp(benchmark::State& state) {
+  const auto limbs = static_cast<std::size_t>(state.range(0));
+  const Mpz a(random_bits_of(1, limbs * 64));
+  const Mpz b(random_bits_of(2, limbs * 64));
+  Mpz r;
+  for (auto _ : state) {
+    mpz_mul(r.z, a.z, b.z);
+    benchmark::DoNotOptimize(r.z);
+  }
+}
+BENCHMARK(BM_Mul_Gmp)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(8192)
+    ->Arg(16384);
+
+/// 2n / n limbs, as BM_DivKnuth and BM_DivNewton.
+void BM_Div_Gmp(benchmark::State& state) {
+  const auto limbs = static_cast<std::size_t>(state.range(0));
+  const Mpz a(random_bits_of(3, limbs * 2 * 64));
+  const Mpz b(random_bits_of(4, limbs * 64));
+  Mpz q, r;
+  for (auto _ : state) {
+    mpz_tdiv_qr(q.z, r.z, a.z, b.z);
+    benchmark::DoNotOptimize(q.z);
+  }
+}
+BENCHMARK(BM_Div_Gmp)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+#endif
 
 void BM_ModPow(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));

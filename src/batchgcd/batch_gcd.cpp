@@ -27,12 +27,12 @@ BatchGcdResult batch_gcd(std::span<const BigInt> moduli,
                                ? ProductTree(moduli, *storage)
                                : ProductTree(moduli);
   if (cancel) cancel->throw_if_cancelled();
-  const std::vector<BigInt> rem = remainder_tree_squares(tree, tree.root());
+  // The k = 1 task set: one diagonal task, u_i = (P / N_i) mod N_i.
+  const std::vector<BigInt> u =
+      remainder_task_residues(tree, tree.root(), /*diagonal=*/true);
   for (std::size_t i = 0; i < moduli.size(); ++i) {
     if (cancel && (i % 64) == 0) cancel->throw_if_cancelled();
-    // rem[i] = P mod N_i^2 = N_i * ((P/N_i) mod N_i), so the division is
-    // exact and yields (P/N_i) mod N_i directly.
-    result.divisors[i] = bn::gcd(moduli[i], rem[i] / moduli[i]);
+    result.divisors[i] = bn::gcd(moduli[i], u[i]);
   }
   return result;
 }

@@ -66,6 +66,8 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
       } else {
         trees[a] = std::make_unique<ProductTree>(tasks.subset(a));
       }
+      // Built here, once, for the k tasks that walk this tree.
+      trees[a]->root_reciprocal();
     });
     if (options.registry) trees[0]->publish_level_stats(*options.registry);
 
@@ -74,9 +76,9 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
       const std::size_t task = pending[i];
       const std::size_t b = tasks.product_of(task);
       const std::size_t a = tasks.subset_of(task);
-      const std::vector<BigInt> rem =
-          remainder_tree_squares(*trees[a], trees[b]->root());
-      tasks.commit(task, leaf_claims(tasks.subset(a), rem, b == a));
+      const std::vector<BigInt> u =
+          remainder_task_residues(*trees[a], trees[b]->root(), b == a);
+      tasks.commit(task, leaf_claims(tasks.subset(a), u));
       if (executed) executed->inc();
     });
 

@@ -96,6 +96,18 @@ void ProductTree::build(std::span<const bn::BigInt> inputs) {
   store_->release_level(top);
 }
 
+const bn::BigInt& ProductTree::root_reciprocal() const {
+  std::call_once(reciprocal_->once, [this] {
+    static const int mem_label =
+        obs::mem::register_label("batchgcd.remainder_tree.reciprocal");
+    obs::MemScope mem_scope(mem_label);
+    obs::prof::Frame frame("batchgcd.remainder_tree.reciprocal");
+    reciprocal_->value =
+        bn::reciprocal(root_, 2 * root_.bit_length() + kFractionGuardBits);
+  });
+  return reciprocal_->value;
+}
+
 const std::vector<Level>& ProductTree::levels() const {
   const auto* ram = dynamic_cast<const RamLevelStore*>(store_.get());
   if (ram == nullptr) {

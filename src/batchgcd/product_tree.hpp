@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -66,6 +67,13 @@ class ProductTree {
   /// time, so it is available without touching storage.
   [[nodiscard]] const bn::BigInt& root() const { return root_; }
 
+  /// floor(2^(2 * bits(root) + kFractionGuardBits) / root): the root
+  /// reciprocal every scaled remainder walk over this tree starts from
+  /// (remainder_tree.hpp). Computed on the first call, under a once-flag,
+  /// and kept with the tree, so concurrent walks share one. It is not a
+  /// level: the census, total_limbs() and max_node_limbs() ignore it.
+  const bn::BigInt& root_reciprocal() const;
+
   /// Number of levels (0 for an empty tree).
   [[nodiscard]] std::size_t level_count() const {
     return store_->level_stats().size();
@@ -114,9 +122,19 @@ class ProductTree {
  private:
   void build(std::span<const bn::BigInt> inputs);
 
+  struct Reciprocal {
+    std::once_flag once;
+    bn::BigInt value;
+  };
+
   std::unique_ptr<LevelStore> store_;
   bn::BigInt root_{1};
+  std::unique_ptr<Reciprocal> reciprocal_ = std::make_unique<Reciprocal>();
 };
+
+/// Guard bits of the remainder tree's fixed-point fractions: a node of B
+/// bits carries e * B + kFractionGuardBits fraction bits (e = 1 or 2).
+inline constexpr std::size_t kFractionGuardBits = 64;
 
 /// Estimated retained bytes of a product tree over `inputs`: input bytes
 /// times the level count. The spill policy compares this against

@@ -1,5 +1,7 @@
 #include "batchgcd/remainder_tree.hpp"
 
+#include <stdexcept>
+
 #include "obs/mem.hpp"
 #include "obs/prof_stack.hpp"
 
@@ -9,47 +11,135 @@ using bn::BigInt;
 
 namespace {
 
-/// x mod node^2, skipping the squaring when x is provably below it
-/// (x < 2^(2B-2) <= node^2 for a B-bit node). The root of a batch-GCD
-/// remainder tree always hits the cheap path: P mod P^2 == P.
-BigInt reduce_mod_square(const BigInt& x, const BigInt& node) {
-  const std::size_t node_bits = node.bit_length();
-  if (node_bits >= 1 && x.bit_length() <= 2 * node_bits - 2) return x;
-  return x % node.squared();
+/// Fraction bits carried at a node of `node_bits` bits for exponent e.
+std::size_t precision(std::size_t node_bits, unsigned e) {
+  return e * node_bits + kFractionGuardBits;
+}
+
+/// The e = 2 root takes the multiply-only path while floor((x mod P^2) / P)
+/// stays below 2^this; its error grows with that quotient (DESIGN.md §5m).
+/// Every batch-GCD caller has a quotient of a few bits at most.
+constexpr std::size_t kMaxRootQuotientBits = 32;
+
+/// y_root = frac(x / P^e) with precision(bits(P), e) fraction bits, as an
+/// integer. With J = floor(2^(2b+64) / P) and x = q * P + r:
+///   frac(x / P)   = r / P             ~ r * J / 2^(2b+64),
+///   frac(x / P^2) = (q mod P + r / P) / P.
+/// The diagonal x = P has q = 1, r = 0, and reduces to y_root = J.
+BigInt root_fraction(const ProductTree& tree, const BigInt& x, unsigned e) {
+  const BigInt& p = tree.root();
+  const std::size_t b = p.bit_length();
+  const BigInt& j = tree.root_reciprocal();
+  auto [q, r] = BigInt::divmod(x, p);
+  const std::size_t p1 = precision(b, 1);
+  BigInt y1 = bn::mul_window(r, j, b, p1);
+  if (e == 1) return y1;
+  const std::size_t p2 = precision(b, 2);
+  if (q >= p) q = q % p;
+  if (r.is_zero()) return bn::mul_window(q, j, 0, p2);  // the diagonal: q = 1
+  if (q.bit_length() > kMaxRootQuotientBits) {
+    // A general x: one exact division instead.
+    return ((q * p + r) << p2) / p.squared();
+  }
+  return bn::mul_window((q << p1) + y1, j, p1, p2);
+}
+
+/// round(y * m / 2^prec) mod m, for a leaf fraction y < 2^prec.
+BigInt leaf_residue(const BigInt& y, std::size_t prec, const BigInt& m) {
+  BigInt v =
+      (bn::mul_window(y, m, prec - 1, m.bit_length() + 2) + BigInt(1)) >> 1;
+  if (v == m) v = BigInt{};
+  return v;
+}
+
+/// Walks `tree` top-down from the root fraction y_root ~ frac(x / P^e) and
+/// returns residue(N_i, y_i, precision) for every leaf N_i, where y_i ~
+/// frac(x / N_i^e).
+///
+/// Levels stream through the store one at a time (load, walk, release):
+/// over the in-RAM backend the load is a free aliasing handle, over the
+/// spill backend it is a verified read with at most the configured window
+/// resident — only the current and next fraction rows plus one product
+/// level are ever in memory.
+template <typename Residue>
+std::vector<BigInt> descend(const ProductTree& tree, BigInt y_root,
+                            unsigned e, const Residue& residue) {
+  LevelStore& store = tree.store();
+  const std::size_t level_count = store.level_stats().size();
+  std::vector<BigInt> y;
+  y.push_back(std::move(y_root));
+  std::vector<std::size_t> prec = {precision(tree.root().bit_length(), e)};
+  LevelHandle leaves = level_count == 1 ? store.load_level(0) : nullptr;
+  for (std::size_t li = level_count - 1; li-- > 0;) {
+    const LevelHandle level = store.load_level(li);
+    const Level& nodes = *level;
+    std::vector<BigInt> next(nodes.size());
+    std::vector<std::size_t> next_prec(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); i += 2) {
+      const std::size_t parent = i / 2;
+      if (i + 1 == nodes.size()) {
+        // An odd trailing node was carried up unchanged: same node, same
+        // fraction.
+        next[i] = std::move(y[parent]);
+        next_prec[i] = prec[parent];
+        continue;
+      }
+      for (std::size_t c = i; c < i + 2; ++c) {
+        const BigInt& sibling = nodes[c ^ 1];
+        next_prec[c] = precision(nodes[c].bit_length(), e);
+        next[c] = bn::mul_window(y[parent],
+                                 e == 2 ? sibling.squared() : sibling,
+                                 prec[parent] - next_prec[c], next_prec[c]);
+      }
+    }
+    if (li == 0) {
+      leaves = level;
+    } else {
+      store.release_level(li);
+    }
+    y = std::move(next);
+    prec = std::move(next_prec);
+  }
+  std::vector<BigInt> out(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    out[i] = residue((*leaves)[i], y[i], prec[i]);
+  }
+  store.release_level(0);
+  return out;
+}
+
+template <typename Residue>
+std::vector<BigInt> walk(const ProductTree& tree, const BigInt& x, unsigned e,
+                         const Residue& residue) {
+  static const int mem_label =
+      obs::mem::register_label("batchgcd.remainder_tree");
+  obs::MemScope mem_scope(mem_label);
+  obs::prof::Frame frame("batchgcd.remainder_tree");
+  if (x.is_negative()) {
+    throw std::invalid_argument("remainder tree input must be non-negative");
+  }
+  if (tree.level_count() == 0) return {};
+  return descend(tree, root_fraction(tree, x, e), e, residue);
 }
 
 }  // namespace
 
 std::vector<BigInt> remainder_tree_squares(const ProductTree& tree,
                                            const BigInt& x) {
-  static const int mem_label =
-      obs::mem::register_label("batchgcd.remainder_tree");
-  obs::MemScope mem_scope(mem_label);
-  obs::prof::Frame frame("batchgcd.remainder_tree");
-  LevelStore& store = tree.store();
-  const std::size_t level_count = store.level_stats().size();
-  if (level_count == 0) return {};
+  return walk(tree, x, 2,
+              [](const BigInt& n, const BigInt& y, std::size_t prec) {
+                return leaf_residue(y, prec, n.squared());
+              });
+}
 
-  // rem[i] holds X mod node_i^2 for the current level. A level's odd
-  // trailing node is carried up unchanged by the product tree, so rem[i/2]
-  // is its own remainder already and the reduction below is a cheap no-op.
-  //
-  // Levels stream through the store one at a time (load, walk, release):
-  // over the in-RAM backend the load is a free aliasing handle, over the
-  // spill backend it is a verified read with at most the configured window
-  // resident — only the current and next remainder rows plus one product
-  // level are ever in memory.
-  std::vector<BigInt> rem = {reduce_mod_square(x, tree.root())};
-  for (std::size_t li = level_count - 1; li-- > 0;) {
-    const LevelHandle level = store.load_level(li);
-    std::vector<BigInt> next(level->size());
-    for (std::size_t i = 0; i < level->size(); ++i) {
-      next[i] = reduce_mod_square(rem[i / 2], (*level)[i]);
-    }
-    store.release_level(li);
-    rem = std::move(next);
-  }
-  return rem;
+std::vector<BigInt> remainder_task_residues(const ProductTree& tree,
+                                            const BigInt& x, bool diagonal) {
+  // Diagonal: frac(x / N^2) * N = (x mod N^2) / N = (x / N) mod N, exact
+  // because N divides x.
+  return walk(tree, x, diagonal ? 2 : 1,
+              [](const BigInt& n, const BigInt& y, std::size_t prec) {
+                return leaf_residue(y, prec, n);
+              });
 }
 
 }  // namespace weakkeys::batchgcd

@@ -7,13 +7,11 @@ namespace weakkeys::batchgcd {
 using bn::BigInt;
 
 std::vector<TaskClaim> leaf_claims(std::span<const BigInt> leaves,
-                                   std::span<const BigInt> rem,
-                                   bool diagonal) {
+                                   std::span<const BigInt> u) {
   std::vector<TaskClaim> claims;
   const BigInt one(1);
   for (std::size_t i = 0; i < leaves.size(); ++i) {
-    const BigInt& n = leaves[i];
-    BigInt g = diagonal ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i] % n);
+    BigInt g = bn::gcd(leaves[i], u[i]);
     if (g > one) {
       claims.push_back({static_cast<std::uint32_t>(i), std::move(g)});
     }

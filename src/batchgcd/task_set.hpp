@@ -6,7 +6,7 @@
 // remainder tree (a = t % k), and every leaf N_i of S_a claims a
 // shared-factor candidate:
 //
-//   b == a: gcd(N_i, (P_a mod N_i^2) / N_i)   (P_a is divisible by N_i)
+//   b == a: gcd(N_i, (P_a / N_i) mod N_i)
 //   b != a: gcd(N_i, P_b mod N_i)
 //
 // Claims multiply into a per-leaf accumulator, and gcd(N_i, accumulator)
@@ -18,10 +18,12 @@
 // partition, the task -> (product, subset) mapping, claim verification,
 // folding claims into the accumulators, the resume journal (replayed
 // records are verified: they are input from disk), and the final
-// per-modulus gcd. leaf_claims() is the claim rule itself. The in-process
-// path (batch_gcd_distributed), the process cluster (cluster::
-// batch_gcd_cluster) and the gcd_worker task body all build on these, so a
-// journal written by one engine resumes under the other.
+// per-modulus gcd. leaf_claims() is the claim rule itself, and
+// remainder_task_residues() (remainder_tree.hpp) the task body that feeds
+// it. The in-process path (batch_gcd_distributed), the process cluster
+// (cluster::batch_gcd_cluster, whose gcd_worker runs the tasks) and the
+// single-tree batch_gcd() all build on these, so a journal written by one
+// engine resumes under the other.
 #pragma once
 
 #include <atomic>
@@ -37,12 +39,12 @@
 
 namespace weakkeys::batchgcd {
 
-/// The claim rule: the nontrivial candidates (> 1) of one task, given the
-/// task's remainder-tree output `rem` (rem[i] = P_b mod N_i^2) over the
-/// subset `leaves`. `diagonal` is b == a.
+/// The claim rule: the nontrivial candidates gcd(N_i, u_i) > 1 of one task,
+/// given the task's residues `u` over the subset `leaves` (u_i from
+/// remainder_task_residues: (P_a / N_i) mod N_i on the diagonal, P_b mod
+/// N_i off it).
 std::vector<TaskClaim> leaf_claims(std::span<const bn::BigInt> leaves,
-                                   std::span<const bn::BigInt> rem,
-                                   bool diagonal);
+                                   std::span<const bn::BigInt> u);
 
 class TaskSet {
  public:

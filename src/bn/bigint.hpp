@@ -5,9 +5,12 @@
 // asymptotics of multiplication and division, exactly as in the paper
 // (Section 3.2). Consequently the library provides:
 //
-//   * schoolbook + Karatsuba multiplication (subquadratic above a threshold),
+//   * schoolbook + Karatsuba multiplication (subquadratic above a threshold)
+//     on allocation-free span kernels,
 //   * Knuth Algorithm D division plus Newton-reciprocal (Barrett-style)
-//     division that costs O(M(n)) for the huge product/remainder tree nodes,
+//     division that costs O(M(n)) for huge operands, and the two fixed-point
+//     primitives of the scaled remainder tree: a Newton reciprocal
+//     floor(2^k / d) and a windowed product floor(a*b / 2^s) mod 2^w,
 //   * binary GCD, extended GCD / modular inverse,
 //   * Montgomery modular exponentiation (used by Miller-Rabin),
 //   * deterministic random generation from an abstract byte source so the
@@ -195,12 +198,19 @@ const std::vector<std::uint32_t>& small_primes(std::size_t count);
 /// n mod p for a single small prime (fast limb scan, no allocation).
 std::uint64_t mod_small(const BigInt& n, std::uint64_t p);
 
+/// floor(2^bits / d) for d > 0, by Newton iteration (O(M(n)), exact).
+BigInt reciprocal(const BigInt& d, std::size_t bits);
+
+/// floor(|a * b| / 2^shift) mod 2^bits: a window of the product, for
+/// fixed-point arithmetic. Computes the product into one buffer and keeps
+/// only the window.
+BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
+                  std::size_t bits);
+
 // Tuning knobs shared with the benchmark suite (see bench/perf_bn.cpp).
 struct Tuning {
   /// Operand size (limbs) above which Karatsuba replaces schoolbook.
   static std::size_t& karatsuba_threshold();
-  /// Operand size (limbs) above which Toom-3 replaces Karatsuba.
-  static std::size_t& toom3_threshold();
   /// Divisor size (limbs) above which Newton-reciprocal division replaces
   /// Knuth Algorithm D.
   static std::size_t& newton_div_threshold();

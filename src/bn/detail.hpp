@@ -50,9 +50,34 @@ LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b);
 /// Karatsuba product (recursive; falls back to schoolbook below threshold).
 LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b);
 
-/// Toom-3 product (five-point evaluation/interpolation; recursive through
-/// the mul() dispatcher, falling back to Karatsuba below threshold).
-LimbVec mul_toom3(const LimbVec& a, const LimbVec& b);
+// -- Span kernels ------------------------------------------------------------
+// Operands are raw little-endian limb ranges (leading zero limbs allowed);
+// outputs must not overlap the inputs. None of these allocate.
+
+/// r[0, n) = a[0, n) +/- b[0, n), returning the carry/borrow out; r may
+/// alias a or b.
+Limb add_n(Limb* r, const Limb* a, const Limb* b, std::size_t n);
+Limb sub_n(Limb* r, const Limb* a, const Limb* b, std::size_t n);
+
+/// Adds/subtracts one limb into r[0, n), returning the carry/borrow out.
+Limb add_1(Limb* r, std::size_t n, Limb carry);
+Limb sub_1(Limb* r, std::size_t n, Limb borrow);
+
+/// Three-way comparison of a[0, n) and b[0, n): -1, 0 or +1.
+int cmp_n(const Limb* a, const Limb* b, std::size_t n);
+
+/// r[0, an + bn) = a[0, an) * b[0, bn), schoolbook; an >= bn >= 1.
+void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+                  std::size_t bn);
+
+/// Scratch limbs mul_into needs for an an x bn product (an >= bn).
+std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn);
+
+/// r[0, an + bn) = a[0, an) * b[0, bn) for an >= bn >= 1, Karatsuba above
+/// the threshold (squaring when a and b are the same range), using
+/// `scratch` of at least mul_scratch_limbs(an, bn) limbs.
+void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+              std::size_t bn, Limb* scratch);
 
 /// Floor division of magnitudes: a = q*b + r, 0 <= r < b. b must be nonzero.
 /// Dispatches Knuth Algorithm D vs Newton-reciprocal division on size.

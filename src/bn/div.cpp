@@ -4,15 +4,18 @@
 //  * Knuth Algorithm D (TAOCP vol. 2, 4.3.1; the divmnu64 formulation) —
 //    quadratic, excellent for modulus-sized operands.
 //  * Newton-reciprocal division — computes I = floor(beta^(2n)/B) by
-//    recursive Newton iteration (precision doubling), then reduces the
-//    dividend in Barrett steps of 2n limbs. Costs O(M(n)) per step and keeps
-//    the remainder tree of the batch GCD computation quasilinear, which is
-//    what makes the paper's 81M-key computation (and our corpus-scale one)
-//    feasible at all.
+//    recursive Newton iteration (precision doubling) on the span kernels,
+//    in one scratch block, then reduces the dividend in Barrett steps of 2n
+//    limbs. Costs O(M(n)) per step.
+//
+// The same Newton iteration gives reciprocal(d, k) = floor(2^k / d), the
+// one reciprocal per product tree that the division-free remainder tree
+// (batchgcd/remainder_tree.hpp) starts from.
 //
 // Every approximate step ends in an exact correction loop, so correctness
 // never depends on the error analysis; the analysis only guarantees the
 // loops run O(1) iterations.
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -23,11 +26,11 @@
 namespace weakkeys::bn {
 
 std::size_t& Tuning::newton_div_threshold() {
-  // Measured crossover vs Knuth-D is ~7-8k divisor limbs (1.7x at 16k,
-  // 2.2x at 32k, and widening as O(n^2) pulls away). Only the top few
-  // levels of a corpus-scale remainder tree clear this bar — but those
-  // levels are where nearly all the division time goes.
-  static std::size_t threshold = 6000;  // limbs; tuned by bench/perf_bn
+  // On the Karatsuba span kernels the 2n/n crossover vs Knuth-D is ~1k
+  // divisor limbs (BM_DivNewton/1024 ~ BM_DivKnuth/1024; Knuth wins 2x at
+  // 256, Newton ~2x at 4096). The remainder tree no longer divides, so
+  // this now serves general-purpose division only.
+  static std::size_t threshold = 1024;  // limbs; tuned by bench/perf_bn
   return threshold;
 }
 
@@ -127,47 +130,88 @@ using Ops = BigIntOps;
 
 BigInt make_pos(LimbVec v) { return Ops::make(std::move(v), 1); }
 
-/// One limb-vector beta power: 2^(64*limbs).
-BigInt beta_pow(std::size_t limbs) {
-  LimbVec v(limbs + 1, 0);
-  v[limbs] = 1;
-  return make_pos(std::move(v));
+/// Base case of invert_into: below this many limbs Knuth D divides
+/// beta^(2n) by the divisor directly.
+constexpr std::size_t kInvertBaseLimbs = 16;
+
+/// r[0, n) = -a[0, n) mod beta^n (two's complement; r may alias a).
+void negate(Limb* r, const Limb* a, std::size_t n) {
+  Limb carry = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Limb v = ~a[i] + carry;
+    carry = carry != 0 && v == 0;
+    r[i] = v;
+  }
 }
 
-/// Exact reciprocal I = floor(beta^(2n) / B) for a normalized n-limb B
-/// (top bit set). Recursive Newton iteration with exact final correction.
-BigInt invert(const BigInt& b) {
-  const std::size_t n = Ops::limbs(b).size();
-  constexpr std::size_t kBaseCase = 16;
-  if (n <= kBaseCase) {
+/// Scratch limbs invert_into needs for an n-limb divisor.
+std::size_t invert_scratch_limbs(std::size_t n) {
+  return 3 * (n + 1) + mul_scratch_limbs(n + 1, n + 1);
+}
+
+/// out[0, n] = floor(beta^(2n) / d) for a normalized n-limb d (top bit
+/// set), by recursive Newton iteration (precision doubling) in the caller's
+/// scratch `ws` (invert_scratch_limbs(n)); allocation-free above the base
+/// case. Each level refines the top half's reciprocal once,
+///   X1 = X0 + X0 * (beta^(2n) - X0 * d) / beta^(2n),
+/// then corrects X1 exactly, so the next level starts from an exact value
+/// and the correction loops run O(1) times. The residuals are all below
+/// 2 beta^n in magnitude, so they are computed mod beta^(n+1) from the low
+/// limbs of the products.
+void invert_into(Limb* out, const Limb* d, std::size_t n, Limb* ws) {
+  if (n <= kInvertBaseLimbs) {
     LimbVec num(2 * n + 1, 0);
     num[2 * n] = 1;
     LimbVec q, r;
-    divmod_knuth(num, Ops::limbs(b), q, r);
-    return make_pos(std::move(q));
+    divmod_knuth(num, LimbVec(d, d + n), q, r);
+    std::fill(out, out + n + 1, Limb{0});
+    std::copy(q.begin(), q.end(), out);
+    return;
   }
-
-  // Reciprocal of the top h limbs, then one Newton refinement to n limbs.
   const std::size_t h = (n + 1) / 2;
-  const BigInt bh = b.high_limbs_from(n - h);
-  const BigInt ih = invert(bh);
+  const std::size_t l = n - h;
+  // X0 = Ih * beta^l from the reciprocal Ih of d's top h limbs.
+  invert_into(out + l, d + l, h, ws);
+  std::fill(out, out + l, Limb{0});
+  const Limb* ih = out + l;  // h + 1 limbs
+  Limb* prod = ws;            // 2n + 2 limbs
+  Limb* e = ws + 2 * n + 2;   // n + 1 limbs
+  Limb* scratch = e + n + 1;
 
-  const BigInt x0 = ih << (64 * (n - h));
-  const BigInt beta2n = beta_pow(2 * n);
-  const BigInt e = beta2n - x0 * b;                 // signed residual
-  BigInt x1 = x0 + ((x0 * e) >> (64 * 2 * n));      // Newton step
+  // E' = beta^(n+h) - Ih * d (= (beta^(2n) - X0 * d) / beta^l).
+  mul_into(prod, d, n, ih, h + 1, scratch);
+  negate(e, prod, n + 1);
+  const bool e_negative = (e[n] >> 63) != 0;
+  if (e_negative) negate(e, e, n + 1);
+  // X1 = X0 +- floor(Ih * |E'| / beta^(2h)), an (l + 2)-limb correction.
+  mul_into(prod, e, n + 1, ih, h + 1, scratch);
+  if (e_negative) {
+    sub_1(out + l + 2, h - 1, sub_n(out, out, prod + 2 * h, l + 2));
+  } else {
+    add_1(out + l + 2, h - 1, add_n(out, out, prod + 2 * h, l + 2));
+  }
 
-  // Exact correction: make beta^(2n) - x1*b land in [0, b).
-  BigInt d = beta2n - x1 * b;
-  while (d.is_negative()) {
-    x1 -= 1;
-    d += b;
+  // Exact correction: R = beta^(2n) - X1 * d must land in [0, d).
+  mul_into(prod, out, n + 1, d, n, scratch);
+  negate(e, prod, n + 1);  // R, two's complement over n + 1 limbs
+  while ((e[n] >> 63) != 0) {
+    sub_1(out, n + 1, 1);
+    e[n] += add_n(e, e, d, n);
   }
-  while (d >= b) {
-    x1 += 1;
-    d -= b;
+  while (e[n] != 0 || cmp_n(e, d, n) >= 0) {
+    add_1(out, n + 1, 1);
+    e[n] -= sub_n(e, e, d, n);
   }
-  return x1;
+}
+
+/// floor(beta^(2n) / b) for a normalized n-limb b.
+BigInt invert(const BigInt& b) {
+  const LimbVec& d = Ops::limbs(b);
+  const std::size_t n = d.size();
+  LimbVec out(n + 1);
+  LimbVec ws(invert_scratch_limbs(n));
+  invert_into(out.data(), d.data(), n, ws.data());
+  return make_pos(std::move(out));
 }
 
 /// Barrett step: divides A (< beta^(2n)) by normalized n-limb B using the
@@ -245,4 +289,33 @@ void divmod(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
 }
 
 }  // namespace detail
+
+BigInt reciprocal(const BigInt& d, std::size_t bits) {
+  using detail::LimbVec;
+  if (d.sign() <= 0) {
+    throw std::domain_error("reciprocal of a non-positive value");
+  }
+  static const int limbs_label = obs::mem::register_label("bn.limbs");
+  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
+  obs::prof::Frame frame("bn.reciprocal");
+  // floor(2^bits / d) = floor(2^(bits+s) / D) for D = d << s normalized to
+  // n limbs. invert_into gives floor(beta^(2n+t) / D) when fed D * beta^t;
+  // t pads the precision up to bits + s.
+  const LimbVec& limbs = BigIntOps::limbs(d);
+  const std::size_t n = limbs.size();
+  const std::size_t s =
+      static_cast<std::size_t>(std::countl_zero(limbs.back()));
+  const std::size_t want = bits + s;
+  const std::size_t t = want > 128 * n ? (want - 128 * n + 63) / 64 : 0;
+  LimbVec padded(t, 0);
+  const LimbVec shifted = detail::shl(limbs, s);
+  padded.insert(padded.end(), shifted.begin(), shifted.end());
+  // One allocation for the result and the Newton scratch.
+  LimbVec buf(n + t + 1 + detail::invert_scratch_limbs(n + t));
+  detail::invert_into(buf.data(), padded.data(), n + t,
+                      buf.data() + n + t + 1);
+  buf.resize(n + t + 1);
+  return BigIntOps::make(detail::shr(buf, 64 * (2 * n + t) - want), 1);
+}
+
 }  // namespace weakkeys::bn

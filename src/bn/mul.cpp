@@ -4,6 +4,14 @@
 // thousands of limbs; a quadratic multiply would make the batch GCD
 // computation infeasible (Section 3.2 of the paper), so the subquadratic path
 // is load-bearing, not an optimization nicety.
+//
+// The kernels work on raw limb spans: the caller provides the output and one
+// scratch block (mul_scratch_limbs), and the recursion never allocates. The
+// LimbVec entry points allocate the output and, above the threshold, that
+// scratch block: at most two allocations per product.
+#include <algorithm>
+#include <memory>
+
 #include "bn/detail.hpp"
 #include "obs/mem.hpp"
 #include "obs/prof_stack.hpp"
@@ -15,180 +23,327 @@ std::size_t& Tuning::karatsuba_threshold() {
   return threshold;
 }
 
-std::size_t& Tuning::toom3_threshold() {
-  // Measured crossover vs Karatsuba on this implementation is ~16k limbs
-  // (1.2x at 64k, 1.6x at 256k — the product-tree root scale). Below that
-  // the extra evaluation/interpolation passes cost more than the saved
-  // multiplication.
-  static std::size_t threshold = 12000;  // limbs; tuned by bench/perf_bn
-  return threshold;
-}
-
 namespace detail {
 
-LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b) {
-  if (a.empty() || b.empty()) return {};
-  LimbVec out(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    unsigned __int128 carry = 0;
-    const Limb ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      carry += static_cast<unsigned __int128>(ai) * b[j] + out[i + j];
-      out[i + j] = static_cast<Limb>(carry);
-      carry >>= 64;
-    }
-    out[i + b.size()] = static_cast<Limb>(carry);
+Limb add_n(Limb* r, const Limb* a, const Limb* b, std::size_t n) {
+  Limb carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Limb s = a[i] + carry;
+    const Limb c1 = s < carry;
+    r[i] = s + b[i];
+    carry = c1 | (r[i] < s);
   }
-  trim(out);
-  return out;
+  return carry;
+}
+
+Limb sub_n(Limb* r, const Limb* a, const Limb* b, std::size_t n) {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Limb ai = a[i];
+    const Limb d = ai - b[i];
+    const Limb b1 = ai < b[i];
+    r[i] = d - borrow;
+    borrow = b1 | (d < borrow);
+  }
+  return borrow;
+}
+
+Limb add_1(Limb* r, std::size_t n, Limb carry) {
+  for (std::size_t i = 0; i < n && carry != 0; ++i) {
+    r[i] += carry;
+    carry = r[i] < carry;
+  }
+  return carry;
+}
+
+Limb sub_1(Limb* r, std::size_t n, Limb borrow) {
+  for (std::size_t i = 0; i < n && borrow != 0; ++i) {
+    const Limb ri = r[i];
+    r[i] = ri - borrow;
+    borrow = ri < borrow;
+  }
+  return borrow;
+}
+
+int cmp_n(const Limb* a, const Limb* b, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
 }
 
 namespace {
 
-LimbVec take_low(const LimbVec& v, std::size_t count) {
-  LimbVec out(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(count, v.size())));
-  trim(out);
-  return out;
+/// The Karatsuba threshold, never below the 2 limbs the split needs.
+std::size_t threshold() {
+  return std::max<std::size_t>(Tuning::karatsuba_threshold(), 2);
 }
 
-LimbVec take_high(const LimbVec& v, std::size_t from) {
-  if (from >= v.size()) return {};
-  LimbVec out(v.begin() + static_cast<std::ptrdiff_t>(from), v.end());
-  trim(out);
-  return out;
-}
-
-/// out += v << (shift limbs). out must already be large enough.
-void add_shifted_into(LimbVec& out, const LimbVec& v, std::size_t shift) {
+/// r[0, n) = a[0, n) * b; returns the carry limb.
+Limb mul_1(Limb* r, const Limb* a, std::size_t n, Limb b) {
   unsigned __int128 carry = 0;
-  std::size_t i = 0;
-  for (; i < v.size(); ++i) {
-    carry += out[shift + i];
-    carry += v[i];
-    out[shift + i] = static_cast<Limb>(carry);
+  for (std::size_t i = 0; i < n; ++i) {
+    carry += static_cast<unsigned __int128>(a[i]) * b;
+    r[i] = static_cast<Limb>(carry);
     carry >>= 64;
   }
-  while (carry) {
-    carry += out[shift + i];
-    out[shift + i] = static_cast<Limb>(carry);
+  return static_cast<Limb>(carry);
+}
+
+/// r[0, n) += a[0, n) * b; returns the carry limb.
+Limb addmul_1(Limb* r, const Limb* a, std::size_t n, Limb b) {
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    carry += static_cast<unsigned __int128>(a[i]) * b + r[i];
+    r[i] = static_cast<Limb>(carry);
     carry >>= 64;
-    ++i;
+  }
+  return static_cast<Limb>(carry);
+}
+
+/// Compares a[0, m) with b[0, bn) zero-extended (bn <= m): -1, 0 or +1.
+int cmp_extended(const Limb* a, std::size_t m, const Limb* b,
+                 std::size_t bn) {
+  for (std::size_t i = m; i-- > bn;) {
+    if (a[i] != 0) return 1;
+  }
+  return cmp_n(a, b, bn);
+}
+
+/// d[0, m) = |a[0, m) - b[0, bn)| with b zero-extended (bn <= m); returns
+/// true when a < b.
+bool abs_diff(Limb* d, const Limb* a, const Limb* b, std::size_t m,
+              std::size_t bn) {
+  if (cmp_extended(a, m, b, bn) < 0) {
+    // a < b leaves a's limbs above bn zero, like b's.
+    sub_n(d, b, a, bn);
+    std::fill(d + bn, d + m, Limb{0});
+    return true;
+  }
+  const Limb borrow = sub_n(d, a, b, bn);
+  std::copy(a + bn, a + m, d + bn);
+  sub_1(d + bn, m - bn, borrow);
+  return false;
+}
+
+/// Scratch of an n x n (or n-limb square) Karatsuba product.
+std::size_t balanced_scratch(std::size_t n) {
+  std::size_t total = 0;
+  for (; n >= threshold(); n = (n + 1) / 2) total += 4 * ((n + 1) / 2) + 2;
+  return total;
+}
+
+void sqr_basecase(Limb* r, const Limb* a, std::size_t n) {
+  // Off-diagonal products a_i a_j (i < j) once, doubled, plus the squares.
+  std::fill(r, r + 2 * n, Limb{0});
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    r[i + n] = addmul_1(r + 2 * i + 1, a + i + 1, n - i - 1, a[i]);
+  }
+  Limb top = 0;
+  for (std::size_t i = 0; i < 2 * n; ++i) {  // double
+    const Limb v = r[i];
+    r[i] = (v << 1) | top;
+    top = v >> 63;
+  }
+  Limb carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned __int128 sq = static_cast<unsigned __int128>(a[i]) * a[i];
+    unsigned __int128 lo = static_cast<unsigned __int128>(r[2 * i]) +
+                           static_cast<Limb>(sq) + carry;
+    r[2 * i] = static_cast<Limb>(lo);
+    unsigned __int128 hi = static_cast<unsigned __int128>(r[2 * i + 1]) +
+                           static_cast<Limb>(sq >> 64) +
+                           static_cast<Limb>(lo >> 64);
+    r[2 * i + 1] = static_cast<Limb>(hi);
+    carry = static_cast<Limb>(hi >> 64);
   }
 }
 
-/// out -= v << (shift limbs); requires out >= v << shift.
-void sub_shifted_into(LimbVec& out, const LimbVec& v, std::size_t shift) {
-  std::uint64_t borrow = 0;
-  std::size_t i = 0;
-  for (; i < v.size(); ++i) {
-    const Limb oi = out[shift + i];
-    const Limb d1 = oi - v[i];
-    const std::uint64_t b1 = oi < v[i];
-    const Limb d2 = d1 - borrow;
-    const std::uint64_t b2 = d1 < borrow;
-    out[shift + i] = d2;
-    borrow = b1 | b2;
+/// Folds the Karatsuba middle term into r: with z0 = r[0, 2m) and
+/// z2 = r[2m, rn) already in place and t = |a0-a1|*|b0-b1| in t[0, 2m),
+/// adds z0 + z2 - t (subtract) or z0 + z2 + t at limb offset m. tmp holds
+/// 2m + 1 limbs and may alias nothing else.
+void fold_middle(Limb* r, std::size_t rn, std::size_t m, const Limb* t,
+                 bool subtract, Limb* tmp) {
+  const std::size_t z2n = rn - 2 * m;
+  std::copy(r, r + 2 * m, tmp);
+  Limb c = add_n(tmp, tmp, r + 2 * m, z2n);
+  c = add_1(tmp + z2n, 2 * m - z2n, c);
+  tmp[2 * m] = c;
+  if (subtract) {
+    const Limb borrow = sub_n(tmp, tmp, t, 2 * m);
+    tmp[2 * m] -= borrow;
+  } else {
+    tmp[2 * m] += add_n(tmp, tmp, t, 2 * m);
   }
-  while (borrow) {
-    const Limb oi = out[shift + i];
-    out[shift + i] = oi - borrow;
-    borrow = oi < borrow;
-    ++i;
+  // The middle term is at most rn - m limbs wide; its top limb is zero
+  // whenever tmp runs past the product.
+  const std::size_t len = std::min(2 * m + 1, rn - m);
+  const Limb carry = add_n(r + m, r + m, tmp, len);
+  add_1(r + m + len, rn - m - len, carry);
+}
+
+void kara_sqr(Limb* r, const Limb* a, std::size_t n, Limb* ws);
+
+void kara_mul(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+              std::size_t bn, Limb* ws) {
+  if (bn < threshold()) {
+    mul_basecase(r, a, an, b, bn);
+    return;
   }
+  const std::size_t m = (an + 1) / 2;
+  if (bn <= m) {
+    // Lopsided: a in bn-limb chunks against all of b, accumulated in r.
+    kara_mul(r, a, bn, b, bn, ws);
+    Limb* prod = ws;
+    for (std::size_t off = bn; off < an; off += bn) {
+      const std::size_t len = std::min(bn, an - off);
+      if (len >= bn) {
+        kara_mul(prod, a + off, len, b, bn, ws + 2 * bn);
+      } else {
+        kara_mul(prod, b, bn, a + off, len, ws + 2 * bn);
+      }
+      // r[off, off + bn) holds the previous chunk's high half.
+      const Limb carry = add_n(r + off, r + off, prod, bn);
+      std::copy(prod + bn, prod + bn + len, r + off + bn);
+      add_1(r + off + bn, len, carry);
+    }
+    return;
+  }
+  // x = x1 * B^m + x0; z1 = z0 + z2 - (a0 - a1)(b0 - b1).
+  const std::size_t ah = an - m, bh = bn - m;
+  Limb* da = ws;
+  Limb* db = ws + m;
+  Limb* t = ws + 2 * m + 1;
+  Limb* rest = ws + 4 * m + 2;
+  const bool neg_a = abs_diff(da, a, a + m, m, ah);
+  const bool neg_b = abs_diff(db, b, b + m, m, bh);
+  kara_mul(t, da, m, db, m, rest);
+  kara_mul(r, a, m, b, m, rest);
+  kara_mul(r + 2 * m, a + m, ah, b + m, bh, rest);
+  fold_middle(r, an + bn, m, t, neg_a == neg_b, ws);
+}
+
+void kara_sqr(Limb* r, const Limb* a, std::size_t n, Limb* ws) {
+  if (n < threshold()) {
+    sqr_basecase(r, a, n);
+    return;
+  }
+  const std::size_t m = (n + 1) / 2;
+  Limb* d = ws;
+  Limb* t = ws + 2 * m + 1;
+  Limb* rest = ws + 4 * m + 2;
+  abs_diff(d, a, a + m, m, n - m);
+  kara_sqr(t, d, m, rest);
+  kara_sqr(r, a, m, rest);
+  kara_sqr(r + 2 * m, a + m, n - m, rest);
+  fold_middle(r, 2 * n, m, t, /*subtract=*/true, ws);
 }
 
 }  // namespace
 
-LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b) {
-  const std::size_t threshold = Tuning::karatsuba_threshold();
-  if (std::min(a.size(), b.size()) < threshold) return mul_schoolbook(a, b);
+void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+                  std::size_t bn) {
+  r[an] = mul_1(r, a, an, b[0]);
+  for (std::size_t j = 1; j < bn; ++j) {
+    r[an + j] = addmul_1(r + j, a, an, b[j]);
+  }
+}
 
-  // Split at half of the larger operand: x = x1*B^m + x0.
-  const std::size_t m = std::max(a.size(), b.size()) / 2;
-  const LimbVec a0 = take_low(a, m), a1 = take_high(a, m);
-  const LimbVec b0 = take_low(b, m), b1 = take_high(b, m);
+std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn) {
+  if (bn < threshold()) return 0;
+  // A lopsided product runs bn x bn products into a 2bn-limb chunk buffer.
+  if (bn <= (an + 1) / 2) return 2 * bn + balanced_scratch(bn);
+  return balanced_scratch(an);
+}
 
-  const LimbVec z0 = mul_karatsuba(a0, b0);
-  const LimbVec z2 = mul_karatsuba(a1, b1);
-  const LimbVec z1 = mul_karatsuba(add(a0, a1), add(b0, b1));
+void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+              std::size_t bn, Limb* scratch) {
+  if (a == b && an == bn) {
+    kara_sqr(r, a, an, scratch);
+  } else {
+    kara_mul(r, a, an, b, bn, scratch);
+  }
+}
 
-  // result = z2*B^2m + (z1 - z2 - z0)*B^m + z0.
-  LimbVec out(a.size() + b.size() + 1, 0);
-  add_shifted_into(out, z0, 0);
-  add_shifted_into(out, z1, m);
-  sub_shifted_into(out, z0, m);
-  sub_shifted_into(out, z2, m);
-  add_shifted_into(out, z2, 2 * m);
+LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b) {
+  if (a.empty() || b.empty()) return {};
+  const bool swap = a.size() < b.size();
+  const LimbVec& x = swap ? b : a;
+  const LimbVec& y = swap ? a : b;
+  LimbVec out(x.size() + y.size());
+  mul_basecase(out.data(), x.data(), x.size(), y.data(), y.size());
   trim(out);
   return out;
 }
 
-// Toom-3: split x = x2*B^2m + x1*B^m + x0 and evaluate the product
-// polynomial c(t) = c0 + c1 t + ... + c4 t^4 at t in {0, 1, -1, 2, inf}.
-// Implemented over signed BigInts (v(-1) can be negative); the exact
-// divisions in the interpolation all act on provably nonnegative values.
-LimbVec mul_toom3(const LimbVec& a, const LimbVec& b) {
-  if (std::min(a.size(), b.size()) < Tuning::toom3_threshold())
-    return mul_karatsuba(a, b);
-
-  using Ops = BigIntOps;
-  const std::size_t m = (std::max(a.size(), b.size()) + 2) / 3;
-  auto piece = [m](const LimbVec& v, std::size_t index) {
-    const std::size_t begin = std::min(index * m, v.size());
-    const std::size_t end = std::min(begin + m, v.size());
-    LimbVec out(v.begin() + static_cast<std::ptrdiff_t>(begin),
-                v.begin() + static_cast<std::ptrdiff_t>(end));
-    trim(out);
-    return Ops::make(std::move(out), 1);
-  };
-  const BigInt a0 = piece(a, 0), a1 = piece(a, 1), a2 = piece(a, 2);
-  const BigInt b0 = piece(b, 0), b1 = piece(b, 1), b2 = piece(b, 2);
-
-  // Five point evaluations (each multiplication recurses through mul()).
-  const BigInt v0 = a0 * b0;
-  const BigInt a02 = a0 + a2, b02 = b0 + b2;
-  const BigInt v1 = (a02 + a1) * (b02 + b1);
-  const BigInt vm1 = (a02 - a1) * (b02 - b1);
-  const BigInt v2 =
-      (a0 + (a1 << 1) + (a2 << 2)) * (b0 + (b1 << 1) + (b2 << 2));
-  const BigInt vinf = a2 * b2;
-
-  // Interpolation. All shifts divide nonnegative even values exactly.
-  const BigInt c0 = v0;
-  const BigInt c4 = vinf;
-  const BigInt c2 = ((v1 + vm1) >> 1) - c0 - c4;           // (v1+vm1)/2 - c0 - c4
-  const BigInt s = (v1 - vm1) >> 1;                        // c1 + c3
-  const BigInt t = (v2 - vm1) / BigInt(3);                 // c1 + c2 + 3c3 + 5c4
-  const BigInt u = t - c2 - (c4 * BigInt(5));              // c1 + 3c3
-  const BigInt c3 = (u - s) >> 1;
-  const BigInt c1 = s - c3;
-
-  const BigInt result = c0 + (c1 << (64 * m)) + (c2 << (128 * m)) +
-                        (c3 << (192 * m)) + (c4 << (256 * m));
-  return Ops::limbs(result);
+LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b) {
+  if (a.empty() || b.empty()) return {};
+  const bool swap = a.size() < b.size();
+  const LimbVec& x = swap ? b : a;
+  const LimbVec& y = swap ? a : b;
+  LimbVec out(x.size() + y.size());
+  const std::size_t scratch_limbs = mul_scratch_limbs(x.size(), y.size());
+  std::unique_ptr<Limb[]> scratch;  // below the threshold: none, no call
+  if (scratch_limbs != 0) {
+    scratch = std::make_unique_for_overwrite<Limb[]>(scratch_limbs);
+  }
+  mul_into(out.data(), x.data(), x.size(), y.data(), y.size(), scratch.get());
+  trim(out);
+  return out;
 }
 
 LimbVec mul(const LimbVec& a, const LimbVec& b) {
   // Attribute limb storage to "bn.limbs" only when no higher-level scope
   // (a product-tree level, the remainder tree) already claims it, and tag
-  // the chosen kernel so the sampling profiler can split Toom-3 vs
-  // Karatsuba vs schoolbook time. Both cost one relaxed load when the
-  // corresponding plane is off.
+  // the kernel so the sampling profiler can split Karatsuba vs schoolbook
+  // time. Both cost one relaxed load when the corresponding plane is off.
   static const int limbs_label = obs::mem::register_label("bn.limbs");
   obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
-  const std::size_t smaller = std::min(a.size(), b.size());
-  if (smaller >= Tuning::toom3_threshold()) {
-    obs::prof::Frame frame("bn.mul.toom3");
-    return mul_toom3(a, b);
-  }
-  if (smaller >= Tuning::karatsuba_threshold()) {
-    obs::prof::Frame frame("bn.mul.karatsuba");
-    return mul_karatsuba(a, b);
-  }
-  obs::prof::Frame frame("bn.mul.schoolbook");
-  return mul_schoolbook(a, b);
+  obs::prof::Frame frame(std::min(a.size(), b.size()) >= threshold()
+                             ? "bn.mul.karatsuba"
+                             : "bn.mul.schoolbook");
+  return mul_karatsuba(a, b);
 }
 
 }  // namespace detail
+
+BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
+                  std::size_t bits) {
+  using detail::LimbVec;
+  const bool swap = a.limb_count() < b.limb_count();
+  const LimbVec& x = BigIntOps::limbs(swap ? b : a);
+  const LimbVec& y = BigIntOps::limbs(swap ? a : b);
+  const std::size_t rn = x.size() + y.size();
+  const std::size_t lo = shift / 64;
+  if (y.empty() || bits == 0 || lo >= rn) return BigInt{};
+
+  static const int limbs_label = obs::mem::register_label("bn.limbs");
+  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
+  obs::prof::Frame frame(y.size() >= detail::threshold() ? "bn.mul.karatsuba"
+                                                         : "bn.mul.schoolbook");
+  // One buffer, left uninitialized (the kernel writes every limb it
+  // reads): the product, then the kernel's scratch.
+  const auto prod = std::make_unique_for_overwrite<Limb[]>(
+      rn + detail::mul_scratch_limbs(x.size(), y.size()));
+  detail::mul_into(prod.get(), x.data(), x.size(), y.data(), y.size(),
+                   prod.get() + rn);
+
+  const unsigned bit_shift = shift % 64;
+  const std::size_t hi = std::min(rn, lo + (bits + bit_shift + 63) / 64);
+  LimbVec out(hi - lo);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    Limb limb = prod[lo + i] >> bit_shift;
+    if (bit_shift != 0 && lo + i + 1 < rn) {
+      limb |= prod[lo + i + 1] << (64 - bit_shift);
+    }
+    out[i] = limb;
+  }
+  out.resize(std::min(out.size(), (bits + 63) / 64));
+  if (bits % 64 != 0 && out.size() == (bits + 63) / 64) {
+    out.back() &= (Limb{1} << (bits % 64)) - 1;
+  }
+  return BigIntOps::make(std::move(out), 1);
+}
+
 }  // namespace weakkeys::bn

@@ -456,13 +456,11 @@ bool FrameConn::send(MsgType type, const std::vector<std::uint8_t>& body,
   }
   if (severed_.load(std::memory_order_relaxed)) return false;
   if (steady_now_ns() < tx_mute_until_ns_.load(std::memory_order_relaxed)) {
-    ++stats_.tx_suppressed;
     return true;  // swallowed by the partition; the sender cannot tell
   }
   if (steady_now_ns() < drip_until_ns_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(
         drip_delay_ms_.load(std::memory_order_relaxed)));
-    ++stats_.dripped;
   }
 
   // The injector sequence advances only on injectable frames, so the fault
@@ -523,7 +521,6 @@ RecvStatus FrameConn::try_recv(Frame* out) {
             rx_mute_until_ns_.load(std::memory_order_relaxed)) {
           // Inside an injected partition: the frame arrived at the socket
           // but "the network" ate it. Consume, discard, keep decoding.
-          ++stats_.rx_discarded;
           continue;
         }
         out->type = static_cast<MsgType>(payload[0]);

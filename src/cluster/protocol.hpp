@@ -343,9 +343,6 @@ struct FrameStats {
   std::uint64_t conn_partitions = 0;   ///< bidirectional mute windows opened
   std::uint64_t conn_half_opens = 0;   ///< TX-only mute windows opened
   std::uint64_t conn_drips = 0;        ///< slow-drip windows opened
-  std::uint64_t tx_suppressed = 0;     ///< frames swallowed while TX-muted
-  std::uint64_t rx_discarded = 0;      ///< frames discarded while RX-muted
-  std::uint64_t dripped = 0;           ///< frames throttled by slow-drip
 };
 
 /// One framed, fault-injectable connection endpoint. send() is thread-safe

@@ -626,6 +626,8 @@ class Worker {
       } else {
         tree = std::make_shared<batchgcd::ProductTree>(moduli);
       }
+      // Cached with the tree: every task on this subset starts from it.
+      tree->root_reciprocal();
       std::lock_guard guard(mu_);
       trees_[assign.leaf_subset] = tree;
     }
@@ -645,15 +647,14 @@ class Worker {
       std::this_thread::sleep_for(config_.straggle_sleep);
     }
 
-    const std::vector<BigInt> rem =
-        batchgcd::remainder_tree_squares(*tree, product);
+    const std::vector<BigInt> u = batchgcd::remainder_task_residues(
+        *tree, product, assign.product_subset == assign.leaf_subset);
     const std::int64_t t_computed = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.compute", t_dequeue, t_computed, assign);
     TaskResultMsg result;
     result.task = assign.task;
     result.worker_id = config_.worker_id;
-    result.claims = batchgcd::leaf_claims(
-        moduli, rem, assign.product_subset == assign.leaf_subset);
+    result.claims = batchgcd::leaf_claims(moduli, u);
     // This span times leaf_claims (the per-leaf gcds), not a second check:
     // TaskSet::verify on the coordinator is the only verification. The
     // name stays because perfbench's cluster.worker_verify_s reads it.

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/distributed.hpp"
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
+#include "batchgcd/task_set.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
 #include "util/thread_pool.hpp"
@@ -91,6 +96,8 @@ TEST(RemainderTree, ComputesXModSquares) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_EQ(rem[i], x % inputs[i].squared());
   }
+  EXPECT_THROW(remainder_tree_squares(tree, BigInt(-5)),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------- BatchGcd ----
@@ -181,6 +188,194 @@ TEST(Distributed, CrossSubsetSharingDetected) {
   EXPECT_EQ(result.divisors[2], p);
   EXPECT_EQ(result.divisors[1], BigInt(1));
 }
+
+// ------------------------------------------------------ ScaledDescent ----
+//
+// Differential tests of the division-free remainder walk: every leaf
+// against plain division, and every batch-GCD engine against the naive
+// pairwise baseline, over the shapes most likely to break fixed-point
+// bookkeeping.
+
+/// A random odd value of exactly `bits` bits.
+BigInt odd_value(bn::RandomSource& rng, std::size_t bits) {
+  BigInt v = bn::random_bits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+  return v.is_even() ? v + BigInt(1) : v;
+}
+
+/// Seeded adversarial modulus sets, by name.
+std::vector<BigInt> shape(const std::string& name, std::uint64_t seed) {
+  rng::PrngRandomSource rng(seed * 7919 + name.size());
+  rsa::KeygenOptions opts;
+  opts.style = rsa::PrimeStyle::kPlain;
+  opts.miller_rabin_rounds = 8;
+  const auto prime = [&](std::size_t bits) {
+    return rsa::generate_prime(rng, bits, opts);
+  };
+  std::vector<BigInt> out;
+  if (name == "one_limb") {
+    // 1-limb moduli, two pairs sharing a prime, and a 1-limb duplicate.
+    for (int i = 0; i < 13; ++i) out.push_back(prime(32) * prime(32));
+    const BigInt p = prime(32);
+    out.push_back(p * prime(32));
+    out.push_back(p * prime(32));
+    out.push_back(out.front());
+  } else if (name == "equal") {
+    const BigInt n = prime(128) * prime(128);
+    for (int i = 0; i < 6; ++i) out.push_back(n);
+    out.push_back(prime(128) * prime(128));
+  } else if (name == "all_share_both") {
+    // Every modulus is a product of two primes of a 5-prime clique.
+    std::vector<BigInt> primes;
+    for (int i = 0; i < 5; ++i) primes.push_back(prime(96));
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+      for (std::size_t j = i + 1; j < primes.size(); ++j) {
+        out.push_back(primes[i] * primes[j]);
+      }
+    }
+  } else if (name == "odd_count") {
+    // 37 leaves: carried nodes on several levels.
+    const BigInt p = prime(64);
+    for (int i = 0; i < 35; ++i) out.push_back(prime(64) * prime(64));
+    out.push_back(p * prime(64));
+    out.push_back(p * prime(64));
+  } else if (name == "mixed_bits") {
+    // 64- to 4096-bit odd values, plus a shared prime across two sizes.
+    for (std::size_t bits = 64; bits <= 4096; bits *= 2) {
+      out.push_back(odd_value(rng, bits));
+    }
+    const BigInt p = prime(128);
+    out.push_back(p * prime(128));
+    out.push_back(p * odd_value(rng, 1900));
+    out.push_back(odd_value(rng, 3000));
+  }
+  return out;
+}
+
+const std::vector<std::string>& shape_names() {
+  static const std::vector<std::string> names = {
+      "one_limb", "equal", "all_share_both", "odd_count", "mixed_bits"};
+  return names;
+}
+
+/// Spill storage in a per-test directory, removed on destruction.
+class ScratchSpill {
+ public:
+  ScratchSpill() {
+    storage_.spill_dir =
+        std::string("scaled_descent_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + ".d";
+    storage_.spill_threshold_bytes = 0;  // always spill
+  }
+  ~ScratchSpill() { std::filesystem::remove_all(storage_.spill_dir); }
+  ScratchSpill(const ScratchSpill&) = delete;
+  ScratchSpill& operator=(const ScratchSpill&) = delete;
+
+  [[nodiscard]] const TreeStorage& storage() const { return storage_; }
+
+ private:
+  TreeStorage storage_;
+};
+
+class ScaledDescent : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ScaledDescent, EveryLeafMatchesDivision) {
+  ScratchSpill spill;
+  rng::PrngRandomSource rng(GetParam());
+  const BigInt other = ProductTree(shape("mixed_bits", GetParam())).root();
+  const BigInt multiplier = shape("odd_count", GetParam() + 1).front();
+  for (const std::string& name : shape_names()) {
+    const std::vector<BigInt> moduli = shape(name, GetParam());
+    for (const bool spilled : {false, true}) {
+      const ProductTree tree = spilled ? ProductTree(moduli, spill.storage())
+                                       : ProductTree(moduli);
+      ASSERT_EQ(tree.spilled(), spilled);
+      const BigInt& root = tree.root();
+      const std::size_t bits = root.bit_length();
+      // The root itself, another product, values below and far above
+      // root^2 (the exact-division root), and the degenerate ones.
+      const std::vector<BigInt> xs = {
+          root,
+          multiplier * root + BigInt(12345),
+          bn::random_bits(rng, 2 * bits - 1),
+          bn::random_bits(rng, 3 * bits + 100),
+          root * root - BigInt(1),
+          root + BigInt(1),
+          BigInt(0),
+          BigInt(1)};
+      for (std::size_t xi = 0; xi < xs.size(); ++xi) {
+        const BigInt& x = xs[xi];
+        const auto rem = remainder_tree_squares(tree, x);
+        ASSERT_EQ(rem.size(), moduli.size());
+        for (std::size_t i = 0; i < moduli.size(); ++i) {
+          ASSERT_EQ(rem[i], x % (moduli[i] * moduli[i]))
+              << name << " spilled=" << spilled << " x#" << xi << " leaf "
+              << i;
+        }
+      }
+      const auto diagonal = remainder_task_residues(tree, root, true);
+      const auto off = remainder_task_residues(tree, other, false);
+      for (std::size_t i = 0; i < moduli.size(); ++i) {
+        ASSERT_EQ(diagonal[i], (root / moduli[i]) % moduli[i])
+            << name << " leaf " << i;
+        ASSERT_EQ(off[i], other % moduli[i]) << name << " leaf " << i;
+      }
+    }
+  }
+}
+
+TEST_P(ScaledDescent, EveryEngineMatchesNaivePairwise) {
+  ScratchSpill spill;
+  util::ThreadPool pool(3);
+  std::vector<BigInt> all;
+  for (const std::string& name : shape_names()) {
+    const std::vector<BigInt> moduli = shape(name, GetParam());
+    all.insert(all.end(), moduli.begin(), moduli.end());
+    EXPECT_EQ(batch_gcd(moduli).divisors,
+              naive_pairwise_gcd(moduli).divisors)
+        << name;
+  }
+  all.push_back(BigInt(3 * 5 * 7));
+  const auto naive = naive_pairwise_gcd(all);
+  EXPECT_EQ(batch_gcd(all).divisors, naive.divisors);
+  EXPECT_EQ(batch_gcd(all, nullptr, &spill.storage()).divisors,
+            naive.divisors);
+  // k = 16 does not divide the corpus size; k = 3 leaves uneven subsets.
+  ASSERT_NE(all.size() % 16, 0u);
+  for (const std::size_t k : {1u, 2u, 3u, 16u}) {
+    for (const bool spilled : {false, true}) {
+      DistributedOptions options;
+      if (spilled) options.storage = &spill.storage();
+      EXPECT_EQ(
+          batch_gcd_distributed(all, k, &pool, nullptr, options).divisors,
+          naive.divisors)
+          << "k=" << k << " spilled=" << spilled;
+    }
+  }
+}
+
+TEST(ScaledDescent, ConcurrentWalksShareOneLazyReciprocal) {
+  // The root reciprocal is built on first use under a once-flag; pool
+  // tasks racing to that first use must all see the same value.
+  const std::vector<BigInt> moduli = shape("odd_count", 9);
+  const ProductTree tree(moduli);
+  const BigInt& root = tree.root();
+  util::ThreadPool pool(4);
+  std::vector<std::vector<BigInt>> u(8);
+  pool.parallel_for(u.size(), [&](std::size_t i) {
+    u[i] = remainder_task_residues(tree, root, /*diagonal=*/i % 2 == 0);
+  });
+  for (std::size_t i = 0; i < moduli.size(); ++i) {
+    EXPECT_EQ(u[0][i], (root / moduli[i]) % moduli[i]);
+    EXPECT_EQ(u[1][i], BigInt(0));
+  }
+  for (std::size_t i = 2; i < u.size(); ++i) EXPECT_EQ(u[i], u[i % 2]);
+  EXPECT_EQ(tree.root_reciprocal(),
+            (BigInt(1) << (2 * root.bit_length() + kFractionGuardBits)) /
+                root);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScaledDescent, ::testing::Values(0, 1, 2));
 
 // ------------------------------------------------------ recover_factors ----
 

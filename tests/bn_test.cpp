@@ -337,6 +337,42 @@ TEST(Prime, RandomRangeInclusive) {
   EXPECT_THROW(random_range(src, high, low), std::invalid_argument);
 }
 
+// ------------------------------------------------------ fixed point ----
+
+TEST(FixedPoint, ReciprocalIsFloorOfPowerOverD) {
+  util::Xoshiro256 rng(41);
+  std::vector<BigInt> divisors = {BigInt(1), BigInt(2), BigInt(3),
+                                  BigInt(1) << 4095,  // normalized beta^n / 2
+                                  (BigInt(1) << 4096) - BigInt(1)};
+  for (int i = 0; i < 40; ++i) {
+    BigInt d = random_value(rng, 1 + rng.below(9000));
+    divisors.push_back(d.is_zero() ? BigInt(5) : d);
+  }
+  for (const BigInt& d : divisors) {
+    const std::size_t b = d.bit_length();
+    for (const std::size_t bits : {b / 2, b, 2 * b + 64, 3 * b + 7}) {
+      ASSERT_EQ(reciprocal(d, bits), (BigInt(1) << bits) / d)
+          << "bits(d)=" << b << " bits=" << bits;
+    }
+  }
+  EXPECT_THROW(reciprocal(BigInt(0), 10), std::domain_error);
+}
+
+TEST(FixedPoint, MulWindowMatchesShiftAndMask) {
+  util::Xoshiro256 rng(42);
+  for (int i = 0; i < 200; ++i) {
+    const BigInt a = random_value(rng, 1 + rng.below(5000));
+    const BigInt b = random_value(rng, 1 + rng.below(5000));
+    const std::size_t total = (a * b).bit_length() + 70;
+    const std::size_t shift = rng.below(total);
+    const std::size_t bits = rng.below(total);
+    const BigInt window = (a * b) >> shift;
+    ASSERT_EQ(mul_window(a, b, shift, bits),
+              window - ((window >> bits) << bits))
+        << "shift " << shift << " bits " << bits;
+  }
+}
+
 // ---------------------------------------------------- tuning knobs ----
 
 TEST(Tuning, KaratsubaMatchesSchoolbookAcrossThresholds) {
@@ -354,37 +390,39 @@ TEST(Tuning, KaratsubaMatchesSchoolbookAcrossThresholds) {
   threshold = saved;
 }
 
-TEST(Tuning, Toom3MatchesKaratsubaAcrossThresholds) {
+TEST(Tuning, KaratsubaSquaresAndMultipliesLargeOperands) {
   util::Xoshiro256 rng(33);
   const BigInt a = random_value(rng, 60000);
   const BigInt b = random_value(rng, 60000);
 
   auto& kara = Tuning::karatsuba_threshold();
-  auto& toom = Tuning::toom3_threshold();
-  const std::size_t saved_kara = kara, saved_toom = toom;
-
-  toom = 1000000;  // Karatsuba-only reference
-  const BigInt reference = a * b;
-  for (std::size_t t : {16u, 48u, 200u}) {
-    toom = t;
-    EXPECT_EQ(a * b, reference) << "toom3 threshold " << t;
+  const std::size_t saved = kara;
+  kara = 1000000;  // schoolbook-only reference
+  const BigInt product = a * b;
+  const BigInt square = a.squared();
+  for (std::size_t t : {2u, 16u, 48u, 200u}) {
+    kara = t;
+    EXPECT_EQ(a * b, product) << "threshold " << t;
+    EXPECT_EQ(a.squared(), square) << "threshold " << t;
+    EXPECT_EQ(a * a, square) << "threshold " << t;
   }
-  kara = saved_kara;
-  toom = saved_toom;
+  kara = saved;
 }
 
-TEST(Tuning, Toom3HandlesLopsidedOperands) {
+TEST(Tuning, KaratsubaHandlesLopsidedOperands) {
   util::Xoshiro256 rng(34);
   const BigInt a = random_value(rng, 80000);
   const BigInt b = random_value(rng, 9000);
-  auto& toom = Tuning::toom3_threshold();
-  const std::size_t saved = toom;
-  toom = 1000000;
+  auto& kara = Tuning::karatsuba_threshold();
+  const std::size_t saved = kara;
+  kara = 1000000;
   const BigInt reference = a * b;
-  toom = 32;
-  EXPECT_EQ(a * b, reference);
-  EXPECT_EQ(b * a, reference);
-  toom = saved;
+  for (std::size_t t : {2u, 32u}) {
+    kara = t;
+    EXPECT_EQ(a * b, reference) << "threshold " << t;
+    EXPECT_EQ(b * a, reference) << "threshold " << t;
+  }
+  kara = saved;
 }
 
 TEST(Tuning, NewtonDivisionMatchesKnuthAcrossThresholds) {

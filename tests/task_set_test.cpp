@@ -169,8 +169,8 @@ TEST(TaskSet, CommittingEveryTaskReproducesBatchGcd) {
     const std::size_t b = tasks.product_of(t);
     const std::size_t a = tasks.subset_of(t);
     const auto claims = leaf_claims(
-        tasks.subset(a), remainder_tree_squares(*trees[a], trees[b]->root()),
-        a == b);
+        tasks.subset(a),
+        remainder_task_residues(*trees[a], trees[b]->root(), a == b));
     EXPECT_TRUE(tasks.verify(t, claims));
     EXPECT_TRUE(tasks.commit(t, claims));
     EXPECT_FALSE(tasks.commit(t, claims)) << "a task commits exactly once";
