@@ -16,32 +16,20 @@ std::size_t precision(std::size_t node_bits, unsigned e) {
   return e * node_bits + kFractionGuardBits;
 }
 
-/// The e = 2 root takes the multiply-only path while floor((x mod P^2) / P)
-/// stays below 2^this; its error grows with that quotient (DESIGN.md §5m).
-/// Every batch-GCD caller has a quotient of a few bits at most.
-constexpr std::size_t kMaxRootQuotientBits = 32;
-
 /// y_root = frac(x / P^e) with precision(bits(P), e) fraction bits, as an
-/// integer. With J = floor(2^(2b+64) / P) and x = q * P + r:
-///   frac(x / P)   = r / P             ~ r * J / 2^(2b+64),
-///   frac(x / P^2) = (q mod P + r / P) / P.
-/// The diagonal x = P has q = 1, r = 0, and reduces to y_root = J.
+/// integer, from J = floor(2^(2b+64) / P) for the b-bit root P:
+///   the diagonal x = P, e = 2:  frac(P / P^2) = 1 / P  ~ J / 2^(2b+64);
+///   e = 1, r = x mod P:         frac(x / P)   = r / P  ~ r * J / 2^(2b+64).
+/// Any other x with e = 2 (test and benchmark inputs) takes one exact
+/// division.
 BigInt root_fraction(const ProductTree& tree, const BigInt& x, unsigned e) {
   const BigInt& p = tree.root();
   const std::size_t b = p.bit_length();
   const BigInt& j = tree.root_reciprocal();
-  auto [q, r] = BigInt::divmod(x, p);
-  const std::size_t p1 = precision(b, 1);
-  BigInt y1 = bn::mul_window(r, j, b, p1);
-  if (e == 1) return y1;
-  const std::size_t p2 = precision(b, 2);
-  if (q >= p) q = q % p;
-  if (r.is_zero()) return bn::mul_window(q, j, 0, p2);  // the diagonal: q = 1
-  if (q.bit_length() > kMaxRootQuotientBits) {
-    // A general x: one exact division instead.
-    return ((q * p + r) << p2) / p.squared();
-  }
-  return bn::mul_window((q << p1) + y1, j, p1, p2);
+  if (e == 1) return bn::mul_window(x % p, j, b, precision(b, 1));
+  if (x == p) return j;
+  const BigInt square = p.squared();
+  return ((x % square) << precision(b, 2)) / square;
 }
 
 /// round(y * m / 2^prec) mod m, for a leaf fraction y < 2^prec.

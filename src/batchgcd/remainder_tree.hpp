@@ -4,9 +4,10 @@
 // Instead of the remainders X mod v^e, every node v carries a fixed-point
 // fraction y_v ~ frac(X / v^e). For a child c with sibling s (v = c * s),
 // X / c^e = (X / v^e) * s^e, so frac(X / c^e) = frac(y_v * s^e): one
-// multiplication, truncated to e * bits(c) + 64 fraction bits. The root
-// fraction comes from the tree's cached root reciprocal
-// (ProductTree::root_reciprocal), and a leaf N reads its residue off
+// multiplication, truncated to e * bits(c) + 64 fraction bits. A task's
+// root fraction comes from the tree's cached root reciprocal
+// (ProductTree::root_reciprocal); any other X mod N^2 input starts from one
+// exact division at the root. A leaf N reads its residue off
 // round(y_N * N^e). Each truncation costs at most one unit in the last
 // place and the multiplication by s^e scales the error exactly as the
 // precision drops, so every leaf is exact (DESIGN.md §5m has the bound).

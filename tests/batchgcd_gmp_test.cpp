@@ -65,9 +65,14 @@ TEST_P(ScaledDescentGmp, EveryLeafMatchesMpzMod) {
   moduli.push_back(moduli[7]);
   const ProductTree tree(moduli);
   const std::size_t bits = tree.root().bit_length();
-  const std::vector<BigInt> xs = {tree.root(), draw(bits, false),
+  // Besides random values: root multiples whose quotient exceeds 64 bits,
+  // below and above the root itself.
+  const std::vector<BigInt> xs = {tree.root(),
+                                  draw(bits, false),
                                   draw(2 * bits - 3, false),
-                                  draw(bits + 40, false)};
+                                  draw(bits + 40, false),
+                                  tree.root() * draw(100, false),
+                                  tree.root() * draw(bits + 64, false)};
   for (const BigInt& x : xs) {
     const auto rem = remainder_tree_squares(tree, x);
     ASSERT_EQ(rem.size(), moduli.size());
@@ -80,6 +85,16 @@ TEST_P(ScaledDescentGmp, EveryLeafMatchesMpzMod) {
       ASSERT_EQ(rem[i], expected.big()) << "leaf " << i;
     }
   }
+  // A one-leaf tree over N1 and x = N1 * N2 with a 512-bit N2.
+  const ProductTree single(std::vector<BigInt>{moduli[0]});
+  const BigInt x = moduli[0] * draw(512, true);
+  const Mpz X(x), N(moduli[0]);
+  Mpz square, expected;
+  mpz_mul(square.v, N.v, N.v);
+  mpz_mod(expected.v, X.v, square.v);
+  const auto rem = remainder_tree_squares(single, x);
+  ASSERT_EQ(rem.size(), 1U);
+  EXPECT_EQ(rem[0], expected.big());
 }
 
 TEST_P(ScaledDescentGmp, RootReciprocalMatchesMpzQuotient) {

@@ -292,11 +292,14 @@ TEST_P(ScaledDescent, EveryLeafMatchesDivision) {
       ASSERT_EQ(tree.spilled(), spilled);
       const BigInt& root = tree.root();
       const std::size_t bits = root.bit_length();
-      // The root itself, another product, values below and far above
-      // root^2 (the exact-division root), and the degenerate ones.
+      // The root itself, another product, multiples of the root by
+      // quotients above 64 bits and above the root, values below and far
+      // above root^2, and the degenerate ones.
       const std::vector<BigInt> xs = {
           root,
           multiplier * root + BigInt(12345),
+          root * bn::random_bits(rng, 100),
+          root * bn::random_bits(rng, bits + 64),
           bn::random_bits(rng, 2 * bits - 1),
           bn::random_bits(rng, 3 * bits + 100),
           root * root - BigInt(1),
@@ -322,6 +325,14 @@ TEST_P(ScaledDescent, EveryLeafMatchesDivision) {
       }
     }
   }
+  // A one-leaf tree over N1 and x = N1 * N2: the root divides x with a
+  // quotient far above 64 bits.
+  const BigInt n1 = shape("odd_count", GetParam()).front();
+  const BigInt n2 = bn::random_bits(rng, 512);
+  const ProductTree single(std::vector<BigInt>{n1});
+  const auto rem = remainder_tree_squares(single, n1 * n2);
+  ASSERT_EQ(rem.size(), 1U);
+  EXPECT_EQ(rem[0], (n1 * n2) % (n1 * n1));
 }
 
 TEST_P(ScaledDescent, EveryEngineMatchesNaivePairwise) {
