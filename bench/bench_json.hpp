@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/study.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/proc_stats.hpp"
@@ -123,14 +124,14 @@ inline int run_benchmarks_with_json(const std::string& suite, int argc,
   // PROFILE_<suite>.folded unless WEAKKEYS_PROFILE_OUT says otherwise) and
   // heap attribution is switched on so per-label gauges reach the embedded
   // metrics snapshot.
-  const double profile_hz = obs::profile_hz_from_env();
+  const core::StudyConfig env = core::StudyConfig::from_env();
   std::unique_ptr<obs::Profiler> profiler;
-  if (profile_hz > 0) {
+  if (env.profile_hz > 0) {
     if (obs::mem::supported()) obs::mem::enable();
     obs::ProfilerConfig prof_config;
-    prof_config.hz = profile_hz;
+    prof_config.hz = env.profile_hz;
     if (telemetry != nullptr) prof_config.registry = &telemetry->metrics();
-    prof_config.out_path = obs::profile_out_from_env();
+    prof_config.out_path = env.profile_out;
     if (prof_config.out_path.empty()) {
       std::string path = "PROFILE_" + suite + ".folded";
       if (const char* dir = std::getenv("WEAKKEYS_BENCH_OUT")) {

@@ -4,12 +4,13 @@
 // populations) keeps the full pipeline — simulation, batch GCD,
 // fingerprinting — around a few minutes on one core for the *first* binary
 // that runs; every later binary reloads the corpus and factor caches in
-// seconds. Override with WEAKKEYS_SCALE / WEAKKEYS_SEED / WEAKKEYS_CACHE.
+// seconds. Every `WEAKKEYS_*` variable set in the environment overrides
+// these defaults (StudyConfig::from_env; README has the table).
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "core/study.hpp"
 
@@ -22,20 +23,10 @@ inline core::StudyConfig default_study_config() {
   config.sim.miller_rabin_rounds = 5;
   config.batch_gcd_subsets = 4;
   config.cache_path = "weakkeys_corpus.cache";
-
-  if (const char* scale = std::getenv("WEAKKEYS_SCALE")) {
-    config.sim.scale = std::atof(scale);
-  }
-  if (const char* seed = std::getenv("WEAKKEYS_SEED")) {
-    config.sim.seed = std::strtoull(seed, nullptr, 10);
-  }
-  if (const char* cache = std::getenv("WEAKKEYS_CACHE")) {
-    config.cache_path = cache;
-  }
   config.log = [](const std::string& message) {
     std::fprintf(stderr, "[study] %s\n", message.c_str());
   };
-  return config;
+  return core::StudyConfig::from_env(std::move(config));
 }
 
 /// Runs (or reloads) the shared study corpus.

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   const std::filesystem::path out_dir = argc > 1 ? argv[1] : "figures";
   std::filesystem::create_directories(out_dir);
 
-  core::StudyConfig config;
+  // The environment (WEAKKEYS_*) first, then this example's own settings.
+  core::StudyConfig config = core::StudyConfig::from_env();
   config.sim.scale = 0.2;
   config.cache_path = "weakkeys_corpus.cache";
   config.log = [](const std::string& m) {

@@ -305,71 +305,68 @@ class ProcessCoordinator {
   void spawn(Slot& slot) {
     std::vector<std::string> args;
     args.push_back(config_.worker_binary);
-    args.push_back("--port");
-    args.push_back(std::to_string(bound_port_));
-    args.push_back("--worker-id");
-    args.push_back(std::to_string(slot.id));
+    const auto flag = [&args](const char* name, std::string value) {
+      args.push_back(name);
+      args.push_back(std::move(value));
+    };
+    flag("--port", std::to_string(bound_port_));
+    flag("--worker-id", std::to_string(slot.id));
     if (sessions_enabled()) {
       args.push_back("--session-reconnect");
-      args.push_back("--reconnect-window-ms");
-      args.push_back(std::to_string(config_.session_grace.count()));
+      flag("--reconnect-window-ms",
+           std::to_string(config_.session_grace.count()));
     }
     if (config_.telemetry_interval.count() > 0) {
-      args.push_back("--telemetry-interval-ms");
-      args.push_back(std::to_string(config_.telemetry_interval.count()));
+      flag("--telemetry-interval-ms",
+           std::to_string(config_.telemetry_interval.count()));
     } else {
       args.push_back("--no-telemetry");
     }
     if (!config_.spill_dir.empty()) {
-      args.push_back("--spill-dir");
-      args.push_back(config_.spill_dir);
-      args.push_back("--spill-threshold-mb");
-      args.push_back(std::to_string(config_.spill_threshold_mb));
+      flag("--spill-dir", config_.spill_dir);
+      flag("--spill-threshold-mb", std::to_string(config_.spill_threshold_mb));
+    }
+    if (config_.profile_hz > 0) {
+      flag("--profile", std::to_string(config_.profile_hz));
+      if (!config_.profile_out.empty()) {
+        flag("--profile-out",
+             config_.profile_out + ".worker" + std::to_string(slot.id));
+      }
+    }
+    if (config_.mem_budget_mb > 0) {
+      flag("--mem-budget-mb", std::to_string(config_.mem_budget_mb));
     }
     if (config_.injector) {
       const util::FaultConfig& f = config_.injector->config();
-      args.push_back("--seed");
-      args.push_back(std::to_string(f.seed));
-      if (config_.worker_frame_faults && f.any_frame_faults()) {
-        args.push_back("--frame-drop");
-        args.push_back(std::to_string(f.frame_drop_probability));
-        args.push_back("--frame-garble");
-        args.push_back(std::to_string(f.frame_garble_probability));
-        args.push_back("--frame-delay");
-        args.push_back(std::to_string(f.frame_delay_probability));
-        args.push_back("--frame-delay-ms");
-        args.push_back(std::to_string(f.frame_delay_ms));
+      flag("--seed", std::to_string(f.seed));
+      if (f.any_frame_faults()) {
+        flag("--frame-drop", std::to_string(f.frame_drop_probability));
+        flag("--frame-garble", std::to_string(f.frame_garble_probability));
+        flag("--frame-delay", std::to_string(f.frame_delay_probability));
+        flag("--frame-delay-ms", std::to_string(f.frame_delay_ms));
       }
-      if (config_.worker_frame_faults && f.any_conn_faults()) {
-        args.push_back("--conn-disconnect");
-        args.push_back(std::to_string(f.conn_disconnect_probability));
-        args.push_back("--conn-partition");
-        args.push_back(std::to_string(f.conn_partition_probability));
-        args.push_back("--conn-half-open");
-        args.push_back(std::to_string(f.conn_half_open_probability));
-        args.push_back("--conn-drip");
-        args.push_back(std::to_string(f.conn_slow_drip_probability));
-        args.push_back("--conn-partition-ms");
-        args.push_back(std::to_string(f.conn_partition_ms));
-        args.push_back("--conn-drip-ms");
-        args.push_back(std::to_string(f.conn_drip_delay_ms));
+      if (f.any_conn_faults()) {
+        flag("--conn-disconnect",
+             std::to_string(f.conn_disconnect_probability));
+        flag("--conn-partition", std::to_string(f.conn_partition_probability));
+        flag("--conn-half-open", std::to_string(f.conn_half_open_probability));
+        flag("--conn-drip", std::to_string(f.conn_slow_drip_probability));
+        flag("--conn-partition-ms", std::to_string(f.conn_partition_ms));
+        flag("--conn-drip-ms", std::to_string(f.conn_drip_delay_ms));
       }
       // Thread-tier faults run worker-side in the cluster: a kCrash is a
       // real _exit mid-task, a kCorruptResult a real bad divisor on the
       // wire, a kStraggle a real deadline miss (slept past task_timeout).
       if (f.crash_probability > 0) {
-        args.push_back("--fault-crash");
-        args.push_back(std::to_string(f.crash_probability));
+        flag("--fault-crash", std::to_string(f.crash_probability));
       }
       if (f.straggle_probability > 0) {
-        args.push_back("--fault-straggle");
-        args.push_back(std::to_string(f.straggle_probability));
-        args.push_back("--straggle-ms");
-        args.push_back(std::to_string(config_.task_timeout.count() * 3 / 2));
+        flag("--fault-straggle", std::to_string(f.straggle_probability));
+        flag("--straggle-ms",
+             std::to_string(config_.task_timeout.count() * 3 / 2));
       }
       if (f.corrupt_probability > 0) {
-        args.push_back("--fault-corrupt");
-        args.push_back(std::to_string(f.corrupt_probability));
+        flag("--fault-corrupt", std::to_string(f.corrupt_probability));
       }
     }
     std::vector<char*> argv;

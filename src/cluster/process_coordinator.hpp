@@ -131,14 +131,10 @@ struct ClusterConfig {
   /// wakes its event loop, which then stops at once (journal retained).
   util::CancellationToken* cancel = nullptr;
   /// Fault source for the process tier (SIGKILL/SIGSTOP per assignment)
-  /// and the coordinator's outbound frame tier. Worker-side outbound frame
-  /// faults are configured separately via worker argv (see
-  /// worker_frame_faults).
+  /// and the coordinator's outbound frame tier. Its frame and connection
+  /// fault probabilities also reach the workers on their command line, so
+  /// result frames suffer the same lossy link as assignment frames.
   const util::FaultInjector* injector = nullptr;
-  /// When true, the injector's frame-fault probabilities are forwarded to
-  /// workers on their command line, so result frames suffer the same lossy
-  /// link as assignment frames.
-  bool worker_frame_faults = true;
   std::function<void(const std::string&)> log;
   /// Telemetry: cluster.* counters/gauges mirroring ClusterStats, a
   /// cluster.heartbeat_rtt_us histogram, and per-worker
@@ -162,6 +158,12 @@ struct ClusterConfig {
   /// Per-tree spill threshold in MiB, forwarded with spill_dir
   /// (--spill-threshold-mb); 0 = always spill.
   std::size_t spill_threshold_mb = 256;
+  /// Profiler and memory settings forwarded to spawned workers: --profile
+  /// (<= 0 = off), --profile-out `<profile_out>.worker<id>` (empty keeps
+  /// the profile in the worker's metrics) and --mem-budget-mb (0 = none).
+  double profile_hz = 0;
+  std::string profile_out;
+  std::size_t mem_budget_mb = 0;
 };
 
 struct ClusterStats {

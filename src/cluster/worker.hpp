@@ -86,7 +86,7 @@ struct WorkerConfig {
   /// Out-of-core spill directory for this worker's subset product trees
   /// (DESIGN.md §5l); empty disables spilling. Level files are named
   /// "worker<id>.s<subset>.*" so workers sharing one directory never
-  /// collide. gcd_worker wires --spill-dir / WEAKKEYS_SPILL_DIR here.
+  /// collide. gcd_worker wires --spill-dir here.
   std::string spill_dir;
   /// Estimated per-tree bytes at which spilling kicks in, in MiB
   /// (0 = always spill when a dir is set).

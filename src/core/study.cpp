@@ -1,7 +1,6 @@
 #include "core/study.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -145,6 +144,8 @@ Study::~Study() {
   // A run that never reached its normal end (exception, early teardown)
   // still closes the monitor time series and writes the trace artifacts.
   flush_telemetry();
+  // The allocation hook holds a histogram in telemetry_'s registry.
+  if (mem_accounting_) obs::mem::disable();
 }
 
 void Study::log(const std::string& message) {
@@ -216,12 +217,8 @@ StudyCheckpointKey Study::checkpoint_key() const {
 }
 
 void Study::load_checkpoint_if_resuming() {
-  bool resume = config_.resume;
-  if (const char* env = std::getenv("WEAKKEYS_RESUME")) {
-    resume = std::atoi(env) != 0;
-  }
   const std::string path = checkpoint_path();
-  if (!resume || path.empty()) return;
+  if (!config_.resume || path.empty()) return;
   if (auto cp = load_study_checkpoint(checkpoint_key(), path)) {
     checkpoint_generation_ = cp->generation;
     resumed_stage_ = cp->stage;
@@ -262,18 +259,8 @@ void Study::run() {
   state_.store(RunState::kRunning);
   util::CancellationToken* token = resolve_token();
 
-  std::chrono::milliseconds run_deadline = config_.run_deadline;
-  if (run_deadline.count() == 0) {
-    if (const char* env = std::getenv("WEAKKEYS_DEADLINE")) {
-      const double seconds = std::atof(env);
-      if (seconds > 0) {
-        run_deadline = std::chrono::milliseconds(
-            static_cast<std::int64_t>(seconds * 1000.0));
-      }
-    }
-  }
-  if (run_deadline.count() > 0) {
-    run_deadline_at_ = std::chrono::steady_clock::now() + run_deadline;
+  if (config_.run_deadline.count() > 0) {
+    run_deadline_at_ = std::chrono::steady_clock::now() + config_.run_deadline;
     token->set_deadline(*run_deadline_at_, "run");
   }
   if (config_.handle_signals && !signal_watcher_) {
@@ -318,13 +305,9 @@ void Study::run() {
 }
 
 void Study::start_observability() {
-  std::string monitor_path = config_.monitor_path;
-  if (monitor_path.empty()) {
-    if (const char* env = std::getenv("WEAKKEYS_MONITOR")) monitor_path = env;
-  }
-  if (!monitor_path.empty() && !monitor_) {
+  if (!config_.monitor_path.empty() && !monitor_) {
     obs::MonitorConfig mc;
-    mc.jsonl_path = monitor_path;
+    mc.jsonl_path = config_.monitor_path;
     mc.interval = config_.monitor_interval;
     if (config_.watchdog_stall_ticks > 0 && !watchdog_) {
       obs::WatchdogConfig wc;
@@ -346,12 +329,7 @@ void Study::start_observability() {
     monitor_->start();
   }
 
-  int port = config_.status_port;
-  if (port < 0) {
-    if (const char* env = std::getenv("WEAKKEYS_STATUS_PORT")) {
-      port = std::atoi(env);
-    }
-  }
+  const int port = config_.status_port;
   if (port >= 0 && port <= 65535 && !status_server_) {
     obs::StatusServerConfig sc;
     sc.port = static_cast<std::uint16_t>(port);
@@ -364,20 +342,14 @@ void Study::start_observability() {
     }
   }
 
-  // Resource-attribution plane (DESIGN.md §5k). Both knobs resolve through
-  // the usual env fallbacks; enabling either turns on memory accounting so
-  // mem.* gauges flow into the monitor/status exports.
-  double profile_hz = config_.profile_hz;
-  if (profile_hz < 0) profile_hz = obs::profile_hz_from_env();
-  long long budget_mb = config_.mem_budget_mb;
-  if (budget_mb < 0) {
-    budget_mb = 0;
-    if (const char* env = std::getenv("WEAKKEYS_MEM_BUDGET_MB")) {
-      budget_mb = std::atoll(env);
-    }
-  }
+  // Resource-attribution plane (DESIGN.md §5k). Enabling either knob turns
+  // on memory accounting so mem.* gauges flow into the monitor/status
+  // exports.
+  const double profile_hz = config_.profile_hz;
+  const long long budget_mb = config_.mem_budget_mb;
   if ((profile_hz > 0 || budget_mb > 0) && obs::mem::supported()) {
     obs::mem::enable(&telemetry_.metrics());
+    mem_accounting_ = true;
     if (budget_mb > 0) {
       obs::mem::set_budget_bytes(static_cast<std::uint64_t>(budget_mb) *
                                  1024 * 1024);
@@ -386,11 +358,9 @@ void Study::start_observability() {
     }
   }
   if (profile_hz > 0 && !profiler_) {
-    std::string profile_out = config_.profile_out;
-    if (profile_out.empty()) profile_out = obs::profile_out_from_env();
     obs::ProfilerConfig pc;
     pc.hz = profile_hz;
-    pc.out_path = profile_out;
+    pc.out_path = config_.profile_out;
     pc.registry = &telemetry_.metrics();
     pc.writer = [](const std::string& path, const std::string& content) {
       try {
@@ -403,8 +373,8 @@ void Study::start_observability() {
     profiler_ = std::make_unique<obs::Profiler>(std::move(pc));
     profiler_->start();
     log("profiler sampling at " + std::to_string(profile_hz) + " Hz" +
-        (profile_out.empty() ? std::string(" (metrics only)")
-                             : " -> " + profile_out));
+        (config_.profile_out.empty() ? std::string(" (metrics only)")
+                                     : " -> " + config_.profile_out));
   }
 
   // An abnormal process exit (std::exit, uncaught exception unwinding to
@@ -435,18 +405,10 @@ void Study::flush_telemetry() {
   if (obs::mem::enabled()) obs::mem::publish(telemetry_.metrics());
   poll_mem_budget();
   if (monitor_) monitor_->stop();  // writes the `"final":true` snapshot
-  write_trace_if_configured();
-}
-
-void Study::write_trace_if_configured() {
-  std::string path = config_.trace_path;
-  if (path.empty()) {
-    if (const char* env = std::getenv("WEAKKEYS_TRACE")) path = env;
-  }
-  if (path.empty()) return;
-  if (telemetry_.write_trace_files(path)) {
-    log("telemetry: trace written to " + path + " (metrics snapshot at " +
-        path + ".metrics.json)");
+  const std::string& trace = config_.trace_path;
+  if (!trace.empty() && telemetry_.write_trace_files(trace)) {
+    log("telemetry: trace written to " + trace + " (metrics snapshot at " +
+        trace + ".metrics.json)");
   }
 }
 
@@ -459,11 +421,7 @@ void Study::build_dataset() {
       static_cast<std::uint32_t>(config_.sim.miller_rabin_rounds),
       kCatalogVersion,
   };
-  std::uint32_t cache_shards = config_.cache_shards;
-  if (cache_shards == 0) {
-    if (const char* env = std::getenv("WEAKKEYS_CACHE_SHARDS"))
-      cache_shards = static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
-  }
+  const std::uint32_t cache_shards = config_.cache_shards;
   bool have_corpus = false;
   if (!config_.cache_path.empty()) {
     obs::Span probe = telemetry_.tracer().span("study.load_corpus");
@@ -676,118 +634,53 @@ void Study::factor_moduli() {
   log("running batch GCD over " + std::to_string(moduli.size()) +
       " distinct moduli (k=" + std::to_string(config_.batch_gcd_subsets) + ")");
 
-  // Cluster knobs fall back to the environment so deployments can scale a
-  // study out to worker processes without a code change.
-  std::size_t worker_processes = config_.worker_processes;
-  if (worker_processes == 0) {
-    if (const char* env = std::getenv("WEAKKEYS_WORKERS"))
-      worker_processes = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  std::string worker_binary = config_.worker_binary;
-  if (worker_binary.empty()) {
-    if (const char* env = std::getenv("WEAKKEYS_WORKER_BIN"))
-      worker_binary = env;
-  }
-  int worker_port = config_.worker_port;
-  if (worker_port < 0) {
-    worker_port = 0;
-    if (const char* env = std::getenv("WEAKKEYS_WORKER_PORT"))
-      worker_port = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
-  std::size_t remote_workers = config_.remote_workers;
-  if (remote_workers == 0) {
-    if (const char* env = std::getenv("WEAKKEYS_REMOTE_WORKERS"))
-      remote_workers = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  int session_grace_ms = config_.session_grace_ms;
-  if (session_grace_ms < 0) {
-    session_grace_ms = 0;
-    if (const char* env = std::getenv("WEAKKEYS_WORKER_GRACE_MS"))
-      session_grace_ms = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
-  std::size_t chunk_bytes = config_.stream_chunk_bytes;
-  if (chunk_bytes == 0) {
-    if (const char* env = std::getenv("WEAKKEYS_CHUNK_BYTES"))
-      chunk_bytes = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  std::size_t stream_window = config_.stream_window_chunks;
-  if (stream_window == 0) {
-    if (const char* env = std::getenv("WEAKKEYS_STREAM_WINDOW"))
-      stream_window = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  int telemetry_interval_ms = config_.telemetry_interval_ms;
-  if (telemetry_interval_ms < 0) {
-    if (const char* env = std::getenv("WEAKKEYS_TELEMETRY_INTERVAL_MS"))
-      telemetry_interval_ms =
-          static_cast<int>(std::strtol(env, nullptr, 10));
-  }
-  std::string fleet_trace_path = config_.fleet_trace_path;
-  if (fleet_trace_path.empty()) {
-    if (const char* env = std::getenv("WEAKKEYS_FLEET_TRACE"))
-      fleet_trace_path = env;
-  }
-
   // Out-of-core spill policy (DESIGN.md §5l). One TreeStorage parameterizes
   // every subset tree this run builds; generation 0 means each tree stamps
   // its level files with its own subset fingerprint, which is stable across
   // runs of the same corpus — exactly what SIGKILL resume needs.
-  std::string spill_dir = config_.spill_dir;
-  if (spill_dir.empty()) {
-    if (const char* env = std::getenv("WEAKKEYS_SPILL_DIR")) spill_dir = env;
-  }
-  long long spill_threshold_mb = config_.spill_threshold_mb;
-  if (spill_threshold_mb < 0) {
-    if (const char* env = std::getenv("WEAKKEYS_SPILL_THRESHOLD_MB"))
-      spill_threshold_mb = std::strtoll(env, nullptr, 10);
-  }
-  if (spill_threshold_mb < 0) spill_threshold_mb = 256;
-  long long spill_ram_fallback_mb = config_.spill_ram_fallback_mb;
-  if (spill_ram_fallback_mb < 0) {
-    if (const char* env = std::getenv("WEAKKEYS_SPILL_RAM_FALLBACK_MB"))
-      spill_ram_fallback_mb = std::strtoll(env, nullptr, 10);
-  }
   util::FaultInjector storage_injector(config_.faults);
   batchgcd::TreeStorage tree_storage;
-  tree_storage.spill_dir = spill_dir;
+  tree_storage.spill_dir = config_.spill_dir;
   tree_storage.spill_threshold_bytes =
-      static_cast<std::uint64_t>(spill_threshold_mb) * 1024 * 1024;
+      static_cast<std::uint64_t>(config_.spill_threshold_mb) * 1024 * 1024;
   tree_storage.base = "study";
   tree_storage.registry = &metrics;
-  if (spill_ram_fallback_mb > 0) {
-    tree_storage.ram_fallback_budget_bytes =
-        static_cast<std::uint64_t>(spill_ram_fallback_mb) * 1024 * 1024;
-  }
+  tree_storage.ram_fallback_budget_bytes =
+      static_cast<std::uint64_t>(config_.spill_ram_fallback_mb) * 1024 * 1024;
   if (config_.faults.any_storage_faults()) {
     tree_storage.injector = &storage_injector;
   }
   const batchgcd::TreeStorage* storage =
       tree_storage.enabled() ? &tree_storage : nullptr;
   if (storage != nullptr) {
-    log("spill: dir=" + spill_dir + " threshold=" +
-        std::to_string(spill_threshold_mb) + " MiB");
+    log("spill: dir=" + config_.spill_dir + " threshold=" +
+        std::to_string(config_.spill_threshold_mb) + " MiB");
   }
 
   const std::string journal_path =
       config_.cache_path.empty() ? "" : config_.cache_path + ".gcdckpt";
   batchgcd::BatchGcdResult result;
-  if (worker_processes > 0 || remote_workers > 0) {
+  if (config_.worker_processes > 0 || config_.remote_workers > 0) {
     obs::Span gcd_span = telemetry_.tracer().span("gcd.cluster");
     // Multi-process path: fork/exec gcd_worker processes, supervise them
     // over TCP with heartbeats and per-task timeouts, survive crashes via
     // respawn and the same resume journal the in-process path writes.
     cluster::ClusterConfig cc;
     cc.subsets = config_.batch_gcd_subsets;
-    cc.workers = worker_processes;
-    cc.remote_workers = remote_workers;
-    cc.worker_binary = worker_binary;
-    cc.port = static_cast<std::uint16_t>(worker_port);
-    cc.session_grace = std::chrono::milliseconds(session_grace_ms);
-    if (chunk_bytes > 0) cc.stream_chunk_bytes = chunk_bytes;
-    if (stream_window > 0) cc.stream_window_chunks = stream_window;
-    if (telemetry_interval_ms >= 0) {
-      cc.telemetry_interval = std::chrono::milliseconds(telemetry_interval_ms);
-    }
-    cc.fleet_trace_path = fleet_trace_path;
+    cc.workers = config_.worker_processes;
+    cc.remote_workers = config_.remote_workers;
+    cc.worker_binary = config_.worker_binary;
+    cc.port = static_cast<std::uint16_t>(config_.worker_port);
+    cc.session_grace = std::chrono::milliseconds(config_.session_grace_ms);
+    cc.stream_chunk_bytes = config_.stream_chunk_bytes;
+    cc.stream_window_chunks = config_.stream_window_chunks;
+    cc.telemetry_interval =
+        std::chrono::milliseconds(config_.telemetry_interval_ms);
+    cc.fleet_trace_path = config_.fleet_trace_path;
+    cc.profile_hz = config_.profile_hz;
+    cc.profile_out = config_.profile_out;
+    cc.mem_budget_mb =
+        static_cast<std::size_t>(std::max(config_.mem_budget_mb, 0LL));
     cc.checkpoint_path = journal_path;
     cc.log = [this](const std::string& message) { log(message); };
     cc.telemetry = &telemetry_;
@@ -796,8 +689,9 @@ void Study::factor_moduli() {
     if (config_.faults.any_faults()) cc.injector = &injector;
     if (storage != nullptr) {
       // The workers build the subset trees, so they get the spill policy.
-      cc.spill_dir = spill_dir;
-      cc.spill_threshold_mb = static_cast<std::size_t>(spill_threshold_mb);
+      cc.spill_dir = config_.spill_dir;
+      cc.spill_threshold_mb =
+          static_cast<std::size_t>(config_.spill_threshold_mb);
     }
     result = cluster::batch_gcd_cluster(moduli, cc, &cluster_stats_);
     gcd_span.end();

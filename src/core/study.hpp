@@ -49,7 +49,16 @@
 
 namespace weakkeys::core {
 
+/// Every run setting of a Study, as resolved values: a Study reads nothing
+/// else, and from_env() is the one reader of the `WEAKKEYS_*` environment.
 struct StudyConfig {
+  /// `base` with every set `WEAKKEYS_*` variable overlaid (README has the
+  /// table; an empty numeric variable counts as unset). Throws
+  /// std::invalid_argument naming the variable for a malformed or
+  /// out-of-range number. The no-argument form overlays the defaults.
+  static StudyConfig from_env(StudyConfig base);
+  static StudyConfig from_env();
+
   netsim::SimConfig sim;
   /// Batch-GCD subset count (the paper used k=16 on 22 machines).
   std::size_t batch_gcd_subsets = 4;
@@ -62,9 +71,9 @@ struct StudyConfig {
   /// across "<cache_path>.shard<i>" files (each CRC-footed and atomically
   /// published) so 10^6-host corpora don't serialize through one multi-GB
   /// file, and ingest streams the shards back in original order — study
-  /// results are byte-identical to the single-file cache. 0 falls back to
-  /// WEAKKEYS_CACHE_SHARDS; still 0 (or 1) keeps the single file.
-  std::uint32_t cache_shards = 0;
+  /// results are byte-identical to the single-file cache. 1 (or 0) keeps
+  /// the single file.
+  std::uint32_t cache_shards = 1;
   /// Fault injection (all-zero = none): the task, process, frame and
   /// connection tiers apply to the cluster path, the storage tier to spill
   /// I/O on either path.
@@ -72,47 +81,43 @@ struct StudyConfig {
   /// Route the factoring stage through the multi-process TCP cluster
   /// (batch_gcd_cluster): fork/exec this many gcd_worker processes and
   /// supervise them with heartbeats, per-task timeouts, and respawn.
-  /// 0 falls back to the WEAKKEYS_WORKERS environment variable; still 0
-  /// keeps factoring in-process (batch_gcd_distributed on a thread pool).
+  /// 0 keeps factoring in-process (batch_gcd_distributed on a thread pool)
+  /// unless remote_workers is set.
   /// Either path journals completed remainder-tree tasks to
   /// `cache_path + ".gcdckpt"` when cache_path is set, in one format, so an
   /// interrupted factoring run re-executes only the unfinished tasks —
   /// under either engine.
   std::size_t worker_processes = 0;
-  /// Path to the gcd_worker binary for the cluster path. Empty falls back
-  /// to the WEAKKEYS_WORKER_BIN environment variable; required (and
-  /// validated executable) when worker_processes resolves > 0.
+  /// Path to the gcd_worker binary for the cluster path; required (and
+  /// validated executable) when worker_processes > 0.
   std::string worker_binary;
   /// Listener port for worker connections, 0 for kernel-assigned.
-  /// Negative falls back to WEAKKEYS_WORKER_PORT; still negative means 0.
-  int worker_port = -1;
+  int worker_port = 0;
   /// Extra dial-in slots for remote gcd_worker --connect processes the
-  /// study does not spawn. 0 falls back to WEAKKEYS_REMOTE_WORKERS. The
-  /// cluster path activates when local + remote workers resolve > 0.
+  /// study does not spawn. The cluster path activates when local + remote
+  /// workers > 0.
   std::size_t remote_workers = 0;
   /// Session grace window (ms) for the cluster path: how long a
   /// disconnected worker's session is held for reconnection before the
-  /// slot respawns. Negative falls back to WEAKKEYS_WORKER_GRACE_MS;
-  /// still negative means 0 (disconnect = death).
-  int session_grace_ms = -1;
+  /// slot respawns. 0 means disconnect = death.
+  int session_grace_ms = 0;
   /// Chunk size (bytes) for streaming subset/product payloads to workers.
-  /// 0 falls back to WEAKKEYS_CHUNK_BYTES, then the cluster default.
-  std::size_t stream_chunk_bytes = 0;
+  std::size_t stream_chunk_bytes = cluster::ClusterConfig{}.stream_chunk_bytes;
   /// Backpressure window (chunks in flight beyond the acked prefix).
-  /// 0 falls back to WEAKKEYS_STREAM_WINDOW, then the cluster default.
-  std::size_t stream_window_chunks = 0;
+  std::size_t stream_window_chunks =
+      cluster::ClusterConfig{}.stream_window_chunks;
   /// Telemetry export cadence (ms) for the cluster path: each v3 worker
   /// ships a TelemetrySnapshot (metrics + task spans + RSS/CPU) at most
   /// this often, fanned into fleet.worker.<id>.* / fleet.* metrics on the
   /// study registry (visible via /metrics, /status, and the monitor).
-  /// Negative falls back to WEAKKEYS_TELEMETRY_INTERVAL_MS; still negative
-  /// keeps the cluster default (500ms). 0 disables worker export.
-  int telemetry_interval_ms = -1;
+  /// 0 disables worker export.
+  int telemetry_interval_ms = static_cast<int>(
+      cluster::ClusterConfig{}.telemetry_interval.count());
   /// Fleet-merged Chrome trace path for the cluster path: coordinator
   /// assign spans plus clock-rebased worker task spans on one timeline,
   /// written when the factoring stage ends (plus fleet metrics JSON at
-  /// `<path>.metrics.json`). Empty falls back to WEAKKEYS_FLEET_TRACE;
-  /// still empty disables the merged trace (metric fan-in is unaffected).
+  /// `<path>.metrics.json`). Empty disables the merged trace (metric
+  /// fan-in is unaffected).
   std::string fleet_trace_path;
   /// Scan-noise injection: appends corrupted records to the scanned corpus
   /// after simulation or cache load (the cache always stores the clean
@@ -125,62 +130,56 @@ struct StudyConfig {
   /// callback only controls whether the text is *printed* somewhere.
   std::function<void(const std::string&)> log;
   /// Write a Chrome trace_event JSON of the run here after run() finishes
-  /// (plus a metrics snapshot at `<trace_path>.metrics.json`). Empty falls
-  /// back to the WEAKKEYS_TRACE environment variable; still empty disables
-  /// the dump (spans and metrics are collected either way — see
+  /// (plus a metrics snapshot at `<trace_path>.metrics.json`). Empty
+  /// disables the dump (spans and metrics are collected either way — see
   /// Study::telemetry()). Load the trace in about://tracing or perfetto.
   std::string trace_path;
   /// Live-monitor JSONL time-series path: run() starts a background
   /// obs::Monitor appending one snapshot object per line (schema in
-  /// DESIGN.md §5f) plus human heartbeats through the sink. Empty falls
-  /// back to the WEAKKEYS_MONITOR environment variable; still empty
-  /// disables the monitor.
+  /// DESIGN.md §5f) plus human heartbeats through the sink. Empty disables
+  /// the monitor.
   std::string monitor_path;
   /// Monitor snapshot / heartbeat cadence.
   std::chrono::milliseconds monitor_interval{250};
   /// Embedded HTTP status server (GET /metrics Prometheus exposition,
   /// GET /status JSON, GET /healthz liveness): the loopback port to bind,
   /// 0 for a kernel-assigned ephemeral port (read the result from
-  /// Study::status_port()). Negative falls back to WEAKKEYS_STATUS_PORT;
-  /// still negative disables the server. It stays up until the Study is
-  /// destroyed, so finished runs remain scrapeable.
+  /// Study::status_port()); negative disables the server. It stays up
+  /// until the Study is destroyed, so finished runs remain scrapeable.
   int status_port = -1;
   /// Sampling-profiler cadence in Hz (DESIGN.md §5k): run() starts an
   /// obs::Profiler snapshotting every thread's span/kernel stack and
   /// feeding `profiler.*` rollups into the registry (visible via /metrics,
-  /// /status, the monitor, and the heartbeat line). Negative falls back to
-  /// WEAKKEYS_PROFILE_HZ; <= 0 after fallback disables profiling. Enabling
-  /// the profiler also enables memory accounting (mem.* gauges).
-  double profile_hz = -1;
+  /// /status, the monitor, and the heartbeat line); <= 0 disables
+  /// profiling. Enabling the profiler also enables memory accounting
+  /// (mem.* gauges). On the cluster path every spawned worker samples at
+  /// the same rate.
+  double profile_hz = 0;
   /// Collapsed-stack (flamegraph) output path, written atomically when
-  /// telemetry flushes. Empty falls back to WEAKKEYS_PROFILE_OUT; still
-  /// empty keeps the profile in metrics only.
+  /// telemetry flushes; spawned workers write `<profile_out>.worker<id>`.
+  /// Empty keeps the profile in metrics only.
   std::string profile_out;
   /// Soft memory budget in MiB: enables memory accounting and latches a
   /// watchdog-visible alarm (`mem.budget.alarms` counter + sink warning)
   /// the first time live heap bytes cross the watermark. The run is never
-  /// aborted — results stay identical to an unconstrained run. Negative
-  /// falls back to WEAKKEYS_MEM_BUDGET_MB; <= 0 after fallback disables
-  /// the budget.
-  long long mem_budget_mb = -1;
+  /// aborted — results stay identical to an unconstrained run. 0 disables
+  /// the budget. Spawned cluster workers get the same budget each.
+  long long mem_budget_mb = 0;
   /// Out-of-core batch GCD: directory for product-tree level spills
   /// (DESIGN.md §5l). When the spill policy fires, each subset's product
   /// tree keeps at most two levels resident and streams the rest through
   /// CRC-framed level files here, bounding factoring memory at corpus
-  /// scale. Empty falls back to WEAKKEYS_SPILL_DIR; still empty disables
-  /// spilling. Level files are generation-stamped with the corpus
-  /// fingerprint, so a killed run that left them behind resumes from them.
+  /// scale. Empty disables spilling. Level files are generation-stamped
+  /// with the corpus fingerprint, so a killed run that left them behind
+  /// resumes from them.
   std::string spill_dir;
   /// Estimated per-tree bytes at which spilling kicks in, in MiB. 0 spills
-  /// every tree (chaos/CI mode); negative falls back to
-  /// WEAKKEYS_SPILL_THRESHOLD_MB (still negative = 256 MiB). Only
-  /// meaningful with a spill dir.
-  long long spill_threshold_mb = -1;
+  /// every tree (chaos/CI mode). Only meaningful with a spill dir.
+  long long spill_threshold_mb = 256;
   /// Last-rung budget for the spill degradation ladder, in MiB: when
   /// storage keeps failing, levels are pinned in RAM up to this budget
-  /// before the run cancels with util::StorageError. Negative falls back
-  /// to WEAKKEYS_SPILL_RAM_FALLBACK_MB; still negative = 0 = unlimited.
-  long long spill_ram_fallback_mb = -1;
+  /// before the run cancels with util::StorageError. 0 = unlimited.
+  long long spill_ram_fallback_mb = 0;
 
   // -- Run lifecycle (cancellation, deadlines, watchdog, resume) ---------
 
@@ -191,9 +190,7 @@ struct StudyConfig {
   util::CancellationToken* cancel = nullptr;
   /// Whole-run wall-clock budget; the token's deadline trips once it is
   /// exhausted and the run unwinds with util::Cancelled ("deadline
-  /// exceeded (run)"). Zero falls back to the WEAKKEYS_DEADLINE
-  /// environment variable (seconds, fractional allowed); still zero means
-  /// no deadline.
+  /// exceeded (run)"). Zero means no deadline.
   std::chrono::milliseconds run_deadline{0};
   /// Optional per-stage budgets, each clamped to whatever remains of the
   /// run deadline. Zero = that stage inherits the run deadline only.
@@ -204,15 +201,14 @@ struct StudyConfig {
   } stage_deadlines;
   /// Declare the run stalled (and cancel it) after this many consecutive
   /// monitor ticks with zero movement across the progress counters. Rides
-  /// the monitor thread, so it needs monitor_path/WEAKKEYS_MONITOR to be
-  /// active. 0 disables the watchdog.
+  /// the monitor thread, so it needs monitor_path to be set. 0 disables
+  /// the watchdog.
   std::size_t watchdog_stall_ticks = 0;
   /// Resume a previous run of the same configuration: load the WKC2 study
   /// checkpoint (`cache_path + ".study"`) and continue its generation
   /// count. The per-stage caches (corpus, gcdckpt journal, factors) do
   /// the actual work-skipping; this flag additionally surfaces
   /// `checkpoint.resume.stage` so callers can assert what was skipped.
-  /// False falls back to the WEAKKEYS_RESUME environment variable.
   bool resume = false;
   /// Install SIGINT/SIGTERM handlers for the duration of the Study that
   /// trip the run's cancellation token (async-signal-safely) instead of
@@ -298,7 +294,7 @@ class Study {
   [[nodiscard]] const batchgcd::DistributedStats& distributed_stats() const;
   /// Process-cluster telemetry (respawns, heartbeat deaths, quarantined
   /// results, frame loss, ...). All zero unless the factoring stage ran on
-  /// the multi-process cluster (worker_processes / WEAKKEYS_WORKERS).
+  /// the multi-process cluster (worker_processes / remote_workers).
   [[nodiscard]] const cluster::ClusterStats& cluster_stats() const {
     return cluster_stats_;
   }
@@ -373,7 +369,6 @@ class Study {
   /// `mem.budget.alarms` counter. Called at stage boundaries and the final
   /// flush; the monitor tick polls too, whichever fires first reports.
   void poll_mem_budget();
-  void write_trace_if_configured();
   [[nodiscard]] util::CancellationToken* resolve_token();
   [[nodiscard]] std::string checkpoint_path() const;
   [[nodiscard]] StudyCheckpointKey checkpoint_key() const;
@@ -397,6 +392,8 @@ class Study {
   std::atomic<bool> run_started_{false};
   std::atomic<bool> flushed_{false};
   bool ran_ = false;
+  /// run() turned on obs::mem accounting with this Study's registry.
+  bool mem_accounting_ = false;
 
   // -- lifecycle state ----------------------------------------------------
   util::CancellationToken own_token_;

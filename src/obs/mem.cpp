@@ -162,7 +162,10 @@ void enable(MetricsRegistry* registry) {
   g_enabled.store(true, std::memory_order_relaxed);
 }
 
-void disable() { g_enabled.store(false, std::memory_order_relaxed); }
+void disable() {
+  g_enabled.store(false, std::memory_order_relaxed);
+  g_alloc_hist.store(nullptr, std::memory_order_relaxed);
+}
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 

@@ -12,8 +12,8 @@
 // scope-local temporaries (the overwhelming majority of bignum traffic)
 // is the same label that allocated them.
 //
-// A soft budget (`WEAKKEYS_MEM_BUDGET_MB`) latches an alarm the first time
-// global live bytes cross the watermark. Nothing ever aborts: pollers
+// A soft budget (`StudyConfig::mem_budget_mb`) latches an alarm the first
+// time global live bytes cross the watermark. Nothing ever aborts: pollers
 // (monitor tick, Study stage boundaries) call consume_budget_alarm() and
 // emit exactly one watchdog-visible event.
 //
@@ -40,6 +40,8 @@ bool supported();
 /// allocation-size histogram `mem.alloc_bytes` (power-of-two byte buckets)
 /// is created up front and fed from the hook.
 void enable(MetricsRegistry* registry = nullptr);
+/// Stops attribution and unhooks the histogram of the registry given to
+/// enable(), so that registry may be destroyed afterwards.
 void disable();
 bool enabled();
 

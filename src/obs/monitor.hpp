@@ -9,7 +9,7 @@
 //     clock (wrap-safe: unsigned subtraction yields the true delta even
 //     across a 2^64 counter wrap, so rates are never negative),
 //   - appends one JSON object line to the configured JSONL file
-//     (`StudyConfig::monitor_path` / WEAKKEYS_MONITOR), and
+//     (`StudyConfig::monitor_path`), and
 //   - emits a human heartbeat through the TelemetrySink: ingest rate, GCD
 //     tasks done/total with ETA, cluster worker liveness, thread-pool queue
 //     depth.

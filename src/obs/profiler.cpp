@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -166,20 +165,6 @@ void Profiler::sampler_loop() {
     publish_rollups_locked();
     impl_->cv.wait_for(lock, period, [this] { return impl_->stop_requested; });
   }
-}
-
-double profile_hz_from_env() {
-  const char* raw = std::getenv("WEAKKEYS_PROFILE_HZ");
-  if (raw == nullptr || *raw == '\0') return 0.0;
-  char* end = nullptr;
-  const double hz = std::strtod(raw, &end);
-  if (end == raw || hz <= 0.0) return 0.0;
-  return hz;
-}
-
-std::string profile_out_from_env() {
-  const char* raw = std::getenv("WEAKKEYS_PROFILE_OUT");
-  return raw == nullptr ? std::string() : std::string(raw);
 }
 
 }  // namespace weakkeys::obs

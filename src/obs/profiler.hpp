@@ -85,9 +85,4 @@ class Profiler {
   Impl* impl_;
 };
 
-/// Reads `WEAKKEYS_PROFILE_HZ` (0 or unset/unparsable → disabled).
-double profile_hz_from_env();
-/// Reads `WEAKKEYS_PROFILE_OUT`; empty when unset.
-std::string profile_out_from_env();
-
 }  // namespace weakkeys::obs

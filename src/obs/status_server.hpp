@@ -19,7 +19,7 @@
 // result from port()), and stop()/the destructor joins the accept thread
 // before closing the socket.
 //
-// Opt-in via StudyConfig::status_port / WEAKKEYS_STATUS_PORT.
+// Opt-in via StudyConfig::status_port.
 #pragma once
 
 #include <atomic>

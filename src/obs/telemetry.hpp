@@ -9,8 +9,8 @@
 //
 // Telemetry owns one MetricsRegistry + Tracer + TelemetrySink and knows how
 // to dump them: a Chrome trace JSON (load in about://tracing) and a metrics
-// snapshot JSON next to it. `WEAKKEYS_TRACE=<path>` (or
-// StudyConfig::trace_path) is the user-facing knob; see DESIGN.md §5e.
+// snapshot JSON next to it. StudyConfig::trace_path is the user-facing
+// knob; see DESIGN.md §5e.
 #pragma once
 
 #include <cstdint>

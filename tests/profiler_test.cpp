@@ -177,19 +177,6 @@ TEST(Profiler, ZeroHzNeverStarts) {
   profiler.stop();
 }
 
-TEST(Profiler, EnvKnobs) {
-  ::setenv("WEAKKEYS_PROFILE_HZ", "43.5", 1);
-  ::setenv("WEAKKEYS_PROFILE_OUT", "/tmp/p.folded", 1);
-  EXPECT_DOUBLE_EQ(obs::profile_hz_from_env(), 43.5);
-  EXPECT_EQ(obs::profile_out_from_env(), "/tmp/p.folded");
-  ::setenv("WEAKKEYS_PROFILE_HZ", "not-a-number", 1);
-  EXPECT_EQ(obs::profile_hz_from_env(), 0.0);
-  ::unsetenv("WEAKKEYS_PROFILE_HZ");
-  ::unsetenv("WEAKKEYS_PROFILE_OUT");
-  EXPECT_EQ(obs::profile_hz_from_env(), 0.0);
-  EXPECT_EQ(obs::profile_out_from_env(), "");
-}
-
 // ------------------------------------------------------- mem accounting ----
 
 TEST(MemAccounting, AttributesScopedAllocationsToLabels) {

@@ -9,9 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/transitions.hpp"
@@ -556,6 +560,233 @@ TEST(StudyCache, ShardedCacheReloadsIdenticalResults) {
   cleanup();
 }
 
+std::optional<std::string> getenv_value(const char* name) {
+  const char* value = std::getenv(name);
+  return value ? std::optional<std::string>(value) : std::nullopt;
+}
+
+/// Sets (or, with nullopt, unsets) one environment variable for a scope
+/// and restores what was there before.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::string name, std::optional<std::string> value)
+      : name_(std::move(name)), before_(getenv_value(name_.c_str())) {
+    if (value) {
+      ::setenv(name_.c_str(), value->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ~ScopedEnv() {
+    if (before_) {
+      ::setenv(name_.c_str(), before_->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> before_;
+};
+
+/// Every variable StudyConfig::from_env reads.
+constexpr const char* kStudyEnvVars[] = {
+    "WEAKKEYS_SCALE",          "WEAKKEYS_SEED",
+    "WEAKKEYS_CACHE",          "WEAKKEYS_CACHE_SHARDS",
+    "WEAKKEYS_WORKERS",        "WEAKKEYS_WORKER_BIN",
+    "WEAKKEYS_WORKER_PORT",    "WEAKKEYS_REMOTE_WORKERS",
+    "WEAKKEYS_WORKER_GRACE_MS", "WEAKKEYS_CHUNK_BYTES",
+    "WEAKKEYS_STREAM_WINDOW",  "WEAKKEYS_TELEMETRY_INTERVAL_MS",
+    "WEAKKEYS_FLEET_TRACE",    "WEAKKEYS_TRACE",
+    "WEAKKEYS_MONITOR",        "WEAKKEYS_STATUS_PORT",
+    "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
+    "WEAKKEYS_MEM_BUDGET_MB",  "WEAKKEYS_SPILL_DIR",
+    "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",
+    "WEAKKEYS_DEADLINE",       "WEAKKEYS_RESUME",
+};
+
+/// Unsets every from_env variable for a scope, so the developer's shell
+/// cannot leak into a test.
+class CleanStudyEnv {
+ public:
+  CleanStudyEnv() {
+    for (const char* name : kStudyEnvVars) {
+      saved_.push_back(std::make_unique<ScopedEnv>(name, std::nullopt));
+    }
+  }
+
+ private:
+  std::vector<std::unique_ptr<ScopedEnv>> saved_;
+};
+
+TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
+  CleanStudyEnv clean;
+  struct Row {
+    const char* name;
+    const char* good;
+    double parsed;  // the field's value after `good`
+    const char* garbage;
+    const char* out_of_range;
+    std::function<double(const StudyConfig&)> field;
+  };
+  const std::vector<Row> rows = {
+      {"WEAKKEYS_SCALE", "0.25", 0.25, "quarter", "-1",
+       [](const StudyConfig& c) { return c.sim.scale; }},
+      {"WEAKKEYS_SEED", "7", 7, "seven", "-1",
+       [](const StudyConfig& c) { return static_cast<double>(c.sim.seed); }},
+      {"WEAKKEYS_CACHE_SHARDS", "3", 3, "3x", "0",
+       [](const StudyConfig& c) { return c.cache_shards * 1.0; }},
+      {"WEAKKEYS_WORKERS", "4", 4, "four", "-1",
+       [](const StudyConfig& c) { return c.worker_processes * 1.0; }},
+      {"WEAKKEYS_WORKER_PORT", "7000", 7000, "port", "70000",
+       [](const StudyConfig& c) { return c.worker_port * 1.0; }},
+      {"WEAKKEYS_REMOTE_WORKERS", "2", 2, "two", "-2",
+       [](const StudyConfig& c) { return c.remote_workers * 1.0; }},
+      {"WEAKKEYS_WORKER_GRACE_MS", "1500", 1500, "1.5s", "-1",
+       [](const StudyConfig& c) { return c.session_grace_ms * 1.0; }},
+      {"WEAKKEYS_CHUNK_BYTES", "4096", 4096, "4k", "0",
+       [](const StudyConfig& c) { return c.stream_chunk_bytes * 1.0; }},
+      {"WEAKKEYS_STREAM_WINDOW", "16", 16, "wide", "0",
+       [](const StudyConfig& c) { return c.stream_window_chunks * 1.0; }},
+      {"WEAKKEYS_TELEMETRY_INTERVAL_MS", "50", 50, "fast", "-5",
+       [](const StudyConfig& c) { return c.telemetry_interval_ms * 1.0; }},
+      {"WEAKKEYS_STATUS_PORT", "9090", 9090, "abc", "70000",
+       [](const StudyConfig& c) { return c.status_port * 1.0; }},
+      {"WEAKKEYS_PROFILE_HZ", "43.5", 43.5, "not-a-number", "1e999",
+       [](const StudyConfig& c) { return c.profile_hz; }},
+      {"WEAKKEYS_MEM_BUDGET_MB", "512", 512, "512MB", "-1",
+       [](const StudyConfig& c) { return c.mem_budget_mb * 1.0; }},
+      {"WEAKKEYS_SPILL_THRESHOLD_MB", "0", 0, "none", "-1",
+       [](const StudyConfig& c) { return c.spill_threshold_mb * 1.0; }},
+      {"WEAKKEYS_SPILL_RAM_FALLBACK_MB", "64", 64, "lots", "-1",
+       [](const StudyConfig& c) { return c.spill_ram_fallback_mb * 1.0; }},
+      {"WEAKKEYS_DEADLINE", "1.5", 1500, "soon", "-2",
+       [](const StudyConfig& c) { return c.run_deadline.count() * 1.0; }},
+      {"WEAKKEYS_RESUME", "1", 1, "yes", "99999999999999999999",
+       [](const StudyConfig& c) { return c.resume ? 1.0 : 0.0; }},
+  };
+  const StudyConfig defaults;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    {
+      ScopedEnv set(row.name, row.good);
+      EXPECT_EQ(row.field(StudyConfig::from_env()), row.parsed);
+    }
+    {
+      // Empty counts as unset: the base value stands.
+      ScopedEnv set(row.name, "");
+      EXPECT_EQ(row.field(StudyConfig::from_env()), row.field(defaults));
+    }
+    for (const char* bad : {row.garbage, row.out_of_range}) {
+      SCOPED_TRACE(bad);
+      ScopedEnv set(row.name, bad);
+      try {
+        (void)StudyConfig::from_env();
+        ADD_FAILURE() << "accepted " << row.name << "=" << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(row.name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The unset environment leaves every default in place.
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.field(StudyConfig::from_env()), row.field(defaults))
+        << row.name;
+  }
+}
+
+TEST(StudyConfigEnv, EnvironmentOverlaysTheBase) {
+  CleanStudyEnv clean;
+  StudyConfig base;
+  base.sim.scale = 0.2;
+  base.cache_path = "bench.cache";
+  base.profile_out = "base.folded";
+  EXPECT_EQ(StudyConfig::from_env(base).sim.scale, 0.2);
+  EXPECT_EQ(StudyConfig::from_env(base).profile_out, "base.folded");
+
+  ScopedEnv scale("WEAKKEYS_SCALE", "0.01");
+  ScopedEnv out("WEAKKEYS_PROFILE_OUT", "/tmp/p.folded");
+  ScopedEnv cache("WEAKKEYS_CACHE", "");  // a set empty path turns it off
+  const StudyConfig resolved = StudyConfig::from_env(base);
+  EXPECT_EQ(resolved.sim.scale, 0.01);
+  EXPECT_EQ(resolved.profile_out, "/tmp/p.folded");
+  EXPECT_EQ(resolved.cache_path, "");
+}
+
+StudyConfig tiny_config(std::uint64_t seed) {
+  StudyConfig config;
+  config.sim.seed = seed;
+  config.sim.scale = 0.02;
+  config.sim.miller_rabin_rounds = 4;
+  config.batch_gcd_subsets = 2;
+  config.threads = 2;
+  config.cache_path = "";
+  return config;
+}
+
+TEST(StudyConfigEnv, StudyIgnoresTheEnvironment) {
+  CleanStudyEnv clean;
+  const std::string trace = ::testing::TempDir() + "study_ignores_env_" +
+                            std::to_string(::getpid()) + ".json";
+  std::filesystem::remove(trace);
+  ScopedEnv workers("WEAKKEYS_WORKERS", "2");
+  ScopedEnv port("WEAKKEYS_STATUS_PORT", "0");
+  ScopedEnv trace_env("WEAKKEYS_TRACE", trace);
+  {
+    Study study(tiny_config(991));
+    study.run();
+    EXPECT_EQ(study.cluster_stats().tasks_executed, 0u);
+    EXPECT_GT(study.distributed_stats().tasks, 0u);
+    EXPECT_EQ(study.status_port(), -1);
+  }
+  EXPECT_FALSE(std::filesystem::exists(trace));
+  EXPECT_FALSE(std::filesystem::exists(trace + ".metrics.json"));
+}
+
+TEST(StudyConfigEnv, ResumeFlagIsTheConfigsNotTheEnvironments) {
+  CleanStudyEnv clean;
+  const std::string cache = ::testing::TempDir() + "study_resume_env_" +
+                            std::to_string(::getpid()) + ".cache";
+  const auto cleanup = [&] {
+    for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+      std::filesystem::remove(cache + suffix);
+    }
+  };
+  cleanup();
+  StudyConfig config = tiny_config(992);
+  config.cache_path = cache;
+  {
+    Study first(config);
+    first.run();
+  }
+  const auto resumed_stage = [](Study& study) {
+    return study.telemetry().metrics().counter("checkpoint.resume.stage")
+        .value();
+  };
+  {
+    // An explicit resume = true resumes even with WEAKKEYS_RESUME=0.
+    ScopedEnv env("WEAKKEYS_RESUME", "0");
+    StudyConfig resume = config;
+    resume.resume = true;
+    Study study(resume);
+    study.run();
+    EXPECT_EQ(resumed_stage(study),
+              static_cast<std::uint64_t>(StudyStage::kDone));
+  }
+  {
+    // The default (resume = false) does not resume with WEAKKEYS_RESUME=1.
+    ScopedEnv env("WEAKKEYS_RESUME", "1");
+    Study study(config);
+    study.run();
+    EXPECT_EQ(resumed_stage(study), 0u);
+  }
+  cleanup();
+}
+
 #if defined(WEAKKEYS_GCD_WORKER_BIN)
 TEST_F(StudyIntegration, ClusterPathMatchesInProcessPipeline) {
   // Same corpus, factoring routed through real worker processes over TCP:
@@ -581,19 +812,21 @@ TEST_F(StudyIntegration, ClusterPathMatchesInProcessPipeline) {
 }
 
 TEST_F(StudyIntegration, ClusterSpillGoesToWorkersAsFlagsNotEnvironment) {
-  // The spill settings reach the workers on their command line: the
-  // environment is the same after the run, the workers' spill stores
-  // created spill_dir (in cluster mode only they build trees), and the
-  // vulnerable set matches the in-RAM, in-process run.
-  const auto env = [](const char* name) -> std::optional<std::string> {
-    const char* value = std::getenv(name);
-    return value ? std::optional<std::string>(value) : std::nullopt;
-  };
-  const auto dir_before = env("WEAKKEYS_SPILL_DIR");
-  const auto mb_before = env("WEAKKEYS_SPILL_THRESHOLD_MB");
+  // The spill, profiler and memory settings reach the workers on their
+  // command line: the environment is the same after the run, the workers'
+  // spill stores created spill_dir (in cluster mode only they build trees),
+  // every worker wrote its own collapsed-stack file, and the vulnerable set
+  // matches the in-RAM, in-process run.
+  std::vector<std::pair<const char*, std::optional<std::string>>> env_before;
+  for (const char* name : kStudyEnvVars) {
+    env_before.emplace_back(name, getenv_value(name));
+  }
   const std::string spill_dir = ::testing::TempDir() + "study_cluster_spill_" +
                                 std::to_string(::getpid()) + ".d";
+  const std::string profile_dir = spill_dir + ".profile";
   std::filesystem::remove_all(spill_dir);
+  std::filesystem::remove_all(profile_dir);
+  std::filesystem::create_directories(profile_dir);
 
   StudyConfig config;
   config.sim.seed = 424242;
@@ -605,18 +838,30 @@ TEST_F(StudyIntegration, ClusterSpillGoesToWorkersAsFlagsNotEnvironment) {
   config.worker_binary = WEAKKEYS_GCD_WORKER_BIN;
   config.spill_dir = spill_dir;
   config.spill_threshold_mb = 0;
+  config.profile_hz = 97;
+  config.profile_out = profile_dir + "/p.folded";
+  config.mem_budget_mb = 4096;
   Study clustered(config);
   clustered.run();
 
-  EXPECT_EQ(env("WEAKKEYS_SPILL_DIR"), dir_before);
-  EXPECT_EQ(env("WEAKKEYS_SPILL_THRESHOLD_MB"), mb_before);
+  for (const auto& [name, before] : env_before) {
+    EXPECT_EQ(getenv_value(name), before) << name;
+  }
   EXPECT_TRUE(std::filesystem::is_directory(spill_dir));
+  for (std::size_t worker = 0; worker < config.worker_processes; ++worker) {
+    const std::string folded =
+        config.profile_out + ".worker" + std::to_string(worker);
+    EXPECT_TRUE(std::filesystem::exists(folded) &&
+                std::filesystem::file_size(folded) > 0)
+        << folded;
+  }
   const std::set<std::string> expected(study_->vulnerable().hex().begin(),
                                        study_->vulnerable().hex().end());
   const std::set<std::string> actual(clustered.vulnerable().hex().begin(),
                                      clustered.vulnerable().hex().end());
   EXPECT_EQ(actual, expected);
   std::filesystem::remove_all(spill_dir);
+  std::filesystem::remove_all(profile_dir);
 }
 #endif
 

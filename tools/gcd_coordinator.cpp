@@ -15,6 +15,10 @@
 // worker kills — the paper's core claim (the vulnerable set is a property
 // of the corpus, not of the execution) as a shell pipeline.
 //
+// Every setting is a flag; the tool reads no environment. --profile,
+// --profile-out and --mem-budget-mb cover this process and every worker it
+// spawns (worker W writes <profile-out>.worker<W>), like the spill flags.
+//
 // Usage:
 //   gcd_coordinator --reference --corpus-seed S --corpus-count N
 //   gcd_coordinator [--corpus-seed S] [--corpus-count N] [--subsets K]
@@ -123,7 +127,6 @@ int main(int argc, char** argv) {
   std::uint64_t mem_budget_mb = 0;
   std::string spill_dir;
   std::uint64_t spill_threshold_mb = 0;  // 0 = always spill when dir set
-  bool have_spill_threshold = false;
   std::string spill_metrics_path;
   weakkeys::util::FaultConfig storage_faults;
   weakkeys::cluster::ClusterConfig config;
@@ -195,7 +198,6 @@ int main(int argc, char** argv) {
       spill_dir = value;
     } else if (arg == "--spill-threshold-mb" && (value = next())) {
       spill_threshold_mb = std::strtoull(value, nullptr, 10);
-      have_spill_threshold = true;
     } else if (arg == "--spill-metrics" && (value = next())) {
       spill_metrics_path = value;
     } else if (arg == "--storage-seed" && (value = next())) {
@@ -218,18 +220,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Env fallback mirrors gcd_worker, so one environment profiles the whole
-  // process tree (spawned workers inherit it). Explicit flags win.
-  if (profile_hz <= 0) profile_hz = weakkeys::obs::profile_hz_from_env();
-  if (mem_budget_mb == 0) {
-    if (const char* mb = std::getenv("WEAKKEYS_MEM_BUDGET_MB")) {
-      mem_budget_mb = std::strtoull(mb, nullptr, 10);
-    }
-  }
   if (profile_hz > 0 && profile_out.empty()) {
-    const std::string env_out = weakkeys::obs::profile_out_from_env();
-    profile_out =
-        env_out.empty() ? "PROFILE_gcd_coordinator.folded" : env_out;
+    profile_out = "PROFILE_gcd_coordinator.folded";
   }
   if (profile_hz > 0 || mem_budget_mb > 0) {
     if (weakkeys::obs::mem::supported()) weakkeys::obs::mem::enable();
@@ -255,17 +247,6 @@ int main(int argc, char** argv) {
     profiler = std::make_unique<weakkeys::obs::Profiler>(
         std::move(prof_config));
     profiler->start();
-  }
-
-  // Spill knobs fall back to the environment (like the profiler knobs) so
-  // one environment configures the whole process tree; explicit flags win.
-  if (spill_dir.empty()) {
-    if (const char* dir = std::getenv("WEAKKEYS_SPILL_DIR")) spill_dir = dir;
-  }
-  if (!have_spill_threshold) {
-    if (const char* mb = std::getenv("WEAKKEYS_SPILL_THRESHOLD_MB")) {
-      spill_threshold_mb = std::strtoull(mb, nullptr, 10);
-    }
   }
 
   const std::vector<BigInt> moduli = make_corpus(corpus_count, corpus_seed);
@@ -306,9 +287,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Cluster mode: the workers build the trees, so they get the spill knobs.
+  // Cluster mode: the workers build the trees, so they get the spill knobs;
+  // the profiler and memory budget cover them as well as this process.
   config.spill_dir = spill_dir;
   config.spill_threshold_mb = static_cast<std::size_t>(spill_threshold_mb);
+  config.profile_hz = profile_hz;
+  config.profile_out = profile_out;
+  config.mem_budget_mb = static_cast<std::size_t>(mem_budget_mb);
 
   if (!quiet) {
     config.log = [](const std::string& line) {

@@ -15,17 +15,22 @@
 //               --frame-delay-ms MS]
 //              [--conn-disconnect P --conn-partition P --conn-half-open P
 //               --conn-drip P --conn-partition-ms MS --conn-drip-ms MS]
+//              [--telemetry-interval-ms MS | --no-telemetry]
+//              [--profile HZ [--profile-out PATH]] [--mem-budget-mb N]
+//              [--spill-dir DIR [--spill-threshold-mb N]]
 //
 // The --frame-* / --conn-* flags enable deterministic fault injection on
 // this worker's *outbound* link (chaos tests); the coordinator injects its
-// own side.
+// own side. Every setting arrives as a flag: a spawning coordinator forwards
+// its profiler, memory-budget and spill settings on the command line, and
+// the worker reads no environment. --profile without --profile-out keeps
+// the profile in the worker's metrics only.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cluster/worker.hpp"
-#include "obs/profiler.hpp"
 
 namespace {
 
@@ -52,7 +57,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   weakkeys::cluster::WorkerConfig config;
   bool have_port = false;
-  bool have_spill_threshold = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -106,7 +110,6 @@ int main(int argc, char** argv) {
       config.spill_dir = value;
     } else if (arg == "--spill-threshold-mb" && (value = next())) {
       config.spill_threshold_mb = std::strtoull(value, nullptr, 10);
-      have_spill_threshold = true;
     } else if (arg == "--seed" && (value = next())) {
       config.faults.seed = std::strtoull(value, nullptr, 10);
     } else if (arg == "--frame-drop" && (value = next())) {
@@ -146,38 +149,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!have_port) return usage(argv[0]);
-
-  // Env fallback: coordinator-spawned workers inherit the parent's
-  // environment, so WEAKKEYS_PROFILE_HZ / WEAKKEYS_MEM_BUDGET_MB on the
-  // coordinator reach every worker without new spawn plumbing. Explicit
-  // flags win.
-  if (config.profile_hz <= 0) {
-    config.profile_hz = weakkeys::obs::profile_hz_from_env();
-  }
-  if (config.mem_budget_mb == 0) {
-    if (const char* mb = std::getenv("WEAKKEYS_MEM_BUDGET_MB")) {
-      config.mem_budget_mb = std::strtoull(mb, nullptr, 10);
-    }
-  }
-  if (config.spill_dir.empty()) {
-    if (const char* dir = std::getenv("WEAKKEYS_SPILL_DIR")) {
-      config.spill_dir = dir;
-    }
-  }
-  if (!have_spill_threshold) {
-    if (const char* mb = std::getenv("WEAKKEYS_SPILL_THRESHOLD_MB")) {
-      config.spill_threshold_mb = std::strtoull(mb, nullptr, 10);
-    }
-  }
-  if (config.profile_hz > 0 && config.profile_out.empty()) {
-    // Every worker process needs its own collapsed-stack file; derive a
-    // per-worker name from the shared env path (or a cwd default).
-    const std::string env_out = weakkeys::obs::profile_out_from_env();
-    const std::string id = std::to_string(config.worker_id);
-    config.profile_out = env_out.empty()
-                             ? "PROFILE_worker" + id + ".folded"
-                             : env_out + ".worker" + id;
-  }
 
   config.log = [](const std::string& line) {
     std::fprintf(stderr, "gcd_worker: %s\n", line.c_str());
