@@ -3,7 +3,6 @@
 #include "core/binary_io.hpp"
 #include "util/atomic_file.hpp"
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -14,7 +13,6 @@ namespace weakkeys::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x574b5331;       // "WKS1"
-constexpr std::uint32_t kShardMagic = 0x574b5332;  // "WKS2"
 
 }  // namespace
 
@@ -158,320 +156,6 @@ std::optional<netsim::ScanDataset> load_dataset(const StoreKey& key,
     out = DatasetLoadStatus::kParseError;
     return std::nullopt;  // truncated or corrupt cache: rebuild
   }
-}
-
-// -- Sharded store ----------------------------------------------------------
-
-std::string shard_path(const std::string& path, std::uint32_t index) {
-  return path + ".shard" + std::to_string(index);
-}
-
-void save_dataset_sharded(const netsim::ScanDataset& dataset,
-                          const StoreKey& key, const std::string& path,
-                          std::uint32_t shards) {
-  if (shards <= 1) {
-    save_dataset(dataset, key, path);
-    return;
-  }
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    // Shard s holds record j of every snapshot where j % shards == s
-    // (j counts the snapshot's cert-bearing records in emission order).
-    // Each shard dedups certificates independently: cross-shard sharing
-    // would need a shared table file, i.e. a single point of corruption —
-    // the thing sharding exists to avoid.
-    std::map<const cert::Certificate*, std::uint32_t> cert_index;
-    std::vector<const cert::Certificate*> certs;
-    for (const auto& snap : dataset.snapshots) {
-      std::uint32_t j = 0;
-      for (const auto& rec : snap.records) {
-        if (!rec.has_cert()) continue;
-        const bool mine = (j++ % shards) == s;
-        if (!mine) continue;
-        const auto* ptr = rec.certificate.get();
-        if (cert_index.emplace(ptr, static_cast<std::uint32_t>(certs.size()))
-                .second) {
-          certs.push_back(ptr);
-        }
-      }
-    }
-
-    const std::string out = shard_path(path, s);
-    const std::string tmp = util::atomic_tmp_path(out);
-    {
-      BinaryWriter w(tmp);
-      w.u32(kShardMagic);
-      w.u64(key.seed);
-      w.u64(key.scale_millionths);
-      w.u32(key.mr_rounds);
-      w.u32(key.catalog_version);
-      w.u32(s);
-      w.u32(shards);
-
-      w.u32(static_cast<std::uint32_t>(certs.size()));
-      for (const auto* c : certs) w.bytes(c->encode());
-
-      w.u32(static_cast<std::uint32_t>(dataset.snapshots.size()));
-      for (const auto& snap : dataset.snapshots) {
-        w.i64(snap.date.days_since_epoch());
-        w.str(snap.source);
-        w.u32(static_cast<std::uint32_t>(snap.protocol));
-        std::uint32_t mine = 0;
-        std::uint32_t j = 0;
-        for (const auto& rec : snap.records) {
-          if (rec.has_cert() && (j++ % shards) == s) ++mine;
-        }
-        w.u32(mine);
-        j = 0;
-        for (const auto& rec : snap.records) {
-          if (!rec.has_cert()) continue;
-          if ((j++ % shards) != s) continue;
-          w.i64(rec.date.days_since_epoch());
-          w.u32(rec.ip.value());
-          w.u32(cert_index.at(rec.certificate.get()));
-          w.str(rec.banner);
-        }
-      }
-    }
-    append_checksum_footer(tmp);
-    util::atomic_publish_file(tmp, out);
-  }
-}
-
-struct ShardedDatasetWriter::Shard {
-  std::string records_tmp;            ///< temp record-stream file
-  std::unique_ptr<BinaryWriter> w;    ///< open on records_tmp until finish()
-  std::map<const cert::Certificate*, std::uint32_t> cert_index;
-  std::vector<netsim::CertHandle> certs;  ///< keeps dedup pointers alive
-};
-
-ShardedDatasetWriter::ShardedDatasetWriter(const StoreKey& key,
-                                           const std::string& path,
-                                           std::uint32_t shards)
-    : key_(key), path_(path) {
-  if (shards < 1) shards = 1;
-  shards_.resize(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    shards_[s].records_tmp = shard_path(path, s) + ".records.tmp";
-    shards_[s].w = std::make_unique<BinaryWriter>(shards_[s].records_tmp);
-  }
-}
-
-ShardedDatasetWriter::~ShardedDatasetWriter() {
-  if (finished_) return;
-  for (auto& shard : shards_) {
-    shard.w.reset();
-    std::remove(shard.records_tmp.c_str());
-  }
-}
-
-void ShardedDatasetWriter::add_snapshot(const netsim::ScanSnapshot& snap) {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  for (std::uint32_t s = 0; s < n; ++s) {
-    Shard& shard = shards_[s];
-    shard.w->i64(snap.date.days_since_epoch());
-    shard.w->str(snap.source);
-    shard.w->u32(static_cast<std::uint32_t>(snap.protocol));
-    std::uint32_t mine = 0;
-    std::uint32_t j = 0;
-    for (const auto& rec : snap.records) {
-      if (rec.has_cert() && (j++ % n) == s) ++mine;
-    }
-    shard.w->u32(mine);
-    j = 0;
-    for (const auto& rec : snap.records) {
-      if (!rec.has_cert()) continue;
-      if ((j++ % n) != s) continue;
-      const auto* ptr = rec.certificate.get();
-      const auto [it, fresh] = shard.cert_index.emplace(
-          ptr, static_cast<std::uint32_t>(shard.certs.size()));
-      if (fresh) shard.certs.push_back(rec.certificate);
-      shard.w->i64(rec.date.days_since_epoch());
-      shard.w->u32(rec.ip.value());
-      shard.w->u32(it->second);
-      shard.w->str(rec.banner);
-    }
-  }
-  ++snap_count_;
-}
-
-void ShardedDatasetWriter::finish() {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  for (std::uint32_t s = 0; s < n; ++s) {
-    Shard& shard = shards_[s];
-    shard.w->flush();
-    shard.w.reset();  // close the record stream
-
-    const std::string out = shard_path(path_, s);
-    const std::string tmp = util::atomic_tmp_path(out);
-    {
-      BinaryWriter w(tmp);
-      w.u32(kShardMagic);
-      w.u64(key_.seed);
-      w.u64(key_.scale_millionths);
-      w.u32(key_.mr_rounds);
-      w.u32(key_.catalog_version);
-      w.u32(s);
-      w.u32(n);
-      w.u32(static_cast<std::uint32_t>(shard.certs.size()));
-      for (const auto& c : shard.certs) w.bytes(c->encode());
-      w.u32(snap_count_);
-    }
-    // Splice the streamed record bytes after the header. Plain stdio: the
-    // bytes are already framed, they just need to move.
-    {
-      std::FILE* src = std::fopen(shard.records_tmp.c_str(), "rb");
-      std::FILE* dst = std::fopen(tmp.c_str(), "ab");
-      if (!src || !dst) {
-        if (src) std::fclose(src);
-        if (dst) std::fclose(dst);
-        throw std::runtime_error("sharded writer: cannot splice " +
-                                 shard.records_tmp);
-      }
-      char buf[1 << 16];
-      std::size_t got = 0;
-      bool ok = true;
-      while ((got = std::fread(buf, 1, sizeof buf, src)) > 0) {
-        if (std::fwrite(buf, 1, got, dst) != got) {
-          ok = false;
-          break;
-        }
-      }
-      ok = ok && std::ferror(src) == 0;
-      std::fclose(src);
-      if (std::fclose(dst) != 0) ok = false;
-      if (!ok) {
-        throw std::runtime_error("sharded writer: splice failed for " + out);
-      }
-    }
-    std::remove(shard.records_tmp.c_str());
-    append_checksum_footer(tmp);
-    util::atomic_publish_file(tmp, out);
-  }
-  finished_ = true;
-}
-
-DatasetLoadStatus ingest_dataset_sharded(
-    const StoreKey& key, const std::string& path,
-    const std::function<void(const netsim::ScanSnapshot&)>& snapshot_cb,
-    const std::function<void(netsim::HostRecord&&)>& record_cb) {
-  struct Shard {
-    std::unique_ptr<BinaryReader> r;
-    std::vector<netsim::CertHandle> certs;
-    std::uint32_t snap_count = 0;
-  };
-
-  // Shard 0 is the pilot: its header decides the shard count (and any
-  // key mismatch) before the other readers open.
-  std::uint32_t shard_count = 0;
-  std::vector<Shard> shard_readers;
-  try {
-    for (std::uint32_t s = 0; shard_count == 0 || s < shard_count; ++s) {
-      const std::string sp = shard_path(path, s);
-      Shard shard;
-      shard.r = std::make_unique<BinaryReader>(sp);
-      if (!shard.r->ok()) return DatasetLoadStatus::kMissing;
-      if (!verify_checksum_footer(sp)) return DatasetLoadStatus::kBadChecksum;
-      if (shard.r->u32() != kShardMagic) return DatasetLoadStatus::kBadMagic;
-      StoreKey found;
-      found.seed = shard.r->u64();
-      found.scale_millionths = shard.r->u64();
-      found.mr_rounds = shard.r->u32();
-      found.catalog_version = shard.r->u32();
-      if (!(found == key)) return DatasetLoadStatus::kKeyMismatch;
-      const std::uint32_t index = shard.r->u32();
-      const std::uint32_t count = shard.r->u32();
-      if (index != s || count == 0) return DatasetLoadStatus::kParseError;
-      if (shard_count == 0) {
-        shard_count = count;
-      } else if (count != shard_count) {
-        return DatasetLoadStatus::kParseError;  // mixed-generation shards
-      }
-
-      const std::uint32_t cert_count = shard.r->u32();
-      shard.certs.reserve(cert_count);
-      for (std::uint32_t i = 0; i < cert_count; ++i) {
-        shard.certs.push_back(std::make_shared<cert::Certificate>(
-            cert::Certificate::decode(shard.r->bytes())));
-      }
-      shard.snap_count = shard.r->u32();
-      shard_readers.push_back(std::move(shard));
-    }
-
-    const std::uint32_t snap_count = shard_readers[0].snap_count;
-    for (const auto& shard : shard_readers) {
-      if (shard.snap_count != snap_count) {
-        return DatasetLoadStatus::kParseError;
-      }
-    }
-
-    for (std::uint32_t sn = 0; sn < snap_count; ++sn) {
-      // Every shard repeats the snapshot header; they must agree.
-      netsim::ScanSnapshot header;
-      std::vector<std::uint64_t> remaining(shard_count, 0);
-      std::uint64_t total = 0;
-      for (std::uint32_t s = 0; s < shard_count; ++s) {
-        auto& r = *shard_readers[s].r;
-        const util::Date date = util::Date::from_days_since_epoch(r.i64());
-        const std::string source = r.str();
-        const auto protocol = netsim::protocol_from_index(r.u32());
-        if (!protocol) return DatasetLoadStatus::kParseError;
-        if (s == 0) {
-          header.date = date;
-          header.source = source;
-          header.protocol = *protocol;
-        } else if (date != header.date || source != header.source ||
-                   *protocol != header.protocol) {
-          return DatasetLoadStatus::kParseError;
-        }
-        remaining[s] = r.u32();
-        total += remaining[s];
-      }
-      snapshot_cb(header);
-
-      // Interleave the shards back: record j came from shard j % N, so a
-      // round-robin pull reproduces the single-file record order exactly.
-      for (std::uint64_t j = 0; j < total; ++j) {
-        const std::uint32_t s = static_cast<std::uint32_t>(j % shard_count);
-        if (remaining[s] == 0) return DatasetLoadStatus::kParseError;
-        --remaining[s];
-        auto& shard = shard_readers[s];
-        netsim::HostRecord rec;
-        rec.date = util::Date::from_days_since_epoch(shard.r->i64());
-        rec.source = header.source;
-        rec.ip = netsim::Ipv4(shard.r->u32());
-        rec.protocol = header.protocol;
-        rec.certificate = shard.certs.at(shard.r->u32());
-        rec.banner = shard.r->str();
-        record_cb(std::move(rec));
-      }
-      for (const std::uint64_t left : remaining) {
-        if (left != 0) return DatasetLoadStatus::kParseError;
-      }
-    }
-  } catch (const std::exception&) {
-    return DatasetLoadStatus::kParseError;
-  }
-  return DatasetLoadStatus::kLoaded;
-}
-
-std::optional<netsim::ScanDataset> load_dataset_sharded(
-    const StoreKey& key, const std::string& path, DatasetLoadStatus* status) {
-  netsim::ScanDataset dataset;
-  const DatasetLoadStatus out = ingest_dataset_sharded(
-      key, path,
-      [&dataset](const netsim::ScanSnapshot& header) {
-        netsim::ScanSnapshot snap;
-        snap.date = header.date;
-        snap.source = header.source;
-        snap.protocol = header.protocol;
-        dataset.snapshots.push_back(std::move(snap));
-      },
-      [&dataset](netsim::HostRecord&& rec) {
-        dataset.snapshots.back().records.push_back(std::move(rec));
-      });
-  if (status) *status = out;
-  if (out != DatasetLoadStatus::kLoaded) return std::nullopt;
-  return dataset;
 }
 
 }  // namespace weakkeys::core

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -50,88 +49,6 @@ void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
 /// matches `key`; nullopt otherwise — never throws for a stale, truncated,
 /// or corrupt cache. When `status` is non-null it receives the outcome.
 std::optional<netsim::ScanDataset> load_dataset(
-    const StoreKey& key, const std::string& path,
-    DatasetLoadStatus* status = nullptr);
-
-// -- Sharded store (10^6-host corpora) -------------------------------------
-//
-// One multi-GB cache file serializes the whole corpus through a single
-// writer and a single reader. The sharded variant splits the *records* of
-// every snapshot round-robin across N shard files ("<path>.shard<i>", each
-// individually CRC-footed and atomically published), so emission and ingest
-// parallelize per shard and a torn shard invalidates 1/N of the corpus
-// bytes, not all of them. Record j (among a snapshot's cert-bearing
-// records, in emission order) lands in shard j % N — ingest interleaves the
-// shards back, so the reconstructed dataset holds its records in exactly
-// the single-file order and every downstream study result is
-// byte-identical to the single-file path.
-
-/// Path of shard `index` of a sharded store rooted at `path`.
-[[nodiscard]] std::string shard_path(const std::string& path,
-                                     std::uint32_t index);
-
-/// Writes `dataset` as `shards` round-robin shard files. `shards` <= 1
-/// degrades to save_dataset() on the plain path. Throws std::runtime_error
-/// on I/O failure.
-void save_dataset_sharded(const netsim::ScanDataset& dataset,
-                          const StoreKey& key, const std::string& path,
-                          std::uint32_t shards);
-
-/// Streaming *emission* into a sharded store: feed snapshots one at a time
-/// (e.g. straight from netsim::SimConfig::snapshot_sink) and at most one
-/// snapshot's records are in flight — a 10^6-host corpus is generated and
-/// persisted without ever materializing a ScanDataset. Records stream to
-/// per-shard temp files as they arrive; finish() prepends each shard's
-/// header + certificate table and publishes atomically, so a crash
-/// mid-emission leaves only temp files, never a torn shard. Snapshots are
-/// stored in the order fed; feed them in the order you want ingest to
-/// replay. Output is byte-identical to save_dataset_sharded() of the same
-/// snapshots in the same order.
-class ShardedDatasetWriter {
- public:
-  /// Throws std::runtime_error if the temp record files cannot open.
-  ShardedDatasetWriter(const StoreKey& key, const std::string& path,
-                       std::uint32_t shards);
-  /// Discards temp files if finish() was never reached.
-  ~ShardedDatasetWriter();
-  ShardedDatasetWriter(const ShardedDatasetWriter&) = delete;
-  ShardedDatasetWriter& operator=(const ShardedDatasetWriter&) = delete;
-
-  /// Appends one snapshot's cert-bearing records round-robin across the
-  /// shards. Certificate handles are retained (for the dedup table);
-  /// record storage is not.
-  void add_snapshot(const netsim::ScanSnapshot& snap);
-
-  /// Seals and atomically publishes every shard file. No further
-  /// add_snapshot() calls afterwards. Throws std::runtime_error on I/O
-  /// failure (temp files are cleaned up by the destructor).
-  void finish();
-
- private:
-  struct Shard;
-  StoreKey key_;
-  std::string path_;
-  std::vector<Shard> shards_;
-  std::uint32_t snap_count_ = 0;
-  bool finished_ = false;
-};
-
-/// Streaming (iterator-style) ingest over a sharded store: snapshots and
-/// records are visited in exactly the original dataset order without
-/// materializing the whole corpus. `snapshot_cb` fires once per snapshot
-/// (its `records` vector is empty — metadata only), then `record_cb` once
-/// per record of that snapshot. Shard count is discovered from shard 0.
-/// Any missing/corrupt/stale shard fails the whole ingest (no partial
-/// corpora), reported through the returned status; callbacks already fired
-/// are the caller's to discard.
-DatasetLoadStatus ingest_dataset_sharded(
-    const StoreKey& key, const std::string& path,
-    const std::function<void(const netsim::ScanSnapshot&)>& snapshot_cb,
-    const std::function<void(netsim::HostRecord&&)>& record_cb);
-
-/// Materializing wrapper over ingest_dataset_sharded(): the sharded
-/// counterpart of load_dataset(), same cache-miss semantics.
-std::optional<netsim::ScanDataset> load_dataset_sharded(
     const StoreKey& key, const std::string& path,
     DatasetLoadStatus* status = nullptr);
 

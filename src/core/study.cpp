@@ -201,57 +201,6 @@ void Study::begin_stage(const std::string& name,
   token->throw_if_cancelled();
 }
 
-std::string Study::checkpoint_path() const {
-  return config_.cache_path.empty() ? "" : config_.cache_path + ".study";
-}
-
-StudyCheckpointKey Study::checkpoint_key() const {
-  return StudyCheckpointKey{
-      config_.sim.seed,
-      static_cast<std::uint64_t>(config_.sim.scale * 1e6),
-      static_cast<std::uint32_t>(config_.sim.miller_rabin_rounds),
-      kCatalogVersion,
-      config_.noise.fingerprint(),
-      static_cast<std::uint32_t>(config_.batch_gcd_subsets),
-  };
-}
-
-void Study::load_checkpoint_if_resuming() {
-  const std::string path = checkpoint_path();
-  if (!config_.resume || path.empty()) return;
-  if (auto cp = load_study_checkpoint(checkpoint_key(), path)) {
-    checkpoint_generation_ = cp->generation;
-    resumed_stage_ = cp->stage;
-    auto& metrics = telemetry_.metrics();
-    metrics.counter("checkpoint.resume.stage")
-        .set(static_cast<std::uint64_t>(cp->stage));
-    metrics.counter("checkpoint.generation").set(cp->generation);
-    log("resuming from study checkpoint (generation " +
-        std::to_string(cp->generation) + ", last completed stage: " +
-        to_string(cp->stage) + ")");
-  }
-}
-
-void Study::save_stage_checkpoint(StudyStage stage) {
-  const std::string path = checkpoint_path();
-  if (path.empty()) return;
-  if (stage > resumed_stage_) resumed_stage_ = stage;  // highest completed
-  StudyCheckpoint cp;
-  cp.key = checkpoint_key();
-  cp.generation = ++checkpoint_generation_;
-  cp.stage = stage;
-  try {
-    save_study_checkpoint(cp, path);
-  } catch (const std::exception& e) {
-    telemetry_.sink().warn(std::string("study checkpoint write failed: ") +
-                           e.what());
-    return;
-  }
-  auto& metrics = telemetry_.metrics();
-  metrics.counter("checkpoint.writes").inc();
-  metrics.counter("checkpoint.generation").set(cp.generation);
-}
-
 void Study::run() {
   if (ran_) return;
   run_started_.store(true);
@@ -268,24 +217,18 @@ void Study::run() {
   }
 
   start_observability();
-  load_checkpoint_if_resuming();
 
   try {
     obs::Span run_span = telemetry_.tracer().span("study.run");
     begin_stage("build_dataset", config_.stage_deadlines.build_dataset);
     build_dataset();
-    save_stage_checkpoint(StudyStage::kIngested);
     begin_stage("factor", config_.stage_deadlines.factor);
     factor_moduli();
-    save_stage_checkpoint(StudyStage::kFactored);
     begin_stage("fingerprint", config_.stage_deadlines.fingerprint);
     fingerprint_corpus();
   } catch (const util::Cancelled&) {
     state_.store(RunState::kCancelled);
     log("run cancelled: " + token->reason());
-    // The per-stage caches already hold everything completed; bump the
-    // generation so a resume is attributable to this interruption.
-    save_stage_checkpoint(resumed_stage_);
     flush_telemetry();
     throw;
   } catch (...) {
@@ -298,7 +241,6 @@ void Study::run() {
     std::lock_guard lock(lifecycle_mu_);
     stage_name_.clear();
   }
-  save_stage_checkpoint(StudyStage::kDone);
   state_.store(RunState::kDone);
   ran_ = true;
   flush_telemetry();
@@ -421,16 +363,11 @@ void Study::build_dataset() {
       static_cast<std::uint32_t>(config_.sim.miller_rabin_rounds),
       kCatalogVersion,
   };
-  const std::uint32_t cache_shards = config_.cache_shards;
   bool have_corpus = false;
   if (!config_.cache_path.empty()) {
     obs::Span probe = telemetry_.tracer().span("study.load_corpus");
     if (auto cached =
-            cache_shards > 1
-                ? load_dataset_sharded(key, config_.cache_path,
-                                       &dataset_cache_status_)
-                : load_dataset(key, config_.cache_path,
-                               &dataset_cache_status_)) {
+            load_dataset(key, config_.cache_path, &dataset_cache_status_)) {
       log("loaded corpus from " + config_.cache_path);
       metrics.counter("cache.corpus.hit").inc();
       raw_dataset_ = std::move(*cached);
@@ -464,15 +401,8 @@ void Study::build_dataset() {
     log("simulated " + std::to_string(raw_dataset_.total_host_records()) +
         " host records");
     if (!config_.cache_path.empty()) {
-      if (cache_shards > 1) {
-        save_dataset_sharded(raw_dataset_, key, config_.cache_path,
-                             cache_shards);
-        log("corpus cached to " + config_.cache_path + " (" +
-            std::to_string(cache_shards) + " shards)");
-      } else {
-        save_dataset(raw_dataset_, key, config_.cache_path);
-        log("corpus cached to " + config_.cache_path);
-      }
+      save_dataset(raw_dataset_, key, config_.cache_path);
+      log("corpus cached to " + config_.cache_path);
     }
   }
 

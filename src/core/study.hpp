@@ -36,7 +36,6 @@
 #include "fingerprint/prime_pools.hpp"
 #include "core/ingest.hpp"
 #include "core/scan_store.hpp"
-#include "core/study_checkpoint.hpp"
 #include "fingerprint/subject_rules.hpp"
 #include "netsim/internet.hpp"
 #include "netsim/noise.hpp"
@@ -65,15 +64,10 @@ struct StudyConfig {
   /// Worker threads for the distributed batch GCD (0 = hardware).
   std::size_t threads = 0;
   /// Dataset cache path; empty disables caching. A stale or mismatched
-  /// cache is silently rebuilt.
+  /// cache is silently rebuilt. Rerunning with the same path resumes: the
+  /// corpus cache, `<cache_path>.factors` and the `<cache_path>.gcdckpt`
+  /// task journal each skip the work an earlier run finished.
   std::string cache_path = "weakkeys_corpus.cache";
-  /// Corpus cache shard count: > 1 splits the record stream round-robin
-  /// across "<cache_path>.shard<i>" files (each CRC-footed and atomically
-  /// published) so 10^6-host corpora don't serialize through one multi-GB
-  /// file, and ingest streams the shards back in original order — study
-  /// results are byte-identical to the single-file cache. 1 (or 0) keeps
-  /// the single file.
-  std::uint32_t cache_shards = 1;
   /// Fault injection (all-zero = none): the task, process, frame and
   /// connection tiers apply to the cluster path, the storage tier to spill
   /// I/O on either path.
@@ -181,7 +175,7 @@ struct StudyConfig {
   /// before the run cancels with util::StorageError. 0 = unlimited.
   long long spill_ram_fallback_mb = 0;
 
-  // -- Run lifecycle (cancellation, deadlines, watchdog, resume) ---------
+  // -- Run lifecycle (cancellation, deadlines, watchdog, signals) --------
 
   /// External cancellation token. When set, run() polls (and arms
   /// deadlines on) this token instead of the Study's internal one, so one
@@ -204,16 +198,11 @@ struct StudyConfig {
   /// the monitor thread, so it needs monitor_path to be set. 0 disables
   /// the watchdog.
   std::size_t watchdog_stall_ticks = 0;
-  /// Resume a previous run of the same configuration: load the WKC2 study
-  /// checkpoint (`cache_path + ".study"`) and continue its generation
-  /// count. The per-stage caches (corpus, gcdckpt journal, factors) do
-  /// the actual work-skipping; this flag additionally surfaces
-  /// `checkpoint.resume.stage` so callers can assert what was skipped.
-  bool resume = false;
   /// Install SIGINT/SIGTERM handlers for the duration of the Study that
   /// trip the run's cancellation token (async-signal-safely) instead of
-  /// killing the process: the run unwinds, flushes telemetry, and writes
-  /// its checkpoint. Previous handlers are restored on destruction.
+  /// killing the process: the run unwinds and flushes telemetry, leaving
+  /// the per-stage caches a rerun resumes from. Previous handlers are
+  /// restored on destruction.
   bool handle_signals = false;
 };
 
@@ -255,8 +244,8 @@ class Study {
 
   /// Runs the full pipeline. Idempotent. Throws util::Cancelled when the
   /// run's token trips (signal, deadline, watchdog, or explicit cancel());
-  /// telemetry is flushed and the study checkpoint written first, so a
-  /// resume=true re-run continues from the last completed stage.
+  /// telemetry is flushed first. A rerun with the same cache_path skips
+  /// whatever the per-stage caches already hold.
   void run();
 
   /// Trips the run's cancellation token from any thread. Poll sites at
@@ -370,10 +359,6 @@ class Study {
   /// flush; the monitor tick polls too, whichever fires first reports.
   void poll_mem_budget();
   [[nodiscard]] util::CancellationToken* resolve_token();
-  [[nodiscard]] std::string checkpoint_path() const;
-  [[nodiscard]] StudyCheckpointKey checkpoint_key() const;
-  void load_checkpoint_if_resuming();
-  void save_stage_checkpoint(StudyStage stage);
   /// Marks `name` as the running stage and arms its deadline (clamped to
   /// the run deadline); throws util::Cancelled if the token has tripped.
   void begin_stage(const std::string& name,
@@ -403,8 +388,6 @@ class Study {
   std::optional<std::chrono::steady_clock::time_point> run_deadline_at_;
   mutable std::mutex lifecycle_mu_;  ///< guards stage_name_
   std::string stage_name_;
-  std::uint64_t checkpoint_generation_ = 0;
-  StudyStage resumed_stage_ = StudyStage::kInit;
   netsim::ScanDataset raw_dataset_;
   netsim::ScanDataset dataset_;
   std::unique_ptr<netsim::Internet> internet_;

@@ -75,12 +75,11 @@ void overlay(const char* name, std::string& field) {
 }  // namespace
 
 StudyConfig StudyConfig::from_env(StudyConfig base) {
-  // Corpus and caches. The cache and checkpoint keys store the scale in
-  // millionths, so a smaller scale would alias 0.
+  // Corpus and caches. The cache keys store the scale in millionths, so a
+  // smaller scale would alias 0.
   overlay("WEAKKEYS_SCALE", base.sim.scale, 1e-6, 1e6);
   overlay("WEAKKEYS_SEED", base.sim.seed);
   overlay("WEAKKEYS_CACHE", base.cache_path);
-  overlay("WEAKKEYS_CACHE_SHARDS", base.cache_shards, 1);
 
   // Cluster path.
   overlay("WEAKKEYS_WORKERS", base.worker_processes);
@@ -107,14 +106,10 @@ StudyConfig StudyConfig::from_env(StudyConfig base) {
   overlay("WEAKKEYS_SPILL_RAM_FALLBACK_MB", base.spill_ram_fallback_mb, 0,
           kMaxMiB);
 
-  // Lifecycle: fractional deadline seconds (0 = none); a nonzero RESUME
-  // resumes.
+  // Lifecycle: fractional deadline seconds (0 = none).
   double deadline_s = base.run_deadline.count() / 1000.0;
   overlay("WEAKKEYS_DEADLINE", deadline_s, 0, 1e9);
   base.run_deadline = std::chrono::milliseconds(std::llround(deadline_s * 1e3));
-  long long resume = base.resume ? 1 : 0;
-  overlay("WEAKKEYS_RESUME", resume);
-  base.resume = resume != 0;
   return base;
 }
 

@@ -175,7 +175,6 @@ ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
   }
 
   ScanDataset dataset;
-  std::size_t snapshots_collected = 0;
   const Date start = study_start().month_start();
   const int months = util::months_between(start, study_end()) + 1;
   obs::Counter* scanned = config_.telemetry
@@ -196,12 +195,7 @@ ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
       }
       ScanSnapshot snap = scan(*s.campaign, s.when);
       if (scanned) scanned->inc(snap.records.size());
-      ++snapshots_collected;
-      if (config_.snapshot_sink) {
-        config_.snapshot_sink(std::move(snap));
-      } else {
-        dataset.snapshots.push_back(std::move(snap));
-      }
+      dataset.snapshots.push_back(std::move(snap));
     }
     // One progress line per simulated year: the corpus build is the longest
     // silent stretch of a cold-cache run.
@@ -210,7 +204,7 @@ ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
       for (const Device& d : devices_) alive += d.alive ? 1 : 0;
       config_.log("year " + std::to_string(month.year()) + ": " +
                   std::to_string(alive) + " devices alive, " +
-                  std::to_string(snapshots_collected) +
+                  std::to_string(dataset.snapshots.size()) +
                   " snapshots collected");
     }
   }

@@ -44,14 +44,6 @@ struct SimConfig {
   /// snapshot, whichever is in flight.
   /// Does not affect the StoreKey cache identity.
   const util::CancellationToken* cancel = nullptr;
-  /// Streaming emission for corpora too large to hold: when set, run()
-  /// hands each completed snapshot here instead of accumulating it and
-  /// returns an empty dataset, so at most one snapshot's records are ever
-  /// resident (pair with core::ShardedDatasetWriter). Snapshots arrive in
-  /// *generation* order (month by month, schedule order within a month) —
-  /// not the date-sorted order of a returned dataset; sort after ingest if
-  /// order matters. Does not affect the StoreKey cache identity.
-  std::function<void(ScanSnapshot&&)> snapshot_sink;
 };
 
 class Internet {

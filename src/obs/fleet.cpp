@@ -201,19 +201,6 @@ void FleetAggregator::publish() {
       .set(static_cast<std::int64_t>(reporting));
 }
 
-FleetAggregator::Summary FleetAggregator::summary() const {
-  Summary s;
-  s.snapshots = snapshots_total_;
-  for (const auto& [id, ws] : workers_) {
-    if (ws.snapshots == 0) continue;
-    ++s.workers_reporting;
-    s.tasks_executed += folded_counter(ws, "tasks_executed");
-    s.compute_us += folded_counter(ws, "compute_us");
-    if (ws.rss_kb >= 0) s.rss_kb += ws.rss_kb;
-  }
-  return s;
-}
-
 std::vector<FleetEvent> FleetAggregator::events() const {
   std::vector<FleetEvent> out = events_;
   for (const auto& [id, open] : open_assigns_) {

@@ -151,16 +151,6 @@ class FleetAggregator {
   /// accepted.
   std::size_t ingest(const FleetSnapshot& snap);
 
-  /// Published fleet totals, also available as fleet.* registry metrics.
-  struct Summary {
-    std::uint64_t workers_reporting = 0;
-    std::uint64_t snapshots = 0;
-    std::uint64_t tasks_executed = 0;
-    std::int64_t rss_kb = 0;        ///< sum of latest per-worker RSS
-    std::uint64_t compute_us = 0;   ///< sum of worker compute time
-  };
-  [[nodiscard]] Summary summary() const;
-
   /// Merged timeline (coordinator assign spans + rebased worker spans),
   /// sorted by (pid, tid, ts). Open assign spans are included as-if ended
   /// at their start (dur 0) so a halted run still shows them.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <map>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -157,67 +155,6 @@ std::string Tracer::chrome_trace_json() const {
     out += "}";
   }
   out += "]}";
-  return out;
-}
-
-namespace {
-
-struct StageNode {
-  std::uint64_t total_us = 0;
-  std::uint64_t child_us = 0;
-  std::size_t count = 0;
-  std::map<std::string, StageNode> children;
-};
-
-void render_stage(const std::string& name, const StageNode& node,
-                  std::size_t indent, std::string& out) {
-  const std::uint64_t self =
-      node.total_us >= node.child_us ? node.total_us - node.child_us : 0;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%*s%-*s total %10.3fms  self %10.3fms  x%zu\n",
-                static_cast<int>(indent * 2), "",
-                static_cast<int>(indent * 2 < 40 ? 40 - indent * 2 : 1),
-                name.c_str(), static_cast<double>(node.total_us) / 1000.0,
-                static_cast<double>(self) / 1000.0, node.count);
-  out += line;
-  for (const auto& [child_name, child] : node.children) {
-    render_stage(child_name, child, indent + 1, out);
-  }
-}
-
-}  // namespace
-
-std::string Tracer::stage_tree() const {
-  const std::vector<TraceEvent> sorted = events();
-  // Rebuild each thread's span stack from (depth, order) and merge the
-  // resulting paths into one aggregate tree across threads.
-  StageNode root;
-  std::vector<StageNode*> stack;  // stack[d] = aggregate node at depth d
-  std::uint32_t tid = 0;
-  bool have_tid = false;
-  for (const TraceEvent& e : sorted) {
-    if (!have_tid || e.tid != tid) {
-      stack.clear();
-      tid = e.tid;
-      have_tid = true;
-    }
-    // A span whose parent is still open when the snapshot is taken shows up
-    // with no recorded ancestor; clamp it to the deepest known level rather
-    // than indexing past the rebuilt stack.
-    const std::size_t depth =
-        std::min<std::size_t>(e.depth, stack.size());
-    stack.resize(depth);
-    StageNode& parent = depth == 0 ? root : *stack[depth - 1];
-    StageNode& node = parent.children[e.name];
-    node.total_us += e.dur_us;
-    node.count += 1;
-    if (depth > 0) stack[depth - 1]->child_us += e.dur_us;
-    stack.push_back(&node);
-  }
-  std::string out;
-  for (const auto& [name, node] : root.children) {
-    render_stage(name, node, 0, out);
-  }
   return out;
 }
 

@@ -2,13 +2,10 @@
 //
 // A Tracer hands out RAII Spans; each span records a named, timed interval
 // on the calling thread, and spans opened while another span is live on the
-// same thread nest under it. The collected timeline exports two ways:
-//
-//   * chrome_trace_json(): Chrome trace_event format ("X" complete events,
-//     one tid per participating thread) — load the file in about://tracing
-//     or https://ui.perfetto.dev to see the per-thread stage timeline;
-//   * stage_tree(): a plain-text tree aggregating spans by (name path):
-//     total time, call count, and self time per stage.
+// same thread nest under it. chrome_trace_json() exports the collected
+// timeline in Chrome trace_event format ("X" complete events, one tid per
+// participating thread) — load the file in about://tracing or
+// https://ui.perfetto.dev to see the per-thread stage timeline.
 //
 // Span begin/end costs two steady_clock reads plus one short mutex-guarded
 // vector push on end; a disabled tracer's spans cost one branch. Timestamps
@@ -84,9 +81,6 @@ class Tracer {
 
   /// Chrome trace_event JSON ({"traceEvents":[...]}); empty trace is valid.
   [[nodiscard]] std::string chrome_trace_json() const;
-
-  /// Plain-text aggregated stage tree (indentation = nesting).
-  [[nodiscard]] std::string stage_tree() const;
 
   /// Microseconds since tracer construction (the trace epoch).
   [[nodiscard]] std::uint64_t now_us() const;

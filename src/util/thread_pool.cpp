@@ -35,15 +35,7 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     if (queue_depth_) queue_depth_->add(-1);
-    if (task_us_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      job();
-      task_us_->record(
-          obs::elapsed_us(t0, std::chrono::steady_clock::now()));
-      tasks_completed_->inc();
-    } else {
-      job();
-    }
+    job();
   }
 }
 

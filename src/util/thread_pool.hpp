@@ -2,6 +2,7 @@
 // computation (the in-process stand-in for the paper's 22-machine cluster).
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -47,7 +48,13 @@ class ThreadPool {
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
+    // The instruments record inside the task, before its result is
+    // published: whoever waits on the future sees the task counted.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<Fn>(fn)]() mutable -> R {
+          const TaskTimer timer(*this);
+          return fn();
+        });
     std::future<R> result = task->get_future();
     {
       std::lock_guard lock(mutex_);
@@ -74,6 +81,28 @@ class ThreadPool {
 
  private:
   void worker_loop();
+
+  /// Records one task into `threadpool.task_us` and
+  /// `threadpool.tasks_completed` when it leaves scope, normally or by
+  /// exception. A no-op without telemetry.
+  class TaskTimer {
+   public:
+    explicit TaskTimer(const ThreadPool& pool) : pool_(pool) {
+      if (pool_.task_us_ != nullptr) t0_ = std::chrono::steady_clock::now();
+    }
+    ~TaskTimer() {
+      if (pool_.task_us_ == nullptr) return;
+      pool_.task_us_->record(
+          obs::elapsed_us(t0_, std::chrono::steady_clock::now()));
+      pool_.tasks_completed_->inc();
+    }
+    TaskTimer(const TaskTimer&) = delete;
+    TaskTimer& operator=(const TaskTimer&) = delete;
+
+   private:
+    const ThreadPool& pool_;
+    std::chrono::steady_clock::time_point t0_;
+  };
 
   std::vector<std::thread> threads_;
   std::queue<std::function<void()>> queue_;

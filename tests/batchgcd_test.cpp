@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -261,10 +262,13 @@ const std::vector<std::string>& shape_names() {
 class ScratchSpill {
  public:
   ScratchSpill() {
-    storage_.spill_dir =
-        std::string("scaled_descent_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        "_" + std::to_string(::getpid()) + ".d";
+    // A parameterized test's name holds a '/', which would nest the spill
+    // directory inside one that remove_all() never reaches.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    storage_.spill_dir = "scaled_descent_" + name + "_" +
+                         std::to_string(::getpid()) + ".d";
     storage_.spill_threshold_bytes = 0;  // always spill
   }
   ~ScratchSpill() { std::filesystem::remove_all(storage_.spill_dir); }

@@ -1,6 +1,6 @@
 // Crash-safe end-to-end resume: fork a child Study, SIGKILL it at chosen
 // pipeline points (after the corpus cache publishes, mid-batch-GCD, during
-// fingerprinting), then resume in-process with StudyConfig::resume and
+// fingerprinting), then rerun in-process with the same cache path and
 // assert the final result set is element-for-element identical to an
 // uninterrupted reference run — with only the unfinished work re-executed
 // and no orphaned `*.tmp` publication files anywhere in the cache family.
@@ -50,8 +50,8 @@ core::StudyConfig harness_config(const std::string& cache_path) {
 }
 
 const std::vector<std::string>& cache_suffixes() {
-  static const std::vector<std::string> suffixes = {"", ".factors", ".gcdckpt",
-                                                    ".study"};
+  static const std::vector<std::string> suffixes = {"", ".factors",
+                                                    ".gcdckpt"};
   return suffixes;
 }
 
@@ -168,9 +168,7 @@ TEST_F(KillResumeTest, KillAfterCorpusPublishResumesFromCorpusCache) {
     ASSERT_TRUE(corpus.good()) << "corpus cache did not survive the kill";
   }
 
-  auto resume_config = harness_config(cache);
-  resume_config.resume = true;
-  core::Study resumed(resume_config);
+  core::Study resumed(harness_config(cache));
   resume_and_verify(cache, resumed);
   // The simulation was skipped; factoring ran fresh (no journal existed).
   EXPECT_EQ(resumed.telemetry().metrics().counter("cache.corpus.hit").value(),
@@ -198,9 +196,7 @@ TEST_F(KillResumeTest, KillMidFactorResumesOnlyUnfinishedTasks) {
       },
       config));
 
-  auto resume_config = harness_config(cache);
-  resume_config.resume = true;
-  core::Study resumed(resume_config);
+  core::Study resumed(harness_config(cache));
   resume_and_verify(cache, resumed);
   const auto& stats = resumed.distributed_stats();
   const auto executed = resumed.telemetry()
@@ -221,22 +217,17 @@ TEST_F(KillResumeTest, KillDuringFingerprintResumesFromFactorCache) {
   auto config = harness_config(cache);
 
   // "found N ... cliques" is the first fingerprint-stage announcement; by
-  // then the factor cache and the kFactored study checkpoint are on disk.
+  // then the factor cache is on disk.
   config.log = [](const std::string& message) {
     if (message.rfind("found ", 0) == 0) ::raise(SIGKILL);
   };
   ASSERT_TRUE(run_child_until_killed([](core::Study&) {}, config));
 
-  auto resume_config = harness_config(cache);
-  resume_config.resume = true;
-  core::Study resumed(resume_config);
+  core::Study resumed(harness_config(cache));
   resume_and_verify(cache, resumed);
   auto& metrics = resumed.telemetry().metrics();
   EXPECT_EQ(metrics.counter("cache.corpus.hit").value(), 1u);
   EXPECT_EQ(metrics.counter("cache.factors.hit").value(), 1u);
-  // The WKC1 checkpoint recorded the factoring stage as completed.
-  EXPECT_EQ(metrics.counter("checkpoint.resume.stage").value(),
-            static_cast<std::uint64_t>(core::StudyStage::kFactored));
   remove_cache_family(cache);
 }
 

@@ -25,9 +25,7 @@
 
 #include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/distributed.hpp"
-#include "core/binary_io.hpp"
 #include "core/study.hpp"
-#include "core/study_checkpoint.hpp"
 #include "obs/status_server.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/watchdog.hpp"
@@ -388,85 +386,6 @@ TEST(Watchdog, DiagnosticCarriesQueueDepthAndGcdProgress) {
   EXPECT_NE(diag.find("gcd 6/9"), std::string::npos);
 }
 
-// ------------------------------------------------- WKC2 checkpoint --------
-
-TEST(StudyCheckpointFormat, RoundTripsAndBindsToKey) {
-  const std::string path = "lifecycle_ckpt.study";
-  core::StudyCheckpoint cp;
-  cp.key = {1234, 30000, 4, 7, 99, 3};
-  cp.generation = 5;
-  cp.stage = core::StudyStage::kFactored;
-  core::save_study_checkpoint(cp, path);
-  {
-    std::ifstream tmp(util::atomic_tmp_path(path));
-    EXPECT_FALSE(tmp.good());
-  }
-  const auto loaded = core::load_study_checkpoint(cp.key, path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->generation, 5u);
-  EXPECT_EQ(loaded->stage, core::StudyStage::kFactored);
-
-  // Any key mismatch invalidates the checkpoint.
-  auto other = cp.key;
-  other.seed = 4321;
-  EXPECT_FALSE(core::load_study_checkpoint(other, path).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(StudyCheckpointFormat, RejectsTruncationAndBitFlips) {
-  const std::string path = "lifecycle_ckpt_corrupt.study";
-  core::StudyCheckpoint cp;
-  cp.key = {1, 2, 3, 4, 5, 6};
-  cp.generation = 2;
-  cp.stage = core::StudyStage::kIngested;
-  core::save_study_checkpoint(cp, path);
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes.substr(0, bytes.size() - 5);  // truncate
-  }
-  EXPECT_FALSE(core::load_study_checkpoint(cp.key, path).has_value());
-  bytes[10] ^= 0x40;  // bit flip
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-  EXPECT_FALSE(core::load_study_checkpoint(cp.key, path).has_value());
-  EXPECT_FALSE(
-      core::load_study_checkpoint(cp.key, "does_not_exist.study").has_value());
-  std::remove(path.c_str());
-}
-
-TEST(StudyCheckpointFormat, RejectsPreviousFormatVersion) {
-  // A well-formed WKC1 checkpoint (its key still carried a fault-tolerance
-  // flag) must be rejected outright, never misread as a WKC2 key one field
-  // shorter.
-  const std::string path = "lifecycle_ckpt_wkc1.study";
-  const core::StudyCheckpointKey key{1234, 30000, 4, 7, 99, 3};
-  core::BufferWriter w;
-  w.u32(0x574b4331);  // "WKC1"
-  w.u64(key.seed);
-  w.u64(key.scale_millionths);
-  w.u32(key.mr_rounds);
-  w.u32(key.catalog_version);
-  w.u64(key.noise_fingerprint);
-  w.u32(key.subsets);
-  w.u32(0);  // the WKC1-only fault-tolerance flag
-  w.u64(5);  // generation
-  w.u32(static_cast<std::uint32_t>(core::StudyStage::kFactored));
-  std::vector<std::uint8_t> file = w.data();
-  core::BufferWriter footer;
-  footer.u64(file.size());
-  footer.u32(core::crc32(file));
-  file.insert(file.end(), footer.data().begin(), footer.data().end());
-  util::atomic_write_file(path, file);
-  EXPECT_FALSE(core::load_study_checkpoint(key, path).has_value());
-  std::remove(path.c_str());
-}
-
 // --------------------------------------------- study-level lifecycle ------
 
 core::StudyConfig tiny_study_config(std::uint64_t seed) {
@@ -506,8 +425,10 @@ TEST(StudyLifecycle, ExplicitCancelFromAnotherThreadUnwinds) {
 }
 
 TEST(StudyLifecycle, CheckpointAdvancesThroughStagesAndSupportsResume) {
+  // The per-stage caches are the run's checkpoint: a second run with the
+  // same cache path, and no other setting, skips every finished stage.
   const std::string cache = "lifecycle_stages.cache";
-  for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+  for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
     std::remove((cache + suffix).c_str());
   }
   auto config = tiny_study_config(779);
@@ -517,22 +438,18 @@ TEST(StudyLifecycle, CheckpointAdvancesThroughStagesAndSupportsResume) {
     study.run();
     EXPECT_EQ(study.run_state(), core::RunState::kDone);
     auto& m = study.telemetry().metrics();
-    EXPECT_EQ(m.counter("checkpoint.writes").value(), 3u);
-    EXPECT_EQ(m.counter("checkpoint.generation").value(), 3u);
+    EXPECT_EQ(m.counter("cache.corpus.miss").value(), 1u);
+    EXPECT_EQ(m.counter("cache.factors.miss").value(), 1u);
+    EXPECT_GT(m.counter("coordinator.tasks_executed").value(), 0u);
   }
-  // Second run with resume: continues the generation count and reports the
-  // resumed stage; the corpus and factor caches short-circuit the work.
-  auto again = config;
-  again.resume = true;
-  core::Study study(again);
+  core::Study study(config);
   study.run();
+  EXPECT_EQ(study.run_state(), core::RunState::kDone);
   auto& m = study.telemetry().metrics();
-  EXPECT_EQ(m.counter("checkpoint.resume.stage").value(),
-            static_cast<std::uint64_t>(core::StudyStage::kDone));
   EXPECT_EQ(m.counter("cache.corpus.hit").value(), 1u);
   EXPECT_EQ(m.counter("cache.factors.hit").value(), 1u);
-  EXPECT_EQ(m.counter("checkpoint.generation").value(), 6u);
-  for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+  EXPECT_EQ(m.counter("coordinator.tasks_executed").value(), 0u);
+  for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
     std::remove((cache + suffix).c_str());
   }
 }
@@ -543,7 +460,7 @@ TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
   // and the resumed run re-executes only the unfinished tasks.
   const std::string cache = "lifecycle_factor_cancel.cache";
   const auto remove_family = [&cache] {
-    for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+    for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
       std::remove((cache + suffix).c_str());
     }
   };
@@ -565,9 +482,7 @@ TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
     std::ifstream journal(cache + ".gcdckpt", std::ios::binary);
     EXPECT_TRUE(journal.good()) << "cancel must retain the journal";
   }
-  auto again = config;
-  again.resume = true;
-  core::Study study(again);
+  core::Study study(config);
   study.run();
   const auto& stats = study.distributed_stats();
   const auto executed =
@@ -595,7 +510,7 @@ TEST(StudyLifecycle, FlushTelemetryIsIdempotent) {
 
 TEST(StudyLifecycle, SigtermMidRunUnwindsGracefullyAndWritesCheckpoint) {
   const std::string cache = "lifecycle_sigterm.cache";
-  for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+  for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
     std::remove((cache + suffix).c_str());
   }
   auto config = tiny_study_config(781);
@@ -612,12 +527,15 @@ TEST(StudyLifecycle, SigtermMidRunUnwindsGracefullyAndWritesCheckpoint) {
   EXPECT_EQ(study.cancellation_token().signal(), SIGTERM);
   EXPECT_NE(study.lifecycle().cancel_reason.find("signal"),
             std::string::npos);
-  // The interruption checkpoint was written (atomically: no tmp orphan).
-  EXPECT_GT(
-      study.telemetry().metrics().counter("checkpoint.writes").value(), 0u);
-  std::ifstream tmp(util::atomic_tmp_path(cache + ".study"));
-  EXPECT_FALSE(tmp.good());
-  for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
+  // Whatever the interrupted run persisted was published atomically: no
+  // temp file of the cache family survives the unwind.
+  for (const auto& entry : std::filesystem::directory_iterator(".")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(cache, 0) == 0) {
+      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+    }
+  }
+  for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
     std::remove((cache + suffix).c_str());
   }
 }

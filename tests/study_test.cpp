@@ -333,233 +333,6 @@ TEST_F(ScanStoreTest, MissingAndCorruptFilesReturnNullopt) {
   EXPECT_FALSE(load_dataset(StoreKey{}, path_).has_value());
 }
 
-// -------------------------------------------------------- sharded store ----
-
-void remove_shards(const std::string& path, std::uint32_t shards) {
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    std::remove(shard_path(path, s).c_str());
-    std::remove((shard_path(path, s) + ".tmp").c_str());
-  }
-}
-
-std::vector<unsigned char> slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::vector<unsigned char> bytes;
-  if (!f) return bytes;
-  unsigned char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-void expect_datasets_equal(const netsim::ScanDataset& a,
-                           const netsim::ScanDataset& b) {
-  ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
-  for (std::size_t s = 0; s < a.snapshots.size(); ++s) {
-    const auto& x = a.snapshots[s];
-    const auto& y = b.snapshots[s];
-    EXPECT_EQ(x.date, y.date);
-    EXPECT_EQ(x.source, y.source);
-    EXPECT_EQ(x.protocol, y.protocol);
-    ASSERT_EQ(x.records.size(), y.records.size());
-    for (std::size_t i = 0; i < x.records.size(); ++i) {
-      EXPECT_EQ(x.records[i].ip, y.records[i].ip);
-      EXPECT_EQ(x.records[i].cert(), y.records[i].cert());
-    }
-  }
-}
-
-TEST_F(ScanStoreTest, ShardedRoundTripMatchesSingleFile) {
-  netsim::SimConfig sim;
-  sim.seed = 8;
-  sim.miller_rabin_rounds = 4;
-  netsim::Internet net(netsim::standard_models(0.005), sim);
-  const netsim::ScanDataset original = net.run(netsim::standard_campaigns());
-  const StoreKey key{8, 5000, 4, 1};
-
-  save_dataset(original, key, path_);
-  save_dataset_sharded(original, key, path_ + ".sh", 3);
-
-  DatasetLoadStatus status = DatasetLoadStatus::kMissing;
-  const auto single = load_dataset(key, path_);
-  const auto sharded = load_dataset_sharded(key, path_ + ".sh", &status);
-  ASSERT_TRUE(single.has_value());
-  ASSERT_TRUE(sharded.has_value());
-  EXPECT_EQ(status, DatasetLoadStatus::kLoaded);
-  // Interleaved ingest reconstructs the exact single-file record order.
-  expect_datasets_equal(*single, *sharded);
-  expect_datasets_equal(original, *sharded);
-  EXPECT_EQ(sharded->distinct_certificates(), original.distinct_certificates());
-
-  // The streaming ingest visits the same snapshots/records without
-  // materializing: counts must agree with the materialized load.
-  std::size_t snaps = 0;
-  std::size_t records = 0;
-  EXPECT_EQ(ingest_dataset_sharded(
-                key, path_ + ".sh",
-                [&](const netsim::ScanSnapshot&) { ++snaps; },
-                [&](netsim::HostRecord&&) { ++records; }),
-            DatasetLoadStatus::kLoaded);
-  EXPECT_EQ(snaps, original.snapshots.size());
-  EXPECT_EQ(records, sharded->total_host_records());
-
-  remove_shards(path_ + ".sh", 3);
-}
-
-TEST_F(ScanStoreTest, ShardedWriterIsByteIdenticalToBatchSave) {
-  netsim::SimConfig sim;
-  sim.seed = 9;
-  sim.miller_rabin_rounds = 4;
-  netsim::Internet net(netsim::standard_models(0.004), sim);
-  const netsim::ScanDataset dataset = net.run(netsim::standard_campaigns());
-  const StoreKey key{9, 4000, 4, 1};
-
-  save_dataset_sharded(dataset, key, path_ + ".a", 3);
-  {
-    ShardedDatasetWriter writer(key, path_ + ".b", 3);
-    for (const auto& snap : dataset.snapshots) writer.add_snapshot(snap);
-    writer.finish();
-  }
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    SCOPED_TRACE(s);
-    EXPECT_EQ(slurp(shard_path(path_ + ".a", s)),
-              slurp(shard_path(path_ + ".b", s)));
-  }
-  remove_shards(path_ + ".a", 3);
-  remove_shards(path_ + ".b", 3);
-}
-
-TEST_F(ScanStoreTest, ShardedFailsClosedOnMissingOrCorruptShard) {
-  netsim::SimConfig sim;
-  sim.seed = 10;
-  sim.miller_rabin_rounds = 4;
-  netsim::Internet net(netsim::standard_models(0.003), sim);
-  const netsim::ScanDataset dataset = net.run(netsim::standard_campaigns());
-  const StoreKey key{10, 3000, 4, 1};
-  save_dataset_sharded(dataset, key, path_, 3);
-
-  // Key mismatch on any shard: rebuild, not partial load.
-  DatasetLoadStatus status = DatasetLoadStatus::kLoaded;
-  EXPECT_FALSE(
-      load_dataset_sharded(StoreKey{11, 3000, 4, 1}, path_, &status)
-          .has_value());
-  EXPECT_EQ(status, DatasetLoadStatus::kKeyMismatch);
-
-  // Corrupt one shard's tail: the whole corpus is unusable (no partial
-  // corpora), attributed to the checksum.
-  {
-    const auto bytes = slurp(shard_path(path_, 1));
-    std::FILE* f = std::fopen(shard_path(path_, 1).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size() - 3, f),
-              bytes.size() - 3);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(load_dataset_sharded(key, path_, &status).has_value());
-  EXPECT_EQ(status, DatasetLoadStatus::kBadChecksum);
-
-  // A missing shard likewise fails the whole load.
-  std::remove(shard_path(path_, 1).c_str());
-  EXPECT_FALSE(load_dataset_sharded(key, path_, &status).has_value());
-  EXPECT_EQ(status, DatasetLoadStatus::kMissing);
-
-  remove_shards(path_, 3);
-}
-
-TEST_F(ScanStoreTest, SnapshotSinkStreamsWithoutAccumulating) {
-  // Two identical simulations: one accumulating (the dataset path), one
-  // streaming through snapshot_sink into a ShardedDatasetWriter. The
-  // sharded store must reload to the accumulated dataset exactly — the
-  // 10^6-host emission path changes residency, not results.
-  netsim::SimConfig sim;
-  sim.seed = 11;
-  sim.miller_rabin_rounds = 4;
-  netsim::Internet accumulate(netsim::standard_models(0.004), sim);
-  netsim::ScanDataset dataset = accumulate.run(netsim::standard_campaigns());
-
-  const StoreKey key{11, 4000, 4, 1};
-  std::size_t streamed = 0;
-  {
-    ShardedDatasetWriter writer(key, path_, 2);
-    netsim::SimConfig streaming = sim;
-    streaming.snapshot_sink = [&](netsim::ScanSnapshot&& snap) {
-      ++streamed;
-      writer.add_snapshot(snap);
-    };
-    netsim::Internet stream(netsim::standard_models(0.004), streaming);
-    const netsim::ScanDataset empty =
-        stream.run(netsim::standard_campaigns());
-    EXPECT_TRUE(empty.snapshots.empty());  // nothing accumulated
-    writer.finish();
-  }
-  EXPECT_EQ(streamed, dataset.snapshots.size());
-
-  auto reloaded = load_dataset_sharded(key, path_);
-  ASSERT_TRUE(reloaded.has_value());
-  // The sink delivers generation order; the returned dataset is
-  // date-sorted. Sort the reload the same way before comparing.
-  std::sort(reloaded->snapshots.begin(), reloaded->snapshots.end(),
-            [](const netsim::ScanSnapshot& a, const netsim::ScanSnapshot& b) {
-              if (a.date != b.date) return a.date < b.date;
-              return a.source < b.source;
-            });
-  expect_datasets_equal(dataset, *reloaded);
-  remove_shards(path_, 2);
-}
-
-TEST(StudyCache, ShardedCacheReloadsIdenticalResults) {
-  const std::string single = "study_cache_single_test.tmp";
-  const std::string sharded = "study_cache_sharded_test.tmp";
-  auto cleanup = [&] {
-    std::remove(single.c_str());
-    std::remove((single + ".factors").c_str());
-    std::remove((sharded + ".factors").c_str());
-    remove_shards(sharded, 3);
-  };
-  cleanup();
-
-  StudyConfig config;
-  config.sim.seed = 779;
-  config.sim.scale = 0.005;
-  config.sim.miller_rabin_rounds = 4;
-  config.batch_gcd_subsets = 2;
-
-  config.cache_path = single;
-  Study seed_single(config);
-  seed_single.run();
-
-  config.cache_path = sharded;
-  config.cache_shards = 3;
-  Study seed_sharded(config);
-  seed_sharded.run();
-
-  // Both caches written; both reload paths must agree with each other.
-  Study from_sharded(config);
-  from_sharded.run();
-  EXPECT_EQ(from_sharded.dataset_cache_status(), DatasetLoadStatus::kLoaded);
-
-  StudyConfig single_config = config;
-  single_config.cache_path = single;
-  single_config.cache_shards = 0;
-  Study reload_single(single_config);
-  reload_single.run();
-  EXPECT_EQ(reload_single.dataset_cache_status(), DatasetLoadStatus::kLoaded);
-
-  ASSERT_EQ(from_sharded.factored().size(), reload_single.factored().size());
-  for (std::size_t i = 0; i < from_sharded.factored().size(); ++i) {
-    EXPECT_EQ(from_sharded.factored()[i].n, reload_single.factored()[i].n);
-    EXPECT_EQ(from_sharded.factored()[i].p, reload_single.factored()[i].p);
-  }
-  EXPECT_EQ(from_sharded.vulnerable().size(), reload_single.vulnerable().size());
-  EXPECT_EQ(from_sharded.dataset().total_host_records(),
-            reload_single.dataset().total_host_records());
-  cleanup();
-}
-
 std::optional<std::string> getenv_value(const char* name) {
   const char* value = std::getenv(name);
   return value ? std::optional<std::string>(value) : std::nullopt;
@@ -595,17 +368,16 @@ class ScopedEnv {
 /// Every variable StudyConfig::from_env reads.
 constexpr const char* kStudyEnvVars[] = {
     "WEAKKEYS_SCALE",          "WEAKKEYS_SEED",
-    "WEAKKEYS_CACHE",          "WEAKKEYS_CACHE_SHARDS",
-    "WEAKKEYS_WORKERS",        "WEAKKEYS_WORKER_BIN",
-    "WEAKKEYS_WORKER_PORT",    "WEAKKEYS_REMOTE_WORKERS",
-    "WEAKKEYS_WORKER_GRACE_MS", "WEAKKEYS_CHUNK_BYTES",
-    "WEAKKEYS_STREAM_WINDOW",  "WEAKKEYS_TELEMETRY_INTERVAL_MS",
-    "WEAKKEYS_FLEET_TRACE",    "WEAKKEYS_TRACE",
-    "WEAKKEYS_MONITOR",        "WEAKKEYS_STATUS_PORT",
-    "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
-    "WEAKKEYS_MEM_BUDGET_MB",  "WEAKKEYS_SPILL_DIR",
-    "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",
-    "WEAKKEYS_DEADLINE",       "WEAKKEYS_RESUME",
+    "WEAKKEYS_CACHE",          "WEAKKEYS_WORKERS",
+    "WEAKKEYS_WORKER_BIN",     "WEAKKEYS_WORKER_PORT",
+    "WEAKKEYS_REMOTE_WORKERS", "WEAKKEYS_WORKER_GRACE_MS",
+    "WEAKKEYS_CHUNK_BYTES",    "WEAKKEYS_STREAM_WINDOW",
+    "WEAKKEYS_TELEMETRY_INTERVAL_MS", "WEAKKEYS_FLEET_TRACE",
+    "WEAKKEYS_TRACE",          "WEAKKEYS_MONITOR",
+    "WEAKKEYS_STATUS_PORT",    "WEAKKEYS_PROFILE_HZ",
+    "WEAKKEYS_PROFILE_OUT",    "WEAKKEYS_MEM_BUDGET_MB",
+    "WEAKKEYS_SPILL_DIR",      "WEAKKEYS_SPILL_THRESHOLD_MB",
+    "WEAKKEYS_SPILL_RAM_FALLBACK_MB", "WEAKKEYS_DEADLINE",
 };
 
 /// Unsets every from_env variable for a scope, so the developer's shell
@@ -637,8 +409,6 @@ TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
        [](const StudyConfig& c) { return c.sim.scale; }},
       {"WEAKKEYS_SEED", "7", 7, "seven", "-1",
        [](const StudyConfig& c) { return static_cast<double>(c.sim.seed); }},
-      {"WEAKKEYS_CACHE_SHARDS", "3", 3, "3x", "0",
-       [](const StudyConfig& c) { return c.cache_shards * 1.0; }},
       {"WEAKKEYS_WORKERS", "4", 4, "four", "-1",
        [](const StudyConfig& c) { return c.worker_processes * 1.0; }},
       {"WEAKKEYS_WORKER_PORT", "7000", 7000, "port", "70000",
@@ -665,8 +435,6 @@ TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
        [](const StudyConfig& c) { return c.spill_ram_fallback_mb * 1.0; }},
       {"WEAKKEYS_DEADLINE", "1.5", 1500, "soon", "-2",
        [](const StudyConfig& c) { return c.run_deadline.count() * 1.0; }},
-      {"WEAKKEYS_RESUME", "1", 1, "yes", "99999999999999999999",
-       [](const StudyConfig& c) { return c.resume ? 1.0 : 0.0; }},
   };
   const StudyConfig defaults;
   for (const Row& row : rows) {
@@ -745,46 +513,6 @@ TEST(StudyConfigEnv, StudyIgnoresTheEnvironment) {
   }
   EXPECT_FALSE(std::filesystem::exists(trace));
   EXPECT_FALSE(std::filesystem::exists(trace + ".metrics.json"));
-}
-
-TEST(StudyConfigEnv, ResumeFlagIsTheConfigsNotTheEnvironments) {
-  CleanStudyEnv clean;
-  const std::string cache = ::testing::TempDir() + "study_resume_env_" +
-                            std::to_string(::getpid()) + ".cache";
-  const auto cleanup = [&] {
-    for (const char* suffix : {"", ".factors", ".gcdckpt", ".study"}) {
-      std::filesystem::remove(cache + suffix);
-    }
-  };
-  cleanup();
-  StudyConfig config = tiny_config(992);
-  config.cache_path = cache;
-  {
-    Study first(config);
-    first.run();
-  }
-  const auto resumed_stage = [](Study& study) {
-    return study.telemetry().metrics().counter("checkpoint.resume.stage")
-        .value();
-  };
-  {
-    // An explicit resume = true resumes even with WEAKKEYS_RESUME=0.
-    ScopedEnv env("WEAKKEYS_RESUME", "0");
-    StudyConfig resume = config;
-    resume.resume = true;
-    Study study(resume);
-    study.run();
-    EXPECT_EQ(resumed_stage(study),
-              static_cast<std::uint64_t>(StudyStage::kDone));
-  }
-  {
-    // The default (resume = false) does not resume with WEAKKEYS_RESUME=1.
-    ScopedEnv env("WEAKKEYS_RESUME", "1");
-    Study study(config);
-    study.run();
-    EXPECT_EQ(resumed_stage(study), 0u);
-  }
-  cleanup();
 }
 
 #if defined(WEAKKEYS_GCD_WORKER_BIN)

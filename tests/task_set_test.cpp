@@ -488,7 +488,7 @@ TEST(StudyCoordinator, JournaledStudyMatchesUnjournaledRun) {
   EXPECT_EQ(snap.counter("coordinator.tasks_executed"), 9u);
   // The factor cache supersedes the journal once factoring finishes.
   EXPECT_FALSE(std::ifstream(cache + ".gcdckpt").good());
-  for (const char* suffix : {"", ".factors", ".study"}) {
+  for (const char* suffix : {"", ".factors"}) {
     std::remove((cache + suffix).c_str());
   }
 }
