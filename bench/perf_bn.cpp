@@ -3,9 +3,10 @@
 //   * Karatsuba vs schoolbook multiplication (threshold sweep),
 //   * Newton-reciprocal vs Knuth Algorithm D division,
 // the Newton reciprocal the scaled remainder tree starts from, Montgomery
-// modexp and RSA keygen throughput, and — when GMP is found at configure
-// time — GMP's multiply and divide at the same sizes as a yardstick for how
-// far the kernels are from the hardware (BM_*_Gmp).
+// modexp, gcd and RSA keygen throughput, and — when GMP is found at
+// configure time — GMP's multiply, divide, powm and gcd on the same
+// operands as a yardstick for how far the kernels are from the hardware
+// (BM_*_Gmp).
 #include <benchmark/benchmark.h>
 #if WEAKKEYS_BENCH_GMP
 #include <gmp.h>
@@ -150,7 +151,7 @@ void BM_ModPow(benchmark::State& state) {
     benchmark::DoNotOptimize(bn::mod_pow(base, exponent, modulus));
   }
 }
-BENCHMARK(BM_ModPow)->Arg(256)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModPow)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_Gcd(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
@@ -161,6 +162,36 @@ void BM_Gcd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gcd)->Arg(256)->Arg(1024);
+
+#if WEAKKEYS_BENCH_GMP
+/// The same operands as BM_ModPow and BM_Gcd.
+void BM_ModPow_Gmp(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  const Mpz base(random_bits_of(5, bits));
+  const Mpz exponent(random_bits_of(6, bits));
+  BigInt modulus = random_bits_of(7, bits);
+  if (modulus.is_even()) modulus += BigInt(1);
+  const Mpz m(modulus);
+  Mpz r;
+  for (auto _ : state) {
+    mpz_powm(r.z, base.z, exponent.z, m.z);
+    benchmark::DoNotOptimize(r.z);
+  }
+}
+BENCHMARK(BM_ModPow_Gmp)->Arg(128)->Arg(256);
+
+void BM_Gcd_Gmp(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  const Mpz a(random_bits_of(8, bits));
+  const Mpz b(random_bits_of(9, bits));
+  Mpz r;
+  for (auto _ : state) {
+    mpz_gcd(r.z, a.z, b.z);
+    benchmark::DoNotOptimize(r.z);
+  }
+}
+BENCHMARK(BM_Gcd_Gmp)->Arg(256);
+#endif
 
 void BM_RsaKeygen(benchmark::State& state) {
   rng::PrngRandomSource src(10);

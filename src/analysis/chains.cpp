@@ -2,10 +2,11 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 namespace weakkeys::analysis {
 
-netsim::ScanSnapshot exclude_intermediates(const netsim::ScanSnapshot& snap) {
+netsim::ScanSnapshot exclude_intermediates(netsim::ScanSnapshot snap) {
   // issuer DNs of non-self-signed certificates, per IP.
   std::map<std::uint32_t, std::set<std::string>> issuers_at_ip;
   for (const auto& rec : snap.records) {
@@ -16,30 +17,22 @@ netsim::ScanSnapshot exclude_intermediates(const netsim::ScanSnapshot& snap) {
     }
   }
 
-  netsim::ScanSnapshot out;
-  out.date = snap.date;
-  out.source = snap.source;
-  out.protocol = snap.protocol;
-  out.records.reserve(snap.records.size());
-  for (const auto& rec : snap.records) {
-    if (!rec.has_cert()) continue;  // quarantine input, never analysis input
+  // Survivors move down in place, in order.
+  std::erase_if(snap.records, [&issuers_at_ip](const netsim::HostRecord& rec) {
+    if (!rec.has_cert()) return true;  // quarantine input, never analysis input
     const auto it = issuers_at_ip.find(rec.ip.value());
-    if (it != issuers_at_ip.end() &&
-        it->second.contains(rec.cert().subject.to_string())) {
-      continue;  // this certificate issued another cert seen at the same IP
-    }
-    out.records.push_back(rec);
-  }
-  return out;
+    // Drop a certificate that issued another cert seen at the same IP.
+    return it != issuers_at_ip.end() &&
+           it->second.contains(rec.cert().subject.to_string());
+  });
+  return snap;
 }
 
-netsim::ScanDataset exclude_intermediates(const netsim::ScanDataset& dataset) {
-  netsim::ScanDataset out;
-  out.snapshots.reserve(dataset.snapshots.size());
-  for (const auto& snap : dataset.snapshots) {
-    out.snapshots.push_back(exclude_intermediates(snap));
+netsim::ScanDataset exclude_intermediates(netsim::ScanDataset dataset) {
+  for (auto& snap : dataset.snapshots) {
+    snap = exclude_intermediates(std::move(snap));
   }
-  return out;
+  return dataset;
 }
 
 }  // namespace weakkeys::analysis

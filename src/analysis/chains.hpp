@@ -11,10 +11,11 @@
 
 namespace weakkeys::analysis {
 
-/// Copy of `snap` with intermediate (issuer) records removed.
-netsim::ScanSnapshot exclude_intermediates(const netsim::ScanSnapshot& snap);
+/// `snap` with intermediate (issuer) records removed. Takes the snapshot by
+/// value: pass an rvalue to filter in place, an lvalue to keep a copy.
+netsim::ScanSnapshot exclude_intermediates(netsim::ScanSnapshot snap);
 
-/// Applies exclude_intermediates to every snapshot.
-netsim::ScanDataset exclude_intermediates(const netsim::ScanDataset& dataset);
+/// Applies exclude_intermediates to every snapshot (by value, as above).
+netsim::ScanDataset exclude_intermediates(netsim::ScanDataset dataset);
 
 }  // namespace weakkeys::analysis

@@ -188,9 +188,16 @@ BigInt random_bits(RandomSource& src, std::size_t bits);
 BigInt random_range(RandomSource& src, const BigInt& low, const BigInt& high);
 
 /// Miller-Rabin primality test with `rounds` random bases from `src`.
-/// Deterministic small-prime handling; composite numbers are detected with
+/// Deterministic small-prime handling (trial division by the first 64
+/// primes, then miller_rabin); composite numbers are detected with
 /// probability >= 1 - 4^-rounds.
 bool is_probable_prime(const BigInt& n, RandomSource& src, int rounds = 16);
+
+/// The Miller-Rabin rounds of is_probable_prime alone, without its trial
+/// division: for callers whose sieve already removed small factors. Each
+/// round draws one base with random_range(src, 2, n - 2). Throws
+/// std::domain_error unless n is odd and >= 5.
+bool miller_rabin(const BigInt& n, RandomSource& src, int rounds);
 
 /// The first `count` primes (2, 3, 5, ...), computed by sieve.
 const std::vector<std::uint32_t>& small_primes(std::size_t count);

@@ -3,7 +3,9 @@
 // Not part of the public API.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bn/bigint.hpp"
@@ -92,6 +94,90 @@ void divmod_newton(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r);
 
 /// Significant bits of the magnitude (0 for empty).
 std::size_t bit_length(const LimbVec& v);
+
+// -- Small-operand kernels ----------------------------------------------------
+
+/// Widest operand, in limbs, that the small-operand kernels (Montgomery
+/// exponentiation, gcd) keep entirely in stack scratch. 8 limbs is a
+/// 512-bit prime, the largest factor of the 1024-bit keys in the study.
+inline constexpr std::size_t kSmallLimbs = 8;
+
+/// Limb scratch that lives on the stack up to kInline limbs and takes one
+/// heap block beyond that. Uninitialised; not copyable (data() points into
+/// the object).
+template <std::size_t kInline>
+class LimbBuffer {
+ public:
+  explicit LimbBuffer(std::size_t n) {
+    if (n > kInline) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  LimbBuffer(const LimbBuffer&) = delete;
+  LimbBuffer& operator=(const LimbBuffer&) = delete;
+
+  [[nodiscard]] Limb* data() { return data_; }
+  [[nodiscard]] const Limb* data() const { return data_; }
+
+ private:
+  std::array<Limb, kInline> inline_;
+  std::vector<Limb> heap_;
+  Limb* data_ = inline_.data();
+};
+
+/// Montgomery arithmetic modulo an odd m > 1 of n limbs, on raw limb
+/// ranges. A value in Montgomery form is an n-limb array holding
+/// x * beta^n mod m, fully reduced, so equal residues compare equal limb by
+/// limb. Nothing here allocates for m of up to kSmallLimbs limbs; a wider
+/// modulus takes heap blocks per call (the context, pow(), to_mont()),
+/// never per product. A context owns scratch, so it belongs to one thread.
+class Montgomery {
+ public:
+  /// Builds the context: -m^-1 mod beta, beta^n mod m and beta^2n mod m,
+  /// by doublings and Montgomery squarings (no division).
+  explicit Montgomery(const BigInt& m);
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] const Limb* modulus() const { return buf_.data(); }
+  /// beta^n mod m: the Montgomery image of 1.
+  [[nodiscard]] const Limb* one() const { return buf_.data() + 2 * n_; }
+
+  /// r = a * b * beta^-n mod m. r may alias a or b.
+  void mul(Limb* r, const Limb* a, const Limb* b) {
+    kernels_.mul(r, a, b, modulus(), n0_, n_, t());
+  }
+
+  /// r = the Montgomery image of x, for x < m given as at most n limbs.
+  void to_mont(Limb* r, std::span<const Limb> x);
+
+  /// The plain value of Montgomery-form x.
+  [[nodiscard]] BigInt from_mont(const Limb* x);
+
+  /// r = base^e in Montgomery form (base in Montgomery form too), by a
+  /// left-to-right sliding window of up to 5 bits. r may alias base.
+  void pow(Limb* r, const Limb* base, std::span<const Limb> e);
+
+  /// One width's kernels; the pointers are picked once per context, so the
+  /// widths up to kSmallLimbs run fully unrolled instances.
+  struct Kernels {
+    void (*mul)(Limb* r, const Limb* a, const Limb* b, const Limb* m,
+                Limb n0, std::size_t n, Limb* t);
+    void (*pow)(Limb* r, const Limb* base, std::span<const Limb> e,
+                const Limb* one, const Limb* m, Limb n0, std::size_t n,
+                Limb* t);
+  };
+
+ private:
+  // buf_ holds m | beta^2n mod m | beta^n mod m | product scratch (2n).
+  Limb* rr() { return buf_.data() + n_; }
+  Limb* t() { return buf_.data() + 3 * n_; }
+
+  std::size_t n_;
+  Limb n0_;
+  Kernels kernels_;
+  LimbBuffer<5 * kSmallLimbs> buf_;
+};
 
 }  // namespace detail
 }  // namespace weakkeys::bn

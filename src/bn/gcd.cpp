@@ -1,52 +1,171 @@
 // GCD and extended GCD.
 //
 // Pairwise gcd is the last step of the batch GCD pipeline (recovering
-// p = gcd(N_i, z_i / N_i)); operand sizes there are modulus-sized, so the
-// O(bits^2 / 64) binary GCD is the right tool. Extended GCD (classic
-// Euclid on quotients) backs modular inversion for RSA private exponents.
+// p = gcd(N_i, z_i / N_i)); operand sizes there are modulus-sized. gcd is
+// Pornin's optimised binary GCD ("Optimized Binary GCD for Modular
+// Inversion", 2020) on raw limbs: 31 binary steps at a time run on one-word
+// approximations (top 33 and low 31 bits), then one pass applies them to
+// the full operands. Operands of up to kSmallLimbs limbs stay on the
+// stack. Extended GCD (classic Euclid on quotients) backs modular
+// inversion for RSA private exponents.
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 #include "bn/detail.hpp"
+#include "obs/prof_stack.hpp"
 
 namespace weakkeys::bn {
 
 namespace {
 
-std::size_t trailing_zero_bits(const BigInt& v) {
-  const auto limbs = v.limbs();
-  std::size_t bits = 0;
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    if (limbs[i] == 0) {
-      bits += 64;
-      continue;
-    }
-    return bits + static_cast<std::size_t>(std::countr_zero(limbs[i]));
+/// Binary steps per outer pass: the low bits of the word approximations
+/// that stay exact.
+constexpr int kSteps = 31;
+constexpr Limb kLowMask = (Limb{1} << kSteps) - 1;
+
+/// Binary GCD of two words.
+Limb gcd_word(Limb a, Limb b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  const int shift = std::countr_zero(a | b);
+  a >>= std::countr_zero(a);
+  do {
+    b >>= std::countr_zero(b);
+    if (a > b) std::swap(a, b);
+    b -= a;
+  } while (b != 0);
+  return a << shift;
+}
+
+std::size_t trailing_zero_bits(const Limb* x, std::size_t n) {
+  std::size_t i = 0;
+  while (i < n && x[i] == 0) ++i;
+  return i == n ? 0 : i * 64 + static_cast<std::size_t>(std::countr_zero(x[i]));
+}
+
+/// x[0, n) >>= bits.
+void shift_right(Limb* x, std::size_t n, std::size_t bits) {
+  const std::size_t limbs = bits / 64;
+  const unsigned s = bits % 64;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Limb lo = i + limbs < n ? x[i + limbs] : 0;
+    const Limb hi = i + limbs + 1 < n ? x[i + limbs + 1] : 0;
+    x[i] = s == 0 ? lo : (lo >> s) | (hi << (64 - s));
   }
-  return bits;
+}
+
+/// x[0, n) = |x[0, n) + top * beta^n| / 2^kSteps, where the division is
+/// exact and the quotient fits n limbs. `top` is the signed high word.
+void take_abs_and_shift(Limb* x, std::size_t n, Limb top) {
+  if (static_cast<std::int64_t>(top) < 0) {
+    Limb carry = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = ~x[i] + carry;
+      carry = carry & static_cast<Limb>(x[i] == 0);
+    }
+    top = ~top + carry;
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    x[i] = (x[i] >> kSteps) | (x[i + 1] << (64 - kSteps));
+  }
+  x[n - 1] = (x[n - 1] >> kSteps) | (top << (64 - kSteps));
 }
 
 }  // namespace
 
 BigInt gcd(const BigInt& a_in, const BigInt& b_in) {
-  BigInt a = a_in.abs();
-  BigInt b = b_in.abs();
-  if (a.is_zero()) return b;
-  if (b.is_zero()) return a;
+  obs::prof::Frame frame("bn.gcd");
+  if (a_in.is_zero()) return b_in.abs();
+  if (b_in.is_zero()) return a_in.abs();
 
-  const std::size_t za = trailing_zero_bits(a);
-  const std::size_t zb = trailing_zero_bits(b);
-  const std::size_t shared = std::min(za, zb);
-  a >>= za;
-  b >>= zb;
-  // Binary GCD: both odd from here on.
-  while (a != b) {
-    if (a < b) std::swap(a, b);
-    a -= b;  // even, nonzero
-    a >>= trailing_zero_bits(a);
+  const auto av = a_in.limbs();
+  const auto bv = b_in.limbs();
+  std::size_t len = std::max(av.size(), bv.size());
+  detail::LimbBuffer<2 * detail::kSmallLimbs> buf(2 * len);
+  Limb* a = buf.data();
+  Limb* b = a + len;
+  std::fill(a, a + 2 * len, Limb{0});
+  std::copy(av.begin(), av.end(), a);
+  std::copy(bv.begin(), bv.end(), b);
+
+  const std::size_t za = trailing_zero_bits(a, len);
+  const std::size_t zb = trailing_zero_bits(b, len);
+  shift_right(a, len, za);
+  shift_right(b, len, zb);
+
+  // b stays odd, so every halving of a keeps the gcd; a == 0 ends it.
+  for (;;) {
+    while (len > 1 && a[len - 1] == 0 && b[len - 1] == 0) --len;
+    if (len == 1) {
+      b[0] = gcd_word(a[0], b[0]);
+      break;
+    }
+    if (std::all_of(a, a + len, [](Limb v) { return v == 0; })) break;
+
+    // Word approximations: the top 33 bits at the common length over the
+    // exact low 31 bits. Parities, and so the steps' subtractions, are
+    // exact; only the swap comparisons are approximate.
+    const int s = std::countl_zero(a[len - 1] | b[len - 1]);
+    auto approx = [&](const Limb* x) {
+      const Limb top = s == 0 ? x[len - 1]
+                              : (x[len - 1] << s) | (x[len - 2] >> (64 - s));
+      return (top & ~kLowMask) | (x[0] & kLowMask);
+    };
+    Limb xa = approx(a);
+    Limb xb = approx(b);
+
+    // (xa, xb) * 2^i = (f0 a + g0 b, f1 a + g1 b), in two's complement.
+    // Masks, not branches: the parities and swaps are as random as the
+    // operands, and a branchy loop measured ~1.6x slower on varying input.
+    Limb f0 = 1, g0 = 0, f1 = 0, g1 = 1;
+    for (int i = 0; i < kSteps; ++i) {
+      const Limb odd = Limb{0} - (xa & 1);
+      const Limb swap = odd & (Limb{0} - static_cast<Limb>(xa < xb));
+      Limb t = (xa ^ xb) & swap;
+      xa ^= t;
+      xb ^= t;
+      t = (f0 ^ f1) & swap;
+      f0 ^= t;
+      f1 ^= t;
+      t = (g0 ^ g1) & swap;
+      g0 ^= t;
+      g1 ^= t;
+      xa -= xb & odd;
+      f0 -= f1 & odd;
+      g0 -= g1 & odd;
+      xa >>= 1;
+      f1 <<= 1;
+      g1 <<= 1;
+    }
+
+    // (a, b) = (f0 a + g0 b, f1 a + g1 b) / 2^31: |f| + |g| <= 2^31, so
+    // neither grows; negatives flip sign (the gcd does not see it).
+    using i128 = __int128;
+    const auto sf0 = static_cast<std::int64_t>(f0);
+    const auto sg0 = static_cast<std::int64_t>(g0);
+    const auto sf1 = static_cast<std::int64_t>(f1);
+    const auto sg1 = static_cast<std::int64_t>(g1);
+    i128 ca = 0;
+    i128 cb = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const i128 ai = a[i];
+      const i128 bi = b[i];
+      ca += ai * sf0 + bi * sg0;
+      cb += ai * sf1 + bi * sg1;
+      a[i] = static_cast<Limb>(ca);
+      b[i] = static_cast<Limb>(cb);
+      ca >>= 64;
+      cb >>= 64;
+    }
+    take_abs_and_shift(a, len, static_cast<Limb>(ca));
+    take_abs_and_shift(b, len, static_cast<Limb>(cb));
   }
-  return a << shared;
+
+  detail::LimbVec out(b, b + len);
+  return BigIntOps::make(std::move(out), 1) << std::min(za, zb);
 }
 
 ExtendedGcd extended_gcd(const BigInt& a, const BigInt& b) {

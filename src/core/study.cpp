@@ -427,7 +427,7 @@ void Study::build_dataset() {
     record_ingest_metrics();
     log("ingest: " + ingest_stats_.summary());
     obs::Span chains = telemetry_.tracer().span("study.exclude_intermediates");
-    dataset_ = analysis::exclude_intermediates(ingest.kept);
+    dataset_ = analysis::exclude_intermediates(std::move(ingest.kept));
   }
 }
 

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bn/bigint.hpp"
+#include "rng/prng_source.hpp"
+#include "rsa/key.hpp"
 #include "util/prng.hpp"
 
 namespace weakkeys::bn {
@@ -112,6 +115,198 @@ TEST_P(GmpDifferential, HugeOperandsAgree) {
   const auto dm = BigInt::divmod(a, b);
   EXPECT_EQ(dm.quotient.to_hex(), Q.hex());
   EXPECT_EQ(dm.remainder.to_hex(), Rem.hex());
+}
+
+// Every width the Montgomery kernels instantiate (1..8 limbs on the stack)
+// and the first runtime-width one (9 limbs, one heap block), with moduli
+// whose top limb has any bit length.
+TEST_P(GmpDifferential, ModPowEveryWidthAgrees) {
+  for (std::size_t limbs = 1; limbs <= 9; ++limbs) {
+    for (int iter = 0; iter < 6; ++iter) {
+      Mpz M, A, E, R;
+      mpz_urandomb(M.v, state_, limbs * 64);
+      mpz_setbit(M.v, (limbs - 1) * 64 + rng_.below(64));
+      mpz_setbit(M.v, 0);
+      mpz_urandomb(A.v, state_, limbs * 64 + 8);  // sometimes >= m
+      mpz_urandomb(E.v, state_, 1 + rng_.below(limbs * 64 + 64));
+      const BigInt m = BigInt::from_hex(M.hex());
+      const BigInt a = BigInt::from_hex(A.hex());
+      const BigInt e = BigInt::from_hex(E.hex());
+      mpz_powm(R.v, A.v, E.v, M.v);
+      EXPECT_EQ(mod_pow(a, e, m).to_hex(), R.hex()) << limbs << " limbs";
+    }
+  }
+}
+
+TEST_P(GmpDifferential, GcdOfSharedFactorsAgrees) {
+  for (std::size_t limbs = 1; limbs <= 9; ++limbs) {
+    const auto [g, gh] = draw(limbs * 32);
+    const auto [x, xh] = draw(limbs * 32);
+    const auto [y, yh] = draw(limbs * 64);
+    Mpz G(gh), X(xh), Y(yh), A, B, R;
+    mpz_mul(A.v, G.v, X.v);
+    mpz_mul(B.v, G.v, Y.v);
+    mpz_gcd(R.v, A.v, B.v);
+    EXPECT_EQ(gcd(g * x, g * y).to_hex(), R.hex()) << limbs << " limbs";
+  }
+}
+
+/// The hex of a^e mod m computed by GMP, for the edge-case tables below.
+std::string gmp_powm(const BigInt& a, const BigInt& e, const BigInt& m) {
+  Mpz A(a.abs().to_hex()), E(e.to_hex()), M(m.to_hex()), R;
+  if (a.is_negative()) mpz_neg(A.v, A.v);
+  mpz_powm(R.v, A.v, E.v, M.v);
+  return R.hex();
+}
+
+TEST(GmpEdgeCases, ModPowEdgesAgree) {
+  std::vector<BigInt> moduli;
+  for (std::size_t limbs = 1; limbs <= 9; ++limbs) {
+    const BigInt ones = (BigInt(1) << (64 * limbs)) - BigInt(1);
+    const BigInt top_bit = BigInt(1) << (64 * limbs - 1);
+    moduli.push_back(ones);                                // all-ones limbs
+    moduli.push_back(ones - top_bit - BigInt(2));          // top bit clear
+    moduli.push_back((BigInt(1) << (64 * limbs - 64)) + BigInt(1));  // 1-bit
+    moduli.push_back(ones - BigInt(1));                    // even: fallback
+  }
+  moduli.push_back(BigInt(3));
+  moduli.push_back(BigInt(2));
+  for (const BigInt& m : moduli) {
+    const BigInt all_ones_exp = (BigInt(1) << m.bit_length()) - BigInt(1);
+    for (const BigInt& e : {BigInt(0), BigInt(1), BigInt(2), BigInt(65537),
+                            all_ones_exp}) {
+      for (const BigInt& a :
+           {BigInt(0), BigInt(1), BigInt(2), m - BigInt(1), m, m + BigInt(1),
+            m * BigInt(3) + BigInt(5), -BigInt(7), m - BigInt(2)}) {
+        EXPECT_EQ(mod_pow(a, e, m).to_hex(), gmp_powm(a, e, m))
+            << "a=" << a << " e=" << e << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(GmpEdgeCases, GcdEdgesAgree) {
+  const BigInt ones4 = (BigInt(1) << 256) - BigInt(1);
+  const BigInt wide = BigInt::from_hex(
+      "f0e1d2c3b4a5968778695a4b3c2d1e0f00112233445566778899aabbccddeeff"
+      "123456789abcdef0fedcba9876543210");
+  // Zero, equal operands (the diagonal), powers of two, all-ones limbs,
+  // shared powers of two, and widths from one limb to eight.
+  const std::vector<BigInt> values = {
+      BigInt(0),        BigInt(1),
+      BigInt(2),        BigInt(3),
+      BigInt(1) << 64,  BigInt(1) << 255,
+      BigInt(1) << 511, (BigInt(1) << 300) * BigInt(15),
+      ones4,            ones4 * BigInt(6),
+      wide,             wide << 70,
+      -wide,            BigInt(std::uint64_t{0xffffffffffffffff}),
+      BigInt(65537)};
+  for (const BigInt& a : values) {
+    for (const BigInt& b : values) {
+      Mpz A(a.abs().to_hex()), B(b.abs().to_hex()), R;
+      mpz_gcd(R.v, A.v, B.v);
+      EXPECT_EQ(gcd(a, b).to_hex(), R.hex()) << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+/// The Miller-Rabin the Montgomery-form rounds replaced, on GMP: same
+/// bases from the same source, then plain squarings mod n.
+bool plain_miller_rabin(const BigInt& n, RandomSource& src, int rounds) {
+  Mpz N(n.to_hex()), Nm1, D, X;
+  mpz_sub_ui(Nm1.v, N.v, 1);
+  const auto r = mpz_scan1(Nm1.v, 0);
+  mpz_fdiv_q_2exp(D.v, Nm1.v, r);
+  for (int round = 0; round < rounds; ++round) {
+    const BigInt a = random_range(src, BigInt(2), n - BigInt(2));
+    Mpz A(a.to_hex());
+    mpz_powm(X.v, A.v, D.v, N.v);
+    if (mpz_cmp_ui(X.v, 1) == 0 || mpz_cmp(X.v, Nm1.v) == 0) continue;
+    bool witness = true;
+    for (unsigned long i = 1; i < r; ++i) {
+      mpz_mul(X.v, X.v, X.v);
+      mpz_mod(X.v, X.v, N.v);
+      if (mpz_cmp(X.v, Nm1.v) == 0) {
+        witness = false;
+        break;
+      }
+    }
+    if (witness) return false;
+  }
+  return true;
+}
+
+TEST(GmpEdgeCases, MontgomeryMillerRabinMatchesPlainRounds) {
+  std::vector<BigInt> inputs = {BigInt(561), BigInt(41041),
+                                BigInt(std::uint64_t{3215031751}), BigInt(5),
+                                BigInt(7),
+                                BigInt(1000003)};
+  // 128-bit semiprimes and primes from GMP.
+  Mpz P, Q, N;
+  mpz_set_str(P.v, "f000000000000000", 16);
+  for (int i = 0; i < 6; ++i) {
+    mpz_nextprime(P.v, P.v);
+    mpz_nextprime(Q.v, P.v);
+    mpz_mul(N.v, P.v, Q.v);
+    inputs.push_back(BigInt::from_hex(N.hex()));
+    Mpz Big;
+    mpz_mul_2exp(Big.v, P.v, 64);
+    mpz_nextprime(Big.v, Big.v);
+    inputs.push_back(BigInt::from_hex(Big.hex()));
+  }
+  for (const BigInt& n : inputs) {
+    Mpz Nz(n.to_hex());
+    const bool prime = mpz_probab_prime_p(Nz.v, 30) > 0;
+    for (const int rounds : {1, 6}) {
+      rng::PrngRandomSource a(n.limbs()[0]), b(n.limbs()[0]), c(n.limbs()[0]);
+      const bool mont = miller_rabin(n, a, rounds);
+      EXPECT_EQ(mont, plain_miller_rabin(n, b, rounds)) << n;
+      EXPECT_EQ(mont, is_probable_prime(n, c, rounds) || n == BigInt(5) ||
+                          n == BigInt(7))
+          << n;
+      if (rounds == 6) {
+        EXPECT_EQ(mont, prime) << n;
+      }
+      // Both consumed the same draws.
+      EXPECT_EQ(random_bits(a, 64), random_bits(b, 64)) << n;
+    }
+  }
+}
+
+TEST(GmpEdgeCases, AssembledPrivateKeyMatchesGmpInverses) {
+  Mpz P, Q;
+  mpz_set_str(P.v, "c0000000000000000000000000000000", 16);
+  for (int i = 0; i < 8; ++i) {
+    mpz_nextprime(P.v, P.v);
+    mpz_nextprime(Q.v, P.v);
+    mpz_add_ui(Q.v, Q.v, 1000 * (i + 1));
+    mpz_nextprime(Q.v, Q.v);
+    const BigInt p = BigInt::from_hex(P.hex());
+    const BigInt q = BigInt::from_hex(Q.hex());
+    for (const std::uint64_t e :
+         {3ULL, 17ULL, 65537ULL, 0xffffffffffffffc5ULL}) {
+      Mpz E, Lambda, P1, Q1, G, D, Qinv;
+      mpz_set_ui(E.v, 0);
+      mpz_set_str(E.v, BigInt(e).to_hex().c_str(), 16);
+      mpz_sub_ui(P1.v, P.v, 1);
+      mpz_sub_ui(Q1.v, Q.v, 1);
+      mpz_lcm(Lambda.v, P1.v, Q1.v);
+      if (mpz_invert(D.v, E.v, Lambda.v) == 0) {
+        EXPECT_THROW(rsa::assemble_private_key(p, q, BigInt(e)),
+                     std::domain_error);
+        continue;
+      }
+      mpz_invert(Qinv.v, Q.v, P.v);
+      const rsa::RsaPrivateKey key = rsa::assemble_private_key(p, q, BigInt(e));
+      EXPECT_EQ(key.d.to_hex(), D.hex()) << "e=" << e;
+      EXPECT_EQ(key.qinv.to_hex(), Qinv.hex());
+      EXPECT_TRUE(key.is_consistent());
+    }
+  }
+  // A composite "p" still gets the true inverse (Fermat does not hold).
+  const BigInt p(561), q(101);
+  EXPECT_EQ(rsa::assemble_private_key(p, q, BigInt(3)).qinv,
+            mod_inverse(q, p));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GmpDifferential,

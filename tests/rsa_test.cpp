@@ -3,6 +3,7 @@
 #include <set>
 
 #include "bn/bigint.hpp"
+#include "crypto/sha256.hpp"
 #include "fingerprint/openssl_fingerprint.hpp"
 #include "rng/prng_source.hpp"
 #include "rng/urandom.hpp"
@@ -143,6 +144,49 @@ TEST(Keygen, NoStirFlawYieldsIdenticalKeys) {
   const auto ka = generate_key(dev_a, small_opts(), &ev_a);
   const auto kb = generate_key(dev_b, small_opts(), &ev_b);
   EXPECT_EQ(ka.pub.n, kb.pub.n);  // default-certificate behaviour
+}
+
+// Keys are a pure function of the RandomSource stream: the candidates, the
+// Miller-Rabin bases and the early exits all consume it in one fixed order.
+// One digest over moduli from every source kind, both prime styles, two
+// sizes and two sieve depths pins that order, so a kernel rewrite that
+// draws one byte more or less (or accepts a different candidate) fails
+// here before it shifts a corpus. The digest was recorded from the
+// BigInt-vector Montgomery kernel that predates the span kernels.
+TEST(Keygen, GoldenModuliPinDrawOrder) {
+  crypto::Sha256 digest;
+  std::size_t keys = 0;
+  for (const std::size_t sieve : {std::size_t{2048}, std::size_t{16}}) {
+    for (const PrimeStyle style : {PrimeStyle::kOpenSsl, PrimeStyle::kPlain}) {
+      for (const std::size_t bits : {std::size_t{256}, std::size_t{512}}) {
+        KeygenOptions opts = small_opts(style);
+        opts.modulus_bits = bits;
+        opts.sieve_primes = sieve;
+        const std::uint64_t seed = bits + sieve + (style == PrimeStyle::kPlain);
+        auto absorb = [&](const RsaPrivateKey& key) {
+          ASSERT_TRUE(key.is_consistent());
+          digest.update(key.pub.n.to_hex() + "\n");
+          ++keys;
+        };
+
+        PrngRandomSource prng(seed);
+        for (int i = 0; i < 2; ++i) absorb(generate_key(prng, opts));
+
+        for (const int divergence : {40, -1}) {
+          const rng::RngFlawModel flaw{.boot_entropy_bits = 8,
+                                       .divergence_entropy_bits = divergence};
+          rng::SimulatedUrandom dev("golden-fw", flaw, seed, seed * 31);
+          KeygenEvents events{[&dev](int i) {
+            if (i == 1) dev.stir_divergence_event();
+          }};
+          absorb(generate_key(dev, opts, &events));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(keys, 32u);
+  EXPECT_EQ(crypto::digest_hex(digest.finish()),
+            "1c4050ecae86f6123d5ae5027a9029a8d3a346c156772083c61320d2f760335c");
 }
 
 // ------------------------------------------------------------- IBM ----
