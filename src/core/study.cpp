@@ -58,22 +58,6 @@ void lifecycle_signal_handler(int signum) {
 #endif  // WEAKKEYS_HAVE_SIGNALS
 }  // namespace
 
-const char* to_string(RunState s) {
-  switch (s) {
-    case RunState::kIdle:
-      return "idle";
-    case RunState::kRunning:
-      return "running";
-    case RunState::kCancelled:
-      return "cancelled";
-    case RunState::kFailed:
-      return "failed";
-    case RunState::kDone:
-      return "done";
-  }
-  return "unknown";
-}
-
 /// Installs SIGINT/SIGTERM handlers that trip the run's token, plus a
 /// self-pipe watcher thread that promote()s the async trip (running the
 /// token's callbacks from a normal context) as soon as the signal lands —
@@ -160,45 +144,9 @@ void Study::cancel(const std::string& reason) {
   resolve_token()->cancel(reason);
 }
 
-obs::LifecycleStatus Study::lifecycle() const {
-  obs::LifecycleStatus ls;
-  auto* self = const_cast<Study*>(this);
-  util::CancellationToken* token = self->resolve_token();
-  const RunState st = state_.load();
-  const bool tripped = token->cancelled();
-  ls.phase = to_string(st);
-  if (stalled_.load()) {
-    ls.phase = "stalled";
-  } else if (st == RunState::kRunning && tripped) {
-    ls.phase = "cancelling";
-  }
-  ls.healthy = !stalled_.load() && !tripped && st != RunState::kCancelled &&
-               st != RunState::kFailed;
-  ls.cancel_reason = tripped ? token->reason() : "";
-  ls.deadline_remaining_s = token->deadline_remaining_s();
-  {
-    std::lock_guard lock(lifecycle_mu_);
-    ls.stage = stage_name_;
-  }
-  return ls;
-}
-
-void Study::begin_stage(const std::string& name,
-                        std::chrono::milliseconds stage_deadline) {
+void Study::begin_stage() {
   poll_mem_budget();
-  {
-    std::lock_guard lock(lifecycle_mu_);
-    stage_name_ = name;
-  }
-  util::CancellationToken* token = resolve_token();
-  if (stage_deadline.count() > 0) {
-    auto at = std::chrono::steady_clock::now() + stage_deadline;
-    if (run_deadline_at_ && *run_deadline_at_ < at) at = *run_deadline_at_;
-    token->set_deadline(at, name);
-  } else if (run_deadline_at_) {
-    token->set_deadline(*run_deadline_at_, "run");
-  }
-  token->throw_if_cancelled();
+  resolve_token()->throw_if_cancelled();
 }
 
 void Study::run() {
@@ -209,8 +157,8 @@ void Study::run() {
   util::CancellationToken* token = resolve_token();
 
   if (config_.run_deadline.count() > 0) {
-    run_deadline_at_ = std::chrono::steady_clock::now() + config_.run_deadline;
-    token->set_deadline(*run_deadline_at_, "run");
+    token->set_deadline(std::chrono::steady_clock::now() + config_.run_deadline,
+                        "run");
   }
   if (config_.handle_signals && !signal_watcher_) {
     signal_watcher_ = std::make_unique<LifecycleSignalWatcher>(token);
@@ -220,11 +168,11 @@ void Study::run() {
 
   try {
     obs::Span run_span = telemetry_.tracer().span("study.run");
-    begin_stage("build_dataset", config_.stage_deadlines.build_dataset);
+    begin_stage();
     build_dataset();
-    begin_stage("factor", config_.stage_deadlines.factor);
+    begin_stage();
     factor_moduli();
-    begin_stage("fingerprint", config_.stage_deadlines.fingerprint);
+    begin_stage();
     fingerprint_corpus();
   } catch (const util::Cancelled&) {
     state_.store(RunState::kCancelled);
@@ -237,10 +185,6 @@ void Study::run() {
     throw;
   }
   token->clear_deadline();
-  {
-    std::lock_guard lock(lifecycle_mu_);
-    stage_name_.clear();
-  }
   state_.store(RunState::kDone);
   ran_ = true;
   flush_telemetry();
@@ -251,42 +195,17 @@ void Study::start_observability() {
     obs::MonitorConfig mc;
     mc.jsonl_path = config_.monitor_path;
     mc.interval = config_.monitor_interval;
-    if (config_.watchdog_stall_ticks > 0 && !watchdog_) {
-      obs::WatchdogConfig wc;
-      wc.stall_ticks = config_.watchdog_stall_ticks;
-      wc.on_stall = [this](const std::string& diagnostic) {
-        stalled_.store(true);
-        resolve_token()->cancel("watchdog stall: " + diagnostic);
-      };
-      watchdog_ = std::make_unique<obs::Watchdog>(telemetry_, wc);
-    }
     // The monitor tick doubles as the lifecycle heartbeat: it promotes
-    // signal/deadline trips (running the token's callbacks promptly even
-    // when no poll site is being hit) and feeds the stall watchdog.
-    mc.on_tick = [this](const obs::MetricsSnapshot& snapshot) {
-      resolve_token()->promote();
-      if (watchdog_) watchdog_->observe(snapshot);
-    };
+    // signal/deadline trips, running the token's callbacks promptly even
+    // when no poll site is being hit.
+    mc.on_tick = [this] { resolve_token()->promote(); };
     monitor_ = std::make_unique<obs::Monitor>(telemetry_, mc);
     monitor_->start();
   }
 
-  const int port = config_.status_port;
-  if (port >= 0 && port <= 65535 && !status_server_) {
-    obs::StatusServerConfig sc;
-    sc.port = static_cast<std::uint16_t>(port);
-    sc.lifecycle = [this] { return lifecycle(); };
-    status_server_ = std::make_unique<obs::StatusServer>(telemetry_, sc);
-    if (status_server_->start()) {
-      log("status server listening on http://127.0.0.1:" +
-          std::to_string(status_server_->port()) +
-          " (/metrics, /status, /healthz)");
-    }
-  }
-
   // Resource-attribution plane (DESIGN.md §5k). Enabling either knob turns
-  // on memory accounting so mem.* gauges flow into the monitor/status
-  // exports.
+  // on memory accounting so mem.* gauges flow into the monitor and the
+  // trace's metrics snapshot.
   const double profile_hz = config_.profile_hz;
   const long long budget_mb = config_.mem_budget_mb;
   if ((profile_hz > 0 || budget_mb > 0) && obs::mem::supported()) {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,9 +40,7 @@
 #include "netsim/noise.hpp"
 #include "obs/monitor.hpp"
 #include "obs/profiler.hpp"
-#include "obs/status_server.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/watchdog.hpp"
 #include "util/cancellation.hpp"
 
 namespace weakkeys::core {
@@ -103,7 +100,8 @@ struct StudyConfig {
   /// Telemetry export cadence (ms) for the cluster path: each v3 worker
   /// ships a TelemetrySnapshot (metrics + task spans + RSS/CPU) at most
   /// this often, fanned into fleet.worker.<id>.* / fleet.* metrics on the
-  /// study registry (visible via /metrics, /status, and the monitor).
+  /// study registry (visible in the monitor JSONL and the trace's metrics
+  /// snapshot).
   /// 0 disables worker export.
   int telemetry_interval_ms = static_cast<int>(
       cluster::ClusterConfig{}.telemetry_interval.count());
@@ -135,16 +133,10 @@ struct StudyConfig {
   std::string monitor_path;
   /// Monitor snapshot / heartbeat cadence.
   std::chrono::milliseconds monitor_interval{250};
-  /// Embedded HTTP status server (GET /metrics Prometheus exposition,
-  /// GET /status JSON, GET /healthz liveness): the loopback port to bind,
-  /// 0 for a kernel-assigned ephemeral port (read the result from
-  /// Study::status_port()); negative disables the server. It stays up
-  /// until the Study is destroyed, so finished runs remain scrapeable.
-  int status_port = -1;
   /// Sampling-profiler cadence in Hz (DESIGN.md §5k): run() starts an
   /// obs::Profiler snapshotting every thread's span/kernel stack and
-  /// feeding `profiler.*` rollups into the registry (visible via /metrics,
-  /// /status, the monitor, and the heartbeat line); <= 0 disables
+  /// feeding `profiler.*` rollups into the registry (visible in the
+  /// monitor JSONL and the heartbeat line); <= 0 disables
   /// profiling. Enabling the profiler also enables memory accounting
   /// (mem.* gauges). On the cluster path every spawned worker samples at
   /// the same rate.
@@ -153,8 +145,8 @@ struct StudyConfig {
   /// telemetry flushes; spawned workers write `<profile_out>.worker<id>`.
   /// Empty keeps the profile in metrics only.
   std::string profile_out;
-  /// Soft memory budget in MiB: enables memory accounting and latches a
-  /// watchdog-visible alarm (`mem.budget.alarms` counter + sink warning)
+  /// Soft memory budget in MiB: enables memory accounting and latches an
+  /// alarm (`mem.budget.alarms` counter + sink warning)
   /// the first time live heap bytes cross the watermark. The run is never
   /// aborted — results stay identical to an unconstrained run. 0 disables
   /// the budget. Spawned cluster workers get the same budget each.
@@ -175,10 +167,10 @@ struct StudyConfig {
   /// before the run cancels with util::StorageError. 0 = unlimited.
   long long spill_ram_fallback_mb = 0;
 
-  // -- Run lifecycle (cancellation, deadlines, watchdog, signals) --------
+  // -- Run lifecycle (cancellation, deadline, signals) --------------------
 
-  /// External cancellation token. When set, run() polls (and arms
-  /// deadlines on) this token instead of the Study's internal one, so one
+  /// External cancellation token. When set, run() polls (and arms the
+  /// deadline on) this token instead of the Study's internal one, so one
   /// token can span several studies or be shared with a driver. Must
   /// outlive the Study.
   util::CancellationToken* cancel = nullptr;
@@ -186,18 +178,6 @@ struct StudyConfig {
   /// exhausted and the run unwinds with util::Cancelled ("deadline
   /// exceeded (run)"). Zero means no deadline.
   std::chrono::milliseconds run_deadline{0};
-  /// Optional per-stage budgets, each clamped to whatever remains of the
-  /// run deadline. Zero = that stage inherits the run deadline only.
-  struct StageDeadlines {
-    std::chrono::milliseconds build_dataset{0};
-    std::chrono::milliseconds factor{0};
-    std::chrono::milliseconds fingerprint{0};
-  } stage_deadlines;
-  /// Declare the run stalled (and cancel it) after this many consecutive
-  /// monitor ticks with zero movement across the progress counters. Rides
-  /// the monitor thread, so it needs monitor_path to be set. 0 disables
-  /// the watchdog.
-  std::size_t watchdog_stall_ticks = 0;
   /// Install SIGINT/SIGTERM handlers for the duration of the Study that
   /// trip the run's cancellation token (async-signal-safely) instead of
   /// killing the process: the run unwinds and flushes telemetry, leaving
@@ -224,7 +204,7 @@ struct FactorStats {
   std::size_t second_pass_factored = 0;  ///< full-modulus cases split pairwise
 };
 
-/// Coarse run state for the lifecycle probe (/healthz, /status).
+/// Coarse run state, readable from any thread while run() executes.
 enum class RunState : int {
   kIdle = 0,       ///< constructed, run() not yet called
   kRunning = 1,    ///< inside run()
@@ -232,8 +212,6 @@ enum class RunState : int {
   kFailed = 3,     ///< run() unwound with any other exception
   kDone = 4,       ///< run() completed
 };
-
-const char* to_string(RunState s);
 
 class LifecycleSignalWatcher;  // SIGINT/SIGTERM -> token (study.cpp)
 
@@ -243,7 +221,7 @@ class Study {
   ~Study();
 
   /// Runs the full pipeline. Idempotent. Throws util::Cancelled when the
-  /// run's token trips (signal, deadline, watchdog, or explicit cancel());
+  /// run's token trips (signal, deadline, or explicit cancel());
   /// telemetry is flushed first. A rerun with the same cache_path skips
   /// whatever the per-stage caches already hold.
   void run();
@@ -253,11 +231,11 @@ class Study {
   /// task) pick it up, so cancel latency is bounded by one batch.
   void cancel(const std::string& reason);
 
-  /// The run's current lifecycle state, as served by /healthz and /status.
-  /// Safe to call from any thread, including while run() executes.
-  [[nodiscard]] obs::LifecycleStatus lifecycle() const;
+  /// The run's coarse state. Safe to call from any thread, including
+  /// while run() executes.
   [[nodiscard]] RunState run_state() const { return state_.load(); }
-  /// The token run() polls: config.cancel when set, else the internal one.
+  /// The token run() polls: config.cancel when set, else the internal one;
+  /// its reason() says why a cancelled run stopped.
   [[nodiscard]] util::CancellationToken& cancellation_token() {
     return *resolve_token();
   }
@@ -330,17 +308,11 @@ class Study {
   /// null otherwise (and before run()).
   [[nodiscard]] obs::Monitor* monitor() { return monitor_.get(); }
 
-  /// The bound status-server port, or -1 when the server is off. Safe to
-  /// poll from another thread while run() executes.
-  [[nodiscard]] int status_port() const {
-    return status_server_ ? status_server_->port() : -1;
-  }
-
   /// Closes the observability artifacts exactly once: stops the monitor
   /// (writing the `"final":true` snapshot) and writes the trace/metrics
   /// files if configured. Called automatically from run(), the destructor,
   /// and a process-exit hook, so an aborted run still leaves its telemetry
-  /// on disk. The status server is untouched (it lives until destruction).
+  /// on disk.
   void flush_telemetry();
 
  private:
@@ -359,18 +331,18 @@ class Study {
   /// flush; the monitor tick polls too, whichever fires first reports.
   void poll_mem_budget();
   [[nodiscard]] util::CancellationToken* resolve_token();
-  /// Marks `name` as the running stage and arms its deadline (clamped to
-  /// the run deadline); throws util::Cancelled if the token has tripped.
-  void begin_stage(const std::string& name,
-                   std::chrono::milliseconds stage_deadline);
+  /// Stage boundary: polls the memory budget, then throws util::Cancelled
+  /// if the token has tripped.
+  void begin_stage();
 
   StudyConfig config_;
   obs::Telemetry telemetry_;
+  /// Declared before signal_watcher_, whose thread promote()s it until
+  /// joined, so the token outlives that thread.
+  util::CancellationToken own_token_;
   // Declared after telemetry_ (they hold references into it) so they are
   // destroyed first.
   std::unique_ptr<obs::Monitor> monitor_;
-  std::unique_ptr<obs::StatusServer> status_server_;
-  std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::Profiler> profiler_;
   std::unique_ptr<LifecycleSignalWatcher> signal_watcher_;
   std::uint64_t exit_flush_token_ = 0;
@@ -380,14 +352,7 @@ class Study {
   /// run() turned on obs::mem accounting with this Study's registry.
   bool mem_accounting_ = false;
 
-  // -- lifecycle state ----------------------------------------------------
-  util::CancellationToken own_token_;
   std::atomic<RunState> state_{RunState::kIdle};
-  std::atomic<bool> stalled_{false};
-  /// Armed run deadline (steady clock), if any; stage deadlines clamp to it.
-  std::optional<std::chrono::steady_clock::time_point> run_deadline_at_;
-  mutable std::mutex lifecycle_mu_;  ///< guards stage_name_
-  std::string stage_name_;
   netsim::ScanDataset raw_dataset_;
   netsim::ScanDataset dataset_;
   std::unique_ptr<netsim::Internet> internet_;

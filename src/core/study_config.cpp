@@ -95,7 +95,6 @@ StudyConfig StudyConfig::from_env(StudyConfig base) {
   // Observability. PROFILE_HZ <= 0 means off.
   overlay("WEAKKEYS_TRACE", base.trace_path);
   overlay("WEAKKEYS_MONITOR", base.monitor_path);
-  overlay("WEAKKEYS_STATUS_PORT", base.status_port, -1, 65535);
   overlay("WEAKKEYS_PROFILE_HZ", base.profile_hz, -kHuge, kHuge);
   overlay("WEAKKEYS_PROFILE_OUT", base.profile_out);
   overlay("WEAKKEYS_MEM_BUDGET_MB", base.mem_budget_mb, 0, kMaxMiB);

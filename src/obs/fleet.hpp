@@ -23,9 +23,9 @@
 //
 //   3. Metric fan-in. Worker counters/gauges/proc-stats are republished
 //      into the coordinator's MetricsRegistry under fleet.worker.<id>.* —
-//      plus fleet.* rollups summed across workers — so /metrics, /status,
-//      the monitor JSONL, and the heartbeat line see the whole fleet for
-//      free. Worker counters reset when a worker is respawned; the
+//      plus fleet.* rollups summed across workers — so the monitor JSONL,
+//      the trace's metrics snapshot, and the heartbeat line see the whole
+//      fleet for free. Worker counters reset when a worker is respawned; the
 //      aggregator folds each dead incarnation's last-seen values into a
 //      per-worker base so the published totals stay cumulative.
 //

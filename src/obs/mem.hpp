@@ -15,7 +15,7 @@
 // A soft budget (`StudyConfig::mem_budget_mb`) latches an alarm the first
 // time global live bytes cross the watermark. Nothing ever aborts: pollers
 // (monitor tick, Study stage boundaries) call consume_budget_alarm() and
-// emit exactly one watchdog-visible event.
+// emit exactly one `mem.budget.alarms` count and sink warning.
 //
 // Cost when disabled (the default): one relaxed atomic load and a branch
 // per allocation and per free.

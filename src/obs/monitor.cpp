@@ -181,7 +181,7 @@ void Monitor::tick(bool final) {
   if (config_.sample_process_stats) record_proc_self(telemetry_.metrics());
   // Resource-attribution plane: mirror the heap census into the registry
   // every tick, and surface the soft-budget alarm (latched once) as a
-  // watchdog-visible counter + warning the moment a tick observes it.
+  // counter + warning the moment a tick observes it.
   if (mem::enabled()) {
     mem::publish(telemetry_.metrics());
     if (mem::consume_budget_alarm()) {
@@ -215,10 +215,9 @@ void Monitor::tick(bool final) {
   have_prev_ = true;
   prev_tick_ = now;
   ++seq_;
-  // prev_ now holds this tick's snapshot. Final ticks run on the stopping
-  // thread after lifecycle teardown has begun, so the hook only sees live
-  // ones.
-  if (!final && config_.on_tick) config_.on_tick(prev_);
+  // Final ticks run on the stopping thread after lifecycle teardown has
+  // begun, so the hook only runs on live ones.
+  if (!final && config_.on_tick) config_.on_tick();
 }
 
 std::string Monitor::heartbeat_line(const MetricsSnapshot& cur,

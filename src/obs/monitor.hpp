@@ -74,10 +74,10 @@ struct MonitorConfig {
   bool heartbeat = true;
   /// Sample process RSS/CPU into `process.*` instruments each tick.
   bool sample_process_stats = true;
-  /// Invoked with each non-final tick's snapshot, on the monitor thread —
-  /// the hook the lifecycle layer hangs its Watchdog (and deadline
-  /// promotion) on. Must not call back into the monitor.
-  std::function<void(const MetricsSnapshot&)> on_tick;
+  /// Invoked after each non-final tick, on the monitor thread: the hook
+  /// Study hangs its signal/deadline promotion on. Must not call back into
+  /// the monitor.
+  std::function<void()> on_tick;
 };
 
 class Monitor {

@@ -57,8 +57,8 @@ class CancellationToken {
 
   /// Async-signal-safe trip: atomic stores only. Callbacks do NOT run here
   /// (a signal handler may interrupt a thread holding the callback mutex);
-  /// call promote() from a normal context — the lifecycle tick does — to
-  /// run them and materialize the reason.
+  /// call promote() from a normal context — Study's signal-watcher thread
+  /// and monitor tick do — to run them and materialize the reason.
   void request_async(int signum) noexcept {
     signal_.store(signum, std::memory_order_relaxed);
     tripped_.store(true, std::memory_order_release);
@@ -66,7 +66,7 @@ class CancellationToken {
 
   /// Arms (or re-arms) a deadline on the steady clock; the token reads as
   /// cancelled once the clock passes it. `label` names the scope for the
-  /// synthesized reason ("deadline exceeded (factor)").
+  /// synthesized reason ("deadline exceeded (run)").
   void set_deadline(std::chrono::steady_clock::time_point deadline,
                     const std::string& label = "");
   void clear_deadline();

@@ -1,10 +1,10 @@
-// Shared POSIX socket helpers for everything in the tree that speaks TCP:
-// the obs::StatusServer HTTP endpoints and the cluster worker protocol.
+// Shared POSIX socket helpers for the one part of the tree that speaks TCP:
+// the cluster coordinator/worker protocol.
 //
 // The recurring bugs these helpers exist to kill, once:
 //   - partial reads/writes: send()/recv() on a TCP socket may move fewer
-//     bytes than asked (large /metrics responses tripped this in the status
-//     server); read_full()/write_full() loop until done or a hard error;
+//     bytes than asked (large subset and product frames); read_full() and
+//     write_full() loop until done or a hard error;
 //   - EINTR: every loop restarts interrupted syscalls instead of treating a
 //     signal as a connection failure (the cluster coordinator SIGCHLDs and
 //     SIGKILLs freely while sockets are in flight);
@@ -14,8 +14,7 @@
 //     so every listening and accepted socket must be FD_CLOEXEC or each
 //     worker would inherit (and hold open) its siblings' connections.
 //
-// Header-only so both wk_obs and wk_util (which links wk_obs) can use it
-// without a library cycle. All functions operate on plain fds; ownership
+// Header-only. All functions operate on plain fds; ownership
 // stays with the caller (wrap in util::net::UniqueFd for scope-bound close).
 #pragma once
 

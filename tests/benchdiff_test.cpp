@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "json_lite.hpp"
 #include "obs/benchdiff.hpp"
+#include "util/json_lite.hpp"
 
 namespace weakkeys {
 namespace {

@@ -1,7 +1,7 @@
 // Run lifecycle layer: cooperative cancellation semantics (token, thread
 // pool, the journaled in-process batch GCD), crash-safe atomic file
-// publication, the stall watchdog, deadline enforcement, signal-driven
-// graceful shutdown, and the WKC2 study checkpoint format.
+// publication, deadline enforcement, signal-driven graceful shutdown, and
+// resuming a study from its per-stage caches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +14,7 @@
 #include <vector>
 
 #if !defined(_WIN32)
-#include <arpa/inet.h>
 #include <csignal>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #define WEAKKEYS_TEST_POSIX 1
@@ -26,9 +23,7 @@
 #include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/distributed.hpp"
 #include "core/study.hpp"
-#include "obs/status_server.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/watchdog.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
 #include "util/atomic_file.hpp"
@@ -324,68 +319,6 @@ TEST(CoordinatorCancel, MidRunCancelRetainsJournalAndResumes) {
   std::filesystem::remove_all(spill_dir);
 }
 
-// ------------------------------------------------------------ watchdog ----
-
-TEST(Watchdog, DeclaresStallOnceAndRearmsOnMovement) {
-  obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  auto& work = telemetry.metrics().counter("coordinator.tasks_executed");
-  std::vector<std::string> stalls;
-  obs::WatchdogConfig config;
-  config.stall_ticks = 3;
-  config.on_stall = [&](const std::string& diag) { stalls.push_back(diag); };
-  obs::Watchdog watchdog(telemetry, config);
-
-  work.inc();
-  EXPECT_FALSE(watchdog.observe(telemetry.metrics().snapshot()));  // baseline
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_FALSE(watchdog.observe(telemetry.metrics().snapshot()));
-  }
-  EXPECT_TRUE(watchdog.observe(telemetry.metrics().snapshot()));  // 3rd quiet
-  EXPECT_TRUE(watchdog.stalled());
-  EXPECT_EQ(watchdog.stalls_declared(), 1u);
-  ASSERT_EQ(stalls.size(), 1u);
-  EXPECT_NE(stalls[0].find("3 quiet ticks"), std::string::npos);
-  // Episode stays open without re-firing.
-  EXPECT_FALSE(watchdog.observe(telemetry.metrics().snapshot()));
-  EXPECT_EQ(watchdog.stalls_declared(), 1u);
-  // Movement closes the episode and re-arms.
-  work.inc();
-  EXPECT_FALSE(watchdog.observe(telemetry.metrics().snapshot()));
-  EXPECT_FALSE(watchdog.stalled());
-  for (int i = 0; i < 2; ++i) watchdog.observe(telemetry.metrics().snapshot());
-  EXPECT_TRUE(watchdog.observe(telemetry.metrics().snapshot()));
-  EXPECT_EQ(watchdog.stalls_declared(), 2u);
-  EXPECT_EQ(telemetry.metrics().counter("watchdog.stalls").value(), 2u);
-}
-
-TEST(Watchdog, UnwatchedCounterMovementDoesNotResetQuiet) {
-  obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  auto& noise = telemetry.metrics().counter("other.background");
-  obs::WatchdogConfig config;
-  config.stall_ticks = 2;
-  config.watch_prefixes = {"coordinator."};
-  obs::Watchdog watchdog(telemetry, config);
-  watchdog.observe(telemetry.metrics().snapshot());  // baseline
-  noise.inc();
-  EXPECT_FALSE(watchdog.observe(telemetry.metrics().snapshot()));
-  noise.inc();
-  EXPECT_TRUE(watchdog.observe(telemetry.metrics().snapshot()));
-  EXPECT_TRUE(watchdog.stalled());
-}
-
-TEST(Watchdog, DiagnosticCarriesQueueDepthAndGcdProgress) {
-  obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  telemetry.metrics().gauge("threadpool.queue_depth").set(11);
-  telemetry.metrics().counter("coordinator.tasks").set(9);
-  telemetry.metrics().counter("coordinator.tasks_executed").set(4);
-  telemetry.metrics().counter("coordinator.tasks_resumed").set(2);
-  obs::Watchdog watchdog(telemetry, {});
-  const std::string diag =
-      watchdog.diagnostic(telemetry.metrics().snapshot());
-  EXPECT_NE(diag.find("queue 11"), std::string::npos);
-  EXPECT_NE(diag.find("gcd 6/9"), std::string::npos);
-}
-
 // --------------------------------------------- study-level lifecycle ------
 
 core::StudyConfig tiny_study_config(std::uint64_t seed) {
@@ -406,9 +339,9 @@ TEST(StudyLifecycle, RunDeadlineCancelsAndReportsState) {
   EXPECT_EQ(study.run_state(), core::RunState::kIdle);
   EXPECT_THROW(study.run(), util::Cancelled);
   EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
-  const auto ls = study.lifecycle();
-  EXPECT_FALSE(ls.healthy);
-  EXPECT_NE(ls.cancel_reason.find("deadline exceeded"), std::string::npos);
+  EXPECT_TRUE(study.cancellation_token().cancelled());
+  EXPECT_NE(study.cancellation_token().reason().find("deadline exceeded (run)"),
+            std::string::npos);
 }
 
 TEST(StudyLifecycle, ExplicitCancelFromAnotherThreadUnwinds) {
@@ -421,7 +354,7 @@ TEST(StudyLifecycle, ExplicitCancelFromAnotherThreadUnwinds) {
   EXPECT_THROW(study.run(), util::Cancelled);
   canceller.join();
   EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
-  EXPECT_EQ(study.lifecycle().cancel_reason, "test cancel");
+  EXPECT_EQ(study.cancellation_token().reason(), "test cancel");
 }
 
 TEST(StudyLifecycle, CheckpointAdvancesThroughStagesAndSupportsResume) {
@@ -525,7 +458,7 @@ TEST(StudyLifecycle, SigtermMidRunUnwindsGracefullyAndWritesCheckpoint) {
   signaller.join();
   EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
   EXPECT_EQ(study.cancellation_token().signal(), SIGTERM);
-  EXPECT_NE(study.lifecycle().cancel_reason.find("signal"),
+  EXPECT_NE(study.cancellation_token().reason().find("signal"),
             std::string::npos);
   // Whatever the interrupted run persisted was published atomically: no
   // temp file of the cache family survives the unwind.
@@ -554,66 +487,6 @@ TEST(StudyLifecycle, SigtermDuringDestructorFlushIsSafe) {
     EXPECT_TRUE(study.cancellation_token().cancelled());
   }  // dtor flush runs with the token tripped — must be a clean no-op
   SUCCEED() << "destructor completed under a pending SIGTERM";
-}
-
-TEST(StatusServerLifecycle, HealthzFollowsLifecycleProbe) {
-  obs::Telemetry telemetry(/*tracing_enabled=*/false);
-  std::atomic<bool> healthy{true};
-  obs::StatusServerConfig config;
-  config.lifecycle = [&] {
-    obs::LifecycleStatus ls;
-    ls.healthy = healthy.load();
-    ls.phase = healthy.load() ? "running" : "cancelled";
-    ls.stage = "factor";
-    ls.cancel_reason = healthy.load() ? "" : "deadline exceeded (run)";
-    return ls;
-  };
-  obs::StatusServer server(telemetry, config);
-  ASSERT_TRUE(server.start());
-  const int port = server.port();
-  ASSERT_GT(port, 0);
-
-  const auto http_get = [port](const std::string& path) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    std::string response;
-    if (fd < 0) return response;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0) {
-      const std::string request =
-          "GET " + path + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
-      if (::send(fd, request.data(), request.size(), 0) ==
-          static_cast<ssize_t>(request.size())) {
-        char buf[4096];
-        ssize_t n;
-        while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-          response.append(buf, static_cast<std::size_t>(n));
-        }
-      }
-    }
-    ::close(fd);
-    return response;
-  };
-
-  std::string response = http_get("/healthz");
-  EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_NE(response.find("\r\n\r\nok"), std::string::npos);
-
-  healthy.store(false);
-  response = http_get("/healthz");
-  EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos);
-  EXPECT_NE(response.find("\r\n\r\ncancelled"), std::string::npos);
-
-  response = http_get("/status");
-  EXPECT_NE(response.find("\"lifecycle\":{\"phase\":\"cancelled\""),
-            std::string::npos);
-  EXPECT_NE(response.find("\"stage\":\"factor\""), std::string::npos);
-  EXPECT_NE(response.find("\"cancel_reason\":\"deadline exceeded (run)\""),
-            std::string::npos);
-  server.stop();
 }
 
 #endif  // WEAKKEYS_TEST_POSIX

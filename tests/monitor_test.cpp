@@ -1,7 +1,7 @@
 // Unit tests for the live-run monitor stack: histogram quantile estimation,
 // rate/ETA derivation (including counter-overflow wrap), the JSONL snapshot
-// schema, the Monitor background thread, process self-metrics, the
-// exit-flush registry, and the embedded HTTP status server.
+// schema, the Monitor background thread, process self-metrics, and the
+// exit-flush registry.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,29 +15,15 @@
 #include <thread>
 #include <vector>
 
-#include "json_lite.hpp"
 #include "obs/monitor.hpp"
 #include "obs/proc_stats.hpp"
-#include "obs/status_server.hpp"
 #include "obs/telemetry.hpp"
-
-#if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#define WEAKKEYS_TEST_SOCKETS 1
-#endif
+#include "util/json_lite.hpp"
 
 namespace weakkeys {
 namespace {
 
 using obs::MetricsSnapshot;
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 std::string temp_path(const std::string& stem) {
   return stem + "_" + std::to_string(::getpid()) + ".tmp";
@@ -316,232 +302,6 @@ TEST(ExitFlush, RegisteredFlushesRunOnceAndUnregisterSticks) {
   EXPECT_EQ(ran_b, 2);
   obs::unregister_exit_flush(token_b);  // leave no dangling captures behind
 }
-
-// -- Prometheus exposition ---------------------------------------------------
-
-TEST(StatusServer, PrometheusNameMangling) {
-  EXPECT_EQ(obs::prometheus_metric_name("ingest.drop.even-modulus"),
-            "weakkeys_ingest_drop_even_modulus");
-  EXPECT_EQ(obs::prometheus_metric_name("cluster.worker.3.deaths"),
-            "weakkeys_cluster_worker_3_deaths");
-  EXPECT_EQ(obs::prometheus_metric_name("already_ok_42"),
-            "weakkeys_already_ok_42");
-}
-
-TEST(StatusServer, PrometheusTextExposition) {
-  obs::MetricsRegistry registry;
-  registry.counter("ingest.records_seen").inc(12);
-  registry.gauge("threadpool.queue_depth").set(-1);
-  auto& h = registry.histogram("gcd.task_us", {10, 100});
-  h.record(5);
-  h.record(50);
-  h.record(5000);
-  const std::string text = obs::prometheus_text(registry.snapshot());
-
-  EXPECT_NE(text.find("# TYPE weakkeys_ingest_records_seen counter\n"
-                      "weakkeys_ingest_records_seen 12\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE weakkeys_threadpool_queue_depth gauge\n"
-                      "weakkeys_threadpool_queue_depth -1\n"),
-            std::string::npos);
-  // Cumulative buckets ending in +Inf, plus _sum/_count.
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_bucket{le=\"10\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_bucket{le=\"100\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_sum 5055\n"), std::string::npos);
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_p50 "), std::string::npos);
-  EXPECT_NE(text.find("weakkeys_gcd_task_us_p99 "), std::string::npos);
-}
-
-#if defined(WEAKKEYS_TEST_SOCKETS)
-
-/// Minimal blocking HTTP/1.0 GET against loopback; returns the raw
-/// response (headers + body), empty on connection failure.
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  std::string response;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    const std::string request =
-        "GET " + path + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
-    if (::send(fd, request.data(), request.size(), 0) ==
-        static_cast<ssize_t>(request.size())) {
-      char buf[4096];
-      ssize_t n;
-      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-        response.append(buf, static_cast<std::size_t>(n));
-      }
-    }
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string body_of(const std::string& response) {
-  const auto pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? std::string() : response.substr(pos + 4);
-}
-
-/// Like http_get but with a caller-chosen method (HEAD, POST, ...).
-std::string http_request(int port, const std::string& method,
-                         const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  std::string response;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    const std::string request =
-        method + " " + path + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
-    if (::send(fd, request.data(), request.size(), 0) ==
-        static_cast<ssize_t>(request.size())) {
-      char buf[4096];
-      ssize_t n;
-      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-        response.append(buf, static_cast<std::size_t>(n));
-      }
-    }
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(StatusServer, ServesMetricsAndStatusOverHttp) {
-  obs::Telemetry telemetry;
-  telemetry.metrics().counter("ingest.records_seen").inc(77);
-  obs::StatusServer server(telemetry, {});  // ephemeral port
-  ASSERT_TRUE(server.start());
-  const int port = server.port();
-  ASSERT_GT(port, 0);
-
-  const std::string metrics = http_get(port, "/metrics");
-  EXPECT_EQ(metrics.rfind("HTTP/1.0 200", 0), 0u) << metrics;
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("weakkeys_ingest_records_seen 77"),
-            std::string::npos);
-
-  const std::string status = http_get(port, "/status");
-  EXPECT_EQ(status.rfind("HTTP/1.0 200", 0), 0u);
-  const auto doc = jsonlite::parse(body_of(status));
-  EXPECT_EQ(doc.at("pid").integer(), ::getpid());
-  EXPECT_EQ(doc.at("metrics").at("counters").at("ingest.records_seen")
-                .integer(),
-            77);
-
-  EXPECT_EQ(http_get(port, "/nope").rfind("HTTP/1.0 404", 0), 0u);
-  EXPECT_EQ(server.requests_served(), 3u);
-
-  server.stop();
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), -1);
-  server.stop();  // idempotent
-}
-
-TEST(StatusServer, HeadRequestsAnswerHeadersOnly) {
-  obs::Telemetry telemetry;
-  telemetry.metrics().counter("demo.counter").inc(1);
-  obs::StatusServer server(telemetry, {});
-  ASSERT_TRUE(server.start());
-  const int port = server.port();
-  ASSERT_GT(port, 0);
-
-  // HEAD mirrors the GET's status line and Content-Length but ships no
-  // body — `curl -I /healthz` for load-balancer probes.
-  const std::string get = http_get(port, "/healthz");
-  const std::string head = http_request(port, "HEAD", "/healthz");
-  EXPECT_EQ(head.rfind("HTTP/1.0 200", 0), 0u) << head;
-  EXPECT_TRUE(body_of(head).empty()) << head;
-  const std::string content_length =
-      "Content-Length: " + std::to_string(body_of(get).size());
-  EXPECT_NE(head.find(content_length), std::string::npos) << head;
-
-  // HEAD of a missing path reports the 404 status, still bodyless.
-  const std::string missing = http_request(port, "HEAD", "/nope");
-  EXPECT_EQ(missing.rfind("HTTP/1.0 404", 0), 0u);
-  EXPECT_TRUE(body_of(missing).empty());
-
-  // Anything else is rejected outright.
-  EXPECT_EQ(http_request(port, "POST", "/healthz").rfind("HTTP/1.0 405", 0),
-            0u);
-}
-
-TEST(StatusServer, StatusReportsFleetBlockWhenWorkersReport) {
-  obs::Telemetry telemetry;
-  auto& m = telemetry.metrics();
-  // No fleet block before any worker reports.
-  obs::StatusServer server(telemetry, {});
-  ASSERT_TRUE(server.start());
-  const int port = server.port();
-  ASSERT_GT(port, 0);
-  {
-    const auto doc = jsonlite::parse(body_of(http_get(port, "/status")));
-    EXPECT_FALSE(doc.has("fleet"));
-  }
-
-  // Publish what a FleetAggregator would after two workers exported.
-  m.gauge("fleet.workers_reporting").set(2);
-  m.counter("fleet.telemetry_snapshots").set(6);
-  m.counter("fleet.tasks_executed").set(9);
-  m.counter("fleet.compute_us").set(120000);
-  m.gauge("fleet.rss_kb").set(3072);
-  m.counter("fleet.worker.0.tasks_executed").set(5);
-  m.gauge("fleet.worker.0.rss_kb").set(1024);
-  m.gauge("fleet.worker.0.cpu_user_us").set(90000);
-  m.gauge("fleet.worker.0.queue_depth").set(1);
-  m.counter("fleet.worker.1.tasks_executed").set(4);
-  m.counter("fleet.worker.1.claims_found").set(3);
-  m.gauge("fleet.worker.1.rss_kb").set(2048);
-
-  const auto doc = jsonlite::parse(body_of(http_get(port, "/status")));
-  const auto& fleet = doc.at("fleet");
-  EXPECT_EQ(fleet.at("workers_reporting").integer(), 2);
-  EXPECT_EQ(fleet.at("telemetry_snapshots").integer(), 6);
-  EXPECT_EQ(fleet.at("tasks_executed").integer(), 9);
-  EXPECT_EQ(fleet.at("compute_us").integer(), 120000);
-  EXPECT_EQ(fleet.at("rss_kb").integer(), 3072);
-  const auto& per_worker = fleet.at("per_worker").array();
-  ASSERT_EQ(per_worker.size(), 2u);
-  EXPECT_EQ(per_worker[0].at("id").str(), "0");
-  EXPECT_EQ(per_worker[0].at("rss_kb").integer(), 1024);
-  EXPECT_EQ(per_worker[0].at("cpu_user_us").integer(), 90000);
-  EXPECT_EQ(per_worker[0].at("queue_depth").integer(), 1);
-  EXPECT_EQ(per_worker[0].at("tasks_executed").integer(), 5);
-  EXPECT_EQ(per_worker[1].at("id").str(), "1");
-  EXPECT_EQ(per_worker[1].at("rss_kb").integer(), 2048);
-  EXPECT_EQ(per_worker[1].at("tasks_executed").integer(), 4);
-  EXPECT_EQ(per_worker[1].at("claims_found").integer(), 3);
-}
-
-TEST(StatusServer, BindRetryWalksPastABusyPort) {
-  obs::Telemetry telemetry;
-  obs::StatusServer first(telemetry, {});
-  ASSERT_TRUE(first.start());
-  const int taken = first.port();
-  ASSERT_GT(taken, 0);
-
-  obs::StatusServerConfig config;
-  config.port = static_cast<std::uint16_t>(taken);  // deliberately busy
-  config.bind_retries = 16;
-  obs::StatusServer second(telemetry, config);
-  ASSERT_TRUE(second.start());
-  EXPECT_GT(second.port(), taken);
-  EXPECT_LE(second.port(), taken + 16);
-  // Both servers answer independently.
-  EXPECT_EQ(http_get(second.port(), "/metrics").rfind("HTTP/1.0 200", 0), 0u);
-  EXPECT_EQ(http_get(first.port(), "/metrics").rfind("HTTP/1.0 200", 0), 0u);
-}
-
-#endif  // WEAKKEYS_TEST_SOCKETS
 
 }  // namespace
 }  // namespace weakkeys

@@ -15,11 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "json_lite.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "util/json_lite.hpp"
 #include "util/thread_pool.hpp"
 
 namespace weakkeys {
@@ -119,7 +119,7 @@ TEST(MetricsRegistry, ToJsonParsesAndRoundTripsValues) {
   auto& h = registry.histogram("task_us", {10, 100});
   h.record(7);
   h.record(250);
-  const auto doc = testjson::parse(registry.to_json());
+  const auto doc = jsonlite::parse(registry.to_json());
   EXPECT_EQ(doc.at("counters").at("ingest.drop.even-modulus").integer(), 5);
   EXPECT_EQ(doc.at("gauges").at("queue").integer(), -2);
   const auto& hist = doc.at("histograms").at("task_us");
@@ -235,7 +235,7 @@ TEST(Tracer, ChromeTraceJsonIsValidAndMonotonicPerThread) {
       task.arg("i", static_cast<std::int64_t>(i));
     });
   }
-  const auto doc = testjson::parse(telemetry.tracer().chrome_trace_json());
+  const auto doc = jsonlite::parse(telemetry.tracer().chrome_trace_json());
   EXPECT_EQ(doc.at("displayTimeUnit").str(), "ms");
   const auto& trace_events = doc.at("traceEvents").array();
   ASSERT_EQ(trace_events.size(), 33u);
@@ -305,9 +305,9 @@ TEST(Telemetry, WriteTraceFilesEmitsValidJsonPair) {
     ASSERT_TRUE(in.good()) << file;
     const std::string text((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
-    EXPECT_NO_THROW(testjson::parse(text)) << file;
+    EXPECT_NO_THROW(jsonlite::parse(text)) << file;
   }
-  const auto trace = testjson::parse([&] {
+  const auto trace = jsonlite::parse([&] {
     std::ifstream in(path);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -331,7 +331,7 @@ TEST(JsonEscape, ControlCharsQuotesAndBackslashesStayParseable) {
   EXPECT_NE(escaped.find("\\u0001"), std::string::npos);
   EXPECT_NE(escaped.find("\\u001f"), std::string::npos);
   // Embedded in a document, it parses back to the original bytes.
-  const auto doc = testjson::parse("{\"k\":\"" + escaped + "\"}");
+  const auto doc = jsonlite::parse("{\"k\":\"" + escaped + "\"}");
   EXPECT_EQ(doc.at("k").str(), hostile);
 }
 
@@ -343,7 +343,7 @@ TEST(JsonEscape, HostileSpanNamesAndArgsYieldParseableChromeTrace) {
     obs::Span span = tracer.span("evil\"span\\\n\x02name");
     span.arg("arg\"key\twith\x03junk", 7);
   }
-  const auto doc = testjson::parse(tracer.chrome_trace_json());
+  const auto doc = jsonlite::parse(tracer.chrome_trace_json());
   const auto& events = doc.at("traceEvents").array();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].at("name").str(), "evil\"span\\\n\x02name");
@@ -516,7 +516,7 @@ TEST(FleetAggregator, HostileNamesStillEmitParseableJson) {
   snap.counters = {{"cnt\"with\tjunk", 2}};
   fleet.ingest(snap);
 
-  const auto trace = testjson::parse(fleet.chrome_trace_json());
+  const auto trace = jsonlite::parse(fleet.chrome_trace_json());
   bool found = false;
   for (const auto& e : trace.at("traceEvents").array()) {
     if (e.at("ph").str() != "X") continue;
@@ -527,7 +527,7 @@ TEST(FleetAggregator, HostileNamesStillEmitParseableJson) {
   }
   EXPECT_TRUE(found);
 
-  const auto metrics = testjson::parse(fleet.fleet_metrics_json());
+  const auto metrics = jsonlite::parse(fleet.fleet_metrics_json());
   const auto& workers = metrics.at("workers").array();
   ASSERT_EQ(workers.size(), 1u);
   EXPECT_EQ(workers[0].at("counters").at("cnt\"with\tjunk").integer(), 2);

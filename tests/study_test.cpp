@@ -182,6 +182,56 @@ TEST_F(StudyIntegration, PinnedScienceIsReproducedExactly) {
   EXPECT_EQ(ibm.moduli.size(), kPinnedCliqueModuli);
 }
 
+// Per-vendor figures at the same seed and scale: each labelled vendor's peak
+// vulnerable-host count in one HTTPS scan, and the date of the first scan
+// that saw a vulnerable host of that vendor ("never" when none did). The
+// Huawei row is the paper's late onset (first vulnerable in April 2015; the
+// monthly scans at this scale first catch one in May).
+struct VendorPin {
+  std::string vendor;
+  std::size_t peak_vulnerable = 0;
+  std::string onset;
+  bool operator==(const VendorPin&) const = default;
+};
+
+void PrintTo(const VendorPin& pin, std::ostream* os) {
+  *os << "{\"" << pin.vendor << "\", " << pin.peak_vulnerable << ", \""
+      << pin.onset << "\"}";
+}
+
+const std::vector<VendorPin> kPinnedVendors = {
+    {"ADTRAN", 2, "2015-07-15"},       {"Cisco", 38, "2010-07-15"},
+    {"D-Link", 12, "2014-05-15"},      {"Dell", 7, "2010-07-15"},
+    {"Fortinet", 6, "2010-07-15"},     {"Fritz!Box", 15, "2010-07-15"},
+    {"Hewlett-Packard", 4, "2010-07-15"}, {"Huawei", 16, "2015-05-15"},
+    {"IBM", 35, "2010-07-15"},         {"Innominate", 5, "2010-07-15"},
+    {"Juniper", 17, "2010-07-15"},     {"Kronos", 2, "2010-07-15"},
+    {"Linksys", 8, "2010-07-15"},      {"McAfee", 0, "never"},
+    {"Sangfor", 1, "2015-01-15"},      {"Schmid Telecom", 2, "2013-03-15"},
+    {"Siemens", 0, "never"},           {"TP-LINK", 32, "2010-07-15"},
+    {"Thomson", 8, "2010-07-15"},      {"Xerox", 11, "2010-07-15"},
+    {"ZyXEL", 8, "2010-07-15"},
+};
+
+TEST_F(StudyIntegration, PinnedVendorPeaksAndOnsetsAreReproducedExactly) {
+  const auto builder = study_->series_builder();
+  std::vector<VendorPin> actual;
+  for (const auto& vendor : builder.vendors()) {
+    const auto series = builder.vendor_series(vendor);
+    const auto onset = std::find_if(
+        series.points.begin(), series.points.end(),
+        [](const analysis::SeriesPoint& p) { return p.vulnerable_hosts > 0; });
+    actual.push_back({vendor, series.peak_vulnerable(),
+                      onset == series.points.end() ? "never"
+                                                   : onset->date.to_string()});
+  }
+  std::sort(actual.begin(), actual.end(),
+            [](const VendorPin& a, const VendorPin& b) {
+              return a.vendor < b.vendor;
+            });
+  EXPECT_EQ(actual, kPinnedVendors);
+}
+
 TEST_F(StudyIntegration, RunIsIdempotent) {
   const std::size_t before = study_->factored().size();
   study_->run();
@@ -374,10 +424,10 @@ constexpr const char* kStudyEnvVars[] = {
     "WEAKKEYS_CHUNK_BYTES",    "WEAKKEYS_STREAM_WINDOW",
     "WEAKKEYS_TELEMETRY_INTERVAL_MS", "WEAKKEYS_FLEET_TRACE",
     "WEAKKEYS_TRACE",          "WEAKKEYS_MONITOR",
-    "WEAKKEYS_STATUS_PORT",    "WEAKKEYS_PROFILE_HZ",
-    "WEAKKEYS_PROFILE_OUT",    "WEAKKEYS_MEM_BUDGET_MB",
-    "WEAKKEYS_SPILL_DIR",      "WEAKKEYS_SPILL_THRESHOLD_MB",
-    "WEAKKEYS_SPILL_RAM_FALLBACK_MB", "WEAKKEYS_DEADLINE",
+    "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
+    "WEAKKEYS_MEM_BUDGET_MB",  "WEAKKEYS_SPILL_DIR",
+    "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",
+    "WEAKKEYS_DEADLINE",
 };
 
 /// Unsets every from_env variable for a scope, so the developer's shell
@@ -423,8 +473,6 @@ TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
        [](const StudyConfig& c) { return c.stream_window_chunks * 1.0; }},
       {"WEAKKEYS_TELEMETRY_INTERVAL_MS", "50", 50, "fast", "-5",
        [](const StudyConfig& c) { return c.telemetry_interval_ms * 1.0; }},
-      {"WEAKKEYS_STATUS_PORT", "9090", 9090, "abc", "70000",
-       [](const StudyConfig& c) { return c.status_port * 1.0; }},
       {"WEAKKEYS_PROFILE_HZ", "43.5", 43.5, "not-a-number", "1e999",
        [](const StudyConfig& c) { return c.profile_hz; }},
       {"WEAKKEYS_MEM_BUDGET_MB", "512", 512, "512MB", "-1",
@@ -502,14 +550,12 @@ TEST(StudyConfigEnv, StudyIgnoresTheEnvironment) {
                             std::to_string(::getpid()) + ".json";
   std::filesystem::remove(trace);
   ScopedEnv workers("WEAKKEYS_WORKERS", "2");
-  ScopedEnv port("WEAKKEYS_STATUS_PORT", "0");
   ScopedEnv trace_env("WEAKKEYS_TRACE", trace);
   {
     Study study(tiny_config(991));
     study.run();
     EXPECT_EQ(study.cluster_stats().tasks_executed, 0u);
     EXPECT_GT(study.distributed_stats().tasks, 0u);
-    EXPECT_EQ(study.status_port(), -1);
   }
   EXPECT_FALSE(std::filesystem::exists(trace));
   EXPECT_FALSE(std::filesystem::exists(trace + ".metrics.json"));

@@ -12,21 +12,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "cluster/process_coordinator.hpp"
 #include "core/ingest.hpp"
 #include "core/study.hpp"
-#include "json_lite.hpp"
-
-#if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#define WEAKKEYS_TEST_SOCKETS 1
-#endif
+#include "util/json_lite.hpp"
 
 namespace weakkeys {
 namespace {
@@ -152,8 +143,8 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   const std::string metrics_text = slurp(config.trace_path + ".metrics.json");
   ASSERT_FALSE(trace_text.empty());
   ASSERT_FALSE(metrics_text.empty());
-  const auto trace = testjson::parse(trace_text);
-  const auto metrics = testjson::parse(metrics_text);
+  const auto trace = jsonlite::parse(trace_text);
+  const auto metrics = jsonlite::parse(metrics_text);
   const auto& trace_events = trace.at("traceEvents").array();
   EXPECT_GE(trace_events.size(), span_counts.size());
   std::map<std::int64_t, double> last_ts;
@@ -240,90 +231,6 @@ TEST_F(TelemetryE2E, MonitoredRunTimeSeriesClosesOnFinalTotals) {
 
   std::remove(config.monitor_path.c_str());
 }
-
-#if defined(WEAKKEYS_TEST_SOCKETS)
-
-namespace {
-
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  std::string response;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    const std::string request =
-        "GET " + path + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
-    if (::send(fd, request.data(), request.size(), 0) ==
-        static_cast<ssize_t>(request.size())) {
-      char buf[4096];
-      ssize_t n;
-      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-        response.append(buf, static_cast<std::size_t>(n));
-      }
-    }
-  }
-  ::close(fd);
-  return response;
-}
-
-}  // namespace
-
-// /metrics is scrapeable while run() executes on another thread, and the
-// server survives the end of the run with the full metric families.
-TEST_F(TelemetryE2E, StatusServerServesPrometheusDuringRun) {
-  core::StudyConfig config = noisy_config();
-  config.trace_path.clear();
-  config.status_port = 0;  // ephemeral: parallel ctest never collides
-  core::Study study(config);
-
-  std::thread runner([&study] { study.run(); });
-  int port = -1;
-  for (int i = 0; i < 500 && port <= 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    port = study.status_port();
-  }
-  ASSERT_GT(port, 0) << "status server never came up";
-
-  // Mid-run scrape: valid exposition. The server comes up before the first
-  // pipeline instrument exists, so poll until some family appears (the
-  // server outlives the run, so this converges even on a very fast run).
-  std::string mid_run;
-  for (int i = 0; i < 2000; ++i) {
-    mid_run = http_get(port, "/metrics");
-    if (mid_run.find("# TYPE weakkeys_") != std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(mid_run.rfind("HTTP/1.0 200", 0), 0u);
-  EXPECT_NE(mid_run.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(mid_run.find("# TYPE weakkeys_"), std::string::npos);
-  runner.join();
-
-  // Post-run the server is still up and exposes every family the pipeline
-  // touched.
-  const std::string text = http_get(port, "/metrics");
-  EXPECT_EQ(text.rfind("HTTP/1.0 200", 0), 0u);
-  for (const char* family :
-       {"weakkeys_ingest_records_seen", "weakkeys_coordinator_tasks_executed",
-        "weakkeys_threadpool_tasks_completed",
-        "weakkeys_threadpool_task_us_bucket{le=\"+Inf\"}",
-        "weakkeys_threadpool_task_us_p99"}) {
-    EXPECT_NE(text.find(family), std::string::npos) << family;
-  }
-
-  const std::string status = http_get(port, "/status");
-  const auto pos = status.find("\r\n\r\n");
-  ASSERT_NE(pos, std::string::npos);
-  const auto doc = jsonlite::parse(status.substr(pos + 4));
-  EXPECT_EQ(doc.at("pid").integer(), ::getpid());
-  EXPECT_GT(doc.at("metrics").at("counters").at("coordinator.tasks_executed")
-                .integer(),
-            0);
-}
-
-#endif  // WEAKKEYS_TEST_SOCKETS
 
 // Regression test for silent telemetry loss: a run that dies mid-pipeline
 // (its factoring stage routed to a worker binary that does not exist) must
