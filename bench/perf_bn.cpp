@@ -3,14 +3,17 @@
 //   * Karatsuba vs schoolbook multiplication (threshold sweep),
 //   * Newton-reciprocal vs Knuth Algorithm D division,
 // the Newton reciprocal the scaled remainder tree starts from, Montgomery
-// modexp, gcd and RSA keygen throughput, and — when GMP is found at
-// configure time — GMP's multiply, divide, powm and gcd on the same
-// operands as a yardstick for how far the kernels are from the hardware
-// (BM_*_Gmp).
+// modexp, gcd (on one fixed pair and over varying pairs) and RSA keygen
+// throughput, and — when GMP is found at configure time — GMP's multiply,
+// divide, powm and gcd on the same operands as a yardstick for how far the
+// kernels are from the hardware (BM_*_Gmp).
 #include <benchmark/benchmark.h>
 #if WEAKKEYS_BENCH_GMP
 #include <gmp.h>
 #endif
+
+#include <utility>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "bn/detail.hpp"
@@ -163,6 +166,32 @@ void BM_Gcd(benchmark::State& state) {
 }
 BENCHMARK(BM_Gcd)->Arg(256)->Arg(1024);
 
+/// BM_Gcd's one fixed pair lets the branch predictor learn its whole
+/// control flow. The leaf GCDs of a batch GCD never repeat an operand, so
+/// this row cycles through kGcdPairs pre-drawn pairs instead.
+constexpr std::size_t kGcdPairs = 4096;
+
+std::vector<std::pair<BigInt, BigInt>> gcd_pairs(std::size_t bits) {
+  std::vector<std::pair<BigInt, BigInt>> pairs;
+  pairs.reserve(kGcdPairs);
+  for (std::size_t i = 0; i < kGcdPairs; ++i) {
+    pairs.emplace_back(random_bits_of(1000 + 2 * i, bits),
+                       random_bits_of(1001 + 2 * i, bits));
+  }
+  return pairs;
+}
+
+void BM_Gcd_Varying(benchmark::State& state) {
+  const auto pairs = gcd_pairs(static_cast<std::size_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = pairs[i];
+    benchmark::DoNotOptimize(bn::gcd(a, b));
+    i = (i + 1) % kGcdPairs;
+  }
+}
+BENCHMARK(BM_Gcd_Varying)->Arg(256);
+
 #if WEAKKEYS_BENCH_GMP
 /// The same operands as BM_ModPow and BM_Gcd.
 void BM_ModPow_Gmp(benchmark::State& state) {
@@ -191,6 +220,25 @@ void BM_Gcd_Gmp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gcd_Gmp)->Arg(256);
+
+/// The same pairs as BM_Gcd_Varying.
+void BM_Gcd_Varying_Gmp(benchmark::State& state) {
+  const auto pairs = gcd_pairs(static_cast<std::size_t>(state.range(0)));
+  std::vector<Mpz> a(kGcdPairs);
+  std::vector<Mpz> b(kGcdPairs);
+  for (std::size_t i = 0; i < kGcdPairs; ++i) {
+    mpz_set_str(a[i].z, pairs[i].first.to_hex().c_str(), 16);
+    mpz_set_str(b[i].z, pairs[i].second.to_hex().c_str(), 16);
+  }
+  Mpz r;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    mpz_gcd(r.z, a[i].z, b[i].z);
+    benchmark::DoNotOptimize(r.z);
+    i = (i + 1) % kGcdPairs;
+  }
+}
+BENCHMARK(BM_Gcd_Varying_Gmp)->Arg(256);
 #endif
 
 void BM_RsaKeygen(benchmark::State& state) {

@@ -168,10 +168,12 @@ void Study::run() {
 
   try {
     obs::Span run_span = telemetry_.tracer().span("study.run");
+    // One pool for the whole run: simulation keygen, then factoring.
+    util::ThreadPool pool(config_.threads, &telemetry_);
     begin_stage();
-    build_dataset();
+    build_dataset(pool);
     begin_stage();
-    factor_moduli();
+    factor_moduli(pool);
     begin_stage();
     fingerprint_corpus();
   } catch (const util::Cancelled&) {
@@ -273,7 +275,7 @@ void Study::flush_telemetry() {
   }
 }
 
-void Study::build_dataset() {
+void Study::build_dataset(util::ThreadPool& pool) {
   obs::Span stage = telemetry_.tracer().span("study.build_dataset");
   auto& metrics = telemetry_.metrics();
   const StoreKey key{
@@ -316,7 +318,7 @@ void Study::build_dataset() {
     sim.log = [this](const std::string& message) { log("sim: " + message); };
     internet_ = std::make_unique<netsim::Internet>(
         netsim::standard_models(config_.sim.scale), sim);
-    raw_dataset_ = internet_->run(netsim::standard_campaigns());
+    raw_dataset_ = internet_->run(netsim::standard_campaigns(), &pool);
     log("simulated " + std::to_string(raw_dataset_.total_host_records()) +
         " host records");
     if (!config_.cache_path.empty()) {
@@ -464,7 +466,7 @@ void Study::write_factor_cache_payload(BinaryWriter& w) const {
   }
 }
 
-void Study::factor_moduli() {
+void Study::factor_moduli(util::ThreadPool& pool) {
   obs::Span stage = telemetry_.tracer().span("study.factor_moduli");
   auto& metrics = telemetry_.metrics();
   const std::string factor_cache =
@@ -556,7 +558,6 @@ void Study::factor_moduli() {
     // In-process path: the k^2 tasks on a thread pool, each committed task
     // journaled so a killed or cancelled run resumes only the rest.
     obs::Span gcd_span = telemetry_.tracer().span("gcd.distributed");
-    util::ThreadPool pool(config_.threads, &telemetry_);
     batchgcd::DistributedOptions options;
     options.cancel = resolve_token();
     options.registry = &telemetry_.metrics();

@@ -58,7 +58,8 @@ struct StudyConfig {
   netsim::SimConfig sim;
   /// Batch-GCD subset count (the paper used k=16 on 22 machines).
   std::size_t batch_gcd_subsets = 4;
-  /// Worker threads for the distributed batch GCD (0 = hardware).
+  /// Threads of the one pool run() builds (0 = hardware). It serves both
+  /// the simulation's keygen batches and the in-process batch GCD.
   std::size_t threads = 0;
   /// Dataset cache path; empty disables caching. A stale or mismatched
   /// cache is silently rebuilt. Rerunning with the same path resumes: the
@@ -316,8 +317,8 @@ class Study {
   void flush_telemetry();
 
  private:
-  void build_dataset();
-  void factor_moduli();
+  void build_dataset(util::ThreadPool& pool);
+  void factor_moduli(util::ThreadPool& pool);
   void fingerprint_corpus();
   bool load_factor_cache(const std::string& path);
   void save_factor_cache(const std::string& path) const;

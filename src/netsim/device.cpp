@@ -114,27 +114,70 @@ cert::DistinguishedName DeviceFactory::build_subject(
   return dn;
 }
 
-void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
+KeyRecipe DeviceFactory::plan_keys(const Device& device,
+                                   const util::Date& when) {
+  // Every rng_, serial and device-id step below happens in the order the
+  // corpus has always been generated in; materialize() makes none.
   const DeviceModel& m = *device.model;
-  const std::uint64_t device_id = next_device_id_++;
+  KeyRecipe recipe;
+  recipe.when = when;
+  recipe.device_id = next_device_id_++;
 
+  if (m.uses_ibm_nine_primes) {
+    recipe.source = KeyRecipe::Source::kIbm;
+  } else if (device.flawed) {
+    // Divergence seed first: the order GCC gave these as unsequenced args.
+    recipe.source = KeyRecipe::Source::kFlawed;
+    recipe.divergence_seed = rng_();
+    recipe.seed = rng_();
+  } else {
+    recipe.source = KeyRecipe::Source::kHealthy;
+    recipe.seed = rng_();
+  }
+
+  // SSH host key first (sshd generates at first boot, before the web UI).
+  const bool wants_ssh = m.protocol == Protocol::kSsh ||
+                         (m.ssh_frac > 0 && rng_.chance(m.ssh_frac));
+  if (wants_ssh && !m.uses_ibm_nine_primes) recipe.ssh_serial = next_serial_++;
+
+  // Dedicated SSH hosts expose no TLS service.
+  if (m.protocol == Protocol::kSsh) return recipe;
+
+  if (m.uses_ibm_nine_primes) {
+    (void)ibm_pool(m.key_bits);  // built here; materialize() only reads it
+    if (!m.fixed_ibm_key) recipe.seed = rng_();
+  }
+  recipe.subject = build_subject(device, recipe.device_id);
+  if (m.ca_issued) {
+    const auto& pool = ca_pool();
+    recipe.ca = static_cast<std::ptrdiff_t>(rng_.below(pool.size()));
+  }
+  recipe.https_serial = next_serial_++;
+  return recipe;
+}
+
+void DeviceFactory::materialize(const KeyRecipe& recipe, Device& device) const {
+  const DeviceModel& m = *device.model;
   rsa::KeygenOptions opts;
   opts.modulus_bits = m.key_bits;
   opts.style = m.prime_style;
   opts.miller_rabin_rounds = mr_rounds_;
 
-  // Choose the RNG this boot actually has.
   std::unique_ptr<bn::RandomSource> source;
   rng::SimulatedUrandom* flawed_urandom = nullptr;
-  if (m.uses_ibm_nine_primes) {
-    // Handled below without a RandomSource-driven keygen.
-  } else if (device.flawed) {
-    auto ur = std::make_unique<rng::SimulatedUrandom>(
-        m.pool_tag(), m.flawed_rng, rng_(), rng_());
-    flawed_urandom = ur.get();
-    source = std::move(ur);
-  } else {
-    source = std::make_unique<rng::PrngRandomSource>(rng_());
+  switch (recipe.source) {
+    case KeyRecipe::Source::kFlawed: {
+      auto ur = std::make_unique<rng::SimulatedUrandom>(
+          m.pool_tag(), m.flawed_rng, recipe.seed, recipe.divergence_seed);
+      flawed_urandom = ur.get();
+      source = std::move(ur);
+      break;
+    }
+    case KeyRecipe::Source::kHealthy:
+      source = std::make_unique<rng::PrngRandomSource>(recipe.seed);
+      break;
+    case KeyRecipe::Source::kIbm:
+      break;  // no RandomSource-driven keygen
   }
 
   rsa::KeygenEvents events;
@@ -143,32 +186,31 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
       flawed_urandom->stir_divergence_event();
   };
 
-  // SSH host key first (sshd generates at first boot, before the web UI).
+  const cert::Validity validity{recipe.when,
+                                recipe.when.add_months(12 * kCertValidityYears)};
   device.ssh_key.reset();
   device.ssh_cert.reset();
-  const bool wants_ssh = m.protocol == Protocol::kSsh ||
-                         (m.ssh_frac > 0 && rng_.chance(m.ssh_frac));
-  if (wants_ssh && !m.uses_ibm_nine_primes) {
+  if (recipe.ssh_serial != 0) {
     device.ssh_key = rsa::generate_key(*source, opts, &events);
     auto ssh_cert = std::make_shared<cert::Certificate>();
-    ssh_cert->serial = next_serial_++;
-    ssh_cert->subject.add("CN", "ssh-" + hex_id(device_id));
+    ssh_cert->serial = recipe.ssh_serial;
+    ssh_cert->subject.add("CN", "ssh-" + hex_id(recipe.device_id));
     ssh_cert->issuer = ssh_cert->subject;
-    ssh_cert->validity = {when, when.add_months(12 * kCertValidityYears)};
+    ssh_cert->validity = validity;
     ssh_cert->key = device.ssh_key->pub;
     ssh_cert->signature_algorithm = "ssh-rsa";
     device.ssh_cert = std::move(ssh_cert);
   }
 
-  if (m.protocol == Protocol::kSsh) {
-    // Dedicated SSH hosts expose no TLS service.
+  device.rimon_cert.reset();
+  device.issuer_cert.reset();
+  if (recipe.https_serial == 0) {
     device.https_cert.reset();
-    device.rimon_cert.reset();
     return;
   }
 
-  if (m.uses_ibm_nine_primes) {
-    const auto& pool = ibm_pool(m.key_bits);
+  if (recipe.source == KeyRecipe::Source::kIbm) {
+    const auto& pool = ibm_pools_.at(m.key_bits);
     if (m.fixed_ibm_key) {
       // Every device of this family embeds the same key from the IBM pool
       // (the Siemens Building Automation overlap).
@@ -176,7 +218,7 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
           rsa::assemble_private_key(pool.primes()[0], pool.primes()[1],
                                     bn::BigInt(65537));
     } else {
-      rng::PrngRandomSource pick(rng_());
+      rng::PrngRandomSource pick(recipe.seed);
       device.https_key = pool.generate(pick);
     }
   } else {
@@ -190,27 +232,22 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
     sans = {"fritz.box", "www.fritz.box", "myfritz.box", "www.myfritz.box",
             "fritz.fonwlan.box"};
   }
-  const cert::Validity validity{when, when.add_months(12 * kCertValidityYears)};
-  const cert::DistinguishedName subject = build_subject(device, device_id);
-  device.issuer_cert.reset();
-  if (m.ca_issued) {
-    const auto& pool = ca_pool();
-    const auto& ca = pool[rng_.below(pool.size())];
+  if (recipe.ca >= 0) {
+    const CaEntry& ca = cas_[static_cast<std::size_t>(recipe.ca)];
     device.https_cert = std::make_shared<cert::Certificate>(cert::make_issued(
-        subject, sans, validity, device.https_key.pub, ca.certificate->subject,
-        ca.key, next_serial_++));
+        recipe.subject, sans, validity, device.https_key.pub,
+        ca.certificate->subject, ca.key, recipe.https_serial));
     device.issuer_cert = ca.certificate;
   } else {
     device.https_cert = std::make_shared<cert::Certificate>(
-        cert::make_self_signed(subject, sans, validity, device.https_key,
-                               next_serial_++));
+        cert::make_self_signed(recipe.subject, sans, validity,
+                               device.https_key, recipe.https_serial));
   }
-  device.rimon_cert.reset();
 }
 
-Device DeviceFactory::create(const DeviceModel& model,
-                             const util::Date& manufactured,
-                             const util::Date& deployed) {
+Device DeviceFactory::place(const DeviceModel& model,
+                            const util::Date& manufactured,
+                            const util::Date& deployed) {
   Device device;
   device.model = &model;
   device.manufactured = manufactured;
@@ -218,12 +255,19 @@ Device DeviceFactory::create(const DeviceModel& model,
   device.flawed = model.flawed_at(manufactured);
   device.ip = ips_.allocate();
   device.behind_rimon = model.rimon_mitm_frac > 0 && rng_.chance(model.rimon_mitm_frac);
-  generate_keys(device, deployed);
+  return device;
+}
+
+Device DeviceFactory::create(const DeviceModel& model,
+                             const util::Date& manufactured,
+                             const util::Date& deployed) {
+  Device device = place(model, manufactured, deployed);
+  materialize(plan_keys(device, deployed), device);
   return device;
 }
 
 void DeviceFactory::regenerate(Device& device, const util::Date& when) {
-  generate_keys(device, when);
+  materialize(plan_keys(device, when), device);
 }
 
 CertHandle DeviceFactory::rimon_variant(Device& device) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/thread_pool.hpp"
+
 namespace weakkeys::netsim {
 
 using util::Date;
@@ -35,18 +37,47 @@ void Internet::seed_initial_population() {
     const auto count =
         static_cast<std::size_t>(std::llround(model.initial_count));
     for (std::size_t i = 0; i < count; ++i) {
-      // Seeding is keygen-bound and runs before the month loop, so it needs
-      // its own poll to keep cancel latency at one key, not one fleet.
-      if (config_.cancel) config_.cancel->throw_if_cancelled();
       // Manufacture dates spread over the years before the study window so
       // flawed_from / flawed_until windows partition the initial fleet.
       const auto back =
           static_cast<int>(events_rng_.below(kBackfillMonths));
       const Date manufactured =
           start.add_months(-back).add_days(static_cast<std::int64_t>(events_rng_.below(28)));
-      devices_.push_back(factory_.create(model, manufactured, manufactured));
+      devices_.push_back(factory_.place(model, manufactured, manufactured));
+      // The initial fleet's keys are generated in month 0's batch.
+      queue_keys(devices_.size() - 1, manufactured);
     }
   }
+}
+
+void Internet::queue_keys(std::size_t index, const Date& when) {
+  KeyRecipe recipe = factory_.plan_keys(devices_[index], when);
+  const auto [slot, fresh] = queued_slot_.try_emplace(index, queued_.size());
+  if (fresh) {
+    queued_.emplace_back(index, std::move(recipe));
+  } else {
+    queued_[slot->second].second = std::move(recipe);
+  }
+}
+
+void Internet::materialize_queued(util::ThreadPool* pool) {
+  obs::Span span;
+  if (config_.telemetry) {
+    span = config_.telemetry->tracer().span("sim.keygen");
+    span.arg("keys", static_cast<std::int64_t>(queued_.size()));
+  }
+  const auto materialize_one = [this](std::size_t i) {
+    if (config_.cancel) config_.cancel->throw_if_cancelled();
+    const auto& [index, recipe] = queued_[i];
+    factory_.materialize(recipe, devices_[index]);
+  };
+  if (pool) {
+    pool->parallel_for(queued_.size(), materialize_one, config_.cancel);
+  } else {
+    for (std::size_t i = 0; i < queued_.size(); ++i) materialize_one(i);
+  }
+  queued_.clear();
+  queued_slot_.clear();
 }
 
 void Internet::advance_month(const Date& month_start) {
@@ -68,18 +99,18 @@ void Internet::advance_month(const Date& month_start) {
     deploy_accumulator_[mi] -= static_cast<double>(n);
     if (deployed) deployed->inc(n);
     for (std::size_t i = 0; i < n; ++i) {
-      // Deployment is keygen-bound too; poll per key like the seeding loop.
-      if (config_.cancel) config_.cancel->throw_if_cancelled();
       const Date when =
           month_start.add_days(static_cast<std::int64_t>(events_rng_.below(28)));
-      devices_.push_back(factory_.create(model, when, when));
+      devices_.push_back(factory_.place(model, when, when));
+      queue_keys(devices_.size() - 1, when);
     }
   }
 
   // Per-device monthly events.
   const bool heartbleed_month =
       month_start.month_index() == heartbleed_date().month_index();
-  for (Device& device : devices_) {
+  for (std::size_t index = 0; index < devices_.size(); ++index) {
+    Device& device = devices_[index];
     if (!device.alive) continue;
     const DeviceModel& model = *device.model;
 
@@ -108,7 +139,7 @@ void Internet::advance_month(const Date& month_start) {
     if (events_rng_.chance(model.regen_rate)) {
       const Date when =
           month_start.add_days(static_cast<std::int64_t>(events_rng_.below(28)));
-      factory_.regenerate(device, when);
+      queue_keys(index, when);
       if (regenerated) regenerated->inc();
     }
   }
@@ -158,7 +189,8 @@ ScanSnapshot Internet::scan(const ScanCampaign& campaign, const Date& when) {
   return snap;
 }
 
-ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
+ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns,
+                          util::ThreadPool* pool) {
   seed_initial_population();
 
   // Schedule: month index -> campaign scan dates.
@@ -185,6 +217,7 @@ ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
     if (config_.cancel) config_.cancel->throw_if_cancelled();
     const Date month = start.add_months(mi);
     advance_month(month);
+    materialize_queued(pool);
     for (const auto& s : schedule) {
       if (s.when.month_index() != month.month_index()) continue;
       if (config_.cancel) config_.cancel->throw_if_cancelled();

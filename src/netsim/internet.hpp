@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netsim/catalog.hpp"
@@ -14,6 +16,10 @@
 #include "obs/telemetry.hpp"
 #include "util/cancellation.hpp"
 #include "util/prng.hpp"
+
+namespace weakkeys::util {
+class ThreadPool;
+}  // namespace weakkeys::util
 
 namespace weakkeys::netsim {
 
@@ -39,8 +45,8 @@ struct SimConfig {
   /// Must outlive the Internet. Does not affect the StoreKey cache identity.
   obs::Telemetry* telemetry = nullptr;
   /// Cooperative cancellation: run() polls per simulated month, per scan
-  /// snapshot, and per generated key in the keygen-bound seeding/deployment
-  /// loops, then throws util::Cancelled — cancel latency is one key or one
+  /// snapshot, and per materialized key in each month's keygen batch, then
+  /// throws one util::Cancelled — cancel latency is one key or one
   /// snapshot, whichever is in flight.
   /// Does not affect the StoreKey cache identity.
   const util::CancellationToken* cancel = nullptr;
@@ -54,8 +60,11 @@ class Internet {
 
   /// Simulates month-by-month from study_start() to study_end(), executing
   /// every scheduled scan of every campaign. Snapshots come back
-  /// date-ordered.
-  ScanDataset run(const std::vector<ScanCampaign>& campaigns);
+  /// date-ordered. Each month's keys are generated after its events and
+  /// before its scans, on `pool` when one is given (one task per key) and
+  /// inline otherwise; the corpus is the same either way.
+  ScanDataset run(const std::vector<ScanCampaign>& campaigns,
+                  util::ThreadPool* pool = nullptr);
 
   /// Ground truth (for tests and validation; the measurement pipeline uses
   /// only the ScanDataset).
@@ -66,6 +75,11 @@ class Internet {
  private:
   void seed_initial_population();
   void advance_month(const util::Date& month_start);
+  /// Plans a key for devices_[index]; replaces a recipe already queued for
+  /// that device this month, since only the last one would be observable.
+  void queue_keys(std::size_t index, const util::Date& when);
+  /// Generates every queued key (DESIGN.md §5o) and empties the queue.
+  void materialize_queued(util::ThreadPool* pool);
   ScanSnapshot scan(const ScanCampaign& campaign, const util::Date& when);
   [[nodiscard]] double deploy_rate(const DeviceModel& m,
                                    const util::Date& month) const;
@@ -76,6 +90,9 @@ class Internet {
   util::Xoshiro256 events_rng_;
   std::vector<Device> devices_;
   std::vector<double> deploy_accumulator_;
+  /// This month's recipes, in plan order, and each queued device's slot.
+  std::vector<std::pair<std::size_t, KeyRecipe>> queued_;
+  std::unordered_map<std::size_t, std::size_t> queued_slot_;
 };
 
 }  // namespace weakkeys::netsim

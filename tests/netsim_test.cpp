@@ -1,12 +1,23 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
+#include <thread>
 
+#include "core/scan_store.hpp"
+#include "crypto/sha256.hpp"
 #include "netsim/catalog.hpp"
 #include "netsim/device.hpp"
 #include "netsim/internet.hpp"
 #include "netsim/ip_allocator.hpp"
 #include "netsim/ipv4.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::netsim {
 namespace {
@@ -475,6 +486,162 @@ TEST_F(InternetSim, DistinctModuliMatchesKeyCount) {
   EXPECT_GE(moduli.size(), 60u);
   EXPECT_LE(moduli.size(), 180u);
   EXPECT_GE(ds.distinct_certificates(), moduli.size());
+}
+
+// ------------------------------------------- parallel materialization ----
+
+/// SHA-256 of the scan-store bytes of a catalog-scale corpus simulated on
+/// `threads` pool threads (nullopt: no pool).
+std::string corpus_digest(std::optional<std::size_t> threads) {
+  constexpr double kScale = 0.002;
+  SimConfig config;
+  config.seed = 4242;
+  Internet net(standard_models(kScale), config);
+  std::optional<util::ThreadPool> pool;
+  if (threads) pool.emplace(*threads);
+  const ScanDataset ds =
+      net.run(standard_campaigns(), pool ? &*pool : nullptr);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("netsim_corpus_" + std::to_string(::getpid()) + "_" +
+        std::to_string(threads.value_or(0)) + ".cache"))
+          .string();
+  core::save_dataset(ds, core::StoreKey{config.seed, 2000, 6, 1}, path);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  crypto::Sha256 sha;
+  sha.update(bytes);
+  return crypto::digest_hex(sha.finish());
+}
+
+TEST_F(InternetSim, CorpusIsIdenticalAcrossPoolSizes) {
+  const std::string serial = corpus_digest(std::nullopt);
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    EXPECT_EQ(corpus_digest(threads), serial) << threads << " threads";
+  }
+}
+
+/// A single month-0 HTTPS scan that sees every live host.
+ScanCampaign month0_probe() {
+  ScanCampaign probe;
+  probe.name = "Probe";
+  probe.first = probe.last = study_start();
+  probe.coverage = 1.0;
+  return probe;
+}
+
+DeviceModel churning_ip_model() {
+  DeviceModel m = tiny_flawed_model();
+  m.subject_style = SubjectStyle::kIpOctets;
+  m.initial_count = 1;
+  m.deploy_per_month = 0;
+  m.retire_rate = 0;
+  m.churn_rate = 1.0;  // every month, before the month's keys exist
+  m.regen_rate = 0;
+  return m;
+}
+
+TEST_F(InternetSim, SameMonthRegenerateReplacesTheCreateRecipe) {
+  // Month 0 creates the device, moves its address, then regenerates its
+  // key: one batch holds two recipes for it, and the later one must win.
+  DeviceModel model = churning_ip_model();
+  model.regen_rate = 1.0;
+  SimConfig config;
+  config.seed = 31;
+  Internet net({model}, config);
+  util::ThreadPool pool(2);
+  const ScanDataset ds = net.run({month0_probe()}, &pool);
+  ASSERT_EQ(ds.snapshots.size(), 1u);
+  ASSERT_EQ(ds.snapshots[0].records.size(), 1u);
+  const HostRecord& record = ds.snapshots[0].records[0];
+  const cert::Certificate& seen = record.cert();
+
+  // The same factory calls, each key generated on the spot.
+  DeviceFactory twin(config.seed, config.miller_rabin_rounds);
+  const util::Date made = net.devices().at(0).manufactured;
+  Device device = twin.create(model, made, made);
+  const Device created = device;
+  twin.reassign_ip(device);
+  twin.regenerate(device, seen.validity.not_before);
+
+  EXPECT_NE(created.https_key.pub.n, device.https_key.pub.n);
+  EXPECT_EQ(seen.encode(), device.https_cert->encode());
+  EXPECT_EQ(seen.subject.get("CN"), record.ip.to_string());
+}
+
+TEST_F(InternetSim, IpOctetsSubjectCarriesThePlanTimeIp) {
+  // Created, then moved in the same month before its key is materialized:
+  // the certificate names the address the device held when it was planned.
+  const DeviceModel model = churning_ip_model();
+  SimConfig config;
+  config.seed = 31;
+  Internet net({model}, config);
+  const ScanDataset ds = net.run({month0_probe()});
+  ASSERT_EQ(ds.snapshots.size(), 1u);
+  ASSERT_EQ(ds.snapshots[0].records.size(), 1u);
+  const HostRecord& record = ds.snapshots[0].records[0];
+
+  DeviceFactory twin(config.seed, config.miller_rabin_rounds);
+  const util::Date made = net.devices().at(0).manufactured;
+  const Device planned = twin.create(model, made, made);
+  ASSERT_NE(record.ip, planned.ip);  // the churn really moved it
+  EXPECT_EQ(record.cert().subject.get("CN"), planned.ip.to_string());
+}
+
+TEST_F(InternetSim, CancelDuringInitialBatchThrowsOnceAndDrainsThePool) {
+  std::vector<DeviceModel> models{tiny_flawed_model()};
+  models[0].initial_count = 40;
+  obs::Telemetry telemetry;
+  util::ThreadPool pool(1, &telemetry);
+  const obs::Gauge& queued =
+      telemetry.metrics().gauge("threadpool.queue_depth");
+
+  // Hold the pool's only thread so month 0's keys queue up behind it.
+  std::atomic<bool> release{false};
+  std::atomic<bool> holding{false};
+  auto blocker = pool.submit([&] {
+    holding = true;
+    while (!release) std::this_thread::yield();
+  });
+  while (!holding) std::this_thread::yield();
+
+  util::CancellationToken token;
+  SimConfig config;
+  config.seed = 5;
+  config.cancel = &token;
+  Internet net(models, config);
+  std::thread trip([&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (queued.value() == 0 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    token.cancel("test");
+    release = true;
+  });
+
+  int cancelled = 0;
+  int other = 0;
+  try {
+    net.run(standard_campaigns(), &pool);
+  } catch (const util::Cancelled&) {
+    ++cancelled;
+  } catch (...) {
+    ++other;
+  }
+  trip.join();
+  blocker.get();
+
+  EXPECT_EQ(cancelled, 1);
+  EXPECT_EQ(other, 0);
+  EXPECT_EQ(queued.value(), 0);  // every queued key task ran and returned
+  for (const Device& device : net.devices()) {
+    EXPECT_FALSE(device.https_cert);  // each task saw the token first
+  }
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 // ----------------------------------------------------------- Protocol ----
