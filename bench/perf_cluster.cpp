@@ -122,7 +122,6 @@ void BM_ClusterReconnectTax(benchmark::State& state) {
   const util::FaultInjector injector(faults);
   auto config = base_config(4);
   config.injector = &injector;
-  config.session_grace = std::chrono::milliseconds(10000);
   config.task_timeout = std::chrono::milliseconds(4000);
   config.restart_budget = 1u << 20;
   cluster::ClusterStats stats;

@@ -38,6 +38,13 @@ constexpr std::uint32_t kNoWorker = static_cast<std::uint32_t>(-1);
 
 /// An accepted connection must identify itself within this long.
 constexpr std::chrono::milliseconds kHandshakeTimeout{250};
+/// A stream transfer with no ack progress for this long rewinds to the
+/// acked prefix and resends (go-back-N) — recovery for dropped chunks/acks.
+constexpr std::chrono::milliseconds kStreamRetransmit{250};
+/// How often an exited child is looked for: on a parked local slot (a
+/// dead process is buried at once instead of waiting out the grace
+/// window) and in the teardown reap.
+constexpr std::chrono::milliseconds kExitRecheck{10};
 /// Upper bounds on teardown, for wedged (e.g. SIGSTOPped) workers only:
 /// a healthy worker ends the drain with its EOF and the reap with its exit.
 constexpr std::chrono::milliseconds kDrainBound{500};
@@ -238,8 +245,11 @@ class ProcessCoordinator {
     if (config_.log) config_.log(message);
   }
 
-  [[nodiscard]] bool sessions_enabled() const {
-    return config_.session_grace.count() > 0;
+  /// How long a link may stay silent before it is declared lost, and how
+  /// long a lost link's session then waits for the worker to dial back.
+  [[nodiscard]] std::chrono::milliseconds silence_budget() const {
+    return config_.heartbeat_interval *
+           static_cast<int>(config_.heartbeat_misses);
   }
 
   // -- setup ---------------------------------------------------------------
@@ -311,11 +321,6 @@ class ProcessCoordinator {
     };
     flag("--port", std::to_string(bound_port_));
     flag("--worker-id", std::to_string(slot.id));
-    if (sessions_enabled()) {
-      args.push_back("--session-reconnect");
-      flag("--reconnect-window-ms",
-           std::to_string(config_.session_grace.count()));
-    }
     if (config_.telemetry_interval.count() > 0) {
       flag("--telemetry-interval-ms",
            std::to_string(config_.telemetry_interval.count()));
@@ -485,6 +490,7 @@ class ProcessCoordinator {
     ack.heartbeat_interval_ms =
         static_cast<std::uint32_t>(config_.heartbeat_interval.count());
     ack.session_id = slot.session_id;
+    ack.grace_ms = static_cast<std::uint32_t>(silence_budget().count());
     if (!slot.conn->send(MsgType::kHelloAck, ack.encode())) {
       slot.conn.reset();
       slot.fd.reset();
@@ -509,7 +515,7 @@ class ProcessCoordinator {
       nack.accepted = 0;
       probe.send(MsgType::kReconnectAck, nack.encode());
     };
-    if (!sessions_enabled() || msg.worker_id >= slots_.size()) {
+    if (msg.worker_id >= slots_.size()) {
       reject();
       return;
     }
@@ -563,20 +569,20 @@ class ProcessCoordinator {
     pump_streams(slot);
   }
 
-  /// Declares the slot's link dead. With sessions enabled (and the run not
-  /// tearing down) the slot parks in kDisconnected: session kept, grace
-  /// clock started, and the link closed so a half-open peer sees EOF and
-  /// redials. Otherwise the worker is lost.
+  /// Declares the slot's link dead. Unless the run is tearing down, the
+  /// slot parks in kDisconnected: session kept, grace clock started, and
+  /// the link closed so a half-open peer sees EOF and redials. Whether the
+  /// worker itself died is tick_disconnected's call.
   void link_lost(Slot& slot, const char* why) {
     if (slot.state != SlotState::kLive) return;
-    if (sessions_enabled() && !cleaned_up_) {
+    if (!cleaned_up_) {
       slot.state = SlotState::kDisconnected;
       slot.disconnected_at = Clock::now();
       detach_link(slot);
       log("cluster: worker " + std::to_string(slot.id) + " link lost (" +
           std::string(why) + "); holding session " +
           std::to_string(slot.session_id) + " for " +
-          std::to_string(config_.session_grace.count()) + "ms");
+          std::to_string(silence_budget().count()) + "ms");
     } else {
       slot.state = SlotState::kLost;
     }
@@ -859,14 +865,14 @@ class ProcessCoordinator {
   }
 
   /// Go-back-N retransmit: a head transfer with no ack progress for
-  /// stream_retransmit rewinds to the acked prefix and resends — recovery
+  /// kStreamRetransmit rewinds to the acked prefix and resends — recovery
   /// for injected chunk/ack drops without any per-chunk bookkeeping.
   void tick_streams() {
     const auto now = Clock::now();
     for (Slot& slot : slots_) {
       if (slot.state != SlotState::kLive || slot.transfers.empty()) continue;
       Transfer& t = slot.transfers.front();
-      if (now - t.last_progress > config_.stream_retransmit) {
+      if (now - t.last_progress > kStreamRetransmit) {
         if (t.begin_sent && t.sent_off > t.acked) {
           ++stats_.stream_resumes;
           if (m_stream_resumes_) m_stream_resumes_->inc();
@@ -988,8 +994,9 @@ class ProcessCoordinator {
 
   /// The nearest instant at which a timer-driven duty falls due: a ping, a
   /// heartbeat death, a spawn/task/handshake deadline, a retry becoming
-  /// ready, a stream retransmit, a session grace expiry, a burial or the
-  /// cancel token's deadline. max() when nothing is armed.
+  /// ready, a stream retransmit, a session grace expiry, an exit check on
+  /// a parked local worker, a burial or the cancel token's deadline. max()
+  /// when nothing is armed.
   [[nodiscard]] Clock::time_point next_deadline() const {
     const auto now = Clock::now();
     auto next = Clock::time_point::max();
@@ -999,13 +1006,13 @@ class ProcessCoordinator {
         at(slot.spawn_at + config_.spawn_timeout);
       } else if (slot.state == SlotState::kLive) {
         at(slot.last_ping + config_.heartbeat_interval);
-        at(slot.last_pong + config_.heartbeat_interval *
-                                static_cast<int>(config_.heartbeat_misses));
+        at(slot.last_pong + silence_budget());
         if (!slot.transfers.empty()) {
-          at(slot.transfers.front().last_progress + config_.stream_retransmit);
+          at(slot.transfers.front().last_progress + kStreamRetransmit);
         }
       } else if (slot.state == SlotState::kDisconnected) {
-        at(slot.disconnected_at + config_.session_grace);
+        at(slot.disconnected_at + silence_budget());
+        if (!slot.is_remote) at(now + kExitRecheck);
       } else if (slot.state == SlotState::kLost) {
         at(now);  // buried on the next turn
       }
@@ -1099,8 +1106,7 @@ class ProcessCoordinator {
   /// worker can prune its replay outbox.
   void tick_liveness() {
     const auto now = Clock::now();
-    const auto dead_after = config_.heartbeat_interval *
-                            static_cast<int>(config_.heartbeat_misses);
+    const auto dead_after = silence_budget();
     for (Slot& slot : slots_) {
       if (slot.state == SlotState::kSpawning &&
           now - slot.spawn_at > config_.spawn_timeout) {
@@ -1129,17 +1135,28 @@ class ProcessCoordinator {
     }
   }
 
-  /// Expires parked sessions whose grace window ran out — those become
-  /// ordinary losses.
+  /// Parked slots become ordinary losses in two ways. A local worker whose
+  /// process has exited is lost at once: it is reaped here (so tick_lost
+  /// does not wait on it again) and no grace is spent on a peer that cannot
+  /// dial back. Any other parked session is lost when its grace runs out —
+  /// a stopped local worker, or a remote one the coordinator cannot see.
   void tick_disconnected() {
     for (Slot& slot : slots_) {
-      if (slot.state != SlotState::kDisconnected ||
-          Clock::now() - slot.disconnected_at <= config_.session_grace) {
-        continue;
+      if (slot.state != SlotState::kDisconnected) continue;
+      if (!slot.is_remote && slot.pid > 0) {
+        int status = 0;
+        if (::waitpid(slot.pid, &status, WNOHANG) != 0) {
+          log("cluster: worker " + std::to_string(slot.id) +
+              " exited; declaring lost");
+          slot.pid = -1;
+          slot.state = SlotState::kLost;
+          continue;
+        }
       }
+      if (Clock::now() - slot.disconnected_at <= silence_budget()) continue;
       log("cluster: worker " + std::to_string(slot.id) + " session " +
           std::to_string(slot.session_id) + " expired after " +
-          std::to_string(config_.session_grace.count()) +
+          std::to_string(silence_budget().count()) +
           "ms grace; declaring lost");
       ++stats_.sessions_expired;
       if (m_sessions_expired_) m_sessions_expired_->inc();
@@ -1393,7 +1410,8 @@ class ProcessCoordinator {
   /// effort), a drain until every live worker's final telemetry flush and
   /// EOF, then the sockets, then the children — reaped as they exit,
   /// SIGKILLed if still alive at the bound (a SIGSTOPped worker cannot
-  /// process Shutdown). Remote workers get the Shutdown frame
+  /// process Shutdown), or at once when parked without a link. Remote
+  /// workers get the Shutdown frame
   /// but are never signalled or reaped — they are not our children.
   /// Idempotent.
   void cleanup() {
@@ -1423,14 +1441,18 @@ class ProcessCoordinator {
       fold_conn_stats(slot);
       slot.conn.reset();
       slot.fd.reset();
-      if (slot.pid > 0 && !slot.is_remote) exiting.push_back(slot.pid);
+      if (slot.pid > 0 && !slot.is_remote) {
+        // A parked worker has no link to hear Shutdown on.
+        if (slot.state == SlotState::kDisconnected) ::kill(slot.pid, SIGKILL);
+        exiting.push_back(slot.pid);
+      }
       slot.pid = -1;
       slot.state = SlotState::kRetired;
     }
     tick_frame_metrics();
     if (m_workers_alive_) m_workers_alive_->set(0);
 
-    // Re-check every 10 ms for clean exits until the bound.
+    // Re-check every kExitRecheck for clean exits until the bound.
     const auto reap_exited = [&exiting] {  // true while some are left
       std::erase_if(exiting, [](pid_t pid) {
         int status = 0;
@@ -1440,8 +1462,7 @@ class ProcessCoordinator {
     };
     const auto reap_until = Clock::now() + kReapBound;
     while (reap_exited() && Clock::now() < reap_until) {
-      poll_events(
-          std::min(reap_until, Clock::now() + std::chrono::milliseconds(10)));
+      poll_events(std::min(reap_until, Clock::now() + kExitRecheck));
     }
     for (pid_t pid : exiting) {
       ::kill(pid, SIGKILL);

@@ -10,15 +10,23 @@
 // that silently stops answering heartbeats, a garbled frame is bytes that
 // fail CRC on the wire.
 //
-// Failure matrix -> policy:
+// Failure matrix -> policy. Every link is a session: a lost link parks the
+// slot in kDisconnected, keeping its session (cached payload delivery,
+// transfer progress, result sequence), for a grace window of
+// heartbeat_interval x heartbeat_misses. Local death is observed, remote
+// loss is waited out:
 //
-//   worker exits / SIGKILL        socket EOF -> requeue its in-flight task,
-//                                 respawn within the restart budget
+//   worker exits / SIGKILL        socket EOF parks the slot; waitpid(WNOHANG)
+//                                 sees the exit within ~10 ms -> requeue its
+//                                 in-flight task, respawn within the restart
+//                                 budget, no grace spent
 //   worker wedged / SIGSTOP       heartbeat Pongs stop -> after
-//                                 heartbeat_misses intervals: SIGKILL,
-//                                 requeue, respawn (budget permitting)
+//                                 heartbeat_misses intervals the slot parks;
+//                                 the grace runs out -> SIGKILL, requeue,
+//                                 respawn (budget permitting)
 //   frame dropped or garbled      receiver CRC rejects / nothing arrives ->
-//                                 per-task timeout requeues the assignment
+//                                 per-task timeout requeues the assignment;
+//                                 stream chunks rewind by go-back-N
 //   corrupt result content        divisor re-verified on receipt; bad
 //                                 results quarantined (never folded), the
 //                                 sender accumulates strikes and is demoted
@@ -26,22 +34,21 @@
 //   task keeps failing            capped-exponential retry with jitter
 //                                 (util::RetryPolicy), preferring a
 //                                 different worker each time
-//   link drops / partitions       with session_grace > 0 a disconnect is
-//                                 not a death: the slot parks in
-//                                 kDisconnected keeping its session (cached
-//                                 payload delivery, transfer progress,
-//                                 result sequence); the worker redials with
-//                                 ReconnectHello and resumes — results it
+//   link drops / partitions       the worker (alive, or remote and out of
+//                                 sight) redials with ReconnectHello within
+//                                 the grace window and resumes — results it
 //                                 computed inside the partition replay and
 //                                 are deduplicated by sequence + journal,
-//                                 so every task still commits exactly once
+//                                 so every task still commits exactly once;
+//                                 a grace that runs out is a death
 //   restart budget exhausted      the slot retires; the run degrades to the
 //                                 remaining workers and fails only when no
 //                                 worker is left with tasks still pending
 //   coordinator killed            every committed task is in the CRC'd
 //                                 resume journal (batchgcd::TaskJournal,
 //                                 same file as the in-process path's) —
-//                                 rerun to resume
+//                                 rerun to resume; orphaned workers redial
+//                                 for one grace window, then exit
 //
 // Verified divisor claims are folded commutatively, so the output is
 // element-for-element identical to batch_gcd() under any fault schedule —
@@ -87,19 +94,11 @@ struct ClusterConfig {
   /// accepting connections — how tests and tools launch dial-in workers
   /// against an ephemeral port.
   std::function<void(std::uint16_t)> on_listen;
-  /// How long a disconnected worker's *session* (cached subset/product
-  /// delivery state, in-flight transfer progress, result sequence) is kept
-  /// alive awaiting a ReconnectHello before the slot is declared lost and
-  /// respawned. 0 (default) = PR 6 behavior: disconnection is death.
-  std::chrono::milliseconds session_grace{0};
   /// Chunk size for streaming subset/product payloads to workers.
   std::size_t stream_chunk_bytes = 64 * 1024;
   /// Backpressure: at most this many chunks may be in flight beyond the
   /// worker's acked prefix on one transfer.
   std::size_t stream_window_chunks = 8;
-  /// A transfer with no ack progress for this long rewinds to the acked
-  /// prefix and resends (go-back-N) — recovery for dropped chunks/acks.
-  std::chrono::milliseconds stream_retransmit{250};
   /// Per-task retry schedule: capped exponential backoff with
   /// deterministic jitter, and the per-task attempt budget.
   util::RetryPolicy retry;
@@ -109,7 +108,10 @@ struct ClusterConfig {
   std::chrono::milliseconds task_timeout{10000};
   /// Ping cadence per worker.
   std::chrono::milliseconds heartbeat_interval{100};
-  /// Pongs may lag this many intervals before the worker is declared dead.
+  /// Pongs may lag this many intervals before the link is declared lost.
+  /// heartbeat_interval x heartbeat_misses is also the session grace: how
+  /// long a lost link's session waits for the worker to dial back before
+  /// the slot is declared lost and respawned.
   std::size_t heartbeat_misses = 10;
   /// Total worker respawns allowed across the whole run (not per slot).
   /// When exhausted, dead slots retire and the run degrades.

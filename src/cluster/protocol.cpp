@@ -53,6 +53,7 @@ std::vector<std::uint8_t> HelloAckMsg::encode() const {
   w.u64(fingerprint);
   w.u32(heartbeat_interval_ms);
   w.u64(session_id);
+  w.u32(grace_ms);
   return w.data();
 }
 
@@ -63,6 +64,7 @@ std::optional<HelloAckMsg> HelloAckMsg::decode(
     m.fingerprint = r.u64();
     m.heartbeat_interval_ms = r.u32();
     m.session_id = r.u64();
+    m.grace_ms = r.u32();
     return m;
   });
 }
@@ -481,7 +483,6 @@ bool FrameConn::send(MsgType type, const std::vector<std::uint8_t>& body,
   }
   if (fault.delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
-    ++stats_.delayed;
   }
 
   core::BufferWriter header;

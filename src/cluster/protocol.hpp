@@ -15,10 +15,11 @@
 // the task layer via timeouts and reassignment, exactly as a real lossy
 // transport would force.
 //
-// Message flow (protocol v3):
+// Message flow (protocol v4):
 //
 //   worker -> coordinator   Hello             (identify: worker id, pid, ver)
-//   coordinator -> worker   HelloAck          (fingerprint, heartbeat, session)
+//   coordinator -> worker   HelloAck          (fingerprint, heartbeat, session,
+//                                              grace)
 //   coordinator -> worker   StreamBegin       (open a subset/product transfer)
 //   coordinator -> worker   StreamChunk       (offset-addressed payload slice)
 //   worker -> coordinator   StreamAck         (contiguous-prefix receipt)
@@ -76,8 +77,9 @@ namespace weakkeys::cluster {
 /// the coordinator refuses any worker speaking another version. v2 added
 /// sessions (reconnect handshake, result sequencing) and chunked
 /// subset/product streaming; v3 added the telemetry plane (TaskAssign trace
-/// context, TelemetrySnapshot export, Pong clock samples).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// context, TelemetrySnapshot export, Pong clock samples); v4 made sessions
+/// unconditional, with HelloAck naming the session grace window.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Upper bound on a frame payload; a length prefix beyond this means the
 /// stream is garbage (or hostile) and the connection is dropped rather
@@ -126,6 +128,9 @@ struct HelloAckMsg {
   std::uint64_t fingerprint = 0;  ///< corpus identity (sanity check)
   std::uint32_t heartbeat_interval_ms = 0;
   std::uint64_t session_id = 0;  ///< minted per handshake; reconnect key
+  /// How long the coordinator holds a lost link's session. The worker
+  /// redials for this long, and declares a silent link dead after it.
+  std::uint32_t grace_ms = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<HelloAckMsg> decode(
@@ -336,7 +341,6 @@ struct FrameStats {
   std::uint64_t sent = 0;     ///< frames actually written
   std::uint64_t dropped = 0;  ///< frames the injector swallowed
   std::uint64_t garbled = 0;  ///< frames the injector corrupted on send
-  std::uint64_t delayed = 0;  ///< frames the injector delayed
   std::uint64_t corrupt = 0;  ///< received frames rejected by CRC
   // Connection-tier events and their fallout:
   std::uint64_t conn_disconnects = 0;  ///< link severed by the injector
@@ -375,12 +379,13 @@ class FrameConn {
   /// hard socket error — an injected drop "succeeds" from the sender's
   /// point of view, exactly like a lost packet.
   ///
-  /// Callers mark only data-plane frames (TaskAssign, TaskResult)
-  /// injectable. Control frames (handshake, cache fills, heartbeats,
-  /// shutdown) are sent clean: a dropped data frame is recovered by the
-  /// task timeout + reassignment machinery, but a dropped Hello would only
-  /// replay deterministically into an identical drop on every respawn and
-  /// wedge the handshake — there is no retry layer above it to exercise.
+  /// Callers mark injectable only the frames some layer above recovers:
+  /// TaskAssign and TaskResult (task timeout + reassignment, outbox
+  /// replay) and StreamBegin/StreamChunk (go-back-N retransmit). Control
+  /// frames (handshake, stream acks, heartbeats, telemetry, shutdown) are
+  /// sent clean: a dropped Hello would only replay deterministically into
+  /// an identical drop on every respawn and wedge the handshake — there is
+  /// no retry layer above it to exercise.
   bool send(MsgType type, const std::vector<std::uint8_t>& body,
             bool injectable = false);
 

@@ -46,6 +46,11 @@ std::uint64_t tx_stream(std::uint32_t worker_id) {
 /// but the session may still be resumable.
 constexpr int kLinkLost = -1;
 
+/// First redial backoff after a lost link; doubles per failed attempt,
+/// capped at kMaxRedialBackoff.
+constexpr std::chrono::milliseconds kRedialBackoff{20};
+constexpr std::chrono::milliseconds kMaxRedialBackoff{1000};
+
 /// One TCP connection: fd + framed endpoint. Sessions outlive links — the
 /// worker swaps in a fresh Link per reconnect while the compute thread may
 /// still hold a shared_ptr to the dead one (its sends fail harmlessly; the
@@ -72,8 +77,8 @@ class Worker {
     int code = kWorkerExitProtocol;
     std::thread compute;
     bool compute_started = false;
-    auto backoff = config_.reconnect_backoff;
-    auto give_up_at = Clock::now() + config_.reconnect_window;
+    auto backoff = kRedialBackoff;
+    Clock::time_point give_up_at;  // redial deadline, set on link loss
 
     for (;;) {
       const bool resuming = session_id_ != 0;
@@ -92,7 +97,7 @@ class Worker {
           break;
         }
         std::this_thread::sleep_for(backoff);
-        backoff = std::min(backoff * 2, std::chrono::milliseconds(1000));
+        backoff = std::min(backoff * 2, kMaxRedialBackoff);
         continue;
       }
 
@@ -108,7 +113,7 @@ class Worker {
           break;
         }
         std::this_thread::sleep_for(backoff);
-        backoff = std::min(backoff * 2, std::chrono::milliseconds(1000));
+        backoff = std::min(backoff * 2, kMaxRedialBackoff);
         continue;
       }
 
@@ -122,14 +127,12 @@ class Worker {
       code = rx_loop(link.get());
       drop_link(link.get());
       if (code != kLinkLost) break;
-      if (!config_.session_reconnect || session_id_ == 0) {
-        code = kWorkerExitProtocol;
-        break;
-      }
+      // The coordinator holds the session for its grace window; redial for
+      // as long, then give up.
       log("worker " + std::to_string(config_.worker_id) +
           ": connection lost; attempting session resume");
-      give_up_at = Clock::now() + config_.reconnect_window;
-      backoff = config_.reconnect_backoff;
+      give_up_at = Clock::now() + grace_;
+      backoff = kRedialBackoff;
     }
 
     if (compute_started) {
@@ -140,7 +143,7 @@ class Worker {
       cv_.notify_all();
       compute.join();
     }
-    return code == kLinkLost ? kWorkerExitProtocol : code;
+    return code;
   }
 
  private:
@@ -154,7 +157,9 @@ class Worker {
     const int raw = util::net::connect_tcp(
         config_.coordinator_address, config_.port, config_.connect_timeout);
     if (raw < 0) return nullptr;
-    if (config_.tcp_keepalive) util::net::enable_keepalive(raw);
+    // The transport-layer backstop for links whose peer vanished without
+    // a FIN.
+    util::net::enable_keepalive(raw);
     const util::FaultInjector* injector =
         (config_.faults.any_frame_faults() || config_.faults.any_conn_faults())
             ? &injector_
@@ -196,7 +201,7 @@ class Worker {
           const auto ack = HelloAckMsg::decode(frame.body);
           if (!ack) return Handshake::kFatal;
           session_id_ = ack->session_id;
-          hb_interval_ms_ = ack->heartbeat_interval_ms;
+          grace_ = std::chrono::milliseconds(ack->grace_ms);
           return Handshake::kOk;
         }
         case RecvStatus::kCorrupt:
@@ -237,7 +242,6 @@ class Worker {
                 ": session rejected by coordinator");
             return Handshake::kFatal;
           }
-          hb_interval_ms_ = ack->heartbeat_interval_ms;
           prune_outbox(ack->ack_result_seq);
           return Handshake::kOk;
         }
@@ -385,17 +389,16 @@ class Worker {
   /// The RX loop: answers pings inline (so liveness reflects the process,
   /// not the compute queue), reassembles data streams, queues task
   /// assignments. Returns kWorkerExitOk on Shutdown, kLinkLost when the
-  /// transport died (EOF, send failure, or ping-deadline expiry).
+  /// transport died (EOF, send failure, or a link silent past the grace).
   int rx_loop(Link* link) {
     auto last_rx = Clock::now();
     for (;;) {
-      // Half-open detection: a link that has gone silent past the ping
-      // deadline is dead even though the socket never errored — the classic
+      // Half-open detection: a link that has gone silent for the grace
+      // window is dead even though the socket never errored — the classic
       // half-open TCP state after a partition or peer freeze.
-      const auto deadline = ping_deadline();
-      if (deadline.count() > 0 && Clock::now() - last_rx > deadline) {
+      if (Clock::now() - last_rx > grace_) {
         log("worker " + std::to_string(config_.worker_id) +
-            ": ping deadline passed; link presumed half-open");
+            ": no frame within the grace window; link presumed half-open");
         return kLinkLost;
       }
       Frame frame;
@@ -472,13 +475,6 @@ class Worker {
           break;  // unknown/unexpected types are ignored, not fatal
       }
     }
-  }
-
-  [[nodiscard]] std::chrono::milliseconds ping_deadline() const {
-    if (config_.ping_deadline.count() > 0) return config_.ping_deadline;
-    if (!config_.session_reconnect || hb_interval_ms_ == 0)
-      return std::chrono::milliseconds(0);  // disarmed (PR 6 behavior)
-    return std::chrono::milliseconds(10ull * hb_interval_ms_);
   }
 
   // -- stream reassembly (RX thread only) ---------------------------------
@@ -731,7 +727,9 @@ class Worker {
 
   // Session state (main/RX thread unless noted).
   std::uint64_t session_id_ = 0;
-  std::uint32_t hb_interval_ms_ = 0;
+  /// The coordinator's session grace from HelloAck: both how long a link
+  /// may stay silent and how long a lost one is redialed.
+  std::chrono::milliseconds grace_{0};
   std::uint64_t tx_seq_base_ = 0;    ///< injector counters carried across
   std::uint64_t conn_seq_base_ = 0;  ///< reconnects (see FrameConn ctor)
   std::deque<TaskResultMsg> outbox_;     ///< unacked results (mu_)

@@ -10,14 +10,16 @@
 // answering pings because the whole process is frozen, not because a flag
 // was set — the coordinator's heartbeat detector has to notice on its own.
 //
-// With session_reconnect enabled, the TCP connection is a replaceable
-// transport under a durable session: on EOF (or a ping-deadline half-open
-// detection) the RX loop returns to run(), which redials and offers
+// The TCP connection is a replaceable transport under a durable session:
+// on EOF, or when no frame has arrived for the grace window the
+// coordinator names in HelloAck (half-open detection), the RX loop returns
+// to run(), which redials for up to that same window and offers
 // ReconnectHello{session_id} while the compute thread keeps crunching.
 // Completed results wait in a sequence-numbered outbox — pruned by the
 // coordinator's acks piggybacked on Pings, replayed after each reconnect —
 // so a result computed inside a partition is delivered exactly once after
-// it heals.
+// it heals. A remote worker needs no setting for any of this: the grace
+// comes from the coordinator, and dialed sockets always arm TCP keepalive.
 #pragma once
 
 #include <chrono>
@@ -34,26 +36,6 @@ struct WorkerConfig {
   std::uint16_t port = 0;
   std::uint32_t worker_id = 0;
   std::chrono::milliseconds connect_timeout{10000};
-  /// When true, losing the TCP connection after a session is established is
-  /// recoverable: the worker redials and offers ReconnectHello against its
-  /// session id, keeping caches, in-flight compute, and unacknowledged
-  /// results (replayed to the coordinator's high-water mark). When false
-  /// (the default, and PR 6 behavior) any disconnect ends the process.
-  bool session_reconnect = false;
-  /// How long to keep redialing after a disconnect before giving up; the
-  /// coordinator forwards its session grace window here so both sides stop
-  /// caring at about the same time.
-  std::chrono::milliseconds reconnect_window{10000};
-  /// First redial backoff; doubles per failed attempt, capped at 1s.
-  std::chrono::milliseconds reconnect_backoff{20};
-  /// Half-open detection: if no frame at all (not even a Ping) arrives for
-  /// this long, the link is declared dead and redialed. 0 = derive 10x the
-  /// coordinator's advertised heartbeat interval; only armed when
-  /// session_reconnect is on or a value is set explicitly.
-  std::chrono::milliseconds ping_deadline{0};
-  /// Arm TCP keepalive on the dialed socket — the transport-layer backstop
-  /// for remote links whose peer vanished without a FIN.
-  bool tcp_keepalive = false;
   /// Fault injection, worker side. Frame tier applies to the worker's
   /// *outbound* frames (the coordinator injects its own side; each end
   /// garbles only what it sends, like a real lossy link). The task tier
@@ -102,8 +84,9 @@ inline constexpr int kWorkerExitOk = 0;
 inline constexpr int kWorkerExitConnect = 2;   ///< could not reach coordinator
 inline constexpr int kWorkerExitProtocol = 3;  ///< handshake/stream failure
 
-/// Connects, handshakes, and serves tasks until Shutdown or disconnect.
-/// Returns the process exit code.
+/// Connects, handshakes, and serves tasks until Shutdown, or until a lost
+/// link cannot be resumed within the grace window. Returns the process exit
+/// code.
 int run_worker(const WorkerConfig& config);
 
 }  // namespace weakkeys::cluster

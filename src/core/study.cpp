@@ -522,9 +522,6 @@ void Study::factor_moduli(util::ThreadPool& pool) {
     cc.remote_workers = config_.remote_workers;
     cc.worker_binary = config_.worker_binary;
     cc.port = static_cast<std::uint16_t>(config_.worker_port);
-    cc.session_grace = std::chrono::milliseconds(config_.session_grace_ms);
-    cc.stream_chunk_bytes = config_.stream_chunk_bytes;
-    cc.stream_window_chunks = config_.stream_window_chunks;
     cc.telemetry_interval =
         std::chrono::milliseconds(config_.telemetry_interval_ms);
     cc.fleet_trace_path = config_.fleet_trace_path;

@@ -89,15 +89,6 @@ struct StudyConfig {
   /// study does not spawn. The cluster path activates when local + remote
   /// workers > 0.
   std::size_t remote_workers = 0;
-  /// Session grace window (ms) for the cluster path: how long a
-  /// disconnected worker's session is held for reconnection before the
-  /// slot respawns. 0 means disconnect = death.
-  int session_grace_ms = 0;
-  /// Chunk size (bytes) for streaming subset/product payloads to workers.
-  std::size_t stream_chunk_bytes = cluster::ClusterConfig{}.stream_chunk_bytes;
-  /// Backpressure window (chunks in flight beyond the acked prefix).
-  std::size_t stream_window_chunks =
-      cluster::ClusterConfig{}.stream_window_chunks;
   /// Telemetry export cadence (ms) for the cluster path: each v3 worker
   /// ships a TelemetrySnapshot (metrics + task spans + RSS/CPU) at most
   /// this often, fanned into fleet.worker.<id>.* / fleet.* metrics on the

@@ -86,9 +86,6 @@ StudyConfig StudyConfig::from_env(StudyConfig base) {
   overlay("WEAKKEYS_WORKER_BIN", base.worker_binary);
   overlay("WEAKKEYS_WORKER_PORT", base.worker_port, 0, 65535);
   overlay("WEAKKEYS_REMOTE_WORKERS", base.remote_workers);
-  overlay("WEAKKEYS_WORKER_GRACE_MS", base.session_grace_ms, 0);
-  overlay("WEAKKEYS_CHUNK_BYTES", base.stream_chunk_bytes, 1);
-  overlay("WEAKKEYS_STREAM_WINDOW", base.stream_window_chunks, 1);
   overlay("WEAKKEYS_TELEMETRY_INTERVAL_MS", base.telemetry_interval_ms, 0);
   overlay("WEAKKEYS_FLEET_TRACE", base.fleet_trace_path);
 

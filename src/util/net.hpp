@@ -2,9 +2,9 @@
 // the cluster coordinator/worker protocol.
 //
 // The recurring bugs these helpers exist to kill, once:
-//   - partial reads/writes: send()/recv() on a TCP socket may move fewer
-//     bytes than asked (large subset and product frames); read_full() and
-//     write_full() loop until done or a hard error;
+//   - partial writes: send() on a TCP socket may move fewer bytes than
+//     asked (large subset and product frames); write_full() loops until
+//     done or a hard error;
 //   - EINTR: every loop restarts interrupted syscalls instead of treating a
 //     signal as a connection failure (the cluster coordinator SIGCHLDs and
 //     SIGKILLs freely while sockets are in flight);
@@ -109,24 +109,6 @@ inline bool set_nonblocking(int fd, bool nonblocking) {
   if (flags < 0) return false;
   const int next = nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
   return ::fcntl(fd, F_SETFL, next) == 0;
-}
-
-/// Reads exactly `size` bytes, restarting on EINTR. Returns false on EOF
-/// or any hard error (the caller cannot distinguish — for a framed
-/// protocol both mean "this connection is over").
-inline bool read_full(int fd, void* data, std::size_t size) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n > 0) {
-      p += n;
-      size -= static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // EOF (n == 0) or hard error
-  }
-  return true;
 }
 
 /// Writes exactly `size` bytes, restarting on EINTR and resuming partial

@@ -147,12 +147,13 @@ TEST(ClusterProtocol, MessageRoundTrips) {
 }
 
 TEST(ClusterProtocol, SessionAndStreamMessageRoundTrips) {
-  HelloAckMsg ack{0xdeadbeef, 25, 31};
+  HelloAckMsg ack{0xdeadbeef, 25, 31, 200};
   const auto ack2 = HelloAckMsg::decode(ack.encode());
   ASSERT_TRUE(ack2);
   EXPECT_EQ(ack2->fingerprint, 0xdeadbeefu);
   EXPECT_EQ(ack2->heartbeat_interval_ms, 25u);
   EXPECT_EQ(ack2->session_id, 31u);
+  EXPECT_EQ(ack2->grace_ms, 200u);
 
   ReconnectHelloMsg rh{3, 4242, 31, 16, kProtocolVersion};
   const auto rh2 = ReconnectHelloMsg::decode(rh.encode());
@@ -201,6 +202,7 @@ TEST(ClusterProtocol, SessionAndStreamMessageRoundTrips) {
     body.pop_back();
     return body;
   };
+  EXPECT_FALSE(HelloAckMsg::decode(truncated(ack.encode())));
   EXPECT_FALSE(ReconnectHelloMsg::decode(truncated(rh.encode())));
   EXPECT_FALSE(ReconnectAckMsg::decode(truncated(ra.encode())));
   EXPECT_FALSE(StreamBeginMsg::decode(truncated(begin.encode())));
@@ -307,6 +309,13 @@ TEST(ClusterProtocol, MalformedBodiesDecodeToNullopt) {
   body.push_back(0xff);
   EXPECT_FALSE(TaskResultMsg::decode(body));
   EXPECT_FALSE(HelloMsg::decode({}));
+  // A v3 HelloAck (fingerprint, heartbeat, session; no grace) is rejected,
+  // not read with a zero grace.
+  core::BufferWriter v3;
+  v3.u64(0xdeadbeef);
+  v3.u32(25);
+  v3.u64(31);
+  EXPECT_FALSE(HelloAckMsg::decode(v3.data()));
 }
 
 // ------------------------------------------------------- frame transport ----
@@ -642,6 +651,10 @@ TEST(Cluster, SigstopIsCaughtByHeartbeatNotTimeoutAlone) {
   EXPECT_GT(stats.sigstops_injected, 0u);
   EXPECT_GT(stats.heartbeat_deaths, 0u);
   EXPECT_GT(stats.max_heartbeat_rtt_us, 0u);
+  // A stopped worker is alive to waitpid: its link is heartbeat-dead, the
+  // slot parks, and only the expired grace makes it a death and a respawn.
+  EXPECT_GT(stats.sessions_expired, 0u);
+  EXPECT_GT(stats.respawns, 0u);
 }
 
 // -------------------------------------------------- degradation & failure ----
@@ -867,7 +880,6 @@ TEST(ClusterTelemetry, FleetCountersSumToCoordinatorCommitsUnderLinkFaults) {
   const util::FaultInjector injector(faults);
 
   auto config = fast_config(3, 2);
-  config.session_grace = std::chrono::milliseconds(5000);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(5000);
   config.telemetry = &telemetry;
@@ -1000,14 +1012,8 @@ TEST(Cluster, CancelWakesTheIdleEventLoop) {
 
 // ------------------------------------------------- sessions & streaming ----
 
-/// fast_config plus a session grace window: link loss parks the session for
-/// `grace_ms` instead of killing the worker.
-ClusterConfig session_config(std::size_t k, std::size_t workers,
-                             int grace_ms) {
-  auto config = fast_config(k, workers);
-  config.session_grace = std::chrono::milliseconds(grace_ms);
-  return config;
-}
+// Every link is a session: fast_config's grace is its heartbeat silence
+// budget, 25 ms x 8 = 200 ms, and no test sets anything else to heal.
 
 TEST(ClusterSession, ReconnectHealsAbruptDisconnects) {
   // The tentpole invariant: deterministic abrupt disconnects on both sides
@@ -1021,7 +1027,7 @@ TEST(ClusterSession, ReconnectHealsAbruptDisconnects) {
   faults.conn_disconnect_probability = 0.04;
   const util::FaultInjector injector(faults);
 
-  auto config = session_config(3, 2, /*grace_ms=*/5000);
+  auto config = fast_config(3, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(1000);
   ClusterStats stats;
@@ -1046,7 +1052,7 @@ TEST(ClusterSession, PartitionAndHalfOpenLinksHealWithinGrace) {
   faults.conn_partition_ms = 400;
   const util::FaultInjector injector(faults);
 
-  auto config = session_config(3, 2, /*grace_ms=*/5000);
+  auto config = fast_config(3, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(1500);
   ClusterStats stats;
@@ -1056,9 +1062,10 @@ TEST(ClusterSession, PartitionAndHalfOpenLinksHealWithinGrace) {
   EXPECT_EQ(stats.tasks_executed + stats.tasks_resumed, 9u);
 }
 
-TEST(ClusterSession, GraceExpiryFallsBackToRespawn) {
-  // A SIGKILLed worker cannot dial back: its session must expire after the
-  // grace window and the slot respawn within the restart budget.
+TEST(ClusterSession, SigkilledWorkerIsRespawnedWithoutWaitingOutGrace) {
+  // A SIGKILLed local worker cannot dial back, and the coordinator sees its
+  // exit: the slot respawns at once instead of holding the session for a
+  // grace window (10 s here) that no run this size comes near.
   const auto moduli = make_moduli(222, 16);
   const auto reference = batchgcd::batch_gcd(moduli);
 
@@ -1067,15 +1074,19 @@ TEST(ClusterSession, GraceExpiryFallsBackToRespawn) {
   faults.sigkill_probability = 0.2;
   const util::FaultInjector injector(faults);
 
-  auto config = session_config(3, 2, /*grace_ms=*/100);
+  auto config = fast_config(3, 2);
+  config.heartbeat_misses = 400;  // 25 ms x 400 = 10 s of grace
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(600);
   ClusterStats stats;
+  const auto started = std::chrono::steady_clock::now();
   const auto result = batch_gcd_cluster(moduli, config, &stats);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_EQ(result.divisors, reference.divisors);
   EXPECT_GT(stats.sigkills_injected, 0u);
-  EXPECT_GT(stats.sessions_expired, 0u);
   EXPECT_GT(stats.respawns, 0u);
+  EXPECT_EQ(stats.sessions_expired, 0u);
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
 TEST(ClusterStream, SmallChunksStreamPayloadsWithBackpressure) {
@@ -1084,7 +1095,7 @@ TEST(ClusterStream, SmallChunksStreamPayloadsWithBackpressure) {
   const auto moduli = make_moduli(223, 40);
   const auto reference = batchgcd::batch_gcd(moduli);
 
-  auto config = session_config(2, 2, /*grace_ms=*/5000);
+  auto config = fast_config(2, 2);
   config.stream_chunk_bytes = 64;
   config.stream_window_chunks = 2;
   ClusterStats stats;
@@ -1107,7 +1118,7 @@ TEST(ClusterStream, MidStreamDisconnectResumesTransfer) {
   faults.conn_disconnect_probability = 0.05;
   const util::FaultInjector injector(faults);
 
-  auto config = session_config(2, 2, /*grace_ms=*/5000);
+  auto config = fast_config(2, 2);
   config.injector = &injector;
   config.stream_chunk_bytes = 64;
   config.stream_window_chunks = 2;
@@ -1251,7 +1262,7 @@ TEST(ClusterRemote, DialInWorkersMatchBatchGcd) {
   const auto moduli = make_moduli(225, 20);
   const auto reference = batchgcd::batch_gcd(moduli);
 
-  auto config = session_config(3, 0, /*grace_ms=*/5000);
+  auto config = fast_config(3, 0);
   config.workers = 0;
   config.remote_workers = 2;
   config.worker_binary.clear();  // nothing to spawn, nothing to validate
@@ -1266,9 +1277,7 @@ TEST(ClusterRemote, DialInWorkersMatchBatchGcd) {
       ASSERT_GE(pid, 0);
       if (pid == 0) {
         ::execl(bin.c_str(), bin.c_str(), "--connect", hostport.c_str(),
-                "--worker-id", id.c_str(), "--session-reconnect",
-                "--reconnect-window-ms", "5000", "--keepalive",
-                static_cast<char*>(nullptr));
+                "--worker-id", id.c_str(), static_cast<char*>(nullptr));
         ::_exit(127);
       }
       pids.push_back(pid);

@@ -420,10 +420,9 @@ constexpr const char* kStudyEnvVars[] = {
     "WEAKKEYS_SCALE",          "WEAKKEYS_SEED",
     "WEAKKEYS_CACHE",          "WEAKKEYS_WORKERS",
     "WEAKKEYS_WORKER_BIN",     "WEAKKEYS_WORKER_PORT",
-    "WEAKKEYS_REMOTE_WORKERS", "WEAKKEYS_WORKER_GRACE_MS",
-    "WEAKKEYS_CHUNK_BYTES",    "WEAKKEYS_STREAM_WINDOW",
-    "WEAKKEYS_TELEMETRY_INTERVAL_MS", "WEAKKEYS_FLEET_TRACE",
-    "WEAKKEYS_TRACE",          "WEAKKEYS_MONITOR",
+    "WEAKKEYS_REMOTE_WORKERS", "WEAKKEYS_TELEMETRY_INTERVAL_MS",
+    "WEAKKEYS_FLEET_TRACE",    "WEAKKEYS_TRACE",
+    "WEAKKEYS_MONITOR",
     "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
     "WEAKKEYS_MEM_BUDGET_MB",  "WEAKKEYS_SPILL_DIR",
     "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",
@@ -465,12 +464,6 @@ TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
        [](const StudyConfig& c) { return c.worker_port * 1.0; }},
       {"WEAKKEYS_REMOTE_WORKERS", "2", 2, "two", "-2",
        [](const StudyConfig& c) { return c.remote_workers * 1.0; }},
-      {"WEAKKEYS_WORKER_GRACE_MS", "1500", 1500, "1.5s", "-1",
-       [](const StudyConfig& c) { return c.session_grace_ms * 1.0; }},
-      {"WEAKKEYS_CHUNK_BYTES", "4096", 4096, "4k", "0",
-       [](const StudyConfig& c) { return c.stream_chunk_bytes * 1.0; }},
-      {"WEAKKEYS_STREAM_WINDOW", "16", 16, "wide", "0",
-       [](const StudyConfig& c) { return c.stream_window_chunks * 1.0; }},
       {"WEAKKEYS_TELEMETRY_INTERVAL_MS", "50", 50, "fast", "-5",
        [](const StudyConfig& c) { return c.telemetry_interval_ms * 1.0; }},
       {"WEAKKEYS_PROFILE_HZ", "43.5", 43.5, "not-a-number", "1e999",

@@ -18,14 +18,17 @@
 // Every setting is a flag; the tool reads no environment. --profile,
 // --profile-out and --mem-budget-mb cover this process and every worker it
 // spawns (worker W writes <profile-out>.worker<W>), like the spill flags.
+// Every worker link is a session: a lost link is held for the heartbeat
+// silence budget (1 s at the defaults) while the worker dials back, and a
+// local worker whose process exited is respawned at once. Remote workers
+// learn the grace from the handshake, so neither side has a flag for it.
 //
 // Usage:
 //   gcd_coordinator --reference --corpus-seed S --corpus-count N
 //   gcd_coordinator [--corpus-seed S] [--corpus-count N] [--subsets K]
 //                   [--workers W] [--worker-binary PATH]
 //                   [--remote-workers R] [--bind ADDR] [--port P]
-//                   [--port-file PATH] [--grace-ms MS] [--chunk-bytes B]
-//                   [--window CHUNKS] [--retransmit-ms MS]
+//                   [--port-file PATH] [--chunk-bytes B] [--window CHUNKS]
 //                   [--task-timeout-ms MS] [--spawn-timeout-ms MS]
 //                   [--restart-budget N] [--checkpoint PATH] [--quiet]
 //                   [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]
@@ -62,8 +65,8 @@ int usage(const char* argv0) {
       "usage: %s [--reference] [--corpus-seed S] [--corpus-count N]\n"
       "  [--subsets K] [--workers W] [--worker-binary PATH]\n"
       "  [--remote-workers R] [--bind ADDR] [--port P] [--port-file PATH]\n"
-      "  [--grace-ms MS] [--chunk-bytes B] [--window CHUNKS]\n"
-      "  [--retransmit-ms MS] [--task-timeout-ms MS] [--spawn-timeout-ms MS]\n"
+      "  [--chunk-bytes B] [--window CHUNKS]\n"
+      "  [--task-timeout-ms MS] [--spawn-timeout-ms MS]\n"
       "  [--restart-budget N] [--checkpoint PATH] [--quiet]\n"
       "  [--fleet-trace PATH] [--telemetry-interval-ms MS]\n"
       "  [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]\n"
@@ -161,16 +164,10 @@ int main(int argc, char** argv) {
           static_cast<std::uint16_t>(std::strtoul(value, nullptr, 10));
     } else if (arg == "--port-file" && (value = next())) {
       port_file = value;
-    } else if (arg == "--grace-ms" && (value = next())) {
-      config.session_grace =
-          std::chrono::milliseconds(std::strtol(value, nullptr, 10));
     } else if (arg == "--chunk-bytes" && (value = next())) {
       config.stream_chunk_bytes = std::strtoull(value, nullptr, 10);
     } else if (arg == "--window" && (value = next())) {
       config.stream_window_chunks = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--retransmit-ms" && (value = next())) {
-      config.stream_retransmit =
-          std::chrono::milliseconds(std::strtol(value, nullptr, 10));
     } else if (arg == "--task-timeout-ms" && (value = next())) {
       config.task_timeout =
           std::chrono::milliseconds(std::strtol(value, nullptr, 10));

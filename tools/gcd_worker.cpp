@@ -9,8 +9,6 @@
 //   gcd_worker --port P --worker-id W            (spawned, loopback)
 //   gcd_worker --connect HOST:PORT --worker-id W (dial-out remote worker)
 //              [--address 127.0.0.1] [--connect-timeout-ms 10000]
-//              [--session-reconnect] [--reconnect-window-ms MS]
-//              [--ping-deadline-ms MS] [--keepalive]
 //              [--seed S --frame-drop P --frame-garble P --frame-delay P
 //               --frame-delay-ms MS]
 //              [--conn-disconnect P --conn-partition P --conn-half-open P
@@ -24,7 +22,10 @@
 // own side. Every setting arrives as a flag: a spawning coordinator forwards
 // its profiler, memory-budget and spill settings on the command line, and
 // the worker reads no environment. --profile without --profile-out keeps
-// the profile in the worker's metrics only.
+// the profile in the worker's metrics only. Link loss needs no flag: the
+// worker redials into its session for the grace window the coordinator
+// names in its HelloAck, so a remote worker matches the coordinator's
+// timing without being told.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,8 +40,6 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s (--port P | --connect HOST:PORT) --worker-id W\n"
       "  [--address A] [--connect-timeout-ms MS]\n"
-      "  [--session-reconnect] [--reconnect-window-ms MS]\n"
-      "  [--ping-deadline-ms MS] [--keepalive]\n"
       "  [--telemetry-interval-ms MS] [--no-telemetry]\n"
       "  [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]\n"
       "  [--spill-dir DIR] [--spill-threshold-mb N]\n"
@@ -85,16 +84,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect-timeout-ms" && (value = next())) {
       config.connect_timeout =
           std::chrono::milliseconds(std::strtol(value, nullptr, 10));
-    } else if (arg == "--session-reconnect") {
-      config.session_reconnect = true;
-    } else if (arg == "--reconnect-window-ms" && (value = next())) {
-      config.reconnect_window =
-          std::chrono::milliseconds(std::strtol(value, nullptr, 10));
-    } else if (arg == "--ping-deadline-ms" && (value = next())) {
-      config.ping_deadline =
-          std::chrono::milliseconds(std::strtol(value, nullptr, 10));
-    } else if (arg == "--keepalive") {
-      config.tcp_keepalive = true;
     } else if (arg == "--telemetry-interval-ms" && (value = next())) {
       config.telemetry_interval =
           std::chrono::milliseconds(std::strtol(value, nullptr, 10));
