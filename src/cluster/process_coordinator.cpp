@@ -502,6 +502,10 @@ class ProcessCoordinator {
     log("cluster: worker " + std::to_string(slot.id) + " up (pid " +
         std::to_string(slot.pid) + ", session " +
         std::to_string(slot.session_id) + ")");
+    // Ping at once, not a heartbeat later: a short run can end before the
+    // first scheduled ping, and the Pong gives the session its RTT sample
+    // and clock offset before the worker's first telemetry snapshot.
+    send_ping(slot);
   }
 
   /// A worker dialed back after link loss offering its session. Validate,
@@ -549,7 +553,6 @@ class ProcessCoordinator {
     const auto now = Clock::now();
     slot.state = SlotState::kLive;
     slot.last_pong = now;
-    slot.last_ping = now;
     if (!slot.transfers.empty()) {
       Transfer& t = slot.transfers.front();
       if (t.begin_sent && t.sent_off > t.acked) {
@@ -566,6 +569,7 @@ class ProcessCoordinator {
     log("cluster: worker " + std::to_string(slot.id) + " reconnected (session " +
         std::to_string(slot.session_id) + ", replaying past seq " +
         std::to_string(slot.rx_result_seq) + ")");
+    send_ping(slot);  // as in attach_fresh: an offset before any snapshot
     pump_streams(slot);
   }
 
@@ -652,9 +656,9 @@ class ProcessCoordinator {
     slot.worker_frames_dropped = pong.frames_dropped;
     const std::int64_t recv_ns = steady_now_ns();
     // Each Pong echoes the worker's steady clock: one midpoint-method
-    // offset observation per heartbeat. The Pong always precedes the
-    // worker's TelemetrySnapshot on the same link, so span rebasing never
-    // runs without an estimate.
+    // offset observation per heartbeat. Every link is pinged as it
+    // attaches, so its first Pong precedes the worker's TelemetrySnapshot
+    // and span rebasing never runs without an estimate.
     fleet_.observe_clock(slot.id, pong.t_send_ns, recv_ns, pong.worker_now_ns);
     const std::int64_t rtt_ns = recv_ns - pong.t_send_ns;
     if (rtt_ns >= 0) {
@@ -995,8 +999,8 @@ class ProcessCoordinator {
   /// The nearest instant at which a timer-driven duty falls due: a ping, a
   /// heartbeat death, a spawn/task/handshake deadline, a retry becoming
   /// ready, a stream retransmit, a session grace expiry, an exit check on
-  /// a parked local worker, a burial or the cancel token's deadline. max()
-  /// when nothing is armed.
+  /// a starting or parked local worker, a burial or the cancel token's
+  /// deadline. max() when nothing is armed.
   [[nodiscard]] Clock::time_point next_deadline() const {
     const auto now = Clock::now();
     auto next = Clock::time_point::max();
@@ -1004,6 +1008,7 @@ class ProcessCoordinator {
     for (const Slot& slot : slots_) {
       if (slot.state == SlotState::kSpawning) {
         at(slot.spawn_at + config_.spawn_timeout);
+        if (!slot.is_remote) at(now + kExitRecheck);
       } else if (slot.state == SlotState::kLive) {
         at(slot.last_ping + config_.heartbeat_interval);
         at(slot.last_pong + silence_budget());
@@ -1108,6 +1113,12 @@ class ProcessCoordinator {
     const auto now = Clock::now();
     const auto dead_after = silence_budget();
     for (Slot& slot : slots_) {
+      if (slot.state == SlotState::kSpawning && reaped(slot)) {
+        log("cluster: worker " + std::to_string(slot.id) +
+            " exited before connecting");
+        slot.state = SlotState::kLost;
+        continue;
+      }
       if (slot.state == SlotState::kSpawning &&
           now - slot.spawn_at > config_.spawn_timeout) {
         log("cluster: worker " + std::to_string(slot.id) +
@@ -1121,17 +1132,21 @@ class ProcessCoordinator {
         link_lost(slot, "missed heartbeats");
         continue;
       }
-      if (now - slot.last_ping >= config_.heartbeat_interval) {
-        slot.last_ping = now;
-        PingMsg ping;
-        ping.seq = slot.ping_seq++;
-        ping.t_send_ns = steady_now_ns();
-        ping.ack_result_seq = slot.rx_result_seq;
-        ping.ack_telemetry_seq = slot.rx_telemetry_seq;
-        if (!slot.conn->send(MsgType::kPing, ping.encode())) {
-          link_lost(slot, "ping send failed");
-        }
-      }
+      if (now - slot.last_ping >= config_.heartbeat_interval) send_ping(slot);
+    }
+  }
+
+  /// Pings a live slot now and restarts its heartbeat cadence; a failed
+  /// send parks the slot.
+  void send_ping(Slot& slot) {
+    slot.last_ping = Clock::now();
+    PingMsg ping;
+    ping.seq = slot.ping_seq++;
+    ping.t_send_ns = steady_now_ns();
+    ping.ack_result_seq = slot.rx_result_seq;
+    ping.ack_telemetry_seq = slot.rx_telemetry_seq;
+    if (!slot.conn->send(MsgType::kPing, ping.encode())) {
+      link_lost(slot, "ping send failed");
     }
   }
 
@@ -1143,15 +1158,11 @@ class ProcessCoordinator {
   void tick_disconnected() {
     for (Slot& slot : slots_) {
       if (slot.state != SlotState::kDisconnected) continue;
-      if (!slot.is_remote && slot.pid > 0) {
-        int status = 0;
-        if (::waitpid(slot.pid, &status, WNOHANG) != 0) {
-          log("cluster: worker " + std::to_string(slot.id) +
-              " exited; declaring lost");
-          slot.pid = -1;
-          slot.state = SlotState::kLost;
-          continue;
-        }
+      if (reaped(slot)) {
+        log("cluster: worker " + std::to_string(slot.id) +
+            " exited; declaring lost");
+        slot.state = SlotState::kLost;
+        continue;
       }
       if (Clock::now() - slot.disconnected_at <= silence_budget()) continue;
       log("cluster: worker " + std::to_string(slot.id) + " session " +
@@ -1162,6 +1173,30 @@ class ProcessCoordinator {
       if (m_sessions_expired_) m_sessions_expired_->inc();
       slot.state = SlotState::kLost;
     }
+  }
+
+  /// True when the slot's local worker process has exited; it is reaped
+  /// here (pid cleared), so tick_lost does not wait on it again. Always
+  /// false for a remote slot.
+  bool reaped(Slot& slot) {
+    if (slot.is_remote || slot.pid <= 0) return false;
+    int status = 0;
+    if (::waitpid(slot.pid, &status, WNOHANG) == 0) return false;
+    slot.pid = -1;
+    return true;
+  }
+
+  /// No task is assigned until every local worker of the first spawn has
+  /// connected or been lost. Otherwise a short job can finish on the
+  /// first worker to connect while the others are still starting, and
+  /// they take no part in the run or its fleet view. Remote slots are not
+  /// waited for, and once assembled, respawns never hold the run back.
+  bool fleet_assembled() {
+    assembled_ = assembled_ ||
+                 std::none_of(slots_.begin(), slots_.end(), [](const Slot& s) {
+                   return !s.is_remote && s.state == SlotState::kSpawning;
+                 });
+    return assembled_;
   }
 
   /// Buries lost workers: requeue their in-flight task, reap the process,
@@ -1252,6 +1287,7 @@ class ProcessCoordinator {
   /// the first candidate that is missing data, the transfers are queued and
   /// the scan keeps looking for one the worker can start right now.
   void tick_assign() {
+    if (!fleet_assembled()) return;
     const auto now = Clock::now();
     for (Slot& slot : slots_) {
       if (slot.state != SlotState::kLive || slot.busy) continue;
@@ -1420,6 +1456,10 @@ class ProcessCoordinator {
     handshakes_.clear();
     listen_fd_.reset();
     for (Slot& slot : slots_) {
+      // No data follows Shutdown: a stream ack drained below would
+      // otherwise pump chunks at a worker that is exiting, and the failed
+      // send would drop the link before its final telemetry flush is read.
+      slot.transfers.clear();
       if (slot.state == SlotState::kLive && slot.conn) {
         slot.conn->send(MsgType::kShutdown, {});
       }
@@ -1520,6 +1560,7 @@ class ProcessCoordinator {
   std::uint64_t next_session_id_ = 1;
   std::uint32_t next_stream_id_ = 1;
   bool halted_ = false;
+  bool assembled_ = false;  ///< fleet_assembled() latched true
   bool cancelled_ = false;
   bool cleaned_up_ = false;
   std::exception_ptr fatal_;

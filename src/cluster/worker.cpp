@@ -76,7 +76,16 @@ class Worker {
     util::net::ignore_sigpipe();
     int code = kWorkerExitProtocol;
     std::thread compute;
-    bool compute_started = false;
+    // Lets the compute thread finish the task in hand, then joins it.
+    const auto stop_compute = [this, &compute] {
+      if (!compute.joinable()) return;
+      {
+        std::lock_guard guard(mu_);
+        stop_ = true;
+      }
+      cv_.notify_all();
+      compute.join();
+    };
     auto backoff = kRedialBackoff;
     Clock::time_point give_up_at;  // redial deadline, set on link loss
 
@@ -119,12 +128,21 @@ class Worker {
 
       install_link(link);
       if (resuming) replay_outbox(link.get());
-      if (!compute_started) {
+      if (!compute.joinable()) {
         compute = std::thread([this] { compute_loop(); });
-        compute_started = true;
       }
 
       code = rx_loop(link.get());
+      if (code == kWorkerExitOk) {
+        // Final telemetry flush before the link closes, once the compute
+        // thread has recorded its last span (the task.send of the result
+        // that may have just completed the run): the coordinator drains
+        // until EOF, so the last tasks' spans and the final counter values
+        // make it into the fleet view. Best-effort — a dead link at this
+        // point just loses the tail.
+        stop_compute();
+        maybe_send_telemetry(link.get(), /*force=*/true);
+      }
       drop_link(link.get());
       if (code != kLinkLost) break;
       // The coordinator holds the session for its grace window; redial for
@@ -135,14 +153,7 @@ class Worker {
       backoff = kRedialBackoff;
     }
 
-    if (compute_started) {
-      {
-        std::lock_guard guard(mu_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      compute.join();
-    }
+    stop_compute();
     return code;
   }
 
@@ -465,12 +476,7 @@ class Worker {
           break;
         }
         case MsgType::kShutdown:
-          // Final telemetry flush before the link closes: the coordinator
-          // drains its RX side until EOF, so the last tasks' spans and the
-          // final counter values make it into the fleet view. Best-effort —
-          // a dead link at this point just loses the tail.
-          maybe_send_telemetry(link, /*force=*/true);
-          return kWorkerExitOk;
+          return kWorkerExitOk;  // run() flushes telemetry, then exits
         default:
           break;  // unknown/unexpected types are ignored, not fatal
       }
@@ -569,7 +575,9 @@ class Worker {
       {
         std::unique_lock lock(mu_);
         cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        if (stop_ && queue_.empty()) return;
+        // Stopping means no link will carry another result: queued tasks
+        // are dropped, not computed.
+        if (stop_) return;
         task = queue_.front();
         queue_.pop_front();
       }

@@ -12,7 +12,12 @@
 //     mid-write surfaces as EPIPE, not a process-killing signal;
 //   - fd leakage into forked children: the coordinator fork/execs workers,
 //     so every listening and accepted socket must be FD_CLOEXEC or each
-//     worker would inherit (and hold open) its siblings' connections.
+//     worker would inherit (and hold open) its siblings' connections;
+//   - Nagle: the protocol is request/response of small frames, each sent
+//     as a header write plus a payload write. With Nagle on, the second
+//     write waits for the ACK of the first, which the peer delays (~40 ms
+//     on Linux), so every round trip would stall. Every dialed and
+//     accepted socket is TCP_NODELAY.
 //
 // Header-only. All functions operate on plain fds; ownership
 // stays with the caller (wrap in util::net::UniqueFd for scope-bound close).
@@ -221,13 +226,22 @@ inline bool enable_keepalive(int fd, int idle_s = 30, int interval_s = 10,
   return ok;
 }
 
-/// Accepts one connection from a listener, marking it CLOEXEC. Returns -1
-/// on error; restarts on EINTR.
+/// Turns off Nagle's algorithm so a small write goes out at once instead of
+/// waiting for the ACK of the previous one. Returns false (errno set) on
+/// failure (the socket still works, only slower).
+inline bool set_nodelay(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
+
+/// Accepts one connection from a listener, marking it CLOEXEC and
+/// TCP_NODELAY. Returns -1 on error; restarts on EINTR.
 inline int accept_cloexec(int listen_fd) {
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
       set_cloexec(fd);
+      set_nodelay(fd);
       return fd;
     }
     if (errno != EINTR) return -1;
@@ -235,9 +249,9 @@ inline int accept_cloexec(int listen_fd) {
 }
 
 /// Nonblocking connect to `address:port` bounded by `timeout` (negative =
-/// wait forever): the socket is created CLOEXEC, connected with O_NONBLOCK
-/// + poll, then returned in blocking mode. Returns the fd, or -1 with
-/// errno set (ETIMEDOUT when the deadline passed first).
+/// wait forever): the socket is created CLOEXEC and TCP_NODELAY, connected
+/// with O_NONBLOCK + poll, then returned in blocking mode. Returns the fd,
+/// or -1 with errno set (ETIMEDOUT when the deadline passed first).
 inline int connect_tcp(const std::string& address, std::uint16_t port,
                        std::chrono::milliseconds timeout) {
   sockaddr_in addr{};
@@ -248,6 +262,7 @@ inline int connect_tcp(const std::string& address, std::uint16_t port,
   UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return -1;
   set_cloexec(fd.get());
+  set_nodelay(fd.get());
   if (!set_nonblocking(fd.get(), true)) return -1;
 
   const int rc =

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "batchgcd/batch_gcd.hpp"
@@ -344,6 +346,37 @@ TEST_F(FramePair, SendRecvRoundTrip) {
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->seq, 9u);
   EXPECT_EQ(tx.stats().sent, 1u);
+}
+
+TEST(ClusterProtocol, SmallFrameRoundTripsDoNotWaitForDelayedAck) {
+  // A frame is a header write plus a payload write. Over TCP with Nagle on,
+  // the payload waits for the ACK of the header, which the peer delays
+  // (~40 ms on Linux): 50 ping-pongs then take seconds instead of
+  // milliseconds.
+  util::net::UniqueFd listener(util::net::listen_tcp("127.0.0.1", 0, 4));
+  ASSERT_TRUE(listener.valid());
+  util::net::UniqueFd client(util::net::connect_tcp(
+      "127.0.0.1",
+      static_cast<std::uint16_t>(util::net::local_port(listener.get())),
+      std::chrono::milliseconds(2000)));
+  ASSERT_TRUE(client.valid());
+  util::net::UniqueFd server(util::net::accept_cloexec(listener.get()));
+  ASSERT_TRUE(server.valid());
+  FrameConn coordinator(server.get(), 0);
+  FrameConn worker(client.get(), 1);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  Frame frame;
+  for (std::uint64_t seq = 0; seq < 50; ++seq) {
+    ASSERT_TRUE(coordinator.send(MsgType::kPing, PingMsg{seq, 1}.encode()));
+    ASSERT_EQ(worker.recv(&frame, std::chrono::seconds(2)), RecvStatus::kOk);
+    ASSERT_EQ(frame.type, MsgType::kPing);
+    ASSERT_TRUE(worker.send(MsgType::kPong, PongMsg{seq, 1}.encode()));
+    ASSERT_EQ(coordinator.recv(&frame, std::chrono::seconds(2)),
+              RecvStatus::kOk);
+    ASSERT_EQ(frame.type, MsgType::kPong);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 }
 
 TEST_F(FramePair, RecvTimesOutThenClosedOnEof) {
@@ -1254,6 +1287,33 @@ TEST(ClusterRemote, HelloWithOtherProtocolVersionIsRefused) {
   }
 }
 
+/// How many connections to the listener on `port` hold bytes nobody has
+/// read yet (a dialed worker's Hello), from /proc/net/tcp: ESTABLISHED
+/// rows whose local port is `port` and whose rx_queue is non-zero. A
+/// connection still in the accept queue is listed too.
+std::size_t unread_dialins(std::uint16_t port) {
+  std::ifstream table("/proc/net/tcp");
+  std::string line;
+  std::getline(table, line);  // column titles
+  std::size_t count = 0;
+  while (std::getline(table, line)) {
+    std::istringstream row(line);
+    std::string slot, local, remote, state, queues;
+    row >> slot >> local >> remote >> state >> queues;
+    const auto port_at = local.find(':');
+    const auto rx_at = queues.find(':');
+    if (state != "01" || port_at == std::string::npos ||
+        rx_at == std::string::npos) {
+      continue;
+    }
+    if (std::stoul(local.substr(port_at + 1), nullptr, 16) == port &&
+        std::stoul(queues.substr(rx_at + 1), nullptr, 16) > 0) {
+      ++count;
+    }
+  }
+  return count;
+}
+
 TEST(ClusterRemote, DialInWorkersMatchBatchGcd) {
   // workers = 0, remote_workers = 2: the coordinator spawns nothing; this
   // test plays the operator, dialing two gcd_worker processes into the
@@ -1281,6 +1341,19 @@ TEST(ClusterRemote, DialInWorkersMatchBatchGcd) {
         ::_exit(127);
       }
       pids.push_back(pid);
+    }
+    // The event loop starts when this returns. Holding it until both Hellos
+    // wait in their sockets makes the coordinator attach both workers in
+    // its first turns, before any task is assigned; otherwise one worker
+    // could finish the whole job before the other dials a closed listener.
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(30);
+    while (unread_dialins(port) < 2) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        ADD_FAILURE() << "both workers did not dial in within 30 s";
+        return;
+      }
+      std::this_thread::yield();
     }
   };
 

@@ -377,6 +377,25 @@ TEST(Net, EnableKeepaliveOnConnectedSocket) {
   EXPECT_FALSE(net::enable_keepalive(-1));
 }
 
+TEST(Net, DialedAndAcceptedSocketsDisableNagle) {
+  // The cluster protocol is small request/response frames: with Nagle on,
+  // each one waits out the peer's delayed ACK. Both ends must be NODELAY.
+  net::UniqueFd listener(net::listen_tcp("127.0.0.1", 0, 4));
+  ASSERT_TRUE(listener.valid());
+  net::UniqueFd client(net::connect_tcp(
+      "127.0.0.1", static_cast<std::uint16_t>(net::local_port(listener.get())),
+      std::chrono::milliseconds(2000)));
+  ASSERT_TRUE(client.valid());
+  net::UniqueFd server(net::accept_cloexec(listener.get()));
+  ASSERT_TRUE(server.valid());
+  for (const int fd : {client.get(), server.get()}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1);
+  }
+}
+
 TEST(Net, UniqueFdMovesAndCloses) {
   net::UniqueFd a(net::listen_tcp("127.0.0.1", 0, 1));
   ASSERT_TRUE(a.valid());
