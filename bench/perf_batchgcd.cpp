@@ -25,7 +25,6 @@
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
 #include "util/thread_pool.hpp"
-#include "util/tracked_arena.hpp"
 
 namespace {
 
@@ -59,21 +58,20 @@ obs::Telemetry& bench_telemetry() {
 
 void BM_ProductTree(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
-  util::TrackedArena arena;
+  std::uint64_t resident_peak = 0;
   {
     // Census build: per-level byte/node gauges into the suite metrics
-    // snapshot (batchgcd.product_tree.level<k>.* + bytes_peak). One tree at
-    // a time ever lives in the arena, so Σ level bytes == arena peak —
-    // the identity the profiled-run acceptance check asserts.
-    batchgcd::ProductTree census(moduli, &arena);
+    // snapshot (batchgcd.product_tree.level<k>.* + bytes_peak). An in-RAM
+    // tree keeps every level, so its resident peak is Σ level bytes.
+    batchgcd::ProductTree census(moduli);
     census.publish_level_stats(bench_telemetry().metrics());
+    resident_peak = census.store().peak_resident_bytes();
   }
   for (auto _ : state) {
-    batchgcd::ProductTree tree(moduli, &arena);
+    batchgcd::ProductTree tree(moduli);
     benchmark::DoNotOptimize(tree.root());
   }
-  state.counters["arena_peak_bytes"] =
-      static_cast<double>(arena.peak_bytes());
+  state.counters["resident_peak_bytes"] = static_cast<double>(resident_peak);
 }
 BENCHMARK(BM_ProductTree)->Arg(256)->Arg(1024)->Arg(4096);
 
@@ -113,35 +111,33 @@ BENCHMARK(BM_RemainderTreeRam)->Arg(1024)->Arg(4096)->Unit(benchmark::kMilliseco
 
 /// Storage policy for the out-of-core arms: spill every level (threshold 0)
 /// into a scratch dir next to the binary, two-level resident window.
-batchgcd::TreeStorage bench_storage(const char* base,
-                                    util::TrackedArena* arena) {
+batchgcd::TreeStorage bench_storage(const char* base) {
   batchgcd::TreeStorage storage;
   storage.spill_dir = "bench_spill.d";
   storage.spill_threshold_bytes = 0;
   storage.base = base;
   storage.registry = &bench_telemetry().metrics();
-  storage.arena = arena;
   return storage;
 }
 
 /// Out-of-core ablation of BM_ProductTree: the same build spilling every
 /// level to a CRC-framed file with a two-level resident window. The
-/// arena_peak_bytes counter is the bounded-memory proof — it charges only
-/// the resident window, so it stays near-flat while tree_bytes grows with
-/// the corpus; BM_ProductTree's arena peak is the whole tree. Time deltas
-/// against the in-RAM arm price the spill I/O.
+/// resident_peak_bytes counter is the bounded-memory proof — the store's
+/// largest resident window, about one level's bytes, while tree_bytes is
+/// every level; BM_ProductTree's resident peak is the whole tree. Time
+/// deltas against the in-RAM arm price the spill I/O.
 void BM_ProductTreeOutOfCore(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
-  util::TrackedArena arena;
-  const batchgcd::TreeStorage storage = bench_storage("bm_build", &arena);
+  const batchgcd::TreeStorage storage = bench_storage("bm_build");
   std::uint64_t tree_bytes = 0;
+  std::uint64_t resident_peak = 0;
   for (auto _ : state) {
-    batchgcd::ProductTree tree(moduli, storage, &arena);
+    batchgcd::ProductTree tree(moduli, storage);
     benchmark::DoNotOptimize(tree.root());
     tree_bytes = tree.retained_bytes();
+    resident_peak = tree.store().peak_resident_bytes();
   }
-  state.counters["arena_peak_bytes"] =
-      static_cast<double>(arena.peak_bytes());
+  state.counters["resident_peak_bytes"] = static_cast<double>(resident_peak);
   state.counters["tree_bytes"] = static_cast<double>(tree_bytes);
 }
 BENCHMARK(BM_ProductTreeOutOfCore)
@@ -155,15 +151,14 @@ BENCHMARK(BM_ProductTreeOutOfCore)
 /// a factorable.net-style disk tier.
 void BM_RemainderTreeStreamed(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
-  util::TrackedArena arena;
-  const batchgcd::TreeStorage storage = bench_storage("bm_walk", &arena);
-  const batchgcd::ProductTree tree(moduli, storage, &arena);
+  const batchgcd::TreeStorage storage = bench_storage("bm_walk");
+  const batchgcd::ProductTree tree(moduli, storage);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         batchgcd::remainder_tree_squares(tree, tree.root()));
   }
-  state.counters["arena_peak_bytes"] =
-      static_cast<double>(arena.peak_bytes());
+  state.counters["resident_peak_bytes"] =
+      static_cast<double>(tree.store().peak_resident_bytes());
 }
 BENCHMARK(BM_RemainderTreeStreamed)
     ->Arg(1024)

@@ -38,14 +38,9 @@ std::uint64_t fingerprint_moduli(std::span<const bn::BigInt> moduli) {
   return h == 0 ? 1 : h;  // 0 means "fingerprint at build time" to callers
 }
 
-RamLevelStore::~RamLevelStore() {
-  if (arena_ != nullptr) arena_->release(total_bytes_);
-}
-
 void RamLevelStore::append_level(Level&& nodes) {
   stats_.push_back(census_level(nodes));
   total_bytes_ += stats_.back().bytes;
-  if (arena_ != nullptr) arena_->charge(stats_.back().bytes);
   levels_.push_back(std::move(nodes));
 }
 

@@ -18,7 +18,6 @@
 
 #include "bn/bigint.hpp"
 #include "util/fault_injector.hpp"
-#include "util/tracked_arena.hpp"
 
 namespace weakkeys::obs {
 class MetricsRegistry;
@@ -82,20 +81,19 @@ class LevelStore {
   /// resident window for the spill backend).
   [[nodiscard]] virtual std::uint64_t resident_bytes() const = 0;
 
+  /// High-water mark of resident_bytes() over the store's life: the whole
+  /// tree for the RAM backend, the largest resident window (plus any
+  /// pinned levels) for the spill backend — the bounded-memory proof.
+  [[nodiscard]] virtual std::uint64_t peak_resident_bytes() const = 0;
+
   [[nodiscard]] virtual bool spilled() const { return false; }
 };
 
 /// The in-RAM backend: every level stays resident, exactly the pre-spill
-/// ProductTree behavior (including TrackedArena charging of each level as
-/// it completes, released when the store dies).
+/// ProductTree behavior. Nothing is ever released, so the peak is the
+/// total.
 class RamLevelStore final : public LevelStore {
  public:
-  explicit RamLevelStore(util::TrackedArena* arena = nullptr)
-      : arena_(arena) {}
-  ~RamLevelStore() override;
-  RamLevelStore(const RamLevelStore&) = delete;
-  RamLevelStore& operator=(const RamLevelStore&) = delete;
-
   void append_level(Level&& nodes) override;
   [[nodiscard]] std::size_t level_count() const override {
     return levels_.size();
@@ -108,13 +106,15 @@ class RamLevelStore final : public LevelStore {
   [[nodiscard]] std::uint64_t resident_bytes() const override {
     return total_bytes_;
   }
+  [[nodiscard]] std::uint64_t peak_resident_bytes() const override {
+    return total_bytes_;
+  }
 
   [[nodiscard]] const std::vector<Level>& levels() const { return levels_; }
 
  private:
   std::vector<Level> levels_;
   std::vector<LevelStats> stats_;
-  util::TrackedArena* arena_ = nullptr;
   std::uint64_t total_bytes_ = 0;
 };
 
@@ -138,10 +138,6 @@ struct TreeStorage {
   std::uint64_t fault_stream = 0;
   /// spill.* counters/gauges land here when set.
   obs::MetricsRegistry* registry = nullptr;
-  /// When set, the store charges its *resident* bytes here (the RAM
-  /// backend charges every level) — the arena peak is the bounded-memory
-  /// proof the out-of-core bench asserts on.
-  util::TrackedArena* arena = nullptr;
   /// Degradation ladder's last rung: when a spill write keeps failing the
   /// store falls back to holding levels in RAM, but only while the pinned
   /// bytes stay under this budget (0 = unlimited); past it the build

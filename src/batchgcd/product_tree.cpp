@@ -41,21 +41,18 @@ std::uint64_t estimate_tree_bytes(std::span<const bn::BigInt> inputs) {
   return leaf_bytes * levels;
 }
 
-ProductTree::ProductTree(std::span<const bn::BigInt> inputs,
-                         util::TrackedArena* arena)
-    : store_(std::make_unique<RamLevelStore>(arena)) {
+ProductTree::ProductTree(std::span<const bn::BigInt> inputs)
+    : store_(std::make_unique<RamLevelStore>()) {
   build(inputs);
 }
 
 ProductTree::ProductTree(std::span<const bn::BigInt> inputs,
-                         const TreeStorage& storage,
-                         util::TrackedArena* arena) {
+                         const TreeStorage& storage) {
   if (storage.should_spill(estimate_tree_bytes(inputs)) && !inputs.empty()) {
     TreeStorage resolved = storage;
     if (resolved.generation == 0) {
       resolved.generation = fingerprint_moduli(inputs);
     }
-    if (resolved.arena == nullptr) resolved.arena = arena;
     // Heal source for level 0: a copy of the inputs. The copy is the price
     // of self-healing — without it a corrupt leaf file would be fatal.
     std::vector<bn::BigInt> leaves(inputs.begin(), inputs.end());
@@ -64,7 +61,7 @@ ProductTree::ProductTree(std::span<const bn::BigInt> inputs,
           return Level(leaves.begin(), leaves.end());
         });
   } else {
-    store_ = std::make_unique<RamLevelStore>(arena);
+    store_ = std::make_unique<RamLevelStore>();
   }
   build(inputs);
 }

@@ -21,7 +21,6 @@
 
 #include "batchgcd/level_store.hpp"
 #include "bn/bigint.hpp"
-#include "util/tracked_arena.hpp"
 
 namespace weakkeys::obs {
 class MetricsRegistry;
@@ -35,22 +34,16 @@ class ProductTree {
 
   /// Builds the tree over `inputs` (level 0 = the inputs themselves),
   /// entirely in RAM. An empty input set yields a tree whose root is 1.
-  /// When `arena` is non-null each level's retained bytes are charged to
-  /// it as the level completes and released on destruction, so the arena
-  /// peak equals the sum of level_stats() bytes by construction.
-  explicit ProductTree(std::span<const bn::BigInt> inputs,
-                       util::TrackedArena* arena = nullptr);
+  explicit ProductTree(std::span<const bn::BigInt> inputs);
 
   /// Builds through `storage`: when the policy says spill (spill_dir set
   /// and the estimated tree size reaches the threshold), levels go to disk
   /// and only storage.max_resident_levels stay in memory — and a build
   /// interrupted by SIGKILL resumes from the published levels on the next
-  /// run. Otherwise identical to the in-RAM constructor. With an `arena`,
-  /// the spilling backend charges only its resident window, which is the
-  /// bounded-peak-memory proof. Throws util::StorageError when storage
-  /// fails beyond the degradation ladder.
-  ProductTree(std::span<const bn::BigInt> inputs, const TreeStorage& storage,
-              util::TrackedArena* arena = nullptr);
+  /// run. Otherwise identical to the in-RAM constructor. The store's
+  /// peak_resident_bytes() is the bounded-peak-memory proof. Throws
+  /// util::StorageError when storage fails beyond the degradation ladder.
+  ProductTree(std::span<const bn::BigInt> inputs, const TreeStorage& storage);
 
   ~ProductTree() = default;
   ProductTree(const ProductTree&) = delete;
@@ -102,8 +95,8 @@ class ProductTree {
 
   /// Mirrors the census into `registry`:
   /// `batchgcd.product_tree.level<k>.bytes` / `.nodes` gauges per level
-  /// plus `batchgcd.product_tree.bytes_peak` (= retained_bytes(), the
-  /// arena peak when an in-RAM tree was built against a fresh arena).
+  /// plus `batchgcd.product_tree.bytes_peak` (= retained_bytes(), which is
+  /// store().peak_resident_bytes() for an in-RAM tree).
   void publish_level_stats(obs::MetricsRegistry& registry) const;
 
   /// Total storage across all levels, in limbs (the paper reports 70-100 GB

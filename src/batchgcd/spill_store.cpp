@@ -97,9 +97,6 @@ SpillLevelStore::SpillLevelStore(const TreeStorage& storage,
 
 SpillLevelStore::~SpillLevelStore() {
   std::lock_guard lock(mu_);
-  if (config_.arena != nullptr && arena_charged_ > 0) {
-    config_.arena->release(arena_charged_);
-  }
   if (config_.remove_on_destroy) {
     for (std::size_t k = 0; k < stats_.size(); ++k) {
       const std::string path = level_path(k);
@@ -135,6 +132,11 @@ const std::vector<LevelStats>& SpillLevelStore::level_stats() const {
 std::uint64_t SpillLevelStore::resident_bytes() const {
   std::lock_guard lock(mu_);
   return resident_bytes_;
+}
+
+std::uint64_t SpillLevelStore::peak_resident_bytes() const {
+  std::lock_guard lock(mu_);
+  return resident_peak_;
 }
 
 void SpillLevelStore::probe_resume_locked() {
@@ -219,10 +221,6 @@ void SpillLevelStore::append_level(Level&& nodes) {
   pinned_[k] = handle;
   pinned_bytes_ += stats.bytes;
   resident_bytes_ += stats.bytes;
-  if (config_.arena != nullptr) {
-    config_.arena->charge(stats.bytes);
-    arena_charged_ += stats.bytes;
-  }
   if (metrics_.degraded_levels != nullptr) metrics_.degraded_levels->inc();
   update_gauges_locked();
   if (config_.ram_fallback_budget_bytes > 0 &&
@@ -321,10 +319,6 @@ void SpillLevelStore::insert_resident_locked(std::size_t k,
   resident_.emplace(k, std::move(handle));
   lru_.push_back(k);
   resident_bytes_ += stats_[k].bytes;
-  if (config_.arena != nullptr) {
-    config_.arena->charge(stats_[k].bytes);
-    arena_charged_ += stats_[k].bytes;
-  }
   evict_excess_locked(window_);
   update_gauges_locked();
 }
@@ -337,11 +331,6 @@ void SpillLevelStore::evict_excess_locked(std::size_t keep) {
     if (it == resident_.end()) continue;
     resident_.erase(it);
     resident_bytes_ -= stats_[victim].bytes;
-    if (config_.arena != nullptr) {
-      const std::uint64_t bytes = stats_[victim].bytes;
-      config_.arena->release(bytes);
-      arena_charged_ -= bytes;
-    }
   }
 }
 
@@ -351,10 +340,6 @@ void SpillLevelStore::drop_resident_locked(std::size_t k) {
   resident_.erase(it);
   lru_.remove(k);
   resident_bytes_ -= stats_[k].bytes;
-  if (config_.arena != nullptr) {
-    config_.arena->release(stats_[k].bytes);
-    arena_charged_ -= stats_[k].bytes;
-  }
   update_gauges_locked();
 }
 

@@ -57,6 +57,7 @@ class SpillLevelStore final : public LevelStore {
   void release_level(std::size_t k) override;
   [[nodiscard]] const std::vector<LevelStats>& level_stats() const override;
   [[nodiscard]] std::uint64_t resident_bytes() const override;
+  [[nodiscard]] std::uint64_t peak_resident_bytes() const override;
   [[nodiscard]] bool spilled() const override { return true; }
 
   /// Levels found already published (valid header, matching generation)
@@ -112,7 +113,6 @@ class SpillLevelStore final : public LevelStore {
   std::uint64_t pinned_bytes_ = 0;
   std::uint64_t resident_bytes_ = 0;  ///< window + pinned
   std::uint64_t resident_peak_ = 0;
-  std::uint64_t arena_charged_ = 0;
   std::size_t window_ = 2;
   std::size_t resumed_ = 0;
   bool degraded_ = false;

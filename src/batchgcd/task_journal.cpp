@@ -2,8 +2,8 @@
 
 #include <cstdio>
 
-#include "core/binary_io.hpp"
 #include "util/atomic_file.hpp"
+#include "util/binary_io.hpp"
 
 namespace weakkeys::batchgcd {
 
@@ -46,19 +46,19 @@ std::size_t TaskJournal::open(const std::string& path,
 
   std::size_t accepted = 0;
   std::vector<std::vector<std::uint8_t>> kept;
-  if (const auto file = core::read_file_bytes(path)) {
-    core::BufferReader r(*file);
+  if (const auto file = util::read_file_bytes(path)) {
+    util::BufferReader r(*file);
     try {
       if (r.u32() == kCheckpointMagic && r.u32() == kCheckpointVersion &&
           r.u64() == fingerprint && r.u32() == total_tasks) {
         while (!r.exhausted()) {
           const auto payload = r.bytes();
-          if (r.u32() != core::crc32(payload)) break;  // corrupted: drop tail
+          if (r.u32() != util::crc32(payload)) break;  // corrupted: drop tail
           // Parse the record; a malformed payload (short read) is skipped,
           // later records may still be intact.
           bool ok = false;
           try {
-            core::BufferReader rec(payload);
+            util::BufferReader rec(payload);
             const std::uint32_t task = rec.u32();
             const std::uint32_t count = rec.u32();
             std::vector<TaskClaim> claims;
@@ -89,27 +89,27 @@ std::size_t TaskJournal::open(const std::string& path,
   // point if the process died between the truncate and the last record.
   {
     const std::string tmp = util::atomic_tmp_path(path);
-    core::BinaryWriter w(tmp);
+    util::BinaryWriter w(tmp);
     w.u32(kCheckpointMagic);
     w.u32(kCheckpointVersion);
     w.u64(fingerprint);
     w.u32(total_tasks);
     for (const auto& payload : kept) {
       w.bytes(payload);
-      w.u32(core::crc32(payload));
+      w.u32(util::crc32(payload));
     }
     w.flush();
   }
   util::atomic_publish_file(util::atomic_tmp_path(path), path);
-  writer_ = std::make_unique<core::BinaryWriter>(
-      path, core::BinaryWriter::Mode::kAppend);
+  writer_ = std::make_unique<util::BinaryWriter>(
+      path, util::BinaryWriter::Mode::kAppend);
   return accepted;
 }
 
 void TaskJournal::append(std::uint32_t task,
                          const std::vector<TaskClaim>& claims) {
   if (!writer_) return;
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(task);
   w.u32(static_cast<std::uint32_t>(claims.size()));
   for (const auto& claim : claims) {
@@ -117,7 +117,7 @@ void TaskJournal::append(std::uint32_t task,
     w.bytes(claim.divisor.to_bytes());
   }
   writer_->bytes(w.data());
-  writer_->u32(core::crc32(w.data()));
+  writer_->u32(util::crc32(w.data()));
   writer_->flush();
 }
 

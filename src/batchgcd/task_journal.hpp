@@ -5,7 +5,7 @@
 // cleanly under the other — the journal, not the execution engine, is the
 // commit log.
 //
-// Layout (fixed-width little-endian, see core/binary_io.hpp):
+// Layout (fixed-width little-endian, see util/binary_io.hpp):
 //
 //   u32 magic "WKCP" | u32 version | u64 corpus fingerprint | u32 total
 //   repeated records: bytes payload | u32 crc32(payload)
@@ -28,7 +28,7 @@
 
 #include "bn/bigint.hpp"
 
-namespace weakkeys::core {
+namespace weakkeys::util {
 class BinaryWriter;
 }
 
@@ -83,7 +83,7 @@ class TaskJournal {
 
  private:
   std::string path_;
-  std::unique_ptr<core::BinaryWriter> writer_;
+  std::unique_ptr<util::BinaryWriter> writer_;
 };
 
 }  // namespace weakkeys::batchgcd

@@ -18,8 +18,8 @@
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/task_set.hpp"
 #include "cluster/protocol.hpp"
-#include "core/binary_io.hpp"
 #include "obs/fleet.hpp"
+#include "util/binary_io.hpp"
 #include "util/net.hpp"
 #include "util/thread_pool.hpp"
 
@@ -338,9 +338,6 @@ class ProcessCoordinator {
              config_.profile_out + ".worker" + std::to_string(slot.id));
       }
     }
-    if (config_.mem_budget_mb > 0) {
-      flag("--mem-budget-mb", std::to_string(config_.mem_budget_mb));
-    }
     if (config_.injector) {
       const util::FaultConfig& f = config_.injector->config();
       flag("--seed", std::to_string(f.seed));
@@ -487,8 +484,6 @@ class ProcessCoordinator {
     slot.session_id = next_session_id_++;
     HelloAckMsg ack;
     ack.fingerprint = fingerprint_;
-    ack.heartbeat_interval_ms =
-        static_cast<std::uint32_t>(config_.heartbeat_interval.count());
     ack.session_id = slot.session_id;
     ack.grace_ms = static_cast<std::uint32_t>(silence_budget().count());
     if (!slot.conn->send(MsgType::kHelloAck, ack.encode())) {
@@ -542,8 +537,6 @@ class ProcessCoordinator {
     ReconnectAckMsg ack;
     ack.accepted = 1;
     ack.ack_result_seq = slot.rx_result_seq;
-    ack.heartbeat_interval_ms =
-        static_cast<std::uint32_t>(config_.heartbeat_interval.count());
     if (!slot.conn->send(MsgType::kReconnectAck, ack.encode())) {
       slot.conn.reset();
       slot.fd.reset();
@@ -773,7 +766,7 @@ class ProcessCoordinator {
         msg.product = products_[idx];
         bytes = msg.encode();
       }
-      crcs[idx] = core::crc32(bytes);
+      crcs[idx] = util::crc32(bytes);
       cache[idx] =
           std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
     }
@@ -1511,12 +1504,10 @@ class ProcessCoordinator {
     }
     if (config_.cancel) config_.cancel->remove_callback(cancel_callback_);
 
-    // Nothing reads a link any more: the merged timeline is final. Write
-    // the Chrome trace plus the fleet metrics JSON next to it.
+    // Nothing reads a link any more: the merged timeline is final. The
+    // fleet's metrics live in the telemetry registry, not in a file here.
     if (!config_.fleet_trace_path.empty()) {
       write_json_file(config_.fleet_trace_path, fleet_.chrome_trace_json());
-      write_json_file(config_.fleet_trace_path + ".metrics.json",
-                      fleet_.fleet_metrics_json());
     }
   }
 

@@ -150,8 +150,8 @@ struct ClusterConfig {
   std::chrono::milliseconds telemetry_interval{500};
   /// When non-empty, collect a fleet-merged Chrome trace — coordinator
   /// assign spans plus clock-rebased worker task spans — and write it here
-  /// at the end of the run (plus fleet metrics JSON at
-  /// `<path>.metrics.json`). Implies trace context on TaskAssigns.
+  /// at the end of the run. Implies trace context on TaskAssigns. The
+  /// fleet's metrics go to `telemetry`'s registry, trace or not.
   std::string fleet_trace_path;
   /// Out-of-core spill directory for the spawned workers' subset trees
   /// (gcd_worker --spill-dir); empty leaves spilling off. Level files are
@@ -160,12 +160,11 @@ struct ClusterConfig {
   /// Per-tree spill threshold in MiB, forwarded with spill_dir
   /// (--spill-threshold-mb); 0 = always spill.
   std::size_t spill_threshold_mb = 256;
-  /// Profiler and memory settings forwarded to spawned workers: --profile
-  /// (<= 0 = off), --profile-out `<profile_out>.worker<id>` (empty keeps
-  /// the profile in the worker's metrics) and --mem-budget-mb (0 = none).
+  /// Profiler settings forwarded to spawned workers: --profile (<= 0 =
+  /// off) and --profile-out `<profile_out>.worker<id>` (empty keeps the
+  /// profile in the worker's metrics).
   double profile_hz = 0;
   std::string profile_out;
-  std::size_t mem_budget_mb = 0;
 };
 
 struct ClusterStats {

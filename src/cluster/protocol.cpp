@@ -4,7 +4,7 @@
 #include <cstring>
 #include <thread>
 
-#include "core/binary_io.hpp"
+#include "util/binary_io.hpp"
 #include "util/net.hpp"
 
 namespace weakkeys::cluster {
@@ -16,7 +16,7 @@ namespace {
 template <typename T, typename Fn>
 std::optional<T> decode_guard(const std::vector<std::uint8_t>& body, Fn fn) {
   try {
-    core::BufferReader r(body);
+    util::BufferReader r(body);
     T msg = fn(r);
     if (!r.exhausted()) return std::nullopt;  // trailing garbage
     return msg;
@@ -30,7 +30,7 @@ std::optional<T> decode_guard(const std::vector<std::uint8_t>& body, Fn fn) {
 // -- message codecs ---------------------------------------------------------
 
 std::vector<std::uint8_t> HelloMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(worker_id);
   w.u64(pid);
   w.u32(version);
@@ -39,7 +39,7 @@ std::vector<std::uint8_t> HelloMsg::encode() const {
 
 std::optional<HelloMsg> HelloMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<HelloMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<HelloMsg>(body, [](util::BufferReader& r) {
     HelloMsg m;
     m.worker_id = r.u32();
     m.pid = r.u64();
@@ -49,9 +49,8 @@ std::optional<HelloMsg> HelloMsg::decode(
 }
 
 std::vector<std::uint8_t> HelloAckMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u64(fingerprint);
-  w.u32(heartbeat_interval_ms);
   w.u64(session_id);
   w.u32(grace_ms);
   return w.data();
@@ -59,10 +58,9 @@ std::vector<std::uint8_t> HelloAckMsg::encode() const {
 
 std::optional<HelloAckMsg> HelloAckMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<HelloAckMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<HelloAckMsg>(body, [](util::BufferReader& r) {
     HelloAckMsg m;
     m.fingerprint = r.u64();
-    m.heartbeat_interval_ms = r.u32();
     m.session_id = r.u64();
     m.grace_ms = r.u32();
     return m;
@@ -70,7 +68,7 @@ std::optional<HelloAckMsg> HelloAckMsg::decode(
 }
 
 std::vector<std::uint8_t> ReconnectHelloMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(worker_id);
   w.u64(pid);
   w.u64(session_id);
@@ -81,7 +79,7 @@ std::vector<std::uint8_t> ReconnectHelloMsg::encode() const {
 
 std::optional<ReconnectHelloMsg> ReconnectHelloMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<ReconnectHelloMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<ReconnectHelloMsg>(body, [](util::BufferReader& r) {
     ReconnectHelloMsg m;
     m.worker_id = r.u32();
     m.pid = r.u64();
@@ -93,26 +91,24 @@ std::optional<ReconnectHelloMsg> ReconnectHelloMsg::decode(
 }
 
 std::vector<std::uint8_t> ReconnectAckMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(accepted);
   w.u64(ack_result_seq);
-  w.u32(heartbeat_interval_ms);
   return w.data();
 }
 
 std::optional<ReconnectAckMsg> ReconnectAckMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<ReconnectAckMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<ReconnectAckMsg>(body, [](util::BufferReader& r) {
     ReconnectAckMsg m;
     m.accepted = static_cast<std::uint8_t>(r.u32());
     m.ack_result_seq = r.u64();
-    m.heartbeat_interval_ms = r.u32();
     return m;
   });
 }
 
 std::vector<std::uint8_t> SubsetDataMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(subset);
   w.u32(static_cast<std::uint32_t>(moduli.size()));
   for (const auto& n : moduli) w.bytes(n.to_bytes());
@@ -121,7 +117,7 @@ std::vector<std::uint8_t> SubsetDataMsg::encode() const {
 
 std::optional<SubsetDataMsg> SubsetDataMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<SubsetDataMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<SubsetDataMsg>(body, [](util::BufferReader& r) {
     SubsetDataMsg m;
     m.subset = r.u32();
     const std::uint32_t count = r.u32();
@@ -134,7 +130,7 @@ std::optional<SubsetDataMsg> SubsetDataMsg::decode(
 }
 
 std::vector<std::uint8_t> ProductDataMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(subset);
   w.bytes(product.to_bytes());
   return w.data();
@@ -142,7 +138,7 @@ std::vector<std::uint8_t> ProductDataMsg::encode() const {
 
 std::optional<ProductDataMsg> ProductDataMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<ProductDataMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<ProductDataMsg>(body, [](util::BufferReader& r) {
     ProductDataMsg m;
     m.subset = r.u32();
     m.product = bn::BigInt::from_bytes(r.bytes());
@@ -151,7 +147,7 @@ std::optional<ProductDataMsg> ProductDataMsg::decode(
 }
 
 std::vector<std::uint8_t> TaskAssignMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(task);
   w.u32(product_subset);
   w.u32(leaf_subset);
@@ -164,7 +160,7 @@ std::vector<std::uint8_t> TaskAssignMsg::encode() const {
 
 std::optional<TaskAssignMsg> TaskAssignMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<TaskAssignMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<TaskAssignMsg>(body, [](util::BufferReader& r) {
     TaskAssignMsg m;
     m.task = r.u32();
     m.product_subset = r.u32();
@@ -178,7 +174,7 @@ std::optional<TaskAssignMsg> TaskAssignMsg::decode(
 }
 
 std::vector<std::uint8_t> TaskResultMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(task);
   w.u32(worker_id);
   w.u64(result_seq);
@@ -192,7 +188,7 @@ std::vector<std::uint8_t> TaskResultMsg::encode() const {
 
 std::optional<TaskResultMsg> TaskResultMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<TaskResultMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<TaskResultMsg>(body, [](util::BufferReader& r) {
     TaskResultMsg m;
     m.task = r.u32();
     m.worker_id = r.u32();
@@ -210,7 +206,7 @@ std::optional<TaskResultMsg> TaskResultMsg::decode(
 }
 
 std::vector<std::uint8_t> PingMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u64(seq);
   w.i64(t_send_ns);
   w.u64(ack_result_seq);
@@ -219,7 +215,7 @@ std::vector<std::uint8_t> PingMsg::encode() const {
 }
 
 std::optional<PingMsg> PingMsg::decode(const std::vector<std::uint8_t>& body) {
-  return decode_guard<PingMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<PingMsg>(body, [](util::BufferReader& r) {
     PingMsg m;
     m.seq = r.u64();
     m.t_send_ns = r.i64();
@@ -230,7 +226,7 @@ std::optional<PingMsg> PingMsg::decode(const std::vector<std::uint8_t>& body) {
 }
 
 std::vector<std::uint8_t> PongMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u64(seq);
   w.i64(t_send_ns);
   w.u32(tasks_done);
@@ -241,7 +237,7 @@ std::vector<std::uint8_t> PongMsg::encode() const {
 }
 
 std::optional<PongMsg> PongMsg::decode(const std::vector<std::uint8_t>& body) {
-  return decode_guard<PongMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<PongMsg>(body, [](util::BufferReader& r) {
     PongMsg m;
     m.seq = r.u64();
     m.t_send_ns = r.i64();
@@ -254,7 +250,7 @@ std::optional<PongMsg> PongMsg::decode(const std::vector<std::uint8_t>& body) {
 }
 
 std::vector<std::uint8_t> TelemetrySnapshotMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(worker_id);
   w.u64(seq);
   w.u64(first_span_index);
@@ -290,7 +286,7 @@ std::vector<std::uint8_t> TelemetrySnapshotMsg::encode() const {
 
 std::optional<TelemetrySnapshotMsg> TelemetrySnapshotMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<TelemetrySnapshotMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<TelemetrySnapshotMsg>(body, [](util::BufferReader& r) {
     TelemetrySnapshotMsg m;
     m.worker_id = r.u32();
     m.seq = r.u64();
@@ -336,7 +332,7 @@ std::optional<TelemetrySnapshotMsg> TelemetrySnapshotMsg::decode(
 }
 
 std::vector<std::uint8_t> StreamBeginMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(stream_id);
   w.u32(kind);
   w.u32(subset);
@@ -347,7 +343,7 @@ std::vector<std::uint8_t> StreamBeginMsg::encode() const {
 
 std::optional<StreamBeginMsg> StreamBeginMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<StreamBeginMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<StreamBeginMsg>(body, [](util::BufferReader& r) {
     StreamBeginMsg m;
     m.stream_id = r.u32();
     m.kind = static_cast<std::uint8_t>(r.u32());
@@ -359,7 +355,7 @@ std::optional<StreamBeginMsg> StreamBeginMsg::decode(
 }
 
 std::vector<std::uint8_t> StreamChunkMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(stream_id);
   w.u64(offset);
   w.bytes(data);
@@ -368,7 +364,7 @@ std::vector<std::uint8_t> StreamChunkMsg::encode() const {
 
 std::optional<StreamChunkMsg> StreamChunkMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<StreamChunkMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<StreamChunkMsg>(body, [](util::BufferReader& r) {
     StreamChunkMsg m;
     m.stream_id = r.u32();
     m.offset = r.u64();
@@ -378,7 +374,7 @@ std::optional<StreamChunkMsg> StreamChunkMsg::decode(
 }
 
 std::vector<std::uint8_t> StreamAckMsg::encode() const {
-  core::BufferWriter w;
+  util::BufferWriter w;
   w.u32(stream_id);
   w.u64(received);
   return w.data();
@@ -386,7 +382,7 @@ std::vector<std::uint8_t> StreamAckMsg::encode() const {
 
 std::optional<StreamAckMsg> StreamAckMsg::decode(
     const std::vector<std::uint8_t>& body) {
-  return decode_guard<StreamAckMsg>(body, [](core::BufferReader& r) {
+  return decode_guard<StreamAckMsg>(body, [](util::BufferReader& r) {
     StreamAckMsg m;
     m.stream_id = r.u32();
     m.received = r.u64();
@@ -417,7 +413,7 @@ bool FrameConn::send(MsgType type, const std::vector<std::uint8_t>& body,
   payload.reserve(1 + body.size());
   payload.push_back(static_cast<std::uint8_t>(type));
   payload.insert(payload.end(), body.begin(), body.end());
-  const std::uint32_t crc = core::crc32(payload);
+  const std::uint32_t crc = util::crc32(payload);
 
   std::lock_guard guard(tx_mu_);
   // Connection tier first: a data frame may change the *link's* state.
@@ -485,7 +481,7 @@ bool FrameConn::send(MsgType type, const std::vector<std::uint8_t>& body,
     std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
   }
 
-  core::BufferWriter header;
+  util::BufferWriter header;
   header.u32(static_cast<std::uint32_t>(payload.size()));
   header.u32(crc);
   if (!util::net::write_full(fd_, header.data().data(), header.data().size()))
@@ -514,7 +510,7 @@ RecvStatus FrameConn::try_recv(Frame* out) {
       if (avail >= need) {
         const std::uint8_t* payload = header + kHeaderBytes;
         rx_pos_ += need;
-        if (core::crc32(payload, length) != crc) {
+        if (util::crc32(payload, length) != crc) {
           ++stats_.corrupt;
           return RecvStatus::kCorrupt;
         }

@@ -5,7 +5,7 @@
 // interconnect, it is not an internet-facing service):
 //
 //   frame: u32 payload-length | u32 crc32(payload) | payload
-//   payload: u8 message-type | message body (core::BufferWriter encoding)
+//   payload: u8 message-type | message body (util::BufferWriter encoding)
 //
 // The CRC is not decorative: the fault injector's frame tier garbles
 // payload bytes *after* the checksum is computed, so a corrupted frame
@@ -15,11 +15,10 @@
 // the task layer via timeouts and reassignment, exactly as a real lossy
 // transport would force.
 //
-// Message flow (protocol v4):
+// Message flow (protocol v5):
 //
 //   worker -> coordinator   Hello             (identify: worker id, pid, ver)
-//   coordinator -> worker   HelloAck          (fingerprint, heartbeat, session,
-//                                              grace)
+//   coordinator -> worker   HelloAck          (fingerprint, session, grace)
 //   coordinator -> worker   StreamBegin       (open a subset/product transfer)
 //   coordinator -> worker   StreamChunk       (offset-addressed payload slice)
 //   worker -> coordinator   StreamAck         (contiguous-prefix receipt)
@@ -34,8 +33,11 @@
 //
 // Version check: Hello/ReconnectHello carry the worker's protocol version
 // and the coordinator closes any connection whose version is not
-// kProtocolVersion. There is one dialect: every body has a fixed field
-// list, and decode_guard rejects both short bodies and trailing bytes.
+// kProtocolVersion, before it sends a HelloAck or ReconnectAck. That check,
+// not the body length, keeps mismatched peers apart: a worker only ever
+// decodes acks from a coordinator that already accepted its version. There
+// is one dialect: every body has a fixed field list, and decode_guard
+// rejects both short bodies and trailing bytes.
 //
 // Subset moduli and product roots are streamed once per *session* in
 // chunked, offset-addressed frames (StreamBegin/Chunk/Ack — go-back-N with
@@ -78,8 +80,10 @@ namespace weakkeys::cluster {
 /// sessions (reconnect handshake, result sequencing) and chunked
 /// subset/product streaming; v3 added the telemetry plane (TaskAssign trace
 /// context, TelemetrySnapshot export, Pong clock samples); v4 made sessions
-/// unconditional, with HelloAck naming the session grace window.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// unconditional, with HelloAck naming the session grace window; v5
+/// dropped the heartbeat interval from HelloAck and ReconnectAck (the
+/// worker paces itself by the grace alone).
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Upper bound on a frame payload; a length prefix beyond this means the
 /// stream is garbage (or hostile) and the connection is dropped rather
@@ -110,7 +114,7 @@ struct Frame {
 };
 
 // -- messages ---------------------------------------------------------------
-// Each message encodes its body with core::BufferWriter (fixed-width
+// Each message encodes its body with util::BufferWriter (fixed-width
 // little-endian) and decodes with decode(), returning nullopt on any
 // malformed body (short reads throw inside and are caught — a frame that
 // passed the CRC can still be nonsense if the sender is broken).
@@ -126,7 +130,6 @@ struct HelloMsg {
 
 struct HelloAckMsg {
   std::uint64_t fingerprint = 0;  ///< corpus identity (sanity check)
-  std::uint32_t heartbeat_interval_ms = 0;
   std::uint64_t session_id = 0;  ///< minted per handshake; reconnect key
   /// How long the coordinator holds a lost link's session. The worker
   /// redials for this long, and declares a silent link dead after it.
@@ -161,7 +164,6 @@ struct ReconnectHelloMsg {
 struct ReconnectAckMsg {
   std::uint8_t accepted = 0;
   std::uint64_t ack_result_seq = 0;
-  std::uint32_t heartbeat_interval_ms = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<ReconnectAckMsg> decode(

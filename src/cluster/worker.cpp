@@ -19,12 +19,12 @@
 #include "batchgcd/remainder_tree.hpp"
 #include "batchgcd/task_set.hpp"
 #include "cluster/protocol.hpp"
-#include "core/binary_io.hpp"
 #include "obs/mem.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/prof_stack.hpp"
 #include "obs/profiler.hpp"
 #include "util/atomic_file.hpp"
+#include "util/binary_io.hpp"
 #include "util/net.hpp"
 
 namespace weakkeys::cluster {
@@ -346,14 +346,6 @@ class Worker {
       snap.gauges.emplace_back("mem_live_kb", mem.live_bytes / 1024);
       snap.gauges.emplace_back(
           "mem_peak_kb", static_cast<std::int64_t>(mem.peak_bytes / 1024));
-      if (obs::mem::consume_budget_alarm()) {
-        log("worker " + std::to_string(config_.worker_id) +
-            ": memory budget exceeded (soft alarm; run continues)");
-        budget_alarms_.fetch_add(1, std::memory_order_relaxed);
-      }
-      const std::uint64_t alarms =
-          budget_alarms_.load(std::memory_order_relaxed);
-      if (alarms > 0) snap.counters.emplace_back("mem_budget_alarms", alarms);
     }
     const obs::ProcSelfStats proc = obs::sample_proc_self();
     if (proc.rss_available) {
@@ -538,7 +530,7 @@ class Worker {
     const std::uint32_t id = msg.stream_id;
     const std::uint64_t prefix = stream.prefix;
     if (prefix == stream.total) {
-      if (core::crc32(stream.buf) == stream.crc) deliver_stream(stream);
+      if (util::crc32(stream.buf) == stream.crc) deliver_stream(stream);
       rx_streams_.erase(it);
     }
     return send_stream_ack(link, id, prefix);
@@ -731,7 +723,6 @@ class Worker {
   std::atomic<std::uint32_t> tasks_done_{0};
   std::atomic<std::uint64_t> claims_found_{0};
   std::atomic<std::uint64_t> compute_us_{0};
-  std::atomic<std::uint64_t> budget_alarms_{0};
 
   // Session state (main/RX thread unless noted).
   std::uint64_t session_id_ = 0;
@@ -760,18 +751,12 @@ class Worker {
 
 int run_worker(const WorkerConfig& config) {
   // Resource-attribution plane for this worker process: memory accounting
-  // feeds the mem gauges in every TelemetrySnapshot (and arms the soft
-  // budget), the profiler writes this worker's collapsed stacks at exit.
-  // Both default off and cost one relaxed load per alloc/span when off.
-  if (config.profile_hz > 0 || config.mem_budget_mb > 0) {
-    obs::mem::enable();
-    if (config.mem_budget_mb > 0) {
-      obs::mem::set_budget_bytes(
-          static_cast<std::uint64_t>(config.mem_budget_mb) * 1024 * 1024);
-    }
-  }
+  // feeds the mem gauges in every TelemetrySnapshot, the profiler writes
+  // this worker's collapsed stacks at exit. Both default off and cost one
+  // relaxed load per alloc/span when off.
   std::unique_ptr<obs::Profiler> profiler;
   if (config.profile_hz > 0) {
+    obs::mem::enable();
     obs::ProfilerConfig pc;
     pc.hz = config.profile_hz;
     pc.out_path = config.profile_out;

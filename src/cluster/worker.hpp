@@ -62,9 +62,6 @@ struct WorkerConfig {
   /// Collapsed-stack output path for this worker's profile; empty keeps the
   /// profile in metrics only.
   std::string profile_out;
-  /// Soft memory budget in MiB (0 = off). Crossing it raises the alarm
-  /// counter in the telemetry stream; the worker never aborts.
-  std::size_t mem_budget_mb = 0;
   /// Out-of-core spill directory for this worker's subset product trees
   /// (DESIGN.md §5l); empty disables spilling. Level files are named
   /// "worker<id>.s<subset>.*" so workers sharing one directory never

@@ -1,7 +1,7 @@
 #include "core/scan_store.hpp"
 
-#include "core/binary_io.hpp"
 #include "util/atomic_file.hpp"
+#include "util/binary_io.hpp"
 
 #include <map>
 #include <memory>
@@ -56,7 +56,7 @@ void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
   // at the canonical path.
   const std::string tmp = util::atomic_tmp_path(path);
   {
-    BinaryWriter w(tmp);
+    util::BinaryWriter w(tmp);
     w.u32(kMagic);
     w.u64(key.seed);
     w.u64(key.scale_millionths);
@@ -84,7 +84,7 @@ void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
     }
   }
   // Truncation/bit-rot guard; load_dataset refuses files without it.
-  append_checksum_footer(tmp);
+  util::append_checksum_footer(tmp);
   util::atomic_publish_file(tmp, path);
 }
 
@@ -94,12 +94,12 @@ std::optional<netsim::ScanDataset> load_dataset(const StoreKey& key,
   DatasetLoadStatus local = DatasetLoadStatus::kParseError;
   DatasetLoadStatus& out = status ? *status : local;
 
-  BinaryReader r(path);
+  util::BinaryReader r(path);
   if (!r.ok()) {
     out = DatasetLoadStatus::kMissing;
     return std::nullopt;
   }
-  if (!verify_checksum_footer(path)) {
+  if (!util::verify_checksum_footer(path)) {
     out = DatasetLoadStatus::kBadChecksum;
     return std::nullopt;
   }

@@ -13,13 +13,13 @@
 
 #include "analysis/chains.hpp"
 #include "batchgcd/distributed.hpp"
-#include "core/binary_io.hpp"
 #include "core/ingest.hpp"
 #include "core/scan_store.hpp"
 #include "netsim/catalog.hpp"
 #include "netsim/noise.hpp"
 #include "obs/mem.hpp"
 #include "util/atomic_file.hpp"
+#include "util/binary_io.hpp"
 #include "util/thread_pool.hpp"
 
 namespace weakkeys::core {
@@ -145,7 +145,6 @@ void Study::cancel(const std::string& reason) {
 }
 
 void Study::begin_stage() {
-  poll_mem_budget();
   resolve_token()->throw_if_cancelled();
 }
 
@@ -205,20 +204,13 @@ void Study::start_observability() {
     monitor_->start();
   }
 
-  // Resource-attribution plane (DESIGN.md §5k). Enabling either knob turns
-  // on memory accounting so mem.* gauges flow into the monitor and the
-  // trace's metrics snapshot.
+  // Resource-attribution plane (DESIGN.md §5k). Profiling turns on memory
+  // accounting so mem.* gauges flow into the monitor and the trace's
+  // metrics snapshot.
   const double profile_hz = config_.profile_hz;
-  const long long budget_mb = config_.mem_budget_mb;
-  if ((profile_hz > 0 || budget_mb > 0) && obs::mem::supported()) {
+  if (profile_hz > 0 && obs::mem::supported()) {
     obs::mem::enable(&telemetry_.metrics());
     mem_accounting_ = true;
-    if (budget_mb > 0) {
-      obs::mem::set_budget_bytes(static_cast<std::uint64_t>(budget_mb) *
-                                 1024 * 1024);
-      log("memory accounting on (soft budget " + std::to_string(budget_mb) +
-          " MiB; alarm only, never aborts)");
-    }
   }
   if (profile_hz > 0 && !profiler_) {
     obs::ProfilerConfig pc;
@@ -248,17 +240,6 @@ void Study::start_observability() {
   }
 }
 
-void Study::poll_mem_budget() {
-  if (!obs::mem::enabled()) return;
-  if (obs::mem::consume_budget_alarm()) {
-    telemetry_.metrics().counter("mem.budget.alarms").inc();
-    telemetry_.sink().warn(
-        "memory budget exceeded: live heap bytes crossed " +
-        std::to_string(obs::mem::budget_bytes()) +
-        " (soft alarm; the run continues)");
-  }
-}
-
 void Study::flush_telemetry() {
   if (!run_started_.load()) return;  // nothing collected yet
   if (flushed_.exchange(true)) return;
@@ -266,7 +247,6 @@ void Study::flush_telemetry() {
   // registry before the monitor writes the `"final":true` snapshot.
   if (profiler_) profiler_->stop();  // also writes the collapsed-stack file
   if (obs::mem::enabled()) obs::mem::publish(telemetry_.metrics());
-  poll_mem_budget();
   if (monitor_) monitor_->stop();  // writes the `"final":true` snapshot
   const std::string& trace = config_.trace_path;
   if (!trace.empty() && telemetry_.write_trace_files(trace)) {
@@ -376,11 +356,11 @@ void Study::record_ingest_metrics() {
 
 namespace {
 
-bn::BigInt read_bigint(BinaryReader& r) {
+bn::BigInt read_bigint(util::BinaryReader& r) {
   return bn::BigInt::from_bytes(r.bytes());
 }
 
-void write_bigint(BinaryWriter& w, const bn::BigInt& v) {
+void write_bigint(util::BinaryWriter& w, const bn::BigInt& v) {
   w.bytes(v.to_bytes());
 }
 
@@ -389,8 +369,8 @@ void write_bigint(BinaryWriter& w, const bn::BigInt& v) {
 bool Study::load_factor_cache(const std::string& path) {
   // Truncated or bit-flipped caches fail the length+CRC footer and fall
   // back to recomputation, mirroring the dataset cache's truncation safety.
-  if (!verify_checksum_footer(path)) return false;
-  BinaryReader r(path);
+  if (!util::verify_checksum_footer(path)) return false;
+  util::BinaryReader r(path);
   if (!r.ok()) return false;
   try {
     if (r.u32() != kFactorMagic) return false;
@@ -437,14 +417,14 @@ void Study::save_factor_cache(const std::string& path) const {
   // payload and the footer must never leave a torn factor cache behind.
   const std::string tmp = util::atomic_tmp_path(path);
   {
-    BinaryWriter w(tmp);
+    util::BinaryWriter w(tmp);
     write_factor_cache_payload(w);
   }
-  append_checksum_footer(tmp);
+  util::append_checksum_footer(tmp);
   util::atomic_publish_file(tmp, path);
 }
 
-void Study::write_factor_cache_payload(BinaryWriter& w) const {
+void Study::write_factor_cache_payload(util::BinaryWriter& w) const {
   w.u32(kFactorMagic);
   w.u64(config_.sim.seed);
   w.u64(static_cast<std::uint64_t>(config_.sim.scale * 1e6));
@@ -527,8 +507,6 @@ void Study::factor_moduli(util::ThreadPool& pool) {
     cc.fleet_trace_path = config_.fleet_trace_path;
     cc.profile_hz = config_.profile_hz;
     cc.profile_out = config_.profile_out;
-    cc.mem_budget_mb =
-        static_cast<std::size_t>(std::max(config_.mem_budget_mb, 0LL));
     cc.checkpoint_path = journal_path;
     cc.log = [this](const std::string& message) { log(message); };
     cc.telemetry = &telemetry_;

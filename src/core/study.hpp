@@ -43,6 +43,10 @@
 #include "obs/telemetry.hpp"
 #include "util/cancellation.hpp"
 
+namespace weakkeys::util {
+class BinaryWriter;
+}
+
 namespace weakkeys::core {
 
 /// Every run setting of a Study, as resolved values: a Study reads nothing
@@ -99,9 +103,9 @@ struct StudyConfig {
       cluster::ClusterConfig{}.telemetry_interval.count());
   /// Fleet-merged Chrome trace path for the cluster path: coordinator
   /// assign spans plus clock-rebased worker task spans on one timeline,
-  /// written when the factoring stage ends (plus fleet metrics JSON at
-  /// `<path>.metrics.json`). Empty disables the merged trace (metric
-  /// fan-in is unaffected).
+  /// written when the factoring stage ends. The fleet's metrics land in
+  /// the study registry (the trace's metrics snapshot). Empty disables the
+  /// merged trace (metric fan-in is unaffected).
   std::string fleet_trace_path;
   /// Scan-noise injection: appends corrupted records to the scanned corpus
   /// after simulation or cache load (the cache always stores the clean
@@ -137,12 +141,6 @@ struct StudyConfig {
   /// telemetry flushes; spawned workers write `<profile_out>.worker<id>`.
   /// Empty keeps the profile in metrics only.
   std::string profile_out;
-  /// Soft memory budget in MiB: enables memory accounting and latches an
-  /// alarm (`mem.budget.alarms` counter + sink warning)
-  /// the first time live heap bytes cross the watermark. The run is never
-  /// aborted — results stay identical to an unconstrained run. 0 disables
-  /// the budget. Spawned cluster workers get the same budget each.
-  long long mem_budget_mb = 0;
   /// Out-of-core batch GCD: directory for product-tree level spills
   /// (DESIGN.md §5l). When the spill policy fires, each subset's product
   /// tree keeps at most two levels resident and streams the rest through
@@ -313,18 +311,13 @@ class Study {
   void fingerprint_corpus();
   bool load_factor_cache(const std::string& path);
   void save_factor_cache(const std::string& path) const;
-  void write_factor_cache_payload(class BinaryWriter& w) const;
+  void write_factor_cache_payload(util::BinaryWriter& w) const;
   void log(const std::string& message);
   void record_ingest_metrics();
   void record_factor_metrics();
   void start_observability();
-  /// Reports the soft-budget alarm (once per run) through the sink and the
-  /// `mem.budget.alarms` counter. Called at stage boundaries and the final
-  /// flush; the monitor tick polls too, whichever fires first reports.
-  void poll_mem_budget();
   [[nodiscard]] util::CancellationToken* resolve_token();
-  /// Stage boundary: polls the memory budget, then throws util::Cancelled
-  /// if the token has tripped.
+  /// Stage boundary: throws util::Cancelled if the token has tripped.
   void begin_stage();
 
   StudyConfig config_;

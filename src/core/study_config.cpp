@@ -94,7 +94,6 @@ StudyConfig StudyConfig::from_env(StudyConfig base) {
   overlay("WEAKKEYS_MONITOR", base.monitor_path);
   overlay("WEAKKEYS_PROFILE_HZ", base.profile_hz, -kHuge, kHuge);
   overlay("WEAKKEYS_PROFILE_OUT", base.profile_out);
-  overlay("WEAKKEYS_MEM_BUDGET_MB", base.mem_budget_mb, 0, kMaxMiB);
 
   // Out-of-core spill.
   overlay("WEAKKEYS_SPILL_DIR", base.spill_dir);

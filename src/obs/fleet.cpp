@@ -68,22 +68,26 @@ void FleetAggregator::end_assign(std::uint64_t span_id, std::int64_t now_ns,
   if (span_id == 0) return;
   const auto it = open_assigns_.find(span_id);
   if (it == open_assigns_.end()) return;
-  const OpenAssign open = it->second;
+  events_.push_back(assign_event(it->second, now_ns, committed));
   open_assigns_.erase(it);
-  FleetEvent fe;
-  fe.pid = kCoordinatorPid;
-  fe.event.name = "task.assign";
-  fe.event.tid = open.worker;  // one coordinator lane per worker slot
-  fe.event.ts_us = static_cast<std::uint64_t>(
+}
+
+TraceEvent FleetAggregator::assign_event(const OpenAssign& open,
+                                         std::int64_t end_ns,
+                                         bool committed) const {
+  TraceEvent e;
+  e.name = "task.assign";
+  e.pid = kCoordinatorPid;
+  e.tid = open.worker;  // one coordinator lane per worker slot
+  e.ts_us = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, (open.start_ns - epoch_ns_) / 1000));
-  fe.event.dur_us = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, (now_ns - open.start_ns) / 1000));
-  fe.event.depth = 0;
-  fe.event.args = {{"task", open.task},
-                   {"worker", open.worker},
-                   {"attempt", open.attempt},
-                   {"committed", committed ? 1 : 0}};
-  events_.push_back(std::move(fe));
+  e.dur_us = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(0, (end_ns - open.start_ns) / 1000));
+  e.args = {{"task", open.task},
+            {"worker", open.worker},
+            {"attempt", open.attempt},
+            {"committed", committed ? 1 : 0}};
+  return e;
 }
 
 void FleetAggregator::on_worker_fresh(std::uint32_t worker) {
@@ -139,12 +143,11 @@ std::size_t FleetAggregator::ingest(const FleetSnapshot& snap) {
           snap.trace_epoch_ns +
           static_cast<std::int64_t>(span.ts_us) * 1000;
       const std::int64_t coord_ns = ws.clock.rebase(worker_ns);
-      FleetEvent fe;
-      fe.pid = kWorkerPidBase + snap.worker_id;
-      fe.event = span;
-      fe.event.ts_us = static_cast<std::uint64_t>(
+      TraceEvent e = span;
+      e.pid = kWorkerPidBase + snap.worker_id;
+      e.ts_us = static_cast<std::uint64_t>(
           std::max<std::int64_t>(0, (coord_ns - epoch_ns_) / 1000));
-      events_.push_back(std::move(fe));
+      events_.push_back(std::move(e));
       ++accepted;
     }
   }
@@ -188,6 +191,10 @@ void FleetAggregator::publish() {
     if (ws.cpu_sys_us >= 0) {
       registry_->gauge(prefix + "cpu_sys_us").set(ws.cpu_sys_us);
     }
+    if (ws.clock.valid()) {
+      registry_->gauge(prefix + "clock_offset_ns").set(ws.clock.offset_ns());
+      registry_->gauge(prefix + "clock_rtt_ns").set(ws.clock.best_rtt_ns());
+    }
     fleet_tasks += names.count("tasks_executed") ? names["tasks_executed"] : 0;
     fleet_compute_us += names.count("compute_us") ? names["compute_us"] : 0;
     fleet_claims += names.count("claims_found") ? names["claims_found"] : 0;
@@ -201,135 +208,22 @@ void FleetAggregator::publish() {
       .set(static_cast<std::int64_t>(reporting));
 }
 
-std::vector<FleetEvent> FleetAggregator::events() const {
-  std::vector<FleetEvent> out = events_;
+std::vector<TraceEvent> FleetAggregator::events() const {
+  std::vector<TraceEvent> out = events_;
   for (const auto& [id, open] : open_assigns_) {
-    FleetEvent fe;
-    fe.pid = kCoordinatorPid;
-    fe.event.name = "task.assign";
-    fe.event.tid = open.worker;
-    fe.event.ts_us = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, (open.start_ns - epoch_ns_) / 1000));
-    fe.event.dur_us = 0;
-    fe.event.args = {{"task", open.task},
-                     {"worker", open.worker},
-                     {"attempt", open.attempt},
-                     {"committed", 0}};
-    out.push_back(std::move(fe));
+    out.push_back(assign_event(open, open.start_ns, /*committed=*/false));
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FleetEvent& a, const FleetEvent& b) {
-                     if (a.pid != b.pid) return a.pid < b.pid;
-                     if (a.event.tid != b.event.tid)
-                       return a.event.tid < b.event.tid;
-                     if (a.event.ts_us != b.event.ts_us)
-                       return a.event.ts_us < b.event.ts_us;
-                     return a.event.dur_us > b.event.dur_us;
-                   });
+  std::stable_sort(out.begin(), out.end(), timeline_order);
   return out;
 }
 
 std::string FleetAggregator::chrome_trace_json() const {
-  const std::vector<FleetEvent> sorted = events();
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  // Label each pid lane so the viewer shows "coordinator" / "worker N"
-  // instead of bare numbers.
-  std::vector<std::uint32_t> pids{kCoordinatorPid};
-  for (const auto& [id, ws] : workers_) pids.push_back(kWorkerPidBase + id);
-  for (const std::uint32_t pid : pids) {
-    const std::string label =
-        pid == kCoordinatorPid
-            ? "coordinator"
-            : "worker " + std::to_string(pid - kWorkerPidBase);
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-           std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-           json_escape(label) + "\"}}";
-  }
-  for (const FleetEvent& fe : sorted) {
-    const TraceEvent& e = fe.event;
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"" + json_escape(e.name) +
-           "\",\"cat\":\"weakkeys\",\"ph\":\"X\",\"pid\":" +
-           std::to_string(fe.pid) + ",\"tid\":" + std::to_string(e.tid) +
-           ",\"ts\":" + std::to_string(e.ts_us) +
-           ",\"dur\":" + std::to_string(e.dur_us);
-    if (!e.args.empty()) {
-      out += ",\"args\":{";
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "\"" + json_escape(e.args[i].first) +
-               "\":" + std::to_string(e.args[i].second);
-      }
-      out += "}";
-    }
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string FleetAggregator::fleet_metrics_json() const {
-  std::uint64_t fleet_tasks = 0;
-  std::uint64_t fleet_compute_us = 0;
-  std::int64_t fleet_rss_kb = 0;
-  std::uint64_t reporting = 0;
-  std::string workers = "[";
-  bool first = true;
+  std::vector<std::pair<std::uint32_t, std::string>> lanes{
+      {kCoordinatorPid, "coordinator"}};
   for (const auto& [id, ws] : workers_) {
-    if (ws.snapshots == 0) continue;
-    ++reporting;
-    if (!first) workers += ",";
-    first = false;
-    workers += "{\"id\":" + std::to_string(id);
-    workers += ",\"snapshots\":" + std::to_string(ws.snapshots);
-    std::map<std::string, std::uint64_t> names;
-    for (const auto& [name, value] : ws.counter_base) names[name] = 0;
-    for (const auto& [name, value] : ws.counter_latest) names[name] = 0;
-    workers += ",\"counters\":{";
-    bool first_counter = true;
-    for (auto& [name, value] : names) {
-      value = folded_counter(ws, name);
-      if (!first_counter) workers += ",";
-      first_counter = false;
-      workers += "\"" + json_escape(name) + "\":" + std::to_string(value);
-    }
-    workers += "}";
-    fleet_tasks += names.count("tasks_executed") ? names["tasks_executed"] : 0;
-    fleet_compute_us += names.count("compute_us") ? names["compute_us"] : 0;
-    if (ws.rss_kb >= 0) {
-      workers += ",\"rss_kb\":" + std::to_string(ws.rss_kb);
-      fleet_rss_kb += ws.rss_kb;
-    }
-    if (ws.peak_rss_kb >= 0) {
-      workers += ",\"peak_rss_kb\":" + std::to_string(ws.peak_rss_kb);
-    }
-    if (ws.cpu_user_us >= 0) {
-      workers += ",\"cpu_user_us\":" + std::to_string(ws.cpu_user_us);
-    }
-    if (ws.cpu_sys_us >= 0) {
-      workers += ",\"cpu_sys_us\":" + std::to_string(ws.cpu_sys_us);
-    }
-    if (ws.clock.valid()) {
-      workers += ",\"clock\":{\"offset_ns\":" +
-                 std::to_string(ws.clock.offset_ns()) +
-                 ",\"rtt_ns\":" + std::to_string(ws.clock.best_rtt_ns()) + "}";
-    }
-    workers += "}";
+    lanes.emplace_back(kWorkerPidBase + id, "worker " + std::to_string(id));
   }
-  workers += "]";
-  std::string out = "{\"workers\":" + workers;
-  out += ",\"fleet\":{\"workers_reporting\":" + std::to_string(reporting);
-  out += ",\"telemetry_snapshots\":" + std::to_string(snapshots_total_);
-  out += ",\"tasks_executed\":" + std::to_string(fleet_tasks);
-  out += ",\"compute_us\":" + std::to_string(fleet_compute_us);
-  out += ",\"rss_kb\":" + std::to_string(fleet_rss_kb);
-  out += ",\"spans\":" + std::to_string(events_.size());
-  out += "}}";
-  return out;
+  return obs::chrome_trace_json(events(), lanes);
 }
 
 }  // namespace weakkeys::obs

@@ -17,17 +17,19 @@
 //      workers ship their task.recv/compute/verify/send spans back in
 //      TelemetrySnapshot frames (timestamps on the worker clock, relative
 //      to a per-incarnation epoch). The aggregator rebases worker spans
-//      onto the coordinator clock and emits one Chrome trace with a pid
-//      lane per process, so a single timeline answers "where did task 37's
-//      800 ms go".
+//      onto the coordinator clock and emits one Chrome trace (through the
+//      Tracer's writer, obs::chrome_trace_json) with a pid lane per
+//      process, so a single timeline answers "where did task 37's 800 ms
+//      go".
 //
 //   3. Metric fan-in. Worker counters/gauges/proc-stats are republished
 //      into the coordinator's MetricsRegistry under fleet.worker.<id>.* —
-//      plus fleet.* rollups summed across workers — so the monitor JSONL,
-//      the trace's metrics snapshot, and the heartbeat line see the whole
-//      fleet for free. Worker counters reset when a worker is respawned; the
-//      aggregator folds each dead incarnation's last-seen values into a
-//      per-worker base so the published totals stay cumulative.
+//      plus fleet.* rollups summed across workers, and each worker's clock
+//      offset and RTT — so the monitor JSONL, the trace's metrics snapshot,
+//      and the heartbeat line see the whole fleet for free. Worker counters
+//      reset when a worker is respawned; the aggregator folds each dead
+//      incarnation's last-seen values into a per-worker base so the
+//      published totals stay cumulative.
 //
 // Everything here is transport-agnostic plain data: the cluster layer's
 // TelemetrySnapshotMsg is a FleetSnapshot plus a wire codec, keeping obs/
@@ -90,15 +92,6 @@ struct FleetSnapshot {
   std::vector<TraceEvent> spans;
 };
 
-/// One event in the merged fleet timeline: a TraceEvent plus the process
-/// lane it belongs to. Timestamps are coordinator-clock microseconds since
-/// the aggregator's construction (its trace epoch); worker events have been
-/// rebased through the per-worker offset estimate.
-struct FleetEvent {
-  std::uint32_t pid = 0;  ///< kCoordinatorPid or kWorkerPidBase + worker id
-  TraceEvent event;
-};
-
 /// Not synchronized: the coordinator's event loop is its only caller.
 class FleetAggregator {
  public:
@@ -151,19 +144,16 @@ class FleetAggregator {
   /// accepted.
   std::size_t ingest(const FleetSnapshot& snap);
 
-  /// Merged timeline (coordinator assign spans + rebased worker spans),
-  /// sorted by (pid, tid, ts). Open assign spans are included as-if ended
-  /// at their start (dur 0) so a halted run still shows them.
-  [[nodiscard]] std::vector<FleetEvent> events() const;
+  /// Merged timeline (coordinator assign spans + rebased worker spans) in
+  /// timeline_order(). Each event's pid is kCoordinatorPid or
+  /// kWorkerPidBase + worker id; timestamps are coordinator-clock
+  /// microseconds since the trace epoch. Open assign spans are included
+  /// as-if ended at their start (dur 0) so a halted run still shows them.
+  [[nodiscard]] std::vector<TraceEvent> events() const;
 
-  /// Chrome trace_event JSON of the merged timeline, with process_name
-  /// metadata records labelling each pid lane.
+  /// chrome_trace_json() of events(), with a "coordinator" / "worker N"
+  /// label on each pid lane.
   [[nodiscard]] std::string chrome_trace_json() const;
-
-  /// Per-worker + rollup metrics as standalone JSON (the CI artifact next
-  /// to the merged trace): counters are incarnation-folded totals, proc
-  /// stats are latest-seen, clock blocks carry offset/RTT estimates.
-  [[nodiscard]] std::string fleet_metrics_json() const;
 
  private:
   struct WorkerState {
@@ -186,6 +176,10 @@ class FleetAggregator {
     std::int64_t start_ns = 0;
   };
 
+  /// The task.assign span of `open`, ended at `end_ns`.
+  [[nodiscard]] TraceEvent assign_event(const OpenAssign& open,
+                                        std::int64_t end_ns,
+                                        bool committed) const;
   void publish();  // mirror fleet.* into the registry
   [[nodiscard]] std::uint64_t folded_counter(const WorkerState& ws,
                                              const std::string& name) const;
@@ -198,7 +192,7 @@ class FleetAggregator {
   std::map<std::uint32_t, WorkerState> workers_;
   std::map<std::uint64_t, OpenAssign> open_assigns_;
   std::uint64_t next_span_id_ = 1;
-  std::vector<FleetEvent> events_;
+  std::vector<TraceEvent> events_;
   std::uint64_t snapshots_total_ = 0;
 };
 

@@ -33,11 +33,6 @@ std::atomic<std::uint64_t> g_peak{0};
 std::atomic<std::uint64_t> g_cum{0};
 std::atomic<std::uint64_t> g_allocs{0};
 
-std::atomic<std::uint64_t> g_budget{0};
-// 0 = disarmed, 1 = armed, 2 = latched (crossed, not yet reported),
-// 3 = consumed (reported; stays quiet until re-armed).
-std::atomic<int> g_budget_state{0};
-
 std::atomic<Histogram*> g_alloc_hist{nullptr};
 
 struct LabelSlot {
@@ -102,13 +97,6 @@ void on_alloc(void* ptr) noexcept {
                        std::memory_order_relaxed);
     slot.allocs.fetch_add(1, std::memory_order_relaxed);
   }
-  const std::uint64_t budget = g_budget.load(std::memory_order_relaxed);
-  if (budget != 0 && live > 0 &&
-      static_cast<std::uint64_t>(live) >= budget) {
-    int armed = 1;
-    g_budget_state.compare_exchange_strong(armed, 2,
-                                           std::memory_order_relaxed);
-  }
 }
 
 void on_free(void* ptr) noexcept {
@@ -169,21 +157,6 @@ void disable() {
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-void set_budget_bytes(std::uint64_t bytes) {
-  g_budget.store(bytes, std::memory_order_relaxed);
-  g_budget_state.store(bytes == 0 ? 0 : 1, std::memory_order_relaxed);
-}
-
-std::uint64_t budget_bytes() {
-  return g_budget.load(std::memory_order_relaxed);
-}
-
-bool consume_budget_alarm() {
-  int latched = 2;
-  return g_budget_state.compare_exchange_strong(latched, 3,
-                                                std::memory_order_relaxed);
-}
-
 int register_label(const std::string& label) {
   std::lock_guard lock(label_mu());
   const int count = g_label_count.load(std::memory_order_relaxed);
@@ -204,7 +177,6 @@ Totals totals() {
   t.peak_bytes = g_peak.load(std::memory_order_relaxed);
   t.cumulative_bytes = g_cum.load(std::memory_order_relaxed);
   t.allocations = g_allocs.load(std::memory_order_relaxed);
-  t.budget_alarmed = g_budget_state.load(std::memory_order_relaxed) >= 2;
   return t;
 }
 
@@ -232,10 +204,6 @@ void publish(MetricsRegistry& registry) {
       .set(static_cast<std::int64_t>(t.peak_bytes));
   registry.counter("mem.cumulative_bytes").set(t.cumulative_bytes);
   registry.counter("mem.allocations").set(t.allocations);
-  if (const std::uint64_t budget = budget_bytes()) {
-    registry.gauge("mem.budget_bytes")
-        .set(static_cast<std::int64_t>(budget));
-  }
   for (const LabelStats& s : label_stats()) {
     const std::string prefix = "mem." + s.label;
     registry.gauge(prefix + ".live_bytes").set(s.live_bytes);
@@ -250,8 +218,6 @@ void reset_for_test() {
   g_peak.store(0, std::memory_order_relaxed);
   g_cum.store(0, std::memory_order_relaxed);
   g_allocs.store(0, std::memory_order_relaxed);
-  g_budget.store(0, std::memory_order_relaxed);
-  g_budget_state.store(0, std::memory_order_relaxed);
   g_alloc_hist.store(nullptr, std::memory_order_relaxed);
   const int count = g_label_count.load(std::memory_order_relaxed);
   for (int i = 0; i < count; ++i) {

@@ -12,11 +12,6 @@
 // scope-local temporaries (the overwhelming majority of bignum traffic)
 // is the same label that allocated them.
 //
-// A soft budget (`StudyConfig::mem_budget_mb`) latches an alarm the first
-// time global live bytes cross the watermark. Nothing ever aborts: pollers
-// (monitor tick, Study stage boundaries) call consume_budget_alarm() and
-// emit exactly one `mem.budget.alarms` count and sink warning.
-//
 // Cost when disabled (the default): one relaxed atomic load and a branch
 // per allocation and per free.
 #pragma once
@@ -45,14 +40,6 @@ void enable(MetricsRegistry* registry = nullptr);
 void disable();
 bool enabled();
 
-/// Arms (or clears, with 0) the soft budget in bytes. Crossing it latches
-/// the alarm once per arm; the run is never interrupted.
-void set_budget_bytes(std::uint64_t bytes);
-std::uint64_t budget_bytes();
-
-/// True exactly once after live bytes first cross the armed budget.
-bool consume_budget_alarm();
-
 /// Registers `label`, returning a small id for MemScope. Idempotent; the
 /// label string is copied with process lifetime. Returns -1 when the slot
 /// table is full (such scopes attribute to the untracked bucket).
@@ -71,7 +58,6 @@ struct Totals {
   std::uint64_t peak_bytes = 0;
   std::uint64_t cumulative_bytes = 0;
   std::uint64_t allocations = 0;
-  bool budget_alarmed = false;  ///< latched view (does not consume)
 };
 
 Totals totals();
@@ -82,7 +68,7 @@ std::vector<LabelStats> label_stats();
 /// and `mem.<label>.live_bytes` / `.peak_bytes` / `.cumulative_bytes`.
 void publish(MetricsRegistry& registry);
 
-/// Test hook: zeroes every counter, the budget, and the alarm latch.
+/// Test hook: zeroes every counter.
 /// Label registrations survive (call sites cache their ids in statics).
 /// Only meaningful while accounting is disabled.
 void reset_for_test();

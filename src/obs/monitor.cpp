@@ -180,18 +180,8 @@ void Monitor::loop() {
 void Monitor::tick(bool final) {
   if (config_.sample_process_stats) record_proc_self(telemetry_.metrics());
   // Resource-attribution plane: mirror the heap census into the registry
-  // every tick, and surface the soft-budget alarm (latched once) as a
-  // counter + warning the moment a tick observes it.
-  if (mem::enabled()) {
-    mem::publish(telemetry_.metrics());
-    if (mem::consume_budget_alarm()) {
-      telemetry_.metrics().counter("mem.budget.alarms").inc();
-      telemetry_.sink().warn(
-          "memory budget exceeded: live heap bytes crossed " +
-          std::to_string(mem::budget_bytes()) +
-          " (soft alarm; the run continues)");
-    }
-  }
+  // every tick.
+  if (mem::enabled()) mem::publish(telemetry_.metrics());
   std::lock_guard lock(mu_);
   const auto now = std::chrono::steady_clock::now();
   const MetricsSnapshot cur = telemetry_.metrics().snapshot();
@@ -367,9 +357,6 @@ std::string Monitor::heartbeat_line(const MetricsSnapshot& cur,
                   static_cast<unsigned long long>(samples));
     line += buf;
   }
-
-  const std::uint64_t alarms = cur.counter("mem.budget.alarms");
-  if (alarms > 0) line += " | MEM BUDGET EXCEEDED";
   return line;
 }
 

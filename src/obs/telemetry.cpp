@@ -129,7 +129,7 @@ bool Telemetry::write_trace_files(const std::string& trace_path) {
     }
     return true;
   };
-  const bool trace_ok = write(trace_path, tracer_.chrome_trace_json());
+  const bool trace_ok = write(trace_path, chrome_trace_json(tracer_.events()));
   const bool metrics_ok =
       write(trace_path + ".metrics.json", metrics_.to_json());
   return trace_ok && metrics_ok;

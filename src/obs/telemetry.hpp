@@ -85,9 +85,9 @@ class Telemetry {
   [[nodiscard]] TelemetrySink& sink() { return sink_; }
   [[nodiscard]] const TelemetrySink& sink() const { return sink_; }
 
-  /// Writes tracer().chrome_trace_json() to `trace_path` and the metrics
-  /// snapshot JSON to `trace_path + ".metrics.json"`. Returns false (and
-  /// emits a warning event) if either file cannot be written.
+  /// Writes chrome_trace_json(tracer().events()) to `trace_path` and the
+  /// metrics snapshot JSON to `trace_path + ".metrics.json"`. Returns false
+  /// (and emits a warning event) if either file cannot be written.
   bool write_trace_files(const std::string& trace_path);
 
  private:

@@ -119,29 +119,39 @@ std::vector<TraceEvent> Tracer::events() const {
     std::lock_guard lock(mu_);
     out = events_;
   }
-  // Per-thread timeline order, parents before children: spans end (and
-  // record) innermost-first, so raw order is children-first; sorting by
-  // start time with the longer span first at ties restores parent-first.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.tid != b.tid) return a.tid < b.tid;
-                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-                     if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
-                     return a.depth < b.depth;
-                   });
+  std::stable_sort(out.begin(), out.end(), timeline_order);
   return out;
 }
 
-std::string Tracer::chrome_trace_json() const {
-  const std::vector<TraceEvent> sorted = events();
+bool timeline_order(const TraceEvent& a, const TraceEvent& b) {
+  if (a.pid != b.pid) return a.pid < b.pid;
+  if (a.tid != b.tid) return a.tid < b.tid;
+  if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
+  if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
+  return a.depth < b.depth;
+}
+
+std::string chrome_trace_json(
+    const std::vector<TraceEvent>& events,
+    const std::vector<std::pair<std::uint32_t, std::string>>& process_names) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : sorted) {
+  const auto separate = [&] {
     if (!first) out += ",\n";
     first = false;
+  };
+  for (const auto& [pid, label] : process_names) {
+    separate();
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+           std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
+           json_escape(label) + "\"}}";
+  }
+  for (const TraceEvent& e : events) {
+    separate();
     out += "{\"name\":\"" + json_escape(e.name) +
-           "\",\"cat\":\"weakkeys\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(e.tid) + ",\"ts\":" + std::to_string(e.ts_us) +
+           "\",\"cat\":\"weakkeys\",\"ph\":\"X\",\"pid\":" +
+           std::to_string(e.pid) + ",\"tid\":" + std::to_string(e.tid) +
+           ",\"ts\":" + std::to_string(e.ts_us) +
            ",\"dur\":" + std::to_string(e.dur_us);
     if (!e.args.empty()) {
       out += ",\"args\":{";

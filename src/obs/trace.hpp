@@ -2,10 +2,12 @@
 //
 // A Tracer hands out RAII Spans; each span records a named, timed interval
 // on the calling thread, and spans opened while another span is live on the
-// same thread nest under it. chrome_trace_json() exports the collected
-// timeline in Chrome trace_event format ("X" complete events, one tid per
-// participating thread) — load the file in about://tracing or
-// https://ui.perfetto.dev to see the per-thread stage timeline.
+// same thread nest under it. chrome_trace_json() exports a timeline in
+// Chrome trace_event format ("X" complete events, one tid per participating
+// thread, one pid lane per process) — load the file in about://tracing or
+// https://ui.perfetto.dev to see the per-thread stage timeline. The same
+// writer serves a Tracer's events and the cluster's merged fleet timeline
+// (obs/fleet.hpp).
 //
 // Span begin/end costs two steady_clock reads plus one short mutex-guarded
 // vector push on end; a disabled tracer's spans cost one branch. Timestamps
@@ -26,6 +28,7 @@ namespace weakkeys::obs {
 /// worker ids, attempt numbers) into the Chrome trace "args" object.
 struct TraceEvent {
   std::string name;
+  std::uint32_t pid = 1;     ///< process lane (a Tracer's own process is 1)
   std::uint32_t tid = 0;     ///< tracer-local thread id (dense, from 0)
   std::uint64_t ts_us = 0;   ///< start, relative to tracer construction
   std::uint64_t dur_us = 0;
@@ -75,12 +78,8 @@ class Tracer {
   /// order per thread (natural with RAII scoping).
   [[nodiscard]] Span span(std::string name);
 
-  /// Completed events, sorted by (tid, start, -duration) so each thread's
-  /// timeline reads in order with parents before their children.
+  /// Completed events in timeline_order().
   [[nodiscard]] std::vector<TraceEvent> events() const;
-
-  /// Chrome trace_event JSON ({"traceEvents":[...]}); empty trace is valid.
-  [[nodiscard]] std::string chrome_trace_json() const;
 
   /// Microseconds since tracer construction (the trace epoch).
   [[nodiscard]] std::uint64_t now_us() const;
@@ -99,5 +98,19 @@ class Tracer {
   std::vector<TraceEvent> events_;
   std::uint32_t next_tid_ = 0;
 };
+
+/// Timeline order: by (pid, tid, start), the longer span first at equal
+/// starts, then the shallower — each lane reads in order with parents
+/// before their children (spans record innermost-first).
+[[nodiscard]] bool timeline_order(const TraceEvent& a, const TraceEvent& b);
+
+/// Chrome trace_event JSON ({"traceEvents":[...]}) of `events`, written in
+/// the given order; an empty trace is valid. Each (pid, label) in
+/// `process_names` becomes a process_name metadata record, so the viewer
+/// labels that lane instead of showing a bare number.
+[[nodiscard]] std::string chrome_trace_json(
+    const std::vector<TraceEvent>& events,
+    const std::vector<std::pair<std::uint32_t, std::string>>&
+        process_names = {});
 
 }  // namespace weakkeys::obs

@@ -1,9 +1,10 @@
-// Minimal binary file I/O used by the corpus and factor-result caches and
-// the coordinator's task checkpoint journal.
+// Minimal binary I/O used by the corpus and factor-result caches, the
+// task checkpoint journal, the cluster wire codec and the spill files.
 // Fixed-width little-endian integers (we only target little-endian hosts;
 // the cache is a local artifact, not an interchange format).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -12,23 +13,39 @@
 #include <string>
 #include <vector>
 
-namespace weakkeys::core {
+namespace weakkeys::util {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a buffer.
-/// Bitwise implementation — all callers checksum kilobytes, not gigabytes.
-inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
+namespace detail {
+
+inline constexpr std::array<std::uint32_t, 256> kCrc32Table = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+      c = (c >> 1) ^ ((c & 1u) ? 0xedb88320u : 0u);
     }
+    table[i] = c;
   }
-  return ~crc;
+  return table;
+}();
+
+}  // namespace detail
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
+/// Incremental in the zlib style: pass the CRC of the bytes so far as
+/// `crc` (0 to start), so crc32(b, crc32(a)) == crc32(a + b).
+inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
+                           std::uint32_t crc = 0) {
+  std::uint32_t state = ~crc;
+  for (std::size_t i = 0; i < size; ++i) {
+    state = (state >> 8) ^ detail::kCrc32Table[(state ^ data[i]) & 0xffu];
+  }
+  return ~state;
 }
 
-inline std::uint32_t crc32(const std::vector<std::uint8_t>& data) {
-  return crc32(data.data(), data.size());
+inline std::uint32_t crc32(const std::vector<std::uint8_t>& data,
+                           std::uint32_t crc = 0) {
+  return crc32(data.data(), data.size(), crc);
 }
 
 class BinaryWriter {
@@ -233,4 +250,4 @@ inline bool verify_checksum_footer(const std::string& path) {
   return r.u32() == crc32(file->data(), payload_size);
 }
 
-}  // namespace weakkeys::core
+}  // namespace weakkeys::util

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "util/atomic_file.hpp"
+#include "util/binary_io.hpp"
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -15,38 +16,6 @@
 namespace weakkeys::util {
 
 namespace {
-
-/// Table-driven CRC-32 (same reflected polynomial as the cache footers) —
-/// spill levels are tens of megabytes, where the bitwise loop in
-/// binary_io.hpp would dominate the I/O itself. Incremental: seed with
-/// crc_init(), fold buffers with crc_update(), close with crc_final().
-const std::uint32_t* crc_table() {
-  static const auto table = [] {
-    static std::uint32_t t[256];
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c >> 1) ^ ((c & 1u) ? 0xedb88320u : 0u);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-constexpr std::uint32_t crc_init() { return 0xffffffffu; }
-
-std::uint32_t crc_update(std::uint32_t state, const std::uint8_t* data,
-                         std::size_t size) {
-  const std::uint32_t* table = crc_table();
-  for (std::size_t i = 0; i < size; ++i) {
-    state = (state >> 8) ^ table[(state ^ data[i]) & 0xffu];
-  }
-  return state;
-}
-
-constexpr std::uint32_t crc_final(std::uint32_t state) { return ~state; }
 
 bool fsync_file([[maybe_unused]] std::FILE* f) {
 #if defined(WEAKKEYS_HAVE_FSYNC)
@@ -91,7 +60,7 @@ void encode_header(const SpillFileHeader& header, HeaderImage& image) {
   image.u32(0);  // reserved
   image.u64(header.record_count);
   image.u64(header.payload_bytes);
-  image.u32(crc_final(crc_update(crc_init(), image.bytes, image.at)));
+  image.u32(crc32(image.bytes, image.at));
 }
 
 std::uint32_t read_u32(const std::uint8_t* p) {
@@ -141,7 +110,6 @@ SpillFileWriter::SpillFileWriter(std::string path, std::uint64_t generation,
                                  const SpillIoHooks& hooks)
     : path_(std::move(path)),
       tmp_(atomic_tmp_path(path_)),
-      payload_crc_(crc_init()),
       fault_(next_fault(hooks)) {
   header_.generation = generation;
   header_.level_index = level_index;
@@ -186,8 +154,8 @@ void SpillFileWriter::add_record(const std::uint8_t* data, std::size_t size) {
                          : StorageErrorKind::kShortWrite,
          "short spill write: " + tmp_);
   }
-  payload_crc_ = crc_update(payload_crc_, prefix, sizeof prefix);
-  payload_crc_ = crc_update(payload_crc_, data, size);
+  payload_crc_ = crc32(prefix, sizeof prefix, payload_crc_);
+  payload_crc_ = crc32(data, size, payload_crc_);
   header_.record_count += 1;
   header_.payload_bytes += sizeof prefix + size;
 }
@@ -205,7 +173,7 @@ std::uint64_t SpillFileWriter::finish() {
   }
 
   std::uint8_t footer[kSpillFooterSize];
-  const std::uint32_t crc = crc_final(payload_crc_);
+  const std::uint32_t crc = payload_crc_;
   std::memcpy(footer, &crc, sizeof footer);
   if (std::fwrite(footer, 1, sizeof footer, file_) != sizeof footer) {
     fail(errno == ENOSPC ? StorageErrorKind::kEnospc
@@ -282,9 +250,9 @@ SpillFileStatus check_header(std::FILE* f, std::uint64_t expected_generation,
     return SpillFileStatus::kBadVersion;
   }
   const std::uint32_t stored_crc = read_u32(bytes + kSpillHeaderSize - 4);
-  const std::uint32_t computed_crc =
-      crc_final(crc_update(crc_init(), bytes, kSpillHeaderSize - 4));
-  if (stored_crc != computed_crc) return SpillFileStatus::kBadHeaderCrc;
+  if (stored_crc != crc32(bytes, kSpillHeaderSize - 4)) {
+    return SpillFileStatus::kBadHeaderCrc;
+  }
   header->generation = read_u64(bytes + 8);
   header->level_index = read_u32(bytes + 16);
   header->record_count = read_u64(bytes + 24);
@@ -317,7 +285,7 @@ SpillFileStatus read_spill_file(const std::string& path,
 
   records->clear();
   records->reserve(header->record_count);
-  std::uint32_t crc = crc_init();
+  std::uint32_t crc = 0;
   std::uint64_t remaining = header->payload_bytes;
   for (std::uint64_t i = 0; i < header->record_count; ++i) {
     std::uint8_t prefix[4];
@@ -338,8 +306,8 @@ SpillFileStatus read_spill_file(const std::string& path,
       return SpillFileStatus::kBadRecord;
     }
     remaining -= len;
-    crc = crc_update(crc, prefix, sizeof prefix);
-    crc = crc_update(crc, record.data(), record.size());
+    crc = crc32(prefix, sizeof prefix, crc);
+    crc = crc32(record.data(), record.size(), crc);
     records->push_back(std::move(record));
   }
   if (remaining != 0) {
@@ -350,7 +318,7 @@ SpillFileStatus read_spill_file(const std::string& path,
   const bool footer_ok =
       std::fread(footer, 1, sizeof footer, f) == sizeof footer;
   std::fclose(f);
-  if (!footer_ok || read_u32(footer) != crc_final(crc)) {
+  if (!footer_ok || read_u32(footer) != crc) {
     return SpillFileStatus::kBadPayloadCrc;
   }
   return SpillFileStatus::kOk;

@@ -136,7 +136,7 @@ class SpillFileWriter {
   std::string tmp_;
   std::FILE* file_ = nullptr;
   SpillFileHeader header_;
-  std::uint32_t payload_crc_ = 0;  ///< running CRC state
+  std::uint32_t payload_crc_ = 0;  ///< running crc32 of the payload
   StorageFault fault_;             ///< this operation's injected fault
   bool finished_ = false;
 };

@@ -24,11 +24,11 @@
 #include "batchgcd/distributed.hpp"
 #include "cluster/process_coordinator.hpp"
 #include "cluster/protocol.hpp"
-#include "core/binary_io.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
+#include "util/binary_io.hpp"
 #include "util/fault_injector.hpp"
 #include "util/net.hpp"
 #include "util/thread_pool.hpp"
@@ -149,11 +149,10 @@ TEST(ClusterProtocol, MessageRoundTrips) {
 }
 
 TEST(ClusterProtocol, SessionAndStreamMessageRoundTrips) {
-  HelloAckMsg ack{0xdeadbeef, 25, 31, 200};
+  HelloAckMsg ack{0xdeadbeef, 31, 200};
   const auto ack2 = HelloAckMsg::decode(ack.encode());
   ASSERT_TRUE(ack2);
   EXPECT_EQ(ack2->fingerprint, 0xdeadbeefu);
-  EXPECT_EQ(ack2->heartbeat_interval_ms, 25u);
   EXPECT_EQ(ack2->session_id, 31u);
   EXPECT_EQ(ack2->grace_ms, 200u);
 
@@ -166,12 +165,11 @@ TEST(ClusterProtocol, SessionAndStreamMessageRoundTrips) {
   EXPECT_EQ(rh2->last_committed_seq, 16u);
   EXPECT_EQ(rh2->version, kProtocolVersion);
 
-  ReconnectAckMsg ra{1, 16, 25};
+  ReconnectAckMsg ra{1, 16};
   const auto ra2 = ReconnectAckMsg::decode(ra.encode());
   ASSERT_TRUE(ra2);
   EXPECT_EQ(ra2->accepted, 1u);
   EXPECT_EQ(ra2->ack_result_seq, 16u);
-  EXPECT_EQ(ra2->heartbeat_interval_ms, 25u);
 
   StreamBeginMsg begin{9, static_cast<std::uint8_t>(StreamKind::kProduct), 2,
                        1u << 20, 0xabadcafe};
@@ -311,13 +309,14 @@ TEST(ClusterProtocol, MalformedBodiesDecodeToNullopt) {
   body.push_back(0xff);
   EXPECT_FALSE(TaskResultMsg::decode(body));
   EXPECT_FALSE(HelloMsg::decode({}));
-  // A v3 HelloAck (fingerprint, heartbeat, session; no grace) is rejected,
-  // not read with a zero grace.
-  core::BufferWriter v3;
-  v3.u64(0xdeadbeef);
-  v3.u32(25);
-  v3.u64(31);
-  EXPECT_FALSE(HelloAckMsg::decode(v3.data()));
+  // A v4 HelloAck (fingerprint, heartbeat, session, grace) is rejected as
+  // trailing bytes, not read with its fields shifted.
+  util::BufferWriter v4;
+  v4.u64(0xdeadbeef);
+  v4.u32(25);
+  v4.u64(31);
+  v4.u32(200);
+  EXPECT_FALSE(HelloAckMsg::decode(v4.data()));
 }
 
 // ------------------------------------------------------- frame transport ----
@@ -468,7 +467,7 @@ std::vector<std::uint8_t> wire_frame(MsgType type,
   std::vector<std::uint8_t> payload{static_cast<std::uint8_t>(type)};
   payload.insert(payload.end(), body.begin(), body.end());
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = core::crc32(payload);
+  const std::uint32_t crc = util::crc32(payload);
   std::vector<std::uint8_t> out(8 + payload.size());
   std::memcpy(out.data(), &length, 4);
   std::memcpy(out.data() + 4, &crc, 4);
@@ -942,15 +941,16 @@ TEST(ClusterTelemetry, MergedFleetTraceCoversEveryCommittedTask) {
   // The tentpole artifact: a run with fleet_trace_path set produces one
   // merged Chrome trace where every committed task contributes a
   // coordinator assign span plus the worker-side recv/compute/verify/send
-  // spans, and a fleet metrics JSON lands next to it.
+  // spans. The fleet's metrics, each worker's clock estimate included, land
+  // in the telemetry registry and nowhere else.
   const auto moduli = make_moduli(232, 14);
   const std::string trace_path = ::testing::TempDir() + "fleet_trace.json";
-  const std::string metrics_path = trace_path + ".metrics.json";
   std::remove(trace_path.c_str());
-  std::remove(metrics_path.c_str());
 
+  obs::Telemetry telemetry;
   auto config = fast_config(3, 2);
   config.fleet_trace_path = trace_path;
+  config.telemetry = &telemetry;
   config.telemetry_interval = std::chrono::milliseconds(10);
   ClusterStats stats;
   batch_gcd_cluster(moduli, config, &stats);
@@ -974,13 +974,17 @@ TEST(ClusterTelemetry, MergedFleetTraceCoversEveryCommittedTask) {
   EXPECT_NE(trace.find("\"trace_id\""), std::string::npos);
   EXPECT_NE(trace.find("\"parent_span\""), std::string::npos);
 
-  const std::string metrics = slurp(metrics_path);
-  ASSERT_FALSE(metrics.empty()) << metrics_path;
-  EXPECT_NE(metrics.find("\"fleet\""), std::string::npos);
-  EXPECT_NE(metrics.find("\"tasks_executed\""), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(trace_path + ".metrics.json"));
+  const auto snap = telemetry.metrics().snapshot();
+  for (const char* worker : {"0", "1"}) {
+    const std::string prefix = std::string("fleet.worker.") + worker;
+    EXPECT_EQ(snap.gauges.count(prefix + ".clock_offset_ns"), 1u) << prefix;
+    const auto rtt = snap.gauges.find(prefix + ".clock_rtt_ns");
+    ASSERT_NE(rtt, snap.gauges.end()) << prefix;
+    EXPECT_GE(rtt->second, 0);
+  }
 
   std::remove(trace_path.c_str());
-  std::remove(metrics_path.c_str());
 }
 
 // ----------------------------------------------------------- cancellation ----

@@ -178,7 +178,8 @@ TEST(Tracer, DisabledTracerRecordsNothing) {
     span.arg("x", 1);
   }
   EXPECT_TRUE(tracer.events().empty());
-  EXPECT_EQ(tracer.chrome_trace_json().find("ghost"), std::string::npos);
+  EXPECT_EQ(obs::chrome_trace_json(tracer.events()).find("ghost"),
+            std::string::npos);
 }
 
 TEST(Tracer, ParallelForSpansStayCoherentAcrossThreads) {
@@ -235,7 +236,8 @@ TEST(Tracer, ChromeTraceJsonIsValidAndMonotonicPerThread) {
       task.arg("i", static_cast<std::int64_t>(i));
     });
   }
-  const auto doc = jsonlite::parse(telemetry.tracer().chrome_trace_json());
+  const auto doc = jsonlite::parse(
+      obs::chrome_trace_json(telemetry.tracer().events()));
   EXPECT_EQ(doc.at("displayTimeUnit").str(), "ms");
   const auto& trace_events = doc.at("traceEvents").array();
   ASSERT_EQ(trace_events.size(), 33u);
@@ -343,7 +345,8 @@ TEST(JsonEscape, HostileSpanNamesAndArgsYieldParseableChromeTrace) {
     obs::Span span = tracer.span("evil\"span\\\n\x02name");
     span.arg("arg\"key\twith\x03junk", 7);
   }
-  const auto doc = jsonlite::parse(tracer.chrome_trace_json());
+  const auto doc =
+      jsonlite::parse(obs::chrome_trace_json(tracer.events()));
   const auto& events = doc.at("traceEvents").array();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].at("name").str(), "evil\"span\\\n\x02name");
@@ -443,17 +446,17 @@ TEST(FleetAggregator, RebasesWorkerSpansIntoTheCoordinatorTimeline) {
   ASSERT_EQ(events.size(), 2u);
   // Coordinator lane first, then the worker lane; both on one timeline.
   EXPECT_EQ(events[0].pid, obs::FleetAggregator::kCoordinatorPid);
-  EXPECT_EQ(events[0].event.name, "task.assign");
-  EXPECT_EQ(events[0].event.ts_us, 1000u);
-  EXPECT_EQ(events[0].event.dur_us, 9000u);
+  EXPECT_EQ(events[0].name, "task.assign");
+  EXPECT_EQ(events[0].ts_us, 1000u);
+  EXPECT_EQ(events[0].dur_us, 9000u);
   EXPECT_EQ(events[1].pid, obs::FleetAggregator::kWorkerPidBase + 0);
-  EXPECT_EQ(events[1].event.name, "task.compute");
+  EXPECT_EQ(events[1].name, "task.compute");
   // The 7 ms skew is gone: the span rebased to its true coordinator time
   // and nests causally inside the assign window.
-  EXPECT_EQ(events[1].event.ts_us, 2000u);
-  EXPECT_GE(events[1].event.ts_us, events[0].event.ts_us);
-  EXPECT_LE(events[1].event.ts_us + events[1].event.dur_us,
-            events[0].event.ts_us + events[0].event.dur_us);
+  EXPECT_EQ(events[1].ts_us, 2000u);
+  EXPECT_GE(events[1].ts_us, events[0].ts_us);
+  EXPECT_LE(events[1].ts_us + events[1].dur_us,
+            events[0].ts_us + events[0].dur_us);
 }
 
 TEST(FleetAggregator, ReplayAndRespawnKeepCountersAndSpansExact) {
@@ -527,11 +530,24 @@ TEST(FleetAggregator, HostileNamesStillEmitParseableJson) {
   }
   EXPECT_TRUE(found);
 
-  const auto metrics = jsonlite::parse(fleet.fleet_metrics_json());
-  const auto& workers = metrics.at("workers").array();
-  ASSERT_EQ(workers.size(), 1u);
-  EXPECT_EQ(workers[0].at("counters").at("cnt\"with\tjunk").integer(), 2);
-  EXPECT_EQ(metrics.at("fleet").at("workers_reporting").integer(), 1);
+  // The fleet's metrics live in the registry; its JSON survives the names.
+  const auto metrics = jsonlite::parse(registry.to_json());
+  EXPECT_EQ(
+      metrics.at("counters").at("fleet.worker.0.cnt\"with\tjunk").integer(),
+      2);
+  EXPECT_EQ(metrics.at("gauges").at("fleet.workers_reporting").integer(), 1);
+}
+
+TEST(FleetAggregator, PublishesEachWorkersClockOffsetAndRtt) {
+  obs::MetricsRegistry registry;
+  obs::FleetAggregator fleet(&registry, /*trace_enabled=*/false);
+  // Worker 2's clock runs 5 ms ahead; the 400 ns round trip bounds the
+  // estimate's error at 200 ns.
+  fleet.observe_clock(2, 1000, 1400, 1200 + 5'000'000);
+  fleet.ingest(make_snapshot(2, 1, 0, 0));
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.gauges.at("fleet.worker.2.clock_offset_ns"), 5'000'000);
+  EXPECT_EQ(snap.gauges.at("fleet.worker.2.clock_rtt_ns"), 400);
 }
 
 }  // namespace

@@ -1,18 +1,19 @@
 // Tests for the resource-attribution plane (DESIGN.md §5k): the per-thread
 // frame stacks, the sampling wall-clock profiler and its collapsed-stack
-// output, per-subsystem memory accounting with the soft budget alarm, and
-// the TrackedArena-backed product-tree byte census.
+// output, per-subsystem memory accounting, and the level store's
+// product-tree byte census.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/product_tree.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
@@ -20,7 +21,6 @@
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "util/tracked_arena.hpp"
 
 namespace weakkeys {
 namespace {
@@ -235,24 +235,6 @@ TEST(MemAccounting, OnlyIfUnattributedDoesNotStealFromOuterScope) {
   obs::mem::reset_for_test();
 }
 
-TEST(MemAccounting, BudgetAlarmLatchesAndConsumesExactlyOnce) {
-  if (!obs::mem::supported()) GTEST_SKIP() << "no malloc_usable_size";
-  obs::mem::reset_for_test();
-  obs::mem::enable();
-  obs::mem::set_budget_bytes(64 * 1024);
-  {
-    std::vector<char> over(1 << 20, 'z');  // crosses the 64 KiB budget
-    (void)over;
-  }
-  EXPECT_TRUE(obs::mem::totals().budget_alarmed);
-  EXPECT_TRUE(obs::mem::consume_budget_alarm());
-  EXPECT_FALSE(obs::mem::consume_budget_alarm());  // latched, not repeated
-  EXPECT_TRUE(obs::mem::totals().budget_alarmed);  // view survives consume
-  obs::mem::disable();
-  obs::mem::reset_for_test();
-  EXPECT_FALSE(obs::mem::totals().budget_alarmed);
-}
-
 TEST(MemAccounting, PublishMirrorsIntoRegistry) {
   if (!obs::mem::supported()) GTEST_SKIP() << "no malloc_usable_size";
   obs::mem::reset_for_test();
@@ -279,21 +261,7 @@ TEST(MemAccounting, PublishMirrorsIntoRegistry) {
   obs::mem::reset_for_test();
 }
 
-// --------------------------------------------- arena + product-tree census ----
-
-TEST(TrackedArena, ChargeReleasePeak) {
-  util::TrackedArena arena;
-  arena.charge(100);
-  arena.charge(50);
-  EXPECT_EQ(arena.live_bytes(), 150u);
-  EXPECT_EQ(arena.peak_bytes(), 150u);
-  arena.release(100);
-  EXPECT_EQ(arena.live_bytes(), 50u);
-  EXPECT_EQ(arena.peak_bytes(), 150u);
-  arena.charge(10);
-  EXPECT_EQ(arena.peak_bytes(), 150u);  // below the high-water mark
-  EXPECT_EQ(arena.cumulative_bytes(), 160u);
-}
+// ---------------------------------------------------- product-tree census ----
 
 std::vector<BigInt> census_corpus(std::size_t count) {
   std::vector<BigInt> moduli;
@@ -304,10 +272,9 @@ std::vector<BigInt> census_corpus(std::size_t count) {
   return moduli;
 }
 
-TEST(ProductTreeCensus, LevelBytesSumToArenaPeak) {
+TEST(ProductTreeCensus, LevelBytesSumToResidentPeak) {
   const auto moduli = census_corpus(64);
-  util::TrackedArena arena;
-  batchgcd::ProductTree tree(moduli, &arena);
+  batchgcd::ProductTree tree(moduli);
   const auto& levels = tree.level_stats();
   ASSERT_FALSE(levels.empty());
   EXPECT_EQ(levels.front().nodes, moduli.size());
@@ -318,11 +285,29 @@ TEST(ProductTreeCensus, LevelBytesSumToArenaPeak) {
     level_sum += level.bytes;
   }
   // The identity the acceptance check rides on: per-level bytes are exact
-  // payload counts, so their sum IS the retained footprint and the arena
-  // peak (one tree lives in the arena at a time).
+  // payload counts, so their sum IS the retained footprint, and an in-RAM
+  // store holds all of it.
   EXPECT_EQ(level_sum, tree.retained_bytes());
-  EXPECT_EQ(level_sum, arena.peak_bytes());
-  EXPECT_EQ(arena.live_bytes(), arena.peak_bytes());
+  EXPECT_EQ(level_sum, tree.store().peak_resident_bytes());
+  EXPECT_EQ(tree.store().resident_bytes(),
+            tree.store().peak_resident_bytes());
+
+  // The same build through the spill backend keeps the same census but a
+  // two-level resident window: its peak is a fraction of the tree.
+  const std::string dir = ::testing::TempDir() + "census_spill_" +
+                          std::to_string(::getpid());
+  {
+    batchgcd::TreeStorage storage;
+    storage.spill_dir = dir;
+    storage.spill_threshold_bytes = 0;
+    batchgcd::ProductTree spilled(moduli, storage);
+    ASSERT_TRUE(spilled.spilled());
+    EXPECT_EQ(spilled.retained_bytes(), level_sum);
+    const std::uint64_t peak = spilled.store().peak_resident_bytes();
+    EXPECT_GT(peak, 0u);
+    EXPECT_LT(peak, level_sum / 2);
+  }
+  std::filesystem::remove_all(dir);
 
   obs::Telemetry telemetry;
   tree.publish_level_stats(telemetry.metrics());
@@ -338,53 +323,6 @@ TEST(ProductTreeCensus, LevelBytesSumToArenaPeak) {
   ASSERT_NE(snap.gauges.find("batchgcd.product_tree.bytes_peak"),
             snap.gauges.end());
   EXPECT_EQ(gauge_sum, snap.gauges.at("batchgcd.product_tree.bytes_peak"));
-}
-
-TEST(ProductTreeCensus, ArenaReleasedOnDestructionAndMove) {
-  const auto moduli = census_corpus(32);
-  util::TrackedArena arena;
-  {
-    batchgcd::ProductTree tree(moduli, &arena);
-    EXPECT_GT(arena.live_bytes(), 0u);
-    batchgcd::ProductTree moved = std::move(tree);
-    EXPECT_GT(arena.live_bytes(), 0u);  // single release, after the move
-  }
-  EXPECT_EQ(arena.live_bytes(), 0u);
-  EXPECT_GT(arena.peak_bytes(), 0u);
-}
-
-// ------------------------------------------------- budget-constrained e2e ----
-
-std::vector<std::string> run_batch_gcd_hex(const std::vector<BigInt>& moduli) {
-  std::vector<std::string> out;
-  for (const auto& d : batchgcd::batch_gcd(moduli).divisors) {
-    out.push_back(d.to_hex());
-  }
-  return out;
-}
-
-TEST(MemBudgetE2E, ConstrainedRunIsByteIdenticalAndAlarmsOnce) {
-  if (!obs::mem::supported()) GTEST_SKIP() << "no malloc_usable_size";
-  // Planted structure: two pairs sharing a prime plus healthy moduli.
-  std::vector<BigInt> moduli = census_corpus(200);
-  const BigInt p(1000003), q(1000033), r(1000037);
-  moduli[10] = p * q;
-  moduli[20] = p * r;
-  const std::vector<std::string> reference = run_batch_gcd_hex(moduli);
-  ASSERT_FALSE(reference.empty());
-
-  obs::mem::reset_for_test();
-  obs::mem::enable();
-  obs::mem::set_budget_bytes(1024);  // guaranteed to be crossed
-  const std::vector<std::string> constrained = run_batch_gcd_hex(moduli);
-  obs::mem::disable();
-
-  // The alarm is advisory: it fired (exactly once) and the math is
-  // untouched.
-  EXPECT_TRUE(obs::mem::consume_budget_alarm());
-  EXPECT_FALSE(obs::mem::consume_budget_alarm());
-  EXPECT_EQ(constrained, reference);
-  obs::mem::reset_for_test();
 }
 
 }  // namespace

@@ -10,13 +10,13 @@
 #include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/distributed.hpp"
 #include "cert/certificate.hpp"
-#include "core/binary_io.hpp"
 #include "core/scan_store.hpp"
 #include "core/study.hpp"
 #include "netsim/catalog.hpp"
 #include "netsim/internet.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
+#include "util/binary_io.hpp"
 #include "util/prng.hpp"
 
 namespace weakkeys {
@@ -153,13 +153,13 @@ INSTANTIATE_TEST_SUITE_P(CorruptionModes, FactorCacheCorruption,
 TEST(ChecksumFooter, RoundTripAndTamperDetection) {
   const std::string path = "footer_test.tmp";
   {
-    core::BinaryWriter w(path);
+    util::BinaryWriter w(path);
     w.str("payload bytes");
     w.u64(12345);
   }
-  EXPECT_FALSE(core::verify_checksum_footer(path));  // no footer yet
-  core::append_checksum_footer(path);
-  EXPECT_TRUE(core::verify_checksum_footer(path));
+  EXPECT_FALSE(util::verify_checksum_footer(path));  // no footer yet
+  util::append_checksum_footer(path);
+  EXPECT_TRUE(util::verify_checksum_footer(path));
 
   // Any flipped bit — payload or footer — must invalidate the file.
   std::ifstream in(path, std::ios::binary);
@@ -173,7 +173,7 @@ TEST(ChecksumFooter, RoundTripAndTamperDetection) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(tampered.data(), static_cast<std::streamsize>(tampered.size()));
     }
-    EXPECT_FALSE(core::verify_checksum_footer(path)) << "byte " << i;
+    EXPECT_FALSE(util::verify_checksum_footer(path)) << "byte " << i;
   }
   std::remove(path.c_str());
 }

@@ -22,6 +22,7 @@
 #include "core/scan_store.hpp"
 #include "core/study.hpp"
 #include "crypto/sha256.hpp"
+#include "fingerprint/openssl_fingerprint.hpp"
 #include "netsim/catalog.hpp"
 
 namespace weakkeys::core {
@@ -232,6 +233,63 @@ TEST_F(StudyIntegration, PinnedVendorPeaksAndOnsetsAreReproducedExactly) {
   EXPECT_EQ(actual, kPinnedVendors);
 }
 
+// Table 5 at the same seed and scale: each labelled vendor's OpenSSL
+// fingerprint class over the primes recovered from its factored keys, with
+// the factors tested and the factors satisfying the property, exactly as
+// table5_openssl_fingerprint prints them (vendors with no factored key,
+// McAfee and Siemens here, have no row). A change to the fingerprint rule,
+// the labeler or the factoring that moves a vendor across the satisfy /
+// do-not-satisfy split fails here.
+struct Table5Pin {
+  std::string vendor;
+  std::string classification;
+  std::size_t factors_tested = 0;
+  std::size_t factors_satisfying = 0;
+  bool operator==(const Table5Pin&) const = default;
+};
+
+void PrintTo(const Table5Pin& pin, std::ostream* os) {
+  *os << "{\"" << pin.vendor << "\", \"" << pin.classification << "\", "
+      << pin.factors_tested << ", " << pin.factors_satisfying << "}";
+}
+
+const std::vector<Table5Pin> kPinnedTable5 = {
+    {"ADTRAN", "satisfies OpenSSL fingerprint", 4, 4},
+    {"Cisco", "satisfies OpenSSL fingerprint", 94, 94},
+    {"D-Link", "satisfies OpenSSL fingerprint", 26, 26},
+    {"Dell", "satisfies OpenSSL fingerprint", 16, 16},
+    {"Fortinet", "does not satisfy", 14, 1},
+    {"Fritz!Box", "satisfies OpenSSL fingerprint", 40, 40},
+    {"Hewlett-Packard", "satisfies OpenSSL fingerprint", 8, 8},
+    {"Huawei", "does not satisfy", 32, 1},
+    {"IBM", "satisfies OpenSSL fingerprint", 56, 56},
+    {"Innominate", "satisfies OpenSSL fingerprint", 14, 14},
+    {"Juniper", "does not satisfy", 40, 4},
+    {"Kronos", "does not satisfy", 4, 0},
+    {"Linksys", "satisfies OpenSSL fingerprint", 16, 16},
+    {"Sangfor", "satisfies OpenSSL fingerprint", 4, 4},
+    {"Schmid Telecom", "satisfies OpenSSL fingerprint", 4, 4},
+    {"TP-LINK", "satisfies OpenSSL fingerprint", 100, 100},
+    {"Thomson", "satisfies OpenSSL fingerprint", 16, 16},
+    {"Xerox", "does not satisfy", 28, 12},
+    {"ZyXEL", "does not satisfy", 16, 0},
+};
+
+TEST_F(StudyIntegration, PinnedTable5SplitIsReproducedExactly) {
+  std::vector<Table5Pin> actual;
+  for (const auto& [vendor, primes] : study_->recovered_primes_by_vendor()) {
+    if (vendor.rfind('_', 0) == 0) continue;  // background populations
+    const auto verdict = fingerprint::classify_openssl(primes);
+    actual.push_back({vendor, fingerprint::to_string(verdict.cls),
+                      verdict.factors_tested, verdict.factors_satisfying});
+  }
+  std::sort(actual.begin(), actual.end(),
+            [](const Table5Pin& a, const Table5Pin& b) {
+              return a.vendor < b.vendor;
+            });
+  EXPECT_EQ(actual, kPinnedTable5);
+}
+
 TEST_F(StudyIntegration, RunIsIdempotent) {
   const std::size_t before = study_->factored().size();
   study_->run();
@@ -424,7 +482,7 @@ constexpr const char* kStudyEnvVars[] = {
     "WEAKKEYS_FLEET_TRACE",    "WEAKKEYS_TRACE",
     "WEAKKEYS_MONITOR",
     "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
-    "WEAKKEYS_MEM_BUDGET_MB",  "WEAKKEYS_SPILL_DIR",
+    "WEAKKEYS_SPILL_DIR",
     "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",
     "WEAKKEYS_DEADLINE",
 };
@@ -468,8 +526,6 @@ TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
        [](const StudyConfig& c) { return c.telemetry_interval_ms * 1.0; }},
       {"WEAKKEYS_PROFILE_HZ", "43.5", 43.5, "not-a-number", "1e999",
        [](const StudyConfig& c) { return c.profile_hz; }},
-      {"WEAKKEYS_MEM_BUDGET_MB", "512", 512, "512MB", "-1",
-       [](const StudyConfig& c) { return c.mem_budget_mb * 1.0; }},
       {"WEAKKEYS_SPILL_THRESHOLD_MB", "0", 0, "none", "-1",
        [](const StudyConfig& c) { return c.spill_threshold_mb * 1.0; }},
       {"WEAKKEYS_SPILL_RAM_FALLBACK_MB", "64", 64, "lots", "-1",
@@ -579,7 +635,7 @@ TEST_F(StudyIntegration, ClusterPathMatchesInProcessPipeline) {
 }
 
 TEST_F(StudyIntegration, ClusterSpillGoesToWorkersAsFlagsNotEnvironment) {
-  // The spill, profiler and memory settings reach the workers on their
+  // The spill and profiler settings reach the workers on their
   // command line: the environment is the same after the run, the workers'
   // spill stores created spill_dir (in cluster mode only they build trees),
   // every worker wrote its own collapsed-stack file, and the vulnerable set
@@ -607,7 +663,6 @@ TEST_F(StudyIntegration, ClusterSpillGoesToWorkersAsFlagsNotEnvironment) {
   config.spill_threshold_mb = 0;
   config.profile_hz = 97;
   config.profile_out = profile_dir + "/p.folded";
-  config.mem_budget_mb = 4096;
   Study clustered(config);
   clustered.run();
 

@@ -6,6 +6,7 @@
 
 #include <chrono>
 
+#include "util/binary_io.hpp"
 #include "util/date.hpp"
 #include "util/fault_injector.hpp"
 #include "util/hex.hpp"
@@ -110,6 +111,31 @@ TEST(Hex, EmptyIsEmpty) {
 TEST(Hex, RejectsBadInput) {
   EXPECT_THROW(from_hex("abc"), std::invalid_argument);   // odd length
   EXPECT_THROW(from_hex("zz"), std::invalid_argument);    // bad digit
+}
+
+// -------------------------------------------------------------- CRC-32 ----
+
+TEST(Crc32, KnownAnswer) {
+  // The IEEE 802.3 check value: every cache footer, journal record, frame
+  // and spill file depends on this exact function.
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(std::vector<std::uint8_t>{}), 0u);
+}
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  std::vector<std::uint8_t> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::uint32_t whole = crc32(data);
+  for (const std::size_t cut : {0u, 1u, 3u, 500u, 999u, 1000u}) {
+    const std::uint32_t head = crc32(data.data(), cut);
+    EXPECT_EQ(crc32(data.data() + cut, data.size() - cut, head), whole)
+        << "cut=" << cut;
+  }
 }
 
 // ---------------------------------------------------------------- PRNG ----

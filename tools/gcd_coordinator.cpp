@@ -15,9 +15,12 @@
 // worker kills — the paper's core claim (the vulnerable set is a property
 // of the corpus, not of the execution) as a shell pipeline.
 //
-// Every setting is a flag; the tool reads no environment. --profile,
-// --profile-out and --mem-budget-mb cover this process and every worker it
-// spawns (worker W writes <profile-out>.worker<W>), like the spill flags.
+// Every setting is a flag; the tool reads no environment. --profile and
+// --profile-out cover this process and every worker it spawns (worker W
+// writes <profile-out>.worker<W>), like the spill flags. --metrics writes
+// this process's metrics registry as JSON when the run ends, in either
+// mode: the spill.* counters of a --reference run, or the cluster.* and
+// fleet.* metrics (the workers' counters fanned in) of a cluster run.
 // Every worker link is a session: a lost link is held for the heartbeat
 // silence budget (1 s at the defaults) while the worker dials back, and a
 // local worker whose process exited is respawned at once. Remote workers
@@ -31,9 +34,10 @@
 //                   [--port-file PATH] [--chunk-bytes B] [--window CHUNKS]
 //                   [--task-timeout-ms MS] [--spawn-timeout-ms MS]
 //                   [--restart-budget N] [--checkpoint PATH] [--quiet]
-//                   [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]
+//                   [--fleet-trace PATH] [--telemetry-interval-ms MS]
+//                   [--profile HZ] [--profile-out PATH] [--metrics PATH]
 //                   [--spill-dir DIR] [--spill-threshold-mb N]
-//                   [--spill-metrics PATH] [--storage-seed S]
+//                   [--storage-seed S]
 //                   [--storage-short-write P] [--storage-fsync-fail P]
 //                   [--storage-bit-flip P] [--storage-enospc P]
 //                   [--storage-slow P]
@@ -49,8 +53,8 @@
 #include "batchgcd/batch_gcd.hpp"
 #include "cluster/process_coordinator.hpp"
 #include "obs/mem.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/telemetry.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
 #include "util/atomic_file.hpp"
@@ -69,8 +73,8 @@ int usage(const char* argv0) {
       "  [--task-timeout-ms MS] [--spawn-timeout-ms MS]\n"
       "  [--restart-budget N] [--checkpoint PATH] [--quiet]\n"
       "  [--fleet-trace PATH] [--telemetry-interval-ms MS]\n"
-      "  [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]\n"
-      "  [--spill-dir DIR] [--spill-threshold-mb N] [--spill-metrics PATH]\n"
+      "  [--profile HZ] [--profile-out PATH] [--metrics PATH]\n"
+      "  [--spill-dir DIR] [--spill-threshold-mb N]\n"
       "  [--storage-seed S] [--storage-short-write P] [--storage-fsync-fail P]\n"
       "  [--storage-bit-flip P] [--storage-enospc P] [--storage-slow P]\n",
       argv0);
@@ -127,10 +131,9 @@ int main(int argc, char** argv) {
   std::string port_file;
   double profile_hz = 0;
   std::string profile_out;
-  std::uint64_t mem_budget_mb = 0;
+  std::string metrics_path;
   std::string spill_dir;
   std::uint64_t spill_threshold_mb = 0;  // 0 = always spill when dir set
-  std::string spill_metrics_path;
   weakkeys::util::FaultConfig storage_faults;
   weakkeys::cluster::ClusterConfig config;
   config.workers = 2;
@@ -180,7 +183,7 @@ int main(int argc, char** argv) {
       config.checkpoint_path = value;
     } else if (arg == "--fleet-trace" && (value = next())) {
       // Fleet-merged Chrome trace (assign spans + clock-rebased worker task
-      // spans); fleet metrics JSON lands next to it at <PATH>.metrics.json.
+      // spans); the fleet's metrics go to --metrics.
       config.fleet_trace_path = value;
     } else if (arg == "--telemetry-interval-ms" && (value = next())) {
       config.telemetry_interval =
@@ -189,14 +192,12 @@ int main(int argc, char** argv) {
       profile_hz = std::strtod(value, nullptr);
     } else if (arg == "--profile-out" && (value = next())) {
       profile_out = value;
-    } else if (arg == "--mem-budget-mb" && (value = next())) {
-      mem_budget_mb = std::strtoull(value, nullptr, 10);
+    } else if (arg == "--metrics" && (value = next())) {
+      metrics_path = value;
     } else if (arg == "--spill-dir" && (value = next())) {
       spill_dir = value;
     } else if (arg == "--spill-threshold-mb" && (value = next())) {
       spill_threshold_mb = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--spill-metrics" && (value = next())) {
-      spill_metrics_path = value;
     } else if (arg == "--storage-seed" && (value = next())) {
       storage_faults.seed = std::strtoull(value, nullptr, 10);
     } else if (arg == "--storage-short-write" && (value = next())) {
@@ -220,14 +221,9 @@ int main(int argc, char** argv) {
   if (profile_hz > 0 && profile_out.empty()) {
     profile_out = "PROFILE_gcd_coordinator.folded";
   }
-  if (profile_hz > 0 || mem_budget_mb > 0) {
-    if (weakkeys::obs::mem::supported()) weakkeys::obs::mem::enable();
-    if (mem_budget_mb > 0) {
-      weakkeys::obs::mem::set_budget_bytes(mem_budget_mb * 1024 * 1024);
-    }
-  }
   std::unique_ptr<weakkeys::obs::Profiler> profiler;
   if (profile_hz > 0) {
+    if (weakkeys::obs::mem::supported()) weakkeys::obs::mem::enable();
     weakkeys::obs::ProfilerConfig prof_config;
     prof_config.hz = profile_hz;
     prof_config.out_path = profile_out;
@@ -248,17 +244,28 @@ int main(int argc, char** argv) {
 
   const std::vector<BigInt> moduli = make_corpus(corpus_count, corpus_seed);
 
+  // Metrics only: this process's spans would be held in memory unread.
+  weakkeys::obs::Telemetry telemetry(/*tracing_enabled=*/false);
+  const auto write_metrics = [&] {
+    if (metrics_path.empty()) return;
+    try {
+      weakkeys::util::atomic_write_file(metrics_path,
+                                        telemetry.metrics().to_json());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "gcd_coordinator: %s\n", e.what());
+    }
+  };
+
   if (reference) {
     // Single-process ground truth; with --spill-dir it runs out-of-core
     // (the disk-chaos CI path: deterministic storage faults via the
     // --storage-* schedule, SIGKILL/resume via the generation-stamped
     // level files, spill.* counters dumped for invariant checks).
-    weakkeys::obs::MetricsRegistry registry;
     weakkeys::util::FaultInjector storage_injector(storage_faults);
     weakkeys::batchgcd::TreeStorage storage;
     storage.spill_dir = spill_dir;
     storage.spill_threshold_bytes = spill_threshold_mb * 1024 * 1024;
-    storage.registry = &registry;
+    storage.registry = &telemetry.metrics();
     if (storage_faults.any_storage_faults()) {
       storage.injector = &storage_injector;
     }
@@ -272,25 +279,18 @@ int main(int argc, char** argv) {
       if (profiler) profiler->stop();
       return 1;
     }
-    if (!spill_metrics_path.empty()) {
-      try {
-        weakkeys::util::atomic_write_file(spill_metrics_path,
-                                          registry.to_json());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "gcd_coordinator: %s\n", e.what());
-      }
-    }
+    write_metrics();
     if (profiler) profiler->stop();
     return 0;
   }
 
   // Cluster mode: the workers build the trees, so they get the spill knobs;
-  // the profiler and memory budget cover them as well as this process.
+  // the profiler covers them as well as this process.
   config.spill_dir = spill_dir;
   config.spill_threshold_mb = static_cast<std::size_t>(spill_threshold_mb);
   config.profile_hz = profile_hz;
   config.profile_out = profile_out;
-  config.mem_budget_mb = static_cast<std::size_t>(mem_budget_mb);
+  config.telemetry = &telemetry;
 
   if (!quiet) {
     config.log = [](const std::string& line) {
@@ -318,11 +318,7 @@ int main(int argc, char** argv) {
                    profile_out.c_str(),
                    static_cast<unsigned long long>(profiler->samples()));
     }
-    if (weakkeys::obs::mem::consume_budget_alarm()) {
-      std::fprintf(stderr,
-                   "gcd_coordinator: memory budget exceeded "
-                   "(soft alarm; run completed)\n");
-    }
+    write_metrics();
     print_vulnerable(result.divisors);
     std::fprintf(stderr,
                  "gcd_coordinator: done (%zu tasks, %zu reconnects, "

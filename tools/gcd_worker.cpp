@@ -14,15 +14,15 @@
 //              [--conn-disconnect P --conn-partition P --conn-half-open P
 //               --conn-drip P --conn-partition-ms MS --conn-drip-ms MS]
 //              [--telemetry-interval-ms MS | --no-telemetry]
-//              [--profile HZ [--profile-out PATH]] [--mem-budget-mb N]
+//              [--profile HZ [--profile-out PATH]]
 //              [--spill-dir DIR [--spill-threshold-mb N]]
 //
 // The --frame-* / --conn-* flags enable deterministic fault injection on
 // this worker's *outbound* link (chaos tests); the coordinator injects its
 // own side. Every setting arrives as a flag: a spawning coordinator forwards
-// its profiler, memory-budget and spill settings on the command line, and
-// the worker reads no environment. --profile without --profile-out keeps
-// the profile in the worker's metrics only. Link loss needs no flag: the
+// its profiler and spill settings on the command line, and the worker reads
+// no environment. --profile without --profile-out keeps the profile in the
+// worker's metrics only. Link loss needs no flag: the
 // worker redials into its session for the grace window the coordinator
 // names in its HelloAck, so a remote worker matches the coordinator's
 // timing without being told.
@@ -41,7 +41,7 @@ int usage(const char* argv0) {
       "usage: %s (--port P | --connect HOST:PORT) --worker-id W\n"
       "  [--address A] [--connect-timeout-ms MS]\n"
       "  [--telemetry-interval-ms MS] [--no-telemetry]\n"
-      "  [--profile HZ] [--profile-out PATH] [--mem-budget-mb N]\n"
+      "  [--profile HZ] [--profile-out PATH]\n"
       "  [--spill-dir DIR] [--spill-threshold-mb N]\n"
       "  [--seed S] [--frame-drop P] [--frame-garble P] [--frame-delay P]\n"
       "  [--frame-delay-ms MS] [--conn-disconnect P] [--conn-partition P]\n"
@@ -93,8 +93,6 @@ int main(int argc, char** argv) {
       config.profile_hz = std::strtod(value, nullptr);
     } else if (arg == "--profile-out" && (value = next())) {
       config.profile_out = value;
-    } else if (arg == "--mem-budget-mb" && (value = next())) {
-      config.mem_budget_mb = std::strtoull(value, nullptr, 10);
     } else if (arg == "--spill-dir" && (value = next())) {
       config.spill_dir = value;
     } else if (arg == "--spill-threshold-mb" && (value = next())) {
