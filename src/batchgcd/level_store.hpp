@@ -81,9 +81,10 @@ class LevelStore {
   /// resident window for the spill backend).
   [[nodiscard]] virtual std::uint64_t resident_bytes() const = 0;
 
-  /// High-water mark of resident_bytes() over the store's life: the whole
-  /// tree for the RAM backend, the largest resident window (plus any
-  /// pinned levels) for the spill backend — the bounded-memory proof.
+  /// High-water mark of the bytes the store's levels hold in memory: the
+  /// whole tree for the RAM backend; for the spill backend the resident
+  /// window plus pinned levels plus levels released from the window whose
+  /// handles a caller still holds — the bounded-memory proof.
   [[nodiscard]] virtual std::uint64_t peak_resident_bytes() const = 0;
 
   [[nodiscard]] virtual bool spilled() const { return false; }

@@ -329,6 +329,7 @@ void SpillLevelStore::evict_excess_locked(std::size_t keep) {
     lru_.pop_front();
     const auto it = resident_.find(victim);
     if (it == resident_.end()) continue;
+    released_.emplace_back(victim, it->second);
     resident_.erase(it);
     resident_bytes_ -= stats_[victim].bytes;
   }
@@ -337,6 +338,7 @@ void SpillLevelStore::evict_excess_locked(std::size_t keep) {
 void SpillLevelStore::drop_resident_locked(std::size_t k) {
   const auto it = resident_.find(k);
   if (it == resident_.end()) return;
+  released_.emplace_back(k, it->second);
   resident_.erase(it);
   lru_.remove(k);
   resident_bytes_ -= stats_[k].bytes;
@@ -350,7 +352,15 @@ void SpillLevelStore::release_level(std::size_t k) {
 }
 
 void SpillLevelStore::update_gauges_locked() {
-  resident_peak_ = std::max(resident_peak_, resident_bytes_);
+  // A level left the window but is still in memory while a caller holds
+  // its handle: the build reads level k-1 while it appends level k.
+  std::uint64_t released_alive = 0;
+  std::erase_if(released_, [&](const auto& entry) {
+    if (entry.second.expired()) return true;
+    released_alive += stats_[entry.first].bytes;
+    return false;
+  });
+  resident_peak_ = std::max(resident_peak_, resident_bytes_ + released_alive);
   if (metrics_.resident_levels != nullptr) {
     metrics_.resident_levels->set(
         static_cast<std::int64_t>(resident_.size() + pinned_.size()));

@@ -28,6 +28,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "batchgcd/level_store.hpp"
 #include "util/spill_file.hpp"
@@ -112,7 +113,10 @@ class SpillLevelStore final : public LevelStore {
   std::map<std::size_t, LevelHandle> pinned_;
   std::uint64_t pinned_bytes_ = 0;
   std::uint64_t resident_bytes_ = 0;  ///< window + pinned
-  std::uint64_t resident_peak_ = 0;
+  /// Levels dropped from the window, each counted in the peak while a
+  /// caller's handle still keeps it alive.
+  std::vector<std::pair<std::size_t, std::weak_ptr<const Level>>> released_;
+  std::uint64_t resident_peak_ = 0;  ///< window + pinned + released_ alive
   std::size_t window_ = 2;
   std::size_t resumed_ = 0;
   bool degraded_ = false;

@@ -992,8 +992,8 @@ class ProcessCoordinator {
   /// The nearest instant at which a timer-driven duty falls due: a ping, a
   /// heartbeat death, a spawn/task/handshake deadline, a retry becoming
   /// ready, a stream retransmit, a session grace expiry, an exit check on
-  /// a starting or parked local worker, a burial or the cancel token's
-  /// deadline. max() when nothing is armed.
+  /// a starting or parked local worker or a burial. max() when nothing is
+  /// armed.
   [[nodiscard]] Clock::time_point next_deadline() const {
     const auto now = Clock::now();
     auto next = Clock::time_point::max();
@@ -1025,11 +1025,6 @@ class ProcessCoordinator {
       if (p.ready_at > now) at(p.ready_at);
     }
     for (const Handshake& hs : handshakes_) at(hs.deadline);
-    if (config_.cancel && config_.cancel->deadline_remaining_s() >= 0) {
-      at(now + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(
-                       config_.cancel->deadline_remaining_s())));
-    }
     return next;
   }
 

@@ -2,14 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 #include <unordered_map>
-
-#if !defined(_WIN32)
-#include <csignal>
-#include <unistd.h>
-#define WEAKKEYS_HAVE_SIGNALS 1
-#endif
 
 #include "analysis/chains.hpp"
 #include "batchgcd/distributed.hpp"
@@ -38,81 +31,7 @@ std::string metric_segment(std::string s) {
   return s;
 }
 
-#if defined(WEAKKEYS_HAVE_SIGNALS)
-// Signal-handler state. One watcher owns these at a time (handlers are
-// process-global anyway); the handler itself is async-signal-safe — two
-// atomic loads, two atomic stores inside request_async, one write(2).
-std::atomic<util::CancellationToken*> g_signal_token{nullptr};
-std::atomic<int> g_signal_pipe_wr{-1};
-
-void lifecycle_signal_handler(int signum) {
-  if (auto* token = g_signal_token.load(std::memory_order_acquire)) {
-    token->request_async(signum);
-  }
-  const int fd = g_signal_pipe_wr.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const auto n = ::write(fd, &byte, 1);
-  }
-}
-#endif  // WEAKKEYS_HAVE_SIGNALS
 }  // namespace
-
-/// Installs SIGINT/SIGTERM handlers that trip the run's token, plus a
-/// self-pipe watcher thread that promote()s the async trip (running the
-/// token's callbacks from a normal context) as soon as the signal lands —
-/// without it, callbacks would wait for the next poll/monitor tick. The
-/// destructor restores the previous handlers, so the Study's own teardown
-/// (dtor flush) still runs under graceful-shutdown semantics.
-class LifecycleSignalWatcher {
-#if defined(WEAKKEYS_HAVE_SIGNALS)
- public:
-  explicit LifecycleSignalWatcher(util::CancellationToken* token) {
-    if (::pipe(fds_) != 0) {
-      fds_[0] = fds_[1] = -1;
-      return;
-    }
-    g_signal_token.store(token, std::memory_order_release);
-    g_signal_pipe_wr.store(fds_[1], std::memory_order_release);
-    struct sigaction sa{};
-    sa.sa_handler = lifecycle_signal_handler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
-    ::sigaction(SIGINT, &sa, &old_int_);
-    ::sigaction(SIGTERM, &sa, &old_term_);
-    installed_ = true;
-    watcher_ = std::thread([this, token] {
-      char byte;
-      while (::read(fds_[0], &byte, 1) > 0) token->promote();
-    });
-  }
-
-  ~LifecycleSignalWatcher() {
-    if (installed_) {
-      ::sigaction(SIGINT, &old_int_, nullptr);
-      ::sigaction(SIGTERM, &old_term_, nullptr);
-    }
-    g_signal_token.store(nullptr, std::memory_order_release);
-    g_signal_pipe_wr.store(-1, std::memory_order_release);
-    if (fds_[1] >= 0) ::close(fds_[1]);  // EOF stops the watcher thread
-    if (watcher_.joinable()) watcher_.join();
-    if (fds_[0] >= 0) ::close(fds_[0]);
-  }
-
-  LifecycleSignalWatcher(const LifecycleSignalWatcher&) = delete;
-  LifecycleSignalWatcher& operator=(const LifecycleSignalWatcher&) = delete;
-
- private:
-  int fds_[2] = {-1, -1};
-  bool installed_ = false;
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-  std::thread watcher_;
-#else
- public:
-  explicit LifecycleSignalWatcher(util::CancellationToken*) {}
-#endif  // WEAKKEYS_HAVE_SIGNALS
-};
 
 Study::Study(StudyConfig config)
     : config_(std::move(config)),
@@ -124,10 +43,6 @@ Study::Study(StudyConfig config)
 }
 
 Study::~Study() {
-  if (exit_flush_token_ != 0) obs::unregister_exit_flush(exit_flush_token_);
-  // A run that never reached its normal end (exception, early teardown)
-  // still closes the monitor time series and writes the trace artifacts.
-  flush_telemetry();
   // The allocation hook holds a histogram in telemetry_'s registry.
   if (mem_accounting_) obs::mem::disable();
 }
@@ -136,36 +51,14 @@ void Study::log(const std::string& message) {
   telemetry_.sink().info(message);
 }
 
-util::CancellationToken* Study::resolve_token() {
-  return config_.cancel ? config_.cancel : &own_token_;
-}
+void Study::cancel(const std::string& reason) { token_.cancel(reason); }
 
-void Study::cancel(const std::string& reason) {
-  resolve_token()->cancel(reason);
-}
-
-void Study::begin_stage() {
-  resolve_token()->throw_if_cancelled();
-}
+void Study::begin_stage() { token_.throw_if_cancelled(); }
 
 void Study::run() {
   if (ran_) return;
-  run_started_.store(true);
-  flushed_.store(false);
-  state_.store(RunState::kRunning);
-  util::CancellationToken* token = resolve_token();
-
-  if (config_.run_deadline.count() > 0) {
-    token->set_deadline(std::chrono::steady_clock::now() + config_.run_deadline,
-                        "run");
-  }
-  if (config_.handle_signals && !signal_watcher_) {
-    signal_watcher_ = std::make_unique<LifecycleSignalWatcher>(token);
-  }
-
-  start_observability();
-
   try {
+    start_observability();
     obs::Span run_span = telemetry_.tracer().span("study.run");
     // One pool for the whole run: simulation keygen, then factoring.
     util::ThreadPool pool(config_.threads, &telemetry_);
@@ -176,17 +69,13 @@ void Study::run() {
     begin_stage();
     fingerprint_corpus();
   } catch (const util::Cancelled&) {
-    state_.store(RunState::kCancelled);
-    log("run cancelled: " + token->reason());
+    log("run cancelled: " + token_.reason());
     flush_telemetry();
     throw;
   } catch (...) {
-    state_.store(RunState::kFailed);
     flush_telemetry();
     throw;
   }
-  token->clear_deadline();
-  state_.store(RunState::kDone);
   ran_ = true;
   flush_telemetry();
 }
@@ -196,10 +85,6 @@ void Study::start_observability() {
     obs::MonitorConfig mc;
     mc.jsonl_path = config_.monitor_path;
     mc.interval = config_.monitor_interval;
-    // The monitor tick doubles as the lifecycle heartbeat: it promotes
-    // signal/deadline trips, running the token's callbacks promptly even
-    // when no poll site is being hit.
-    mc.on_tick = [this] { resolve_token()->promote(); };
     monitor_ = std::make_unique<obs::Monitor>(telemetry_, mc);
     monitor_->start();
   }
@@ -231,18 +116,9 @@ void Study::start_observability() {
         (config_.profile_out.empty() ? std::string(" (metrics only)")
                                      : " -> " + config_.profile_out));
   }
-
-  // An abnormal process exit (std::exit, uncaught exception unwinding to
-  // main) must not lose the run's telemetry. Destructor unregisters.
-  if (exit_flush_token_ == 0) {
-    exit_flush_token_ =
-        obs::register_exit_flush([this] { flush_telemetry(); });
-  }
 }
 
 void Study::flush_telemetry() {
-  if (!run_started_.load()) return;  // nothing collected yet
-  if (flushed_.exchange(true)) return;
   // Profiler first: its final rollups and the mem census must be in the
   // registry before the monitor writes the `"final":true` snapshot.
   if (profiler_) profiler_->stop();  // also writes the collapsed-stack file
@@ -294,7 +170,7 @@ void Study::build_dataset(util::ThreadPool& pool) {
     log("simulating six years of scans (first run builds the corpus cache)...");
     netsim::SimConfig sim = config_.sim;
     sim.telemetry = &telemetry_;
-    sim.cancel = resolve_token();
+    sim.cancel = &token_;
     sim.log = [this](const std::string& message) { log("sim: " + message); };
     internet_ = std::make_unique<netsim::Internet>(
         netsim::standard_models(config_.sim.scale), sim);
@@ -322,7 +198,7 @@ void Study::build_dataset(util::ThreadPool& pool) {
   // ingest_stats_ and (for degenerate moduli) rerouted to factor triage.
   {
     obs::Span ingest_span = telemetry_.tracer().span("study.ingest");
-    IngestResult ingest = ingest_dataset(raw_dataset_, resolve_token());
+    IngestResult ingest = ingest_dataset(raw_dataset_, &token_);
     ingest_stats_ = std::move(ingest.stats);
     degenerate_moduli_ = std::move(ingest.degenerate_moduli);
     record_ingest_metrics();
@@ -510,7 +386,7 @@ void Study::factor_moduli(util::ThreadPool& pool) {
     cc.checkpoint_path = journal_path;
     cc.log = [this](const std::string& message) { log(message); };
     cc.telemetry = &telemetry_;
-    cc.cancel = resolve_token();
+    cc.cancel = &token_;
     util::FaultInjector injector(config_.faults);
     if (config_.faults.any_faults()) cc.injector = &injector;
     if (storage != nullptr) {
@@ -534,7 +410,7 @@ void Study::factor_moduli(util::ThreadPool& pool) {
     // journaled so a killed or cancelled run resumes only the rest.
     obs::Span gcd_span = telemetry_.tracer().span("gcd.distributed");
     batchgcd::DistributedOptions options;
-    options.cancel = resolve_token();
+    options.cancel = &token_;
     options.registry = &telemetry_.metrics();
     options.storage = storage;
     options.journal_path = journal_path;
@@ -671,7 +547,7 @@ void Study::fingerprint_corpus() {
       " degenerate-generator cliques");
   telemetry_.metrics().counter("fingerprint.cliques").set(cliques_.size());
   clique_span.end();
-  resolve_token()->throw_if_cancelled();
+  token_.throw_if_cancelled();
 
   // Subject labels per unique certificate, and per-modulus subject vendors.
   obs::Span subject_span =
@@ -689,7 +565,7 @@ void Study::fingerprint_corpus() {
   }
 
   subject_span.end();
-  resolve_token()->throw_if_cancelled();
+  token_.throw_if_cancelled();
 
   // Vendor prime pools from subject-labeled factored moduli (clique primes
   // stay out: the clique label takes precedence, as in the paper).

@@ -14,7 +14,6 @@
 // Everything the table/figure binaries need hangs off the accessors.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -93,7 +92,7 @@ struct StudyConfig {
   /// study does not spawn. The cluster path activates when local + remote
   /// workers > 0.
   std::size_t remote_workers = 0;
-  /// Telemetry export cadence (ms) for the cluster path: each v3 worker
+  /// Telemetry export cadence (ms) for the cluster path: each worker
   /// ships a TelemetrySnapshot (metrics + task spans + RSS/CPU) at most
   /// this often, fanned into fleet.worker.<id>.* / fleet.* metrics on the
   /// study registry (visible in the monitor JSONL and the trace's metrics
@@ -156,24 +155,6 @@ struct StudyConfig {
   /// storage keeps failing, levels are pinned in RAM up to this budget
   /// before the run cancels with util::StorageError. 0 = unlimited.
   long long spill_ram_fallback_mb = 0;
-
-  // -- Run lifecycle (cancellation, deadline, signals) --------------------
-
-  /// External cancellation token. When set, run() polls (and arms the
-  /// deadline on) this token instead of the Study's internal one, so one
-  /// token can span several studies or be shared with a driver. Must
-  /// outlive the Study.
-  util::CancellationToken* cancel = nullptr;
-  /// Whole-run wall-clock budget; the token's deadline trips once it is
-  /// exhausted and the run unwinds with util::Cancelled ("deadline
-  /// exceeded (run)"). Zero means no deadline.
-  std::chrono::milliseconds run_deadline{0};
-  /// Install SIGINT/SIGTERM handlers for the duration of the Study that
-  /// trip the run's cancellation token (async-signal-safely) instead of
-  /// killing the process: the run unwinds and flushes telemetry, leaving
-  /// the per-stage caches a rerun resumes from. Previous handlers are
-  /// restored on destruction.
-  bool handle_signals = false;
 };
 
 /// One factored modulus with everything later stages need.
@@ -194,41 +175,24 @@ struct FactorStats {
   std::size_t second_pass_factored = 0;  ///< full-modulus cases split pairwise
 };
 
-/// Coarse run state, readable from any thread while run() executes.
-enum class RunState : int {
-  kIdle = 0,       ///< constructed, run() not yet called
-  kRunning = 1,    ///< inside run()
-  kCancelled = 2,  ///< run() unwound with util::Cancelled
-  kFailed = 3,     ///< run() unwound with any other exception
-  kDone = 4,       ///< run() completed
-};
-
-class LifecycleSignalWatcher;  // SIGINT/SIGTERM -> token (study.cpp)
-
 class Study {
  public:
   explicit Study(StudyConfig config = {});
   ~Study();
 
-  /// Runs the full pipeline. Idempotent. Throws util::Cancelled when the
-  /// run's token trips (signal, deadline, or explicit cancel());
-  /// telemetry is flushed first. A rerun with the same cache_path skips
-  /// whatever the per-stage caches already hold.
+  /// Runs the full pipeline. Idempotent once it has completed. Returns
+  /// when the run is done, throws util::Cancelled after cancel(), and
+  /// rethrows any other failure; on every exit it first closes the
+  /// observability artifacts (the monitor's `"final":true` snapshot, the
+  /// trace and metrics files, the profile). A rerun with the same
+  /// cache_path, in this process or after the process was killed, skips
+  /// whatever the per-stage caches and the task journal already hold.
   void run();
 
   /// Trips the run's cancellation token from any thread. Poll sites at
   /// batch granularity (simulated month, scan snapshot, remainder-tree
   /// task) pick it up, so cancel latency is bounded by one batch.
   void cancel(const std::string& reason);
-
-  /// The run's coarse state. Safe to call from any thread, including
-  /// while run() executes.
-  [[nodiscard]] RunState run_state() const { return state_.load(); }
-  /// The token run() polls: config.cancel when set, else the internal one;
-  /// its reason() says why a cancelled run stopped.
-  [[nodiscard]] util::CancellationToken& cancellation_token() {
-    return *resolve_token();
-  }
 
   // -- Data ------------------------------------------------------------
   /// Records exactly as scanned (including Rapid7 intermediates).
@@ -298,13 +262,6 @@ class Study {
   /// null otherwise (and before run()).
   [[nodiscard]] obs::Monitor* monitor() { return monitor_.get(); }
 
-  /// Closes the observability artifacts exactly once: stops the monitor
-  /// (writing the `"final":true` snapshot) and writes the trace/metrics
-  /// files if configured. Called automatically from run(), the destructor,
-  /// and a process-exit hook, so an aborted run still leaves its telemetry
-  /// on disk.
-  void flush_telemetry();
-
  private:
   void build_dataset(util::ThreadPool& pool);
   void factor_moduli(util::ThreadPool& pool);
@@ -316,28 +273,25 @@ class Study {
   void record_ingest_metrics();
   void record_factor_metrics();
   void start_observability();
-  [[nodiscard]] util::CancellationToken* resolve_token();
+  /// Closes the observability artifacts: stops the profiler (writing the
+  /// collapsed-stack file) and the monitor (writing the `"final":true`
+  /// snapshot), then writes the trace/metrics files if configured. run()
+  /// calls it once on each of its exits.
+  void flush_telemetry();
   /// Stage boundary: throws util::Cancelled if the token has tripped.
   void begin_stage();
 
   StudyConfig config_;
   obs::Telemetry telemetry_;
-  /// Declared before signal_watcher_, whose thread promote()s it until
-  /// joined, so the token outlives that thread.
-  util::CancellationToken own_token_;
+  util::CancellationToken token_;
   // Declared after telemetry_ (they hold references into it) so they are
   // destroyed first.
   std::unique_ptr<obs::Monitor> monitor_;
   std::unique_ptr<obs::Profiler> profiler_;
-  std::unique_ptr<LifecycleSignalWatcher> signal_watcher_;
-  std::uint64_t exit_flush_token_ = 0;
-  std::atomic<bool> run_started_{false};
-  std::atomic<bool> flushed_{false};
   bool ran_ = false;
   /// run() turned on obs::mem accounting with this Study's registry.
   bool mem_accounting_ = false;
 
-  std::atomic<RunState> state_{RunState::kIdle};
   netsim::ScanDataset raw_dataset_;
   netsim::ScanDataset dataset_;
   std::unique_ptr<netsim::Internet> internet_;

@@ -100,11 +100,6 @@ StudyConfig StudyConfig::from_env(StudyConfig base) {
   overlay("WEAKKEYS_SPILL_THRESHOLD_MB", base.spill_threshold_mb, 0, kMaxMiB);
   overlay("WEAKKEYS_SPILL_RAM_FALLBACK_MB", base.spill_ram_fallback_mb, 0,
           kMaxMiB);
-
-  // Lifecycle: fractional deadline seconds (0 = none).
-  double deadline_s = base.run_deadline.count() / 1000.0;
-  overlay("WEAKKEYS_DEADLINE", deadline_s, 0, 1e9);
-  base.run_deadline = std::chrono::milliseconds(std::llround(deadline_s * 1e3));
   return base;
 }
 

@@ -205,9 +205,6 @@ void Monitor::tick(bool final) {
   have_prev_ = true;
   prev_tick_ = now;
   ++seq_;
-  // Final ticks run on the stopping thread after lifecycle teardown has
-  // begun, so the hook only runs on live ones.
-  if (!final && config_.on_tick) config_.on_tick();
 }
 
 std::string Monitor::heartbeat_line(const MetricsSnapshot& cur,
@@ -290,8 +287,8 @@ std::string Monitor::heartbeat_line(const MetricsSnapshot& cur,
                     static_cast<unsigned long long>(rtt->second.max));
       line += buf;
     }
-    // Fleet telemetry (v3 workers): what the workers reported about
-    // themselves — aggregate compute time and resident memory.
+    // Fleet telemetry: what the workers reported about themselves —
+    // aggregate compute time and resident memory.
     const auto fleet = cur.gauges.find("fleet.workers_reporting");
     if (fleet != cur.gauges.end() && fleet->second > 0) {
       std::snprintf(buf, sizeof(buf), " | fleet %lld reporting %.1fs compute",

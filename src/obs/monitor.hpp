@@ -24,7 +24,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -74,10 +73,6 @@ struct MonitorConfig {
   bool heartbeat = true;
   /// Sample process RSS/CPU into `process.*` instruments each tick.
   bool sample_process_stats = true;
-  /// Invoked after each non-final tick, on the monitor thread: the hook
-  /// Study hangs its signal/deadline promotion on. Must not call back into
-  /// the monitor.
-  std::function<void()> on_tick;
 };
 
 class Monitor {

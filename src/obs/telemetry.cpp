@@ -1,60 +1,8 @@
 #include "obs/telemetry.hpp"
 
-#include <cstdlib>
 #include <fstream>
-#include <map>
 
 namespace weakkeys::obs {
-
-namespace {
-
-struct ExitFlushRegistry {
-  std::mutex mu;
-  std::map<std::uint64_t, std::function<void()>> flushes;
-  std::uint64_t next_token = 1;
-  bool atexit_installed = false;
-};
-
-// Leaked on purpose: the atexit hook may fire after static destructors
-// would have torn a plain static down.
-ExitFlushRegistry& exit_registry() {
-  static ExitFlushRegistry* registry = new ExitFlushRegistry();
-  return *registry;
-}
-
-}  // namespace
-
-std::uint64_t register_exit_flush(std::function<void()> flush) {
-  auto& registry = exit_registry();
-  std::lock_guard lock(registry.mu);
-  if (!registry.atexit_installed) {
-    registry.atexit_installed = true;
-    std::atexit([] { run_exit_flushes(); });
-  }
-  const std::uint64_t token = registry.next_token++;
-  registry.flushes[token] = std::move(flush);
-  return token;
-}
-
-void unregister_exit_flush(std::uint64_t token) {
-  auto& registry = exit_registry();
-  std::lock_guard lock(registry.mu);
-  registry.flushes.erase(token);
-}
-
-void run_exit_flushes() {
-  auto& registry = exit_registry();
-  // Copy under the lock, run outside it: a flush may (un)register.
-  std::vector<std::function<void()>> to_run;
-  {
-    std::lock_guard lock(registry.mu);
-    to_run.reserve(registry.flushes.size());
-    for (const auto& [token, flush] : registry.flushes) to_run.push_back(flush);
-  }
-  for (const auto& flush : to_run) {
-    if (flush) flush();
-  }
-}
 
 const char* to_string(Level level) {
   switch (level) {

@@ -96,24 +96,6 @@ class Telemetry {
   TelemetrySink sink_;
 };
 
-// -- exit-time flushing -----------------------------------------------------
-//
-// Telemetry must survive abnormal exits: a thrown exception after run()
-// starts, or an exit() deep in a worker, used to silently drop the trace
-// and final metrics snapshot. Owners of dumpable telemetry register an
-// idempotent flush callback here; the first registration installs a
-// std::atexit hook that runs every callback still registered at process
-// exit. Owners unregister (Study does so in its destructor, after flushing
-// itself) before the captured state dies.
-
-/// Registers an idempotent flush callback; returns a token for
-/// unregister_exit_flush(). Thread-safe.
-std::uint64_t register_exit_flush(std::function<void()> flush);
-void unregister_exit_flush(std::uint64_t token);
-/// Runs every currently registered callback (what the atexit hook does);
-/// exposed so tests can simulate process exit. Callbacks stay registered.
-void run_exit_flushes();
-
 /// Duration helper for metrics call sites: microseconds between two
 /// steady_clock points.
 inline std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0,

@@ -3,79 +3,25 @@
 namespace weakkeys::util {
 
 void CancellationToken::cancel(const std::string& reason) {
-  std::unique_lock lock(mu_);
-  if (reason_.empty()) reason_ = reason;
-  tripped_.store(true, std::memory_order_release);
-  run_callbacks_locked(lock);
-}
-
-void CancellationToken::set_deadline(
-    std::chrono::steady_clock::time_point deadline, const std::string& label) {
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> callbacks;
   {
     std::lock_guard lock(mu_);
-    deadline_label_ = label;
-  }
-  deadline_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         deadline.time_since_epoch())
-                         .count(),
-                     std::memory_order_release);
-}
-
-void CancellationToken::clear_deadline() {
-  deadline_ns_.store(std::numeric_limits<std::int64_t>::min(),
-                     std::memory_order_release);
-}
-
-double CancellationToken::deadline_remaining_s() const {
-  const std::int64_t armed = deadline_ns_.load(std::memory_order_acquire);
-  if (armed == std::numeric_limits<std::int64_t>::min()) return -1.0;
-  const std::int64_t now =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  const double remaining = static_cast<double>(armed - now) / 1e9;
-  return remaining > 0.0 ? remaining : 0.0;
-}
-
-bool CancellationToken::deadline_passed() const {
-  const std::int64_t armed = deadline_ns_.load(std::memory_order_acquire);
-  if (armed == std::numeric_limits<std::int64_t>::min()) return false;
-  return std::chrono::steady_clock::now().time_since_epoch() >=
-         std::chrono::nanoseconds(armed);
-}
-
-bool CancellationToken::cancelled() const {
-  if (tripped_.load(std::memory_order_acquire)) return true;
-  if (deadline_passed()) {
-    // Latch: a deadline that passed once stays tripped even if the caller
-    // later re-arms a longer deadline.
+    if (callbacks_run_) return;
+    reason_ = reason;
     tripped_.store(true, std::memory_order_release);
-    return true;
+    callbacks_run_ = true;
+    callbacks = std::move(callbacks_);
+    callbacks_.clear();
   }
-  return false;
-}
-
-std::string CancellationToken::synthesized_reason() const {
-  // Caller holds mu_; reason_ is known to be empty.
-  const int signum = signal_.load(std::memory_order_relaxed);
-  if (signum != 0) return "signal " + std::to_string(signum);
-  const std::string scope = deadline_label_.empty() ? "run" : deadline_label_;
-  return "deadline exceeded (" + scope + ")";
+  // Run outside the lock so callbacks may (indirectly) query the token.
+  for (auto& [token, fn] : callbacks) {
+    if (fn) fn();
+  }
 }
 
 std::string CancellationToken::reason() const {
-  if (!cancelled()) return "";
   std::lock_guard lock(mu_);
-  return reason_.empty() ? synthesized_reason() : reason_;
-}
-
-bool CancellationToken::promote() {
-  if (!cancelled()) return false;
-  std::unique_lock lock(mu_);
-  if (callbacks_run_) return false;
-  if (reason_.empty()) reason_ = synthesized_reason();
-  run_callbacks_locked(lock);
-  return true;
+  return reason_;
 }
 
 std::uint64_t CancellationToken::add_callback(std::function<void()> fn) {
@@ -96,20 +42,6 @@ void CancellationToken::remove_callback(std::uint64_t token) {
   std::lock_guard lock(mu_);
   std::erase_if(callbacks_,
                 [token](const auto& entry) { return entry.first == token; });
-}
-
-void CancellationToken::run_callbacks_locked(
-    std::unique_lock<std::mutex>& lock) {
-  if (callbacks_run_) return;
-  callbacks_run_ = true;
-  // Run outside the lock so callbacks may (indirectly) query the token.
-  auto callbacks = std::move(callbacks_);
-  callbacks_.clear();
-  lock.unlock();
-  for (auto& [token, fn] : callbacks) {
-    if (fn) fn();
-  }
-  lock.lock();
 }
 
 }  // namespace weakkeys::util

@@ -139,8 +139,7 @@ class KillResumeTest : public ::testing::Test {
   /// combined result is byte-identical to the uninterrupted reference.
   static void resume_and_verify(const std::string& cache_path,
                                 core::Study& resumed) {
-    resumed.run();
-    EXPECT_EQ(resumed.run_state(), core::RunState::kDone);
+    EXPECT_NO_THROW(resumed.run());
     EXPECT_EQ(result_fingerprint(resumed), reference_fingerprint_);
     expect_no_tmp_orphans(cache_path);
   }
@@ -251,7 +250,6 @@ TEST_F(KillResumeTest, CancelLatencyIsBoundedByTwoMonitorIntervals) {
       static_cast<double>(unwound_at - cancelled_at_ns.load()) / 1e6;
   EXPECT_LT(latency_ms, 2.0 * 250.0)
       << "cancel took " << latency_ms << "ms to unwind";
-  EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Run lifecycle layer: cooperative cancellation semantics (token, thread
 // pool, the journaled in-process batch GCD), crash-safe atomic file
-// publication, deadline enforcement, signal-driven graceful shutdown, and
-// resuming a study from its per-stage caches.
+// publication, and resuming a study from its per-stage caches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,9 +13,7 @@
 #include <vector>
 
 #if !defined(_WIN32)
-#include <csignal>
 #include <sys/stat.h>
-#include <unistd.h>
 #define WEAKKEYS_TEST_POSIX 1
 #endif
 
@@ -67,39 +64,6 @@ TEST(CancellationToken, RemovedCallbackDoesNotRun) {
   token.remove_callback(id);
   token.cancel("x");
   EXPECT_EQ(runs.load(), 0);
-}
-
-TEST(CancellationToken, AsyncRequestDefersCallbacksUntilPromote) {
-  util::CancellationToken token;
-  std::atomic<int> runs{0};
-  token.add_callback([&] { ++runs; });
-  token.request_async(SIGTERM);  // async-signal-safe path: no callbacks
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(runs.load(), 0);
-  EXPECT_EQ(token.signal(), SIGTERM);
-  EXPECT_TRUE(token.promote());
-  EXPECT_EQ(runs.load(), 1);
-  EXPECT_FALSE(token.promote());  // promotion happens once
-  EXPECT_EQ(token.reason(), "signal " + std::to_string(SIGTERM));
-}
-
-TEST(CancellationToken, DeadlineTripsAndLatches) {
-  util::CancellationToken token;
-  EXPECT_LT(token.deadline_remaining_s(), 0.0);  // unarmed
-  token.set_deadline(std::chrono::steady_clock::now() +
-                         std::chrono::hours(1),
-                     "factor");
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_GT(token.deadline_remaining_s(), 3500.0);
-  token.set_deadline(std::chrono::steady_clock::now() -
-                         std::chrono::milliseconds(1),
-                     "factor");
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason(), "deadline exceeded (factor)");
-  // Latched: re-arming a future deadline does not untrip.
-  token.set_deadline(std::chrono::steady_clock::now() +
-                     std::chrono::hours(1));
-  EXPECT_TRUE(token.cancelled());
 }
 
 // ---------------------------------------------------- atomic file I/O -----
@@ -332,18 +296,6 @@ core::StudyConfig tiny_study_config(std::uint64_t seed) {
   return config;
 }
 
-TEST(StudyLifecycle, RunDeadlineCancelsAndReportsState) {
-  auto config = tiny_study_config(777);
-  config.run_deadline = std::chrono::milliseconds(30);
-  core::Study study(config);
-  EXPECT_EQ(study.run_state(), core::RunState::kIdle);
-  EXPECT_THROW(study.run(), util::Cancelled);
-  EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
-  EXPECT_TRUE(study.cancellation_token().cancelled());
-  EXPECT_NE(study.cancellation_token().reason().find("deadline exceeded (run)"),
-            std::string::npos);
-}
-
 TEST(StudyLifecycle, ExplicitCancelFromAnotherThreadUnwinds) {
   auto config = tiny_study_config(778);
   core::Study study(config);
@@ -351,10 +303,14 @@ TEST(StudyLifecycle, ExplicitCancelFromAnotherThreadUnwinds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     study.cancel("test cancel");
   });
-  EXPECT_THROW(study.run(), util::Cancelled);
+  std::string what;
+  try {
+    study.run();
+  } catch (const util::Cancelled& e) {
+    what = e.what();
+  }
   canceller.join();
-  EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
-  EXPECT_EQ(study.cancellation_token().reason(), "test cancel");
+  EXPECT_EQ(what, "cancelled: test cancel");
 }
 
 TEST(StudyLifecycle, CheckpointAdvancesThroughStagesAndSupportsResume) {
@@ -368,16 +324,14 @@ TEST(StudyLifecycle, CheckpointAdvancesThroughStagesAndSupportsResume) {
   config.cache_path = cache;
   {
     core::Study study(config);
-    study.run();
-    EXPECT_EQ(study.run_state(), core::RunState::kDone);
+    EXPECT_NO_THROW(study.run());
     auto& m = study.telemetry().metrics();
     EXPECT_EQ(m.counter("cache.corpus.miss").value(), 1u);
     EXPECT_EQ(m.counter("cache.factors.miss").value(), 1u);
     EXPECT_GT(m.counter("coordinator.tasks_executed").value(), 0u);
   }
   core::Study study(config);
-  study.run();
-  EXPECT_EQ(study.run_state(), core::RunState::kDone);
+  EXPECT_NO_THROW(study.run());
   auto& m = study.telemetry().metrics();
   EXPECT_EQ(m.counter("cache.corpus.hit").value(), 1u);
   EXPECT_EQ(m.counter("cache.factors.hit").value(), 1u);
@@ -426,70 +380,33 @@ TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
 }
 
 TEST(StudyLifecycle, FlushTelemetryIsIdempotent) {
+  // run() closes the monitor series exactly once: the JSONL ends in one
+  // `"final":true` line, and a second run() of a finished study (a no-op)
+  // neither reopens nor recloses it.
   auto config = tiny_study_config(780);
   config.monitor_path = "lifecycle_flush.monitor.jsonl";
-  core::Study study(config);
-  study.run();
-  ASSERT_NE(study.monitor(), nullptr);
-  const auto written = study.monitor()->snapshots_written();
-  EXPECT_GT(written, 0u);
-  study.flush_telemetry();  // run() already flushed: both are no-ops
-  study.flush_telemetry();
-  EXPECT_EQ(study.monitor()->snapshots_written(), written);
-  std::remove(config.monitor_path.c_str());
-}
-
-#if defined(WEAKKEYS_TEST_POSIX)
-
-TEST(StudyLifecycle, SigtermMidRunUnwindsGracefullyAndWritesCheckpoint) {
-  const std::string cache = "lifecycle_sigterm.cache";
-  for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
-    std::remove((cache + suffix).c_str());
-  }
-  auto config = tiny_study_config(781);
-  config.cache_path = cache;
-  config.handle_signals = true;
-  core::Study study(config);
-  std::thread signaller([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ::raise(SIGTERM);  // handler trips the token; the process survives
-  });
-  EXPECT_THROW(study.run(), util::Cancelled);
-  signaller.join();
-  EXPECT_EQ(study.run_state(), core::RunState::kCancelled);
-  EXPECT_EQ(study.cancellation_token().signal(), SIGTERM);
-  EXPECT_NE(study.cancellation_token().reason().find("signal"),
-            std::string::npos);
-  // Whatever the interrupted run persisted was published atomically: no
-  // temp file of the cache family survives the unwind.
-  for (const auto& entry : std::filesystem::directory_iterator(".")) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(cache, 0) == 0) {
-      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+  const auto final_lines = [&config] {
+    std::ifstream in(config.monitor_path);
+    std::size_t finals = 0;
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"final\":true") != std::string::npos) ++finals;
     }
-  }
-  for (const char* suffix : {"", ".factors", ".gcdckpt"}) {
-    std::remove((cache + suffix).c_str());
-  }
-}
-
-TEST(StudyLifecycle, SigtermDuringDestructorFlushIsSafe) {
-  // A signal landing while the Study tears down (handlers are still
-  // installed until the watcher member is destroyed) must neither kill the
-  // process nor double-flush.
-  auto config = tiny_study_config(782);
-  config.handle_signals = true;
+    return finals;
+  };
   {
     core::Study study(config);
     study.run();
-    EXPECT_EQ(study.run_state(), core::RunState::kDone);
-    ::raise(SIGTERM);  // delivered with the run finished, dtor about to run
-    EXPECT_TRUE(study.cancellation_token().cancelled());
-  }  // dtor flush runs with the token tripped — must be a clean no-op
-  SUCCEED() << "destructor completed under a pending SIGTERM";
+    ASSERT_NE(study.monitor(), nullptr);
+    const auto written = study.monitor()->snapshots_written();
+    EXPECT_GT(written, 0u);
+    EXPECT_FALSE(study.monitor()->running());
+    EXPECT_EQ(final_lines(), 1u);
+    study.run();
+    EXPECT_EQ(study.monitor()->snapshots_written(), written);
+  }
+  EXPECT_EQ(final_lines(), 1u) << "teardown wrote another final snapshot";
+  std::remove(config.monitor_path.c_str());
 }
-
-#endif  // WEAKKEYS_TEST_POSIX
 
 }  // namespace
 }  // namespace weakkeys

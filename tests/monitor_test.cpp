@@ -286,22 +286,5 @@ TEST(ProcStats, RecordsIntoTheRegistry) {
 #endif
 }
 
-// -- exit-flush registry -----------------------------------------------------
-
-TEST(ExitFlush, RegisteredFlushesRunOnceAndUnregisterSticks) {
-  int ran_a = 0;
-  int ran_b = 0;
-  const auto token_a = obs::register_exit_flush([&ran_a] { ++ran_a; });
-  const auto token_b = obs::register_exit_flush([&ran_b] { ++ran_b; });
-  obs::run_exit_flushes();
-  EXPECT_EQ(ran_a, 1);
-  EXPECT_EQ(ran_b, 1);
-  obs::unregister_exit_flush(token_a);
-  obs::run_exit_flushes();
-  EXPECT_EQ(ran_a, 1);  // unregistered: did not run again
-  EXPECT_EQ(ran_b, 2);
-  obs::unregister_exit_flush(token_b);  // leave no dangling captures behind
-}
-
 }  // namespace
 }  // namespace weakkeys

@@ -337,6 +337,22 @@ TEST(SpillStore, ResidentWindowStaysBounded) {
   EXPECT_EQ(tree.store().resident_bytes(), 0u);
 }
 
+TEST(SpillStore, PeakCountsLevelsHeldByCallers) {
+  // The build reads level k-1 through its handle while it appends level k,
+  // so both are in memory even though only level k is in the window; the
+  // peak and its gauge must count the level the caller still holds.
+  SpillDir dir(test_name());
+  const std::vector<BigInt> moduli = make_moduli(60, 4);
+  obs::MetricsRegistry registry;
+  const ProductTree tree(moduli, make_storage(dir, &registry));
+  const auto& levels = tree.level_stats();
+  ASSERT_GE(levels.size(), 2u);
+  const std::uint64_t two_levels = levels[0].bytes + levels[1].bytes;
+  EXPECT_GE(tree.store().peak_resident_bytes(), two_levels);
+  EXPECT_EQ(registry.snapshot().gauges.at("spill.resident_bytes_peak"),
+            static_cast<std::int64_t>(tree.store().peak_resident_bytes()));
+}
+
 TEST(SpillStore, HealsCorruptMidLevelFromChildren) {
   SpillDir dir(test_name());
   const std::vector<BigInt> moduli = make_moduli(40, 5);

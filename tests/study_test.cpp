@@ -484,7 +484,6 @@ constexpr const char* kStudyEnvVars[] = {
     "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
     "WEAKKEYS_SPILL_DIR",
     "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",
-    "WEAKKEYS_DEADLINE",
 };
 
 /// Unsets every from_env variable for a scope, so the developer's shell
@@ -530,8 +529,6 @@ TEST(StudyConfigEnv, NumericVariablesParseOrAreRejected) {
        [](const StudyConfig& c) { return c.spill_threshold_mb * 1.0; }},
       {"WEAKKEYS_SPILL_RAM_FALLBACK_MB", "64", 64, "lots", "-1",
        [](const StudyConfig& c) { return c.spill_ram_fallback_mb * 1.0; }},
-      {"WEAKKEYS_DEADLINE", "1.5", 1500, "soon", "-2",
-       [](const StudyConfig& c) { return c.run_deadline.count() * 1.0; }},
   };
   const StudyConfig defaults;
   for (const Row& row : rows) {

@@ -248,7 +248,6 @@ TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
   {
     core::Study study(config);
     EXPECT_THROW(study.run(), cluster::ClusterError);
-    EXPECT_EQ(study.run_state(), core::RunState::kFailed);
     // The failed run still closed its artifacts on the way out.
   }
 
