@@ -1,6 +1,7 @@
 // Microbenchmarks for the bignum substrate, including the two ablations
 // DESIGN.md calls out:
-//   * Karatsuba vs schoolbook multiplication (threshold sweep),
+//   * Karatsuba vs schoolbook multiplication (threshold sweep), and the
+//     Karatsuba middle product the scaled remainder tree keeps,
 //   * Newton-reciprocal vs Knuth Algorithm D division,
 // the Newton reciprocal the scaled remainder tree starts from, Montgomery
 // modexp, gcd (on one fixed pair and over varying pairs) and RSA keygen
@@ -60,6 +61,20 @@ BENCHMARK(BM_MulKaratsuba)
     ->Arg(4096)
     ->Arg(8192)
     ->Arg(16384);
+
+/// The middle product of a (2n-1)-limb a and an n-limb b, the n-diagonal
+/// band a scaled-descent node keeps (bn::mul_window), beside
+/// BM_MulKaratsuba's n x n product.
+void BM_MulMiddle(benchmark::State& state) {
+  const auto limbs = static_cast<std::size_t>(state.range(0));
+  const BigInt a = random_bits_of(1, (2 * limbs - 1) * 64);
+  const BigInt b = random_bits_of(2, limbs * 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bn::detail::mul_middle(
+        bn::BigIntOps::limbs(a), bn::BigIntOps::limbs(b)));
+  }
+}
+BENCHMARK(BM_MulMiddle)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_DivKnuth(benchmark::State& state) {
   const auto limbs = static_cast<std::size_t>(state.range(0));

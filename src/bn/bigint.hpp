@@ -209,8 +209,10 @@ std::uint64_t mod_small(const BigInt& n, std::uint64_t p);
 BigInt reciprocal(const BigInt& d, std::size_t bits);
 
 /// floor(|a * b| / 2^shift) mod 2^bits: a window of the product, for
-/// fixed-point arithmetic. Computes the product into one buffer and keeps
-/// only the window.
+/// fixed-point arithmetic. Exact. When the window is a narrow enough band
+/// of the product, computes only that band (a middle product from two guard
+/// limbs below it); otherwise, or when the guard limbs could carry into the
+/// window, the full product.
 BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
                   std::size_t bits);
 

@@ -52,6 +52,10 @@ LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b);
 /// Karatsuba product (recursive; falls back to schoolbook below threshold).
 LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b);
 
+/// The middle product of a and b (a.size() >= b.size() >= 1; see
+/// mulmid_into), trimmed.
+LimbVec mul_middle(const LimbVec& a, const LimbVec& b);
+
 // -- Span kernels ------------------------------------------------------------
 // Operands are raw little-endian limb ranges (leading zero limbs allowed);
 // outputs must not overlap the inputs. None of these allocate.
@@ -80,6 +84,17 @@ std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn);
 /// `scratch` of at least mul_scratch_limbs(an, bn) limbs.
 void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
               std::size_t bn, Limb* scratch);
+
+/// Scratch limbs mulmid_into needs for an an x bn middle product.
+std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn);
+
+/// r[0, n + 2) = the middle product of a[0, an) and b[0, bn) for
+/// an >= bn >= 1 and n = an - bn + 1: the sum of a_i * b_j * B^(i+j-(bn-1))
+/// over bn-1 <= i+j <= an-1, the n diagonals of a * b that meet all of b
+/// (GMP's mpn_mulmid contract). Transposed Karatsuba above the Karatsuba
+/// threshold, using `scratch` of at least mulmid_scratch_limbs(an, bn) limbs.
+void mulmid_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+                 std::size_t bn, Limb* scratch);
 
 /// Floor division of magnitudes: a = q*b + r, 0 <= r < b. b must be nonzero.
 /// Dispatches Knuth Algorithm D vs Newton-reciprocal division on size.

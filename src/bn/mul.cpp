@@ -9,6 +9,12 @@
 // scratch block (mul_scratch_limbs), and the recursion never allocates. The
 // LimbVec entry points allocate the output and, above the threshold, that
 // scratch block: at most two allocations per product.
+//
+// The middle product (a band of diagonals of a product, GMP's mpn_mulmid
+// contract) is the transposed Karatsuba of Hanrot, Quercia and Zimmermann,
+// "The middle product algorithm, I", made exact for integer limbs as in
+// D. Harvey, "The Karatsuba integer middle product" (J. Symb. Comp. 2012).
+// mul_window computes the scaled remainder tree's windows with it.
 #include <algorithm>
 #include <memory>
 
@@ -240,6 +246,126 @@ void kara_sqr(Limb* r, const Limb* a, std::size_t n, Limb* ws) {
   fold_middle(r, 2 * n, m, t, /*subtract=*/true, ws);
 }
 
+// -- Middle product -----------------------------------------------------------
+// MP(a, b) for an >= bn is the band sum of a_i b_j B^(i+j-(bn-1)) over
+// bn-1 <= i+j <= an-1: the n = an-bn+1 diagonals of a*b that every limb of b
+// meets in full, carries included, in n + 2 limbs. Below, "MP(x, w)" of a
+// block x of 2m-1 limbs and w of m limbs is the m-diagonal band.
+
+/// A two-limb value, the edge corrections below.
+using Wide = unsigned __int128;
+
+/// r[0, n) += v (n >= 2); returns the carry out.
+Limb add_wide(Limb* r, std::size_t n, Wide v) {
+  const Limb w[2] = {static_cast<Limb>(v), static_cast<Limb>(v >> 64)};
+  return add_1(r + 2, n - 2, add_n(r, r, w, 2));
+}
+
+/// r[0, n) -= v (n >= 2); returns the borrow out.
+Limb sub_wide(Limb* r, std::size_t n, Wide v) {
+  const Limb w[2] = {static_cast<Limb>(v), static_cast<Limb>(v >> 64)};
+  return sub_1(r + 2, n - 2, sub_n(r, r, w, 2));
+}
+
+/// Edge corrections of a band whose operand was normalized: MP of the
+/// unnormalized limbs is MP(normalized) + B^m * high - low. Each carry moved
+/// B out of one limb and 1 into the next; inside the band the two cancel, so
+/// only the band's two edges see it (at most m limbs each).
+struct Edges {
+  Wide high = 0;
+  Wide low = 0;
+};
+
+/// s[0, 2m-1) = x + y, limb by limb with carries, and the edges that make
+/// MP(s, w) equal MP(x + y, w) with the sums unnormalized. The carry out of
+/// limb i >= m-1 meets w[2m-2-i] at the top edge, one of i <= m-2 meets
+/// w[m-2-i] at the bottom edge.
+Edges add_block(Limb* s, const Limb* x, const Limb* y, const Limb* w,
+                std::size_t m) {
+  Edges e;
+  Wide sum = 0;  // the carry rides in the high limb
+  std::size_t i = 0;
+  for (; i + 2 <= m; ++i) {
+    sum = static_cast<Wide>(x[i]) + y[i] + static_cast<Limb>(sum >> 64);
+    s[i] = static_cast<Limb>(sum);
+    e.low += w[m - 2 - i] & (Limb{0} - static_cast<Limb>(sum >> 64));
+  }
+  for (; i + 1 < 2 * m; ++i) {
+    sum = static_cast<Wide>(x[i]) + y[i] + static_cast<Limb>(sum >> 64);
+    s[i] = static_cast<Limb>(sum);
+    e.high += w[2 * m - 2 - i] & (Limb{0} - static_cast<Limb>(sum >> 64));
+  }
+  return e;
+}
+
+/// d[0, m) = |b0 - b1|, limb by limb with borrows; returns true when
+/// b0 < b1. With x the block the difference meets, MP of the unnormalized
+/// limb differences (larger minus smaller) is MP(x, d) - B^m * high + low:
+/// a borrow out of limb j meets x[2m-2-j] at the top edge and x[m-2-j] at
+/// the bottom one, with the signs of a carry reversed. The top limb never
+/// borrows, so j <= m-2 there.
+bool sub_block(Limb* d, const Limb* b0, const Limb* b1, const Limb* x,
+               std::size_t m, Edges& e) {
+  const bool negative = cmp_n(b0, b1, m) < 0;
+  const Limb* big = negative ? b1 : b0;
+  const Limb* small = negative ? b0 : b1;
+  Wide diff = 0;  // the borrow rides in the high limb, as all ones
+  for (std::size_t j = 0; j + 1 < m; ++j) {
+    diff = static_cast<Wide>(big[j]) - small[j] -
+           (static_cast<Limb>(diff >> 64) & 1);
+    d[j] = static_cast<Limb>(diff);
+    const Limb mask = static_cast<Limb>(diff >> 64);
+    e.high += x[2 * m - 2 - j] & mask;
+    e.low += x[m - 2 - j] & mask;
+  }
+  d[m - 1] = big[m - 1] - small[m - 1] - (static_cast<Limb>(diff >> 64) & 1);
+  return negative;
+}
+
+/// Adds the three-limb value (lo, hi, top) into r[0, n), n >= 3.
+void add_3(Limb* r, std::size_t n, Wide lo_hi, Limb top) {
+  const Limb carry = add_wide(r, 2, lo_hi);
+  add_1(r + 2, n - 2, top + carry);
+}
+
+/// sum of a[-j] * b[j] for j < bn: one diagonal of a band, in three limbs.
+void dot_reversed(const Limb* a, const Limb* b, std::size_t bn, Wide& lo_hi,
+                  Limb& top) {
+  Wide acc = 0;
+  Limb over = 0;
+  for (std::size_t j = 0; j < bn; ++j) {
+    const Wide p = static_cast<Wide>(*(a - j)) * b[j];
+    acc += p;
+    over += acc < p;
+  }
+  lo_hi = acc;
+  top = over;
+}
+
+/// r[0, n+2) = MP(a, b), n = an - bn + 1, schoolbook: one addmul_1 row of n
+/// limbs per limb of b, or, for a band narrower than b, one dot product of
+/// bn limbs per diagonal.
+void mulmid_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+                     std::size_t bn) {
+  const std::size_t n = an - bn + 1;
+  if (n < bn) {
+    std::fill(r, r + n + 2, Limb{0});
+    for (std::size_t k = 0; k < n; ++k) {
+      Wide lo_hi;
+      Limb top;
+      dot_reversed(a + k + bn - 1, b, bn, lo_hi, top);
+      add_3(r + k, n + 2 - k, lo_hi, top);
+    }
+    return;
+  }
+  Wide top = mul_1(r, a + bn - 1, n, b[0]);
+  for (std::size_t j = 1; j < bn; ++j) {
+    top += addmul_1(r, a + bn - 1 - j, n, b[j]);
+  }
+  r[n] = static_cast<Limb>(top);
+  r[n + 1] = static_cast<Limb>(top >> 64);
+}
+
 }  // namespace
 
 void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
@@ -264,6 +390,129 @@ void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
   } else {
     kara_mul(r, a, an, b, bn, scratch);
   }
+}
+
+/// r[0, n+2) = MP(a, b) for an >= bn >= 1: basecase below the Karatsuba
+/// threshold, else the band in bn-diagonal blocks (n > bn), b in n-limb
+/// pieces (n < bn), or, when n == bn == 2m, the transposed Karatsuba
+///   MP(a, b) = alpha + beta + B^m (gamma - beta),
+///   alpha = MP(A0 + A1, b1), beta = MP(A1, b0 - b1), gamma = MP(A1 + A2, b0)
+/// over the overlapping blocks A0 = a[0, 2m-1), A1 = a[m, 3m-1),
+/// A2 = a[2m, 4m-1) and b = b0 + b1 B^m: three half-size bands where a
+/// product would take four.
+void mulmid_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+                 std::size_t bn, Limb* ws) {
+  const std::size_t n = an - bn + 1;
+  if (std::min(n, bn) < threshold()) {
+    mulmid_basecase(r, a, an, b, bn);
+    return;
+  }
+  if (n > bn) {
+    // Diagonal blocks of bn: each block's two top limbs are the next
+    // block's bottom two, kept across the call and added back.
+    mulmid_into(r, a, 2 * bn - 1, b, bn, ws);
+    for (std::size_t off = bn; off < n; off += bn) {
+      const std::size_t len = std::min(bn, n - off);
+      const Wide kept = (static_cast<Wide>(r[off + 1]) << 64) | r[off];
+      mulmid_into(r + off, a + off, len + bn - 1, b, bn, ws);
+      add_wide(r + off, len + 2, kept);
+    }
+    return;
+  }
+  if (n < bn) {
+    // b in pieces of n limbs, each a band over the same n diagonals.
+    mulmid_into(r, a + bn - n, 2 * n - 1, b, n, ws + n + 2);
+    for (std::size_t j0 = n; j0 < bn; j0 += n) {
+      const std::size_t w = std::min(n, bn - j0);
+      mulmid_into(ws, a + bn - j0 - w, n + w - 1, b + j0, w, ws + n + 2);
+      add_n(r, r, ws, n + 2);  // the sum of bands fits: no carry out
+    }
+    return;
+  }
+  if (bn % 2 != 0) {
+    // Odd n == bn: an even band over the first n - 1 diagonals without b's
+    // top limb, plus that limb's row (it meets a[0, n)) and the last
+    // diagonal without it.
+    mulmid_into(r, a + 1, an - 2, b, bn - 1, ws);
+    r[n + 1] = 0;
+    add_1(r + n, 2, addmul_1(r, a, n, b[bn - 1]));
+    Wide lo_hi;
+    Limb top;
+    dot_reversed(a + an - 1, b, bn - 1, lo_hi, top);
+    add_3(r + n - 1, 3, lo_hi, top);
+    return;
+  }
+  // Every value below is taken modulo B^(n+2), where the exact MP lies.
+  const std::size_t m = bn / 2;
+  const Limb* b0 = b;
+  const Limb* b1 = b + m;
+  const Limb* a1 = a + m;
+  Limb* s = ws;               // 2m - 1: A0 + A1, then A1 + A2
+  Limb* d = s + 2 * m - 1;    // m: |b0 - b1|
+  Limb* t = d + m;            // m + 2: beta, then gamma
+  Limb* rest = t + m + 2;
+
+  Edges e = add_block(s, a, a1, b1, m);
+  mulmid_into(r, s, 2 * m - 1, b1, m, rest);  // alpha
+  add_wide(r + m, 2, e.high);
+  sub_wide(r, m + 2, e.low);
+  std::fill(r + m + 2, r + n + 2, Limb{0});
+
+  // beta = +-v with v = MP(A1, larger minus smaller half of b, limb by
+  // limb). Those limb differences can be negative, and so can v: then t
+  // holds v + B^(m+2), and at offset 0 the B^(m+2) is taken back out.
+  e = Edges{};
+  const bool negative = sub_block(d, b0, b1, a1, m, e);
+  mulmid_into(t, a1, 2 * m - 1, d, m, rest);
+  const Limb below = sub_wide(t + m, 2, e.high);
+  const Limb v_negative = below > add_wide(t, m + 2, e.low);
+  if (negative) {  // r += -v at 0 and +v at m
+    sub_1(r + m + 2, m, sub_n(r, r, t, m + 2));
+    add_1(r + m + 2, m, v_negative);
+    add_n(r + m, r + m, t, m + 2);
+  } else {
+    add_1(r + m + 2, m, add_n(r, r, t, m + 2));
+    sub_1(r + m + 2, m, v_negative);
+    sub_n(r + m, r + m, t, m + 2);
+  }
+
+  e = add_block(s, a1, a + 2 * m, b0, m);
+  mulmid_into(t, s, 2 * m - 1, b0, m, rest);  // gamma
+  add_wide(t + m, 2, e.high);
+  sub_wide(t, m + 2, e.low);
+  add_n(r + m, r + m, t, m + 2);
+}
+
+// Follows mulmid_into's dispatch.
+std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn) {
+  const std::size_t n = an - bn + 1;
+  if (std::min(n, bn) < threshold()) return 0;
+  if (n > bn) {
+    const std::size_t tail = n % bn;
+    return std::max(mulmid_scratch_limbs(2 * bn - 1, bn),
+                    tail == 0 ? 0 : mulmid_scratch_limbs(tail + bn - 1, bn));
+  }
+  if (n < bn) {
+    const std::size_t tail = bn % n;
+    return n + 2 +
+           std::max(mulmid_scratch_limbs(2 * n - 1, n),
+                    tail == 0 ? 0 : mulmid_scratch_limbs(n + tail - 1, tail));
+  }
+  if (bn % 2 != 0) return mulmid_scratch_limbs(an - 2, bn - 1);
+  const std::size_t m = bn / 2;
+  return 4 * m + 1 + mulmid_scratch_limbs(2 * m - 1, m);
+}
+
+LimbVec mul_middle(const LimbVec& a, const LimbVec& b) {
+  if (b.empty() || a.size() < b.size()) return {};
+  const std::size_t n = a.size() - b.size() + 1;
+  LimbVec out(n + 2);
+  const auto scratch = std::make_unique_for_overwrite<Limb[]>(
+      mulmid_scratch_limbs(a.size(), b.size()));
+  mulmid_into(out.data(), a.data(), a.size(), b.data(), b.size(),
+              scratch.get());
+  trim(out);
+  return out;
 }
 
 LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b) {
@@ -308,35 +557,15 @@ LimbVec mul(const LimbVec& a, const LimbVec& b) {
 
 }  // namespace detail
 
-BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
-                  std::size_t bits) {
-  using detail::LimbVec;
-  const bool swap = a.limb_count() < b.limb_count();
-  const LimbVec& x = BigIntOps::limbs(swap ? b : a);
-  const LimbVec& y = BigIntOps::limbs(swap ? a : b);
-  const std::size_t rn = x.size() + y.size();
-  const std::size_t lo = shift / 64;
-  if (y.empty() || bits == 0 || lo >= rn) return BigInt{};
+namespace {
 
-  static const int limbs_label = obs::mem::register_label("bn.limbs");
-  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
-  obs::prof::Frame frame(y.size() >= detail::threshold() ? "bn.mul.karatsuba"
-                                                         : "bn.mul.schoolbook");
-  // One buffer, left uninitialized (the kernel writes every limb it
-  // reads): the product, then the kernel's scratch.
-  const auto prod = std::make_unique_for_overwrite<Limb[]>(
-      rn + detail::mul_scratch_limbs(x.size(), y.size()));
-  detail::mul_into(prod.get(), x.data(), x.size(), y.data(), y.size(),
-                   prod.get() + rn);
-
-  const unsigned bit_shift = shift % 64;
-  const std::size_t hi = std::min(rn, lo + (bits + bit_shift + 63) / 64);
-  LimbVec out(hi - lo);
+/// floor(v / 2^bit_shift) mod 2^bits for v = src[0, n).
+BigInt window_of(const Limb* src, std::size_t n, unsigned bit_shift,
+                 std::size_t bits) {
+  detail::LimbVec out(std::min(n, (bits + bit_shift + 63) / 64));
   for (std::size_t i = 0; i < out.size(); ++i) {
-    Limb limb = prod[lo + i] >> bit_shift;
-    if (bit_shift != 0 && lo + i + 1 < rn) {
-      limb |= prod[lo + i + 1] << (64 - bit_shift);
-    }
+    Limb limb = src[i] >> bit_shift;
+    if (bit_shift != 0 && i + 1 < n) limb |= src[i + 1] << (64 - bit_shift);
     out[i] = limb;
   }
   out.resize(std::min(out.size(), (bits + 63) / 64));
@@ -344,6 +573,65 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
     out.back() &= (Limb{1} << (bits % 64)) - 1;
   }
   return BigIntOps::make(std::move(out), 1);
+}
+
+}  // namespace
+
+BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
+                  std::size_t bits) {
+  using detail::LimbVec;
+  const bool swap = a.limb_count() < b.limb_count();
+  const LimbVec& x = BigIntOps::limbs(swap ? b : a);
+  const LimbVec& y = BigIntOps::limbs(swap ? a : b);
+  const std::size_t xn = x.size();
+  const std::size_t yn = y.size();
+  const std::size_t rn = xn + yn;
+  const std::size_t lo = shift / 64;
+  if (yn == 0 || bits == 0 || lo >= rn) return BigInt{};
+
+  static const int limbs_label = obs::mem::register_label("bn.limbs");
+  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
+  const unsigned bit_shift = shift % 64;
+  const std::size_t hi = std::min(rn, lo + (bits + bit_shift + 63) / 64);
+
+  // The band: diagonals [base, hi) of x * y, from two guard limbs below the
+  // window, as a middle product of y and the slice of x (zero-padded past
+  // its ends) that meets them. Used when it is at most two thirds of the
+  // full product's work (n vs xn rows of yn limbs).
+  const std::size_t base = lo >= 2 ? lo - 2 : 0;
+  const std::size_t n = hi - base;
+  if (3 * n <= 2 * xn) {
+    obs::prof::Frame frame("bn.mul.middle");
+    const std::size_t an = n + yn - 1;
+    const auto buf = std::make_unique_for_overwrite<Limb[]>(
+        an + n + 2 + detail::mulmid_scratch_limbs(an, yn));
+    Limb* slice = buf.get();
+    Limb* band = slice + an;
+    // slice[t] = x[base - (yn - 1) + t], zero outside [0, xn).
+    const std::size_t pad = base + 1 < yn ? yn - 1 - base : 0;
+    const std::size_t from = base + 1 < yn ? 0 : base + 1 - yn;
+    const std::size_t count = std::min(an - pad, xn > from ? xn - from : 0);
+    std::fill(slice, slice + pad, Limb{0});
+    std::copy(x.data() + from, x.data() + from + count, slice + pad);
+    std::fill(slice + pad + count, slice + an, Limb{0});
+    detail::mulmid_into(band, slice, an, y.data(), yn, band + n + 2);
+    // The diagonals below base add less than yn * B to the two guard limbs
+    // band[0, 2), so their carry reaches the window only if the upper guard
+    // limb is at least B - yn. Then (about yn in 2^64 windows) take the full
+    // product instead.
+    if (base == 0 || band[1] < Limb{0} - yn) {
+      return window_of(band + (lo - base), rn - lo, bit_shift, bits);
+    }
+  }
+
+  obs::prof::Frame frame(yn >= detail::threshold() ? "bn.mul.karatsuba"
+                                                   : "bn.mul.schoolbook");
+  // One buffer, left uninitialized (the kernel writes every limb it
+  // reads): the product, then the kernel's scratch.
+  const auto prod = std::make_unique_for_overwrite<Limb[]>(
+      rn + detail::mul_scratch_limbs(xn, yn));
+  detail::mul_into(prod.get(), x.data(), xn, y.data(), yn, prod.get() + rn);
+  return window_of(prod.get() + lo, rn - lo, bit_shift, bits);
 }
 
 }  // namespace weakkeys::bn

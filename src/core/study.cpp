@@ -552,12 +552,16 @@ void Study::fingerprint_corpus() {
   // Subject labels per unique certificate, and per-modulus subject vendors.
   obs::Span subject_span =
       telemetry_.tracer().span("fingerprint.subject_labels");
+  // Records share certificates, and a certificate's label and modulus are
+  // the same on each of its records: label and insert once per certificate.
   std::unordered_map<std::string, std::set<std::string>> subject_vendors;
+  subject_label_cache_.clear();
   for (const auto& snap : dataset_.snapshots) {
     for (const auto& rec : snap.records) {
       const auto* ptr = rec.certificate.get();
       auto [it, fresh] = subject_label_cache_.try_emplace(ptr);
-      if (fresh) it->second = subject_rules_.classify(*ptr, rec.banner);
+      if (!fresh) continue;
+      it->second = subject_rules_.classify(*ptr, rec.banner);
       if (it->second) {
         subject_vendors[ptr->key.n.to_hex()].insert(it->second->vendor);
       }

@@ -3,6 +3,7 @@
 #include <gmp.h>
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,67 @@ TEST_P(GmpDifferential, HugeOperandsAgree) {
   const auto dm = BigInt::divmod(a, b);
   EXPECT_EQ(dm.quotient.to_hex(), Q.hex());
   EXPECT_EQ(dm.remainder.to_hex(), Rem.hex());
+}
+
+/// The hex of little-endian limbs, top limb forced nonzero: random limbs,
+/// all ones (every block sum of the middle product carries), or limbs from
+/// {0, 1, B-2, B-1} (long carry and borrow runs).
+std::string limbs_hex(util::Xoshiro256& rng, std::size_t n, int fill) {
+  constexpr Limb kOnes = ~Limb{0};
+  const Limb extreme[] = {0, 1, kOnes - 1, kOnes};
+  std::string hex;
+  char buf[17];
+  for (std::size_t i = n; i-- > 0;) {
+    Limb v = fill == 0 ? rng() : fill == 1 ? kOnes : extreme[rng.below(4)];
+    if (i + 1 == n && v == 0) v = 1;
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    hex += buf;
+  }
+  return hex;
+}
+
+// mul_window computes narrow windows from a middle product: windows shaped
+// like the scaled descent's (the fraction bits of a 2s x s product), narrow
+// bands and random ones, at operand sizes across the Karatsuba threshold
+// and with the threshold moved so every split size runs.
+TEST_P(GmpDifferential, MulWindowBandsAgree) {
+  auto& kara = Tuning::karatsuba_threshold();
+  const std::size_t saved = kara;
+  for (const std::size_t yn : {1u, 2u, 23u, 24u, 25u, 47u, 48u, 49u, 97u,
+                               301u}) {
+    for (const std::size_t xn : {2 * yn + 1, 2 * yn, 2 * yn - 1, yn + 3,
+                                 3 * yn + 5}) {
+      const int fx = static_cast<int>(rng_.below(3));
+      const int fy = static_cast<int>(rng_.below(3));
+      const std::string xh = limbs_hex(rng_, xn, fx);
+      const std::string yh = limbs_hex(rng_, yn, fy);
+      const BigInt x = BigInt::from_hex(xh), y = BigInt::from_hex(yh);
+      Mpz X(xh), Y(yh), product;
+      mpz_mul(product.v, X.v, Y.v);
+      const std::size_t total = 64 * (xn + yn);
+      const std::size_t descent_shift = 64 * yn - rng_.below(128);
+      const std::pair<std::size_t, std::size_t> windows[] = {
+          {descent_shift, 64 * xn - descent_shift + rng_.below(64)},
+          {rng_.below(total), 1 + rng_.below(200)},
+          {rng_.below(total), 1 + rng_.below(total)},
+      };
+      for (const auto& [shift, bits] : windows) {
+        Mpz expected;
+        mpz_fdiv_q_2exp(expected.v, product.v, shift);
+        mpz_fdiv_r_2exp(expected.v, expected.v, bits);
+        for (const std::size_t t :
+             {std::size_t{2}, std::size_t{8}, saved}) {
+          kara = t;
+          ASSERT_EQ(mul_window(x, y, shift, bits).to_hex(), expected.hex())
+              << "xn " << xn << " yn " << yn << " shift " << shift
+              << " bits " << bits << " threshold " << t << " fills " << fx
+              << "/" << fy;
+        }
+        kara = saved;
+      }
+    }
+  }
 }
 
 // Every width the Montgomery kernels instantiate (1..8 limbs on the stack)

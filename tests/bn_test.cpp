@@ -3,6 +3,7 @@
 #include <set>
 
 #include "bn/bigint.hpp"
+#include "bn/detail.hpp"
 #include "rng/prng_source.hpp"
 #include "util/prng.hpp"
 
@@ -371,6 +372,151 @@ TEST(FixedPoint, MulWindowMatchesShiftAndMask) {
               window - ((window >> bits) << bits))
         << "shift " << shift << " bits " << bits;
   }
+}
+
+// ------------------------------------------------- middle product ----
+
+using detail::LimbVec;
+
+BigInt from_limbs(const LimbVec& v) { return BigIntOps::make(v, 1); }
+
+/// Limb patterns for the middle product's edge corrections: random limbs,
+/// all ones (every block sum A0 + A1 carries at every limb), limbs drawn
+/// from {0, 1, B-2, B-1} (long carry and borrow runs), and a b whose low
+/// half is zero under a top limb of ones and whose high half is ones under
+/// a zero top limb (b0 - b1 borrows at every limb but the top).
+enum class Fill { kRandom, kOnes, kExtreme, kBorrows };
+
+LimbVec limbs_of(util::Xoshiro256& rng, std::size_t n, Fill fill) {
+  constexpr Limb kOnes = ~Limb{0};
+  LimbVec v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (fill) {
+      case Fill::kRandom: v[i] = rng(); break;
+      case Fill::kOnes: v[i] = kOnes; break;
+      case Fill::kExtreme: {
+        const Limb choices[] = {0, 1, kOnes - 1, kOnes};
+        v[i] = choices[rng.below(4)];
+        break;
+      }
+      case Fill::kBorrows: {
+        const std::size_t m = (n + 1) / 2;
+        if (i < m) v[i] = i + 1 == m ? kOnes : 0;
+        else v[i] = i + 1 == n ? 0 : kOnes;
+        break;
+      }
+    }
+  }
+  v.back() |= 1;  // keep every limb significant
+  return v;
+}
+
+/// sum of x_i * y_j * B^(i+j) over i + j < k.
+BigInt lower_triangle(const LimbVec& x, const LimbVec& y, std::size_t k) {
+  const BigInt xv = from_limbs(x);
+  BigInt sum;
+  for (std::size_t j = 0; j < y.size() && j < k; ++j) {
+    const BigInt low = xv - ((xv >> (64 * (k - j))) << (64 * (k - j)));
+    sum += (low * BigInt(y[j])) << (64 * j);
+  }
+  return sum;
+}
+
+/// sum of x_i * y_j * B^(i+j-lo) over lo <= i + j < hi, from full products.
+BigInt band_sum(const LimbVec& x, const LimbVec& y, std::size_t lo,
+                std::size_t hi) {
+  return (lower_triangle(x, y, hi) - lower_triangle(x, y, lo)) >> (64 * lo);
+}
+
+TEST(MiddleProduct, MatchesBandSumAcrossThresholdsAndShapes) {
+  util::Xoshiro256 rng(51);
+  auto& kara = Tuning::karatsuba_threshold();
+  const std::size_t saved = kara;
+  const Fill fills[] = {Fill::kRandom, Fill::kOnes, Fill::kExtreme,
+                        Fill::kBorrows};
+  // Each bn around the crossings of thresholds 2, 3, 8 and 24 and their
+  // halvings, odd and even, against balanced (n = bn), long (n > bn) and
+  // narrow (n < bn) bands.
+  for (const std::size_t bn : {1u, 2u, 3u, 5u, 7u, 8u, 16u, 23u, 24u, 25u,
+                               47u, 48u, 49u, 50u, 96u, 101u}) {
+    for (const std::size_t n : {bn, bn + 1, bn + 2, 2 * bn + 3,
+                                bn > 3 ? bn / 3 : 1, bn > 1 ? bn - 1 : 1}) {
+      const Fill fa = fills[rng.below(4)];
+      const Fill fb = fills[rng.below(4)];
+      const LimbVec a = limbs_of(rng, n + bn - 1, fa);
+      const LimbVec b = limbs_of(rng, bn, fb);
+      const BigInt expected = band_sum(a, b, bn - 1, a.size());
+      for (const std::size_t t : {2u, 3u, 8u, 24u, 1000000u}) {
+        kara = t;
+        ASSERT_EQ(from_limbs(detail::mul_middle(a, b)), expected)
+            << "bn " << bn << " n " << n << " threshold " << t << " fills "
+            << static_cast<int>(fa) << "/" << static_cast<int>(fb);
+      }
+    }
+  }
+  kara = saved;
+}
+
+TEST(MiddleProduct, EveryCarryAndBorrowAtTheTopSplit) {
+  // a all ones: every limb of A0 + A1 and A1 + A2 carries; b0 - b1 borrows
+  // at every limb below its top one.
+  util::Xoshiro256 rng(52);
+  auto& kara = Tuning::karatsuba_threshold();
+  const std::size_t saved = kara;
+  for (const std::size_t bn : {24u, 48u, 64u, 200u}) {
+    const LimbVec a = limbs_of(rng, 2 * bn - 1, Fill::kOnes);
+    const LimbVec b = limbs_of(rng, bn, Fill::kBorrows);
+    kara = 1000000;
+    const LimbVec basecase = detail::mul_middle(a, b);
+    EXPECT_EQ(from_limbs(basecase), band_sum(a, b, bn - 1, a.size()));
+    for (const std::size_t t : {2u, 5u, 24u}) {
+      kara = t;
+      EXPECT_EQ(detail::mul_middle(a, b), basecase)
+          << "bn " << bn << " threshold " << t;
+    }
+  }
+  kara = saved;
+}
+
+TEST(MiddleProduct, MulWindowTakesTheFullProductWhenTheGuardCouldCarry) {
+  // mul_window computes a narrow window from the band that starts two limbs
+  // below it, at base = shift / 64 - 2. Make that band's two guard limbs
+  // B^2 - 1: the diagonals below base (nonzero here) then carry into the
+  // window, so the band alone is one too small there, and the upper guard
+  // limb B - 1 >= B - bn sends mul_window to the full product.
+  util::Xoshiro256 rng(53);
+  constexpr Limb kOnes = ~Limb{0};
+  const std::size_t xn = 40, yn = 10, lo = 20, bits = 64 * 8;
+  const std::size_t base = lo - 2, hi = lo + bits / 64;
+  LimbVec x = limbs_of(rng, xn, Fill::kRandom);
+  LimbVec y = limbs_of(rng, yn, Fill::kRandom);
+  y[0] = 1;  // so x[base] and x[base + 1] set the guard limbs directly
+  auto rest = [&](std::size_t k) {  // diagonal k without x[k] * y[0]
+    BigInt sum;
+    for (std::size_t j = 1; j < yn && j <= k; ++j) {
+      sum += BigInt(x[k - j]) * BigInt(y[j]);
+    }
+    return sum;
+  };
+  const BigInt limb_mod = BigInt(1) << 64;
+  const auto low_limb = [&](const BigInt& v) {
+    return (v % limb_mod).to_uint64();
+  };
+  x[base] = kOnes - low_limb(rest(base));
+  const BigInt carry = (BigInt(x[base]) + rest(base)) >> 64;
+  x[base + 1] = kOnes - low_limb(carry + rest(base + 1));
+
+  const BigInt band = band_sum(x, y, base, hi);
+  const BigInt guard = band % (limb_mod * limb_mod);
+  ASSERT_EQ(guard, limb_mod * limb_mod - BigInt(1));
+  ASSERT_GE((guard >> 64).to_uint64(), kOnes - yn + 1);
+
+  const BigInt modulus = BigInt(1) << bits;
+  const BigInt product = from_limbs(x) * from_limbs(y);
+  const BigInt window = (product >> (64 * lo)) % modulus;
+  ASSERT_NE((band >> 128) % modulus, window);  // the band alone is wrong
+  EXPECT_EQ(mul_window(from_limbs(x), from_limbs(y), 64 * lo, bits), window);
+  EXPECT_EQ(mul_window(from_limbs(y), from_limbs(x), 64 * lo, bits), window);
 }
 
 // ---------------------------------------------------- tuning knobs ----
