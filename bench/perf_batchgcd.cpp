@@ -19,7 +19,6 @@
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
 #include "bench_json.hpp"
-#include "obs/monitor.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/prng_source.hpp"
@@ -276,33 +275,6 @@ void BM_CoordinatedTelemetry(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoordinatedTelemetry)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/// Live-monitor overhead ablation: the same instrumented run with the
-/// background obs::Monitor ticking (snapshot + JSONL line + heartbeat every
-/// 25ms) vs without it. Arg: 0 = monitor off, 1 = on. The acceptance bar is
-/// <= 5% overhead for the monitored arm: snapshots are bounded by
-/// instrument count, not by event rate.
-void BM_CoordinatedMonitor(benchmark::State& state) {
-  const auto& moduli = corpus(512);
-  const bool monitored = state.range(0) != 0;
-  util::ThreadPool pool(kThreads, &bench_telemetry());
-  batchgcd::DistributedOptions options;
-  options.registry = &bench_telemetry().metrics();
-  obs::MonitorConfig monitor_config;
-  monitor_config.jsonl_path = "/dev/null";  // schema cost without disk churn
-  monitor_config.interval = std::chrono::milliseconds(25);
-  obs::Monitor monitor(bench_telemetry(), monitor_config);
-  if (monitored) monitor.start();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batchgcd::batch_gcd_distributed(
-        moduli, kSubsets, &pool, nullptr, options));
-  }
-  if (monitored) monitor.stop();
-}
-BENCHMARK(BM_CoordinatedMonitor)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

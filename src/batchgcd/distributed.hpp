@@ -37,9 +37,8 @@ struct DistributedOptions {
   /// util::Cancelled after draining in-flight work.
   const util::CancellationToken* cancel = nullptr;
   /// Progress counters `coordinator.{tasks,subsets,tasks_executed,
-  /// tasks_resumed}` (what the monitor heartbeat reads), and
-  /// the first subset tree's per-level byte/node census
-  /// (`batchgcd.product_tree.level<k>.*` + `bytes_peak`): one
+  /// tasks_resumed}`, and the first subset tree's per-level byte/node
+  /// census (`batchgcd.product_tree.level<k>.*` + `bytes_peak`): one
   /// representative tree, so the level gauges always sum to the peak.
   obs::MetricsRegistry* registry = nullptr;
   /// Spill policy: each subset tree applies it independently (file base

@@ -46,7 +46,8 @@ constexpr std::chrono::milliseconds kStreamRetransmit{250};
 /// window) and in the teardown reap.
 constexpr std::chrono::milliseconds kExitRecheck{10};
 /// Upper bounds on teardown, for wedged (e.g. SIGSTOPped) workers only:
-/// a healthy worker ends the drain with its EOF and the reap with its exit.
+/// a healthy worker ends the drain with its exit (after redialing, if its
+/// link was down when the run ended) and the reap finds it gone.
 constexpr std::chrono::milliseconds kDrainBound{500};
 constexpr std::chrono::milliseconds kReapBound{500};
 
@@ -470,7 +471,8 @@ class ProcessCoordinator {
   }
 
   void attach_fresh(const HelloMsg& hello, UniqueFd fd) {
-    if (hello.worker_id >= slots_.size()) return;
+    // A worker that connects after the run ended has nothing to flush.
+    if (cleaned_up_ || hello.worker_id >= slots_.size()) return;
     Slot& slot = slots_[hello.worker_id];
     if (slot.state != SlotState::kSpawning) return;
     if (!slot.is_remote && slot.pid != static_cast<pid_t>(hello.pid)) {
@@ -563,25 +565,35 @@ class ProcessCoordinator {
         std::to_string(slot.session_id) + ", replaying past seq " +
         std::to_string(slot.rx_result_seq) + ")");
     send_ping(slot);  // as in attach_fresh: an offset before any snapshot
-    pump_streams(slot);
+    // A worker that was redialing when the run ended still holds its final
+    // telemetry: it replays its outbox, then flushes and exits on Shutdown.
+    if (cleaned_up_) {
+      slot.conn->send(MsgType::kShutdown, {});
+    } else {
+      pump_streams(slot);
+    }
   }
 
-  /// Declares the slot's link dead. Unless the run is tearing down, the
-  /// slot parks in kDisconnected: session kept, grace clock started, and
-  /// the link closed so a half-open peer sees EOF and redials. Whether the
-  /// worker itself died is tick_disconnected's call.
+  /// Declares the slot's link dead. The slot parks in kDisconnected:
+  /// session kept, grace clock started, and the link closed so a half-open
+  /// peer sees EOF and redials. Whether the worker itself died is
+  /// tick_disconnected's call, or during teardown cleanup's, which watches
+  /// a local worker's exit. A remote worker's EOF during teardown is taken
+  /// as its exit: nothing here can see the process.
   void link_lost(Slot& slot, const char* why) {
     if (slot.state != SlotState::kLive) return;
-    if (!cleaned_up_) {
+    if (cleaned_up_ && slot.is_remote) {
+      slot.state = SlotState::kLost;
+    } else {
       slot.state = SlotState::kDisconnected;
       slot.disconnected_at = Clock::now();
       detach_link(slot);
-      log("cluster: worker " + std::to_string(slot.id) + " link lost (" +
-          std::string(why) + "); holding session " +
-          std::to_string(slot.session_id) + " for " +
-          std::to_string(silence_budget().count()) + "ms");
-    } else {
-      slot.state = SlotState::kLost;
+      if (!cleaned_up_) {
+        log("cluster: worker " + std::to_string(slot.id) + " link lost (" +
+            std::string(why) + "); holding session " +
+            std::to_string(slot.session_id) + " for " +
+            std::to_string(silence_budget().count()) + "ms");
+      }
     }
     refresh_alive_gauge();
   }
@@ -1431,18 +1443,16 @@ class ProcessCoordinator {
   // -- teardown ------------------------------------------------------------
 
   /// Stops everything, inside the same event loop: Shutdown frames (best
-  /// effort), a drain until every live worker's final telemetry flush and
-  /// EOF, then the sockets, then the children — reaped as they exit,
-  /// SIGKILLed if still alive at the bound (a SIGSTOPped worker cannot
-  /// process Shutdown), or at once when parked without a link. Remote
-  /// workers get the Shutdown frame
-  /// but are never signalled or reaped — they are not our children.
+  /// effort), a drain until every worker has flushed its final telemetry
+  /// — a live one on its link, a parked one after it dials back into its
+  /// session — and exited, then the sockets, then the children — reaped
+  /// as they exit, SIGKILLed if still alive at the bound (a SIGSTOPped
+  /// worker cannot process Shutdown). Remote workers get the Shutdown
+  /// frame but are never signalled or reaped — they are not our children.
   /// Idempotent.
   void cleanup() {
     if (cleaned_up_) return;
     cleaned_up_ = true;
-    handshakes_.clear();
-    listen_fd_.reset();
     for (Slot& slot : slots_) {
       // No data follows Shutdown: a stream ack drained below would
       // otherwise pump chunks at a worker that is exiting, and the failed
@@ -1454,16 +1464,33 @@ class ProcessCoordinator {
     }
     // Drain before severing: a Shutdown-ed worker flushes its final
     // TelemetrySnapshot (the last tasks' spans and counter totals) and
-    // exits, closing its socket — that EOF ends its link here.
-    const auto any_live_link = [this] {
-      return std::any_of(slots_.begin(), slots_.end(), [](const Slot& slot) {
-        return slot.state == SlotState::kLive && slot.conn;
-      });
-    };
+    // exits, closing its socket — that EOF parks its slot until the exit
+    // is seen. A worker parked while redialing still holds its last
+    // results' telemetry, so the listener stays open for its
+    // ReconnectHello (reattach() sends it Shutdown) until its exit, its
+    // grace or the bound.
     const auto drain_until = Clock::now() + kDrainBound;
-    while (any_live_link() && Clock::now() < drain_until) {
-      poll_events(drain_until);
+    for (;;) {
+      const auto now = Clock::now();
+      bool live = false;
+      bool parked = false;
+      for (Slot& slot : slots_) {
+        if (slot.state == SlotState::kLive && slot.conn) {
+          live = true;
+        } else if (slot.state == SlotState::kDisconnected) {
+          if (reaped(slot) || now - slot.disconnected_at > silence_budget()) {
+            slot.state = SlotState::kLost;
+          } else {
+            parked = true;
+          }
+        }
+      }
+      if ((!live && !parked) || now >= drain_until) break;
+      poll_events(parked ? std::min(drain_until, now + kExitRecheck)
+                         : drain_until);
     }
+    handshakes_.clear();
+    listen_fd_.reset();
     std::vector<pid_t> exiting;
     for (Slot& slot : slots_) {
       fold_conn_stats(slot);

@@ -11,6 +11,7 @@
 #include "netsim/catalog.hpp"
 #include "netsim/noise.hpp"
 #include "obs/mem.hpp"
+#include "obs/proc_stats.hpp"
 #include "util/atomic_file.hpp"
 #include "util/binary_io.hpp"
 #include "util/thread_pool.hpp"
@@ -81,17 +82,8 @@ void Study::run() {
 }
 
 void Study::start_observability() {
-  if (!config_.monitor_path.empty() && !monitor_) {
-    obs::MonitorConfig mc;
-    mc.jsonl_path = config_.monitor_path;
-    mc.interval = config_.monitor_interval;
-    monitor_ = std::make_unique<obs::Monitor>(telemetry_, mc);
-    monitor_->start();
-  }
-
   // Resource-attribution plane (DESIGN.md §5k). Profiling turns on memory
-  // accounting so mem.* gauges flow into the monitor and the trace's
-  // metrics snapshot.
+  // accounting so mem.* gauges flow into the trace's metrics snapshot.
   const double profile_hz = config_.profile_hz;
   if (profile_hz > 0 && obs::mem::supported()) {
     obs::mem::enable(&telemetry_.metrics());
@@ -119,11 +111,11 @@ void Study::start_observability() {
 }
 
 void Study::flush_telemetry() {
-  // Profiler first: its final rollups and the mem census must be in the
-  // registry before the monitor writes the `"final":true` snapshot.
+  // Profiler first: its final rollups, the mem census and the process's
+  // RSS/CPU must be in the registry before the metrics file is written.
   if (profiler_) profiler_->stop();  // also writes the collapsed-stack file
   if (obs::mem::enabled()) obs::mem::publish(telemetry_.metrics());
-  if (monitor_) monitor_->stop();  // writes the `"final":true` snapshot
+  obs::record_proc_self(telemetry_.metrics());
   const std::string& trace = config_.trace_path;
   if (!trace.empty() && telemetry_.write_trace_files(trace)) {
     log("telemetry: trace written to " + trace + " (metrics snapshot at " +

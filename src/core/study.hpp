@@ -14,7 +14,6 @@
 // Everything the table/figure binaries need hangs off the accessors.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,7 +36,6 @@
 #include "fingerprint/subject_rules.hpp"
 #include "netsim/internet.hpp"
 #include "netsim/noise.hpp"
-#include "obs/monitor.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "util/cancellation.hpp"
@@ -95,8 +93,7 @@ struct StudyConfig {
   /// Telemetry export cadence (ms) for the cluster path: each worker
   /// ships a TelemetrySnapshot (metrics + task spans + RSS/CPU) at most
   /// this often, fanned into fleet.worker.<id>.* / fleet.* metrics on the
-  /// study registry (visible in the monitor JSONL and the trace's metrics
-  /// snapshot).
+  /// study registry (visible in the trace's metrics snapshot).
   /// 0 disables worker export.
   int telemetry_interval_ms = static_cast<int>(
       cluster::ClusterConfig{}.telemetry_interval.count());
@@ -121,20 +118,12 @@ struct StudyConfig {
   /// disables the dump (spans and metrics are collected either way — see
   /// Study::telemetry()). Load the trace in about://tracing or perfetto.
   std::string trace_path;
-  /// Live-monitor JSONL time-series path: run() starts a background
-  /// obs::Monitor appending one snapshot object per line (schema in
-  /// DESIGN.md §5f) plus human heartbeats through the sink. Empty disables
-  /// the monitor.
-  std::string monitor_path;
-  /// Monitor snapshot / heartbeat cadence.
-  std::chrono::milliseconds monitor_interval{250};
   /// Sampling-profiler cadence in Hz (DESIGN.md §5k): run() starts an
   /// obs::Profiler snapshotting every thread's span/kernel stack and
   /// feeding `profiler.*` rollups into the registry (visible in the
-  /// monitor JSONL and the heartbeat line); <= 0 disables
-  /// profiling. Enabling the profiler also enables memory accounting
-  /// (mem.* gauges). On the cluster path every spawned worker samples at
-  /// the same rate.
+  /// trace's metrics snapshot); <= 0 disables profiling. Enabling the
+  /// profiler also enables memory accounting (mem.* gauges). On the cluster
+  /// path every spawned worker samples at the same rate.
   double profile_hz = 0;
   /// Collapsed-stack (flamegraph) output path, written atomically when
   /// telemetry flushes; spawned workers write `<profile_out>.worker<id>`.
@@ -183,10 +172,10 @@ class Study {
   /// Runs the full pipeline. Idempotent once it has completed. Returns
   /// when the run is done, throws util::Cancelled after cancel(), and
   /// rethrows any other failure; on every exit it first closes the
-  /// observability artifacts (the monitor's `"final":true` snapshot, the
-  /// trace and metrics files, the profile). A rerun with the same
-  /// cache_path, in this process or after the process was killed, skips
-  /// whatever the per-stage caches and the task journal already hold.
+  /// observability artifacts (the trace and metrics files, the profile). A
+  /// rerun with the same cache_path, in this process or after the process
+  /// was killed, skips whatever the per-stage caches and the task journal
+  /// already hold.
   void run();
 
   /// Trips the run's cancellation token from any thread. Poll sites at
@@ -258,10 +247,6 @@ class Study {
   [[nodiscard]] obs::Telemetry& telemetry() { return telemetry_; }
   [[nodiscard]] const obs::Telemetry& telemetry() const { return telemetry_; }
 
-  /// The live monitor, if one was configured and started by run();
-  /// null otherwise (and before run()).
-  [[nodiscard]] obs::Monitor* monitor() { return monitor_.get(); }
-
  private:
   void build_dataset(util::ThreadPool& pool);
   void factor_moduli(util::ThreadPool& pool);
@@ -274,9 +259,9 @@ class Study {
   void record_factor_metrics();
   void start_observability();
   /// Closes the observability artifacts: stops the profiler (writing the
-  /// collapsed-stack file) and the monitor (writing the `"final":true`
-  /// snapshot), then writes the trace/metrics files if configured. run()
-  /// calls it once on each of its exits.
+  /// collapsed-stack file), records the process's RSS and CPU time into
+  /// the registry, then writes the trace/metrics files if configured.
+  /// run() calls it once on each of its exits.
   void flush_telemetry();
   /// Stage boundary: throws util::Cancelled if the token has tripped.
   void begin_stage();
@@ -284,9 +269,8 @@ class Study {
   StudyConfig config_;
   obs::Telemetry telemetry_;
   util::CancellationToken token_;
-  // Declared after telemetry_ (they hold references into it) so they are
+  // Declared after telemetry_ (it holds a reference into it) so it is
   // destroyed first.
-  std::unique_ptr<obs::Monitor> monitor_;
   std::unique_ptr<obs::Profiler> profiler_;
   bool ran_ = false;
   /// run() turned on obs::mem accounting with this Study's registry.

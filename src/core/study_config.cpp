@@ -91,7 +91,6 @@ StudyConfig StudyConfig::from_env(StudyConfig base) {
 
   // Observability. PROFILE_HZ <= 0 means off.
   overlay("WEAKKEYS_TRACE", base.trace_path);
-  overlay("WEAKKEYS_MONITOR", base.monitor_path);
   overlay("WEAKKEYS_PROFILE_HZ", base.profile_hz, -kHuge, kHuge);
   overlay("WEAKKEYS_PROFILE_OUT", base.profile_out);
 

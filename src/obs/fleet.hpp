@@ -25,11 +25,10 @@
 //   3. Metric fan-in. Worker counters/gauges/proc-stats are republished
 //      into the coordinator's MetricsRegistry under fleet.worker.<id>.* —
 //      plus fleet.* rollups summed across workers, and each worker's clock
-//      offset and RTT — so the monitor JSONL, the trace's metrics snapshot,
-//      and the heartbeat line see the whole fleet for free. Worker counters
-//      reset when a worker is respawned; the aggregator folds each dead
-//      incarnation's last-seen values into a per-worker base so the
-//      published totals stay cumulative.
+//      offset and RTT — so the trace's metrics snapshot sees the whole
+//      fleet for free. Worker counters reset when a worker is respawned;
+//      the aggregator folds each dead incarnation's last-seen values into
+//      a per-worker base so the published totals stay cumulative.
 //
 // Everything here is transport-agnostic plain data: the cluster layer's
 // TelemetrySnapshotMsg is a FleetSnapshot plus a wire codec, keeping obs/

@@ -1,7 +1,8 @@
 // Process self-metrics: resident set size and CPU time for the running
-// process, sampled on each monitor tick so a long batch-GCD run exposes its
-// own memory/CPU trajectory (the paper's 81M-moduli job was memory-bound;
-// watching RSS grow is how you catch a product tree that will not fit).
+// process. A Study records them once as telemetry flushes, so the trace's
+// metrics snapshot ends with the run's RSS and CPU (the paper's 81M-moduli
+// job was memory-bound); cluster workers ship them in every telemetry
+// snapshot.
 //
 // Linux reads /proc/self/status (VmRSS/VmHWM); CPU time comes from
 // getrusage(2). Both degrade gracefully: on platforms without the source

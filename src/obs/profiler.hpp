@@ -12,9 +12,8 @@
 // blocks on sockets and the thread pool parks between tasks, and "where do
 // threads spend wall time" is the question the out-of-core design needs
 // answered. Rollups land in the MetricsRegistry (`profiler.ticks`,
-// `profiler.samples`, `profiler.self.<frame>`) so the monitor JSONL, the
-// trace's metrics snapshot, and the heartbeat line can carry top self-time
-// frames.
+// `profiler.samples`, `profiler.self.<frame>`) so the trace's metrics
+// snapshot carries the top self-time frames.
 //
 // Off by default; when no Profiler is running, instrumentation costs one
 // relaxed load per Span/Frame construction (see prof_stack.hpp).

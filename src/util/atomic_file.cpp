@@ -24,6 +24,20 @@ bool fsync_fd([[maybe_unused]] int fd) {
 #endif
 }
 
+/// Flushes a file's data to stable storage by path (open + fsync + close).
+bool fsync_path(const std::string& path) {
+#if defined(WEAKKEYS_HAVE_FSYNC)
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  const bool ok = fsync_fd(fd);
+  ::close(fd);
+  return ok;
+#else
+  (void)path;
+  return true;
+#endif
+}
+
 }  // namespace
 
 std::string atomic_tmp_path(const std::string& path) { return path + ".tmp"; }
@@ -35,19 +49,6 @@ bool fsync_parent_dir(const std::string& path) {
                               ? std::string(".")
                               : (slash == 0 ? "/" : path.substr(0, slash));
   const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = fsync_fd(fd);
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  return true;
-#endif
-}
-
-bool fsync_path(const std::string& path) {
-#if defined(WEAKKEYS_HAVE_FSYNC)
-  const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
   const bool ok = fsync_fd(fd);
   ::close(fd);

@@ -40,11 +40,6 @@ void atomic_write_file(const std::string& path, const std::string& text);
 /// straight to disk (the corpus cache) instead of buffering.
 void atomic_publish_file(const std::string& tmp_path, const std::string& path);
 
-/// Flushes a file's data to stable storage by path (open + fsync + close).
-/// Returns false when the file cannot be opened or synced; best-effort
-/// durability points (the monitor's final JSONL line) tolerate that.
-bool fsync_path(const std::string& path);
-
 /// Fsyncs the directory containing `path` (open(O_RDONLY) on the parent +
 /// fsync + close), making a just-renamed entry durable. Returns false when
 /// the parent cannot be opened or synced; publishers treat that as

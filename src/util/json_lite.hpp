@@ -1,7 +1,7 @@
 // Minimal recursive-descent JSON parser for the library's own artifacts.
 //
-// The pipeline emits JSON (Chrome traces, metrics snapshots, monitor
-// time-series, bench results) and a few consumers read it back: the
+// The pipeline emits JSON (Chrome traces, metrics snapshots, bench
+// results) and a few consumers read it back: the
 // benchdiff regression tool parses `BENCH_<suite>.json` files, and the
 // tests prove every exported document is well-formed and carries the right
 // values. Supports the full JSON value grammar; numbers are held as double

@@ -233,7 +233,7 @@ TEST_F(KillResumeTest, KillDuringFingerprintResumesFromFactorCache) {
 TEST_F(KillResumeTest, CancelLatencyIsBoundedByTwoMonitorIntervals) {
   // The acceptance bar from the lifecycle design: poll sites sit at batch
   // granularity, so an explicit cancel must unwind the pipeline in well
-  // under two monitor intervals (2 x 250ms default).
+  // under 500ms.
   using clock = std::chrono::steady_clock;
   auto config = harness_config("");
   std::atomic<std::int64_t> cancelled_at_ns{0};

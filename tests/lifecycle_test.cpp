@@ -380,32 +380,30 @@ TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
 }
 
 TEST(StudyLifecycle, FlushTelemetryIsIdempotent) {
-  // run() closes the monitor series exactly once: the JSONL ends in one
-  // `"final":true` line, and a second run() of a finished study (a no-op)
-  // neither reopens nor recloses it.
+  // run() writes the metrics file exactly once: a second run() of a
+  // finished study (a no-op) and its teardown leave it untouched.
   auto config = tiny_study_config(780);
-  config.monitor_path = "lifecycle_flush.monitor.jsonl";
-  const auto final_lines = [&config] {
-    std::ifstream in(config.monitor_path);
-    std::size_t finals = 0;
-    for (std::string line; std::getline(in, line);) {
-      if (line.find("\"final\":true") != std::string::npos) ++finals;
-    }
-    return finals;
+  config.trace_path = "lifecycle_flush.trace.json";
+  const std::string metrics_path = config.trace_path + ".metrics.json";
+  const auto read_metrics = [&metrics_path] {
+    std::ifstream in(metrics_path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
   };
   {
     core::Study study(config);
     study.run();
-    ASSERT_NE(study.monitor(), nullptr);
-    const auto written = study.monitor()->snapshots_written();
-    EXPECT_GT(written, 0u);
-    EXPECT_FALSE(study.monitor()->running());
-    EXPECT_EQ(final_lines(), 1u);
+    const std::string written = read_metrics();
+    ASSERT_FALSE(written.empty());
+    // Remove the file: a second flush would recreate it.
+    ASSERT_EQ(std::remove(metrics_path.c_str()), 0);
     study.run();
-    EXPECT_EQ(study.monitor()->snapshots_written(), written);
+    EXPECT_FALSE(std::filesystem::exists(metrics_path))
+        << "a second run() rewrote the metrics file";
   }
-  EXPECT_EQ(final_lines(), 1u) << "teardown wrote another final snapshot";
-  std::remove(config.monitor_path.c_str());
+  EXPECT_FALSE(std::filesystem::exists(metrics_path))
+      << "teardown wrote the metrics file again";
+  std::remove(config.trace_path.c_str());
+  std::remove(metrics_path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the obs/ telemetry subsystem: metrics instruments, the
 // span tracer (including multi-threaded use under the thread pool), the
-// Chrome trace exporter, and the structured event sink.
+// Chrome trace exporter, the structured event sink, histogram quantile
+// estimation, and process self-metrics.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,7 @@
 
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/json_lite.hpp"
@@ -548,6 +550,94 @@ TEST(FleetAggregator, PublishesEachWorkersClockOffsetAndRtt) {
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.gauges.at("fleet.worker.2.clock_offset_ns"), 5'000'000);
   EXPECT_EQ(snap.gauges.at("fleet.worker.2.clock_rtt_ns"), 400);
+}
+
+
+// ------------------------------------------------- histogram quantiles ----
+
+obs::MetricsSnapshot::HistogramValue recorded(
+    std::vector<std::uint64_t> bounds,
+    const std::vector<std::uint64_t>& samples) {
+  obs::MetricsRegistry registry;
+  auto& h = registry.histogram("h", std::move(bounds));
+  for (const std::uint64_t v : samples) h.record(v);
+  return registry.snapshot().histograms.at("h");
+}
+
+TEST(HistogramQuantile, EmptyHistogramIsZero) {
+  const auto h = recorded({10, 20}, {});
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  EXPECT_EQ(h.p99(), 0.0);
+}
+
+TEST(HistogramQuantile, UniformDistributionLandsOnExactQuantiles) {
+  // 1..100 into four equal buckets: linear interpolation reproduces the
+  // population quantiles exactly.
+  std::vector<std::uint64_t> samples;
+  for (std::uint64_t v = 1; v <= 100; ++v) samples.push_back(v);
+  const auto h = recorded({25, 50, 75, 100}, samples);
+  EXPECT_DOUBLE_EQ(h.p50(), 50.0);
+  EXPECT_DOUBLE_EQ(h.p90(), 90.0);
+  EXPECT_DOUBLE_EQ(h.p99(), 99.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.25), 25.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+}
+
+TEST(HistogramQuantile, InterpolatesWithinASingleBucket) {
+  // Ten samples of 7 all land in the 0..10 bucket; the estimator can only
+  // interpolate within the bucket: the median estimate is its midpoint.
+  const auto h = recorded({10, 20}, std::vector<std::uint64_t>(10, 7));
+  EXPECT_DOUBLE_EQ(h.p50(), 5.0);
+}
+
+TEST(HistogramQuantile, NeverExceedsObservedMax) {
+  // A single sample of 3 in a 0..1000 bucket: interpolation would say 1000
+  // for q=1, but no recorded sample exceeded 3.
+  const auto h = recorded({1000}, {3});
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.0);
+  EXPECT_LE(h.p50(), 3.0);
+}
+
+TEST(HistogramQuantile, OverflowBucketInterpolatesUpToMax) {
+  // 5 below the only bound; 100 and 200 in the overflow bucket whose honest
+  // upper edge is the observed max (200).
+  const auto h = recorded({10}, {5, 100, 200});
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 200.0);
+  // rank(0.5) = 1.5: half-way through the overflow bucket's first sample,
+  // lerped across [10, 200].
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0 + 0.25 * 190.0);
+}
+
+// ------------------------------------------------ process self-metrics ----
+
+TEST(ProcStats, SamplesRssAndCpuWhereAvailable) {
+  const auto stats = obs::sample_proc_self();
+#if defined(__linux__)
+  ASSERT_TRUE(stats.rss_available);
+  EXPECT_GT(stats.rss_kb, 0u);
+  EXPECT_GE(stats.peak_rss_kb, stats.rss_kb);
+#endif
+#if defined(__unix__) || defined(__APPLE__)
+  ASSERT_TRUE(stats.cpu_available);
+#endif
+  if (!stats.rss_available) {
+    EXPECT_EQ(stats.rss_kb, 0u);  // graceful no-op elsewhere
+  }
+}
+
+TEST(ProcStats, RecordsIntoTheRegistry) {
+  obs::MetricsRegistry registry;
+  obs::record_proc_self(registry);
+  const auto snap = registry.snapshot();
+#if defined(__linux__)
+  ASSERT_TRUE(snap.gauges.count("process.rss_kb"));
+  EXPECT_GT(snap.gauges.at("process.rss_kb"), 0);
+  ASSERT_TRUE(snap.gauges.count("process.peak_rss_kb"));
+#endif
+#if defined(__unix__) || defined(__APPLE__)
+  EXPECT_TRUE(snap.counters.count("process.cpu_user_us"));
+  EXPECT_TRUE(snap.counters.count("process.cpu_sys_us"));
+#endif
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "rng/entropy_pool.hpp"
-#include "rng/getrandom.hpp"
 #include "rng/prng_source.hpp"
 #include "rng/urandom.hpp"
 
@@ -137,64 +136,6 @@ TEST(SimulatedUrandom, MultipleStirEventsKeepDiverging) {
   a.stir_divergence_event();
   b.stir_divergence_event();
   EXPECT_EQ(draw32(a), draw32(b));
-}
-
-// ----------------------------------------------------- GetrandomSource ----
-
-TEST(GetrandomSource, BlocksUntilSeededThenDiverges) {
-  // Two devices boot into the SAME deterministic pool state — the exact
-  // situation that produced shared primes under the old urandom. With
-  // getrandom semantics, each gathers fresh (device-unique) entropy before
-  // any output, so their streams differ.
-  auto make = [](std::uint64_t unique) {
-    EntropyPool boot_pool;
-    boot_pool.mix("firmware:model-x", 0.0);  // zero credited entropy
-    return GetrandomSource(
-        boot_pool, [unique, n = 0](EntropyPool& pool) mutable {
-          pool.mix_u64(unique + static_cast<std::uint64_t>(n++), 64.0);
-        });
-  };
-  GetrandomSource a = make(0x1111), b = make(0x2222);
-  std::array<std::uint8_t, 32> out_a{}, out_b{};
-  a.fill(out_a);
-  b.fill(out_b);
-  EXPECT_TRUE(a.ever_blocked());
-  EXPECT_TRUE(b.ever_blocked());
-  EXPECT_NE(out_a, out_b);
-}
-
-TEST(GetrandomSource, SeededPoolNeverBlocks) {
-  EntropyPool pool;
-  pool.mix("plenty of entropy", 256.0);
-  GetrandomSource src(pool, [](EntropyPool&) { FAIL() << "must not gather"; });
-  std::array<std::uint8_t, 16> out{};
-  src.fill(out);
-  EXPECT_FALSE(src.ever_blocked());
-}
-
-TEST(GetrandomSource, RequiresGatherer) {
-  EXPECT_THROW(GetrandomSource(EntropyPool{}, nullptr), std::invalid_argument);
-}
-
-TEST(GetrandomSource, StalledGathererDetected) {
-  EntropyPool pool;  // unseeded
-  GetrandomSource src(pool, [](EntropyPool& p) { p.mix("x", 0.0); });
-  std::array<std::uint8_t, 8> out{};
-  EXPECT_THROW(src.fill(out), std::runtime_error);
-}
-
-TEST(GetrandomSource, GathersUntilThreshold) {
-  EntropyPool pool;
-  int calls = 0;
-  GetrandomSource src(pool, [&calls](EntropyPool& p) {
-    ++calls;
-    p.mix_u64(static_cast<std::uint64_t>(calls), 32.0);
-  });
-  std::array<std::uint8_t, 8> out{};
-  src.fill(out);
-  EXPECT_EQ(calls, 4);  // 4 x 32 bits to reach the 128-bit threshold
-  src.fill(out);
-  EXPECT_EQ(calls, 4);  // seeded: no further gathering
 }
 
 // -------------------------------------------------------- PrngSource ----

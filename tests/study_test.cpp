@@ -480,7 +480,6 @@ constexpr const char* kStudyEnvVars[] = {
     "WEAKKEYS_WORKER_BIN",     "WEAKKEYS_WORKER_PORT",
     "WEAKKEYS_REMOTE_WORKERS", "WEAKKEYS_TELEMETRY_INTERVAL_MS",
     "WEAKKEYS_FLEET_TRACE",    "WEAKKEYS_TRACE",
-    "WEAKKEYS_MONITOR",
     "WEAKKEYS_PROFILE_HZ",     "WEAKKEYS_PROFILE_OUT",
     "WEAKKEYS_SPILL_DIR",
     "WEAKKEYS_SPILL_THRESHOLD_MB", "WEAKKEYS_SPILL_RAM_FALLBACK_MB",

@@ -7,7 +7,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -169,48 +168,25 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   std::remove((config.trace_path + ".metrics.json").c_str());
 }
 
-// A fault-injected run with the live monitor on must leave a JSONL time
-// series whose final snapshot carries the registry's exact end-of-run
-// totals, with the gcd task counters closing on k^2.
+// A fault-injected run must leave a `<trace>.metrics.json` that carries the
+// registry's exact end-of-run totals, with the gcd task counters closing on
+// k^2 and the process's own RSS recorded as telemetry flushed.
 TEST_F(TelemetryE2E, MonitoredRunTimeSeriesClosesOnFinalTotals) {
-  core::StudyConfig config = noisy_config();
-  config.trace_path.clear();
-  config.monitor_path =
-      "telemetry_e2e_monitor_" + std::to_string(::getpid()) + ".jsonl";
-  config.monitor_interval = std::chrono::milliseconds(10);
+  const core::StudyConfig config = noisy_config();
   core::Study study(config);
   study.run();
 
-  ASSERT_NE(study.monitor(), nullptr);
-  EXPECT_FALSE(study.monitor()->running());  // run() closed the series
-  EXPECT_GE(study.monitor()->snapshots_written(), 3u);
+  const std::string metrics_path = config.trace_path + ".metrics.json";
+  const auto metrics = jsonlite::parse(slurp(metrics_path));
 
-  std::ifstream in(config.monitor_path);
-  ASSERT_TRUE(in.is_open());
-  std::string line;
-  std::string last_line;
-  std::uint64_t lines = 0;
-  std::int64_t last_seq = -1;
-  while (std::getline(in, line)) {
-    ++lines;
-    const auto doc = jsonlite::parse(line);  // every snapshot parses
-    EXPECT_GT(doc.at("seq").integer(), last_seq);
-    last_seq = doc.at("seq").integer();
-    last_line = line;
-  }
-  EXPECT_EQ(lines, study.monitor()->snapshots_written());
-  ASSERT_GE(lines, 3u);
-
-  // The closing snapshot is final and matches the end-of-run registry
-  // exactly: same counter names, same values, nothing extra.
-  const auto final_doc = jsonlite::parse(last_line);
-  EXPECT_TRUE(final_doc.at("final").boolean());
+  // The file matches the end-of-run registry exactly: same counter names,
+  // same values, nothing extra.
   const auto end_state = study.telemetry().metrics().snapshot();
-  const auto& counters = final_doc.at("counters").object();
+  const auto& counters = metrics.at("counters").object();
   EXPECT_EQ(counters.size(), end_state.counters.size());
   for (const auto& [name, value] : end_state.counters) {
-    ASSERT_TRUE(final_doc.at("counters").has(name)) << name;
-    EXPECT_EQ(final_doc.at("counters").at(name).integer(),
+    ASSERT_TRUE(metrics.at("counters").has(name)) << name;
+    EXPECT_EQ(metrics.at("counters").at(name).integer(),
               static_cast<std::int64_t>(value))
         << name;
   }
@@ -224,26 +200,25 @@ TEST_F(TelemetryE2E, MonitoredRunTimeSeriesClosesOnFinalTotals) {
                 end_state.counter("coordinator.tasks_resumed"),
             gcd.tasks);
 
-  // The monitor sampled process self-metrics along the way.
+  // The flush sampled process self-metrics into the file.
 #if defined(__linux__)
-  EXPECT_GT(end_state.gauges.at("process.rss_kb"), 0);
+  EXPECT_GT(metrics.at("gauges").at("process.rss_kb").integer(), 0);
 #endif
 
-  std::remove(config.monitor_path.c_str());
+  std::remove(config.trace_path.c_str());
+  std::remove(metrics_path.c_str());
 }
 
 // Regression test for silent telemetry loss: a run that dies mid-pipeline
 // (its factoring stage routed to a worker binary that does not exist) must
-// still flush the trace, the metrics snapshot, and a final monitor line
-// carrying everything counted before the failure.
+// still flush the trace and the metrics snapshot, carrying everything
+// counted before the failure.
 TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
   core::StudyConfig config = noisy_config();
   config.worker_processes = 1;
   config.worker_binary = "/nonexistent/gcd_worker";
   config.trace_path =
       "telemetry_e2e_abnormal_" + std::to_string(::getpid()) + ".json";
-  config.monitor_path = config.trace_path + ".monitor.jsonl";
-  config.monitor_interval = std::chrono::milliseconds(5);
 
   {
     core::Study study(config);
@@ -259,17 +234,8 @@ TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
   EXPECT_GT(metrics.at("counters").at("ingest.records_seen").integer(), 0);
   EXPECT_TRUE(jsonlite::parse(trace_text).has("traceEvents"));
 
-  const std::string series = slurp(config.monitor_path);
-  ASSERT_FALSE(series.empty());
-  const std::string last_line =
-      series.substr(series.rfind('\n', series.size() - 2) + 1);
-  const auto final_doc = jsonlite::parse(last_line);
-  EXPECT_TRUE(final_doc.at("final").boolean());
-  EXPECT_GT(final_doc.at("counters").at("ingest.records_seen").integer(), 0);
-
   std::remove(config.trace_path.c_str());
   std::remove((config.trace_path + ".metrics.json").c_str());
-  std::remove(config.monitor_path.c_str());
 }
 
 }  // namespace
