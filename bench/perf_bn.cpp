@@ -1,7 +1,8 @@
 // Microbenchmarks for the bignum substrate, including the two ablations
 // DESIGN.md calls out:
-//   * Karatsuba vs schoolbook multiplication (threshold sweep), and the
-//     Karatsuba middle product the scaled remainder tree keeps,
+//   * schoolbook vs Karatsuba vs NTT multiplication (BM_MulSchoolbook,
+//     BM_MulKaratsuba below the NTT crossover, BM_Mul above it), and the
+//     middle product the scaled remainder tree keeps,
 //   * Newton-reciprocal vs Knuth Algorithm D division,
 // the Newton reciprocal the scaled remainder tree starts from, Montgomery
 // modexp, gcd (on one fixed pair and over varying pairs) and RSA keygen
@@ -44,7 +45,8 @@ void BM_MulSchoolbook(benchmark::State& state) {
 }
 BENCHMARK(BM_MulSchoolbook)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_MulKaratsuba(benchmark::State& state) {
+/// The n x n product bn multiplies with (detail::mul_into's dispatch).
+void BM_Mul(benchmark::State& state) {
   const auto limbs = static_cast<std::size_t>(state.range(0));
   const BigInt a = random_bits_of(1, limbs * 64);
   const BigInt b = random_bits_of(2, limbs * 64);
@@ -53,18 +55,17 @@ void BM_MulKaratsuba(benchmark::State& state) {
         bn::BigIntOps::limbs(a), bn::BigIntOps::limbs(b)));
   }
 }
-BENCHMARK(BM_MulKaratsuba)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(8192)
-    ->Arg(16384);
+// Above kNttMinLimbs the product is NTTs (over Karatsuba levels above the
+// transform cap).
+BENCHMARK(BM_Mul)->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384);
+
+/// BM_Mul below the NTT crossover, where the product is Karatsuba.
+void BM_MulKaratsuba(benchmark::State& state) { BM_Mul(state); }
+BENCHMARK(BM_MulKaratsuba)->Arg(16)->Arg(64)->Arg(256);
 
 /// The middle product of a (2n-1)-limb a and an n-limb b, the n-diagonal
-/// band a scaled-descent node keeps (bn::mul_window), beside
-/// BM_MulKaratsuba's n x n product.
+/// band a scaled-descent node keeps (bn::mul_window), beside BM_Mul's
+/// n x n product.
 void BM_MulMiddle(benchmark::State& state) {
   const auto limbs = static_cast<std::size_t>(state.range(0));
   const BigInt a = random_bits_of(1, (2 * limbs - 1) * 64);

@@ -43,13 +43,14 @@ LimbVec sub(const LimbVec& a, const LimbVec& b);
 LimbVec shl(const LimbVec& a, std::size_t bits);
 LimbVec shr(const LimbVec& a, std::size_t bits);
 
-/// a * b; dispatches schoolbook vs Karatsuba on operand size.
+/// a * b; dispatches schoolbook, Karatsuba or NTT on operand size.
 LimbVec mul(const LimbVec& a, const LimbVec& b);
 
 /// Schoolbook product, exposed for threshold benchmarking.
 LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b);
 
-/// Karatsuba product (recursive; falls back to schoolbook below threshold).
+/// The mul_into product of a and b (Karatsuba, over NTT leaves above
+/// kNttMinLimbs; schoolbook below the threshold).
 LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b);
 
 /// The middle product of a and b (a.size() >= b.size() >= 1; see
@@ -76,12 +77,27 @@ int cmp_n(const Limb* a, const Limb* b, std::size_t n);
 void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
                   std::size_t bn);
 
-/// Scratch limbs mul_into needs for an an x bn product (an >= bn).
+/// Products whose shorter operand has at least this many limbs run as
+/// three-prime NTTs (ntt.cpp, DESIGN.md §5p), above the Karatsuba threshold
+/// (Tuning::karatsuba_threshold); measured with bench/perf_bn.
+inline constexpr std::size_t kNttMinLimbs = 448;
+/// The same crossover for a middle product, on the shorter of its band and
+/// its short operand.
+inline constexpr std::size_t kNttMiddleMinLimbs = 256;
+/// The longest transform. A product of more than this many coefficients (a
+/// middle product over a longer operand) is split by Karatsuba (transposed
+/// Karatsuba) levels onto transforms of at most this length, which bounds
+/// the NTT scratch at 4 * kNttMaxLength limbs per product.
+inline constexpr std::size_t kNttMaxLength = std::size_t{1} << 13;
+
+/// Scratch limbs mul_into needs for an an x bn product (an >= bn); a square
+/// needs sqr_scratch_limbs(an), which is never more.
 std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn);
+std::size_t sqr_scratch_limbs(std::size_t n);
 
 /// r[0, an + bn) = a[0, an) * b[0, bn) for an >= bn >= 1, Karatsuba above
-/// the threshold (squaring when a and b are the same range), using
-/// `scratch` of at least mul_scratch_limbs(an, bn) limbs.
+/// the threshold and NTTs above kNttMinLimbs (squaring when a and b are the
+/// same range), using `scratch` of at least mul_scratch_limbs(an, bn) limbs.
 void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
               std::size_t bn, Limb* scratch);
 
@@ -92,9 +108,40 @@ std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn);
 /// an >= bn >= 1 and n = an - bn + 1: the sum of a_i * b_j * B^(i+j-(bn-1))
 /// over bn-1 <= i+j <= an-1, the n diagonals of a * b that meet all of b
 /// (GMP's mpn_mulmid contract). Transposed Karatsuba above the Karatsuba
-/// threshold, using `scratch` of at least mulmid_scratch_limbs(an, bn) limbs.
+/// threshold, an NTT above kNttMiddleMinLimbs, using `scratch` of at least
+/// mulmid_scratch_limbs(an, bn) limbs.
 void mulmid_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
                  std::size_t bn, Limb* scratch);
+
+// -- NTT kernels (ntt.cpp) ----------------------------------------------------
+// Exact for operands of any limbs while the transform length stays at most
+// kNttMaxLength; the callers above dispatch to them.
+
+/// At most this many coefficients may wrap past a transform length: they
+/// are subtracted out by schoolbook (O(kNttWrapLimbs^2) work) where the
+/// next power of two would double the transform.
+inline constexpr std::size_t kNttWrapLimbs = 32;
+
+/// The transform length of an NTT product (square) of an x bn limbs, and of
+/// an NTT middle product.
+std::size_t ntt_product_length(std::size_t an, std::size_t bn);
+std::size_t ntt_middle_length(std::size_t an, std::size_t bn);
+
+/// Scratch limbs of one NTT product (square) of transform length `length`.
+std::size_t ntt_scratch_limbs(std::size_t length, bool square);
+
+/// r[0, an + bn) = a * b, for an >= bn >= 1 and a transform length of at
+/// most kNttMaxLength.
+void ntt_mul(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+             std::size_t bn, Limb* scratch);
+
+/// r[0, 2n) = a * a, likewise.
+void ntt_sqr(Limb* r, const Limb* a, std::size_t n, Limb* scratch);
+
+/// r[0, an - bn + 3) = the middle product of a and b (mulmid_into), for
+/// an >= bn >= 1 and a transform length of at most kNttMaxLength.
+void ntt_mulmid(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+                std::size_t bn, Limb* scratch);
 
 /// Floor division of magnitudes: a = q*b + r, 0 <= r < b. b must be nonzero.
 /// Dispatches Knuth Algorithm D vs Newton-reciprocal division on size.

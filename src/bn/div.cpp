@@ -144,9 +144,15 @@ void negate(Limb* r, const Limb* a, std::size_t n) {
   }
 }
 
-/// Scratch limbs invert_into needs for an n-limb divisor.
+/// Scratch limbs invert_into needs for an n-limb divisor: its own three
+/// buffers and its three products', or its recursive call's.
 std::size_t invert_scratch_limbs(std::size_t n) {
-  return 3 * (n + 1) + mul_scratch_limbs(n + 1, n + 1);
+  if (n <= kInvertBaseLimbs) return 0;
+  const std::size_t h = (n + 1) / 2;
+  return std::max(invert_scratch_limbs(h),
+                  3 * (n + 1) + std::max({mul_scratch_limbs(n, h + 1),
+                                          mul_scratch_limbs(n + 1, h + 1),
+                                          mul_scratch_limbs(n + 1, n)}));
 }
 
 /// out[0, n] = floor(beta^(2n) / d) for a normalized n-limb d (top bit

@@ -1,4 +1,5 @@
-// Multiplication: schoolbook below the Karatsuba threshold, Karatsuba above.
+// Multiplication: schoolbook below the Karatsuba threshold, Karatsuba above,
+// three-prime NTTs (ntt.cpp) above kNttMinLimbs.
 //
 // The product tree over the full key corpus multiplies numbers of hundreds of
 // thousands of limbs; a quadratic multiply would make the batch GCD
@@ -15,6 +16,11 @@
 // "The middle product algorithm, I", made exact for integer limbs as in
 // D. Harvey, "The Karatsuba integer middle product" (J. Symb. Comp. 2012).
 // mul_window computes the scaled remainder tree's windows with it.
+//
+// Above the NTT crossovers, a product or middle product that fits one
+// transform of at most kNttMaxLength coefficients is one NTT; a larger one
+// takes Karatsuba (transposed Karatsuba) levels, or chunks of a lopsided
+// operand, down to pieces that fit (DESIGN.md §5p).
 #include <algorithm>
 #include <memory>
 
@@ -85,6 +91,12 @@ std::size_t threshold() {
   return std::max<std::size_t>(Tuning::karatsuba_threshold(), 2);
 }
 
+/// The profiler frame of a product whose shorter operand has bn limbs.
+const char* product_frame(std::size_t bn) {
+  if (bn >= kNttMinLimbs && bn >= threshold()) return "bn.mul.ntt";
+  return bn >= threshold() ? "bn.mul.karatsuba" : "bn.mul.schoolbook";
+}
+
 /// r[0, n) = a[0, n) * b; returns the carry limb.
 Limb mul_1(Limb* r, const Limb* a, std::size_t n, Limb b) {
   unsigned __int128 carry = 0;
@@ -132,11 +144,16 @@ bool abs_diff(Limb* d, const Limb* a, const Limb* b, std::size_t m,
   return false;
 }
 
-/// Scratch of an n x n (or n-limb square) Karatsuba product.
-std::size_t balanced_scratch(std::size_t n) {
-  std::size_t total = 0;
-  for (; n >= threshold(); n = (n + 1) / 2) total += 4 * ((n + 1) / 2) + 2;
-  return total;
+/// Whether an an x bn product (an >= bn >= the threshold) is one NTT.
+bool ntt_product(std::size_t an, std::size_t bn) {
+  return bn >= kNttMinLimbs && ntt_product_length(an, bn) <= kNttMaxLength;
+}
+
+/// The chunk of a that a lopsided product multiplies by all of b at a
+/// time: bn, or, when b is wide enough for the NTT, the widest chunk whose
+/// product is still one transform.
+std::size_t lopsided_chunk(std::size_t bn) {
+  return ntt_product(bn, bn) ? kNttMaxLength + kNttWrapLimbs + 1 - bn : bn;
 }
 
 void sqr_basecase(Limb* r, const Limb* a, std::size_t n) {
@@ -197,17 +214,23 @@ void kara_mul(Limb* r, const Limb* a, std::size_t an, const Limb* b,
     mul_basecase(r, a, an, b, bn);
     return;
   }
+  if (ntt_product(an, bn)) {
+    ntt_mul(r, a, an, b, bn, ws);
+    return;
+  }
   const std::size_t m = (an + 1) / 2;
   if (bn <= m) {
-    // Lopsided: a in bn-limb chunks against all of b, accumulated in r.
-    kara_mul(r, a, bn, b, bn, ws);
+    // Lopsided: a in chunks (an > chunk >= bn) against all of b,
+    // accumulated in r.
+    const std::size_t chunk = lopsided_chunk(bn);
+    kara_mul(r, a, chunk, b, bn, ws);
     Limb* prod = ws;
-    for (std::size_t off = bn; off < an; off += bn) {
-      const std::size_t len = std::min(bn, an - off);
+    for (std::size_t off = chunk; off < an; off += chunk) {
+      const std::size_t len = std::min(chunk, an - off);
       if (len >= bn) {
-        kara_mul(prod, a + off, len, b, bn, ws + 2 * bn);
+        kara_mul(prod, a + off, len, b, bn, ws + chunk + bn);
       } else {
-        kara_mul(prod, b, bn, a + off, len, ws + 2 * bn);
+        kara_mul(prod, b, bn, a + off, len, ws + chunk + bn);
       }
       // r[off, off + bn) holds the previous chunk's high half.
       const Limb carry = add_n(r + off, r + off, prod, bn);
@@ -233,6 +256,10 @@ void kara_mul(Limb* r, const Limb* a, std::size_t an, const Limb* b,
 void kara_sqr(Limb* r, const Limb* a, std::size_t n, Limb* ws) {
   if (n < threshold()) {
     sqr_basecase(r, a, n);
+    return;
+  }
+  if (ntt_product(n, n)) {
+    ntt_sqr(r, a, n, ws);
     return;
   }
   const std::size_t m = (n + 1) / 2;
@@ -376,11 +403,36 @@ void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
   }
 }
 
+// Both follow kara_mul's and kara_sqr's dispatch.
 std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn) {
   if (bn < threshold()) return 0;
-  // A lopsided product runs bn x bn products into a 2bn-limb chunk buffer.
-  if (bn <= (an + 1) / 2) return 2 * bn + balanced_scratch(bn);
-  return balanced_scratch(an);
+  if (ntt_product(an, bn)) {
+    return ntt_scratch_limbs(ntt_product_length(an, bn), /*square=*/false);
+  }
+  const std::size_t m = (an + 1) / 2;
+  if (bn <= m) {
+    // Chunk products into a (chunk + bn)-limb buffer; the last chunk may be
+    // shorter, even than b.
+    const std::size_t chunk = lopsided_chunk(bn);
+    const std::size_t tail = (an - chunk) % chunk;
+    std::size_t inner = mul_scratch_limbs(chunk, bn);
+    if (tail != 0) {
+      inner = std::max(inner, tail >= bn ? mul_scratch_limbs(tail, bn)
+                                         : mul_scratch_limbs(bn, tail));
+    }
+    return chunk + bn + inner;
+  }
+  return 4 * m + 2 +
+         std::max(mul_scratch_limbs(m, m), mul_scratch_limbs(an - m, bn - m));
+}
+
+std::size_t sqr_scratch_limbs(std::size_t n) {
+  if (n < threshold()) return 0;
+  if (ntt_product(n, n)) {
+    return ntt_scratch_limbs(ntt_product_length(n, n), /*square=*/true);
+  }
+  const std::size_t m = (n + 1) / 2;
+  return 4 * m + 2 + std::max(sqr_scratch_limbs(m), sqr_scratch_limbs(n - m));
 }
 
 void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
@@ -392,8 +444,16 @@ void mul_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
   }
 }
 
+/// Whether MP(a, b) (an >= bn, both sides at least the threshold) is one
+/// NTT.
+bool ntt_middle(std::size_t an, std::size_t bn) {
+  return std::min(an - bn + 1, bn) >= kNttMiddleMinLimbs &&
+         ntt_middle_length(an, bn) <= kNttMaxLength;
+}
+
 /// r[0, n+2) = MP(a, b) for an >= bn >= 1: basecase below the Karatsuba
-/// threshold, else the band in bn-diagonal blocks (n > bn), b in n-limb
+/// threshold, one NTT above its crossover when a fits a transform, else
+/// the band in bn-diagonal blocks (n > bn), b in n-limb
 /// pieces (n < bn), or, when n == bn == 2m, the transposed Karatsuba
 ///   MP(a, b) = alpha + beta + B^m (gamma - beta),
 ///   alpha = MP(A0 + A1, b1), beta = MP(A1, b0 - b1), gamma = MP(A1 + A2, b0)
@@ -405,6 +465,10 @@ void mulmid_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
   const std::size_t n = an - bn + 1;
   if (std::min(n, bn) < threshold()) {
     mulmid_basecase(r, a, an, b, bn);
+    return;
+  }
+  if (ntt_middle(an, bn)) {
+    ntt_mulmid(r, a, an, b, bn, ws);
     return;
   }
   if (n > bn) {
@@ -487,6 +551,9 @@ void mulmid_into(Limb* r, const Limb* a, std::size_t an, const Limb* b,
 std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn) {
   const std::size_t n = an - bn + 1;
   if (std::min(n, bn) < threshold()) return 0;
+  if (ntt_middle(an, bn)) {
+    return ntt_scratch_limbs(ntt_middle_length(an, bn), /*square=*/false);
+  }
   if (n > bn) {
     const std::size_t tail = n % bn;
     return std::max(mulmid_scratch_limbs(2 * bn - 1, bn),
@@ -532,7 +599,9 @@ LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b) {
   const LimbVec& x = swap ? b : a;
   const LimbVec& y = swap ? a : b;
   LimbVec out(x.size() + y.size());
-  const std::size_t scratch_limbs = mul_scratch_limbs(x.size(), y.size());
+  const std::size_t scratch_limbs = &x == &y
+                                        ? sqr_scratch_limbs(x.size())
+                                        : mul_scratch_limbs(x.size(), y.size());
   std::unique_ptr<Limb[]> scratch;  // below the threshold: none, no call
   if (scratch_limbs != 0) {
     scratch = std::make_unique_for_overwrite<Limb[]>(scratch_limbs);
@@ -549,9 +618,7 @@ LimbVec mul(const LimbVec& a, const LimbVec& b) {
   // time. Both cost one relaxed load when the corresponding plane is off.
   static const int limbs_label = obs::mem::register_label("bn.limbs");
   obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
-  obs::prof::Frame frame(std::min(a.size(), b.size()) >= threshold()
-                             ? "bn.mul.karatsuba"
-                             : "bn.mul.schoolbook");
+  obs::prof::Frame frame(product_frame(std::min(a.size(), b.size())));
   return mul_karatsuba(a, b);
 }
 
@@ -624,8 +691,7 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
     }
   }
 
-  obs::prof::Frame frame(yn >= detail::threshold() ? "bn.mul.karatsuba"
-                                                   : "bn.mul.schoolbook");
+  obs::prof::Frame frame(detail::product_frame(yn));
   // One buffer, left uninitialized (the kernel writes every limb it
   // reads): the product, then the kernel's scratch.
   const auto prod = std::make_unique_for_overwrite<Limb[]>(

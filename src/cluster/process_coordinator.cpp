@@ -977,12 +977,14 @@ class ProcessCoordinator {
     for (;;) {
       if (config_.cancel && config_.cancel->cancelled()) cancelled_ = true;
       if (fatal_ || cancelled_ || halted_) return;
-      if (tasks_.complete()) return;
 
+      // Losses are buried before the run may end, so a worker that died
+      // as the last results came in is still counted and replaced.
       tick_liveness();
       tick_disconnected();
       tick_lost();
       if (fatal_) return;
+      if (tasks_.complete()) return;
       tick_timeouts();
       tick_streams();
       tick_assign();
@@ -1374,6 +1376,14 @@ class ProcessCoordinator {
         case util::ProcessFaultKind::kSigkill:
           ++stats_.sigkills_injected;
           ::kill(slot.pid, SIGKILL);
+          // The death is certain, but its link EOF and exit can trail the
+          // worker's answer to this very assignment (a small task finishes
+          // before the signal lands), and the run could end before a
+          // parked slot is reaped. So the slot is lost now: the next turn
+          // buries it, requeues the task and respawns the worker.
+          log("cluster: worker " + std::to_string(slot.id) +
+              " SIGKILLed by fault injection; declaring lost");
+          slot.state = SlotState::kLost;
           break;
         case util::ProcessFaultKind::kSigstop:
           ++stats_.sigstops_injected;

@@ -49,32 +49,6 @@ std::vector<std::uint64_t> Histogram::default_bytes_bounds() {
   return bounds;
 }
 
-double MetricsSnapshot::HistogramValue::quantile(double q) const {
-  if (count == 0 || bucket_counts.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target sample (1-based, fractional): q of the way through
-  // the sorted population.
-  const double rank = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
-    const double in_bucket = static_cast<double>(bucket_counts[i]);
-    if (in_bucket == 0.0) continue;
-    if (cumulative + in_bucket >= rank) {
-      const double lo =
-          i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
-      // The overflow bucket has no upper bound; the observed max is the
-      // tightest honest edge (it is the largest sample ever recorded).
-      const double hi = i < bounds.size()
-                            ? static_cast<double>(bounds[i])
-                            : std::max(static_cast<double>(max), lo);
-      const double fraction = (rank - cumulative) / in_bucket;
-      return std::min(lo + fraction * (hi - lo), static_cast<double>(max));
-    }
-    cumulative += in_bucket;
-  }
-  return static_cast<double>(max);
-}
-
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
   const auto it = counters.find(name);
   return it == counters.end() ? 0 : it->second;

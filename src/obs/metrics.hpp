@@ -109,16 +109,6 @@ struct MetricsSnapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t max = 0;
-
-    /// Estimated q-quantile (q in [0,1]) by linear interpolation within the
-    /// fixed buckets: the sample at rank q*count is located in its bucket
-    /// and interpolated between the bucket's lower and upper bounds. The
-    /// overflow bucket interpolates up to the observed max. Returns 0 when
-    /// the histogram is empty; never exceeds max.
-    [[nodiscard]] double quantile(double q) const;
-    [[nodiscard]] double p50() const { return quantile(0.50); }
-    [[nodiscard]] double p90() const { return quantile(0.90); }
-    [[nodiscard]] double p99() const { return quantile(0.99); }
   };
   std::map<std::string, HistogramValue> histograms;
 

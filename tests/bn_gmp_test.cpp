@@ -3,11 +3,13 @@
 #include <gmp.h>
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bn/bigint.hpp"
+#include "bn/detail.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/key.hpp"
 #include "util/prng.hpp"
@@ -369,6 +371,179 @@ TEST(GmpEdgeCases, AssembledPrivateKeyMatchesGmpInverses) {
   const BigInt p(561), q(101);
   EXPECT_EQ(rsa::assemble_private_key(p, q, BigInt(3)).qinv,
             mod_inverse(q, p));
+}
+
+// -- NTT products -------------------------------------------------------------
+// The NTT kernels against GMP's mpn layer at the sizes where the dispatch
+// changes: the crossover T - 1, T and T + 1 (kNttMinLimbs for products,
+// kNttMiddleMinLimbs for middle products), the widest operands whose
+// coefficients still wrap past a power of two and one limb more, half the
+// transform cap, the cap and one past it, and twice the cap plus three
+// (Karatsuba levels over NTT leaves). Operands are all-ones limbs, whose
+// convolution coefficients are the largest the CRT must recover, or runs
+// of all-ones limbs next to runs of zeros, whose carries run far. Results
+// are compared whole (EXPECT_TRUE): printing a mismatch of thousands of
+// limbs would bury the sizes that failed.
+
+using detail::LimbVec;
+
+/// n limbs (top limb nonzero): all ones (fill 0) or alternating runs of
+/// 1-8 all-ones and 1-8 zero limbs (fill 1).
+LimbVec ntt_operand(util::Xoshiro256& rng, std::size_t n, int fill) {
+  constexpr Limb kOnes = ~Limb{0};
+  LimbVec v(n, kOnes);
+  if (fill == 1) {
+    bool ones = rng.below(2) == 0;
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t run = 1 + rng.below(8);
+      for (std::size_t j = 0; j < run && i < n; ++j, ++i) {
+        v[i] = ones ? kOnes : 0;
+      }
+      ones = !ones;
+    }
+  }
+  v.back() = kOnes;
+  return v;
+}
+
+BigInt big_of(const LimbVec& v) { return BigIntOps::make(v, 1); }
+
+/// The hex of limbs, as GMP prints it.
+std::string hex_of(const LimbVec& v) {
+  Mpz z;
+  mpz_import(z.v, v.size(), -1, sizeof(Limb), 0, 0, v.data());
+  return z.hex();
+}
+
+/// The sizes above for crossover t. An s x s product (a (2s - 1) x s
+/// middle product) with s = wrap still fits the transform of length L, at
+/// most kNttWrapLimbs past it; s = wrap + 1 takes 2L.
+std::vector<std::size_t> ntt_sizes(std::size_t t) {
+  const std::size_t cap = detail::kNttMaxLength;
+  const std::size_t wrap =
+      (std::bit_ceil(2 * t - 1) + detail::kNttWrapLimbs) / 2;
+  return {t - 1, t, t + 1, wrap, wrap + 1, cap / 2, cap, cap + 1, 2 * cap + 3};
+}
+
+/// GMP's product, trimmed.
+LimbVec gmp_product(const LimbVec& a, const LimbVec& b) {
+  LimbVec r(a.size() + b.size());
+  if (&a == &b) {
+    mpn_sqr(r.data(), a.data(), static_cast<mp_size_t>(a.size()));
+  } else {
+    mpn_mul(r.data(), a.data(), static_cast<mp_size_t>(a.size()), b.data(),
+            static_cast<mp_size_t>(b.size()));
+  }
+  detail::trim(r);
+  return r;
+}
+
+TEST(NttGmp, ProductsAndSquaresAgree) {
+  util::Xoshiro256 rng(27);
+  for (const std::size_t s : ntt_sizes(detail::kNttMinLimbs)) {
+    for (int fill = 0; fill < 2; ++fill) {
+      const LimbVec a = ntt_operand(rng, s, fill);
+      const LimbVec b = ntt_operand(rng, s, fill);
+      const LimbVec wide = ntt_operand(rng, 3 * s + 7, fill);
+      EXPECT_TRUE(detail::mul_karatsuba(a, b) == gmp_product(a, b))
+          << "balanced " << s << " fill " << fill;
+      EXPECT_TRUE(detail::mul_karatsuba(wide, b) == gmp_product(wide, b))
+          << "lopsided " << s << " fill " << fill;
+      EXPECT_TRUE(detail::mul_karatsuba(a, a) == gmp_product(a, a))
+          << "square " << s << " fill " << fill;
+      const BigInt x = big_of(a);
+      EXPECT_TRUE((x * x).to_hex() == hex_of(gmp_product(a, a)))
+          << "BigInt square " << s << " fill " << fill;
+    }
+  }
+}
+
+/// The middle product by its definition on GMP's addmul: the n-limb slice
+/// of a that meets b_j in the band, times b_j, summed over j.
+LimbVec gmp_middle(const LimbVec& a, const LimbVec& b) {
+  const std::size_t n = a.size() - b.size() + 1;
+  LimbVec r(n + 2, 0);
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    const Limb carry = mpn_addmul_1(r.data(), a.data() + b.size() - 1 - j,
+                                    static_cast<mp_size_t>(n), b[j]);
+    mpn_add_1(r.data() + n, r.data() + n, 2, carry);
+  }
+  detail::trim(r);
+  return r;
+}
+
+TEST(NttGmp, MiddleProductsAgree) {
+  util::Xoshiro256 rng(28);
+  for (const std::size_t s : ntt_sizes(detail::kNttMiddleMinLimbs)) {
+    for (int fill = 0; fill < 2; ++fill) {
+      const LimbVec b = ntt_operand(rng, s, fill);
+      // The descent's shape (n = bn) and a band three times wider than b.
+      for (const std::size_t an : {2 * s - 1, 4 * s + 5}) {
+        const LimbVec a = ntt_operand(rng, an, fill);
+        EXPECT_TRUE(detail::mul_middle(a, b) == gmp_middle(a, b))
+            << "an " << an << " bn " << s << " fill " << fill;
+      }
+    }
+  }
+}
+
+TEST(NttGmp, MulWindowsAgree) {
+  util::Xoshiro256 rng(29);
+  for (const std::size_t s : ntt_sizes(detail::kNttMiddleMinLimbs)) {
+    for (int fill = 0; fill < 2; ++fill) {
+      const LimbVec y = ntt_operand(rng, s, fill);
+      for (const std::size_t xn : {2 * s + 1, 3 * s + 7}) {
+        const LimbVec x = ntt_operand(rng, xn, fill);
+        Mpz product;
+        const LimbVec full = gmp_product(x, y);
+        mpz_import(product.v, full.size(), -1, sizeof(Limb), 0, 0,
+                   full.data());
+        // The descent's window (the fraction bits above y's width), one
+        // narrow band, and the top of the product.
+        const std::size_t total = 64 * (xn + s);
+        const std::size_t shift = 64 * s - 1 - rng.below(64);
+        const std::pair<std::size_t, std::size_t> windows[] = {
+            {shift, 64 * xn - shift + 32},
+            {rng.below(total), 1 + rng.below(200)},
+            {total - 64 * s - 64, 64 * s + 64},
+        };
+        for (const auto& [at, bits] : windows) {
+          Mpz expected;
+          mpz_fdiv_q_2exp(expected.v, product.v, at);
+          mpz_fdiv_r_2exp(expected.v, expected.v, bits);
+          EXPECT_TRUE(mul_window(big_of(x), big_of(y), at, bits).to_hex() ==
+                      expected.hex())
+              << "xn " << xn << " yn " << s << " shift " << at << " bits "
+              << bits << " fill " << fill;
+        }
+      }
+    }
+  }
+}
+
+TEST(NttGmp, ReciprocalsAgree) {
+  util::Xoshiro256 rng(30);
+  for (const std::size_t s : ntt_sizes(detail::kNttMinLimbs)) {
+    for (int fill = 0; fill < 2; ++fill) {
+      const LimbVec limbs = ntt_operand(rng, s, fill);
+      // A wrong product can keep invert_into's exact corrections from
+      // ending, so a product of the size it takes last ((n + 1) x n, n a
+      // limb or two past s) is checked first.
+      LimbVec wider = limbs;
+      wider.push_back(limbs.back());
+      ASSERT_TRUE(detail::mul_karatsuba(wider, wider) ==
+                  gmp_product(wider, wider))
+          << s << " limbs, fill " << fill;
+      const BigInt d = big_of(limbs);
+      // The root reciprocal's precision (ProductTree::root_reciprocal).
+      const std::size_t bits = 2 * d.bit_length() + 64;
+      Mpz one, q, dz(d.to_hex());
+      mpz_setbit(one.v, bits);
+      mpz_fdiv_q(q.v, one.v, dz.v);
+      EXPECT_TRUE(reciprocal(d, bits).to_hex() == q.hex())
+          << s << " limbs, fill " << fill;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GmpDifferential,

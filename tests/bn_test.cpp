@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
+#include <thread>
 
 #include "bn/bigint.hpp"
 #include "bn/detail.hpp"
@@ -517,6 +519,48 @@ TEST(MiddleProduct, MulWindowTakesTheFullProductWhenTheGuardCouldCarry) {
   ASSERT_NE((band >> 128) % modulus, window);  // the band alone is wrong
   EXPECT_EQ(mul_window(from_limbs(x), from_limbs(y), 64 * lo, bits), window);
   EXPECT_EQ(mul_window(from_limbs(y), from_limbs(x), 64 * lo, bits), window);
+}
+
+// ------------------------------------------------------- NTT tables ----
+
+// The NTT's root tables are built on the first product above its
+// crossover. Four threads start theirs at once (each test runs in its own
+// process under ctest, so this is the first use); every product and middle
+// product must equal the schoolbook one. Under TSan this also checks the
+// one-time build for races.
+TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
+  constexpr int kThreads = 4;
+  const std::size_t n = detail::kNttMinLimbs + 5;
+  std::vector<detail::LimbVec> a(kThreads), b(kThreads), mid(kThreads);
+  util::Xoshiro256 rng(35);
+  for (int t = 0; t < kThreads; ++t) {
+    a[t].resize(n);
+    b[t].resize(n);
+    mid[t].resize(3 * n);
+    for (auto& v : a[t]) v = rng();
+    for (auto& v : b[t]) v = rng();
+    for (auto& v : mid[t]) v = rng();
+  }
+  std::vector<detail::LimbVec> products(kThreads), middles(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      products[t] = detail::mul_karatsuba(a[t], b[t]);
+      middles[t] = detail::mul_middle(mid[t], b[t]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  auto& kara = Tuning::karatsuba_threshold();
+  const std::size_t saved = kara;
+  kara = 1000000;  // schoolbook, no transform
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(products[t], detail::mul_schoolbook(a[t], b[t])) << t;
+    EXPECT_EQ(middles[t], detail::mul_middle(mid[t], b[t])) << t;
+  }
+  kara = saved;
 }
 
 // ---------------------------------------------------- tuning knobs ----

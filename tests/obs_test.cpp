@@ -553,61 +553,6 @@ TEST(FleetAggregator, PublishesEachWorkersClockOffsetAndRtt) {
 }
 
 
-// ------------------------------------------------- histogram quantiles ----
-
-obs::MetricsSnapshot::HistogramValue recorded(
-    std::vector<std::uint64_t> bounds,
-    const std::vector<std::uint64_t>& samples) {
-  obs::MetricsRegistry registry;
-  auto& h = registry.histogram("h", std::move(bounds));
-  for (const std::uint64_t v : samples) h.record(v);
-  return registry.snapshot().histograms.at("h");
-}
-
-TEST(HistogramQuantile, EmptyHistogramIsZero) {
-  const auto h = recorded({10, 20}, {});
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.p99(), 0.0);
-}
-
-TEST(HistogramQuantile, UniformDistributionLandsOnExactQuantiles) {
-  // 1..100 into four equal buckets: linear interpolation reproduces the
-  // population quantiles exactly.
-  std::vector<std::uint64_t> samples;
-  for (std::uint64_t v = 1; v <= 100; ++v) samples.push_back(v);
-  const auto h = recorded({25, 50, 75, 100}, samples);
-  EXPECT_DOUBLE_EQ(h.p50(), 50.0);
-  EXPECT_DOUBLE_EQ(h.p90(), 90.0);
-  EXPECT_DOUBLE_EQ(h.p99(), 99.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 25.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
-}
-
-TEST(HistogramQuantile, InterpolatesWithinASingleBucket) {
-  // Ten samples of 7 all land in the 0..10 bucket; the estimator can only
-  // interpolate within the bucket: the median estimate is its midpoint.
-  const auto h = recorded({10, 20}, std::vector<std::uint64_t>(10, 7));
-  EXPECT_DOUBLE_EQ(h.p50(), 5.0);
-}
-
-TEST(HistogramQuantile, NeverExceedsObservedMax) {
-  // A single sample of 3 in a 0..1000 bucket: interpolation would say 1000
-  // for q=1, but no recorded sample exceeded 3.
-  const auto h = recorded({1000}, {3});
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.0);
-  EXPECT_LE(h.p50(), 3.0);
-}
-
-TEST(HistogramQuantile, OverflowBucketInterpolatesUpToMax) {
-  // 5 below the only bound; 100 and 200 in the overflow bucket whose honest
-  // upper edge is the observed max (200).
-  const auto h = recorded({10}, {5, 100, 200});
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 200.0);
-  // rank(0.5) = 1.5: half-way through the overflow bucket's first sample,
-  // lerped across [10, 200].
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0 + 0.25 * 190.0);
-}
-
 // ------------------------------------------------ process self-metrics ----
 
 TEST(ProcStats, SamplesRssAndCpuWhereAvailable) {
