@@ -8,6 +8,11 @@
 #pragma once
 
 #include "netsim/dataset.hpp"
+#include "util/cancellation.hpp"
+
+namespace weakkeys::util {
+class ThreadPool;
+}
 
 namespace weakkeys::analysis {
 
@@ -15,7 +20,12 @@ namespace weakkeys::analysis {
 /// value: pass an rvalue to filter in place, an lvalue to keep a copy.
 netsim::ScanSnapshot exclude_intermediates(netsim::ScanSnapshot snap);
 
-/// Applies exclude_intermediates to every snapshot (by value, as above).
-netsim::ScanDataset exclude_intermediates(netsim::ScanDataset dataset);
+/// Applies exclude_intermediates to every snapshot (by value, as above):
+/// one task per snapshot on `pool` when one is given, each polling
+/// `cancel`. Every certificate's subject and issuer DN is rendered once,
+/// however many records show it, and survivors keep their order.
+netsim::ScanDataset exclude_intermediates(
+    netsim::ScanDataset dataset, util::ThreadPool* pool = nullptr,
+    const util::CancellationToken* cancel = nullptr);
 
 }  // namespace weakkeys::analysis

@@ -42,17 +42,9 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     if (!tasks.done(t)) pending.push_back(t);
   }
-  const auto for_each = [pool, cancel](std::size_t n, const auto& body) {
-    if (pool) {
-      pool->parallel_for(n, body, cancel);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-    }
-  };
-
   if (!pending.empty()) {
     std::vector<std::unique_ptr<ProductTree>> trees(k);
-    for_each(k, [&](std::size_t a) {
+    util::parallel_for(pool, k, [&](std::size_t a) {
       if (cancel) cancel->throw_if_cancelled();
       const TreeStorage* storage = options.storage;
       if (storage != nullptr && storage->enabled()) {
@@ -68,10 +60,10 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
       }
       // Built here, once, for the k tasks that walk this tree.
       trees[a]->root_reciprocal();
-    });
+    }, cancel);
     if (options.registry) trees[0]->publish_level_stats(*options.registry);
 
-    for_each(pending.size(), [&](std::size_t i) {
+    util::parallel_for(pool, pending.size(), [&](std::size_t i) {
       if (cancel) cancel->throw_if_cancelled();
       const std::size_t task = pending[i];
       const std::size_t b = tasks.product_of(task);
@@ -80,7 +72,7 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
           remainder_task_residues(*trees[a], trees[b]->root(), b == a);
       tasks.commit(task, leaf_claims(tasks.subset(a), u));
       if (executed) executed->inc();
-    });
+    }, cancel);
 
     if (stats) {
       for (const auto& tree : trees) {

@@ -13,11 +13,13 @@
 // (batchgcd/remainder_tree.hpp) starts from.
 //
 // Every approximate step ends in an exact correction loop, so correctness
-// never depends on the error analysis; the analysis only guarantees the
-// loops run O(1) iterations.
+// never depends on the error analysis. The analysis bounds the loops'
+// iterations, and a loop that passes its bound throws std::logic_error: only
+// a wrong product gets there, and it must fail rather than spin.
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "bn/detail.hpp"
 #include "obs/mem.hpp"
@@ -134,6 +136,31 @@ BigInt make_pos(LimbVec v) { return Ops::make(std::move(v), 1); }
 /// beta^(2n) by the divisor directly.
 constexpr std::size_t kInvertBaseLimbs = 16;
 
+/// invert_into's exact correction moves X1 by at most these steps to the
+/// exact X = floor(beta^(2n) / d). With X0 = Ih * beta^l, the residual
+/// E' = beta^(n+h) - Ih * d lies in (-2 beta^n, beta^n), so
+/// eps = E' / beta^(n+h) has |eps| < 2 beta^-h. The step's real value
+/// X0 (1 + eps) = (beta^(2n) / d)(1 - eps^2) is below beta^(2n) / d by
+/// less than 8 (less than 2 when E' >= 0), and truncating the correction
+/// moves X1 by less than 1, down when E' >= 0 and up when E' < 0. So X1
+/// lies in [X - 7, X + 1].
+constexpr int kInvertMaxLower = 1;
+constexpr int kInvertMaxRaise = 7;
+/// Barrett's estimate floor(floor(A / beta^n) * I / beta^n) is never above
+/// the quotient and, for A < beta^(2n) and B >= beta^n / 2, at most 3
+/// below it: A / beta^(2n) < 1 and beta^n / B <= 2 bound the two dropped
+/// terms, and the floor costs one more.
+constexpr int kBarrettMaxRaise = 3;
+
+/// Counts one exact-correction step of `where`; throws once `steps` passes
+/// `bound`.
+void correction_step(int& steps, int bound, const char* where) {
+  if (++steps > bound) {
+    throw std::logic_error(std::string(where) +
+                           ": correction past its bound (a wrong product)");
+  }
+}
+
 /// r[0, n) = -a[0, n) mod beta^n (two's complement; r may alias a).
 void negate(Limb* r, const Limb* a, std::size_t n) {
   Limb carry = 1;
@@ -200,11 +227,15 @@ void invert_into(Limb* out, const Limb* d, std::size_t n, Limb* ws) {
   // Exact correction: R = beta^(2n) - X1 * d must land in [0, d).
   mul_into(prod, out, n + 1, d, n, scratch);
   negate(e, prod, n + 1);  // R, two's complement over n + 1 limbs
+  int lowered = 0;
   while ((e[n] >> 63) != 0) {
+    correction_step(lowered, kInvertMaxLower, "invert_into");
     sub_1(out, n + 1, 1);
     e[n] += add_n(e, e, d, n);
   }
+  int raised = 0;
   while (e[n] != 0 || cmp_n(e, d, n) >= 0) {
+    correction_step(raised, kInvertMaxRaise, "invert_into");
     add_1(out, n + 1, 1);
     e[n] -= sub_n(e, e, d, n);
   }
@@ -227,11 +258,15 @@ void barrett_step(const BigInt& a, const BigInt& b, const BigInt& i,
   const BigInt a1 = a.high_limbs_from(n);
   q = (a1 * i) >> (64 * n);
   r = a - q * b;
+  int lowered = 0;
   while (r.is_negative()) {
+    correction_step(lowered, 0, "barrett_step");
     q -= 1;
     r += b;
   }
+  int raised = 0;
   while (r >= b) {
+    correction_step(raised, kBarrettMaxRaise, "barrett_step");
     q += 1;
     r -= b;
   }

@@ -8,6 +8,7 @@
 
 #include "cert/certificate.hpp"
 #include "obs/mem.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::core {
 
@@ -46,51 +47,64 @@ bool is_degenerate_modulus(QuarantineReason r) {
          r == QuarantineReason::kEvenModulus;
 }
 
-class Validator {
+/// A certificate's verdict from the checks that read it alone (none when
+/// it passes them), and the subject the serial-number check compares.
+struct Screened {
+  std::optional<QuarantineReason> verdict;
+  std::string subject;
+};
+
+Screened screen(const cert::Certificate& c) {
+  const bn::BigInt& n = c.key.n;
+  if (n <= bn::BigInt(1)) return {QuarantineReason::kZeroModulus, {}};
+  if (n.bit_length() < kMinModulusBits) {
+    return {QuarantineReason::kTinyModulus, {}};
+  }
+  if (n.is_even()) return {QuarantineReason::kEvenModulus, {}};
+  if (c.key.e <= bn::BigInt(1)) return {QuarantineReason::kBadExponent, {}};
+  if (c.validity.not_after < c.validity.not_before) {
+    return {QuarantineReason::kInvertedValidity, {}};
+  }
+  return {std::nullopt, c.subject.to_string()};
+}
+
+/// One undecoded record after its decode attempt.
+struct RawOutcome {
+  std::size_t record = 0;
+  netsim::CertHandle decoded;  ///< null when the bytes did not decode
+  Screened screen;
+};
+
+/// Serial reuse under a different subject marks junk echoing a real
+/// certificate. Legitimate same-serial variants (per-observation bit flips,
+/// MITM key substitution) keep the victim's subject and pass. The answer
+/// depends on what came before, so records are checked in record order.
+class SerialRegistry {
  public:
-  /// Semantic validation of a decoded certificate; nullopt means keep.
   /// `register_serial` controls whether a passing certificate claims its
-  /// serial in the duplicate map — recovered wire damage must not (a
-  /// bit-flipped serial could otherwise poison the map and quarantine a
-  /// later legitimate certificate).
-  std::optional<QuarantineReason> check(const cert::Certificate& c,
-                                        bool register_serial = true) {
-    const bn::BigInt& n = c.key.n;
-    if (n <= bn::BigInt(1)) return QuarantineReason::kZeroModulus;
-    if (n.bit_length() < kMinModulusBits) return QuarantineReason::kTinyModulus;
-    if (n.is_even()) return QuarantineReason::kEvenModulus;
-    if (c.key.e <= bn::BigInt(1)) return QuarantineReason::kBadExponent;
-    if (c.validity.not_after < c.validity.not_before)
-      return QuarantineReason::kInvertedValidity;
-    // Serial reuse under a different subject marks junk echoing a real
-    // certificate. Legitimate same-serial variants (per-observation bit
-    // flips, MITM key substitution) keep the victim's subject and pass.
-    const std::string subject = c.subject.to_string();
-    const auto it = serial_subjects_.find(c.serial);
-    if (it != serial_subjects_.end()) {
+  /// serial — recovered wire damage must not (a bit-flipped serial could
+  /// otherwise poison the map and quarantine a later legitimate
+  /// certificate).
+  std::optional<QuarantineReason> check(std::uint64_t serial,
+                                        const std::string& subject,
+                                        bool register_serial) {
+    const auto it = subjects_.find(serial);
+    if (it != subjects_.end()) {
       if (it->second != subject) return QuarantineReason::kDuplicateSerial;
     } else if (register_serial) {
-      serial_subjects_.emplace(c.serial, subject);
+      subjects_.emplace(serial, subject);
     }
     return std::nullopt;
   }
 
-  /// check() memoized per certificate object — records overwhelmingly share
-  /// certificate handles, and the verdict is a property of the object.
-  std::optional<QuarantineReason> check_shared(const cert::Certificate* c) {
-    const auto cached = verdicts_.find(c);
-    if (cached != verdicts_.end()) return cached->second;
-    const auto verdict = check(*c);
-    verdicts_.emplace(c, verdict);
-    return verdict;
-  }
-
  private:
-  std::unordered_map<std::uint64_t, std::string> serial_subjects_;
-  std::unordered_map<const cert::Certificate*,
-                     std::optional<QuarantineReason>>
-      verdicts_;
+  std::unordered_map<std::uint64_t, std::string> subjects_;
 };
+
+void quarantine(IngestStats& stats, QuarantineReason reason) {
+  ++stats.records_quarantined;
+  ++stats.by_reason[static_cast<std::size_t>(reason)];
+}
 
 }  // namespace
 
@@ -158,77 +172,140 @@ std::string IngestStats::summary() const {
 }
 
 IngestResult ingest_dataset(const netsim::ScanDataset& raw,
-                            const util::CancellationToken* cancel) {
+                            const util::CancellationToken* cancel,
+                            util::ThreadPool* pool) {
+  using netsim::CertificateIndex;
+  const std::size_t snapshot_count = raw.snapshots.size();
+  const CertificateIndex index = netsim::index_certificates(raw);
+
+  // On the pool: each certificate's own checks, once however many records
+  // show it, and the decode attempt of every undecoded record. Decode
+  // allocations are attributed to cert.parse for the memory census.
+  std::vector<Screened> certs(index.size());
+  util::parallel_for_blocks(
+      pool, index.size(), 256,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          certs[i] = screen(index.first_record(raw, i).cert());
+        }
+      },
+      cancel);
+  std::vector<std::vector<RawOutcome>> raw_outcomes(snapshot_count);
+  util::parallel_for(
+      pool, snapshot_count,
+      [&](std::size_t s) {
+        static const int parse_label = obs::mem::register_label("cert.parse");
+        const auto& records = raw.snapshots[s].records;
+        for (std::size_t r = 0; r < records.size(); ++r) {
+          const auto& rec = records[r];
+          if (rec.has_cert() || rec.raw_der.empty()) continue;
+          obs::MemScope parse_scope(parse_label);
+          RawOutcome out{r, nullptr, {}};
+          auto decoded = cert::Certificate::try_decode(rec.raw_der);
+          if (decoded.ok()) {
+            out.decoded = std::make_shared<const cert::Certificate>(
+                *std::move(decoded.cert));
+            out.screen = screen(*out.decoded);
+          } else {
+            out.screen.verdict = reason_for(decoded.error);
+          }
+          raw_outcomes[s].push_back(std::move(out));
+        }
+      },
+      cancel);
+
+  // Serially, in record order: the serial-number check of each
+  // certificate's first record and of each decoded record, and the
+  // degenerate moduli in the order their first records appear.
   IngestResult result;
-  Validator validator;
+  SerialRegistry serials;
   std::unordered_set<std::string> degenerate_seen;
-
-  result.kept.snapshots.reserve(raw.snapshots.size());
-  for (const auto& snap : raw.snapshots) {
-    if (cancel) cancel->throw_if_cancelled();
-    netsim::ScanSnapshot kept;
-    kept.date = snap.date;
-    kept.source = snap.source;
-    kept.protocol = snap.protocol;
-    kept.records.reserve(snap.records.size());
-
-    for (const auto& rec : snap.records) {
-      ++result.stats.records_seen;
-
-      const auto quarantine = [&](QuarantineReason reason,
-                                  const cert::Certificate* c) {
-        ++result.stats.records_quarantined;
-        ++result.stats.by_reason[static_cast<std::size_t>(reason)];
-        if (c && is_degenerate_modulus(reason) &&
-            degenerate_seen.insert(c->key.n.to_hex()).second) {
-          result.degenerate_moduli.push_back(c->key.n);
-          ++result.stats.degenerate_moduli;
-        }
-      };
-
-      if (rec.has_cert()) {
-        if (const auto verdict = validator.check_shared(rec.certificate.get())) {
-          quarantine(*verdict, rec.certificate.get());
-          continue;
-        }
-        kept.records.push_back(rec);
-        ++result.stats.records_kept;
-        continue;
-      }
-
-      if (rec.raw_der.empty()) {
-        quarantine(QuarantineReason::kMissingCertificate, nullptr);
-        continue;
-      }
-
-      // Undecoded wire bytes: attempt a total decode, then the same
-      // semantic validation as everything else. Decode allocations are
-      // attributed to cert.parse for the memory census.
-      ++result.stats.raw_records;
-      static const int parse_label = obs::mem::register_label("cert.parse");
-      obs::MemScope parse_scope(parse_label);
-      auto decoded = cert::Certificate::try_decode(rec.raw_der);
-      if (!decoded.ok()) {
-        quarantine(reason_for(decoded.error), nullptr);
-        continue;
-      }
-      auto handle =
-          std::make_shared<const cert::Certificate>(*std::move(decoded.cert));
-      // check(), not check_shared(): freshly decoded objects are unique, and
-      // memoizing a short-lived pointer could alias a later allocation.
-      if (const auto verdict =
-              validator.check(*handle, /*register_serial=*/false)) {
-        quarantine(*verdict, handle.get());
-        continue;
-      }
-      netsim::HostRecord recovered = rec;
-      recovered.certificate = std::move(handle);
-      recovered.raw_der.clear();
-      kept.records.push_back(std::move(recovered));
-      ++result.stats.records_kept;
-      ++result.stats.raw_recovered;
+  const auto check = [&](Screened& c, const cert::Certificate& cert,
+                         bool claim_serial) {
+    if (!c.verdict) {
+      c.verdict = serials.check(cert.serial, c.subject, claim_serial);
     }
-    result.kept.snapshots.push_back(std::move(kept));
+    if (c.verdict && is_degenerate_modulus(*c.verdict) &&
+        degenerate_seen.insert(cert.key.n.to_hex()).second) {
+      result.degenerate_moduli.push_back(cert.key.n);
+    }
+  };
+  std::size_t next = 0;  // next certificate in first-seen order
+  for (std::size_t s = 0; s < snapshot_count; ++s) {
+    if (cancel) cancel->throw_if_cancelled();
+    auto raw_it = raw_outcomes[s].begin();
+    const auto raw_end = raw_outcomes[s].end();
+    for (;;) {
+      const bool cert_here =
+          next < index.size() && index.first[next].snapshot == s;
+      if (!cert_here && raw_it == raw_end) break;
+      if (cert_here &&
+          (raw_it == raw_end || index.first[next].record < raw_it->record)) {
+        check(certs[next], index.first_record(raw, next).cert(), true);
+        ++next;
+      } else {
+        if (raw_it->decoded) check(raw_it->screen, *raw_it->decoded, false);
+        ++raw_it;
+      }
+    }
+  }
+  result.stats.degenerate_moduli = result.degenerate_moduli.size();
+
+  // On the pool: each snapshot's kept records and counts.
+  std::vector<IngestStats> stats(snapshot_count);
+  result.kept.snapshots.resize(snapshot_count);
+  util::parallel_for(
+      pool, snapshot_count,
+      [&](std::size_t s) {
+        const netsim::ScanSnapshot& snap = raw.snapshots[s];
+        const auto& slots = index.slots[s];
+        IngestStats& st = stats[s];
+        netsim::ScanSnapshot& kept = result.kept.snapshots[s];
+        kept.date = snap.date;
+        kept.source = snap.source;
+        kept.protocol = snap.protocol;
+        kept.records.reserve(snap.records.size());
+        auto raw_it = raw_outcomes[s].begin();
+        for (std::size_t r = 0; r < snap.records.size(); ++r) {
+          const auto& rec = snap.records[r];
+          ++st.records_seen;
+          if (slots[r] != CertificateIndex::kNone) {
+            if (const auto& verdict = certs[slots[r]].verdict) {
+              quarantine(st, *verdict);
+              continue;
+            }
+            kept.records.push_back(rec);
+            ++st.records_kept;
+            continue;
+          }
+          if (rec.raw_der.empty()) {
+            quarantine(st, QuarantineReason::kMissingCertificate);
+            continue;
+          }
+          ++st.raw_records;
+          RawOutcome& out = *raw_it++;
+          if (out.screen.verdict) {
+            quarantine(st, *out.screen.verdict);
+            continue;
+          }
+          netsim::HostRecord recovered = rec;
+          recovered.certificate = std::move(out.decoded);
+          recovered.raw_der.clear();
+          kept.records.push_back(std::move(recovered));
+          ++st.records_kept;
+          ++st.raw_recovered;
+        }
+      },
+      cancel);
+  for (const IngestStats& st : stats) {
+    result.stats.records_seen += st.records_seen;
+    result.stats.records_kept += st.records_kept;
+    result.stats.records_quarantined += st.records_quarantined;
+    result.stats.raw_records += st.raw_records;
+    result.stats.raw_recovered += st.raw_recovered;
+    for (std::size_t i = 0; i < kQuarantineReasonCount; ++i) {
+      result.stats.by_reason[i] += st.by_reason[i];
+    }
   }
   return result;
 }

@@ -17,6 +17,10 @@
 #include "netsim/dataset.hpp"
 #include "util/cancellation.hpp"
 
+namespace weakkeys::util {
+class ThreadPool;
+}
+
 namespace weakkeys::core {
 
 enum class QuarantineReason : std::uint8_t {
@@ -54,6 +58,8 @@ struct IngestStats {
   std::size_t degenerate_moduli = 0;
   std::array<std::size_t, kQuarantineReasonCount> by_reason{};
 
+  friend bool operator==(const IngestStats&, const IngestStats&) = default;
+
   [[nodiscard]] std::size_t quarantined(QuarantineReason r) const {
     return by_reason[static_cast<std::size_t>(r)];
   }
@@ -77,8 +83,14 @@ struct IngestResult {
 /// Validates every record of `raw`. Total: never throws on any input
 /// dataset, and a clean dataset passes through with kept == raw. The one
 /// exception is cooperative cancellation: when `cancel` is non-null it is
-/// polled once per snapshot and an armed trip throws util::Cancelled.
+/// polled per snapshot and per pool task, and a trip throws
+/// util::Cancelled.
+///
+/// With a `pool`, each certificate's checks, the decode attempts and each
+/// snapshot's copy run on it; the serial-number check runs in record order
+/// either way, so the result does not depend on the pool.
 IngestResult ingest_dataset(const netsim::ScanDataset& raw,
-                            const util::CancellationToken* cancel = nullptr);
+                            const util::CancellationToken* cancel = nullptr,
+                            util::ThreadPool* pool = nullptr);
 
 }  // namespace weakkeys::core

@@ -3,7 +3,6 @@
 #include "util/atomic_file.hpp"
 #include "util/binary_io.hpp"
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -36,20 +35,10 @@ const char* to_string(DatasetLoadStatus s) {
 
 void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
                   const std::string& path) {
-  // Build the certificate table (records share certificate objects). Records
+  // The certificate table (records share certificate objects). Records
   // without a decoded certificate — dirty-corpus raw bytes awaiting
   // quarantine — are not corpus data and are skipped.
-  std::map<const cert::Certificate*, std::uint32_t> cert_index;
-  std::vector<const cert::Certificate*> certs;
-  for (const auto& snap : dataset.snapshots) {
-    for (const auto& rec : snap.records) {
-      if (!rec.has_cert()) continue;
-      const auto* ptr = rec.certificate.get();
-      if (cert_index.emplace(ptr, static_cast<std::uint32_t>(certs.size())).second) {
-        certs.push_back(ptr);
-      }
-    }
-  }
+  const netsim::CertificateIndex index = netsim::index_certificates(dataset);
 
   // Stream to <path>.tmp and publish with an atomic rename: a crash (or
   // SIGKILL in the resume harness) mid-save must never leave a torn cache
@@ -63,22 +52,26 @@ void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
     w.u32(key.mr_rounds);
     w.u32(key.catalog_version);
 
-    w.u32(static_cast<std::uint32_t>(certs.size()));
-    for (const auto* c : certs) w.bytes(c->encode());
+    w.u32(static_cast<std::uint32_t>(index.size()));
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      w.bytes(index.first_record(dataset, i).cert().encode());
+    }
 
     w.u32(static_cast<std::uint32_t>(dataset.snapshots.size()));
-    for (const auto& snap : dataset.snapshots) {
+    for (std::size_t s = 0; s < dataset.snapshots.size(); ++s) {
+      const auto& snap = dataset.snapshots[s];
       w.i64(snap.date.days_since_epoch());
       w.str(snap.source);
       w.u32(static_cast<std::uint32_t>(snap.protocol));
       std::uint32_t kept = 0;
       for (const auto& rec : snap.records) kept += rec.has_cert() ? 1 : 0;
       w.u32(kept);
-      for (const auto& rec : snap.records) {
+      for (std::size_t r = 0; r < snap.records.size(); ++r) {
+        const auto& rec = snap.records[r];
         if (!rec.has_cert()) continue;
         w.i64(rec.date.days_since_epoch());
         w.u32(rec.ip.value());
-        w.u32(cert_index.at(rec.certificate.get()));
+        w.u32(index.slots[s][r]);
         w.str(rec.banner);
       }
     }

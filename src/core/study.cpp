@@ -68,7 +68,7 @@ void Study::run() {
     begin_stage();
     factor_moduli(pool);
     begin_stage();
-    fingerprint_corpus();
+    fingerprint_corpus(pool);
   } catch (const util::Cancelled&) {
     log("run cancelled: " + token_.reason());
     flush_telemetry();
@@ -170,6 +170,7 @@ void Study::build_dataset(util::ThreadPool& pool) {
     log("simulated " + std::to_string(raw_dataset_.total_host_records()) +
         " host records");
     if (!config_.cache_path.empty()) {
+      obs::Span save = telemetry_.tracer().span("study.save_corpus");
       save_dataset(raw_dataset_, key, config_.cache_path);
       log("corpus cached to " + config_.cache_path);
     }
@@ -188,16 +189,17 @@ void Study::build_dataset(util::ThreadPool& pool) {
   // Ingest/quarantine: after this pass every record carries a decoded,
   // plausibly well-formed certificate; everything else is accounted for in
   // ingest_stats_ and (for degenerate moduli) rerouted to factor triage.
-  {
-    obs::Span ingest_span = telemetry_.tracer().span("study.ingest");
-    IngestResult ingest = ingest_dataset(raw_dataset_, &token_);
-    ingest_stats_ = std::move(ingest.stats);
-    degenerate_moduli_ = std::move(ingest.degenerate_moduli);
-    record_ingest_metrics();
-    log("ingest: " + ingest_stats_.summary());
-    obs::Span chains = telemetry_.tracer().span("study.exclude_intermediates");
-    dataset_ = analysis::exclude_intermediates(std::move(ingest.kept));
-  }
+  obs::Span ingest_span = telemetry_.tracer().span("study.ingest");
+  IngestResult ingest = ingest_dataset(raw_dataset_, &token_, &pool);
+  ingest_stats_ = std::move(ingest.stats);
+  degenerate_moduli_ = std::move(ingest.degenerate_moduli);
+  record_ingest_metrics();
+  log("ingest: " + ingest_stats_.summary());
+  ingest_span.end();
+
+  obs::Span chains = telemetry_.tracer().span("study.exclude_intermediates");
+  dataset_ =
+      analysis::exclude_intermediates(std::move(ingest.kept), &pool, &token_);
 }
 
 /// Mirrors IngestStats into the metrics registry. Counters agree exactly
@@ -314,6 +316,60 @@ void Study::write_factor_cache_payload(util::BinaryWriter& w) const {
   }
 }
 
+DivisorPass classify_divisors(const std::vector<bn::BigInt>& moduli,
+                              const std::vector<bn::BigInt>& divisors,
+                              util::ThreadPool* pool,
+                              const util::CancellationToken* cancel) {
+  using fingerprint::DivisorClass;
+  std::vector<std::size_t> nontrivial;
+  for (std::size_t i = 0; i < moduli.size(); ++i) {
+    if (divisors[i] > bn::BigInt(1)) nontrivial.push_back(i);
+  }
+  struct Verdict {
+    DivisorClass cls = DivisorClass::kOther;
+    std::optional<batchgcd::Factorization> split;
+  };
+  std::vector<Verdict> verdicts(nontrivial.size());
+  // A primality test per divisor: a handful per block is enough work.
+  util::parallel_for_blocks(
+      pool, nontrivial.size(), 4,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const std::size_t i = nontrivial[k];
+          Verdict& v = verdicts[k];
+          v.cls = fingerprint::classify_divisor(moduli[i], divisors[i]).cls;
+          if (v.cls == DivisorClass::kSharedPrime) {
+            v.split = batchgcd::recover_factors(moduli[i], divisors[i]);
+          }
+        }
+      },
+      cancel);
+
+  DivisorPass out;
+  out.counts.nontrivial_divisors = nontrivial.size();
+  for (std::size_t k = 0; k < nontrivial.size(); ++k) {
+    const std::size_t i = nontrivial[k];
+    switch (verdicts[k].cls) {
+      case DivisorClass::kSharedPrime:
+        out.factored.push_back({moduli[i], verdicts[k].split->p,
+                                verdicts[k].split->q, verdicts[k].cls});
+        ++out.counts.shared_prime;
+        break;
+      case DivisorClass::kFullModulus:
+        out.full_modulus.push_back(i);
+        ++out.counts.full_modulus;
+        break;
+      case DivisorClass::kSmoothBitError:
+        ++out.counts.bit_errors;
+        break;
+      case DivisorClass::kOther:
+        ++out.counts.other;
+        break;
+    }
+  }
+  return out;
+}
+
 void Study::factor_moduli(util::ThreadPool& pool) {
   obs::Span stage = telemetry_.tracer().span("study.factor_moduli");
   auto& metrics = telemetry_.metrics();
@@ -328,7 +384,9 @@ void Study::factor_moduli(util::ThreadPool& pool) {
   }
   if (!factor_cache.empty()) metrics.counter("cache.factors.miss").inc();
 
-  const std::vector<bn::BigInt> moduli = dataset_.distinct_moduli();
+  obs::Span distinct_span = telemetry_.tracer().span("study.distinct_moduli");
+  const std::vector<bn::BigInt> moduli = dataset_.distinct_moduli(&pool);
+  distinct_span.end();
   stats_.distinct_moduli = moduli.size();
   log("running batch GCD over " + std::to_string(moduli.size()) +
       " distinct moduli (k=" + std::to_string(config_.batch_gcd_subsets) + ")");
@@ -418,43 +476,20 @@ void Study::factor_moduli(util::ThreadPool& pool) {
   }
 
   obs::Span classify_span = telemetry_.tracer().span("study.classify_divisors");
-  std::vector<std::size_t> full_modulus_indices;
-  for (std::size_t i = 0; i < moduli.size(); ++i) {
-    const bn::BigInt& d = result.divisors[i];
-    if (d <= bn::BigInt(1)) continue;
-    ++stats_.nontrivial_divisors;
-
-    const auto verdict = fingerprint::classify_divisor(moduli[i], d);
-    switch (verdict.cls) {
-      case fingerprint::DivisorClass::kSharedPrime: {
-        const auto split = batchgcd::recover_factors(moduli[i], d);
-        factored_.push_back(
-            {moduli[i], split->p, split->q, verdict.cls});
-        vulnerable_.insert(moduli[i]);
-        ++stats_.shared_prime;
-        break;
-      }
-      case fingerprint::DivisorClass::kFullModulus:
-        full_modulus_indices.push_back(i);
-        ++stats_.full_modulus;
-        break;
-      case fingerprint::DivisorClass::kSmoothBitError:
-        ++stats_.bit_errors;
-        break;
-      case fingerprint::DivisorClass::kOther:
-        ++stats_.other;
-        break;
-    }
-  }
-
+  DivisorPass divisors =
+      classify_divisors(moduli, result.divisors, &pool, &token_);
+  for (const auto& f : divisors.factored) vulnerable_.insert(f.n);
+  factored_ = std::move(divisors.factored);
+  divisors.counts.distinct_moduli = stats_.distinct_moduli;
+  stats_ = divisors.counts;
   classify_span.end();
 
   // Second pass: moduli whose divisor equals the modulus share *both* primes
   // with the rest of the corpus (degenerate-generator cliques). Pairwise GCD
   // within this small set splits them.
   obs::Span second_pass_span = telemetry_.tracer().span("study.second_pass");
-  for (const std::size_t i : full_modulus_indices) {
-    for (const std::size_t j : full_modulus_indices) {
+  for (const std::size_t i : divisors.full_modulus) {
+    for (const std::size_t j : divisors.full_modulus) {
       if (i == j) continue;
       const bn::BigInt g = bn::gcd(moduli[i], moduli[j]);
       if (g > bn::BigInt(1) && g < moduli[i]) {
@@ -522,7 +557,7 @@ const FactorRecord* Study::find_factor(const bn::BigInt& n) const {
   return it == factored_index_.end() ? nullptr : &factored_[it->second];
 }
 
-void Study::fingerprint_corpus() {
+void Study::fingerprint_corpus(util::ThreadPool& pool) {
   obs::Span stage = telemetry_.tracer().span("study.fingerprint");
   // Degenerate-generator cliques.
   obs::Span clique_span = telemetry_.tracer().span("fingerprint.cliques");
@@ -545,19 +580,17 @@ void Study::fingerprint_corpus() {
   obs::Span subject_span =
       telemetry_.tracer().span("fingerprint.subject_labels");
   // Records share certificates, and a certificate's label and modulus are
-  // the same on each of its records: label and insert once per certificate.
+  // the same on each of its records: label each certificate once, from the
+  // banner of the first record that shows it.
+  const netsim::CertificateIndex index = netsim::index_certificates(dataset_);
+  const auto labels =
+      subject_rules_.classify_all(dataset_, index, &pool, &token_);
   std::unordered_map<std::string, std::set<std::string>> subject_vendors;
   subject_label_cache_.clear();
-  for (const auto& snap : dataset_.snapshots) {
-    for (const auto& rec : snap.records) {
-      const auto* ptr = rec.certificate.get();
-      auto [it, fresh] = subject_label_cache_.try_emplace(ptr);
-      if (!fresh) continue;
-      it->second = subject_rules_.classify(*ptr, rec.banner);
-      if (it->second) {
-        subject_vendors[ptr->key.n.to_hex()].insert(it->second->vendor);
-      }
-    }
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const cert::Certificate& c = index.first_record(dataset_, i).cert();
+    subject_label_cache_.emplace(&c, labels[i]);
+    if (labels[i]) subject_vendors[c.key.n.to_hex()].insert(labels[i]->vendor);
   }
 
   subject_span.end();
@@ -599,8 +632,8 @@ void Study::fingerprint_corpus() {
   std::vector<std::string> factored_hex;
   factored_hex.reserve(factored_.size());
   for (const auto& f : factored_) factored_hex.push_back(f.n.to_hex());
-  mitm_ = fingerprint::detect_fixed_key_mitm(dataset_, factored_hex,
-                                             fingerprint::MitmOptions{});
+  mitm_ = fingerprint::detect_fixed_key_mitm(
+      dataset_, factored_hex, fingerprint::MitmOptions{}, &pool, &token_);
   telemetry_.metrics().counter("fingerprint.mitm_candidates").set(mitm_.size());
 }
 

@@ -164,6 +164,25 @@ struct FactorStats {
   std::size_t second_pass_factored = 0;  ///< full-modulus cases split pairwise
 };
 
+/// What the divisor pass of a factoring run found.
+struct DivisorPass {
+  /// Shared-prime splits, in modulus-index order.
+  std::vector<FactorRecord> factored;
+  /// Indices of the moduli whose divisor is the whole modulus.
+  std::vector<std::size_t> full_modulus;
+  /// The nontrivial-divisor and per-class counts (the rest stay zero).
+  FactorStats counts;
+};
+
+/// Classifies each nontrivial `divisors[i]` of `moduli[i]` and splits the
+/// shared-prime moduli, on `pool` when one is given (polling `cancel`),
+/// then commits the results in modulus-index order, so the pass does not
+/// depend on the pool.
+DivisorPass classify_divisors(const std::vector<bn::BigInt>& moduli,
+                              const std::vector<bn::BigInt>& divisors,
+                              util::ThreadPool* pool = nullptr,
+                              const util::CancellationToken* cancel = nullptr);
+
 class Study {
  public:
   explicit Study(StudyConfig config = {});
@@ -250,7 +269,7 @@ class Study {
  private:
   void build_dataset(util::ThreadPool& pool);
   void factor_moduli(util::ThreadPool& pool);
-  void fingerprint_corpus();
+  void fingerprint_corpus(util::ThreadPool& pool);
   bool load_factor_cache(const std::string& path);
   void save_factor_cache(const std::string& path) const;
   void write_factor_cache_payload(util::BinaryWriter& w) const;

@@ -2,60 +2,108 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::fingerprint {
 
 std::vector<MitmCandidate> detect_fixed_key_mitm(
     const netsim::ScanDataset& dataset,
-    const std::vector<std::string>& factored_hex, const MitmOptions& options) {
-  struct Stats {
-    std::string hex;
-    bn::BigInt modulus;
-    std::vector<std::uint32_t> ips;  // one per record; made distinct below
-    std::set<std::string> subjects;
-  };
+    const std::vector<std::string>& factored_hex, const MitmOptions& options,
+    util::ThreadPool* pool, const util::CancellationToken* cancel) {
+  using netsim::CertificateIndex;
+  constexpr netsim::Protocol kHttps = netsim::Protocol::kHttps;
+  const CertificateIndex index = netsim::index_certificates(dataset, &kHttps);
+  const std::size_t n = index.size();
+
   // Records share certificates: render each certificate's modulus and
-  // subject once, and give each record's certificate its modulus slot.
+  // subject once, and group the certificates by modulus.
+  std::vector<std::string> hex(n);
+  std::vector<std::string> subject(n);
+  util::parallel_for_blocks(
+      pool, n, 256,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto& c = index.first_record(dataset, i).cert();
+          hex[i] = c.key.n.to_hex();
+          subject[i] = c.subject.to_string();
+        }
+      },
+      cancel);
+  struct Stats {
+    std::string_view hex;
+    const bn::BigInt* modulus = nullptr;
+    std::set<std::string_view> subjects;
+    std::vector<std::uint32_t> ips;  // one per record; made distinct below
+  };
   std::vector<Stats> by_modulus;
-  std::unordered_map<std::string, std::size_t> slot_of_hex;
-  std::unordered_map<const cert::Certificate*, std::size_t> slot_of_cert;
-  for (const auto& snap : dataset.snapshots) {
-    if (snap.protocol != netsim::Protocol::kHttps) continue;
-    for (const auto& rec : snap.records) {
-      auto [cert_slot, fresh] =
-          slot_of_cert.try_emplace(rec.certificate.get(), 0);
-      if (fresh) {
-        const auto& c = rec.cert();
-        std::string hex = c.key.n.to_hex();
-        const auto [hex_slot, new_modulus] =
-            slot_of_hex.try_emplace(hex, by_modulus.size());
-        if (new_modulus) by_modulus.push_back(Stats{std::move(hex), c.key.n});
-        cert_slot->second = hex_slot->second;
-        by_modulus[hex_slot->second].subjects.insert(c.subject.to_string());
-      }
-      by_modulus[cert_slot->second].ips.push_back(rec.ip.value());
+  std::unordered_map<std::string_view, std::uint32_t> slot_of_hex;
+  std::vector<std::uint32_t> modulus_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [slot, fresh] = slot_of_hex.try_emplace(
+        hex[i], static_cast<std::uint32_t>(by_modulus.size()));
+    if (fresh) {
+      by_modulus.push_back(
+          {hex[i], &index.first_record(dataset, i).cert().key.n, {}, {}});
+    }
+    modulus_of[i] = slot->second;
+    by_modulus[slot->second].subjects.insert(subject[i]);
+  }
+
+  // Only a modulus seen under enough subjects can be a candidate, so only
+  // those have their records' IPs gathered.
+  std::vector<std::uint32_t> candidate_of(by_modulus.size(),
+                                          CertificateIndex::kNone);
+  std::vector<Stats*> candidates;
+  for (auto& stats : by_modulus) {
+    if (stats.subjects.size() < options.min_subjects) continue;
+    candidate_of[&stats - by_modulus.data()] =
+        static_cast<std::uint32_t>(candidates.size());
+    candidates.push_back(&stats);
+  }
+  if (!candidates.empty()) {
+    // (candidate, IP) per record, gathered per snapshot and appended in
+    // snapshot order.
+    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> hits(
+        dataset.snapshots.size());
+    util::parallel_for(
+        pool, dataset.snapshots.size(),
+        [&](std::size_t s) {
+          const auto& records = dataset.snapshots[s].records;
+          const auto& slots = index.slots[s];
+          for (std::size_t r = 0; r < records.size(); ++r) {
+            if (slots[r] == CertificateIndex::kNone) continue;
+            const std::uint32_t c = candidate_of[modulus_of[slots[r]]];
+            if (c != CertificateIndex::kNone) {
+              hits[s].emplace_back(c, records[r].ip.value());
+            }
+          }
+        },
+        cancel);
+    for (const auto& snapshot_hits : hits) {
+      for (const auto& [c, ip] : snapshot_hits) candidates[c]->ips.push_back(ip);
     }
   }
   // Candidates in modulus-hex order, so the distinct_ips sort below sees
   // its ties in a fixed order.
-  std::sort(by_modulus.begin(), by_modulus.end(),
-            [](const Stats& a, const Stats& b) { return a.hex < b.hex; });
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Stats* a, const Stats* b) { return a->hex < b->hex; });
 
   const std::unordered_set<std::string> factored(factored_hex.begin(),
                                                  factored_hex.end());
   std::vector<MitmCandidate> out;
-  for (auto& stats : by_modulus) {
-    const std::size_t records = stats.ips.size();
-    std::sort(stats.ips.begin(), stats.ips.end());
+  for (Stats* stats : candidates) {
+    const std::size_t records = stats->ips.size();
+    std::sort(stats->ips.begin(), stats->ips.end());
     const std::size_t distinct_ips = static_cast<std::size_t>(
-        std::unique(stats.ips.begin(), stats.ips.end()) - stats.ips.begin());
+        std::unique(stats->ips.begin(), stats->ips.end()) - stats->ips.begin());
     if (distinct_ips < options.min_ips) continue;
-    if (stats.subjects.size() < options.min_subjects) continue;
-    out.push_back(MitmCandidate{stats.modulus, distinct_ips,
-                                stats.subjects.size(), records,
-                                factored.contains(stats.hex)});
+    out.push_back(MitmCandidate{*stats->modulus, distinct_ips,
+                                stats->subjects.size(), records,
+                                factored.contains(std::string(stats->hex))});
   }
   std::sort(out.begin(), out.end(),
             [](const MitmCandidate& a, const MitmCandidate& b) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "netsim/dataset.hpp"
+#include "util/cancellation.hpp"
 
 namespace weakkeys::fingerprint {
 
@@ -31,9 +32,13 @@ struct MitmOptions {
 /// Scans all HTTPS records for fixed-key substitution candidates. Moduli in
 /// `factored_hex` (batch-GCD hits, e.g. the IBM clique) are reported with
 /// ever_factored=true so callers can separate degenerate generators from
-/// middleboxes.
+/// middleboxes. Renders each certificate once and scans the snapshots on
+/// `pool` when one is given, polling `cancel`; the result does not depend
+/// on the pool.
 std::vector<MitmCandidate> detect_fixed_key_mitm(
     const netsim::ScanDataset& dataset,
-    const std::vector<std::string>& factored_hex, const MitmOptions& options);
+    const std::vector<std::string>& factored_hex, const MitmOptions& options,
+    util::ThreadPool* pool = nullptr,
+    const util::CancellationToken* cancel = nullptr);
 
 }  // namespace weakkeys::fingerprint

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/thread_pool.hpp"
+
 namespace weakkeys::fingerprint {
 
 std::optional<VendorLabel> SubjectRules::classify(
@@ -10,6 +12,22 @@ std::optional<VendorLabel> SubjectRules::classify(
     if (auto label = rule.match(cert, banner)) return label;
   }
   return std::nullopt;
+}
+
+std::vector<std::optional<VendorLabel>> SubjectRules::classify_all(
+    const netsim::ScanDataset& dataset, const netsim::CertificateIndex& index,
+    util::ThreadPool* pool, const util::CancellationToken* cancel) const {
+  std::vector<std::optional<VendorLabel>> labels(index.size());
+  util::parallel_for_blocks(
+      pool, index.size(), 256,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto& rec = index.first_record(dataset, i);
+          labels[i] = classify(rec.cert(), rec.banner);
+        }
+      },
+      cancel);
+  return labels;
 }
 
 namespace {

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "cert/certificate.hpp"
+#include "netsim/dataset.hpp"
+#include "util/cancellation.hpp"
 
 namespace weakkeys::fingerprint {
 
@@ -40,6 +42,14 @@ class SubjectRules {
   /// First matching rule wins (rules are ordered most-specific first).
   [[nodiscard]] std::optional<VendorLabel> classify(
       const cert::Certificate& cert, const std::string& banner = "") const;
+
+  /// classify() of each certificate of `index`, with the banner of the
+  /// first record that shows it: on `pool` when one is given, polling
+  /// `cancel`. The labels line up with `index.first`.
+  [[nodiscard]] std::vector<std::optional<VendorLabel>> classify_all(
+      const netsim::ScanDataset& dataset,
+      const netsim::CertificateIndex& index, util::ThreadPool* pool = nullptr,
+      const util::CancellationToken* cancel = nullptr) const;
 
   /// The paper's heuristics, expressed against this reproduction's
   /// certificate corpus.

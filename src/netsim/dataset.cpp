@@ -1,6 +1,10 @@
 #include "netsim/dataset.hpp"
 
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::netsim {
 
@@ -51,33 +55,59 @@ std::size_t ScanDataset::total_host_records() const {
 std::size_t ScanDataset::distinct_certificates() const {
   // Records overwhelmingly share certificate objects; dedup by pointer
   // before hashing content.
-  std::unordered_set<const cert::Certificate*> seen_ptr;
+  const CertificateIndex index = index_certificates(*this);
   std::unordered_set<std::string> seen;
-  for (const auto& snap : snapshots) {
-    for (const auto& rec : snap.records) {
-      if (!rec.has_cert()) continue;  // undecoded dirty-corpus bytes
-      if (!seen_ptr.insert(rec.certificate.get()).second) continue;
-      seen.insert(cert_key(rec.cert()));
-    }
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    seen.insert(cert_key(index.first_record(*this, i).cert()));
   }
   return seen.size();
+}
+
+CertificateIndex index_certificates(const ScanDataset& ds,
+                                    const Protocol* protocol) {
+  CertificateIndex index;
+  index.slots.resize(ds.snapshots.size());
+  std::unordered_map<const cert::Certificate*, std::uint32_t> slot_of;
+  for (std::size_t s = 0; s < ds.snapshots.size(); ++s) {
+    const ScanSnapshot& snap = ds.snapshots[s];
+    auto& slots = index.slots[s];
+    slots.assign(snap.records.size(), CertificateIndex::kNone);
+    if (protocol && snap.protocol != *protocol) continue;
+    for (std::size_t r = 0; r < snap.records.size(); ++r) {
+      const cert::Certificate* c = snap.records[r].certificate.get();
+      if (c == nullptr) continue;  // undecoded dirty-corpus bytes
+      const auto [it, fresh] = slot_of.try_emplace(
+          c, static_cast<std::uint32_t>(index.first.size()));
+      if (fresh) {
+        index.first.push_back({static_cast<std::uint32_t>(s),
+                               static_cast<std::uint32_t>(r)});
+      }
+      slots[r] = it->second;
+    }
+  }
+  return index;
 }
 
 namespace {
 
 std::vector<bn::BigInt> collect_moduli(const ScanDataset& ds,
-                                       const Protocol* filter) {
-  std::unordered_set<const cert::Certificate*> seen_ptr;
-  std::unordered_set<std::string> seen;
+                                       const Protocol* filter,
+                                       util::ThreadPool* pool) {
+  const CertificateIndex index = index_certificates(ds, filter);
+  std::vector<std::string> hex(index.size());
+  util::parallel_for_blocks(pool, index.size(), 256,
+                            [&](std::size_t begin, std::size_t end) {
+                              for (std::size_t i = begin; i < end; ++i) {
+                                hex[i] = index.first_record(ds, i)
+                                             .cert()
+                                             .key.n.to_hex();
+                              }
+                            });
+  std::unordered_set<std::string_view> seen;
   std::vector<bn::BigInt> out;
-  for (const auto& snap : ds.snapshots) {
-    if (filter && snap.protocol != *filter) continue;
-    for (const auto& rec : snap.records) {
-      if (!rec.has_cert()) continue;  // undecoded dirty-corpus bytes
-      if (!seen_ptr.insert(rec.certificate.get()).second) continue;
-      if (seen.insert(rec.cert().key.n.to_hex()).second) {
-        out.push_back(rec.cert().key.n);
-      }
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (seen.insert(hex[i]).second) {
+      out.push_back(index.first_record(ds, i).cert().key.n);
     }
   }
   return out;
@@ -85,12 +115,13 @@ std::vector<bn::BigInt> collect_moduli(const ScanDataset& ds,
 
 }  // namespace
 
-std::vector<bn::BigInt> ScanDataset::distinct_moduli() const {
-  return collect_moduli(*this, nullptr);
+std::vector<bn::BigInt> ScanDataset::distinct_moduli(
+    util::ThreadPool* pool) const {
+  return collect_moduli(*this, nullptr, pool);
 }
 
 std::vector<bn::BigInt> ScanDataset::distinct_moduli(Protocol p) const {
-  return collect_moduli(*this, &p);
+  return collect_moduli(*this, &p, nullptr);
 }
 
 std::vector<const ScanSnapshot*> ScanDataset::snapshots_for(Protocol p) const {

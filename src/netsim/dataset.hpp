@@ -16,6 +16,10 @@
 #include "netsim/protocol.hpp"
 #include "util/date.hpp"
 
+namespace weakkeys::util {
+class ThreadPool;
+}
+
 namespace weakkeys::netsim {
 
 /// Certificates are shared between the many host records that present them;
@@ -70,8 +74,10 @@ class ScanDataset {
   /// Distinct certificate fingerprints across all snapshots.
   [[nodiscard]] std::size_t distinct_certificates() const;
 
-  /// Distinct RSA moduli across all snapshots (hex-keyed).
-  [[nodiscard]] std::vector<bn::BigInt> distinct_moduli() const;
+  /// Distinct RSA moduli across all snapshots (hex-keyed), in the order
+  /// their first records appear. Renders the moduli on `pool` when given.
+  [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(
+      util::ThreadPool* pool = nullptr) const;
 
   /// Distinct moduli restricted to one protocol.
   [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(Protocol p) const;
@@ -79,5 +85,37 @@ class ScanDataset {
   /// Snapshots restricted to one protocol, date-ordered.
   [[nodiscard]] std::vector<const ScanSnapshot*> snapshots_for(Protocol p) const;
 };
+
+/// Every distinct certificate object of a dataset once, in the order of
+/// the first record that shows it, and each record's index into that list.
+/// A host shows the same certificate handle scan after scan, so a pass
+/// computes what it needs once per certificate and reads it per record by
+/// index, with no per-record hashing or rendering.
+struct CertificateIndex {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Position {
+    std::uint32_t snapshot = 0;
+    std::uint32_t record = 0;
+  };
+  /// Where each distinct certificate first appears, in record order.
+  std::vector<Position> first;
+  /// slots[s][r] is the index in `first` of snapshot s record r's
+  /// certificate: kNone for a record without one, or in a snapshot the
+  /// index left out.
+  std::vector<std::vector<std::uint32_t>> slots;
+
+  [[nodiscard]] std::size_t size() const { return first.size(); }
+  [[nodiscard]] const HostRecord& first_record(const ScanDataset& ds,
+                                               std::size_t i) const {
+    return ds.snapshots[first[i].snapshot].records[first[i].record];
+  }
+};
+
+/// Indexes `ds` (only `protocol`'s snapshots when one is given). One
+/// serial pass of pointer lookups: the first-seen order is the index's
+/// contract, and each pass that uses it does its per-certificate and
+/// per-snapshot work on its own pool.
+CertificateIndex index_certificates(const ScanDataset& ds,
+                                    const Protocol* protocol = nullptr);
 
 }  // namespace weakkeys::netsim

@@ -66,16 +66,14 @@ void Internet::materialize_queued(util::ThreadPool* pool) {
     span = config_.telemetry->tracer().span("sim.keygen");
     span.arg("keys", static_cast<std::int64_t>(queued_.size()));
   }
-  const auto materialize_one = [this](std::size_t i) {
-    if (config_.cancel) config_.cancel->throw_if_cancelled();
-    const auto& [index, recipe] = queued_[i];
-    factory_.materialize(recipe, devices_[index]);
-  };
-  if (pool) {
-    pool->parallel_for(queued_.size(), materialize_one, config_.cancel);
-  } else {
-    for (std::size_t i = 0; i < queued_.size(); ++i) materialize_one(i);
-  }
+  util::parallel_for(
+      pool, queued_.size(),
+      [this](std::size_t i) {
+        if (config_.cancel) config_.cancel->throw_if_cancelled();
+        const auto& [index, recipe] = queued_[i];
+        factory_.materialize(recipe, devices_[index]);
+      },
+      config_.cancel);
   queued_.clear();
   queued_slot_.clear();
 }

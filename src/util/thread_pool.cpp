@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+
 namespace weakkeys::util {
 
 ThreadPool::ThreadPool(std::size_t workers, obs::Telemetry* telemetry) {
@@ -71,6 +73,35 @@ void ThreadPool::parallel_for(std::size_t n,
     throw Cancelled(cancel && cancel->cancelled() ? cancel->reason()
                                                   : "parallel_for task");
   }
+}
+
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn,
+                  const CancellationToken* cancel) {
+  if (pool) {
+    pool->parallel_for(n, fn, cancel);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cancel) cancel->throw_if_cancelled();
+    fn(i);
+  }
+}
+
+void parallel_for_blocks(
+    ThreadPool* pool, std::size_t n, std::size_t min_block,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    const CancellationToken* cancel) {
+  constexpr std::size_t kBlocksPerThread = 4;
+  const std::size_t wanted = pool ? kBlocksPerThread * pool->size() : 1;
+  const std::size_t blocks =
+      std::max<std::size_t>(1, std::min(wanted, n / std::max<std::size_t>(
+                                                        min_block, 1)));
+  const std::size_t size = (n + blocks - 1) / blocks;
+  parallel_for(
+      pool, n == 0 ? 0 : (n + size - 1) / size,
+      [&](std::size_t b) { fn(b * size, std::min(n, (b + 1) * size)); },
+      cancel);
 }
 
 }  // namespace weakkeys::util

@@ -116,4 +116,20 @@ class ThreadPool {
   obs::Counter* tasks_completed_ = nullptr;
 };
 
+/// fn(i) for i in [0, n): `pool->parallel_for` when a pool is given, else a
+/// plain loop in index order that polls `cancel` before each index. Callers
+/// write one body and pass a null pool to run it serially.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn,
+                  const CancellationToken* cancel = nullptr);
+
+/// fn(begin, end) over contiguous blocks that cover [0, n) in order, as
+/// parallel_for above: a few blocks per pool thread, none shorter than
+/// `min_block`, one block without a pool. For per-item work too small to
+/// pay for a task each; the split must not change what fn computes.
+void parallel_for_blocks(
+    ThreadPool* pool, std::size_t n, std::size_t min_block,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    const CancellationToken* cancel = nullptr);
+
 }  // namespace weakkeys::util

@@ -128,7 +128,8 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   for (const char* stage :
        {"study.run", "study.build_dataset", "study.simulate",
         "study.apply_noise", "study.ingest", "study.exclude_intermediates",
-        "study.factor_moduli", "gcd.distributed", "study.classify_divisors",
+        "study.factor_moduli", "study.distinct_moduli", "gcd.distributed",
+        "study.classify_divisors",
         "study.second_pass",
         "study.triage_degenerate", "study.fingerprint",
         "fingerprint.cliques", "fingerprint.subject_labels",
