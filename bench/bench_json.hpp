@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/study.hpp"
-#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/profiler.hpp"
@@ -118,16 +117,13 @@ inline int run_benchmarks_with_json(const std::string& suite, int argc,
                                     obs::Telemetry* telemetry = nullptr) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Opt-in resource attribution for ad-hoc profiling runs: with
-  // WEAKKEYS_PROFILE_HZ set, the whole suite runs under the sampling
-  // profiler (collapsed stacks land next to the JSON as
-  // PROFILE_<suite>.folded unless WEAKKEYS_PROFILE_OUT says otherwise) and
-  // heap attribution is switched on so per-label gauges reach the embedded
-  // metrics snapshot.
+  // Opt-in profiling for ad-hoc runs: with WEAKKEYS_PROFILE_HZ set, the
+  // whole suite runs under the sampling profiler (collapsed stacks land
+  // next to the JSON as PROFILE_<suite>.folded unless WEAKKEYS_PROFILE_OUT
+  // says otherwise).
   const core::StudyConfig env = core::StudyConfig::from_env();
   std::unique_ptr<obs::Profiler> profiler;
   if (env.profile_hz > 0) {
-    if (obs::mem::supported()) obs::mem::enable();
     obs::ProfilerConfig prof_config;
     prof_config.hz = env.profile_hz;
     if (telemetry != nullptr) prof_config.registry = &telemetry->metrics();

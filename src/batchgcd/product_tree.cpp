@@ -4,7 +4,6 @@
 #include <string>
 
 #include "batchgcd/spill_store.hpp"
-#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof_stack.hpp"
 
@@ -12,19 +11,12 @@ namespace weakkeys::batchgcd {
 
 namespace {
 
-/// Heap-attribution label + interned profiler frame for level `k`. Both
-/// tables are keyed by the level-index string, so every tree build in the
-/// process shares one slot per level index (level counts are logarithmic
-/// in corpus size — a 4096-leaf tree has 13).
-struct LevelLabel {
-  int mem_label;
-  const char* frame;
-};
-
-LevelLabel level_label(std::size_t k) {
-  const std::string name =
-      "batchgcd.product_tree.level" + std::to_string(k);
-  return {obs::mem::register_label(name), obs::prof::intern(name)};
+/// Interned profiler frame for level `k`. The table is keyed by the
+/// level-index string, so every tree build in the process shares one slot
+/// per level index (level counts are logarithmic in corpus size — a
+/// 4096-leaf tree has 13).
+const char* level_frame(std::size_t k) {
+  return obs::prof::intern("batchgcd.product_tree.level" + std::to_string(k));
 }
 
 }  // namespace
@@ -71,16 +63,12 @@ void ProductTree::build(std::span<const bn::BigInt> inputs) {
   obs::prof::Frame build_frame("batchgcd.product_tree.build");
   std::size_t have = store_->level_stats().size();  // resumed levels
   if (have == 0) {
-    const LevelLabel label = level_label(0);
-    obs::MemScope mem_scope(label.mem_label);
-    obs::prof::Frame frame(label.frame);
+    obs::prof::Frame frame(level_frame(0));
     store_->append_level(Level(inputs.begin(), inputs.end()));
     have = 1;
   }
   while (store_->level_stats().back().nodes > 1) {
-    const LevelLabel label = level_label(have);
-    obs::MemScope mem_scope(label.mem_label);
-    obs::prof::Frame frame(label.frame);
+    obs::prof::Frame frame(level_frame(have));
     const LevelHandle prev = store_->load_level(have - 1);
     Level next = pair_level(*prev);
     store_->release_level(have - 1);
@@ -95,9 +83,6 @@ void ProductTree::build(std::span<const bn::BigInt> inputs) {
 
 const bn::BigInt& ProductTree::root_reciprocal() const {
   std::call_once(reciprocal_->once, [this] {
-    static const int mem_label =
-        obs::mem::register_label("batchgcd.remainder_tree.reciprocal");
-    obs::MemScope mem_scope(mem_label);
     obs::prof::Frame frame("batchgcd.remainder_tree.reciprocal");
     reciprocal_->value =
         bn::reciprocal(root_, 2 * root_.bit_length() + kFractionGuardBits);

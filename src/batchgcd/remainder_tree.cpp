@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/mem.hpp"
 #include "obs/prof_stack.hpp"
 
 namespace weakkeys::batchgcd {
@@ -99,9 +98,6 @@ std::vector<BigInt> descend(const ProductTree& tree, BigInt y_root,
 template <typename Residue>
 std::vector<BigInt> walk(const ProductTree& tree, const BigInt& x, unsigned e,
                          const Residue& residue) {
-  static const int mem_label =
-      obs::mem::register_label("batchgcd.remainder_tree");
-  obs::MemScope mem_scope(mem_label);
   obs::prof::Frame frame("batchgcd.remainder_tree");
   if (x.is_negative()) {
     throw std::invalid_argument("remainder tree input must be non-negative");

@@ -22,7 +22,6 @@
 #include <string>
 
 #include "bn/detail.hpp"
-#include "obs/mem.hpp"
 #include "obs/prof_stack.hpp"
 
 namespace weakkeys::bn {
@@ -315,8 +314,6 @@ void divmod_newton(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
 }
 
 void divmod(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
-  static const int limbs_label = obs::mem::register_label("bn.limbs");
-  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
   const std::size_t threshold = Tuning::newton_div_threshold();
   const bool big_divisor = b.size() >= threshold;
   const bool big_quotient = a.size() >= b.size() + threshold / 2;
@@ -336,8 +333,6 @@ BigInt reciprocal(const BigInt& d, std::size_t bits) {
   if (d.sign() <= 0) {
     throw std::domain_error("reciprocal of a non-positive value");
   }
-  static const int limbs_label = obs::mem::register_label("bn.limbs");
-  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
   obs::prof::Frame frame("bn.reciprocal");
   // floor(2^bits / d) = floor(2^(bits+s) / D) for D = d << s normalized to
   // n limbs. invert_into gives floor(beta^(2n+t) / D) when fed D * beta^t;

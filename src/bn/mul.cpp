@@ -25,7 +25,6 @@
 #include <memory>
 
 #include "bn/detail.hpp"
-#include "obs/mem.hpp"
 #include "obs/prof_stack.hpp"
 
 namespace weakkeys::bn {
@@ -612,12 +611,8 @@ LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b) {
 }
 
 LimbVec mul(const LimbVec& a, const LimbVec& b) {
-  // Attribute limb storage to "bn.limbs" only when no higher-level scope
-  // (a product-tree level, the remainder tree) already claims it, and tag
-  // the kernel so the sampling profiler can split Karatsuba vs schoolbook
-  // time. Both cost one relaxed load when the corresponding plane is off.
-  static const int limbs_label = obs::mem::register_label("bn.limbs");
-  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
+  // Tag the kernel so the sampling profiler can split Karatsuba vs
+  // schoolbook time. It costs one relaxed load when the profiler is off.
   obs::prof::Frame frame(product_frame(std::min(a.size(), b.size())));
   return mul_karatsuba(a, b);
 }
@@ -656,8 +651,6 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
   const std::size_t lo = shift / 64;
   if (yn == 0 || bits == 0 || lo >= rn) return BigInt{};
 
-  static const int limbs_label = obs::mem::register_label("bn.limbs");
-  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
   const unsigned bit_shift = shift % 64;
   const std::size_t hi = std::min(rn, lo + (bits + bit_shift + 63) / 64);
 

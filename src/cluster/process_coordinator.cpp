@@ -123,7 +123,6 @@ struct Slot {
   std::uint64_t tx_seq_base = 0;    ///< injector counters carried across
   std::uint64_t conn_seq_base = 0;  ///< reconnects (see FrameConn ctor)
   std::uint64_t worker_frames_dropped = 0;  ///< worker-reported, via Pong
-  obs::Histogram* rtt_hist = nullptr;  ///< cluster.worker.<id>.rtt_us
 };
 
 /// An accepted connection that has not identified itself yet: its first
@@ -169,7 +168,6 @@ class ProcessCoordinator {
       m_duplicate_results_ = &m.counter("cluster.duplicate_results");
       m_stream_chunks_ = &m.counter("cluster.stream_chunks");
       m_stream_resumes_ = &m.counter("cluster.stream_resumes");
-      m_rtt_us_ = &m.histogram("cluster.heartbeat_rtt_us");
     }
     k_ = tasks_.k();
     remote_n_ = config.remote_workers;
@@ -670,8 +668,6 @@ class ProcessCoordinator {
       const auto rtt_us = static_cast<std::uint64_t>(rtt_ns / 1000);
       stats_.max_heartbeat_rtt_us =
           std::max(stats_.max_heartbeat_rtt_us, rtt_us);
-      if (m_rtt_us_) m_rtt_us_->record(rtt_us);
-      if (slot.rtt_hist) slot.rtt_hist->record(rtt_us);
     }
   }
 
@@ -962,10 +958,6 @@ class ProcessCoordinator {
     for (std::size_t w = 0; w < slots_.size(); ++w) {
       Slot& slot = slots_[w];
       slot.id = static_cast<std::uint32_t>(w);
-      if (config_.telemetry) {
-        slot.rtt_hist = &config_.telemetry->metrics().histogram(
-            "cluster.worker." + std::to_string(w) + ".rtt_us");
-      }
       if (w < workers_n_) {
         spawn(slot);
       } else {
@@ -1617,7 +1609,6 @@ class ProcessCoordinator {
   obs::Counter* m_duplicate_results_ = nullptr;
   obs::Counter* m_stream_chunks_ = nullptr;
   obs::Counter* m_stream_resumes_ = nullptr;
-  obs::Histogram* m_rtt_us_ = nullptr;
 };
 
 }  // namespace

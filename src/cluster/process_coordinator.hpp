@@ -138,9 +138,8 @@ struct ClusterConfig {
   /// result frames suffer the same lossy link as assignment frames.
   const util::FaultInjector* injector = nullptr;
   std::function<void(const std::string&)> log;
-  /// Telemetry: cluster.* counters/gauges mirroring ClusterStats, a
-  /// cluster.heartbeat_rtt_us histogram, and per-worker
-  /// cluster.worker.<w>.* instruments. Must outlive the call.
+  /// Telemetry: cluster.* counters/gauges mirroring ClusterStats and
+  /// per-worker cluster.worker.<w>.* instruments. Must outlive the call.
   obs::Telemetry* telemetry = nullptr;
   /// Telemetry export cadence forwarded to spawned workers: each
   /// worker ships a TelemetrySnapshot (metrics + spans + RSS/CPU) at most

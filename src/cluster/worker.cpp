@@ -19,7 +19,6 @@
 #include "batchgcd/remainder_tree.hpp"
 #include "batchgcd/task_set.hpp"
 #include "cluster/protocol.hpp"
-#include "obs/mem.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/prof_stack.hpp"
 #include "obs/profiler.hpp"
@@ -339,14 +338,6 @@ class Worker {
         {"claims_found", claims_found_.load(std::memory_order_relaxed)},
         {"compute_us", compute_us_.load(std::memory_order_relaxed)},
     };
-    // Resource-attribution plane (generic fields: the coordinator's fleet
-    // aggregator republishes them as fleet.worker.<id>.<name> untouched).
-    if (obs::mem::enabled()) {
-      const obs::mem::Totals mem = obs::mem::totals();
-      snap.gauges.emplace_back("mem_live_kb", mem.live_bytes / 1024);
-      snap.gauges.emplace_back(
-          "mem_peak_kb", static_cast<std::int64_t>(mem.peak_bytes / 1024));
-    }
     const obs::ProcSelfStats proc = obs::sample_proc_self();
     if (proc.rss_available) {
       snap.rss_kb = proc.rss_kb;
@@ -357,9 +348,6 @@ class Worker {
       snap.cpu_sys_us = static_cast<std::int64_t>(proc.cpu_sys_us);
     }
     {
-      static const int outbox_label =
-          obs::mem::register_label("cluster.outbox");
-      obs::MemScope mem_scope(outbox_label);
       std::lock_guard guard(mu_);
       telemetry_outbox_.push_back(snap);
     }
@@ -693,9 +681,6 @@ class Worker {
   void post_result(TaskResultMsg result) {
     std::shared_ptr<Link> link;
     {
-      static const int outbox_label =
-          obs::mem::register_label("cluster.outbox");
-      obs::MemScope mem_scope(outbox_label);
       std::lock_guard guard(mu_);
       result.result_seq = ++next_result_seq_;
       outbox_.push_back(result);
@@ -750,13 +735,10 @@ class Worker {
 }  // namespace
 
 int run_worker(const WorkerConfig& config) {
-  // Resource-attribution plane for this worker process: memory accounting
-  // feeds the mem gauges in every TelemetrySnapshot, the profiler writes
-  // this worker's collapsed stacks at exit. Both default off and cost one
-  // relaxed load per alloc/span when off.
+  // The profiler writes this worker's collapsed stacks at exit. It
+  // defaults off and costs one relaxed load per frame when off.
   std::unique_ptr<obs::Profiler> profiler;
   if (config.profile_hz > 0) {
-    obs::mem::enable();
     obs::ProfilerConfig pc;
     pc.hz = config.profile_hz;
     pc.out_path = config.profile_out;

@@ -55,9 +55,7 @@ struct WorkerConfig {
   /// export entirely.
   std::chrono::milliseconds telemetry_interval{500};
   /// Sampling-profiler cadence for this worker process (DESIGN.md §5k);
-  /// 0 disables. When on, memory accounting is enabled too and
-  /// mem_live_kb / mem_peak_kb gauges ride every TelemetrySnapshot so the
-  /// fleet view shows per-worker peak bytes.
+  /// 0 disables.
   double profile_hz = 0;
   /// Collapsed-stack output path for this worker's profile; empty keeps the
   /// profile in metrics only.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cert/certificate.hpp"
-#include "obs/mem.hpp"
 #include "util/thread_pool.hpp"
 
 namespace weakkeys::core {
@@ -194,12 +193,10 @@ IngestResult ingest_dataset(const netsim::ScanDataset& raw,
   util::parallel_for(
       pool, snapshot_count,
       [&](std::size_t s) {
-        static const int parse_label = obs::mem::register_label("cert.parse");
         const auto& records = raw.snapshots[s].records;
         for (std::size_t r = 0; r < records.size(); ++r) {
           const auto& rec = records[r];
           if (rec.has_cert() || rec.raw_der.empty()) continue;
-          obs::MemScope parse_scope(parse_label);
           RawOutcome out{r, nullptr, {}};
           auto decoded = cert::Certificate::try_decode(rec.raw_der);
           if (decoded.ok()) {

@@ -10,7 +10,6 @@
 #include "core/scan_store.hpp"
 #include "netsim/catalog.hpp"
 #include "netsim/noise.hpp"
-#include "obs/mem.hpp"
 #include "obs/proc_stats.hpp"
 #include "util/atomic_file.hpp"
 #include "util/binary_io.hpp"
@@ -36,20 +35,12 @@ std::string metric_segment(std::string s) {
 
 Study::Study(StudyConfig config)
     : config_(std::move(config)),
-      subject_rules_(fingerprint::SubjectRules::standard()) {
-  // The telemetry sink is the primary log: events are always counted and
-  // ring-buffered, and the configured string log (if any) is just a text
-  // mirror. A null config_.log no longer silently discards progress.
-  if (config_.log) telemetry_.sink().set_text_sink(config_.log);
-}
+      subject_rules_(fingerprint::SubjectRules::standard()) {}
 
-Study::~Study() {
-  // The allocation hook holds a histogram in telemetry_'s registry.
-  if (mem_accounting_) obs::mem::disable();
-}
+Study::~Study() = default;
 
 void Study::log(const std::string& message) {
-  telemetry_.sink().info(message);
+  if (config_.log) config_.log(message);
 }
 
 void Study::cancel(const std::string& reason) { token_.cancel(reason); }
@@ -65,10 +56,14 @@ void Study::run() {
     util::ThreadPool pool(config_.threads, &telemetry_);
     begin_stage();
     build_dataset(pool);
+    // One index of dataset_'s certificates serves every pass after ingest.
+    obs::Span index_span = telemetry_.tracer().span("study.index_certificates");
+    const netsim::CertificateIndex index = netsim::index_certificates(dataset_);
+    index_span.end();
     begin_stage();
-    factor_moduli(pool);
+    factor_moduli(pool, index);
     begin_stage();
-    fingerprint_corpus(pool);
+    fingerprint_corpus(pool, index);
   } catch (const util::Cancelled&) {
     log("run cancelled: " + token_.reason());
     flush_telemetry();
@@ -82,13 +77,8 @@ void Study::run() {
 }
 
 void Study::start_observability() {
-  // Resource-attribution plane (DESIGN.md §5k). Profiling turns on memory
-  // accounting so mem.* gauges flow into the trace's metrics snapshot.
+  // The sampling profiler (DESIGN.md §5k).
   const double profile_hz = config_.profile_hz;
-  if (profile_hz > 0 && obs::mem::supported()) {
-    obs::mem::enable(&telemetry_.metrics());
-    mem_accounting_ = true;
-  }
   if (profile_hz > 0 && !profiler_) {
     obs::ProfilerConfig pc;
     pc.hz = profile_hz;
@@ -111,15 +101,17 @@ void Study::start_observability() {
 }
 
 void Study::flush_telemetry() {
-  // Profiler first: its final rollups, the mem census and the process's
-  // RSS/CPU must be in the registry before the metrics file is written.
+  // Profiler first: its final rollups and the process's RSS/CPU must be
+  // in the registry before the metrics file is written.
   if (profiler_) profiler_->stop();  // also writes the collapsed-stack file
-  if (obs::mem::enabled()) obs::mem::publish(telemetry_.metrics());
   obs::record_proc_self(telemetry_.metrics());
   const std::string& trace = config_.trace_path;
-  if (!trace.empty() && telemetry_.write_trace_files(trace)) {
+  if (trace.empty()) return;
+  if (telemetry_.write_trace_files(trace)) {
     log("telemetry: trace written to " + trace + " (metrics snapshot at " +
         trace + ".metrics.json)");
+  } else {
+    log("telemetry: failed to write " + trace);
   }
 }
 
@@ -370,7 +362,8 @@ DivisorPass classify_divisors(const std::vector<bn::BigInt>& moduli,
   return out;
 }
 
-void Study::factor_moduli(util::ThreadPool& pool) {
+void Study::factor_moduli(util::ThreadPool& pool,
+                          const netsim::CertificateIndex& index) {
   obs::Span stage = telemetry_.tracer().span("study.factor_moduli");
   auto& metrics = telemetry_.metrics();
   const std::string factor_cache =
@@ -385,7 +378,8 @@ void Study::factor_moduli(util::ThreadPool& pool) {
   if (!factor_cache.empty()) metrics.counter("cache.factors.miss").inc();
 
   obs::Span distinct_span = telemetry_.tracer().span("study.distinct_moduli");
-  const std::vector<bn::BigInt> moduli = dataset_.distinct_moduli(&pool);
+  const std::vector<bn::BigInt> moduli =
+      dataset_.distinct_moduli(&pool, &index);
   distinct_span.end();
   stats_.distinct_moduli = moduli.size();
   log("running batch GCD over " + std::to_string(moduli.size()) +
@@ -557,7 +551,8 @@ const FactorRecord* Study::find_factor(const bn::BigInt& n) const {
   return it == factored_index_.end() ? nullptr : &factored_[it->second];
 }
 
-void Study::fingerprint_corpus(util::ThreadPool& pool) {
+void Study::fingerprint_corpus(util::ThreadPool& pool,
+                               const netsim::CertificateIndex& index) {
   obs::Span stage = telemetry_.tracer().span("study.fingerprint");
   // Degenerate-generator cliques.
   obs::Span clique_span = telemetry_.tracer().span("fingerprint.cliques");
@@ -582,7 +577,6 @@ void Study::fingerprint_corpus(util::ThreadPool& pool) {
   // Records share certificates, and a certificate's label and modulus are
   // the same on each of its records: label each certificate once, from the
   // banner of the first record that shows it.
-  const netsim::CertificateIndex index = netsim::index_certificates(dataset_);
   const auto labels =
       subject_rules_.classify_all(dataset_, index, &pool, &token_);
   std::unordered_map<std::string, std::set<std::string>> subject_vendors;
@@ -632,8 +626,9 @@ void Study::fingerprint_corpus(util::ThreadPool& pool) {
   std::vector<std::string> factored_hex;
   factored_hex.reserve(factored_.size());
   for (const auto& f : factored_) factored_hex.push_back(f.n.to_hex());
-  mitm_ = fingerprint::detect_fixed_key_mitm(
-      dataset_, factored_hex, fingerprint::MitmOptions{}, &pool, &token_);
+  mitm_ = fingerprint::detect_fixed_key_mitm(dataset_, factored_hex,
+                                             fingerprint::MitmOptions{}, &pool,
+                                             &token_, &index);
   telemetry_.metrics().counter("fingerprint.mitm_candidates").set(mitm_.size());
 }
 

@@ -109,9 +109,8 @@ struct StudyConfig {
   /// damage; results on the clean subset are invariant under any setting.
   netsim::NoiseConfig noise;
   /// Progress sink (the simulation and factoring take a while at full
-  /// scale). Null no longer discards events: everything is still counted
-  /// and ring-buffered by the telemetry sink (Study::telemetry()); this
-  /// callback only controls whether the text is *printed* somewhere.
+  /// scale): every progress and warning line goes here. Null drops them;
+  /// the trace, metrics and profile files are written either way.
   std::function<void(const std::string&)> log;
   /// Write a Chrome trace_event JSON of the run here after run() finishes
   /// (plus a metrics snapshot at `<trace_path>.metrics.json`). Empty
@@ -121,8 +120,7 @@ struct StudyConfig {
   /// Sampling-profiler cadence in Hz (DESIGN.md §5k): run() starts an
   /// obs::Profiler snapshotting every thread's span/kernel stack and
   /// feeding `profiler.*` rollups into the registry (visible in the
-  /// trace's metrics snapshot); <= 0 disables profiling. Enabling the
-  /// profiler also enables memory accounting (mem.* gauges). On the cluster
+  /// trace's metrics snapshot); <= 0 disables profiling. On the cluster
   /// path every spawned worker samples at the same rate.
   double profile_hz = 0;
   /// Collapsed-stack (flamegraph) output path, written atomically when
@@ -260,7 +258,7 @@ class Study {
   [[nodiscard]] const FactorRecord* find_factor(const bn::BigInt& n) const;
 
   // -- Telemetry -----------------------------------------------------------
-  /// The run's metrics registry, span tracer, and structured event sink.
+  /// The run's metrics registry and span tracer.
   /// Live from construction; populated by run(). Metric names and the span
   /// model are documented in DESIGN.md §5e.
   [[nodiscard]] obs::Telemetry& telemetry() { return telemetry_; }
@@ -268,8 +266,11 @@ class Study {
 
  private:
   void build_dataset(util::ThreadPool& pool);
-  void factor_moduli(util::ThreadPool& pool);
-  void fingerprint_corpus(util::ThreadPool& pool);
+  // `index` is index_certificates(dataset_), built once per run.
+  void factor_moduli(util::ThreadPool& pool,
+                     const netsim::CertificateIndex& index);
+  void fingerprint_corpus(util::ThreadPool& pool,
+                          const netsim::CertificateIndex& index);
   bool load_factor_cache(const std::string& path);
   void save_factor_cache(const std::string& path) const;
   void write_factor_cache_payload(util::BinaryWriter& w) const;
@@ -292,8 +293,6 @@ class Study {
   // destroyed first.
   std::unique_ptr<obs::Profiler> profiler_;
   bool ran_ = false;
-  /// run() turned on obs::mem accounting with this Study's registry.
-  bool mem_accounting_ = false;
 
   netsim::ScanDataset raw_dataset_;
   netsim::ScanDataset dataset_;

@@ -13,11 +13,32 @@ namespace weakkeys::fingerprint {
 std::vector<MitmCandidate> detect_fixed_key_mitm(
     const netsim::ScanDataset& dataset,
     const std::vector<std::string>& factored_hex, const MitmOptions& options,
-    util::ThreadPool* pool, const util::CancellationToken* cancel) {
+    util::ThreadPool* pool, const util::CancellationToken* cancel,
+    const netsim::CertificateIndex* index) {
   using netsim::CertificateIndex;
   constexpr netsim::Protocol kHttps = netsim::Protocol::kHttps;
-  const CertificateIndex index = netsim::index_certificates(dataset, &kHttps);
-  const std::size_t n = index.size();
+  const auto is_https = [&](std::size_t s) {
+    return dataset.snapshots[s].protocol == kHttps;
+  };
+  CertificateIndex own;
+  if (index == nullptr) {
+    own = netsim::index_certificates(dataset, &kHttps);
+    index = &own;
+  }
+
+  // The certificates HTTPS records show, in index order.
+  std::vector<bool> shown(index->size());
+  for (std::size_t s = 0; s < dataset.snapshots.size(); ++s) {
+    if (!is_https(s)) continue;
+    for (const std::uint32_t slot : index->slots[s]) {
+      if (slot != CertificateIndex::kNone) shown[slot] = true;
+    }
+  }
+  std::vector<std::uint32_t> certs;
+  for (std::size_t i = 0; i < shown.size(); ++i) {
+    if (shown[i]) certs.push_back(static_cast<std::uint32_t>(i));
+  }
+  const std::size_t n = certs.size();
 
   // Records share certificates: render each certificate's modulus and
   // subject once, and group the certificates by modulus.
@@ -27,7 +48,7 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
       pool, n, 256,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const auto& c = index.first_record(dataset, i).cert();
+          const auto& c = index->first_record(dataset, certs[i]).cert();
           hex[i] = c.key.n.to_hex();
           subject[i] = c.subject.to_string();
         }
@@ -41,15 +62,16 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
   };
   std::vector<Stats> by_modulus;
   std::unordered_map<std::string_view, std::uint32_t> slot_of_hex;
-  std::vector<std::uint32_t> modulus_of(n);
+  // Per index slot; only the slots of `certs` are read.
+  std::vector<std::uint32_t> modulus_of(index->size());
   for (std::size_t i = 0; i < n; ++i) {
     const auto [slot, fresh] = slot_of_hex.try_emplace(
         hex[i], static_cast<std::uint32_t>(by_modulus.size()));
     if (fresh) {
-      by_modulus.push_back(
-          {hex[i], &index.first_record(dataset, i).cert().key.n, {}, {}});
+      const auto& c = index->first_record(dataset, certs[i]).cert();
+      by_modulus.push_back({hex[i], &c.key.n, {}, {}});
     }
-    modulus_of[i] = slot->second;
+    modulus_of[certs[i]] = slot->second;
     by_modulus[slot->second].subjects.insert(subject[i]);
   }
 
@@ -72,8 +94,9 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
     util::parallel_for(
         pool, dataset.snapshots.size(),
         [&](std::size_t s) {
+          if (!is_https(s)) return;
           const auto& records = dataset.snapshots[s].records;
-          const auto& slots = index.slots[s];
+          const auto& slots = index->slots[s];
           for (std::size_t r = 0; r < records.size(); ++r) {
             if (slots[r] == CertificateIndex::kNone) continue;
             const std::uint32_t c = candidate_of[modulus_of[slots[r]]];

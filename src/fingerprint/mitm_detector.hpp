@@ -34,11 +34,14 @@ struct MitmOptions {
 /// ever_factored=true so callers can separate degenerate generators from
 /// middleboxes. Renders each certificate once and scans the snapshots on
 /// `pool` when one is given, polling `cancel`; the result does not depend
-/// on the pool.
+/// on the pool. `index`, when given, must index `dataset`'s HTTPS snapshots
+/// (index_certificates with or without the HTTPS filter); without one the
+/// call builds it.
 std::vector<MitmCandidate> detect_fixed_key_mitm(
     const netsim::ScanDataset& dataset,
     const std::vector<std::string>& factored_hex, const MitmOptions& options,
     util::ThreadPool* pool = nullptr,
-    const util::CancellationToken* cancel = nullptr);
+    const util::CancellationToken* cancel = nullptr,
+    const netsim::CertificateIndex* index = nullptr);
 
 }  // namespace weakkeys::fingerprint

@@ -91,9 +91,8 @@ CertificateIndex index_certificates(const ScanDataset& ds,
 namespace {
 
 std::vector<bn::BigInt> collect_moduli(const ScanDataset& ds,
-                                       const Protocol* filter,
+                                       const CertificateIndex& index,
                                        util::ThreadPool* pool) {
-  const CertificateIndex index = index_certificates(ds, filter);
   std::vector<std::string> hex(index.size());
   util::parallel_for_blocks(pool, index.size(), 256,
                             [&](std::size_t begin, std::size_t end) {
@@ -116,12 +115,13 @@ std::vector<bn::BigInt> collect_moduli(const ScanDataset& ds,
 }  // namespace
 
 std::vector<bn::BigInt> ScanDataset::distinct_moduli(
-    util::ThreadPool* pool) const {
-  return collect_moduli(*this, nullptr, pool);
+    util::ThreadPool* pool, const CertificateIndex* index) const {
+  if (index != nullptr) return collect_moduli(*this, *index, pool);
+  return collect_moduli(*this, index_certificates(*this), pool);
 }
 
 std::vector<bn::BigInt> ScanDataset::distinct_moduli(Protocol p) const {
-  return collect_moduli(*this, &p, nullptr);
+  return collect_moduli(*this, index_certificates(*this, &p), nullptr);
 }
 
 std::vector<const ScanSnapshot*> ScanDataset::snapshots_for(Protocol p) const {

@@ -64,6 +64,8 @@ struct ScanCampaign {
   Protocol protocol = Protocol::kHttps;
 };
 
+struct CertificateIndex;
+
 /// The aggregated corpus: all snapshots from all campaigns, ordered by date.
 class ScanDataset {
  public:
@@ -76,8 +78,11 @@ class ScanDataset {
 
   /// Distinct RSA moduli across all snapshots (hex-keyed), in the order
   /// their first records appear. Renders the moduli on `pool` when given.
+  /// `index`, when given, must be index_certificates(*this); without one
+  /// the call builds it.
   [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(
-      util::ThreadPool* pool = nullptr) const;
+      util::ThreadPool* pool = nullptr,
+      const CertificateIndex* index = nullptr) const;
 
   /// Distinct moduli restricted to one protocol.
   [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(Protocol p) const;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 
+#include "obs/prof_stack.hpp"
+
 namespace weakkeys::util {
 
 ThreadPool::ThreadPool(std::size_t workers, obs::Telemetry* telemetry) {
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   if (telemetry) {
     queue_depth_ = &telemetry->metrics().gauge("threadpool.queue_depth");
-    task_us_ = &telemetry->metrics().histogram("threadpool.task_us");
     tasks_completed_ = &telemetry->metrics().counter("threadpool.tasks_completed");
   }
   threads_.reserve(workers);
@@ -55,7 +56,9 @@ void ThreadPool::parallel_for(std::size_t n,
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
   // Drain every future before rethrowing: queued tasks reference `fn`, so
-  // returning (or throwing) while any are outstanding would dangle.
+  // returning (or throwing) while any are outstanding would dangle. The
+  // caller is blocked here, not computing, and its profile says so.
+  obs::prof::Frame wait_frame("wait");
   std::exception_ptr first;
   bool task_cancelled = false;
   for (auto& f : futures) {

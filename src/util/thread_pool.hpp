@@ -2,7 +2,6 @@
 // computation (the in-process stand-in for the paper's 22-machine cluster).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -20,8 +19,7 @@ class ThreadPool {
  public:
   /// Starts `workers` threads (at least 1; 0 means hardware_concurrency).
   /// With a telemetry bundle attached the pool reports `threadpool.*`
-  /// instruments: queue depth (gauge), per-task execution latency
-  /// (`threadpool.task_us` histogram), and tasks completed (counter). The
+  /// instruments: queue depth (gauge) and tasks completed (counter). The
   /// telemetry object must outlive the pool.
   explicit ThreadPool(std::size_t workers = 0,
                       obs::Telemetry* telemetry = nullptr);
@@ -52,7 +50,7 @@ class ThreadPool {
     // published: whoever waits on the future sees the task counted.
     auto task = std::make_shared<std::packaged_task<R()>>(
         [this, fn = std::forward<Fn>(fn)]() mutable -> R {
-          const TaskTimer timer(*this);
+          const TaskCount count(tasks_completed_);
           return fn();
         });
     std::future<R> result = task->get_future();
@@ -67,6 +65,7 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
+  /// The caller's wait shows in profiles as a `wait` frame below its own.
   /// Waits for *all* n tasks even when some throw — `fn` is only borrowed
   /// for the duration of the call — then rethrows the first exception.
   ///
@@ -82,26 +81,19 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  /// Records one task into `threadpool.task_us` and
-  /// `threadpool.tasks_completed` when it leaves scope, normally or by
-  /// exception. A no-op without telemetry.
-  class TaskTimer {
+  /// Counts one task into `threadpool.tasks_completed` when it leaves
+  /// scope, normally or by exception. A no-op without telemetry.
+  class TaskCount {
    public:
-    explicit TaskTimer(const ThreadPool& pool) : pool_(pool) {
-      if (pool_.task_us_ != nullptr) t0_ = std::chrono::steady_clock::now();
+    explicit TaskCount(obs::Counter* counter) : counter_(counter) {}
+    ~TaskCount() {
+      if (counter_ != nullptr) counter_->inc();
     }
-    ~TaskTimer() {
-      if (pool_.task_us_ == nullptr) return;
-      pool_.task_us_->record(
-          obs::elapsed_us(t0_, std::chrono::steady_clock::now()));
-      pool_.tasks_completed_->inc();
-    }
-    TaskTimer(const TaskTimer&) = delete;
-    TaskTimer& operator=(const TaskTimer&) = delete;
+    TaskCount(const TaskCount&) = delete;
+    TaskCount& operator=(const TaskCount&) = delete;
 
    private:
-    const ThreadPool& pool_;
-    std::chrono::steady_clock::time_point t0_;
+    obs::Counter* counter_;
   };
 
   std::vector<std::thread> threads_;
@@ -112,7 +104,6 @@ class ThreadPool {
   // Instruments resolved once at construction (null when no telemetry):
   // immutable afterwards, so workers read them without the queue lock.
   obs::Gauge* queue_depth_ = nullptr;
-  obs::Histogram* task_us_ = nullptr;
   obs::Counter* tasks_completed_ = nullptr;
 };
 

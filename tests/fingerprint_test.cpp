@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "fingerprint/divisor_class.hpp"
 #include "fingerprint/ibm_clique.hpp"
 #include "fingerprint/mitm_detector.hpp"
@@ -363,6 +367,70 @@ TEST(MitmDetector, SameSubjectEverywhereNotFlagged) {
   }
   dataset.snapshots.push_back(std::move(snap));
   EXPECT_TRUE(detect_fixed_key_mitm(dataset, {}, MitmOptions{}).empty());
+}
+
+TEST(MitmDetector, SharedIndexScansOnlyHttpsRecords) {
+  // An SMTPS snapshot first: a fixed key of its own under many subjects,
+  // and six of the HTTPS certificates below shown at other IPs. Neither
+  // may reach the scan when the caller passes an index of every protocol.
+  const auto make_cert = [](const std::string& cn, const BigInt& n) {
+    auto c = std::make_shared<cert::Certificate>();
+    c->subject.add("CN", cn);
+    c->issuer = c->subject;
+    c->key.n = n;
+    c->key.e = BigInt(65537);
+    return c;
+  };
+  const BigInt fixed_n(std::uint64_t{0x1234567887654321ULL});
+  const BigInt mail_n(std::uint64_t{0x5555555555ULL});
+  std::vector<std::shared_ptr<cert::Certificate>> https_certs;
+  for (int i = 0; i < 12; ++i) {
+    https_certs.push_back(make_cert("device-" + std::to_string(i), fixed_n));
+  }
+  netsim::ScanDataset dataset;
+  netsim::ScanSnapshot mail;
+  mail.date = util::Date(2015, 1, 15);
+  mail.source = "Censys";
+  mail.protocol = netsim::Protocol::kSmtps;
+  for (int i = 0; i < 12; ++i) {
+    mail.records.push_back(netsim::HostRecord{
+        mail.date, mail.source,
+        netsim::Ipv4(static_cast<std::uint32_t>(0x0e000000 + i)),
+        mail.protocol, make_cert("mail-" + std::to_string(i), mail_n), "",
+        {}});
+  }
+  for (int i = 0; i < 6; ++i) {
+    mail.records.push_back(netsim::HostRecord{
+        mail.date, mail.source,
+        netsim::Ipv4(static_cast<std::uint32_t>(0x0f000000 + i)),
+        mail.protocol, https_certs[i], "", {}});
+  }
+  netsim::ScanSnapshot web;
+  web.date = util::Date(2015, 2, 15);
+  web.source = "Censys";
+  web.protocol = netsim::Protocol::kHttps;
+  for (int i = 0; i < 12; ++i) {
+    web.records.push_back(netsim::HostRecord{
+        web.date, web.source,
+        netsim::Ipv4(static_cast<std::uint32_t>(0x0a000000 + i)),
+        web.protocol, https_certs[i], "", {}});
+  }
+  dataset.snapshots.push_back(std::move(mail));
+  dataset.snapshots.push_back(std::move(web));
+
+  const netsim::CertificateIndex index = netsim::index_certificates(dataset);
+  const auto shared = detect_fixed_key_mitm(dataset, {}, MitmOptions{},
+                                            nullptr, nullptr, &index);
+  ASSERT_EQ(shared.size(), 1u);
+  EXPECT_EQ(shared[0].modulus, fixed_n);
+  EXPECT_EQ(shared[0].distinct_ips, 12u);
+  EXPECT_EQ(shared[0].records, 12u);
+  EXPECT_EQ(shared[0].distinct_subjects, 12u);
+  const auto own = detect_fixed_key_mitm(dataset, {}, MitmOptions{});
+  ASSERT_EQ(own.size(), 1u);
+  EXPECT_EQ(own[0].modulus, fixed_n);
+  EXPECT_EQ(own[0].distinct_ips, 12u);
+  EXPECT_EQ(own[0].records, 12u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Unit tests for the obs/ telemetry subsystem: metrics instruments, the
 // span tracer (including multi-threaded use under the thread pool), the
-// Chrome trace exporter, the structured event sink, histogram quantile
-// estimation, and process self-metrics.
+// Chrome trace exporter, and process self-metrics.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -53,34 +52,6 @@ TEST(Gauge, SetAddAndNegativeValues) {
   EXPECT_EQ(g.value(), -15);
 }
 
-TEST(Histogram, BucketBoundariesAreInclusiveUpperBounds) {
-  obs::Histogram h({10, 100});
-  // Bucket i counts values <= bounds[i]; the extra last bucket is overflow.
-  for (const std::uint64_t v : {0u, 10u, 11u, 100u, 101u, 5000u}) h.record(v);
-  const auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0], 2u);  // 0, 10
-  EXPECT_EQ(buckets[1], 2u);  // 11, 100
-  EXPECT_EQ(buckets[2], 2u);  // 101, 5000 (overflow)
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.sum(), 0u + 10 + 11 + 100 + 101 + 5000);
-  EXPECT_EQ(h.max(), 5000u);
-}
-
-TEST(Histogram, BoundsAreSortedAndDeduped) {
-  const obs::Histogram h({100, 10, 100, 1});
-  const std::vector<std::uint64_t> expected{1, 10, 100};
-  EXPECT_EQ(h.bounds(), expected);
-}
-
-TEST(Histogram, DefaultLatencyBoundsCoverMicrosecondsToMinutes) {
-  const auto bounds = obs::Histogram::default_latency_bounds_us();
-  ASSERT_FALSE(bounds.empty());
-  EXPECT_EQ(bounds.front(), 1u);
-  EXPECT_GE(bounds.back(), 60u * 1000 * 1000);  // at least a minute
-  EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
-}
-
 TEST(MetricsRegistry, InstrumentReferencesAreStable) {
   obs::MetricsRegistry registry;
   obs::Counter& a = registry.counter("stable.counter");
@@ -93,46 +64,24 @@ TEST(MetricsRegistry, InstrumentReferencesAreStable) {
   EXPECT_EQ(registry.counter("stable.counter").value(), 3u);
 }
 
-TEST(MetricsRegistry, HistogramReRegistrationKeepsOriginalBounds) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h = registry.histogram("h", {1, 2, 3});
-  obs::Histogram& again = registry.histogram("h", {999});
-  EXPECT_EQ(&h, &again);
-  const std::vector<std::uint64_t> expected{1, 2, 3};
-  EXPECT_EQ(again.bounds(), expected);
-}
-
 TEST(MetricsRegistry, SnapshotReportsAllInstruments) {
   obs::MetricsRegistry registry;
   registry.counter("c.one").inc(11);
   registry.gauge("g.depth").set(-4);
-  registry.histogram("h.lat_us", {10}).record(3);
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.counter("c.one"), 11u);
   EXPECT_EQ(snap.counter("c.never_touched"), 0u);
   EXPECT_EQ(snap.gauges.at("g.depth"), -4);
-  EXPECT_EQ(snap.histograms.at("h.lat_us").count, 1u);
 }
 
 TEST(MetricsRegistry, ToJsonParsesAndRoundTripsValues) {
   obs::MetricsRegistry registry;
   registry.counter("ingest.drop.even-modulus").inc(5);
   registry.gauge("queue").set(-2);
-  auto& h = registry.histogram("task_us", {10, 100});
-  h.record(7);
-  h.record(250);
   const auto doc = jsonlite::parse(registry.to_json());
   EXPECT_EQ(doc.at("counters").at("ingest.drop.even-modulus").integer(), 5);
   EXPECT_EQ(doc.at("gauges").at("queue").integer(), -2);
-  const auto& hist = doc.at("histograms").at("task_us");
-  EXPECT_EQ(hist.at("count").integer(), 2);
-  EXPECT_EQ(hist.at("sum").integer(), 257);
-  const auto& buckets = hist.at("buckets").array();
-  ASSERT_EQ(buckets.size(), 3u);  // two bounds + overflow
-  EXPECT_EQ(buckets[0].at("le").integer(), 10);
-  EXPECT_EQ(buckets[0].at("count").integer(), 1);
-  EXPECT_EQ(buckets[2].at("le").str(), "inf");
-  EXPECT_EQ(buckets[2].at("count").integer(), 1);
+  EXPECT_EQ(doc.object().size(), 2u);  // counters and gauges only
 }
 
 // --------------------------------------------------------------- tracer ----
@@ -223,8 +172,6 @@ TEST(Tracer, ParallelForSpansStayCoherentAcrossThreads) {
   const auto snap = telemetry.metrics().snapshot();
   EXPECT_EQ(snap.counter("threadpool.tasks_completed"),
             static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(snap.histograms.at("threadpool.task_us").count,
-            static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(snap.gauges.at("threadpool.queue_depth"), 0);
 }
 
@@ -259,38 +206,6 @@ TEST(Tracer, ChromeTraceJsonIsValidAndMonotonicPerThread) {
     }
     last_ts[tid] = ts;
   }
-}
-
-// ---------------------------------------------------------------- sink ----
-
-TEST(TelemetrySink, CountsAndRingBufferWithoutTextSink) {
-  obs::TelemetrySink sink(/*ring_capacity=*/4);
-  for (int i = 0; i < 9; ++i) sink.info("event " + std::to_string(i));
-  sink.warn("trouble");
-  // Nothing is lost from the counts even though no text sink is attached.
-  EXPECT_EQ(sink.total_events(), 10u);
-  EXPECT_EQ(sink.events_emitted(obs::Level::kInfo), 9u);
-  EXPECT_EQ(sink.events_emitted(obs::Level::kWarn), 1u);
-  const auto recent = sink.recent();
-  ASSERT_EQ(recent.size(), 4u);  // bounded by ring capacity, oldest first
-  EXPECT_EQ(recent.front().message, "event 6");
-  EXPECT_EQ(recent.back().message, "trouble");
-  for (std::size_t i = 1; i < recent.size(); ++i) {
-    EXPECT_GT(recent[i].seq, recent[i - 1].seq);
-    EXPECT_GE(recent[i].ts_us, recent[i - 1].ts_us);
-  }
-}
-
-TEST(TelemetrySink, TextSinkReceivesMessagesAndCanBeCleared) {
-  obs::TelemetrySink sink;
-  std::vector<std::string> seen;
-  sink.set_text_sink([&](const std::string& m) { seen.push_back(m); });
-  sink.info("hello");
-  sink.set_text_sink(nullptr);
-  sink.info("silent");
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], "hello");
-  EXPECT_EQ(sink.total_events(), 2u);  // still counted after clearing
 }
 
 // ----------------------------------------------------------- telemetry ----

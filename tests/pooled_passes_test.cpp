@@ -1,7 +1,9 @@
 // The passes after simulation (ingest, chain exclusion, divisor
 // classification and the fingerprint scans) run on the run's pool. Their
 // output must not depend on it: each is run here over one noisy corpus with
-// no pool and with pools of 1, 2, 4 and 8 threads.
+// no pool and with pools of 1, 2, 4 and 8 threads. The pooled runs also
+// share one certificate index across the passes, as Study::run() does,
+// while the serial run lets each call build its own.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -106,7 +108,9 @@ PassOutput run_passes(std::optional<std::size_t> threads) {
       analysis::exclude_intermediates(std::move(ingest.kept), pool, &token);
   out.excluded_digest = digest(dataset, "excluded" + tag);
 
-  const std::vector<bn::BigInt> moduli = dataset.distinct_moduli(pool);
+  const netsim::CertificateIndex index = netsim::index_certificates(dataset);
+  const netsim::CertificateIndex* shared = pool ? &index : nullptr;
+  const std::vector<bn::BigInt> moduli = dataset.distinct_moduli(pool, shared);
   out.distinct_moduli = hex_of(moduli);
   const batchgcd::BatchGcdResult gcd = batchgcd::batch_gcd(moduli);
   const core::DivisorPass divisors =
@@ -118,7 +122,6 @@ PassOutput run_passes(std::optional<std::size_t> threads) {
   }
   out.full_modulus = divisors.full_modulus;
 
-  const netsim::CertificateIndex index = netsim::index_certificates(dataset);
   out.labels = fingerprint::SubjectRules::standard().classify_all(
       dataset, index, pool, &token);
 
@@ -129,7 +132,7 @@ PassOutput run_passes(std::optional<std::size_t> threads) {
   std::vector<std::string> factored_hex;
   for (const auto& f : divisors.factored) factored_hex.push_back(f.n.to_hex());
   for (const auto& c : fingerprint::detect_fixed_key_mitm(
-           dataset, factored_hex, options, pool, &token)) {
+           dataset, factored_hex, options, pool, &token, shared)) {
     out.mitm.push_back(c.modulus.to_hex() + " " +
                        std::to_string(c.distinct_ips) + " " +
                        std::to_string(c.distinct_subjects) + " " +

@@ -1,7 +1,6 @@
 // Tests for the resource-attribution plane (DESIGN.md §5k): the per-thread
 // frame stacks, the sampling wall-clock profiler and its collapsed-stack
-// output, per-subsystem memory accounting, and the level store's
-// product-tree byte census.
+// output, and the level store's product-tree byte census.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -9,18 +8,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "batchgcd/product_tree.hpp"
-#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof_stack.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys {
 namespace {
@@ -167,6 +167,33 @@ TEST(Profiler, SamplesSpanChurnIntoParseableCollapsedStacks) {
   EXPECT_EQ(snap.counter("profiler.self." + top[0].first), top[0].second);
 }
 
+TEST(Profiler, PoolJoinSamplesAsWait) {
+  obs::ProfilerConfig config;
+  config.hz = 997;
+  obs::Profiler profiler(std::move(config));
+  profiler.start();
+  util::ThreadPool pool(2);
+  std::latch release(1);
+  // The caller holds a frame and joins tasks that stay blocked until the
+  // sampler has caught it in the join.
+  std::thread caller([&] {
+    obs::prof::Frame frame("join.caller");
+    pool.parallel_for(2, [&](std::size_t) { release.wait(); });
+  });
+  const std::string waiting = "join.caller;wait ";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (profiler.collapsed().find(waiting) == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  release.count_down();
+  caller.join();
+  profiler.stop();
+  EXPECT_NE(profiler.collapsed().find(waiting), std::string::npos)
+      << profiler.collapsed();
+}
+
 TEST(Profiler, ZeroHzNeverStarts) {
   obs::ProfilerConfig config;
   config.hz = 0;
@@ -175,90 +202,6 @@ TEST(Profiler, ZeroHzNeverStarts) {
   EXPECT_FALSE(profiler.running());
   EXPECT_FALSE(obs::prof::enabled());
   profiler.stop();
-}
-
-// ------------------------------------------------------- mem accounting ----
-
-TEST(MemAccounting, AttributesScopedAllocationsToLabels) {
-  if (!obs::mem::supported()) GTEST_SKIP() << "no malloc_usable_size";
-  obs::mem::reset_for_test();
-  static const int label = obs::mem::register_label("test.subsystem");
-  ASSERT_GE(label, 0);
-  obs::mem::enable();
-  constexpr std::size_t kBytes = 1 << 20;
-  {
-    obs::MemScope scope(label);
-    std::vector<char> block(kBytes, 'x');
-    const auto totals = obs::mem::totals();
-    EXPECT_GE(totals.live_bytes, static_cast<std::int64_t>(kBytes));
-    EXPECT_GE(totals.peak_bytes, kBytes);
-  }
-  obs::mem::disable();
-  bool found = false;
-  for (const auto& ls : obs::mem::label_stats()) {
-    if (ls.label != "test.subsystem") continue;
-    found = true;
-    EXPECT_GE(ls.cumulative_bytes, kBytes);
-    EXPECT_GE(ls.peak_bytes, kBytes);
-    // Symmetric accounting: the block was freed inside the same scope.
-    EXPECT_LT(ls.live_bytes, static_cast<std::int64_t>(kBytes));
-    EXPECT_GE(ls.allocations, 1u);
-  }
-  EXPECT_TRUE(found);
-  obs::mem::reset_for_test();
-}
-
-TEST(MemAccounting, OnlyIfUnattributedDoesNotStealFromOuterScope) {
-  if (!obs::mem::supported()) GTEST_SKIP() << "no malloc_usable_size";
-  obs::mem::reset_for_test();
-  static const int outer = obs::mem::register_label("test.outer");
-  static const int inner = obs::mem::register_label("test.inner");
-  obs::mem::enable();
-  constexpr std::size_t kBytes = 1 << 18;
-  {
-    obs::MemScope outer_scope(outer);
-    // Engages only when nothing is attributed — here the outer label is,
-    // so this scope must be a no-op.
-    obs::MemScope inner_scope(inner, /*only_if_unattributed=*/true);
-    std::vector<char> block(kBytes, 'y');
-    (void)block;
-  }
-  obs::mem::disable();
-  std::uint64_t outer_cum = 0;
-  std::uint64_t inner_cum = 0;
-  for (const auto& ls : obs::mem::label_stats()) {
-    if (ls.label == "test.outer") outer_cum = ls.cumulative_bytes;
-    if (ls.label == "test.inner") inner_cum = ls.cumulative_bytes;
-  }
-  EXPECT_GE(outer_cum, kBytes);
-  EXPECT_EQ(inner_cum, 0u);
-  obs::mem::reset_for_test();
-}
-
-TEST(MemAccounting, PublishMirrorsIntoRegistry) {
-  if (!obs::mem::supported()) GTEST_SKIP() << "no malloc_usable_size";
-  obs::mem::reset_for_test();
-  static const int label = obs::mem::register_label("test.publish");
-  obs::Telemetry telemetry;
-  obs::mem::enable(&telemetry.metrics());
-  {
-    obs::MemScope scope(label);
-    std::vector<char> block(1 << 16, 'p');
-    (void)block;
-  }
-  obs::mem::disable();
-  obs::mem::publish(telemetry.metrics());
-  const obs::MetricsSnapshot snap = telemetry.metrics().snapshot();
-  EXPECT_GE(snap.counter("mem.cumulative_bytes"), 1u << 16);
-  EXPECT_GE(snap.counter("mem.test.publish.cumulative_bytes"), 1u << 16);
-  ASSERT_NE(snap.gauges.find("mem.peak_bytes"), snap.gauges.end());
-  EXPECT_GE(snap.gauges.at("mem.peak_bytes"),
-            static_cast<std::int64_t>(1 << 16));
-  // The allocation-size histogram was pre-created and fed by the hook.
-  const auto hist = snap.histograms.find("mem.alloc_bytes");
-  ASSERT_NE(hist, snap.histograms.end());
-  EXPECT_GT(hist->second.count, 0u);
-  obs::mem::reset_for_test();
 }
 
 // ---------------------------------------------------- product-tree census ----

@@ -2,16 +2,18 @@
 // produce metrics that agree *exactly* with the pipeline's own accounting
 // structs (IngestStats, DistributedStats), a span for every pipeline stage,
 // and valid trace/metrics JSON files via StudyConfig::trace_path — all with
-// a null text log, proving the sink's always-counted guarantee.
+// a null text log.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cluster/process_coordinator.hpp"
 #include "core/ingest.hpp"
@@ -60,7 +62,7 @@ class TelemetryE2E : public ::testing::Test {
     config.noise.bad_exponent_rate = 0.005;
     config.noise.inverted_validity_rate = 0.005;
     config.noise.duplicate_serial_rate = 0.005;
-    // config.log stays null on purpose: events must still be counted.
+    // config.log stays null on purpose: the files must be written anyway.
     config.trace_path =
         "telemetry_e2e_" + std::to_string(::getpid()) + ".json";
     return config;
@@ -128,7 +130,7 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   for (const char* stage :
        {"study.run", "study.build_dataset", "study.simulate",
         "study.apply_noise", "study.ingest", "study.exclude_intermediates",
-        "study.factor_moduli", "study.distinct_moduli", "gcd.distributed",
+        "study.index_certificates", "study.factor_moduli", "study.distinct_moduli", "gcd.distributed",
         "study.classify_divisors",
         "study.second_pass",
         "study.triage_degenerate", "study.fingerprint",
@@ -161,9 +163,10 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
   EXPECT_EQ(metrics.at("counters").at("coordinator.tasks_executed").integer(),
             static_cast<std::int64_t>(gcd.tasks - gcd.tasks_resumed));
 
-  // --- null text log, yet the sink counted and retained events ----------
-  EXPECT_GT(study.telemetry().sink().total_events(), 0u);
-  EXPECT_FALSE(study.telemetry().sink().recent().empty());
+  // --- a null text log still leaves the trace and metrics files ---------
+  EXPECT_FALSE(config.log);
+  EXPECT_TRUE(std::filesystem::exists(config.trace_path));
+  EXPECT_TRUE(std::filesystem::exists(config.trace_path + ".metrics.json"));
 
   std::remove(config.trace_path.c_str());
   std::remove((config.trace_path + ".metrics.json").c_str());
@@ -237,6 +240,23 @@ TEST_F(TelemetryE2E, AbnormalRunEndStillFlushesTelemetryArtifacts) {
 
   std::remove(config.trace_path.c_str());
   std::remove((config.trace_path + ".metrics.json").c_str());
+}
+
+// A trace file that cannot be written is reported on the run's log. The run
+// is cancelled before its first stage, so only the flush does any work.
+TEST_F(TelemetryE2E, FailedTraceWriteIsLogged) {
+  core::StudyConfig config = noisy_config();
+  config.trace_path = "telemetry_e2e_missing_dir_" +
+                      std::to_string(::getpid()) + "/trace.json";
+  std::vector<std::string> lines;
+  config.log = [&lines](const std::string& line) { lines.push_back(line); };
+  core::Study study(config);
+  study.cancel("before the first stage");
+  EXPECT_THROW(study.run(), util::Cancelled);
+  EXPECT_NE(std::find(lines.begin(), lines.end(),
+                      "telemetry: failed to write " + config.trace_path),
+            lines.end());
+  EXPECT_FALSE(std::filesystem::exists(config.trace_path));
 }
 
 }  // namespace

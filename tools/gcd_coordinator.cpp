@@ -52,7 +52,6 @@
 
 #include "batchgcd/batch_gcd.hpp"
 #include "cluster/process_coordinator.hpp"
-#include "obs/mem.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/prng_source.hpp"
@@ -223,7 +222,6 @@ int main(int argc, char** argv) {
   }
   std::unique_ptr<weakkeys::obs::Profiler> profiler;
   if (profile_hz > 0) {
-    if (weakkeys::obs::mem::supported()) weakkeys::obs::mem::enable();
     weakkeys::obs::ProfilerConfig prof_config;
     prof_config.hz = profile_hz;
     prof_config.out_path = profile_out;
