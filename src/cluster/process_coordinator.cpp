@@ -7,6 +7,7 @@
 #include <deque>
 #include <fstream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -15,13 +16,11 @@
 #include <unistd.h>
 #endif
 
-#include "batchgcd/product_tree.hpp"
 #include "batchgcd/task_set.hpp"
 #include "cluster/protocol.hpp"
 #include "obs/fleet.hpp"
 #include "util/binary_io.hpp"
 #include "util/net.hpp"
-#include "util/thread_pool.hpp"
 
 namespace weakkeys::cluster {
 
@@ -82,11 +81,10 @@ struct Pending {
   std::uint32_t banned_worker = kNoWorker;
 };
 
-/// One in-progress chunked payload transfer to a worker (go-back-N sender
+/// One in-progress chunked subset transfer to a worker (go-back-N sender
 /// side; the head of Slot::transfers is the active one).
 struct Transfer {
   std::uint32_t stream_id = 0;
-  StreamKind kind = StreamKind::kSubset;
   std::uint32_t subset = 0;
   std::shared_ptr<const std::vector<std::uint8_t>> payload;
   std::uint32_t crc = 0;       ///< crc32 of the whole payload
@@ -118,8 +116,7 @@ struct Slot {
   std::uint64_t rx_telemetry_seq = 0;  ///< dedup high-water for telemetry
   Clock::time_point disconnected_at;
   std::deque<Transfer> transfers;
-  std::vector<bool> delivered_subsets;   ///< fully acked by the worker
-  std::vector<bool> delivered_products;
+  std::vector<bool> delivered_subsets;  ///< fully acked by the worker
   std::uint64_t tx_seq_base = 0;    ///< injector counters carried across
   std::uint64_t conn_seq_base = 0;  ///< reconnects (see FrameConn ctor)
   std::uint64_t worker_frames_dropped = 0;  ///< worker-reported, via Pong
@@ -151,23 +148,9 @@ class ProcessCoordinator {
     if (config_.telemetry) {
       auto& m = config_.telemetry->metrics();
       m_workers_alive_ = &m.gauge("cluster.workers_alive");
-      m_respawns_ = &m.counter("cluster.respawns");
-      m_workers_lost_ = &m.counter("cluster.workers_lost");
-      m_tasks_executed_ = &m.counter("cluster.tasks_executed");
-      m_tasks_resumed_ = &m.counter("cluster.tasks_resumed");
-      m_tasks_reassigned_ = &m.counter("cluster.tasks_reassigned");
-      m_task_timeouts_ = &m.counter("cluster.task_timeouts");
-      m_quarantined_ = &m.counter("cluster.results_quarantined");
-      m_attempts_ = &m.counter("cluster.attempts");
-      m_retries_ = &m.counter("cluster.retries");
-      m_frames_sent_ = &m.counter("cluster.frames_sent");
-      m_frames_dropped_ = &m.counter("cluster.frames_dropped");
-      m_frames_corrupt_ = &m.counter("cluster.frames_corrupt");
-      m_reconnects_ = &m.counter("cluster.reconnects");
-      m_sessions_expired_ = &m.counter("cluster.sessions_expired");
-      m_duplicate_results_ = &m.counter("cluster.duplicate_results");
-      m_stream_chunks_ = &m.counter("cluster.stream_chunks");
-      m_stream_resumes_ = &m.counter("cluster.stream_resumes");
+      for (const ClusterCounter& c : kClusterCounters) {
+        published_.push_back({&m.counter(c.name), c.field});
+      }
     }
     k_ = tasks_.k();
     remote_n_ = config.remote_workers;
@@ -179,8 +162,6 @@ class ProcessCoordinator {
 
     enc_subset_.resize(k_);
     enc_subset_crc_.assign(k_, 0);
-    enc_product_.resize(k_);
-    enc_product_crc_.assign(k_, 0);
   }
 
   ~ProcessCoordinator() { cleanup(); }
@@ -194,17 +175,10 @@ class ProcessCoordinator {
     stats_.subsets = k_;
     stats_.tasks = total;
     stats_.workers = workers_n_ + remote_n_;
-    if (config_.telemetry) {
-      auto& m = config_.telemetry->metrics();
-      m.counter("cluster.tasks").set(total);
-      m.counter("cluster.subsets").set(k_);
-      m.counter("cluster.workers").set(workers_n_ + remote_n_);
-    }
 
     fingerprint_ = tasks_.fingerprint();
     if (!config_.checkpoint_path.empty()) {
       stats_.tasks_resumed = tasks_.open_journal(config_.checkpoint_path);
-      if (m_tasks_resumed_) m_tasks_resumed_->inc(stats_.tasks_resumed);
     }
 
     for (std::size_t t = 0; t < total; ++t) {
@@ -216,10 +190,7 @@ class ProcessCoordinator {
     }
 
     if (config_.cancel && config_.cancel->cancelled()) cancelled_ = true;
-    if (!pending_.empty() && !cancelled_) {
-      compute_products();
-      if (!cancelled_) supervise();
-    }
+    if (!pending_.empty() && !cancelled_) supervise();
 
     cleanup();
     if (stats) *stats = stats_;
@@ -251,34 +222,6 @@ class ProcessCoordinator {
            static_cast<int>(config_.heartbeat_misses);
   }
 
-  // -- setup ---------------------------------------------------------------
-
-  /// Builds each subset's product tree just for its root — workers grow
-  /// their own leaf trees, the coordinator only ships products around.
-  void compute_products() {
-    products_.assign(k_, BigInt(1));
-    try {
-      const std::size_t nthreads = std::min<std::size_t>(
-          std::max<std::size_t>(workers_n_ + remote_n_, 2), k_);
-      if (nthreads <= 1) {
-        for (std::size_t b = 0; b < k_; ++b) {
-          if (config_.cancel) config_.cancel->throw_if_cancelled();
-          products_[b] = batchgcd::ProductTree(tasks_.subset(b)).root();
-        }
-      } else {
-        util::ThreadPool pool(nthreads, config_.telemetry);
-        pool.parallel_for(
-            k_,
-            [this](std::size_t b) {
-              products_[b] = batchgcd::ProductTree(tasks_.subset(b)).root();
-            },
-            config_.cancel);
-      }
-    } catch (const util::Cancelled&) {
-      cancelled_ = true;
-    }
-  }
-
   // -- process management --------------------------------------------------
 
   void start_listener() {
@@ -304,7 +247,6 @@ class ProcessCoordinator {
     slot.rx_telemetry_seq = 0;
     slot.transfers.clear();
     slot.delivered_subsets.assign(k_, false);
-    slot.delivered_products.assign(k_, false);
     slot.tx_seq_base = 0;
     slot.conn_seq_base = 0;
     slot.worker_frames_dropped = 0;
@@ -548,16 +490,12 @@ class ProcessCoordinator {
     slot.last_pong = now;
     if (!slot.transfers.empty()) {
       Transfer& t = slot.transfers.front();
-      if (t.begin_sent && t.sent_off > t.acked) {
-        ++stats_.stream_resumes;
-        if (m_stream_resumes_) m_stream_resumes_->inc();
-      }
+      if (t.begin_sent && t.sent_off > t.acked) ++stats_.stream_resumes;
       t.sent_off = t.acked;
       t.begin_sent = false;
       t.last_progress = now;
     }
     ++stats_.reconnects;
-    if (m_reconnects_) m_reconnects_->inc();
     refresh_alive_gauge();
     log("cluster: worker " + std::to_string(slot.id) + " reconnected (session " +
         std::to_string(slot.session_id) + ", replaying past seq " +
@@ -619,8 +557,7 @@ class ProcessCoordinator {
         case RecvStatus::kTimeout:
           return;
         case RecvStatus::kCorrupt:
-          if (m_frames_corrupt_) m_frames_corrupt_->inc();
-          continue;
+          continue;  // FrameStats::corrupt counts it
         case RecvStatus::kClosed:
           link_lost(slot, "connection closed");
           return;
@@ -721,7 +658,6 @@ class ProcessCoordinator {
     if (tasks_.done(task)) {
       close_span(true);  // this attempt's work is done, just redundantly
       ++stats_.duplicate_results;
-      if (m_duplicate_results_) m_duplicate_results_->inc();
       return;  // duplicate of an already committed task
     }
 
@@ -737,7 +673,6 @@ class ProcessCoordinator {
       // Quarantine: the claims never touch the accumulators or the
       // journal. The sender earns a strike; at the limit it is demoted.
       ++stats_.results_quarantined;
-      if (m_quarantined_) m_quarantined_->inc();
       ++slot.strikes;
       log("cluster: worker " + std::to_string(slot.id) +
           " returned a corrupt result for task " + std::to_string(task) +
@@ -753,49 +688,34 @@ class ProcessCoordinator {
     }
   }
 
-  // -- chunked payload streaming -------------------------------------------
+  // -- chunked subset streaming --------------------------------------------
 
   [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>>
-  encoded_payload(StreamKind kind, std::size_t idx, std::uint32_t* crc) {
-    auto& cache = kind == StreamKind::kSubset ? enc_subset_ : enc_product_;
-    auto& crcs =
-        kind == StreamKind::kSubset ? enc_subset_crc_ : enc_product_crc_;
-    if (!cache[idx]) {
-      std::vector<std::uint8_t> bytes;
-      if (kind == StreamKind::kSubset) {
-        SubsetDataMsg msg;
-        msg.subset = static_cast<std::uint32_t>(idx);
-        const auto subset = tasks_.subset(idx);
-        msg.moduli.assign(subset.begin(), subset.end());
-        bytes = msg.encode();
-      } else {
-        ProductDataMsg msg;
-        msg.subset = static_cast<std::uint32_t>(idx);
-        msg.product = products_[idx];
-        bytes = msg.encode();
-      }
-      crcs[idx] = util::crc32(bytes);
-      cache[idx] =
+  encoded_subset(std::size_t idx, std::uint32_t* crc) {
+    if (!enc_subset_[idx]) {
+      SubsetDataMsg msg;
+      msg.subset = static_cast<std::uint32_t>(idx);
+      const auto subset = tasks_.subset(idx);
+      msg.moduli.assign(subset.begin(), subset.end());
+      std::vector<std::uint8_t> bytes = msg.encode();
+      enc_subset_crc_[idx] = util::crc32(bytes);
+      enc_subset_[idx] =
           std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
     }
-    *crc = crcs[idx];
-    return cache[idx];
+    *crc = enc_subset_crc_[idx];
+    return enc_subset_[idx];
   }
 
-  /// Queues a transfer for (kind, idx) unless delivered or already queued.
-  void ensure_transfer(Slot& slot, StreamKind kind, std::size_t idx) {
-    const bool delivered = kind == StreamKind::kSubset
-                               ? slot.delivered_subsets[idx]
-                               : slot.delivered_products[idx];
-    if (delivered) return;
+  /// Queues a transfer of subset `idx` unless delivered or already queued.
+  void ensure_transfer(Slot& slot, std::size_t idx) {
+    if (slot.delivered_subsets[idx]) return;
     for (const Transfer& t : slot.transfers) {
-      if (t.kind == kind && t.subset == idx) return;
+      if (t.subset == idx) return;
     }
     Transfer t;
     t.stream_id = next_stream_id_++;
-    t.kind = kind;
     t.subset = static_cast<std::uint32_t>(idx);
-    t.payload = encoded_payload(kind, idx, &t.crc);
+    t.payload = encoded_subset(idx, &t.crc);
     t.last_progress = Clock::now();
     slot.transfers.push_back(std::move(t));
   }
@@ -814,7 +734,6 @@ class ProcessCoordinator {
     if (!t.begin_sent) {
       StreamBeginMsg begin;
       begin.stream_id = t.stream_id;
-      begin.kind = static_cast<std::uint8_t>(t.kind);
       begin.subset = t.subset;
       begin.total_bytes = total;
       begin.payload_crc = t.crc;
@@ -844,7 +763,6 @@ class ProcessCoordinator {
       }
       t.sent_off += n;
       ++stats_.stream_chunks_sent;
-      if (m_stream_chunks_) m_stream_chunks_->inc();
       sent_any = true;
     }
     if (sent_any) t.last_progress = Clock::now();
@@ -859,11 +777,7 @@ class ProcessCoordinator {
     t.acked = ack.received;
     t.last_progress = Clock::now();
     if (t.acked == total) {
-      if (t.kind == StreamKind::kSubset) {
-        slot.delivered_subsets[t.subset] = true;
-      } else {
-        slot.delivered_products[t.subset] = true;
-      }
+      slot.delivered_subsets[t.subset] = true;
       slot.transfers.pop_front();
     }
     pump_streams(slot);  // window slid, or the next transfer's Begin
@@ -878,10 +792,7 @@ class ProcessCoordinator {
       if (slot.state != SlotState::kLive || slot.transfers.empty()) continue;
       Transfer& t = slot.transfers.front();
       if (now - t.last_progress > kStreamRetransmit) {
-        if (t.begin_sent && t.sent_off > t.acked) {
-          ++stats_.stream_resumes;
-          if (m_stream_resumes_) m_stream_resumes_->inc();
-        }
+        if (t.begin_sent && t.sent_off > t.acked) ++stats_.stream_resumes;
         t.sent_off = t.acked;
         t.begin_sent = false;
         t.last_progress = now;
@@ -895,7 +806,6 @@ class ProcessCoordinator {
   void commit(std::size_t task, const std::vector<TaskClaim>& claims) {
     tasks_.commit(task, claims);
     ++stats_.tasks_executed;
-    if (m_tasks_executed_) m_tasks_executed_->inc();
     if (config_.halt_after_tasks != 0 &&
         stats_.tasks_executed >= config_.halt_after_tasks &&
         !tasks_.complete()) {
@@ -980,7 +890,7 @@ class ProcessCoordinator {
       tick_timeouts();
       tick_streams();
       tick_assign();
-      tick_frame_metrics();
+      publish_metrics();
 
       if (!any_active_slots() && !tasks_.complete()) {
         fatal_ = std::make_exception_ptr(
@@ -1164,7 +1074,6 @@ class ProcessCoordinator {
           std::to_string(silence_budget().count()) +
           "ms grace; declaring lost");
       ++stats_.sessions_expired;
-      if (m_sessions_expired_) m_sessions_expired_->inc();
       slot.state = SlotState::kLost;
     }
   }
@@ -1199,7 +1108,6 @@ class ProcessCoordinator {
     for (Slot& slot : slots_) {
       if (slot.state != SlotState::kLost) continue;
       ++stats_.workers_lost;
-      if (m_workers_lost_) m_workers_lost_->inc();
       refresh_alive_gauge();
 
       if (slot.busy) {
@@ -1208,7 +1116,6 @@ class ProcessCoordinator {
                           /*committed=*/false);
         slot.assign_span = 0;
         ++stats_.tasks_reassigned;
-        if (m_tasks_reassigned_) m_tasks_reassigned_->inc();
         requeue(slot.current.task, slot.current.attempt + 1, slot.id);
       }
 
@@ -1217,7 +1124,12 @@ class ProcessCoordinator {
         int status = 0;
         ::waitpid(slot.pid, &status, 0);
       }
-      fold_conn_stats(slot);
+      fold_link_stats(slot);
+      if (config_.telemetry) {
+        config_.telemetry->metrics()
+            .counter("cluster.worker." + std::to_string(slot.id) + ".deaths")
+            .inc();
+      }
       slot.conn.reset();
       slot.fd.reset();
       slot.pid = -1;
@@ -1225,7 +1137,6 @@ class ProcessCoordinator {
       if (respawns_used_ < config_.restart_budget) {
         ++respawns_used_;
         ++stats_.respawns;
-        if (m_respawns_) m_respawns_->inc();
         log("cluster: respawning worker " + std::to_string(slot.id) + " (" +
             std::to_string(respawns_used_) + "/" +
             std::to_string(config_.restart_budget) + " restarts used)");
@@ -1263,9 +1174,7 @@ class ProcessCoordinator {
       }
       if (now - slot.assigned_at <= config_.task_timeout) continue;
       ++stats_.task_timeouts;
-      if (m_task_timeouts_) m_task_timeouts_->inc();
       ++stats_.tasks_reassigned;
-      if (m_tasks_reassigned_) m_tasks_reassigned_->inc();
       log("cluster: task " + std::to_string(slot.current.task) +
           " timed out on worker " + std::to_string(slot.id) + "; requeueing");
       const Pending timed_out = slot.current;
@@ -1276,10 +1185,11 @@ class ProcessCoordinator {
     }
   }
 
-  /// Hands ready tasks to idle live workers. A task is only assignable to a
-  /// worker that holds its subset and product (fully acked streams); for
-  /// the first candidate that is missing data, the transfers are queued and
-  /// the scan keeps looking for one the worker can start right now.
+  /// Hands ready tasks to idle live workers. A task (b, a) is only
+  /// assignable to a worker that holds subsets a and b (fully acked
+  /// streams); for the first candidate that is missing data, the transfers
+  /// are queued and the scan keeps looking for one the worker can start
+  /// right now.
   void tick_assign() {
     if (!fleet_assembled()) return;
     const auto now = Clock::now();
@@ -1293,13 +1203,13 @@ class ProcessCoordinator {
         if (p.ready_at > now) continue;
         const std::size_t a = tasks_.subset_of(p.task);
         const std::size_t b = tasks_.product_of(p.task);
-        if (slot.delivered_subsets[a] && slot.delivered_products[b]) {
+        if (slot.delivered_subsets[a] && slot.delivered_subsets[b]) {
           pick = i;
           break;
         }
         if (!enqueued) {
-          ensure_transfer(slot, StreamKind::kSubset, a);
-          ensure_transfer(slot, StreamKind::kProduct, b);
+          ensure_transfer(slot, a);
+          ensure_transfer(slot, b);
           enqueued = true;
         }
       }
@@ -1320,7 +1230,7 @@ class ProcessCoordinator {
     return n;
   }
 
-  /// Ships one assignment (the worker already holds the payloads — see
+  /// Ships one assignment (the worker already holds both subsets — see
   /// tick_assign), then applies any process-tier fault decided for this
   /// (task, attempt).
   void assign(Slot& slot, const Pending& p) {
@@ -1353,11 +1263,7 @@ class ProcessCoordinator {
     slot.assign_span = assign_span;
     slot.assigned_at = Clock::now();
     ++stats_.attempts;
-    if (m_attempts_) m_attempts_->inc();
-    if (p.attempt > 0) {
-      ++stats_.retries;
-      if (m_retries_) m_retries_->inc();
-    }
+    if (p.attempt > 0) ++stats_.retries;
 
     // Process-tier fault injection: the decision is keyed on (task,
     // attempt) like every other tier, so the schedule is independent of
@@ -1396,7 +1302,7 @@ class ProcessCoordinator {
   }
 
   /// Folds a finished link's transport counters into the run totals (live
-  /// connections are summed on top in tick_frame_metrics()).
+  /// connections are summed on top in publish_metrics()).
   void fold_link_stats(Slot& slot) {
     if (!slot.conn) return;
     const FrameStats s = slot.conn->stats();
@@ -1408,18 +1314,11 @@ class ProcessCoordinator {
         s.conn_drips;
   }
 
-  /// fold_link_stats plus the per-slot death count — for links that ended
-  /// with the worker, not just the connection.
-  void fold_conn_stats(Slot& slot) {
-    fold_link_stats(slot);
-    if (config_.telemetry) {
-      auto& m = config_.telemetry->metrics();
-      const std::string prefix = "cluster.worker." + std::to_string(slot.id);
-      m.counter(prefix + ".deaths").inc();
-    }
-  }
-
-  void tick_frame_metrics() {
+  /// Totals the transport counters of retired and live links into stats_,
+  /// then copies every kClusterCounters field to its counter. Runs at the
+  /// end of each event-loop turn, before it sleeps, so a reader of the
+  /// registry sees what the turn did; stats_ is the only tally.
+  void publish_metrics() {
     std::uint64_t sent = retired_frames_sent_;
     std::uint64_t dropped = retired_frames_dropped_;
     std::uint64_t corrupt = retired_frames_corrupt_;
@@ -1437,9 +1336,9 @@ class ProcessCoordinator {
     stats_.frames_dropped = dropped;
     stats_.frames_corrupt = corrupt;
     stats_.conn_faults_injected = conn_faults;
-    if (m_frames_sent_) m_frames_sent_->set(sent);
-    if (m_frames_dropped_) m_frames_dropped_->set(dropped);
-    // frames_corrupt is inc()'d live by drain_link().
+    for (const auto& [counter, field] : published_) {
+      counter->set(stats_.*field);
+    }
   }
 
   // -- teardown ------------------------------------------------------------
@@ -1495,7 +1394,7 @@ class ProcessCoordinator {
     listen_fd_.reset();
     std::vector<pid_t> exiting;
     for (Slot& slot : slots_) {
-      fold_conn_stats(slot);
+      fold_link_stats(slot);  // a shutdown, not a death
       slot.conn.reset();
       slot.fd.reset();
       if (slot.pid > 0 && !slot.is_remote) {
@@ -1506,7 +1405,7 @@ class ProcessCoordinator {
       slot.pid = -1;
       slot.state = SlotState::kRetired;
     }
-    tick_frame_metrics();
+    publish_metrics();
     if (m_workers_alive_) m_workers_alive_->set(0);
 
     // Re-check every kExitRecheck for clean exits until the bound.
@@ -1556,7 +1455,6 @@ class ProcessCoordinator {
   std::size_t chunk_bytes_ = 64 * 1024;
   std::size_t window_chunks_ = 8;
   std::uint64_t fingerprint_ = 0;
-  std::vector<BigInt> products_;  ///< per-subset product-tree roots
 
   UniqueFd listen_fd_;
   std::uint16_t bound_port_ = 0;
@@ -1579,12 +1477,10 @@ class ProcessCoordinator {
   bool cancelled_ = false;
   bool cleaned_up_ = false;
   std::exception_ptr fatal_;
-  // Encoded payload caches, shared across every slot's transfers (the
-  // bytes for subset a are identical no matter which worker needs them).
+  // Encoded subset cache, shared across every slot's transfers (the bytes
+  // for subset a are identical no matter which worker needs them).
   std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> enc_subset_;
-  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> enc_product_;
   std::vector<std::uint32_t> enc_subset_crc_;
-  std::vector<std::uint32_t> enc_product_crc_;
   ClusterStats stats_;
   std::uint64_t retired_frames_sent_ = 0;
   std::uint64_t retired_frames_dropped_ = 0;
@@ -1592,23 +1488,9 @@ class ProcessCoordinator {
   std::uint64_t retired_conn_faults_ = 0;
 
   obs::Gauge* m_workers_alive_ = nullptr;
-  obs::Counter* m_respawns_ = nullptr;
-  obs::Counter* m_workers_lost_ = nullptr;
-  obs::Counter* m_tasks_executed_ = nullptr;
-  obs::Counter* m_tasks_resumed_ = nullptr;
-  obs::Counter* m_tasks_reassigned_ = nullptr;
-  obs::Counter* m_task_timeouts_ = nullptr;
-  obs::Counter* m_quarantined_ = nullptr;
-  obs::Counter* m_attempts_ = nullptr;
-  obs::Counter* m_retries_ = nullptr;
-  obs::Counter* m_frames_sent_ = nullptr;
-  obs::Counter* m_frames_dropped_ = nullptr;
-  obs::Counter* m_frames_corrupt_ = nullptr;
-  obs::Counter* m_reconnects_ = nullptr;
-  obs::Counter* m_sessions_expired_ = nullptr;
-  obs::Counter* m_duplicate_results_ = nullptr;
-  obs::Counter* m_stream_chunks_ = nullptr;
-  obs::Counter* m_stream_resumes_ = nullptr;
+  /// kClusterCounters resolved against the registry (empty without one).
+  std::vector<std::pair<obs::Counter*, std::uint64_t ClusterStats::*>>
+      published_;
 };
 
 }  // namespace

@@ -10,6 +10,13 @@
 // that silently stops answering heartbeats, a garbled frame is bytes that
 // fail CRC on the wire.
 //
+// Data placement: each node holds its subsets and derives their products.
+// The coordinator streams subset moduli only, each at most once per worker
+// session; a task (b, a) goes to a worker once it holds subsets a and b,
+// and the worker takes P_b as the root of its own product tree over subset
+// b. Beyond verifying and folding claims (TaskSet::verify / combine), the
+// coordinator does no bignum work.
+//
 // Failure matrix -> policy. Every link is a session: a lost link parks the
 // slot in kDisconnected, keeping its session (cached payload delivery,
 // transfer progress, result sequence), for a grace window of
@@ -94,7 +101,7 @@ struct ClusterConfig {
   /// accepting connections — how tests and tools launch dial-in workers
   /// against an ephemeral port.
   std::function<void(std::uint16_t)> on_listen;
-  /// Chunk size for streaming subset/product payloads to workers.
+  /// Chunk size for streaming subset payloads to workers.
   std::size_t stream_chunk_bytes = 64 * 1024;
   /// Backpressure: at most this many chunks may be in flight beyond the
   /// worker's acked prefix on one transfer.
@@ -138,8 +145,8 @@ struct ClusterConfig {
   /// result frames suffer the same lossy link as assignment frames.
   const util::FaultInjector* injector = nullptr;
   std::function<void(const std::string&)> log;
-  /// Telemetry: cluster.* counters/gauges mirroring ClusterStats and
-  /// per-worker cluster.worker.<w>.* instruments. Must outlive the call.
+  /// Telemetry: the kClusterCounters, the cluster.workers_alive gauge and
+  /// per-worker cluster.worker.<w>.deaths counters. Must outlive the call.
   obs::Telemetry* telemetry = nullptr;
   /// Telemetry export cadence forwarded to spawned workers: each
   /// worker ships a TelemetrySnapshot (metrics + spans + RSS/CPU) at most
@@ -167,31 +174,31 @@ struct ClusterConfig {
 };
 
 struct ClusterStats {
-  std::size_t subsets = 0;
-  std::size_t tasks = 0;
-  std::size_t workers = 0;          ///< configured slot count
-  std::size_t workers_spawned = 0;  ///< all spawns, initial + respawns
-  std::size_t respawns = 0;         ///< spawns beyond each slot's first
-  std::size_t workers_lost = 0;     ///< deaths observed (EOF, heartbeat,
-                                    ///< spawn timeout, demotion)
-  std::size_t heartbeat_deaths = 0;  ///< of which: declared via heartbeat
-  std::size_t workers_demoted = 0;   ///< of which: quarantine strike-outs
-  std::size_t workers_retired = 0;   ///< slots given up (budget exhausted)
-  std::size_t attempts = 0;          ///< assignments sent
-  std::size_t retries = 0;           ///< assignments beyond a task's first
-  std::size_t task_timeouts = 0;     ///< assignments requeued by deadline
-  std::size_t tasks_reassigned = 0;  ///< in-flight work voided by a death
-  std::size_t results_quarantined = 0;  ///< results failing verification
-  std::size_t sigkills_injected = 0;
-  std::size_t sigstops_injected = 0;
-  std::size_t tasks_resumed = 0;   ///< from the journal, not re-run
-  std::size_t tasks_executed = 0;  ///< committed by this run's workers
-  std::size_t reconnects = 0;      ///< sessions resumed after link loss
-  std::size_t sessions_expired = 0;   ///< grace windows that ran out
-  std::size_t duplicate_results = 0;  ///< results for already-done tasks
-  std::size_t results_replayed = 0;   ///< outbox replays already received
+  std::uint64_t subsets = 0;
+  std::uint64_t tasks = 0;
+  std::uint64_t workers = 0;          ///< configured slot count
+  std::uint64_t workers_spawned = 0;  ///< all spawns, initial + respawns
+  std::uint64_t respawns = 0;         ///< spawns beyond each slot's first
+  std::uint64_t workers_lost = 0;     ///< deaths observed (EOF, heartbeat,
+                                      ///< spawn timeout, demotion)
+  std::uint64_t heartbeat_deaths = 0;  ///< of which: declared via heartbeat
+  std::uint64_t workers_demoted = 0;   ///< of which: quarantine strike-outs
+  std::uint64_t workers_retired = 0;   ///< slots given up (budget exhausted)
+  std::uint64_t attempts = 0;          ///< assignments sent
+  std::uint64_t retries = 0;           ///< assignments beyond a task's first
+  std::uint64_t task_timeouts = 0;     ///< assignments requeued by deadline
+  std::uint64_t tasks_reassigned = 0;  ///< in-flight work voided by a death
+  std::uint64_t results_quarantined = 0;  ///< results failing verification
+  std::uint64_t sigkills_injected = 0;
+  std::uint64_t sigstops_injected = 0;
+  std::uint64_t tasks_resumed = 0;   ///< from the journal, not re-run
+  std::uint64_t tasks_executed = 0;  ///< committed by this run's workers
+  std::uint64_t reconnects = 0;      ///< sessions resumed after link loss
+  std::uint64_t sessions_expired = 0;   ///< grace windows that ran out
+  std::uint64_t duplicate_results = 0;  ///< results for already-done tasks
+  std::uint64_t results_replayed = 0;   ///< outbox replays already received
   std::uint64_t stream_chunks_sent = 0;  ///< chunked payload frames written
-  std::uint64_t stream_resumes = 0;   ///< go-back-N rewinds (timeout/reconnect)
+  std::uint64_t stream_resumes = 0;  ///< go-back-N rewinds (timeout/reconnect)
   std::uint64_t frames_sent = 0;     ///< coordinator-side frames written
   std::uint64_t frames_dropped = 0;  ///< injected drops, both directions
   std::uint64_t frames_corrupt = 0;  ///< frames rejected by CRC on receipt
@@ -201,6 +208,40 @@ struct ClusterStats {
   std::uint64_t telemetry_replays = 0;    ///< duplicate seqs (outbox replay)
   std::uint64_t telemetry_spans = 0;      ///< worker spans merged
 };
+
+/// One `cluster.*` counter and the ClusterStats field it mirrors.
+struct ClusterCounter {
+  const char* name;
+  std::uint64_t ClusterStats::*field;
+};
+
+/// Every `cluster.*` counter a run with `ClusterConfig::telemetry` set
+/// publishes. The coordinator counts in ClusterStats alone and copies each
+/// field to its counter at the end of every event-loop turn and once more
+/// at teardown, so after a run each counter equals its field.
+inline constexpr ClusterCounter kClusterCounters[] = {
+    {"cluster.subsets", &ClusterStats::subsets},
+    {"cluster.tasks", &ClusterStats::tasks},
+    {"cluster.workers", &ClusterStats::workers},
+    {"cluster.respawns", &ClusterStats::respawns},
+    {"cluster.workers_lost", &ClusterStats::workers_lost},
+    {"cluster.tasks_executed", &ClusterStats::tasks_executed},
+    {"cluster.tasks_resumed", &ClusterStats::tasks_resumed},
+    {"cluster.tasks_reassigned", &ClusterStats::tasks_reassigned},
+    {"cluster.task_timeouts", &ClusterStats::task_timeouts},
+    {"cluster.results_quarantined", &ClusterStats::results_quarantined},
+    {"cluster.attempts", &ClusterStats::attempts},
+    {"cluster.retries", &ClusterStats::retries},
+    {"cluster.frames_sent", &ClusterStats::frames_sent},
+    {"cluster.frames_dropped", &ClusterStats::frames_dropped},
+    {"cluster.frames_corrupt", &ClusterStats::frames_corrupt},
+    {"cluster.reconnects", &ClusterStats::reconnects},
+    {"cluster.sessions_expired", &ClusterStats::sessions_expired},
+    {"cluster.duplicate_results", &ClusterStats::duplicate_results},
+    {"cluster.stream_chunks", &ClusterStats::stream_chunks_sent},
+    {"cluster.stream_resumes", &ClusterStats::stream_resumes},
+};
+
 
 /// The cluster could not finish: no workers left, a task exhausted its
 /// retry budget, or setup failed (bind, spawn, missing binary).

@@ -120,28 +120,11 @@ std::optional<SubsetDataMsg> SubsetDataMsg::decode(
   return decode_guard<SubsetDataMsg>(body, [](util::BufferReader& r) {
     SubsetDataMsg m;
     m.subset = r.u32();
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(4);  // a length prefix each
     m.moduli.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       m.moduli.push_back(bn::BigInt::from_bytes(r.bytes()));
     }
-    return m;
-  });
-}
-
-std::vector<std::uint8_t> ProductDataMsg::encode() const {
-  util::BufferWriter w;
-  w.u32(subset);
-  w.bytes(product.to_bytes());
-  return w.data();
-}
-
-std::optional<ProductDataMsg> ProductDataMsg::decode(
-    const std::vector<std::uint8_t>& body) {
-  return decode_guard<ProductDataMsg>(body, [](util::BufferReader& r) {
-    ProductDataMsg m;
-    m.subset = r.u32();
-    m.product = bn::BigInt::from_bytes(r.bytes());
     return m;
   });
 }
@@ -193,7 +176,7 @@ std::optional<TaskResultMsg> TaskResultMsg::decode(
     m.task = r.u32();
     m.worker_id = r.u32();
     m.result_seq = r.u64();
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(8);  // leaf + divisor length
     m.claims.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       batchgcd::TaskClaim claim;
@@ -296,21 +279,22 @@ std::optional<TelemetrySnapshotMsg> TelemetrySnapshotMsg::decode(
     m.peak_rss_kb = r.i64();
     m.cpu_user_us = r.i64();
     m.cpu_sys_us = r.i64();
-    const std::uint32_t n_counters = r.u32();
+    const std::uint32_t n_counters = r.count(12);  // name length + value
     m.counters.reserve(n_counters);
     for (std::uint32_t i = 0; i < n_counters; ++i) {
       std::string name = r.str();
       const std::uint64_t value = r.u64();
       m.counters.emplace_back(std::move(name), value);
     }
-    const std::uint32_t n_gauges = r.u32();
+    const std::uint32_t n_gauges = r.count(12);
     m.gauges.reserve(n_gauges);
     for (std::uint32_t i = 0; i < n_gauges; ++i) {
       std::string name = r.str();
       const std::int64_t value = r.i64();
       m.gauges.emplace_back(std::move(name), value);
     }
-    const std::uint32_t n_spans = r.u32();
+    // Name length, ts, dur, depth, arg count.
+    const std::uint32_t n_spans = r.count(28);
     m.spans.reserve(n_spans);
     for (std::uint32_t i = 0; i < n_spans; ++i) {
       TelemetrySpan span;
@@ -318,7 +302,7 @@ std::optional<TelemetrySnapshotMsg> TelemetrySnapshotMsg::decode(
       span.ts_us = r.u64();
       span.dur_us = r.u64();
       span.depth = r.u32();
-      const std::uint32_t n_args = r.u32();
+      const std::uint32_t n_args = r.count(12);
       span.args.reserve(n_args);
       for (std::uint32_t j = 0; j < n_args; ++j) {
         std::string key = r.str();
@@ -334,7 +318,6 @@ std::optional<TelemetrySnapshotMsg> TelemetrySnapshotMsg::decode(
 std::vector<std::uint8_t> StreamBeginMsg::encode() const {
   util::BufferWriter w;
   w.u32(stream_id);
-  w.u32(kind);
   w.u32(subset);
   w.u64(total_bytes);
   w.u32(payload_crc);
@@ -346,7 +329,6 @@ std::optional<StreamBeginMsg> StreamBeginMsg::decode(
   return decode_guard<StreamBeginMsg>(body, [](util::BufferReader& r) {
     StreamBeginMsg m;
     m.stream_id = r.u32();
-    m.kind = static_cast<std::uint8_t>(r.u32());
     m.subset = r.u32();
     m.total_bytes = r.u64();
     m.payload_crc = r.u32();

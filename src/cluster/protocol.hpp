@@ -15,11 +15,11 @@
 // the task layer via timeouts and reassignment, exactly as a real lossy
 // transport would force.
 //
-// Message flow (protocol v5):
+// Message flow (protocol v6):
 //
 //   worker -> coordinator   Hello             (identify: worker id, pid, ver)
 //   coordinator -> worker   HelloAck          (fingerprint, session, grace)
-//   coordinator -> worker   StreamBegin       (open a subset/product transfer)
+//   coordinator -> worker   StreamBegin       (open a subset transfer)
 //   coordinator -> worker   StreamChunk       (offset-addressed payload slice)
 //   worker -> coordinator   StreamAck         (contiguous-prefix receipt)
 //   coordinator -> worker   TaskAssign        (task + trace context)
@@ -39,18 +39,19 @@
 // is one dialect: every body has a fixed field list, and decode_guard
 // rejects both short bodies and trailing bytes.
 //
-// Subset moduli and product roots are streamed once per *session* in
-// chunked, offset-addressed frames (StreamBegin/Chunk/Ack — go-back-N with
-// a bounded send window for backpressure) and cached worker-side, so the
-// k^2 TaskAssign frames stay tiny — the same data-placement shape as the
-// paper's cluster, where each node holds its subset locally and products
-// move between nodes. A session survives TCP disconnection: the worker
-// dials back and offers ReconnectHello{session_id, last_committed_seq};
-// the coordinator resumes in-flight transfers from the acked prefix and
-// the worker replays unacknowledged TaskResults, which the coordinator
-// deduplicates by session-scoped result sequence and by task state — so
-// every task commits to the WKCP journal exactly once no matter how often
-// the link flaps.
+// Subset moduli are the only payload: each subset a worker needs is
+// streamed once per *session* in chunked, offset-addressed frames
+// (StreamBegin/Chunk/Ack — go-back-N with a bounded send window for
+// backpressure) and cached worker-side, so the k^2 TaskAssign frames stay
+// tiny. Each node holds its subsets and derives their products: a task
+// (b, a) needs subsets a and b on the worker, which takes P_b as the root
+// of its own product tree over subset b. A session survives TCP
+// disconnection: the worker dials back and offers
+// ReconnectHello{session_id, last_committed_seq}; the coordinator resumes
+// in-flight transfers from the acked prefix and the worker replays
+// unacknowledged TaskResults, which the coordinator deduplicates by
+// session-scoped result sequence and by task state — so every task commits
+// to the WKCP journal exactly once no matter how often the link flaps.
 //
 // The connection tier of the fault injector perturbs the link itself
 // (abrupt disconnect, timed bidirectional partition, half-open, slow-drip
@@ -82,8 +83,10 @@ namespace weakkeys::cluster {
 /// context, TelemetrySnapshot export, Pong clock samples); v4 made sessions
 /// unconditional, with HelloAck naming the session grace window; v5
 /// dropped the heartbeat interval from HelloAck and ReconnectAck (the
-/// worker paces itself by the grace alone).
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// worker paces itself by the grace alone); v6 dropped the product payload
+/// (ProductData, StreamBegin's kind): every stream carries one subset, and
+/// workers compute each product from the subset itself.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// Upper bound on a frame payload; a length prefix beyond this means the
 /// stream is garbage (or hostile) and the connection is dropped rather
@@ -93,8 +96,7 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 28;  // 256 MiB
 enum class MsgType : std::uint8_t {
   kHello = 1,
   kHelloAck = 2,
-  kSubsetData = 3,   ///< retained as the *payload encoding* of a stream
-  kProductData = 4,  ///< retained as the *payload encoding* of a stream
+  kSubsetData = 3,  ///< retained as the *payload encoding* of a stream
   kTaskAssign = 5,
   kTaskResult = 6,
   kPing = 7,
@@ -170,21 +172,13 @@ struct ReconnectAckMsg {
       const std::vector<std::uint8_t>& body);
 };
 
+/// The body every stream reassembles into: one subset's moduli.
 struct SubsetDataMsg {
-  std::uint32_t subset = 0;  ///< leaf subset index a
+  std::uint32_t subset = 0;
   std::vector<bn::BigInt> moduli;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<SubsetDataMsg> decode(
-      const std::vector<std::uint8_t>& body);
-};
-
-struct ProductDataMsg {
-  std::uint32_t subset = 0;  ///< product subset index b
-  bn::BigInt product;        ///< root of subset b's product tree
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static std::optional<ProductDataMsg> decode(
       const std::vector<std::uint8_t>& body);
 };
 
@@ -276,24 +270,18 @@ struct TelemetrySnapshotMsg : obs::FleetSnapshot {
 };
 
 // -- chunked streaming ------------------------------------------------------
-// Large payloads (subset moduli, product roots) travel as a stream: one
-// StreamBegin announcing identity/size/checksum, then offset-addressed
+// Subset moduli travel as a stream: one StreamBegin announcing
+// identity/size/checksum, then offset-addressed
 // StreamChunks. The receiver accepts only the chunk extending its
 // contiguous prefix (go-back-N) and acks the prefix length; the sender
 // keeps at most a window of unacked bytes in flight (backpressure) and
 // rewinds to the acked prefix on retransmit timeout or reconnect — which
 // is what makes a transfer resumable mid-stream.
 
-/// What a completed stream decodes into.
-enum class StreamKind : std::uint8_t {
-  kSubset = 0,   ///< payload is a SubsetDataMsg body
-  kProduct = 1,  ///< payload is a ProductDataMsg body
-};
-
+/// Opens a transfer whose reassembled payload is a SubsetDataMsg body.
 struct StreamBeginMsg {
   std::uint32_t stream_id = 0;  ///< coordinator-unique transfer id
-  std::uint8_t kind = 0;        ///< StreamKind
-  std::uint32_t subset = 0;     ///< which subset/product this carries
+  std::uint32_t subset = 0;     ///< which subset this carries
   std::uint64_t total_bytes = 0;
   std::uint32_t payload_crc = 0;  ///< crc32 of the whole reassembled payload
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -466,8 +467,6 @@ class Worker {
   // -- stream reassembly (RX thread only) ---------------------------------
 
   struct RxStream {
-    std::uint8_t kind = 0;
-    std::uint32_t subset = 0;
     std::uint64_t total = 0;
     std::uint32_t crc = 0;
     std::vector<std::uint8_t> buf;
@@ -489,8 +488,6 @@ class Worker {
         it->second.crc != msg.payload_crc) {
       // Fresh transfer (or the sender restarted it with different content).
       RxStream stream;
-      stream.kind = msg.kind;
-      stream.subset = msg.subset;
       stream.total = msg.total_bytes;
       stream.crc = msg.payload_crc;
       stream.buf.resize(msg.total_bytes);
@@ -525,18 +522,12 @@ class Worker {
   }
 
   void deliver_stream(const RxStream& stream) {
-    if (stream.kind == static_cast<std::uint8_t>(StreamKind::kSubset)) {
-      if (auto msg = SubsetDataMsg::decode(stream.buf)) {
-        std::lock_guard guard(mu_);
-        subsets_[msg->subset] = std::move(msg->moduli);
-        trees_.erase(msg->subset);
-      }
-    } else if (stream.kind ==
-               static_cast<std::uint8_t>(StreamKind::kProduct)) {
-      if (auto msg = ProductDataMsg::decode(stream.buf)) {
-        std::lock_guard guard(mu_);
-        products_[msg->subset] = std::move(msg->product);
-      }
+    if (auto msg = SubsetDataMsg::decode(stream.buf)) {
+      auto moduli = std::make_shared<const std::vector<BigInt>>(
+          std::move(msg->moduli));
+      // A subset sent again (its last ack was lost) is the one held.
+      std::lock_guard guard(mu_);
+      subsets_.try_emplace(msg->subset, HeldSubset{std::move(moduli), nullptr});
     }
   }
 
@@ -565,6 +556,44 @@ class Worker {
     }
   }
 
+  /// A subset this worker holds and its product tree (null until built).
+  struct HeldSubset {
+    std::shared_ptr<const std::vector<BigInt>> moduli;
+    std::shared_ptr<const batchgcd::ProductTree> tree;
+  };
+
+  /// Subset `subset` with its product tree, building and caching the tree
+  /// on first use; nullopt when the subset has not arrived. Compute thread
+  /// only, so no two builds race.
+  std::optional<HeldSubset> held_subset(std::uint32_t subset) {
+    HeldSubset held;
+    {
+      std::lock_guard guard(mu_);
+      const auto it = subsets_.find(subset);
+      if (it == subsets_.end()) return std::nullopt;
+      held = it->second;
+    }
+    if (held.tree) return held;
+    if (!config_.spill_dir.empty()) {
+      // Out-of-core build: the spill policy bounds this worker's tree
+      // memory; the per-worker file base keeps a shared spill dir safe.
+      batchgcd::TreeStorage storage;
+      storage.spill_dir = config_.spill_dir;
+      storage.spill_threshold_bytes =
+          static_cast<std::uint64_t>(config_.spill_threshold_mb) * 1024 * 1024;
+      storage.base = "worker" + std::to_string(config_.worker_id) + ".s" +
+                     std::to_string(subset);
+      storage.fault_stream = subset;
+      held.tree =
+          std::make_shared<const batchgcd::ProductTree>(*held.moduli, storage);
+    } else {
+      held.tree = std::make_shared<const batchgcd::ProductTree>(*held.moduli);
+    }
+    std::lock_guard guard(mu_);
+    subsets_.at(subset).tree = held.tree;
+    return held;
+  }
+
   void execute(const TaskAssignMsg& assign, std::int64_t recv_ns) {
     // Root frame for the compute thread: everything below (tree build,
     // remainder walk, bn kernels) nests under it in this worker's profile.
@@ -574,47 +603,18 @@ class Worker {
     const bool traced = telemetry_enabled_ && assign.trace_id != 0;
     const std::int64_t t_dequeue = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.recv", recv_ns, t_dequeue, assign);
-    std::vector<BigInt> moduli;
-    BigInt product;
-    std::shared_ptr<batchgcd::ProductTree> tree;
-    {
-      std::lock_guard guard(mu_);
-      const auto subset_it = subsets_.find(assign.leaf_subset);
-      const auto product_it = products_.find(assign.product_subset);
-      if (subset_it == subsets_.end() || product_it == products_.end()) {
-        // A dropped/garbled cache fill upstream of this assignment; nothing
-        // to compute. The coordinator's task timeout requeues it (and the
-        // refreshed cache fill comes with the next assignment).
-        log("worker " + std::to_string(config_.worker_id) + ": task " +
-            std::to_string(assign.task) + " references missing subset data");
-        return;
-      }
-      moduli = subset_it->second;
-      product = product_it->second;
-      const auto tree_it = trees_.find(assign.leaf_subset);
-      if (tree_it != trees_.end()) tree = tree_it->second;
+    const std::optional<HeldSubset> leaf = held_subset(assign.leaf_subset);
+    const std::optional<HeldSubset> product =
+        leaf ? held_subset(assign.product_subset) : std::nullopt;
+    if (!leaf || !product) {
+      // A dropped/garbled cache fill upstream of this assignment; nothing
+      // to compute. The coordinator's task timeout requeues it (and the
+      // refreshed cache fill comes with the next assignment).
+      log("worker " + std::to_string(config_.worker_id) + ": task " +
+          std::to_string(assign.task) + " references missing subset data");
+      return;
     }
-    if (!tree) {
-      if (!config_.spill_dir.empty()) {
-        // Out-of-core build: the spill policy bounds this worker's tree
-        // memory; the per-worker file base keeps a shared spill dir safe.
-        batchgcd::TreeStorage storage;
-        storage.spill_dir = config_.spill_dir;
-        storage.spill_threshold_bytes =
-            static_cast<std::uint64_t>(config_.spill_threshold_mb) * 1024 *
-            1024;
-        storage.base = "worker" + std::to_string(config_.worker_id) + ".s" +
-                       std::to_string(assign.leaf_subset);
-        storage.fault_stream = assign.leaf_subset;
-        tree = std::make_shared<batchgcd::ProductTree>(moduli, storage);
-      } else {
-        tree = std::make_shared<batchgcd::ProductTree>(moduli);
-      }
-      // Cached with the tree: every task on this subset starts from it.
-      tree->root_reciprocal();
-      std::lock_guard guard(mu_);
-      trees_[assign.leaf_subset] = tree;
-    }
+    const std::vector<BigInt>& moduli = *leaf->moduli;
 
     const util::FaultDecision decision =
         config_.faults.any_faults()
@@ -631,8 +631,10 @@ class Worker {
       std::this_thread::sleep_for(config_.straggle_sleep);
     }
 
+    // P_b is the root of this worker's own tree over subset b.
     const std::vector<BigInt> u = batchgcd::remainder_task_residues(
-        *tree, product, assign.product_subset == assign.leaf_subset);
+        *leaf->tree, product->tree->root(),
+        assign.product_subset == assign.leaf_subset);
     const std::int64_t t_computed = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.compute", t_dequeue, t_computed, assign);
     TaskResultMsg result;
@@ -702,9 +704,7 @@ class Worker {
   std::deque<PendingTask> queue_;
   bool stop_ = false;
   std::shared_ptr<Link> link_;
-  std::map<std::uint32_t, std::vector<BigInt>> subsets_;
-  std::map<std::uint32_t, BigInt> products_;
-  std::map<std::uint32_t, std::shared_ptr<batchgcd::ProductTree>> trees_;
+  std::map<std::uint32_t, HeldSubset> subsets_;
   std::atomic<std::uint32_t> tasks_done_{0};
   std::atomic<std::uint64_t> claims_found_{0};
   std::atomic<std::uint64_t> compute_us_{0};

@@ -3,12 +3,19 @@
 // argv shim over run_worker(); tests can also run a worker in-process
 // (in a thread) to exercise the protocol without forking.
 //
+// Data placement: each node holds its subsets and derives their products.
+// The coordinator streams subset moduli only; for a task (b, a) the worker
+// walks its product tree over subset a down from P_b, the root of its own
+// product tree over subset b. Each tree is built the first time a task
+// needs it and cached for the session.
+//
 // Thread structure: the RX loop (the calling thread) answers Pings
-// immediately and queues TaskAssigns; a separate compute thread pops tasks,
-// builds/caches subset product trees, runs the remainder tree, and sends
-// TaskResults. Liveness is therefore real: a SIGSTOPped worker stops
-// answering pings because the whole process is frozen, not because a flag
-// was set — the coordinator's heartbeat detector has to notice on its own.
+// immediately, reassembles subset streams and queues TaskAssigns; a
+// separate compute thread pops tasks, builds/caches subset product trees,
+// runs the remainder tree, and sends TaskResults. Liveness is therefore
+// real: a SIGSTOPped worker stops answering pings because the whole
+// process is frozen, not because a flag was set — the coordinator's
+// heartbeat detector has to notice on its own.
 //
 // The TCP connection is a replaceable transport under a durable session:
 // on EOF, or when no frame has arrived for the grace window the

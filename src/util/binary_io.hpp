@@ -184,16 +184,27 @@ class BufferReader {
     return v;
   }
   std::string str() {
-    const std::uint32_t n = u32();
+    const std::uint32_t n = count(1);
     std::string s(n, '\0');
     raw(s.data(), n);
     return s;
   }
   std::vector<std::uint8_t> bytes() {
-    const std::uint32_t n = u32();
+    const std::uint32_t n = count(1);
     std::vector<std::uint8_t> b(n);
     raw(b.data(), n);
     return b;
+  }
+  /// A u32 element count, checked against the unread bytes at `min_bytes`
+  /// per element before anyone sizes a buffer by it: a length field that
+  /// claims more than the buffer holds throws like a short read instead of
+  /// allocating what it claims.
+  std::uint32_t count(std::size_t min_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (buf_.size() - pos_) / min_bytes) {
+      throw std::runtime_error("short read");
+    }
+    return n;
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
@@ -201,6 +212,7 @@ class BufferReader {
  private:
   void raw(void* data, std::size_t size) {
     if (size > buf_.size() - pos_) throw std::runtime_error("short read");
+    if (size == 0) return;  // an empty field's data() may be null
     std::memcpy(data, buf_.data() + pos_, size);
     pos_ += size;
   }

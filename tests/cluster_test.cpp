@@ -105,13 +105,6 @@ TEST(ClusterProtocol, MessageRoundTrips) {
   EXPECT_EQ(subset2->subset, 3u);
   EXPECT_EQ(subset2->moduli, subset.moduli);
 
-  ProductDataMsg product;
-  product.subset = 2;
-  product.product = BigInt(123456789);
-  const auto product2 = ProductDataMsg::decode(product.encode());
-  ASSERT_TRUE(product2);
-  EXPECT_EQ(product2->product, product.product);
-
   TaskAssignMsg assign{11, 2, 3, 1};
   const auto assign2 = TaskAssignMsg::decode(assign.encode());
   ASSERT_TRUE(assign2);
@@ -171,15 +164,22 @@ TEST(ClusterProtocol, SessionAndStreamMessageRoundTrips) {
   EXPECT_EQ(ra2->accepted, 1u);
   EXPECT_EQ(ra2->ack_result_seq, 16u);
 
-  StreamBeginMsg begin{9, static_cast<std::uint8_t>(StreamKind::kProduct), 2,
-                       1u << 20, 0xabadcafe};
+  StreamBeginMsg begin{9, 2, 1u << 20, 0xabadcafe};
   const auto begin2 = StreamBeginMsg::decode(begin.encode());
   ASSERT_TRUE(begin2);
   EXPECT_EQ(begin2->stream_id, 9u);
-  EXPECT_EQ(begin2->kind, static_cast<std::uint8_t>(StreamKind::kProduct));
   EXPECT_EQ(begin2->subset, 2u);
   EXPECT_EQ(begin2->total_bytes, 1u << 20);
   EXPECT_EQ(begin2->payload_crc, 0xabadcafeu);
+  // A v5 StreamBegin (stream id, payload kind, subset, size, crc) is
+  // rejected as trailing bytes, not read with its fields shifted.
+  util::BufferWriter v5;
+  v5.u32(9);
+  v5.u32(0);
+  v5.u32(2);
+  v5.u64(1u << 20);
+  v5.u32(0xabadcafe);
+  EXPECT_FALSE(StreamBeginMsg::decode(v5.data()));
 
   StreamChunkMsg chunk;
   chunk.stream_id = 9;
@@ -851,12 +851,31 @@ TEST(Cluster, MetricsSurfaceClusterCounters) {
   const auto moduli = make_moduli(210, 14);
   obs::Telemetry telemetry;
 
+  // Severed links, so the session and stream-resume counters move too.
+  util::FaultConfig faults;
+  faults.seed = 29;
+  faults.conn_disconnect_probability = 0.04;
+  const util::FaultInjector injector(faults);
+
   auto config = fast_config(3, 2);
+  config.injector = &injector;
+  config.task_timeout = std::chrono::milliseconds(1000);
   config.telemetry = &telemetry;
   ClusterStats stats;
-  batch_gcd_cluster(moduli, config, &stats);
+  const auto result = batch_gcd_cluster(moduli, config, &stats);
+  EXPECT_EQ(result.divisors, batchgcd::batch_gcd(moduli).divisors);
+  EXPECT_GT(stats.reconnects, 0u);
 
   const auto snapshot = telemetry.metrics().snapshot();
+  // The coordinator tallies in ClusterStats alone; every published counter
+  // is its field's final value.
+  for (const ClusterCounter& c : kClusterCounters) {
+    EXPECT_EQ(snapshot.counter(c.name), stats.*c.field) << c.name;
+  }
+  // Severed links are not deaths, and neither is the final shutdown.
+  EXPECT_EQ(snapshot.counter("cluster.worker.0.deaths") +
+                snapshot.counter("cluster.worker.1.deaths"),
+            stats.workers_lost);
   EXPECT_EQ(snapshot.counter("cluster.tasks"), 9u);
   EXPECT_EQ(snapshot.counter("cluster.subsets"), 3u);
   EXPECT_EQ(snapshot.counter("cluster.workers"), 2u);
@@ -1150,6 +1169,21 @@ TEST(ClusterStream, SmallChunksStreamPayloadsWithBackpressure) {
   EXPECT_EQ(stats.reconnects, 0u);
 }
 
+TEST(ClusterStream, OnlySubsetsCrossTheWire) {
+  // Workers derive every product from the subsets they hold, so one
+  // worker needs exactly the k subset payloads — one chunk each when a
+  // chunk holds a whole payload — and no product payload at all.
+  const auto moduli = make_moduli(225, 20);
+  auto config = fast_config(3, 1);
+  config.stream_chunk_bytes = 1 << 20;  // beyond any subset's encoding
+  ClusterStats stats;
+  const auto result = batch_gcd_cluster(moduli, config, &stats);
+  EXPECT_EQ(result.divisors, batchgcd::batch_gcd(moduli).divisors);
+  EXPECT_EQ(stats.tasks_executed, 9u);
+  EXPECT_EQ(stats.stream_chunks_sent, 3u);
+  EXPECT_EQ(stats.stream_resumes, 0u);
+}
+
 TEST(ClusterStream, MidStreamDisconnectResumesTransfer) {
   // Disconnects landing inside a chunked transfer: after the reconnect the
   // sender rewinds to the acked prefix (counted as a stream resume) instead
@@ -1158,7 +1192,7 @@ TEST(ClusterStream, MidStreamDisconnectResumesTransfer) {
   const auto reference = batchgcd::batch_gcd(moduli);
 
   util::FaultConfig faults;
-  faults.seed = 53;
+  faults.seed = 61;
   faults.conn_disconnect_probability = 0.05;
   const util::FaultInjector injector(faults);
 

@@ -1,9 +1,11 @@
 // Deterministic fuzz harness for the total-parsing surfaces.
 //
-// The contract under test: for ANY input bytes, Certificate::try_decode and
-// the TlvReader try_* API return an error or a valid object — no crash, no
-// exception, no UB (the CI fuzz-smoke job runs this under ASan/UBSan) — and
-// the throwing wrappers throw exactly when the total API reports an error.
+// The contract under test: for ANY input bytes, Certificate::try_decode,
+// the TlvReader try_* API, load_dataset and every cluster wire decoder
+// (cluster::*Msg::decode, which reads bytes from remote dial-in workers)
+// return an error or a valid object — no crash, no exception, no UB (the CI
+// fuzz-smoke job runs this under ASan/UBSan) — and the throwing wrappers
+// throw exactly when the total API reports an error.
 // Everything is seeded, so a failure reproduces from the iteration count.
 //
 // Iteration count comes from WEAKKEYS_FUZZ_ITERS (default keeps the suite
@@ -12,11 +14,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cert/certificate.hpp"
 #include "cert/tlv.hpp"
+#include "cluster/protocol.hpp"
 #include "core/scan_store.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
@@ -262,6 +266,94 @@ TEST(FuzzSmoke, LoadDatasetNeverThrowsOnMutatedStores) {
   // The length+CRC footer rejects essentially every mutation.
   EXPECT_GT(rejected, 0u);
   std::remove(path.c_str());
+}
+
+/// Mutates encodings of `messages` and decodes each result: decode must
+/// return nullopt or a message, and a decoded message must survive its own
+/// encode/decode round trip. Both outcomes must occur.
+template <typename Msg>
+void fuzz_wire_decoder(const char* name, const std::vector<Msg>& messages,
+                       std::uint64_t seed) {
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const Msg& m : messages) seeds.push_back(m.encode());
+  util::Xoshiro256 rng(seed);
+  const std::size_t iters = fuzz_iters(20000) / 10;
+  std::size_t decoded = 0;
+  for (std::size_t i = 0; i < iters; ++i) {
+    const auto buf = mutate(seeds, rng);
+    std::optional<Msg> msg;
+    ASSERT_NO_THROW(msg = Msg::decode(buf)) << name << " iteration " << i;
+    if (!msg) continue;
+    ++decoded;
+    std::optional<Msg> again;
+    ASSERT_NO_THROW(again = Msg::decode(msg->encode()))
+        << name << " iteration " << i;
+    ASSERT_TRUE(again.has_value()) << name << " iteration " << i;
+  }
+  EXPECT_GT(decoded, 0u) << name;
+  EXPECT_LT(decoded, iters) << name;
+}
+
+TEST(FuzzSmoke, ClusterWireDecodersAreTotalOnMutatedEncodings) {
+  using bn::BigInt;
+  namespace cl = cluster;
+  fuzz_wire_decoder<cl::HelloMsg>("Hello", {{7, 1234}, {0, 0}}, 0xc1);
+  fuzz_wire_decoder<cl::HelloAckMsg>("HelloAck", {{0xdeadbeef, 31, 200}},
+                                     0xc2);
+  fuzz_wire_decoder<cl::ReconnectHelloMsg>("ReconnectHello",
+                                           {{3, 4242, 31, 16}}, 0xc3);
+  fuzz_wire_decoder<cl::ReconnectAckMsg>("ReconnectAck", {{1, 16}, {0, 0}},
+                                         0xc4);
+
+  cl::SubsetDataMsg subset;
+  subset.subset = 3;
+  subset.moduli = {BigInt(77), BigInt(221), (BigInt(1) << 200) + BigInt(3)};
+  cl::SubsetDataMsg empty_subset;
+  fuzz_wire_decoder<cl::SubsetDataMsg>("SubsetData", {subset, empty_subset},
+                                       0xc5);
+
+  cl::TaskAssignMsg assign{11, 2, 3, 1};
+  assign.trace_id = 0xfeedfacecafef00dull;
+  assign.parent_span = 77;
+  assign.assign_ts_ns = 123456789012345;
+  fuzz_wire_decoder<cl::TaskAssignMsg>("TaskAssign", {assign}, 0xc6);
+
+  cl::TaskResultMsg result;
+  result.task = 5;
+  result.worker_id = 1;
+  result.result_seq = 9;
+  result.claims = {{4, BigInt(17)}, {9, BigInt(1) << 80}};
+  fuzz_wire_decoder<cl::TaskResultMsg>("TaskResult",
+                                       {result, cl::TaskResultMsg{}}, 0xc7);
+
+  fuzz_wire_decoder<cl::PingMsg>("Ping", {{42, 99999, 7, 5}}, 0xc8);
+  fuzz_wire_decoder<cl::PongMsg>("Pong", {{42, 99999, 3, 17, 2, 31337}},
+                                 0xc9);
+
+  cl::TelemetrySnapshotMsg snap;
+  snap.worker_id = 3;
+  snap.seq = 9;
+  snap.first_span_index = 40;
+  snap.rss_kb = 2048;
+  snap.counters = {{"tasks_executed", 7}, {"compute_us", 88000}};
+  snap.gauges = {{"queue_depth", 2}};
+  cl::TelemetrySpan span;
+  span.name = "task.compute";
+  span.ts_us = 10;
+  span.dur_us = 20;
+  span.args = {{"task", 11}, {"attempt", 1}};
+  snap.spans = {span, span};
+  fuzz_wire_decoder<cl::TelemetrySnapshotMsg>("TelemetrySnapshot", {snap},
+                                              0xca);
+
+  fuzz_wire_decoder<cl::StreamBeginMsg>("StreamBegin",
+                                        {{9, 2, 1u << 20, 0xabadcafe}}, 0xcb);
+  cl::StreamChunkMsg chunk;
+  chunk.stream_id = 9;
+  chunk.offset = 65536;
+  chunk.data = {0x00, 0x7f, 0xff, 0x10, 0x20};
+  fuzz_wire_decoder<cl::StreamChunkMsg>("StreamChunk", {chunk}, 0xcc);
+  fuzz_wire_decoder<cl::StreamAckMsg>("StreamAck", {{9, 65540}}, 0xcd);
 }
 
 }  // namespace
