@@ -18,8 +18,8 @@ int main() {
   std::printf("== Figure 3: Juniper ==\n");
   bench::print_vendor_figure(study, "Juniper");
 
-  const auto counts = analysis::count_transitions(
-      study.dataset(), "Juniper", study.vulnerable(), study.labeler());
+  const auto counts =
+      analysis::count_transitions(study.dataset(), "Juniper", study.facts());
   std::printf(
       "\nper-IP certificate transitions: %zu IPs ever fingerprinted, %zu ever "
       "vulnerable,\n  vulnerable->clean %zu, clean->vulnerable %zu, multiple "

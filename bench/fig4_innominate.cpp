@@ -27,7 +27,7 @@ int main() {
         at_advisory->total_hosts, at_end->total_hosts);
   }
   const auto counts = analysis::count_transitions(
-      study.dataset(), "Innominate", study.vulnerable(), study.labeler());
+      study.dataset(), "Innominate", study.facts());
   std::printf(
       "transitions (paper saw 3 v->c, 2 c->v, 1 multi out of 561): "
       "v->c %zu, c->v %zu, multi %zu of %zu ever-vulnerable IPs\n",

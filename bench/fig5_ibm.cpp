@@ -6,11 +6,12 @@
 // 2012 and drops sharply at Heartbleed; apparent "fixes" trace to IP churn,
 // not patching (350 of 1,728 ever-vulnerable IPs later served a clean cert —
 // with varying subjects, i.e. different devices behind recycled addresses).
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <vector>
 
-#include "analysis/transitions.hpp"
 #include "common.hpp"
 
 int main() {
@@ -31,19 +32,29 @@ int main() {
 
   bench::print_vendor_figure(study, "IBM");
 
+  // Which certificates carry a clique modulus, once per certificate.
+  const auto& ds = study.dataset();
+  const auto& facts = study.facts();
+  std::vector<bool> clique_cert(facts.index.size());
+  for (std::size_t c = 0; c < clique_cert.size(); ++c) {
+    const auto& n = facts.index.first_record(ds, c).cert().key.n;
+    clique_cert[c] = std::find(clique.moduli.begin(), clique.moduli.end(),
+                               n) != clique.moduli.end();
+  }
+
   // IP churn evidence: IPs that ever served a clique key and *later* served
   // any non-vulnerable certificate — from any vendor, because recycled DHCP
   // addresses end up in front of unrelated devices (the varying subjects the
   // paper used to rule out patching).
-  std::set<std::string> clique_moduli_hex;
-  for (const auto& n : clique.moduli) clique_moduli_hex.insert(n.to_hex());
   std::map<std::uint32_t, util::Date> first_clique_sighting;
   std::set<std::uint32_t> churned;
-  for (const auto& snap : study.dataset().snapshots) {
+  for (std::size_t s = 0; s < ds.snapshots.size(); ++s) {
+    const auto& snap = ds.snapshots[s];
     if (snap.protocol != netsim::Protocol::kHttps) continue;
-    for (const auto& rec : snap.records) {
-      const std::uint32_t ip = rec.ip.value();
-      if (clique_moduli_hex.contains(rec.cert().key.n.to_hex())) {
+    for (std::size_t r = 0; r < snap.records.size(); ++r) {
+      const std::uint32_t ip = snap.records[r].ip.value();
+      const std::uint32_t c = facts.cert(s, r);
+      if (c != netsim::CertificateIndex::kNone && clique_cert[c]) {
         first_clique_sighting.try_emplace(ip, snap.date);
       } else if (const auto it = first_clique_sighting.find(ip);
                  it != first_clique_sighting.end() && snap.date > it->second) {
@@ -62,16 +73,11 @@ int main() {
   // IBM clique modulus (the paper found 2,441 such certificates).
   std::size_t siemens_overlap = 0;
   const auto rules = fingerprint::SubjectRules::standard();
-  std::set<std::string> clique_hex;
-  for (const auto& n : clique.moduli) clique_hex.insert(n.to_hex());
-  std::set<const cert::Certificate*> seen;
-  for (const auto& snap : study.dataset().snapshots) {
-    for (const auto& rec : snap.records) {
-      if (!seen.insert(rec.certificate.get()).second) continue;
-      if (!clique_hex.contains(rec.cert().key.n.to_hex())) continue;
-      const auto label = rules.classify(rec.cert(), rec.banner);
-      if (label && label->vendor == "Siemens") ++siemens_overlap;
-    }
+  for (std::size_t c = 0; c < clique_cert.size(); ++c) {
+    if (!clique_cert[c]) continue;
+    const auto& rec = facts.index.first_record(ds, c);
+    const auto label = rules.classify(rec.cert(), rec.banner);
+    if (label && label->vendor == "Siemens") ++siemens_overlap;
   }
   std::printf(
       "Siemens-subject certificates using an IBM clique modulus: %zu "

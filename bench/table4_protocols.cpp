@@ -20,17 +20,19 @@ int main() {
         netsim::Protocol::kPop3s, netsim::Protocol::kImaps,
         netsim::Protocol::kSmtps}) {
     // Most recent snapshot for the protocol (mirrors the paper's table).
-    const netsim::ScanSnapshot* snap = nullptr;
-    for (const auto* candidate : study.dataset().snapshots_for(proto)) {
-      snap = candidate;
+    const auto& snapshots = study.dataset().snapshots;
+    std::size_t last = snapshots.size();
+    for (std::size_t s = 0; s < snapshots.size(); ++s) {
+      if (snapshots[s].protocol == proto) last = s;
     }
-    if (!snap) continue;
+    if (last == snapshots.size()) continue;
     std::size_t vulnerable = 0;
-    for (const auto& rec : snap->records) {
-      if (study.vulnerable().contains(rec.cert().key.n)) ++vulnerable;
+    for (const std::uint32_t c : study.facts().index.slots[last]) {
+      vulnerable += study.facts().is_vulnerable(c);
     }
-    table.add_row({to_string(proto), snap->date.to_string(),
-                   analysis::with_commas(snap->records.size()),
+    const netsim::ScanSnapshot& snap = snapshots[last];
+    table.add_row({to_string(proto), snap.date.to_string(),
+                   analysis::with_commas(snap.records.size()),
                    analysis::with_commas(vulnerable)});
   }
   std::printf("%s", table.render().c_str());

@@ -26,56 +26,56 @@ std::size_t VendorSeries::peak_total() const {
 }
 
 TimeSeriesBuilder::TimeSeriesBuilder(const netsim::ScanDataset& dataset,
-                                     VulnerableSet vulnerable,
-                                     RecordLabeler labeler)
-    : dataset_(dataset),
-      vulnerable_(std::move(vulnerable)),
-      labeler_(std::move(labeler)) {}
+                                     const CertificateFacts& facts) {
+  overall_.vendor = "(all)";
+  std::vector<std::size_t> https;
+  for (std::size_t s = 0; s < dataset.snapshots.size(); ++s) {
+    const auto& snap = dataset.snapshots[s];
+    if (snap.protocol != netsim::Protocol::kHttps) continue;
+    https.push_back(s);
+    overall_.points.push_back({snap.date, snap.source, 0, 0});
+  }
+  for (const auto& label : facts.labels) {
+    by_label_.push_back({label.vendor, label.model, overall_.points});
+  }
+  for (std::size_t i = 0; i < https.size(); ++i) {
+    overall_.points[i].total_hosts = facts.index.slots[https[i]].size();
+    for (const std::uint32_t c : facts.index.slots[https[i]]) {
+      const bool vulnerable = facts.is_vulnerable(c);
+      overall_.points[i].vulnerable_hosts += vulnerable;
+      if (facts.label_id(c) == CertificateFacts::kUnlabeled) continue;
+      SeriesPoint& point = by_label_[facts.label_id(c)].points[i];
+      ++point.total_hosts;
+      point.vulnerable_hosts += vulnerable;
+    }
+  }
+}
 
 VendorSeries TimeSeriesBuilder::vendor_series(const std::string& vendor,
                                               const std::string& model) const {
-  VendorSeries series;
-  series.vendor = vendor;
-  series.model = model;
-  for (const auto& snap : dataset_.snapshots) {
-    if (snap.protocol != netsim::Protocol::kHttps) continue;
-    SeriesPoint point{snap.date, snap.source, 0, 0};
-    for (const auto& rec : snap.records) {
-      const auto label = labeler_(rec);
-      if (!label || label->vendor != vendor) continue;
-      if (!model.empty() && label->model != model) continue;
-      ++point.total_hosts;
-      if (vulnerable_.contains(rec.cert().key.n)) ++point.vulnerable_hosts;
+  VendorSeries series{vendor, model, overall_.points};
+  for (auto& point : series.points) {
+    point.total_hosts = point.vulnerable_hosts = 0;
+  }
+  for (const VendorSeries& row : by_label_) {
+    if (row.vendor != vendor) continue;
+    if (!model.empty() && row.model != model) continue;
+    for (std::size_t i = 0; i < row.points.size(); ++i) {
+      series.points[i].total_hosts += row.points[i].total_hosts;
+      series.points[i].vulnerable_hosts += row.points[i].vulnerable_hosts;
     }
-    series.points.push_back(point);
   }
   return series;
 }
 
-VendorSeries TimeSeriesBuilder::overall_series() const {
-  VendorSeries series;
-  series.vendor = "(all)";
-  for (const auto& snap : dataset_.snapshots) {
-    if (snap.protocol != netsim::Protocol::kHttps) continue;
-    SeriesPoint point{snap.date, snap.source, snap.records.size(), 0};
-    for (const auto& rec : snap.records) {
-      if (vulnerable_.contains(rec.cert().key.n)) ++point.vulnerable_hosts;
-    }
-    series.points.push_back(point);
-  }
-  return series;
-}
+VendorSeries TimeSeriesBuilder::overall_series() const { return overall_; }
 
 std::vector<std::string> TimeSeriesBuilder::vendors() const {
   std::map<std::string, std::size_t> vulnerable_count;
-  for (const auto& snap : dataset_.snapshots) {
-    if (snap.protocol != netsim::Protocol::kHttps) continue;
-    for (const auto& rec : snap.records) {
-      const auto label = labeler_(rec);
-      if (!label) continue;
-      auto& count = vulnerable_count[label->vendor];
-      if (vulnerable_.contains(rec.cert().key.n)) ++count;
-    }
+  for (const VendorSeries& row : by_label_) {
+    if (row.peak_total() == 0) continue;  // labels no HTTPS host
+    auto& count = vulnerable_count[row.vendor];
+    for (const auto& point : row.points) count += point.vulnerable_hosts;
   }
   std::vector<std::pair<std::string, std::size_t>> items(
       vulnerable_count.begin(), vulnerable_count.end());

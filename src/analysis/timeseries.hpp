@@ -2,13 +2,11 @@
 // hosts per scan — the quantity plotted in Figures 1, 3-6 and 8-10.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "fingerprint/subject_rules.hpp"
+#include "analysis/facts.hpp"
 #include "netsim/dataset.hpp"
 
 namespace weakkeys::analysis {
@@ -33,11 +31,6 @@ class VulnerableSet {
   std::unordered_set<std::string> hex_;
 };
 
-/// Maps a record to its vendor/model label ("" = unidentified). Includes
-/// both the subject rules and whatever extrapolation the caller layered on.
-using RecordLabeler =
-    std::function<std::optional<fingerprint::VendorLabel>(const netsim::HostRecord&)>;
-
 struct SeriesPoint {
   util::Date date;
   std::string source;
@@ -55,12 +48,14 @@ struct VendorSeries {
   [[nodiscard]] std::size_t peak_total() const;
 };
 
+/// The per-snapshot host counts of every label: one pass over the HTTPS
+/// records fills a (label x snapshot) table, and each series is a sum over
+/// its rows.
 class TimeSeriesBuilder {
  public:
-  /// `dataset` must outlive the builder; the vulnerable set and labeler are
-  /// captured by value (so temporaries are safe to pass).
+  /// `facts` must be built over `dataset`; the builder keeps neither.
   TimeSeriesBuilder(const netsim::ScanDataset& dataset,
-                    VulnerableSet vulnerable, RecordLabeler labeler);
+                    const CertificateFacts& facts);
 
   /// Series over one vendor's fingerprinted hosts (HTTPS snapshots only).
   /// `model` filters to one product when non-empty.
@@ -70,13 +65,14 @@ class TimeSeriesBuilder {
   /// Series over every HTTPS host regardless of label (Figure 1).
   [[nodiscard]] VendorSeries overall_series() const;
 
-  /// All vendors seen by the labeler, most-vulnerable first.
+  /// Every vendor labeling an HTTPS host, most-vulnerable first.
   [[nodiscard]] std::vector<std::string> vendors() const;
 
  private:
-  const netsim::ScanDataset& dataset_;
-  VulnerableSet vulnerable_;
-  RecordLabeler labeler_;
+  /// One point per HTTPS snapshot, counting every host.
+  VendorSeries overall_;
+  /// The same points per label, counting the hosts it labels.
+  std::vector<VendorSeries> by_label_;
 };
 
 }  // namespace weakkeys::analysis

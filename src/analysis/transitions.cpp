@@ -7,16 +7,20 @@ namespace weakkeys::analysis {
 
 TransitionCounts count_transitions(const netsim::ScanDataset& dataset,
                                    const std::string& vendor,
-                                   const VulnerableSet& vulnerable,
-                                   const RecordLabeler& labeler) {
+                                   const CertificateFacts& facts) {
   // Status history per IP, in snapshot order (snapshots are date-sorted).
   std::map<std::uint32_t, std::vector<bool>> history;
-  for (const auto& snap : dataset.snapshots) {
+  for (std::size_t s = 0; s < dataset.snapshots.size(); ++s) {
+    const auto& snap = dataset.snapshots[s];
     if (snap.protocol != netsim::Protocol::kHttps) continue;
-    for (const auto& rec : snap.records) {
-      const auto label = labeler(rec);
-      if (!label || label->vendor != vendor) continue;
-      history[rec.ip.value()].push_back(vulnerable.contains(rec.cert().key.n));
+    for (std::size_t r = 0; r < snap.records.size(); ++r) {
+      const std::uint32_t c = facts.cert(s, r);
+      const std::uint32_t label = facts.label_id(c);
+      if (label == CertificateFacts::kUnlabeled ||
+          facts.labels[label].vendor != vendor) {
+        continue;
+      }
+      history[snap.records[r].ip.value()].push_back(facts.is_vulnerable(c));
     }
   }
 

@@ -5,7 +5,7 @@
 
 #include <string>
 
-#include "analysis/timeseries.hpp"
+#include "analysis/facts.hpp"
 #include "netsim/dataset.hpp"
 
 namespace weakkeys::analysis {
@@ -19,10 +19,10 @@ struct TransitionCounts {
 };
 
 /// Tracks each IP's vulnerability status across HTTPS scans for records
-/// labeled with `vendor` and counts status changes.
+/// labeled with `vendor` in `facts` (built over `dataset`) and counts
+/// status changes.
 TransitionCounts count_transitions(const netsim::ScanDataset& dataset,
                                    const std::string& vendor,
-                                   const VulnerableSet& vulnerable,
-                                   const RecordLabeler& labeler);
+                                   const CertificateFacts& facts);
 
 }  // namespace weakkeys::analysis

@@ -58,12 +58,12 @@ void Study::run() {
     build_dataset(pool);
     // One index of dataset_'s certificates serves every pass after ingest.
     obs::Span index_span = telemetry_.tracer().span("study.index_certificates");
-    const netsim::CertificateIndex index = netsim::index_certificates(dataset_);
+    netsim::CertificateIndex index = netsim::index_certificates(dataset_);
     index_span.end();
     begin_stage();
     factor_moduli(pool, index);
     begin_stage();
-    fingerprint_corpus(pool, index);
+    fingerprint_corpus(pool, std::move(index));
   } catch (const util::Cancelled&) {
     log("run cancelled: " + token_.reason());
     flush_telemetry();
@@ -261,13 +261,9 @@ bool Study::load_factor_cache(const std::string& path) {
       vulnerable_.insert(f.n);
       factored_.push_back(std::move(f));
     }
-    for (std::size_t i = 0; i < factored_.size(); ++i) {
-      factored_index_[factored_[i].n.to_hex()] = i;
-    }
     return true;
   } catch (const std::exception&) {
     factored_.clear();
-    factored_index_.clear();
     vulnerable_ = analysis::VulnerableSet();
     stats_ = FactorStats{};
     return false;
@@ -521,9 +517,6 @@ void Study::factor_moduli(util::ThreadPool& pool,
 
   triage_span.end();
 
-  for (std::size_t i = 0; i < factored_.size(); ++i) {
-    factored_index_[factored_[i].n.to_hex()] = i;
-  }
   record_factor_metrics();
   log("factored " + std::to_string(factored_.size()) + " moduli (" +
       std::to_string(stats_.bit_errors) + " bit errors excluded)");
@@ -546,13 +539,8 @@ void Study::record_factor_metrics() {
   metrics.counter("factor.factored_moduli").set(factored_.size());
 }
 
-const FactorRecord* Study::find_factor(const bn::BigInt& n) const {
-  const auto it = factored_index_.find(n.to_hex());
-  return it == factored_index_.end() ? nullptr : &factored_[it->second];
-}
-
 void Study::fingerprint_corpus(util::ThreadPool& pool,
-                               const netsim::CertificateIndex& index) {
+                               netsim::CertificateIndex index) {
   obs::Span stage = telemetry_.tracer().span("study.fingerprint");
   // Degenerate-generator cliques.
   obs::Span clique_span = telemetry_.tracer().span("fingerprint.cliques");
@@ -560,10 +548,9 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   triples.reserve(factored_.size());
   for (const auto& f : factored_) triples.push_back({f.p, f.q, f.n});
   cliques_ = fingerprint::find_degenerate_cliques(triples);
-  std::set<std::string> clique_prime_hex;
+  analysis::VulnerableSet clique_moduli;
   for (const auto& clique : cliques_) {
-    for (const auto& n : clique.moduli) clique_moduli_.insert(n);
-    for (const auto& p : clique.primes) clique_prime_hex.insert(p.to_hex());
+    for (const auto& n : clique.moduli) clique_moduli.insert(n);
   }
   log("found " + std::to_string(cliques_.size()) +
       " degenerate-generator cliques");
@@ -580,11 +567,10 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   const auto labels =
       subject_rules_.classify_all(dataset_, index, &pool, &token_);
   std::unordered_map<std::string, std::set<std::string>> subject_vendors;
-  subject_label_cache_.clear();
   for (std::size_t i = 0; i < index.size(); ++i) {
+    if (!labels[i]) continue;
     const cert::Certificate& c = index.first_record(dataset_, i).cert();
-    subject_label_cache_.emplace(&c, labels[i]);
-    if (labels[i]) subject_vendors[c.key.n.to_hex()].insert(labels[i]->vendor);
+    subject_vendors[c.key.n.to_hex()].insert(labels[i]->vendor);
   }
 
   subject_span.end();
@@ -593,13 +579,22 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   // Vendor prime pools from subject-labeled factored moduli (clique primes
   // stay out: the clique label takes precedence, as in the paper).
   obs::Span pools_span = telemetry_.tracer().span("fingerprint.prime_pools");
-  for (const auto& f : factored_) {
-    if (clique_moduli_.contains(f.n)) continue;
+  // factored_vendor_ records each modulus's vendor as it is settled.
+  std::vector<analysis::FactoredKey> keys;
+  std::vector<bool> subject_labeled(factored_.size());
+  factored_vendor_.assign(factored_.size(), "");
+  for (std::size_t i = 0; i < factored_.size(); ++i) {
+    const FactorRecord& f = factored_[i];
+    keys.push_back({f.n, clique_moduli.contains(f.n), ""});
     const auto it = subject_vendors.find(f.n.to_hex());
-    if (it == subject_vendors.end() || it->second.size() != 1) continue;
-    const std::string& vendor = *it->second.begin();
-    pools_.add(vendor, f.p);
-    pools_.add(vendor, f.q);
+    subject_labeled[i] = it != subject_vendors.end();
+    if (keys[i].clique) {
+      factored_vendor_[i] = "IBM";
+    } else if (subject_labeled[i] && it->second.size() == 1) {
+      factored_vendor_[i] = *it->second.begin();
+      pools_.add(factored_vendor_[i], f.p);
+      pools_.add(factored_vendor_[i], f.q);
+    }
   }
 
   pools_span.end();
@@ -607,18 +602,16 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   // Shared-prime extrapolation for factored moduli with no subject label.
   obs::Span extrapolate_span =
       telemetry_.tracer().span("fingerprint.extrapolate");
-  for (const auto& f : factored_) {
-    if (clique_moduli_.contains(f.n)) continue;
-    const std::string hex = f.n.to_hex();
-    if (subject_vendors.contains(hex)) continue;
-    const std::string vendor = pools_.extrapolate(f.p, f.q);
-    if (!vendor.empty()) extrapolated_[hex] = vendor;
+  std::size_t extrapolated = 0;
+  for (std::size_t i = 0; i < factored_.size(); ++i) {
+    if (keys[i].clique || subject_labeled[i]) continue;
+    keys[i].extrapolated = factored_vendor_[i] =
+        pools_.extrapolate(factored_[i].p, factored_[i].q);
+    extrapolated += !keys[i].extrapolated.empty();
   }
-  log("shared-prime extrapolation labeled " +
-      std::to_string(extrapolated_.size()) + " moduli");
-  telemetry_.metrics()
-      .counter("fingerprint.extrapolated")
-      .set(extrapolated_.size());
+  log("shared-prime extrapolation labeled " + std::to_string(extrapolated) +
+      " moduli");
+  telemetry_.metrics().counter("fingerprint.extrapolated").set(extrapolated);
   extrapolate_span.end();
 
   // Fixed-key MITM candidates.
@@ -630,65 +623,28 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
                                              fingerprint::MitmOptions{}, &pool,
                                              &token_, &index);
   telemetry_.metrics().counter("fingerprint.mitm_candidates").set(mitm_.size());
-}
+  mitm_span.end();
+  stage.end();
 
-analysis::RecordLabeler Study::labeler() const {
-  return [this](const netsim::HostRecord& rec)
-             -> std::optional<fingerprint::VendorLabel> {
-    const auto& c = rec.cert();
-    // 1. Degenerate-generator clique: every certificate carrying a clique
-    //    modulus is the IBM implementation, whatever the subject says
-    //    (this is how the paper labeled the Siemens-subject overlap).
-    if (clique_moduli_.contains(c.key.n)) {
-      return fingerprint::VendorLabel{"IBM", "RSA-II", "prime-clique"};
-    }
-    // 2. Subject / SAN / banner rules.
-    const auto* ptr = rec.certificate.get();
-    auto [it, fresh] = subject_label_cache_.try_emplace(ptr);
-    if (fresh) it->second = subject_rules_.classify(c, rec.banner);
-    if (it->second) return it->second;
-    // 3. Shared-prime extrapolation.
-    const auto ex = extrapolated_.find(c.key.n.to_hex());
-    if (ex != extrapolated_.end()) {
-      return fingerprint::VendorLabel{ex->second, "", "shared-prime"};
-    }
-    return std::nullopt;
-  };
+  // Every output's per-certificate facts, once.
+  obs::Span facts_span = telemetry_.tracer().span("study.facts");
+  facts_ = analysis::build_certificate_facts(dataset_, std::move(index), labels,
+                                             keys, &pool, &token_);
 }
 
 std::map<std::string, std::vector<bn::BigInt>>
 Study::recovered_primes_by_vendor() const {
-  // Rebuild per-modulus vendor attribution the way the labeler does, but at
-  // modulus granularity.
-  std::unordered_map<std::string, std::set<std::string>> subject_vendors;
-  for (const auto& [ptr, label] : subject_label_cache_) {
-    if (label) subject_vendors[ptr->key.n.to_hex()].insert(label->vendor);
-  }
-
   std::map<std::string, std::vector<bn::BigInt>> out;
-  for (const auto& f : factored_) {
-    std::string vendor;
-    if (clique_moduli_.contains(f.n)) {
-      vendor = "IBM";
-    } else {
-      const std::string hex = f.n.to_hex();
-      const auto it = subject_vendors.find(hex);
-      if (it != subject_vendors.end() && it->second.size() == 1) {
-        vendor = *it->second.begin();
-      } else if (const auto ex = extrapolated_.find(hex);
-                 ex != extrapolated_.end()) {
-        vendor = ex->second;
-      }
-    }
-    if (vendor.empty()) continue;
-    out[vendor].push_back(f.p);
-    out[vendor].push_back(f.q);
+  for (std::size_t i = 0; i < factored_.size(); ++i) {
+    if (factored_vendor_[i].empty()) continue;
+    out[factored_vendor_[i]].push_back(factored_[i].p);
+    out[factored_vendor_[i]].push_back(factored_[i].q);
   }
   return out;
 }
 
 analysis::TimeSeriesBuilder Study::series_builder() const {
-  return analysis::TimeSeriesBuilder(dataset_, vulnerable_, labeler());
+  return analysis::TimeSeriesBuilder(dataset_, facts_);
 }
 
 const netsim::ScanDataset& Study::raw_dataset() const { return raw_dataset_; }

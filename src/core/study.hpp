@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -238,24 +237,23 @@ class Study {
   /// Fixed-key MITM candidates (Internet Rimon).
   [[nodiscard]] const std::vector<fingerprint::MitmCandidate>& mitm_candidates() const;
 
-  /// The full labeler: clique -> subject rules -> shared-prime
-  /// extrapolation. Safe to copy into analysis builders.
-  [[nodiscard]] analysis::RecordLabeler labeler() const;
+  /// Each certificate of dataset() once, with its label (clique, then
+  /// subject rules, then shared-prime extrapolation) and vulnerable bit,
+  /// and each record's certificate (DESIGN.md §5r).
+  [[nodiscard]] const analysis::CertificateFacts& facts() const {
+    return facts_;
+  }
 
   /// Vendor -> recovered primes (for Table 5 classification).
   [[nodiscard]] std::map<std::string, std::vector<bn::BigInt>>
   recovered_primes_by_vendor() const;
 
-  /// Convenience: a TimeSeriesBuilder over dataset() with this study's
-  /// vulnerable set and labeler. The Study must outlive the builder.
+  /// Convenience: a TimeSeriesBuilder over dataset() and facts().
   [[nodiscard]] analysis::TimeSeriesBuilder series_builder() const;
 
   /// Ground-truth device list — only available when the corpus was simulated
   /// this run (not loaded from cache). For tests and validation only.
   [[nodiscard]] const netsim::Internet* ground_truth() const;
-
-  /// The factor record for modulus `n`, if it was factored.
-  [[nodiscard]] const FactorRecord* find_factor(const bn::BigInt& n) const;
 
   // -- Telemetry -----------------------------------------------------------
   /// The run's metrics registry and span tracer.
@@ -269,8 +267,9 @@ class Study {
   // `index` is index_certificates(dataset_), built once per run.
   void factor_moduli(util::ThreadPool& pool,
                      const netsim::CertificateIndex& index);
+  // Builds facts_ over `index` last.
   void fingerprint_corpus(util::ThreadPool& pool,
-                          const netsim::CertificateIndex& index);
+                          netsim::CertificateIndex index);
   bool load_factor_cache(const std::string& path);
   void save_factor_cache(const std::string& path) const;
   void write_factor_cache_payload(util::BinaryWriter& w) const;
@@ -311,17 +310,12 @@ class Study {
 
   fingerprint::SubjectRules subject_rules_;
   std::vector<fingerprint::PrimeClique> cliques_;
-  analysis::VulnerableSet clique_moduli_;
   fingerprint::PrimePools pools_;
+  /// factored_[i]'s vendor: IBM for a clique member, else its certificates'
+  /// one subject vendor, else its extrapolated vendor ("" = none).
+  std::vector<std::string> factored_vendor_;
   std::vector<fingerprint::MitmCandidate> mitm_;
-  /// modulus hex -> extrapolated vendor (shared-prime pass).
-  std::map<std::string, std::string> extrapolated_;
-  /// modulus hex -> index into factored_.
-  std::map<std::string, std::size_t> factored_index_;
-  /// per-certificate subject-label cache (pointers owned by the dataset).
-  mutable std::map<const cert::Certificate*,
-                   std::optional<fingerprint::VendorLabel>>
-      subject_label_cache_;
+  analysis::CertificateFacts facts_;
 };
 
 }  // namespace weakkeys::core

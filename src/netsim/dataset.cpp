@@ -34,33 +34,10 @@ std::optional<Protocol> protocol_from_index(std::uint32_t value) {
   return static_cast<Protocol>(value);
 }
 
-namespace {
-
-/// Identity key for certificate deduplication. Serial numbers are unique per
-/// issued certificate in the simulation, but derived variants (Rimon
-/// substitution, bit errors) reuse the original serial with a different
-/// modulus, so the key includes both.
-std::string cert_key(const cert::Certificate& c) {
-  return std::to_string(c.serial) + '/' + c.key.n.to_hex();
-}
-
-}  // namespace
-
 std::size_t ScanDataset::total_host_records() const {
   std::size_t total = 0;
   for (const auto& snap : snapshots) total += snap.records.size();
   return total;
-}
-
-std::size_t ScanDataset::distinct_certificates() const {
-  // Records overwhelmingly share certificate objects; dedup by pointer
-  // before hashing content.
-  const CertificateIndex index = index_certificates(*this);
-  std::unordered_set<std::string> seen;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    seen.insert(cert_key(index.first_record(*this, i).cert()));
-  }
-  return seen.size();
 }
 
 CertificateIndex index_certificates(const ScanDataset& ds,
@@ -122,14 +99,6 @@ std::vector<bn::BigInt> ScanDataset::distinct_moduli(
 
 std::vector<bn::BigInt> ScanDataset::distinct_moduli(Protocol p) const {
   return collect_moduli(*this, index_certificates(*this, &p), nullptr);
-}
-
-std::vector<const ScanSnapshot*> ScanDataset::snapshots_for(Protocol p) const {
-  std::vector<const ScanSnapshot*> out;
-  for (const auto& snap : snapshots) {
-    if (snap.protocol == p) out.push_back(&snap);
-  }
-  return out;
 }
 
 }  // namespace weakkeys::netsim

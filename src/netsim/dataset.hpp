@@ -73,9 +73,6 @@ class ScanDataset {
 
   [[nodiscard]] std::size_t total_host_records() const;
 
-  /// Distinct certificate fingerprints across all snapshots.
-  [[nodiscard]] std::size_t distinct_certificates() const;
-
   /// Distinct RSA moduli across all snapshots (hex-keyed), in the order
   /// their first records appear. Renders the moduli on `pool` when given.
   /// `index`, when given, must be index_certificates(*this); without one
@@ -86,9 +83,6 @@ class ScanDataset {
 
   /// Distinct moduli restricted to one protocol.
   [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(Protocol p) const;
-
-  /// Snapshots restricted to one protocol, date-ordered.
-  [[nodiscard]] std::vector<const ScanSnapshot*> snapshots_for(Protocol p) const;
 };
 
 /// Every distinct certificate object of a dataset once, in the order of

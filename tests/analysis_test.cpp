@@ -5,7 +5,7 @@
 
 #include "analysis/chains.hpp"
 #include "analysis/csv.hpp"
-#include "analysis/lifetimes.hpp"
+#include "analysis/facts.hpp"
 #include "analysis/events.hpp"
 #include "analysis/report.hpp"
 #include "analysis/timeseries.hpp"
@@ -42,13 +42,19 @@ HostRecord record(const Date& date, std::uint32_t ip, netsim::CertHandle cert) {
                     "", {}};
 }
 
-RecordLabeler org_labeler() {
-  return [](const HostRecord& rec)
-             -> std::optional<fingerprint::VendorLabel> {
-    const std::string org = rec.cert().subject.get("O");
-    if (org.empty()) return std::nullopt;
-    return fingerprint::VendorLabel{org, "", "subject"};
-  };
+/// Hand-built facts over `ds`: each certificate labeled by its O= field,
+/// and vulnerable when its modulus is 1001.
+CertificateFacts org_facts(const ScanDataset& ds) {
+  CertificateFacts facts;
+  facts.index = netsim::index_certificates(ds);
+  for (std::size_t c = 0; c < facts.index.size(); ++c) {
+    const auto& cert = facts.index.first_record(ds, c).cert();
+    const std::string org = cert.subject.get("O");
+    facts.label_of.push_back(org.empty() ? CertificateFacts::kUnlabeled
+                                         : facts.intern({org, "", "subject"}));
+    facts.vulnerable.push_back(cert.key.n == BigInt(1001));
+  }
+  return facts;
 }
 
 /// Three monthly snapshots; vendor "V" has 3, 4, then 2 hosts; modulus 1001
@@ -73,18 +79,56 @@ ScanDataset sample_dataset() {
   return ds;
 }
 
-VulnerableSet vulnerable_1001() {
-  VulnerableSet v;
-  v.insert(BigInt(1001));
-  return v;
+// ---------------------------------------------------------------- facts ----
+
+TEST(CertificateFacts, LabelPrecedenceIsCliqueThenSubjectThenExtrapolation) {
+  ScanSnapshot snap{Date(2014, 1, 15), "Test", Protocol::kHttps, {}};
+  const auto unnamed = [](std::uint64_t modulus) {
+    auto c = std::make_shared<cert::Certificate>();
+    c->subject.add("CN", "host");
+    c->key.n = BigInt(modulus);
+    return netsim::CertHandle(c);
+  };
+  snap.records = {
+      record(snap.date, 1, make_cert("Siemens", 11)),  // clique member
+      record(snap.date, 2, make_cert("V", 13)),        // subject beats pool
+      record(snap.date, 3, unnamed(13)),               // extrapolated
+      record(snap.date, 4, unnamed(17)),               // factored, no vendor
+      record(snap.date, 5, make_cert("V", 19)),        // not factored
+  };
+  ScanDataset ds;
+  ds.snapshots = {snap};
+  netsim::CertificateIndex index = netsim::index_certificates(ds);
+  std::vector<std::optional<fingerprint::VendorLabel>> subject(index.size());
+  for (std::size_t c = 0; c < index.size(); ++c) {
+    const std::string org = index.first_record(ds, c).cert().subject.get("O");
+    if (!org.empty()) subject[c] = fingerprint::VendorLabel{org, "", "subject"};
+  }
+  const std::vector<FactoredKey> factored = {
+      {BigInt(11), true, "X"},
+      {BigInt(13), false, "X"},
+      {BigInt(17), false, ""}};
+
+  const CertificateFacts facts =
+      build_certificate_facts(ds, std::move(index), subject, factored);
+  const std::vector<fingerprint::VendorLabel> labels = {
+      {"IBM", "RSA-II", "prime-clique"},
+      {"V", "", "subject"},
+      {"X", "", "shared-prime"}};
+  EXPECT_EQ(facts.labels, labels);
+  constexpr std::uint32_t kNo = CertificateFacts::kUnlabeled;
+  EXPECT_EQ(facts.label_of, (std::vector<std::uint32_t>{0, 1, 2, kNo, 1}));
+  EXPECT_EQ(facts.vulnerable, (std::vector<std::uint8_t>{1, 1, 1, 1, 0}));
+  EXPECT_EQ(facts.label_id(netsim::CertificateIndex::kNone),
+            CertificateFacts::kUnlabeled);
+  EXPECT_FALSE(facts.is_vulnerable(netsim::CertificateIndex::kNone));
 }
 
 // --------------------------------------------------------- TimeSeries ----
 
 TEST(TimeSeries, VendorCountsPerSnapshot) {
   const ScanDataset ds = sample_dataset();
-  const VulnerableSet vuln = vulnerable_1001();
-  const TimeSeriesBuilder builder(ds, vuln, org_labeler());
+  const TimeSeriesBuilder builder(ds, org_facts(ds));
   const VendorSeries series = builder.vendor_series("V");
   ASSERT_EQ(series.points.size(), 3u);
   EXPECT_EQ(series.points[0].total_hosts, 3u);
@@ -97,16 +141,14 @@ TEST(TimeSeries, VendorCountsPerSnapshot) {
 
 TEST(TimeSeries, OverallIncludesUnlabeled) {
   const ScanDataset ds = sample_dataset();
-  const VulnerableSet vuln = vulnerable_1001();
-  const TimeSeriesBuilder builder(ds, vuln, org_labeler());
+  const TimeSeriesBuilder builder(ds, org_facts(ds));
   const VendorSeries series = builder.overall_series();
   EXPECT_EQ(series.points[0].total_hosts, 4u);  // includes vendor W
 }
 
 TEST(TimeSeries, VendorsRankedByVulnerability) {
   const ScanDataset ds = sample_dataset();
-  const VulnerableSet vuln = vulnerable_1001();
-  const TimeSeriesBuilder builder(ds, vuln, org_labeler());
+  const TimeSeriesBuilder builder(ds, org_facts(ds));
   const auto vendors = builder.vendors();
   ASSERT_EQ(vendors.size(), 2u);
   EXPECT_EQ(vendors[0], "V");  // vulnerable hits rank first
@@ -114,9 +156,8 @@ TEST(TimeSeries, VendorsRankedByVulnerability) {
 
 TEST(TimeSeries, AtOrBefore) {
   const ScanDataset ds = sample_dataset();
-  const VulnerableSet vuln = vulnerable_1001();
   const VendorSeries s =
-      TimeSeriesBuilder(ds, vuln, org_labeler()).vendor_series("V");
+      TimeSeriesBuilder(ds, org_facts(ds)).vendor_series("V");
   EXPECT_EQ(s.at_or_before(Date(2014, 3, 1))->date, Date(2014, 2, 15));
   EXPECT_EQ(s.at_or_before(Date(2014, 1, 15))->date, Date(2014, 1, 15));
   EXPECT_EQ(s.at_or_before(Date(2013, 12, 31)), nullptr);
@@ -174,8 +215,7 @@ TEST(Transitions, CountsDirectionalSwitches) {
     };
     ds.snapshots.push_back(std::move(snap));
   }
-  const auto counts =
-      count_transitions(ds, "V", vulnerable_1001(), org_labeler());
+  const auto counts = count_transitions(ds, "V", org_facts(ds));
   EXPECT_EQ(counts.ips_ever, 4u);
   EXPECT_EQ(counts.ips_ever_vulnerable, 4u);
   EXPECT_EQ(counts.vulnerable_to_clean, 1u);
@@ -185,8 +225,7 @@ TEST(Transitions, CountsDirectionalSwitches) {
 
 TEST(Transitions, OtherVendorsExcluded) {
   const ScanDataset ds = sample_dataset();
-  const auto counts =
-      count_transitions(ds, "W", vulnerable_1001(), org_labeler());
+  const auto counts = count_transitions(ds, "W", org_facts(ds));
   EXPECT_EQ(counts.ips_ever, 1u);
   EXPECT_EQ(counts.ips_ever_vulnerable, 0u);
 }
@@ -196,7 +235,7 @@ TEST(Transitions, OtherVendorsExcluded) {
 TEST(Events, HeartbleedWindowDelta) {
   const ScanDataset ds = sample_dataset();
   const VendorSeries series =
-      TimeSeriesBuilder(ds, vulnerable_1001(), org_labeler()).vendor_series("V");
+      TimeSeriesBuilder(ds, org_facts(ds)).vendor_series("V");
   const auto delta = event_window_delta(series, Date(2014, 3, 1), 2);
   ASSERT_TRUE(delta.has_value());
   EXPECT_EQ(delta->total_before, 4u);   // 2014-02 snapshot
@@ -207,7 +246,7 @@ TEST(Events, HeartbleedWindowDelta) {
 TEST(Events, DeltaRequiresBothSides) {
   const ScanDataset ds = sample_dataset();
   const VendorSeries series =
-      TimeSeriesBuilder(ds, vulnerable_1001(), org_labeler()).vendor_series("V");
+      TimeSeriesBuilder(ds, org_facts(ds)).vendor_series("V");
   EXPECT_FALSE(event_window_delta(series, Date(2013, 1, 1), 2).has_value());
   EXPECT_FALSE(event_window_delta(series, Date(2016, 1, 1), 2).has_value());
 }
@@ -259,54 +298,6 @@ TEST(Report, WithCommas) {
   EXPECT_EQ(with_commas(1526222329ULL), "1,526,222,329");
 }
 
-// ---------------------------------------------------------- lifetimes ----
-
-TEST(Lifetimes, TracksFirstLastAndIps) {
-  const ScanDataset ds = sample_dataset();
-  const auto lifetimes = certificate_lifetimes(ds);
-  // 5 distinct certificates in the fixture.
-  ASSERT_EQ(lifetimes.size(), 5u);
-  // The vulnerable cert (ip 1) appears in all three snapshots.
-  const auto vuln_it =
-      std::find_if(lifetimes.begin(), lifetimes.end(),
-                   [](const CertificateLifetime& l) { return l.sightings == 3; });
-  ASSERT_NE(vuln_it, lifetimes.end());
-  EXPECT_EQ(vuln_it->first_seen, Date(2014, 1, 15));
-  EXPECT_EQ(vuln_it->last_seen, Date(2014, 6, 15));
-  EXPECT_EQ(vuln_it->observed_months(), 5);
-  EXPECT_EQ(vuln_it->distinct_ips, 1u);
-}
-
-TEST(Lifetimes, ReplacementClassification) {
-  ScanDataset ds;
-  const auto original = make_cert("V", 1001);
-  // Renewal: same subject string, different key.
-  const auto renewed = make_cert("V", 1003);
-  // Takeover: different subject entirely.
-  const auto stranger = make_cert("W", 7007);
-
-  ScanSnapshot s1{Date(2014, 1, 15), "Test", Protocol::kHttps, {}};
-  s1.records = {record(s1.date, 1, original), record(s1.date, 2, original)};
-  ScanSnapshot s2{Date(2014, 2, 15), "Test", Protocol::kHttps, {}};
-  s2.records = {record(s2.date, 1, renewed), record(s2.date, 2, stranger)};
-  ds.snapshots = {s1, s2};
-
-  const auto replacements = certificate_replacements(ds);
-  ASSERT_EQ(replacements.size(), 2u);
-  const auto summary = summarize_replacements(replacements);
-  EXPECT_EQ(summary.renewals, 1u);
-  EXPECT_EQ(summary.takeovers, 1u);
-  for (const auto& r : replacements) {
-    if (r.ip == 1) EXPECT_EQ(r.kind, ReplacementKind::kRenewal);
-    if (r.ip == 2) EXPECT_EQ(r.kind, ReplacementKind::kTakeover);
-  }
-}
-
-TEST(Lifetimes, StableCertNoReplacement) {
-  const ScanDataset ds = sample_dataset();  // same cert objects re-presented
-  EXPECT_TRUE(certificate_replacements(ds).empty());
-}
-
 // ---------------------------------------------------------------- csv ----
 
 TEST(Csv, EscapingRules) {
@@ -320,7 +311,7 @@ TEST(Csv, EscapingRules) {
 TEST(Csv, SingleSeriesRows) {
   const ScanDataset ds = sample_dataset();
   const VendorSeries series =
-      TimeSeriesBuilder(ds, vulnerable_1001(), org_labeler()).vendor_series("V");
+      TimeSeriesBuilder(ds, org_facts(ds)).vendor_series("V");
   std::ostringstream os;
   write_series_csv(os, series);
   const std::string out = os.str();
@@ -333,7 +324,7 @@ TEST(Csv, SingleSeriesRows) {
 
 TEST(Csv, MultiSeriesJoinsAndPadsGaps) {
   const ScanDataset ds = sample_dataset();
-  const TimeSeriesBuilder builder(ds, vulnerable_1001(), org_labeler());
+  const TimeSeriesBuilder builder(ds, org_facts(ds));
   VendorSeries v = builder.vendor_series("V");
   VendorSeries w = builder.vendor_series("W");
   w.points.pop_back();  // make W miss the last snapshot
@@ -353,7 +344,7 @@ TEST(Csv, MultiSeriesJoinsAndPadsGaps) {
 TEST(Report, RenderSeriesIncludesEveryPoint) {
   const ScanDataset ds = sample_dataset();
   const VendorSeries series =
-      TimeSeriesBuilder(ds, vulnerable_1001(), org_labeler()).vendor_series("V");
+      TimeSeriesBuilder(ds, org_facts(ds)).vendor_series("V");
   const std::string out = render_series(series);
   EXPECT_NE(out.find("2014-01-15"), std::string::npos);
   EXPECT_NE(out.find("2014-02-15"), std::string::npos);

@@ -3,24 +3,31 @@
 // output must not depend on it: each is run here over one noisy corpus with
 // no pool and with pools of 1, 2, 4 and 8 threads. The pooled runs also
 // share one certificate index across the passes, as Study::run() does,
-// while the serial run lets each call build its own.
+// while the serial run lets each call build its own. The certificate fact
+// table built from their output is checked the same way.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <set>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/chains.hpp"
+#include "analysis/facts.hpp"
+#include "analysis/timeseries.hpp"
 #include "batchgcd/batch_gcd.hpp"
 #include "core/ingest.hpp"
 #include "core/scan_store.hpp"
 #include "core/study.hpp"
 #include "crypto/sha256.hpp"
+#include "fingerprint/ibm_clique.hpp"
 #include "fingerprint/mitm_detector.hpp"
+#include "fingerprint/prime_pools.hpp"
 #include "fingerprint/subject_rules.hpp"
 #include "netsim/catalog.hpp"
 #include "netsim/internet.hpp"
@@ -168,6 +175,134 @@ TEST(PooledPasses, OutputIsIdenticalAcrossPoolSizes) {
     EXPECT_EQ(pooled.full_modulus, serial.full_modulus);
     EXPECT_EQ(pooled.labels, serial.labels);
     EXPECT_EQ(pooled.mitm, serial.mitm);
+  }
+}
+
+/// The fact table's inputs over the noisy corpus, computed once without a
+/// pool (the passes that produce them are checked above): the dataset, its
+/// subject labels, and the factored moduli with their clique flags and
+/// extrapolated vendors, found as Study::run() finds them.
+struct FactInputs {
+  netsim::ScanDataset dataset;
+  std::vector<std::optional<fingerprint::VendorLabel>> labels;
+  std::vector<analysis::FactoredKey> factored;
+};
+
+const FactInputs& fact_inputs() {
+  static const FactInputs inputs = [] {
+    FactInputs in;
+    in.dataset = analysis::exclude_intermediates(
+        core::ingest_dataset(noisy_corpus()).kept);
+    const netsim::CertificateIndex index =
+        netsim::index_certificates(in.dataset);
+    in.labels =
+        fingerprint::SubjectRules::standard().classify_all(in.dataset, index);
+    const std::vector<bn::BigInt> moduli = in.dataset.distinct_moduli();
+    const core::DivisorPass divisors = core::classify_divisors(
+        moduli, batchgcd::batch_gcd(moduli).divisors);
+
+    std::vector<fingerprint::FactoredModulus> triples;
+    for (const auto& f : divisors.factored) triples.push_back({f.p, f.q, f.n});
+    std::set<std::string> clique;
+    for (const auto& c : fingerprint::find_degenerate_cliques(triples)) {
+      for (const auto& n : c.moduli) clique.insert(n.to_hex());
+    }
+    std::map<std::string, std::set<std::string>> subject_vendors;
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      if (!in.labels[i]) continue;
+      subject_vendors[index.first_record(in.dataset, i).cert().key.n.to_hex()]
+          .insert(in.labels[i]->vendor);
+    }
+    fingerprint::PrimePools pools;
+    for (const auto& f : divisors.factored) {
+      const auto it = subject_vendors.find(f.n.to_hex());
+      if (clique.contains(f.n.to_hex()) || it == subject_vendors.end() ||
+          it->second.size() != 1) {
+        continue;
+      }
+      pools.add(*it->second.begin(), f.p);
+      pools.add(*it->second.begin(), f.q);
+    }
+    for (const auto& f : divisors.factored) {
+      analysis::FactoredKey key{f.n, clique.contains(f.n.to_hex()), ""};
+      if (!key.clique && !subject_vendors.contains(f.n.to_hex())) {
+        key.extrapolated = pools.extrapolate(f.p, f.q);
+      }
+      in.factored.push_back(std::move(key));
+    }
+    return in;
+  }();
+  return inputs;
+}
+
+std::vector<std::string> rows_of(const analysis::VendorSeries& series) {
+  std::vector<std::string> rows;
+  for (const auto& p : series.points) {
+    rows.push_back(series.vendor + "/" + series.model + " " +
+                   p.date.to_string() + " " + p.source + " " +
+                   std::to_string(p.total_hosts) + " " +
+                   std::to_string(p.vulnerable_hosts));
+  }
+  return rows;
+}
+
+/// Every label id and vulnerable bit, and every series the facts yield.
+struct FactsOutput {
+  std::vector<fingerprint::VendorLabel> labels;
+  std::vector<std::uint32_t> label_of;
+  std::vector<std::uint8_t> vulnerable;
+  std::vector<std::string> series;
+};
+
+FactsOutput build_facts(std::optional<std::size_t> threads) {
+  std::optional<util::ThreadPool> pool_storage;
+  if (threads) pool_storage.emplace(*threads);
+  util::ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
+  const util::CancellationToken token;
+  const FactInputs& in = fact_inputs();
+
+  const analysis::CertificateFacts facts = analysis::build_certificate_facts(
+      in.dataset, netsim::index_certificates(in.dataset), in.labels,
+      in.factored, pool, &token);
+  FactsOutput out{facts.labels, facts.label_of, facts.vulnerable, {}};
+  const analysis::TimeSeriesBuilder builder(in.dataset, facts);
+  std::vector<analysis::VendorSeries> series = {builder.overall_series()};
+  for (const auto& vendor : builder.vendors()) {
+    series.push_back(builder.vendor_series(vendor));
+  }
+  for (const auto& label : facts.labels) {
+    if (!label.model.empty()) {
+      series.push_back(builder.vendor_series(label.vendor, label.model));
+    }
+  }
+  for (const auto& s : series) {
+    const auto rows = rows_of(s);
+    out.series.insert(out.series.end(), rows.begin(), rows.end());
+  }
+  return out;
+}
+
+TEST(PooledPasses, FactsAreIdenticalAcrossPoolSizes) {
+  const FactsOutput serial = build_facts(std::nullopt);
+  // Subject and extrapolated labels both occur (this small corpus has no
+  // clique; CertificateFacts.LabelPrecedence* covers that rule).
+  std::set<std::string> methods;
+  for (const auto& label : serial.labels) methods.insert(label.method);
+  EXPECT_TRUE(methods.contains("shared-prime"));
+  EXPECT_GT(methods.size(), 1u);
+  EXPECT_GT(std::count(serial.vulnerable.begin(), serial.vulnerable.end(), 1),
+            0);
+  EXPECT_GT(std::count(serial.label_of.begin(), serial.label_of.end(),
+                       analysis::CertificateFacts::kUnlabeled),
+            0);
+
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const FactsOutput pooled = build_facts(threads);
+    EXPECT_EQ(pooled.labels, serial.labels);
+    EXPECT_EQ(pooled.label_of, serial.label_of);
+    EXPECT_EQ(pooled.vulnerable, serial.vulnerable);
+    EXPECT_EQ(pooled.series, serial.series);
   }
 }
 

@@ -18,15 +18,6 @@ netsim::CertHandle cert_for(const std::string& vendor, std::uint64_t modulus) {
   return c;
 }
 
-RecordLabeler labeler() {
-  return [](const netsim::HostRecord& rec)
-             -> std::optional<fingerprint::VendorLabel> {
-    const std::string org = rec.cert().subject.get("O");
-    if (org.empty()) return std::nullopt;
-    return fingerprint::VendorLabel{org, "", "subject"};
-  };
-}
-
 /// Vendor A (advisory): 4 vulnerable at peak, 1 at end.
 /// Vendor B (no response): 4 vulnerable at peak, 1 at end. Same outcome —
 /// the Section 5.2 non-correlation in miniature.
@@ -64,13 +55,18 @@ netsim::ScanDataset dataset() {
   return ds;
 }
 
-VulnerableSet vulnerable() {
-  VulnerableSet v;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    v.insert(BigInt(100 + i));
-    v.insert(BigInt(200 + i));
+/// Hand-built facts over `ds`: each certificate labeled by its O= field;
+/// every key of vendors A and B is vulnerable.
+CertificateFacts facts(const netsim::ScanDataset& ds) {
+  CertificateFacts out;
+  out.index = netsim::index_certificates(ds);
+  for (std::size_t c = 0; c < out.index.size(); ++c) {
+    const std::string org =
+        out.index.first_record(ds, c).cert().subject.get("O");
+    out.label_of.push_back(out.intern({org, "", "subject"}));
+    out.vulnerable.push_back(org == "A" || org == "B");
   }
-  return v;
+  return out;
 }
 
 std::vector<netsim::VendorNotification> notifications() {
@@ -83,7 +79,7 @@ std::vector<netsim::VendorNotification> notifications() {
 
 TEST(Scorecard, ScoresVendorsAndGroupsByClass) {
   const auto ds = dataset();
-  const TimeSeriesBuilder builder(ds, vulnerable(), labeler());
+  const TimeSeriesBuilder builder(ds, facts(ds));
   const auto summary = build_scorecard(builder, notifications());
 
   ASSERT_EQ(summary.scores.size(), 2u);  // C excluded (never vulnerable)
@@ -103,7 +99,7 @@ TEST(Scorecard, ScoresVendorsAndGroupsByClass) {
 
 TEST(Scorecard, AliasesMapFingerprintNamesToTableNames) {
   const auto ds = dataset();
-  const TimeSeriesBuilder builder(ds, vulnerable(), labeler());
+  const TimeSeriesBuilder builder(ds, facts(ds));
   // Notifications know vendor A as "Alpha Corp".
   std::vector<netsim::VendorNotification> notes = {
       {"Alpha Corp", ResponseClass::kPrivateResponse, true, true, ""},
@@ -117,7 +113,7 @@ TEST(Scorecard, AliasesMapFingerprintNamesToTableNames) {
 
 TEST(Scorecard, UnnotifiedVendorsIgnored) {
   const auto ds = dataset();
-  const TimeSeriesBuilder builder(ds, vulnerable(), labeler());
+  const TimeSeriesBuilder builder(ds, facts(ds));
   EXPECT_TRUE(build_scorecard(builder, {}).scores.empty());
 }
 

@@ -113,19 +113,23 @@ TEST_F(StudyIntegration, IbmCliqueDetected) {
 TEST_F(StudyIntegration, LabelerUsesCliqueBeforeSubject) {
   // Every record carrying a clique modulus is labeled IBM, including
   // Siemens-subject certificates (the paper's Section 3.3.2 behaviour).
-  const auto labeler = study_->labeler();
+  const auto& facts = study_->facts();
   const auto& top = study_->cliques().front();
   std::set<std::string> clique_hex;
   for (const auto& n : top.moduli) clique_hex.insert(n.to_hex());
 
   std::size_t clique_records = 0;
-  for (const auto& snap : study_->dataset().snapshots) {
-    for (const auto& rec : snap.records) {
-      if (!clique_hex.contains(rec.cert().key.n.to_hex())) continue;
+  const auto& snapshots = study_->dataset().snapshots;
+  for (std::size_t s = 0; s < snapshots.size(); ++s) {
+    for (std::size_t r = 0; r < snapshots[s].records.size(); ++r) {
+      if (!clique_hex.contains(snapshots[s].records[r].cert().key.n.to_hex())) {
+        continue;
+      }
       ++clique_records;
-      const auto label = labeler(rec);
-      ASSERT_TRUE(label.has_value());
-      EXPECT_EQ(label->vendor, "IBM");
+      const std::uint32_t label = facts.label_id(facts.cert(s, r));
+      ASSERT_NE(label, analysis::CertificateFacts::kUnlabeled);
+      EXPECT_EQ(facts.labels[label].vendor, "IBM");
+      EXPECT_TRUE(facts.is_vulnerable(facts.cert(s, r)));
     }
   }
   EXPECT_GT(clique_records, 0u);
@@ -143,15 +147,6 @@ TEST_F(StudyIntegration, VulnerableExcludesBitErrors) {
   for (const auto& f : study_->factored()) {
     EXPECT_NE(f.divisor_class, fingerprint::DivisorClass::kSmoothBitError);
   }
-}
-
-TEST_F(StudyIntegration, FindFactorLookup) {
-  ASSERT_FALSE(study_->factored().empty());
-  const auto& first = study_->factored().front();
-  const auto* found = study_->find_factor(first.n);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->p, first.p);
-  EXPECT_EQ(study_->find_factor(bn::BigInt(35)), nullptr);
 }
 
 // The reproduction's numbers at this seed and scale, pinned exactly: a
@@ -402,7 +397,8 @@ TEST_F(ScanStoreTest, RoundTripsDataset) {
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->snapshots.size(), original.snapshots.size());
   EXPECT_EQ(loaded->total_host_records(), original.total_host_records());
-  EXPECT_EQ(loaded->distinct_certificates(), original.distinct_certificates());
+  EXPECT_EQ(netsim::index_certificates(*loaded).size(),
+            netsim::index_certificates(original).size());
   for (std::size_t s = 0; s < original.snapshots.size(); ++s) {
     const auto& a = original.snapshots[s];
     const auto& b = loaded->snapshots[s];
