@@ -177,7 +177,7 @@ BENCHMARK(BM_DistributedK)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecon
 constexpr std::size_t kSubsets = 8;
 constexpr std::size_t kThreads = 4;
 
-/// The in-process k-subset path as Study runs it: k^2 tasks on a pool.
+/// The in-process k-subset path as Study runs it: k rows on a pool.
 /// Pool construction is inside the loop, as in each Study factoring stage.
 void BM_DistributedFastPath(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
@@ -192,8 +192,8 @@ BENCHMARK(BM_DistributedFastPath)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// Journaling cost: BM_DistributedFastPath/512 with every task appended to
-/// a CRC-framed resume journal (one flushed record per task, deleted on
+/// Journaling cost: BM_DistributedFastPath/512 with every row appended to
+/// a CRC-framed resume journal (one flushed record per row, deleted on
 /// success), as a Study with a cache path runs it.
 void BM_DistributedJournaled(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
@@ -210,9 +210,9 @@ BENCHMARK(BM_DistributedJournaled)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Time-to-quiescence after a cooperative cancel lands halfway: a canceller
 /// thread watches the live `coordinator.tasks_executed` counter, trips the
-/// token once half the k^2 tasks have committed, and manual time measures
+/// token once half the k rows have committed, and manual time measures
 /// trip -> batch_gcd_distributed unwinding with util::Cancelled (pool drain
-/// + journal close). Bounded by the slowest in-flight task.
+/// + journal close). Bounded by the slowest in-flight row.
 void BM_DistributedCancel(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
   const auto& moduli = corpus(512);
@@ -227,7 +227,7 @@ void BM_DistributedCancel(benchmark::State& state) {
     options.registry = &registry;
     options.journal_path = "perf_batchgcd_cancel.tmp";
     const auto trip =
-        static_cast<std::uint64_t>(fraction * kSubsets * kSubsets);
+        static_cast<std::uint64_t>(fraction * kSubsets);
     std::atomic<std::int64_t> tripped_at_ns{0};
     std::atomic<bool> finished{false};
     std::thread canceller([&] {

@@ -27,9 +27,8 @@ BatchGcdResult batch_gcd(std::span<const BigInt> moduli,
                                ? ProductTree(moduli, *storage)
                                : ProductTree(moduli);
   if (cancel) cancel->throw_if_cancelled();
-  // The k = 1 task set: one diagonal task, u_i = (P / N_i) mod N_i.
-  const std::vector<BigInt> u =
-      remainder_task_residues(tree, tree.root(), /*diagonal=*/true);
+  // The k = 1 row: X' = 1, u_i = (P / N_i) mod N_i.
+  const std::vector<BigInt> u = remainder_row_residues(tree, {});
   for (std::size_t i = 0; i < moduli.size(); ++i) {
     if (cancel && (i % 64) == 0) cancel->throw_if_cancelled();
     result.divisors[i] = bn::gcd(moduli[i], u[i]);

@@ -58,19 +58,18 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
       } else {
         trees[a] = std::make_unique<ProductTree>(tasks.subset(a));
       }
-      // Built here, once, for the k tasks that walk this tree.
-      trees[a]->root_reciprocal();
     }, cancel);
     if (options.registry) trees[0]->publish_level_stats(*options.registry);
 
     util::parallel_for(pool, pending.size(), [&](std::size_t i) {
       if (cancel) cancel->throw_if_cancelled();
-      const std::size_t task = pending[i];
-      const std::size_t b = tasks.product_of(task);
-      const std::size_t a = tasks.subset_of(task);
-      const std::vector<BigInt> u =
-          remainder_task_residues(*trees[a], trees[b]->root(), b == a);
-      tasks.commit(task, leaf_claims(tasks.subset(a), u));
+      const std::size_t a = pending[i];
+      std::vector<const BigInt*> others;
+      for (std::size_t b = 0; b < k; ++b) {
+        if (b != a) others.push_back(&trees[b]->root());
+      }
+      const std::vector<BigInt> u = remainder_row_residues(*trees[a], others);
+      tasks.commit(a, leaf_claims(tasks.subset(a), u));
       if (executed) executed->inc();
     }, cancel);
 

@@ -2,13 +2,14 @@
 // process.
 //
 // The moduli are split into k subsets with products P_1..P_k; every product
-// is pushed through a remainder tree over every subset. Total work grows
-// (quadratically in k) but no node ever computes with the full
+// reaches every subset. Row a reduces the k - 1 other products into subset
+// a at root size and walks a's remainder tree once. Total work grows with k
+// (k(k-1) root-size reductions) but no node ever computes with the full
 // corpus product — the central bottleneck of the single-tree algorithm — so
-// the k^2 independent (product, subset) tasks parallelize across a cluster.
-// Here the "cluster" is a thread pool; the per-task cost statistics the
-// benchmark reports are the machine-independent story. The decomposition
-// itself lives in task_set.hpp, shared with the process cluster.
+// the k independent rows parallelize across a cluster. Here the "cluster"
+// is a thread pool; the per-row cost statistics the benchmark reports are
+// the machine-independent story. The decomposition itself lives in
+// task_set.hpp, shared with the process cluster.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,7 @@ namespace weakkeys::batchgcd {
 
 struct DistributedStats {
   std::size_t subsets = 0;
-  std::size_t tasks = 0;              ///< k * k (product x subset) pairs
+  std::size_t tasks = 0;              ///< k rows, one per subset
   std::size_t max_node_limbs = 0;     ///< largest tree node anywhere
   std::size_t total_tree_limbs = 0;   ///< sum of subset product-tree storage
   std::size_t tasks_resumed = 0;      ///< replayed from the journal, not run
@@ -33,7 +34,7 @@ struct DistributedStats {
 
 struct DistributedOptions {
   /// A tripped token stops dispatching at task granularity (both the tree
-  /// builds and the k^2 remainder-tree tasks poll it) and the call throws
+  /// builds and the k rows poll it) and the call throws
   /// util::Cancelled after draining in-flight work.
   const util::CancellationToken* cancel = nullptr;
   /// Progress counters `coordinator.{tasks,subsets,tasks_executed,
@@ -43,22 +44,21 @@ struct DistributedOptions {
   obs::MetricsRegistry* registry = nullptr;
   /// Spill policy: each subset tree applies it independently (file base
   /// "<base>.s<subset>", fault stream offset by subset index) so corpus-
-  /// scale runs bound per-process memory. The k remainder walks that share
-  /// a subset's spilled tree re-read its levels, trading disk reads for the
-  /// bounded window.
+  /// scale runs bound per-process memory. A spilled tree is walked once,
+  /// by its own row; the other rows read only its cached root.
   const TreeStorage* storage = nullptr;
   /// Resume journal (TaskJournal format, shared with the process cluster);
   /// empty disables journaling. Every finished task is appended as one
   /// flushed record, so a killed or cancelled run leaves a journal that the
   /// next run with the same moduli and k resumes from, re-running only the
-  /// unfinished tasks. Replayed records are verified; fresh in-process
+  /// unfinished rows. Replayed records are verified; fresh in-process
   /// claims are not. Success deletes the journal.
   std::string journal_path;
 };
 
 /// k-subset batch GCD. Output is element-for-element identical to
-/// batch_gcd(). `k` is clamped to [1, moduli.size()]. With a pool, the k^2
-/// remainder-tree tasks run concurrently; pass nullptr to run serially.
+/// batch_gcd(). `k` is clamped to [1, moduli.size()]. With a pool, the k
+/// rows run concurrently; pass nullptr to run serially.
 /// When every task was resumed no tree is built, and the tree fields of
 /// `stats` stay zero.
 BatchGcdResult batch_gcd_distributed(std::span<const bn::BigInt> moduli,

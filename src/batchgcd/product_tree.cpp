@@ -76,16 +76,20 @@ void ProductTree::build(std::span<const bn::BigInt> inputs) {
     ++have;
   }
   const std::size_t top = store_->level_stats().size() - 1;
-  const LevelHandle root_level = store_->load_level(top);
-  root_ = root_level->front();
+  top_ = store_->load_level(top);
   store_->release_level(top);
+}
+
+const bn::BigInt& ProductTree::root() const {
+  static const bn::BigInt kEmptyProduct(1);
+  return top_ ? top_->front() : kEmptyProduct;
 }
 
 const bn::BigInt& ProductTree::root_reciprocal() const {
   std::call_once(reciprocal_->once, [this] {
     obs::prof::Frame frame("batchgcd.remainder_tree.reciprocal");
     reciprocal_->value =
-        bn::reciprocal(root_, 2 * root_.bit_length() + kFractionGuardBits);
+        bn::reciprocal(root(), 2 * root().bit_length() + kFractionGuardBits);
   });
   return reciprocal_->value;
 }

@@ -56,9 +56,10 @@ class ProductTree {
     return stats.empty() ? 0 : stats.front().nodes;
   }
 
-  /// The product of all inputs (1 for an empty tree). Cached at build
-  /// time, so it is available without touching storage.
-  [[nodiscard]] const bn::BigInt& root() const { return root_; }
+  /// The product of all inputs (1 for an empty tree). The root level is
+  /// held from build time on (for the in-RAM backend the level itself, not
+  /// a copy), so it is available without touching storage.
+  [[nodiscard]] const bn::BigInt& root() const;
 
   /// floor(2^(2 * bits(root) + kFractionGuardBits) / root): the root
   /// reciprocal every scaled remainder walk over this tree starts from
@@ -109,7 +110,7 @@ class ProductTree {
   /// distributed variant exists to shrink. The root is always the largest
   /// node (it is the product of every other one).
   [[nodiscard]] std::size_t max_node_limbs() const {
-    return root_.limb_count() * (level_count() > 0 ? 1 : 0);
+    return root().limb_count() * (level_count() > 0 ? 1 : 0);
   }
 
  private:
@@ -121,12 +122,12 @@ class ProductTree {
   };
 
   std::unique_ptr<LevelStore> store_;
-  bn::BigInt root_{1};
+  LevelHandle top_;  ///< the root level; null for an empty tree
   std::unique_ptr<Reciprocal> reciprocal_ = std::make_unique<Reciprocal>();
 };
 
 /// Guard bits of the remainder tree's fixed-point fractions: a node of B
-/// bits carries e * B + kFractionGuardBits fraction bits (e = 1 or 2).
+/// bits carries 2 * B + kFractionGuardBits fraction bits.
 inline constexpr std::size_t kFractionGuardBits = 64;
 
 /// Estimated retained bytes of a product tree over `inputs`: input bytes

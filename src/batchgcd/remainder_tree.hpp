@@ -1,22 +1,20 @@
 // Remainder tree: pushes X down a product tree over {N_1..N_n} without a
 // division at any node (Bernstein, "Scaled remainder trees", 2004).
 //
-// Instead of the remainders X mod v^e, every node v carries a fixed-point
-// fraction y_v ~ frac(X / v^e). For a child c with sibling s (v = c * s),
-// X / c^e = (X / v^e) * s^e, so frac(X / c^e) = frac(y_v * s^e): one
-// multiplication, truncated to e * bits(c) + 64 fraction bits. A task's
-// root fraction comes from the tree's cached root reciprocal
+// Instead of the remainders X mod v^2, every node v carries a fixed-point
+// fraction y_v ~ frac(X / v^2). For a child c with sibling s (v = c * s),
+// X / c^2 = (X / v^2) * s^2, so frac(X / c^2) = frac(y_v * s^2): one
+// multiplication, truncated to 2 * bits(c) + 64 fraction bits. A row's
+// root fraction is exact and comes from the tree's cached root reciprocal
 // (ProductTree::root_reciprocal); any other X mod N^2 input starts from one
 // exact division at the root. A leaf N reads its residue off
-// round(y_N * N^e). Each truncation costs at most one unit in the last
-// place and the multiplication by s^e scales the error exactly as the
-// precision drops, so every leaf is exact (DESIGN.md §5m has the bound).
-//
-// e = 2 gives X mod N^2, the batch-GCD formulation that avoids a second
-// product tree over the N_i^2; e = 1 gives X mod N at half the precision,
-// which is all an off-diagonal k-subset task needs.
+// round(y_N * M) for M = N or N^2. Each truncation costs at most one unit
+// in the last place and the multiplication by s^2 scales the error exactly
+// as the precision drops, so every leaf is exact (DESIGN.md §5m has the
+// bound).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "batchgcd/product_tree.hpp"
@@ -29,17 +27,23 @@ namespace weakkeys::batchgcd {
 std::vector<bn::BigInt> remainder_tree_squares(const ProductTree& tree,
                                                const bn::BigInt& x);
 
-/// The remainder walk of one k-subset task (task_set.hpp): pushes the
-/// product `x` through the subset's `tree` and returns, per leaf N_i,
+/// The exact root fraction of a row, y = floor(x * 2^(2b+64) / P) for the
+/// b-bit root P of `tree` and 0 <= x < P: x * J plus one Barrett step for
+/// floor(x * (2^(2b+64) - J * P) / P). Throws std::invalid_argument for x
+/// outside [0, P).
+bn::BigInt row_fraction(const ProductTree& tree, const bn::BigInt& x);
+
+/// The remainder walk of one row (task_set.hpp): the subset's `tree`, with
+/// P_a its root and P = P_a * prod(others), returns per leaf N_i
 ///
-///   diagonal (x is the tree's own root):  u_i = (x / N_i) mod N_i
-///   otherwise:                            u_i = x mod N_i
+///   u_i = (P / N_i) mod N_i,
 ///
-/// leaf_claims() turns these into the task's claims. The diagonal walk
-/// runs with e = 2 from the root reciprocal alone; the off-diagonal walk
-/// runs with e = 1 from the reduction x mod root.
-std::vector<bn::BigInt> remainder_task_residues(const ProductTree& tree,
-                                                const bn::BigInt& x,
-                                                bool diagonal);
+/// the single-tree batch_gcd() residue: one walk from the root fraction
+/// row_fraction(tree, X'_a), where X'_a = prod_b (P_b mod P_a) mod P_a
+/// carries the other products into subset a at root size, every modular
+/// product a Barrett step through the cached root reciprocal. With no
+/// others that fraction is the root reciprocal itself.
+std::vector<bn::BigInt> remainder_row_residues(
+    const ProductTree& tree, std::span<const bn::BigInt* const> others);
 
 }  // namespace weakkeys::batchgcd

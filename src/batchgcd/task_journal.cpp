@@ -10,7 +10,7 @@ namespace weakkeys::batchgcd {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x574b4350;  // "WKCP"
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 }  // namespace
 

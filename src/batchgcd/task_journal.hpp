@@ -1,6 +1,6 @@
-// The CRC-guarded resume journal for (product x subset) remainder-tree
-// tasks, written through batchgcd::TaskSet by both the in-process path
-// (batch_gcd_distributed) and the multi-process cluster coordinator. One
+// The CRC-guarded resume journal for the k rows of a k-subset batch GCD
+// (task_set.hpp), written through batchgcd::TaskSet by both the in-process
+// path (batch_gcd_distributed) and the multi-process cluster coordinator. One
 // on-disk format means a factoring run started under one engine resumes
 // cleanly under the other — the journal, not the execution engine, is the
 // commit log.
@@ -10,6 +10,10 @@
 //   u32 magic "WKCP" | u32 version | u64 corpus fingerprint | u32 total
 //   repeated records: bytes payload | u32 crc32(payload)
 //     payload: u32 task | u32 claim-count | {u32 leaf, bytes divisor}*
+//
+// Version 2: `total` is k and a task is a row (a subset index), whose
+// claims are final divisors. A version-1 journal (k^2 (product, subset)
+// tasks) does not match the header and is discarded on open.
 //
 // Every append is flushed, so a record is durable against the process
 // dying once append() returns. open() replays the valid committed prefix

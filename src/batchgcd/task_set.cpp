@@ -24,7 +24,7 @@ TaskSet::TaskSet(std::span<const BigInt> moduli, std::size_t k)
       k_(std::clamp<std::size_t>(k, 1,
                                  std::max<std::size_t>(moduli.size(), 1))),
       partial_(moduli.size(), BigInt(1)),
-      done_(k_ * k_, 0),
+      done_(k_, 0),
       locks_(k_) {
   const std::size_t base = moduli.size() / k_;
   const std::size_t extra = moduli.size() % k_;
@@ -37,7 +37,7 @@ TaskSet::TaskSet(std::span<const BigInt> moduli, std::size_t k)
 bool TaskSet::verify(std::size_t task,
                      const std::vector<TaskClaim>& claims) const {
   if (task >= size()) return false;
-  const auto leaves = subset(subset_of(task));
+  const auto leaves = subset(task);
   const BigInt one(1);
   for (const auto& claim : claims) {
     if (claim.leaf >= leaves.size()) return false;
@@ -53,7 +53,7 @@ std::size_t TaskSet::open_journal(const std::string& path) {
       path, fingerprint(), static_cast<std::uint32_t>(size()),
       [this](std::uint32_t task, std::vector<TaskClaim>&& claims) {
         if (!verify(task, claims)) return false;
-        std::lock_guard guard(locks_[subset_of(task)]);
+        std::lock_guard guard(locks_[task]);
         if (done_[task]) return false;
         fold(task, claims);
         return true;
@@ -61,7 +61,7 @@ std::size_t TaskSet::open_journal(const std::string& path) {
 }
 
 bool TaskSet::commit(std::size_t task, const std::vector<TaskClaim>& claims) {
-  std::lock_guard guard(locks_[subset_of(task)]);
+  std::lock_guard guard(locks_[task]);
   if (done_[task]) return false;
   {
     std::lock_guard journal_guard(journal_mu_);
@@ -72,7 +72,7 @@ bool TaskSet::commit(std::size_t task, const std::vector<TaskClaim>& claims) {
 }
 
 void TaskSet::fold(std::size_t task, const std::vector<TaskClaim>& claims) {
-  const std::size_t offset = offsets_[subset_of(task)];
+  const std::size_t offset = offsets_[task];
   for (const auto& claim : claims) {
     BigInt& acc = partial_[offset + claim.leaf];
     acc = acc * claim.divisor;
@@ -82,7 +82,7 @@ void TaskSet::fold(std::size_t task, const std::vector<TaskClaim>& claims) {
 }
 
 bool TaskSet::done(std::size_t task) const {
-  std::lock_guard guard(locks_[subset_of(task)]);
+  std::lock_guard guard(locks_[task]);
   return done_[task] != 0;
 }
 

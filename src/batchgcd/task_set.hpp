@@ -1,29 +1,31 @@
-// The k-subset task decomposition of the cluster-parallel batch GCD
+// The k-subset row decomposition of the cluster-parallel batch GCD
 // (Section 3.2, Figure 2), shared by every engine that runs it.
 //
 // The moduli are split into k contiguous subsets S_0..S_{k-1} with products
-// P_0..P_{k-1}. Task t pushes product P_b (b = t / k) through subset S_a's
-// remainder tree (a = t % k), and every leaf N_i of S_a claims a
-// shared-factor candidate:
+// P_0..P_{k-1}, P = P_0 * ... * P_{k-1}. Row a reduces every other product
+// into S_a, X'_a = prod_{b != a} (P_b mod P_a) mod P_a, and walks S_a's
+// remainder tree once from frac(X'_a / P_a); every leaf N_i of S_a then
+// claims
 //
-//   b == a: gcd(N_i, (P_a / N_i) mod N_i)
-//   b != a: gcd(N_i, P_b mod N_i)
+//   gcd(N_i, (P / N_i) mod N_i),
 //
-// Claims multiply into a per-leaf accumulator, and gcd(N_i, accumulator)
-// is the single-tree batch_gcd() divisor exactly, whatever order the k^2
-// tasks commit in. That commutativity is what lets any engine run the
-// tasks anywhere, retry them, and resume them from a journal.
+// the single-tree batch_gcd() divisor itself. Every N_i divides P_a, so
+// P_b mod N_i = (P_b mod P_a) mod N_i and no node ever holds more than one
+// subset's product: the paper's argument against a central bottleneck
+// holds. A row fuses the paper's k (product, subset) tasks over S_a into
+// one walk, and it is the unit of work, retry and journaling: any engine
+// can run the rows anywhere, in any order, retry them, and resume them
+// from a journal.
 //
 // TaskSet owns everything about the decomposition except execution: the
-// partition, the task -> (product, subset) mapping, claim verification,
-// folding claims into the accumulators, the resume journal (replayed
-// records are verified: they are input from disk), and the final
-// per-modulus gcd. leaf_claims() is the claim rule itself, and
-// remainder_task_residues() (remainder_tree.hpp) the task body that feeds
-// it. The in-process path (batch_gcd_distributed), the process cluster
-// (cluster::batch_gcd_cluster, whose gcd_worker runs the tasks) and the
-// single-tree batch_gcd() all build on these, so a journal written by one
-// engine resumes under the other.
+// partition, claim verification, folding claims into per-modulus
+// accumulators, the resume journal (replayed records are verified: they
+// are input from disk), and the final per-modulus gcd. leaf_claims() is
+// the claim rule itself, and remainder_row_residues() (remainder_tree.hpp)
+// the row body that feeds it. The in-process path (batch_gcd_distributed),
+// the process cluster (cluster::batch_gcd_cluster, whose gcd_worker runs
+// the rows) and the single-tree batch_gcd() (the k = 1 row) all build on
+// these, so a journal written by one engine resumes under the other.
 #pragma once
 
 #include <atomic>
@@ -39,10 +41,9 @@
 
 namespace weakkeys::batchgcd {
 
-/// The claim rule: the nontrivial candidates gcd(N_i, u_i) > 1 of one task,
-/// given the task's residues `u` over the subset `leaves` (u_i from
-/// remainder_task_residues: (P_a / N_i) mod N_i on the diagonal, P_b mod
-/// N_i off it).
+/// The claim rule: the nontrivial divisors gcd(N_i, u_i) > 1 of one row,
+/// given its residues u_i = (P / N_i) mod N_i (remainder_row_residues) over
+/// the subset `leaves`.
 std::vector<TaskClaim> leaf_claims(std::span<const bn::BigInt> leaves,
                                    std::span<const bn::BigInt> u);
 
@@ -56,14 +57,8 @@ class TaskSet {
   TaskSet& operator=(const TaskSet&) = delete;
 
   [[nodiscard]] std::size_t k() const { return k_; }
-  /// k^2: one task per (product, subset) pair.
-  [[nodiscard]] std::size_t size() const { return k_ * k_; }
-  [[nodiscard]] std::size_t product_of(std::size_t task) const {
-    return task / k_;
-  }
-  [[nodiscard]] std::size_t subset_of(std::size_t task) const {
-    return task % k_;
-  }
+  /// k: one task per row, task a being subset a's row.
+  [[nodiscard]] std::size_t size() const { return k_; }
   [[nodiscard]] std::span<const bn::BigInt> subset(std::size_t a) const {
     return moduli_.subspan(offsets_[a], offsets_[a + 1] - offsets_[a]);
   }
@@ -85,8 +80,8 @@ class TaskSet {
   /// Throws std::runtime_error when the journal cannot be written.
   std::size_t open_journal(const std::string& path);
 
-  /// Folds a finished task's claims into its subset's accumulators and
-  /// journals the task, under that subset's lock; safe to call from many
+  /// Folds a finished row's claims into its subset's accumulators and
+  /// journals the row, under the row's lock; safe to call from many
   /// threads. Returns false, changing nothing, when the task has already
   /// committed. Claims are not verified here (see verify()).
   bool commit(std::size_t task, const std::vector<TaskClaim>& claims);
@@ -106,16 +101,16 @@ class TaskSet {
   [[nodiscard]] BatchGcdResult combine() const;
 
  private:
-  /// Folds and marks done; caller holds locks_[subset_of(task)].
+  /// Folds and marks done; caller holds locks_[task].
   void fold(std::size_t task, const std::vector<TaskClaim>& claims);
 
   std::span<const bn::BigInt> moduli_;
   std::size_t k_ = 1;
   std::vector<std::size_t> offsets_;  ///< subset a is [offsets_[a], [a+1])
   std::vector<bn::BigInt> partial_;   ///< per-modulus claim accumulator
-  std::vector<char> done_;            ///< per task, under its subset's lock
+  std::vector<char> done_;            ///< per row, under its lock
   std::atomic<std::size_t> committed_{0};
-  mutable std::vector<std::mutex> locks_;  ///< per subset
+  mutable std::vector<std::mutex> locks_;  ///< per row
   std::mutex journal_mu_;
   TaskJournal journal_;
 };

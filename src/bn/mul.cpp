@@ -663,17 +663,23 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
   if (3 * n <= 2 * xn) {
     obs::prof::Frame frame("bn.mul.middle");
     const std::size_t an = n + yn - 1;
-    const auto buf = std::make_unique_for_overwrite<Limb[]>(
-        an + n + 2 + detail::mulmid_scratch_limbs(an, yn));
-    Limb* slice = buf.get();
-    Limb* band = slice + an;
-    // slice[t] = x[base - (yn - 1) + t], zero outside [0, xn).
+    // slice[t] = x[base - (yn - 1) + t], zero outside [0, xn). When it lies
+    // inside x, the kernel reads x in place; otherwise a zero-padded copy.
     const std::size_t pad = base + 1 < yn ? yn - 1 - base : 0;
     const std::size_t from = base + 1 < yn ? 0 : base + 1 - yn;
     const std::size_t count = std::min(an - pad, xn > from ? xn - from : 0);
-    std::fill(slice, slice + pad, Limb{0});
-    std::copy(x.data() + from, x.data() + from + count, slice + pad);
-    std::fill(slice + pad + count, slice + an, Limb{0});
+    const bool in_place = pad == 0 && count == an;
+    const auto buf = std::make_unique_for_overwrite<Limb[]>(
+        (in_place ? 0 : an) + n + 2 + detail::mulmid_scratch_limbs(an, yn));
+    Limb* band = buf.get() + (in_place ? 0 : an);
+    const Limb* slice = x.data() + from;
+    if (!in_place) {
+      Limb* copy = buf.get();
+      std::fill(copy, copy + pad, Limb{0});
+      std::copy(x.data() + from, x.data() + from + count, copy + pad);
+      std::fill(copy + pad + count, copy + an, Limb{0});
+      slice = copy;
+    }
     detail::mulmid_into(band, slice, an, y.data(), yn, band + n + 2);
     // The diagonals below base add less than yn * B to the two guard limbs
     // band[0, 2), so their carry reaches the window only if the upper guard

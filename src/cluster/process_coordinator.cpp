@@ -706,11 +706,12 @@ class ProcessCoordinator {
     return enc_subset_[idx];
   }
 
-  /// Queues a transfer of subset `idx` unless delivered or already queued.
-  void ensure_transfer(Slot& slot, std::size_t idx) {
-    if (slot.delivered_subsets[idx]) return;
+  /// Queues a transfer of subset `idx` unless delivered or already queued;
+  /// true when it queued one.
+  bool ensure_transfer(Slot& slot, std::size_t idx) {
+    if (slot.delivered_subsets[idx]) return false;
     for (const Transfer& t : slot.transfers) {
-      if (t.subset == idx) return;
+      if (t.subset == idx) return false;
     }
     Transfer t;
     t.stream_id = next_stream_id_++;
@@ -718,6 +719,7 @@ class ProcessCoordinator {
     t.payload = encoded_subset(idx, &t.crc);
     t.last_progress = Clock::now();
     slot.transfers.push_back(std::move(t));
+    return true;
   }
 
   /// Drives the slot's head transfer: (re)announce with StreamBegin, then
@@ -1185,40 +1187,32 @@ class ProcessCoordinator {
     }
   }
 
-  /// Hands ready tasks to idle live workers. A task (b, a) is only
-  /// assignable to a worker that holds subsets a and b (fully acked
-  /// streams); for the first candidate that is missing data, the transfers
-  /// are queued and the scan keeps looking for one the worker can start
-  /// right now.
+  /// Hands ready rows to idle live workers. A row needs every subset, so
+  /// a worker gets its first row once it holds all k (fully acked
+  /// streams); while work is pending, a worker missing any has them queued.
   void tick_assign() {
-    if (!fleet_assembled()) return;
+    if (!fleet_assembled() || pending_.empty()) return;
     const auto now = Clock::now();
     for (Slot& slot : slots_) {
       if (slot.state != SlotState::kLive || slot.busy) continue;
-      std::size_t pick = pending_.size();
+      bool holds_all = true;
       bool enqueued = false;
+      for (std::size_t idx = 0; idx < k_; ++idx) {
+        if (slot.delivered_subsets[idx]) continue;
+        holds_all = false;
+        enqueued |= ensure_transfer(slot, idx);
+      }
+      if (enqueued) pump_streams(slot);
+      if (!holds_all) continue;
       for (std::size_t i = 0; i < pending_.size(); ++i) {
         const Pending& p = pending_[i];
         if (p.banned_worker == slot.id && live_slots() > 1) continue;
         if (p.ready_at > now) continue;
-        const std::size_t a = tasks_.subset_of(p.task);
-        const std::size_t b = tasks_.product_of(p.task);
-        if (slot.delivered_subsets[a] && slot.delivered_subsets[b]) {
-          pick = i;
-          break;
-        }
-        if (!enqueued) {
-          ensure_transfer(slot, a);
-          ensure_transfer(slot, b);
-          enqueued = true;
-        }
+        const Pending pick = p;
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+        assign(slot, pick);
+        break;
       }
-      if (enqueued) pump_streams(slot);
-      if (slot.state != SlotState::kLive) continue;  // pump lost the link
-      if (pick == pending_.size()) continue;
-      Pending p = pending_[pick];
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(pick));
-      assign(slot, p);
     }
   }
 
@@ -1230,17 +1224,13 @@ class ProcessCoordinator {
     return n;
   }
 
-  /// Ships one assignment (the worker already holds both subsets — see
+  /// Ships one assignment (the worker already holds every subset — see
   /// tick_assign), then applies any process-tier fault decided for this
   /// (task, attempt).
   void assign(Slot& slot, const Pending& p) {
-    const std::size_t b = tasks_.product_of(p.task);
-    const std::size_t a = tasks_.subset_of(p.task);
-
     TaskAssignMsg msg;
     msg.task = static_cast<std::uint32_t>(p.task);
-    msg.product_subset = static_cast<std::uint32_t>(b);
-    msg.leaf_subset = static_cast<std::uint32_t>(a);
+    msg.subsets = static_cast<std::uint32_t>(k_);
     msg.attempt = static_cast<std::uint32_t>(p.attempt);
     // Trace context: the worker parents its task spans under this attempt's
     // assign span. trace_id 0 means fleet tracing is off and the worker

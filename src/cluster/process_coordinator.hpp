@@ -1,20 +1,20 @@
 // Multi-process batch-GCD cluster coordinator.
 //
-// Where batchgcd::batch_gcd_distributed() runs the k^2 (product x subset)
-// remainder-tree tasks on a thread pool that never fails, this coordinator
-// runs them across a real failure domain: it fork/execs N worker processes
-// (tools/gcd_worker), distributes the tasks (batchgcd::TaskSet, the same
-// decomposition) over the framed TCP protocol in cluster/protocol.hpp, and
-// survives actual process death —
+// Where batchgcd::batch_gcd_distributed() runs the k batch-GCD rows (one per
+// subset, batchgcd/task_set.hpp) on a thread pool that never fails, this
+// coordinator runs them across a real failure domain: it fork/execs N worker
+// processes (tools/gcd_worker), distributes the rows (batchgcd::TaskSet, the
+// same decomposition) over the framed TCP protocol in cluster/protocol.hpp,
+// and survives actual process death —
 // a SIGKILLed worker is a closed socket, a SIGSTOPped worker is a process
 // that silently stops answering heartbeats, a garbled frame is bytes that
 // fail CRC on the wire.
 //
-// Data placement: each node holds its subsets and derives their products.
-// The coordinator streams subset moduli only, each at most once per worker
-// session; a task (b, a) goes to a worker once it holds subsets a and b,
-// and the worker takes P_b as the root of its own product tree over subset
-// b. Beyond verifying and folding claims (TaskSet::verify / combine), the
+// Data placement: each node holds the subsets and derives their products.
+// The coordinator streams subset moduli only: all k of them to each worker,
+// once per session, before its first row (a row needs every product). The
+// worker takes each P_b as the root of its own product tree over subset b.
+// Beyond verifying and folding claims (TaskSet::verify / combine), the
 // coordinator does no bignum work.
 //
 // Failure matrix -> policy. Every link is a session: a lost link parks the
@@ -78,7 +78,7 @@
 namespace weakkeys::cluster {
 
 struct ClusterConfig {
-  /// Subset count k; k^2 tasks. Clamped to [1, moduli.size()].
+  /// Subset count k; k rows. Clamped to [1, moduli.size()].
   std::size_t subsets = 4;
   /// Worker processes to fork/exec. Clamped to >= 1 unless remote_workers
   /// covers the compute (then 0 local workers is legal).

@@ -132,8 +132,7 @@ std::optional<SubsetDataMsg> SubsetDataMsg::decode(
 std::vector<std::uint8_t> TaskAssignMsg::encode() const {
   util::BufferWriter w;
   w.u32(task);
-  w.u32(product_subset);
-  w.u32(leaf_subset);
+  w.u32(subsets);
   w.u32(attempt);
   w.u64(trace_id);
   w.u64(parent_span);
@@ -146,8 +145,7 @@ std::optional<TaskAssignMsg> TaskAssignMsg::decode(
   return decode_guard<TaskAssignMsg>(body, [](util::BufferReader& r) {
     TaskAssignMsg m;
     m.task = r.u32();
-    m.product_subset = r.u32();
-    m.leaf_subset = r.u32();
+    m.subsets = r.u32();
     m.attempt = r.u32();
     m.trace_id = r.u64();
     m.parent_span = r.u64();

@@ -15,14 +15,14 @@
 // the task layer via timeouts and reassignment, exactly as a real lossy
 // transport would force.
 //
-// Message flow (protocol v6):
+// Message flow (protocol v7):
 //
 //   worker -> coordinator   Hello             (identify: worker id, pid, ver)
 //   coordinator -> worker   HelloAck          (fingerprint, session, grace)
 //   coordinator -> worker   StreamBegin       (open a subset transfer)
 //   coordinator -> worker   StreamChunk       (offset-addressed payload slice)
 //   worker -> coordinator   StreamAck         (contiguous-prefix receipt)
-//   coordinator -> worker   TaskAssign        (task + trace context)
+//   coordinator -> worker   TaskAssign        (row + trace context)
 //   worker -> coordinator   TaskResult        (divisor claims, session seq)
 //   coordinator -> worker   Ping              (liveness + result/telemetry ack)
 //   worker -> coordinator   Pong              (echo + stats + worker clock)
@@ -39,14 +39,14 @@
 // is one dialect: every body has a fixed field list, and decode_guard
 // rejects both short bodies and trailing bytes.
 //
-// Subset moduli are the only payload: each subset a worker needs is
-// streamed once per *session* in chunked, offset-addressed frames
-// (StreamBegin/Chunk/Ack — go-back-N with a bounded send window for
-// backpressure) and cached worker-side, so the k^2 TaskAssign frames stay
-// tiny. Each node holds its subsets and derives their products: a task
-// (b, a) needs subsets a and b on the worker, which takes P_b as the root
-// of its own product tree over subset b. A session survives TCP
-// disconnection: the worker dials back and offers
+// Subset moduli are the only payload: all k subsets are streamed to each
+// worker once per *session*, before its first row, in chunked,
+// offset-addressed frames (StreamBegin/Chunk/Ack — go-back-N with a bounded
+// send window for backpressure) and cached worker-side, so the k TaskAssign
+// frames stay tiny. Each node holds the subsets and derives their products:
+// row a (batchgcd/task_set.hpp) walks subset a's product tree and takes
+// every other P_b as the root of the worker's own tree over subset b. A
+// session survives TCP disconnection: the worker dials back and offers
 // ReconnectHello{session_id, last_committed_seq}; the coordinator resumes
 // in-flight transfers from the acked prefix and the worker replays
 // unacknowledged TaskResults, which the coordinator deduplicates by
@@ -85,8 +85,9 @@ namespace weakkeys::cluster {
 /// dropped the heartbeat interval from HelloAck and ReconnectAck (the
 /// worker paces itself by the grace alone); v6 dropped the product payload
 /// (ProductData, StreamBegin's kind): every stream carries one subset, and
-/// workers compute each product from the subset itself.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+/// workers compute each product from the subset itself; v7 made the row the
+/// task (TaskAssign names one subset and k).
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 /// Upper bound on a frame payload; a length prefix beyond this means the
 /// stream is garbage (or hostile) and the connection is dropped rather
@@ -183,9 +184,10 @@ struct SubsetDataMsg {
 };
 
 struct TaskAssignMsg {
-  std::uint32_t task = 0;            ///< task id = b * k + a
-  std::uint32_t product_subset = 0;  ///< b
-  std::uint32_t leaf_subset = 0;     ///< a
+  std::uint32_t task = 0;            ///< the row: subset a's index
+  /// k: the row needs all k subsets, so a worker runs it only once it
+  /// holds every one.
+  std::uint32_t subsets = 0;
   std::uint32_t attempt = 0;         ///< 0-based, for logging/tracing
   // Trace context: the worker's task spans become children of the
   // coordinator's assign span so one task is one causally-linked tree

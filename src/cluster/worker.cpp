@@ -603,18 +603,24 @@ class Worker {
     const bool traced = telemetry_enabled_ && assign.trace_id != 0;
     const std::int64_t t_dequeue = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.recv", recv_ns, t_dequeue, assign);
-    const std::optional<HeldSubset> leaf = held_subset(assign.leaf_subset);
-    const std::optional<HeldSubset> product =
-        leaf ? held_subset(assign.product_subset) : std::nullopt;
-    if (!leaf || !product) {
+    // Row a needs every subset: its own tree, and every other P_b as the
+    // root of this worker's tree over subset b.
+    const std::uint32_t k = assign.subsets;
+    std::vector<HeldSubset> held;
+    for (std::uint32_t b = 0; b < k && assign.task < k; ++b) {
+      std::optional<HeldSubset> subset = held_subset(b);
+      if (!subset) break;
+      held.push_back(std::move(*subset));
+    }
+    if (assign.task >= k || held.size() != k) {
       // A dropped/garbled cache fill upstream of this assignment; nothing
-      // to compute. The coordinator's task timeout requeues it (and the
-      // refreshed cache fill comes with the next assignment).
-      log("worker " + std::to_string(config_.worker_id) + ": task " +
+      // to compute. The coordinator's task timeout requeues it.
+      log("worker " + std::to_string(config_.worker_id) + ": row " +
           std::to_string(assign.task) + " references missing subset data");
       return;
     }
-    const std::vector<BigInt>& moduli = *leaf->moduli;
+    const HeldSubset& row = held[assign.task];
+    const std::vector<BigInt>& moduli = *row.moduli;
 
     const util::FaultDecision decision =
         config_.faults.any_faults()
@@ -631,10 +637,12 @@ class Worker {
       std::this_thread::sleep_for(config_.straggle_sleep);
     }
 
-    // P_b is the root of this worker's own tree over subset b.
-    const std::vector<BigInt> u = batchgcd::remainder_task_residues(
-        *leaf->tree, product->tree->root(),
-        assign.product_subset == assign.leaf_subset);
+    std::vector<const BigInt*> others;
+    for (std::uint32_t b = 0; b < k; ++b) {
+      if (b != assign.task) others.push_back(&held[b].tree->root());
+    }
+    const std::vector<BigInt> u =
+        batchgcd::remainder_row_residues(*row.tree, others);
     const std::int64_t t_computed = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.compute", t_dequeue, t_computed, assign);
     TaskResultMsg result;

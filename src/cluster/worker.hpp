@@ -1,17 +1,18 @@
-// The cluster worker: one OS process executing remainder-tree tasks on
-// behalf of cluster::ProcessCoordinator. tools/gcd_worker.cpp is a thin
+// The cluster worker: one OS process executing batch-GCD rows on behalf of
+// cluster::ProcessCoordinator. tools/gcd_worker.cpp is a thin
 // argv shim over run_worker(); tests can also run a worker in-process
 // (in a thread) to exercise the protocol without forking.
 //
-// Data placement: each node holds its subsets and derives their products.
-// The coordinator streams subset moduli only; for a task (b, a) the worker
-// walks its product tree over subset a down from P_b, the root of its own
-// product tree over subset b. Each tree is built the first time a task
-// needs it and cached for the session.
+// Data placement: each node holds the subsets and derives their products.
+// The coordinator streams all k subsets' moduli, and nothing else, before
+// the first row; for row a the worker reduces every other P_b, the root of
+// its own product tree over subset b, into subset a and walks its tree over
+// subset a once (batchgcd::remainder_row_residues). Each tree is built the
+// first time a row needs it and cached for the session.
 //
 // Thread structure: the RX loop (the calling thread) answers Pings
 // immediately, reassembles subset streams and queues TaskAssigns; a
-// separate compute thread pops tasks, builds/caches subset product trees,
+// separate compute thread pops rows, builds/caches subset product trees,
 // runs the remainder tree, and sends TaskResults. Liveness is therefore
 // real: a SIGSTOPped worker stops answering pings because the whole
 // process is frozen, not because a flag was set — the coordinator's

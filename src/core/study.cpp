@@ -446,7 +446,7 @@ void Study::factor_moduli(util::ThreadPool& pool,
         " quarantined, " + std::to_string(cluster_stats_.tasks_resumed) +
         " resumed from checkpoint)");
   } else {
-    // In-process path: the k^2 tasks on a thread pool, each committed task
+    // In-process path: the k rows on a thread pool, each committed row
     // journaled so a killed or cancelled run resumes only the rest.
     obs::Span gcd_span = telemetry_.tracer().span("gcd.distributed");
     batchgcd::DistributedOptions options;

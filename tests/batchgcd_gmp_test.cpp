@@ -1,15 +1,19 @@
 // Differential tests of the division-free remainder walk against GMP as an
-// oracle: every leaf of remainder_tree_squares against mpz_mod, and the
-// root reciprocal and windowed product the walk is built from against
-// mpz_tdiv_q / mpz_mul. GMP is linked by the tests only.
+// oracle: every leaf of remainder_tree_squares against mpz_mod, every row's
+// exact root fraction and leaves against mpz products and quotients, and
+// the root reciprocal and windowed product the walk is built
+// from against mpz_tdiv_q / mpz_mul. GMP is linked by the tests only.
 #include <gmp.h>
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
+#include "batchgcd/task_set.hpp"
 #include "bn/bigint.hpp"
 #include "util/prng.hpp"
 
@@ -95,6 +99,75 @@ TEST_P(ScaledDescentGmp, EveryLeafMatchesMpzMod) {
   const auto rem = remainder_tree_squares(single, x);
   ASSERT_EQ(rem.size(), 1U);
   EXPECT_EQ(rem[0], expected.big());
+}
+
+TEST_P(ScaledDescentGmp, RowFractionMatchesMpzFloor) {
+  // Mixed widths, an odd count (odd subsets carry nodes up unchanged), and
+  // moduli[3] again at the end, so at k = n its one-leaf row has X' = 0.
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 41; ++i) {
+    moduli.push_back(draw(64 + rng_.below(1025), /*odd=*/true));
+  }
+  moduli.push_back(moduli[3]);
+  Mpz all(BigInt(1));
+  for (const BigInt& n : moduli) {
+    const Mpz N(n);
+    mpz_mul(all.v, all.v, N.v);
+  }
+  std::size_t zero_rows = 0;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{4}, std::size_t{16},
+                              moduli.size()}) {
+    const TaskSet rows(moduli, k);
+    std::vector<std::unique_ptr<ProductTree>> trees;
+    for (std::size_t a = 0; a < k; ++a) {
+      trees.push_back(std::make_unique<ProductTree>(rows.subset(a)));
+    }
+    for (std::size_t a = 0; a < k; ++a) {
+      const ProductTree& tree = *trees[a];
+      const Mpz P(tree.root());
+      const std::size_t shift = 2 * tree.root().bit_length() + kFractionGuardBits;
+      // The row's X' = prod_{b != a} P_b mod P_a.
+      std::vector<const BigInt*> others;
+      Mpz row_x(BigInt(1));
+      for (std::size_t b = 0; b < k; ++b) {
+        if (b == a) continue;
+        others.push_back(&trees[b]->root());
+        const Mpz Pb(trees[b]->root());
+        mpz_mul(row_x.v, row_x.v, Pb.v);
+      }
+      mpz_mod(row_x.v, row_x.v, P.v);
+      const BigInt x_row = row_x.big();
+      if (x_row.is_zero()) ++zero_rows;
+      // y == floor(x * 2^(2b+64) / P) for the row's X' and the edges.
+      const std::vector<BigInt> xs = {x_row, BigInt(0), BigInt(1),
+                                      tree.root() - BigInt(1),
+                                      draw(tree.root().bit_length(), false) %
+                                          tree.root()};
+      for (const BigInt& x : xs) {
+        const Mpz X(x);
+        Mpz expected;
+        mpz_mul_2exp(expected.v, X.v, shift);
+        mpz_fdiv_q(expected.v, expected.v, P.v);
+        ASSERT_EQ(row_fraction(tree, x), expected.big())
+            << "k=" << k << " row " << a << " x=" << x.to_hex();
+      }
+      // Every leaf: (P / N_i) mod N_i for the whole corpus product P.
+      const auto u = remainder_row_residues(tree, others);
+      const auto leaves = rows.subset(a);
+      ASSERT_EQ(u.size(), leaves.size());
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        const Mpz N(leaves[i]);
+        Mpz expected;
+        mpz_divexact(expected.v, all.v, N.v);
+        mpz_mod(expected.v, expected.v, N.v);
+        ASSERT_EQ(u[i], expected.big()) << "k=" << k << " row " << a;
+      }
+    }
+  }
+  EXPECT_EQ(zero_rows, 2u);  // moduli[3] and its duplicate, at k = n
+  EXPECT_THROW(row_fraction(ProductTree(moduli), ProductTree(moduli).root()),
+               std::invalid_argument);
 }
 
 TEST_P(ScaledDescentGmp, RootReciprocalMatchesMpzQuotient) {

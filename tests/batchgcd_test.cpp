@@ -150,7 +150,7 @@ TEST_P(DistributedEquivalence, MatchesSingleTree) {
       batch_gcd_distributed(corpus.moduli, GetParam(), &pool, &stats);
   EXPECT_EQ(distributed.divisors, reference.divisors);
   EXPECT_EQ(stats.subsets, std::min(GetParam(), corpus.moduli.size()));
-  EXPECT_EQ(stats.tasks, stats.subsets * stats.subsets);
+  EXPECT_EQ(stats.tasks, stats.subsets);  // one row per subset
 }
 
 INSTANTIATE_TEST_SUITE_P(SubsetCounts, DistributedEquivalence,
@@ -320,12 +320,18 @@ TEST_P(ScaledDescent, EveryLeafMatchesDivision) {
               << i;
         }
       }
-      const auto diagonal = remainder_task_residues(tree, root, true);
-      const auto off = remainder_task_residues(tree, other, false);
-      for (std::size_t i = 0; i < moduli.size(); ++i) {
-        ASSERT_EQ(diagonal[i], (root / moduli[i]) % moduli[i])
-            << name << " leaf " << i;
-        ASSERT_EQ(off[i], other % moduli[i]) << name << " leaf " << i;
+      // Rows: alone (X' = 1), and with one and two other products.
+      const BigInt* others[] = {&other, &multiplier};
+      for (std::size_t count = 0; count <= 2; ++count) {
+        const auto row = std::span<const BigInt* const>(others, count);
+        BigInt product(1);
+        for (const BigInt* o : row) product = product * *o;
+        const auto u = remainder_row_residues(tree, row);
+        ASSERT_EQ(u.size(), moduli.size());
+        for (std::size_t i = 0; i < moduli.size(); ++i) {
+          ASSERT_EQ(u[i], (root / moduli[i] * product) % moduli[i])
+              << name << " others=" << count << " leaf " << i;
+        }
       }
     }
   }
@@ -377,8 +383,10 @@ TEST(ScaledDescent, ConcurrentWalksShareOneLazyReciprocal) {
   const BigInt& root = tree.root();
   util::ThreadPool pool(4);
   std::vector<std::vector<BigInt>> u(8);
+  const BigInt* self[] = {&root};  // X' = root mod root = 0
   pool.parallel_for(u.size(), [&](std::size_t i) {
-    u[i] = remainder_task_residues(tree, root, /*diagonal=*/i % 2 == 0);
+    u[i] = remainder_row_residues(
+        tree, std::span<const BigInt* const>(self, i % 2));
   });
   for (std::size_t i = 0; i < moduli.size(); ++i) {
     EXPECT_EQ(u[0][i], (root / moduli[i]) % moduli[i]);

@@ -105,12 +105,11 @@ TEST(ClusterProtocol, MessageRoundTrips) {
   EXPECT_EQ(subset2->subset, 3u);
   EXPECT_EQ(subset2->moduli, subset.moduli);
 
-  TaskAssignMsg assign{11, 2, 3, 1};
+  TaskAssignMsg assign{11, 16, 1};
   const auto assign2 = TaskAssignMsg::decode(assign.encode());
   ASSERT_TRUE(assign2);
   EXPECT_EQ(assign2->task, 11u);
-  EXPECT_EQ(assign2->product_subset, 2u);
-  EXPECT_EQ(assign2->leaf_subset, 3u);
+  EXPECT_EQ(assign2->subsets, 16u);
   EXPECT_EQ(assign2->attempt, 1u);
 
   TaskResultMsg result;
@@ -219,7 +218,7 @@ TEST(ClusterProtocol, TraceContextTailsRoundTripAndAreRequired) {
     body.resize(body.size() - tail_bytes);
     return body;
   };
-  TaskAssignMsg assign{11, 2, 3, 1};
+  TaskAssignMsg assign{11, 16, 1};
   assign.trace_id = 0xfeedfacecafef00dull;
   assign.parent_span = 77;
   assign.assign_ts_ns = 123456789012345;
@@ -586,8 +585,8 @@ TEST(Cluster, FaultFreeMatchesBatchGcdAcrossWorkerCounts) {
     const auto result =
         batch_gcd_cluster(moduli, fast_config(3, workers), &stats);
     EXPECT_EQ(result.divisors, reference.divisors) << "workers=" << workers;
-    EXPECT_EQ(stats.tasks, 9u);
-    EXPECT_EQ(stats.tasks_executed, 9u);
+    EXPECT_EQ(stats.tasks, 3u);  // one row per subset
+    EXPECT_EQ(stats.tasks_executed, 3u);
     EXPECT_EQ(stats.tasks_resumed, 0u);
     EXPECT_EQ(stats.results_quarantined, 0u);
     EXPECT_GE(stats.workers_spawned, workers);
@@ -628,7 +627,8 @@ TEST(Cluster, ChaosSigkillSigstopAndLossyFramesMatchBatchGcd) {
   faults.corrupt_probability = 0.08;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(4, 4);
+  // k = 16: enough rows (fault draws) for every fault kind to bite.
+  auto config = fast_config(16, 4);
   config.task_timeout = std::chrono::milliseconds(600);
   config.injector = &injector;
   config.restart_budget = 64;
@@ -652,7 +652,8 @@ TEST(Cluster, CorruptResultsAreQuarantinedAndWorkerDemoted) {
   faults.corrupt_probability = 0.6;  // most first attempts ship garbage
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.injector = &injector;
   config.quarantine_strikes = 2;
   ClusterStats stats;
@@ -672,7 +673,8 @@ TEST(Cluster, SigstopIsCaughtByHeartbeatNotTimeoutAlone) {
   faults.sigstop_probability = 0.3;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(5000);  // heartbeat first
   config.heartbeat_interval = std::chrono::milliseconds(20);
@@ -700,7 +702,8 @@ TEST(Cluster, DegradesToFewerWorkersWhenBudgetExhausted) {
   faults.sigkill_probability = 0.25;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 4);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 4);
   config.injector = &injector;
   config.restart_budget = 0;  // the first death retires its slot
   ClusterStats stats;
@@ -733,7 +736,7 @@ TEST(Cluster, HaltedRunResumesFromJournal) {
   const std::string path = temp_checkpoint("resume");
   std::remove(path.c_str());
 
-  auto config = fast_config(4, 2);
+  auto config = fast_config(8, 2);
   config.checkpoint_path = path;
   config.halt_after_tasks = 5;
   EXPECT_THROW(batch_gcd_cluster(moduli, config), CoordinatorInterrupted);
@@ -743,7 +746,7 @@ TEST(Cluster, HaltedRunResumesFromJournal) {
   const auto result = batch_gcd_cluster(moduli, config, &stats);
   EXPECT_EQ(result.divisors, reference.divisors);
   EXPECT_GE(stats.tasks_resumed, 5u);
-  EXPECT_EQ(stats.tasks_resumed + stats.tasks_executed, 16u);
+  EXPECT_EQ(stats.tasks_resumed + stats.tasks_executed, 8u);
   // The journal is superseded by success and removed.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_EQ(f, nullptr);
@@ -760,7 +763,7 @@ TEST(Cluster, JournalIsInterchangeableWithInProcessCoordinator) {
   {  // cluster -> in-process
     const std::string path = temp_checkpoint("x_engine_a");
     std::remove(path.c_str());
-    auto config = fast_config(4, 2);
+    auto config = fast_config(10, 2);
     config.checkpoint_path = path;
     config.halt_after_tasks = 4;
     EXPECT_THROW(batch_gcd_cluster(moduli, config), CoordinatorInterrupted);
@@ -769,19 +772,20 @@ TEST(Cluster, JournalIsInterchangeableWithInProcessCoordinator) {
     inproc.journal_path = path;
     batchgcd::DistributedStats stats;
     const auto result =
-        batchgcd::batch_gcd_distributed(moduli, 4, &pool, &stats, inproc);
+        batchgcd::batch_gcd_distributed(moduli, 10, &pool, &stats, inproc);
     EXPECT_EQ(result.divisors, reference.divisors);
     EXPECT_GE(stats.tasks_resumed, 4u);
+    EXPECT_LT(stats.tasks_resumed, 10u);
   }
   {  // in-process -> cluster
     const std::string path = temp_checkpoint("x_engine_b");
     const std::string spill_dir = path + ".spill.d";
     std::remove(path.c_str());
-    // Cancelled from its own commit counter once 4 tasks are journaled;
-    // 2 ms stalls on every spill operation keep the cancel mid-run.
+    // Cancelled from its own commit counter once 4 rows are journaled;
+    // 5 ms stalls on every spill operation keep the cancel mid-run.
     util::FaultConfig faults;
     faults.storage_slow_probability = 1.0;
-    faults.storage_slow_ms = 2;
+    faults.storage_slow_ms = 5;
     const util::FaultInjector injector(faults);
     batchgcd::TreeStorage storage;
     storage.spill_dir = spill_dir;
@@ -800,18 +804,19 @@ TEST(Cluster, JournalIsInterchangeableWithInProcessCoordinator) {
       token.cancel("simulated kill");
     });
     EXPECT_THROW(
-        batchgcd::batch_gcd_distributed(moduli, 4, &pool, nullptr, inproc),
+        batchgcd::batch_gcd_distributed(moduli, 10, &pool, nullptr, inproc),
         util::Cancelled);
     canceller.join();
     std::filesystem::remove_all(spill_dir);
 
-    auto config = fast_config(4, 2);
+    auto config = fast_config(10, 2);
     config.checkpoint_path = path;
     ClusterStats stats;
     const auto result = batch_gcd_cluster(moduli, config, &stats);
     EXPECT_EQ(result.divisors, reference.divisors);
     EXPECT_EQ(stats.tasks_resumed, executed.value());
     EXPECT_GE(stats.tasks_resumed, 4u);
+    EXPECT_EQ(stats.tasks_resumed + stats.tasks_executed, 10u);
   }
 }
 
@@ -826,7 +831,8 @@ TEST(Cluster, ChaosRunWithCheckpointLeavesNoTmpOrphans) {
   faults.frame_garble_probability = 0.05;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 3);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 3);
   config.task_timeout = std::chrono::milliseconds(600);
   config.injector = &injector;
   config.checkpoint_path = path;
@@ -857,7 +863,8 @@ TEST(Cluster, MetricsSurfaceClusterCounters) {
   faults.conn_disconnect_probability = 0.04;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(1000);
   config.telemetry = &telemetry;
@@ -877,7 +884,7 @@ TEST(Cluster, MetricsSurfaceClusterCounters) {
                 snapshot.counter("cluster.worker.1.deaths"),
             stats.workers_lost);
   EXPECT_EQ(snapshot.counter("cluster.tasks"), 9u);
-  EXPECT_EQ(snapshot.counter("cluster.subsets"), 3u);
+  EXPECT_EQ(snapshot.counter("cluster.subsets"), 9u);
   EXPECT_EQ(snapshot.counter("cluster.workers"), 2u);
   EXPECT_EQ(snapshot.counter("cluster.tasks_executed"), 9u);
   EXPECT_EQ(snapshot.counter("cluster.attempts"), stats.attempts);
@@ -937,7 +944,8 @@ TEST(ClusterTelemetry, FleetCountersSumToCoordinatorCommitsUnderLinkFaults) {
   faults.conn_disconnect_probability = 0.04;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(5000);
   config.telemetry = &telemetry;
@@ -980,7 +988,7 @@ TEST(ClusterTelemetry, MergedFleetTraceCoversEveryCommittedTask) {
   config.telemetry_interval = std::chrono::milliseconds(10);
   ClusterStats stats;
   batch_gcd_cluster(moduli, config, &stats);
-  EXPECT_EQ(stats.tasks_executed, 9u);
+  EXPECT_EQ(stats.tasks_executed, 3u);
   EXPECT_GT(stats.telemetry_spans, 0u);
 
   const std::string trace = slurp(trace_path);
@@ -992,10 +1000,10 @@ TEST(ClusterTelemetry, MergedFleetTraceCoversEveryCommittedTask) {
   EXPECT_NE(trace.find("\"worker 1\""), std::string::npos);
   // One assign span per attempt, one worker span quartet per execution.
   EXPECT_EQ(count_occurrences(trace, "\"task.assign\""), stats.attempts);
-  EXPECT_EQ(count_occurrences(trace, "\"task.recv\""), 9u);
-  EXPECT_EQ(count_occurrences(trace, "\"task.compute\""), 9u);
-  EXPECT_EQ(count_occurrences(trace, "\"task.verify\""), 9u);
-  EXPECT_EQ(count_occurrences(trace, "\"task.send\""), 9u);
+  EXPECT_EQ(count_occurrences(trace, "\"task.recv\""), 3u);
+  EXPECT_EQ(count_occurrences(trace, "\"task.compute\""), 3u);
+  EXPECT_EQ(count_occurrences(trace, "\"task.verify\""), 3u);
+  EXPECT_EQ(count_occurrences(trace, "\"task.send\""), 3u);
   // Worker spans carry the propagated trace context.
   EXPECT_NE(trace.find("\"trace_id\""), std::string::npos);
   EXPECT_NE(trace.find("\"parent_span\""), std::string::npos);
@@ -1090,7 +1098,8 @@ TEST(ClusterSession, ReconnectHealsAbruptDisconnects) {
   faults.conn_disconnect_probability = 0.04;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(1000);
   ClusterStats stats;
@@ -1115,7 +1124,8 @@ TEST(ClusterSession, PartitionAndHalfOpenLinksHealWithinGrace) {
   faults.conn_partition_ms = 400;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(1500);
   ClusterStats stats;
@@ -1137,7 +1147,8 @@ TEST(ClusterSession, SigkilledWorkerIsRespawnedWithoutWaitingOutGrace) {
   faults.sigkill_probability = 0.2;
   const util::FaultInjector injector(faults);
 
-  auto config = fast_config(3, 2);
+  // k = 9: enough rows (fault draws) for the schedule to bite.
+  auto config = fast_config(9, 2);
   config.heartbeat_misses = 400;  // 25 ms x 400 = 10 s of grace
   config.injector = &injector;
   config.task_timeout = std::chrono::milliseconds(600);
@@ -1179,7 +1190,7 @@ TEST(ClusterStream, OnlySubsetsCrossTheWire) {
   ClusterStats stats;
   const auto result = batch_gcd_cluster(moduli, config, &stats);
   EXPECT_EQ(result.divisors, batchgcd::batch_gcd(moduli).divisors);
-  EXPECT_EQ(stats.tasks_executed, 9u);
+  EXPECT_EQ(stats.tasks_executed, 3u);
   EXPECT_EQ(stats.stream_chunks_sent, 3u);
   EXPECT_EQ(stats.stream_resumes, 0u);
 }
@@ -1243,7 +1254,7 @@ TEST(ClusterRemote, SilentAndHalfFrameConnectionsDoNotStallTheRun) {
   ClusterStats stats;
   const auto result = batch_gcd_cluster(moduli, config, &stats);
   EXPECT_EQ(result.divisors, reference.divisors);
-  EXPECT_EQ(stats.tasks_executed, 9u);
+  EXPECT_EQ(stats.tasks_executed, 3u);
   ASSERT_TRUE(silent.valid());
   ASSERT_TRUE(half_frame.valid());
   EXPECT_TRUE(closed_without_reply(silent.get(), std::chrono::seconds(2)));
@@ -1275,7 +1286,7 @@ TEST(ClusterRemote, MaxLengthHeadersDoNotCommitMemory) {
   const auto result = batch_gcd_cluster(moduli, config, &stats);
   const auto after = obs::sample_proc_self();
   EXPECT_EQ(result.divisors, reference.divisors);
-  EXPECT_EQ(stats.tasks_executed, 9u);
+  EXPECT_EQ(stats.tasks_executed, 3u);
   ASSERT_EQ(stalled.size(), 4u);
   for (const auto& fd : stalled) {
     EXPECT_TRUE(closed_without_reply(fd.get(), std::chrono::seconds(2)));
@@ -1320,7 +1331,7 @@ TEST(ClusterRemote, HelloWithOtherProtocolVersionIsRefused) {
   ClusterStats stats;
   const auto result = batch_gcd_cluster(moduli, config, &stats);
   EXPECT_EQ(result.divisors, reference.divisors);
-  EXPECT_EQ(stats.tasks_executed, 9u);
+  EXPECT_EQ(stats.tasks_executed, 3u);
   ASSERT_GT(worker, 0);
   int status = 0;
   ASSERT_EQ(::waitpid(worker, &status, 0), worker);
@@ -1405,7 +1416,7 @@ TEST(ClusterRemote, DialInWorkersMatchBatchGcd) {
   ClusterStats stats;
   const auto result = batch_gcd_cluster(moduli, config, &stats);
   EXPECT_EQ(result.divisors, reference.divisors);
-  EXPECT_EQ(stats.tasks_executed + stats.tasks_resumed, 9u);
+  EXPECT_EQ(stats.tasks_executed + stats.tasks_resumed, 3u);
 
   for (const pid_t pid : pids) {
     int status = 0;

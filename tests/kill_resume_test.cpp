@@ -43,7 +43,8 @@ core::StudyConfig harness_config(const std::string& cache_path) {
   config.sim.seed = kSeed;
   config.sim.scale = 0.02;
   config.sim.miller_rabin_rounds = 4;
-  config.batch_gcd_subsets = 3;
+  // Six rows on two threads: a kill after two commits lands mid-factor.
+  config.batch_gcd_subsets = 6;
   config.threads = 2;
   config.cache_path = cache_path;  // the default path journals to .gcdckpt
   return config;
@@ -182,7 +183,7 @@ TEST_F(KillResumeTest, KillMidFactorResumesOnlyUnfinishedTasks) {
   const auto config = harness_config(cache);
 
   // A spin watcher inside the child SIGKILLs the process as soon as two
-  // remainder-tree tasks have committed to the journal — squarely inside
+  // rows have committed to the journal — squarely inside
   // the batch-GCD stage, possibly mid-append of the next record.
   ASSERT_TRUE(run_child_until_killed(
       [](core::Study& study) {

@@ -256,12 +256,12 @@ TEST(CoordinatorCancel, MidRunCancelRetainsJournalAndResumes) {
     while (executed.value() < 2) std::this_thread::yield();
     token.cancel("mid-run cancel");
   });
-  EXPECT_THROW(batchgcd::batch_gcd_distributed(moduli, 4, &pool, nullptr,
+  EXPECT_THROW(batchgcd::batch_gcd_distributed(moduli, 8, &pool, nullptr,
                                                options),
                util::Cancelled);
   canceller.join();
   EXPECT_GT(executed.value(), 0u);
-  EXPECT_LT(executed.value(), 16u);
+  EXPECT_LT(executed.value(), 8u);
   {
     std::ifstream journal(ckpt, std::ios::binary);
     EXPECT_TRUE(journal.good()) << "cancel must retain the journal";
@@ -273,7 +273,7 @@ TEST(CoordinatorCancel, MidRunCancelRetainsJournalAndResumes) {
   resume.journal_path = ckpt;
   batchgcd::DistributedStats resumed;
   const auto result =
-      batchgcd::batch_gcd_distributed(moduli, 4, &pool, &resumed, resume);
+      batchgcd::batch_gcd_distributed(moduli, 8, &pool, &resumed, resume);
   EXPECT_EQ(resumed.tasks_resumed, executed.value());
   ASSERT_EQ(result.divisors.size(), reference.divisors.size());
   for (std::size_t i = 0; i < reference.divisors.size(); ++i) {
@@ -353,7 +353,7 @@ TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
   };
   remove_family();
   auto config = tiny_study_config(782);
-  config.batch_gcd_subsets = 4;
+  config.batch_gcd_subsets = 8;
   config.cache_path = cache;
   {
     core::Study study(config);
@@ -365,7 +365,7 @@ TEST(StudyLifecycle, CancelMidFactorRetainsJournalAndResumes) {
     });
     EXPECT_THROW(study.run(), util::Cancelled);
     canceller.join();
-    EXPECT_LT(executed.value(), 16u) << "the cancel landed after factoring";
+    EXPECT_LT(executed.value(), 8u) << "the cancel landed after factoring";
     std::ifstream journal(cache + ".gcdckpt", std::ios::binary);
     EXPECT_TRUE(journal.good()) << "cancel must retain the journal";
   }

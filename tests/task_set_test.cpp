@@ -1,8 +1,8 @@
-// The k-subset task set and the journaled in-process path built on it:
+// The k-subset row set and the journaled in-process path built on it:
 // partition and claim rule, verification of replayed claims, output
 // equivalence with batch_gcd() fresh and resumed, the resume journal under
-// truncation, bit flips, torn writes and corpus mismatch, cancellation, and
-// Study integration.
+// truncation, bit flips, torn writes, corpus mismatch and the retired
+// k^2-task format, cancellation, and Study integration.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
+#include "util/binary_io.hpp"
 #include "util/fault_injector.hpp"
 #include "util/spill_file.hpp"
 #include "util/thread_pool.hpp"
@@ -96,8 +97,8 @@ Outcome journaled_run(std::span<const BigInt> moduli, std::size_t k,
 
 /// The in-process stand-in for a killed run: a journaled run cancelled from
 /// its own `coordinator.tasks_executed` counter once `after` tasks have
-/// committed. Every spill operation stalls 2 ms (spill threshold 0, slow
-/// storage tier), which stretches each task well past the canceller's
+/// committed. Every spill operation stalls 5 ms (spill threshold 0, slow
+/// storage tier), which stretches each row well past the canceller's
 /// reaction time, so the cancel lands mid-run. Returns the number of tasks
 /// that committed — and so reached the journal — before the run unwound.
 std::uint64_t cancelled_run(std::span<const BigInt> moduli, std::size_t k,
@@ -106,7 +107,7 @@ std::uint64_t cancelled_run(std::span<const BigInt> moduli, std::size_t k,
   const std::string dir = journal + ".spill.d";
   util::FaultConfig faults = extra_faults;
   faults.storage_slow_probability = 1.0;
-  faults.storage_slow_ms = 2;
+  faults.storage_slow_ms = 5;
   const util::FaultInjector injector(faults);
   TreeStorage storage;
   storage.spill_dir = dir;
@@ -131,7 +132,7 @@ std::uint64_t cancelled_run(std::span<const BigInt> moduli, std::size_t k,
   canceller.join();
   std::filesystem::remove_all(dir);
   EXPECT_GE(executed.value(), after);
-  EXPECT_LT(executed.value(), k * k) << "the cancel landed after the run";
+  EXPECT_LT(executed.value(), k) << "the cancel landed after the run";
   return executed.value();
 }
 
@@ -141,7 +142,7 @@ TEST(TaskSet, PartitionsContiguouslyAndMapsTasks) {
   const auto moduli = make_moduli(1, 10);  // 17 moduli
   const TaskSet tasks(moduli, 4);
   EXPECT_EQ(tasks.k(), 4u);
-  EXPECT_EQ(tasks.size(), 16u);
+  EXPECT_EQ(tasks.size(), 4u);  // one row per subset
   std::size_t covered = 0;
   for (std::size_t a = 0; a < tasks.k(); ++a) {
     const auto subset = tasks.subset(a);
@@ -150,8 +151,6 @@ TEST(TaskSet, PartitionsContiguouslyAndMapsTasks) {
     covered += subset.size();
   }
   EXPECT_EQ(covered, moduli.size());
-  EXPECT_EQ(tasks.product_of(6), 1u);
-  EXPECT_EQ(tasks.subset_of(6), 2u);
   // k clamps to [1, moduli.size()].
   EXPECT_EQ(TaskSet(moduli, 0).k(), 1u);
   EXPECT_EQ(TaskSet(moduli, 100).k(), moduli.size());
@@ -164,16 +163,17 @@ TEST(TaskSet, CommittingEveryTaskReproducesBatchGcd) {
   for (std::size_t a = 0; a < tasks.k(); ++a) {
     trees.push_back(std::make_unique<ProductTree>(tasks.subset(a)));
   }
-  // Reverse order: accumulation is commutative.
-  for (std::size_t t = tasks.size(); t-- > 0;) {
-    const std::size_t b = tasks.product_of(t);
-    const std::size_t a = tasks.subset_of(t);
+  // Reverse order: rows commit independently.
+  for (std::size_t a = tasks.size(); a-- > 0;) {
+    std::vector<const BigInt*> others;
+    for (std::size_t b = 0; b < tasks.k(); ++b) {
+      if (b != a) others.push_back(&trees[b]->root());
+    }
     const auto claims = leaf_claims(
-        tasks.subset(a),
-        remainder_task_residues(*trees[a], trees[b]->root(), a == b));
-    EXPECT_TRUE(tasks.verify(t, claims));
-    EXPECT_TRUE(tasks.commit(t, claims));
-    EXPECT_FALSE(tasks.commit(t, claims)) << "a task commits exactly once";
+        tasks.subset(a), remainder_row_residues(*trees[a], others));
+    EXPECT_TRUE(tasks.verify(a, claims));
+    EXPECT_TRUE(tasks.commit(a, claims));
+    EXPECT_FALSE(tasks.commit(a, claims)) << "a row commits exactly once";
   }
   EXPECT_TRUE(tasks.complete());
   EXPECT_EQ(tasks.combine().divisors, batch_gcd(moduli).divisors);
@@ -188,9 +188,9 @@ TEST(Coordinator, FaultFreeMatchesBatchGcd) {
   for (const std::size_t k : {1u, 3u, 5u}) {
     const Outcome run = journaled_run(moduli, k, journal);
     EXPECT_EQ(run.result.divisors, reference.divisors) << "k=" << k;
-    EXPECT_EQ(run.stats.tasks, k * k);
+    EXPECT_EQ(run.stats.tasks, k);
     EXPECT_EQ(run.stats.tasks_resumed, 0u);
-    EXPECT_EQ(run.executed, k * k);
+    EXPECT_EQ(run.executed, k);
     EXPECT_FALSE(std::ifstream(journal).good()) << "success removes it";
   }
 }
@@ -216,6 +216,14 @@ TEST(Coordinator, CorruptedResultsAreCaughtNotAccepted) {
   std::remove(journal.c_str());
   {
     TaskSet tasks(moduli, 3);
+    // Row 1's true claims, computed as any engine would.
+    std::vector<std::unique_ptr<ProductTree>> trees;
+    for (std::size_t a = 0; a < tasks.k(); ++a) {
+      trees.push_back(std::make_unique<ProductTree>(tasks.subset(a)));
+    }
+    const BigInt* others[] = {&trees[0]->root(), &trees[2]->root()};
+    const auto row1 = leaf_claims(tasks.subset(1),
+                                  remainder_row_residues(*trees[1], others));
     const BigInt& n = tasks.subset(0)[2];
     const std::vector<TaskClaim> bogus = {{2, n - BigInt(1)}};
     EXPECT_FALSE(tasks.verify(0, bogus));
@@ -226,12 +234,12 @@ TEST(Coordinator, CorruptedResultsAreCaughtNotAccepted) {
     EXPECT_TRUE(tasks.verify(0, {{2, n}}));
     tasks.open_journal(journal);
     tasks.commit(0, bogus);  // commit() trusts its caller; replay does not
-    tasks.commit(4, {});
+    tasks.commit(1, row1);
   }  // the journal closes with the TaskSet
   const Outcome run = journaled_run(moduli, 3, journal);
   EXPECT_EQ(run.result.divisors, reference.divisors);
-  EXPECT_EQ(run.stats.tasks_resumed, 1u);  // task 4 only
-  EXPECT_EQ(run.executed, 8u);
+  EXPECT_EQ(run.stats.tasks_resumed, 1u);  // row 1 only
+  EXPECT_EQ(run.executed, 2u);
 }
 
 TEST(Coordinator, ExhaustedRetriesThrow) {
@@ -323,16 +331,16 @@ class CoordinatorCheckpoint : public ::testing::Test {
 TEST_F(CoordinatorCheckpoint, KilledRunResumesExecutingOnlyUnfinishedTasks) {
   const auto moduli = make_moduli(301, 20);
   const auto reference = batch_gcd(moduli);
-  const std::size_t k = 4;
+  const std::size_t k = 8;
 
-  const std::uint64_t first = cancelled_run(moduli, k, path_, 5);
+  const std::uint64_t first = cancelled_run(moduli, k, path_, 3);
 
   const Outcome second = journaled_run(moduli, k, path_);
   EXPECT_EQ(second.result.divisors, reference.divisors);
   // The resumed run loads exactly what the killed run committed and
   // re-executes only the remainder.
   EXPECT_EQ(second.stats.tasks_resumed, first);
-  EXPECT_EQ(second.executed, k * k - first);
+  EXPECT_EQ(second.executed, k - first);
   // Success removes the journal; a third run starts from scratch.
   EXPECT_EQ(journaled_run(moduli, k, path_).stats.tasks_resumed, 0u);
 }
@@ -346,9 +354,9 @@ TEST_F(CoordinatorCheckpoint, ResumeSurvivesInjectedFaults) {
   faults.seed = 7;
   faults.storage_short_write_probability = 0.15;
   faults.storage_bit_flip_probability = 0.15;
-  const std::uint64_t first = cancelled_run(moduli, 4, path_, 6, faults);
+  const std::uint64_t first = cancelled_run(moduli, 10, path_, 4, faults);
 
-  const Outcome second = journaled_run(moduli, 4, path_);
+  const Outcome second = journaled_run(moduli, 10, path_);
   EXPECT_EQ(second.result.divisors, reference.divisors);
   EXPECT_EQ(second.stats.tasks_resumed, first);
 }
@@ -356,14 +364,14 @@ TEST_F(CoordinatorCheckpoint, ResumeSurvivesInjectedFaults) {
 TEST_F(CoordinatorCheckpoint, TruncatedOrFlippedJournalIsDiscardedSafely) {
   const auto moduli = make_moduli(303, 16);
   const auto reference = batch_gcd(moduli);
-  cancelled_run(moduli, 3, path_, 4);
+  cancelled_run(moduli, 8, path_, 3);
   const std::string bytes = slurp(path_);
   ASSERT_FALSE(bytes.empty());
 
   for (const double keep_fraction : {0.3, 0.65, 0.95}) {
     write_bytes(path_, bytes,
                 static_cast<std::size_t>(bytes.size() * keep_fraction));
-    const Outcome run = journaled_run(moduli, 3, path_);
+    const Outcome run = journaled_run(moduli, 8, path_);
     EXPECT_EQ(run.result.divisors, reference.divisors)
         << "keep=" << keep_fraction;
     EXPECT_EQ(run.stats.tasks_resumed + run.executed, run.stats.tasks);
@@ -374,7 +382,7 @@ TEST_F(CoordinatorCheckpoint, TruncatedOrFlippedJournalIsDiscardedSafely) {
   std::string flipped = bytes;
   flipped[flipped.size() / 2] ^= 0x40;
   write_bytes(path_, flipped, flipped.size());
-  EXPECT_EQ(journaled_run(moduli, 3, path_).result.divisors,
+  EXPECT_EQ(journaled_run(moduli, 8, path_).result.divisors,
             reference.divisors);
 }
 
@@ -385,7 +393,7 @@ TEST_F(CoordinatorCheckpoint, TornWriteAtEveryBoundaryResumesExactPrefix) {
   // contract the fractional-truncation test above only samples.
   const auto moduli = make_moduli(306, 16);
   const auto reference = batch_gcd(moduli);
-  const std::size_t k = 3;
+  const std::size_t k = 10;
   const std::uint64_t first = cancelled_run(moduli, k, path_, 5);
   const std::string bytes = slurp(path_);
 
@@ -414,7 +422,7 @@ TEST_F(CoordinatorCheckpoint, TornWriteAtEveryBoundaryResumesExactPrefix) {
     const Outcome run = journaled_run(moduli, k, path_);
     EXPECT_EQ(run.result.divisors, reference.divisors) << "boundary " << i;
     EXPECT_EQ(run.stats.tasks_resumed, i) << "boundary " << i;
-    EXPECT_EQ(run.executed, k * k - i) << "boundary " << i;
+    EXPECT_EQ(run.executed, k - i) << "boundary " << i;
   }
   for (std::size_t i = 1; i < boundaries.size(); ++i) {
     // Cut mid-record: record i is torn and must be dropped, records
@@ -424,7 +432,7 @@ TEST_F(CoordinatorCheckpoint, TornWriteAtEveryBoundaryResumesExactPrefix) {
     const Outcome run = journaled_run(moduli, k, path_);
     EXPECT_EQ(run.result.divisors, reference.divisors) << "mid-record " << i;
     EXPECT_EQ(run.stats.tasks_resumed, i - 1) << "mid-record " << i;
-    EXPECT_EQ(run.executed, k * k - (i - 1)) << "mid-record " << i;
+    EXPECT_EQ(run.executed, k - (i - 1)) << "mid-record " << i;
   }
 
   // Duplicate-replay sweep: append a byte-exact copy of each record in
@@ -439,19 +447,53 @@ TEST_F(CoordinatorCheckpoint, TornWriteAtEveryBoundaryResumesExactPrefix) {
     const Outcome run = journaled_run(moduli, k, path_);
     EXPECT_EQ(run.result.divisors, reference.divisors) << "duplicate of " << i;
     EXPECT_EQ(run.stats.tasks_resumed, records) << "duplicate of " << i;
-    EXPECT_EQ(run.executed, k * k - records) << "duplicate of " << i;
+    EXPECT_EQ(run.executed, k - records) << "duplicate of " << i;
   }
 }
 
 TEST_F(CoordinatorCheckpoint, MismatchedCorpusInvalidatesJournal) {
   const auto moduli = make_moduli(304, 16);
-  cancelled_run(moduli, 3, path_, 4);
+  cancelled_run(moduli, 8, path_, 3);
 
   // Different corpus, same journal path: nothing may be resumed.
   const auto other = make_moduli(305, 16);
-  const Outcome run = journaled_run(other, 3, path_);
+  const Outcome run = journaled_run(other, 8, path_);
   EXPECT_EQ(run.stats.tasks_resumed, 0u);
   EXPECT_EQ(run.result.divisors, batch_gcd(other).divisors);
+}
+
+TEST_F(CoordinatorCheckpoint, SquaredTaskJournalIsDiscarded) {
+  // A journal from the k^2-task engine: same moduli and k, total k^2,
+  // version 1, and records for tasks that were (product, subset) pairs. A
+  // second one carries the current version with the old total. Neither may
+  // resume a row; both runs recompute everything and match batch_gcd().
+  const auto moduli = make_moduli(307, 16);
+  const auto reference = batch_gcd(moduli);
+  const std::size_t k = 3;
+  const std::uint64_t fingerprint = corpus_fingerprint(moduli, k);
+  for (const std::uint32_t version : {1u, 2u}) {
+    util::BufferWriter w;
+    w.u32(0x574b4350);  // "WKCP"
+    w.u32(version);
+    w.u64(fingerprint);
+    w.u32(static_cast<std::uint32_t>(k * k));
+    for (std::uint32_t task = 0; task < k * k; ++task) {
+      util::BufferWriter record;
+      record.u32(task);
+      record.u32(0);  // no claims: wrong for every row with a divisor
+      w.bytes(record.data());
+      w.u32(util::crc32(record.data()));
+    }
+    write_bytes(path_,
+                std::string(w.data().begin(), w.data().end()),
+                w.data().size());
+    const Outcome run = journaled_run(moduli, k, path_);
+    EXPECT_EQ(run.result.divisors, reference.divisors) << "v" << version;
+    EXPECT_EQ(run.stats.tasks, k);
+    EXPECT_EQ(run.stats.tasks_resumed, 0u) << "v" << version;
+    EXPECT_EQ(run.executed, k) << "v" << version;
+    EXPECT_FALSE(std::ifstream(path_).good()) << "success removes it";
+  }
 }
 
 // ------------------------------------------------------ Study integration ----
@@ -481,11 +523,11 @@ TEST(StudyCoordinator, JournaledStudyMatchesUnjournaledRun) {
   }
   EXPECT_EQ(journaled.vulnerable().size(), plain.vulnerable().size());
   const auto& stats = journaled.distributed_stats();
-  EXPECT_EQ(stats.tasks, 9u);
+  EXPECT_EQ(stats.tasks, 3u);  // one row per subset
   EXPECT_EQ(stats.tasks_resumed, 0u);
   const auto snap = journaled.telemetry().metrics().snapshot();
-  EXPECT_EQ(snap.counter("coordinator.tasks"), 9u);
-  EXPECT_EQ(snap.counter("coordinator.tasks_executed"), 9u);
+  EXPECT_EQ(snap.counter("coordinator.tasks"), 3u);
+  EXPECT_EQ(snap.counter("coordinator.tasks_executed"), 3u);
   // The factor cache supersedes the journal once factoring finishes.
   EXPECT_FALSE(std::ifstream(cache + ".gcdckpt").good());
   for (const char* suffix : {"", ".factors"}) {

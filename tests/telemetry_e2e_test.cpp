@@ -42,7 +42,7 @@ class TelemetryE2E : public ::testing::Test {
     config.sim.seed = 424;
     config.sim.scale = 0.01;
     config.sim.miller_rabin_rounds = 4;
-    config.batch_gcd_subsets = 4;  // 16 remainder-tree tasks
+    config.batch_gcd_subsets = 4;  // 4 rows
     config.threads = 4;
     config.cache_path.clear();  // always simulate + factor from scratch
     // Every subset tree spills through a faulty disk: torn writes, failed
@@ -101,7 +101,7 @@ TEST_F(TelemetryE2E, NoisyFaultInjectedRunTelemetryMatchesPipelineStats) {
 
   // --- task counters agree exactly with DistributedStats ---------------
   const batchgcd::DistributedStats& gcd = study.distributed_stats();
-  EXPECT_EQ(gcd.tasks, 16u);
+  EXPECT_EQ(gcd.tasks, 4u);  // one row per subset
   EXPECT_EQ(snap.counter("coordinator.tasks"), gcd.tasks);
   EXPECT_EQ(snap.counter("coordinator.subsets"), gcd.subsets);
   EXPECT_EQ(snap.counter("coordinator.tasks_resumed"), gcd.tasks_resumed);
