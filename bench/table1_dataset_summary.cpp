@@ -14,10 +14,12 @@ int main() {
   const auto& facts = study.facts();
 
   // HTTPS-restricted views (Table 1 reports HTTPS-specific rows). A
-  // certificate counts once however many records show it.
+  // certificate counts once however many records show it, and a modulus
+  // once however many certificates carry it.
   std::size_t https_records = 0, https_certs = 0, https_vuln_certs = 0;
-  std::size_t https_vuln_records = 0;
+  std::size_t https_vuln_records = 0, https_moduli = 0;
   std::vector<bool> seen(facts.index.size());
+  std::vector<bool> modulus_seen(facts.index.moduli());
   for (std::size_t s = 0; s < ds.snapshots.size(); ++s) {
     if (ds.snapshots[s].protocol != netsim::Protocol::kHttps) continue;
     https_records += ds.snapshots[s].records.size();
@@ -29,10 +31,12 @@ int main() {
       seen[c] = true;
       ++https_certs;
       https_vuln_certs += vulnerable;
+      const std::uint32_t m = facts.index.modulus_of[c];
+      if (modulus_seen[m]) continue;
+      modulus_seen[m] = true;
+      ++https_moduli;
     }
   }
-  const std::size_t https_moduli =
-      ds.distinct_moduli(netsim::Protocol::kHttps).size();
 
   analysis::TextTable table({"quantity", "value"});
   table.add_row({"HTTPS host records", analysis::with_commas(https_records)});

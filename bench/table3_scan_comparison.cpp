@@ -1,7 +1,9 @@
 // Table 3: earliest (EFF, July 2010) vs latest (Censys, April 2016) HTTPS
 // scan — handshakes, distinct certificates, distinct RSA keys.
 #include <cstdio>
-#include <unordered_set>
+#include <optional>
+#include <set>
+#include <utility>
 
 #include "analysis/report.hpp"
 #include "common.hpp"
@@ -14,14 +16,20 @@ struct ScanSummary {
   std::size_t distinct_keys = 0;
 };
 
-ScanSummary summarize(const weakkeys::netsim::ScanSnapshot& snap) {
+/// Snapshot `s`'s counts. A certificate is told apart by its serial and
+/// modulus, a key by its modulus id.
+ScanSummary summarize(const weakkeys::netsim::ScanDataset& ds,
+                      const weakkeys::netsim::CertificateIndex& index,
+                      std::size_t s) {
+  const auto& records = ds.snapshots[s].records;
   ScanSummary out;
-  out.handshakes = snap.records.size();
-  std::unordered_set<std::string> certs, keys;
-  for (const auto& rec : snap.records) {
-    certs.insert(std::to_string(rec.cert().serial) + "/" +
-                 rec.cert().key.n.to_hex());
-    keys.insert(rec.cert().key.n.to_hex());
+  out.handshakes = records.size();
+  std::set<std::pair<std::uint64_t, std::uint32_t>> certs;
+  std::set<std::uint32_t> keys;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const std::uint32_t m = index.modulus_of[index.slots[s][r]];
+    certs.emplace(records[r].cert().serial, m);
+    keys.insert(m);
   }
   out.distinct_certs = certs.size();
   out.distinct_keys = keys.size();
@@ -33,18 +41,21 @@ ScanSummary summarize(const weakkeys::netsim::ScanSnapshot& snap) {
 int main() {
   using namespace weakkeys;
   auto& study = bench::shared_study();
+  const auto& ds = study.dataset();
 
-  const netsim::ScanSnapshot* first = nullptr;
-  const netsim::ScanSnapshot* last = nullptr;
-  for (const auto& snap : study.dataset().snapshots) {
-    if (snap.protocol != netsim::Protocol::kHttps) continue;
-    if (!first) first = &snap;
-    last = &snap;
+  std::optional<std::size_t> first_s, last_s;
+  for (std::size_t s = 0; s < ds.snapshots.size(); ++s) {
+    if (ds.snapshots[s].protocol != netsim::Protocol::kHttps) continue;
+    if (!first_s) first_s = s;
+    last_s = s;
   }
-  if (!first || !last) return 1;
+  if (!first_s) return 1;
+  const netsim::ScanSnapshot* first = &ds.snapshots[*first_s];
+  const netsim::ScanSnapshot* last = &ds.snapshots[*last_s];
 
-  const ScanSummary a = summarize(*first);
-  const ScanSummary b = summarize(*last);
+  const auto& index = study.facts().index;
+  const ScanSummary a = summarize(ds, index, *first_s);
+  const ScanSummary b = summarize(ds, index, *last_s);
 
   std::printf("== Table 3: earliest vs latest scan ==\n");
   analysis::TextTable table(

@@ -16,7 +16,8 @@ namespace weakkeys::analysis {
 
 /// A factored modulus, with what fingerprinting found for it.
 struct FactoredKey {
-  bn::BigInt n;
+  /// Its modulus id in the certificate index the facts are built over.
+  std::uint32_t modulus = netsim::CertificateIndex::kNone;
   /// In a degenerate-generator clique: its certificates are IBM RSA-II.
   bool clique = false;
   /// Shared-prime vendor for its certificates without a subject label.
@@ -51,17 +52,15 @@ struct CertificateFacts {
   }
 };
 
-/// The facts over `dataset`, whose index_certificates() is `index`;
-/// `subject_labels` line up with it (SubjectRules::classify_all). A
-/// certificate's label is the first that applies of: IBM RSA-II for a
-/// clique modulus, its subject label, its modulus's extrapolated vendor. It
-/// is vulnerable when its modulus is in `factored`. The lookups run on
-/// `pool` when given, polling `cancel`; ids are assigned in index order, so
-/// the facts do not depend on the pool.
+/// The facts over the certificates of `index`; `subject_labels` line up
+/// with it (SubjectRules::classify_all). A certificate's label is the
+/// first that applies of: IBM RSA-II for a clique modulus, its subject
+/// label, its modulus's extrapolated vendor. It is vulnerable when its
+/// modulus is in `factored`. Each certificate reads its key by modulus id,
+/// and label ids are assigned in index order.
 CertificateFacts build_certificate_facts(
-    const netsim::ScanDataset& dataset, netsim::CertificateIndex index,
+    netsim::CertificateIndex index,
     const std::vector<std::optional<fingerprint::VendorLabel>>& subject_labels,
-    const std::vector<FactoredKey>& factored, util::ThreadPool* pool = nullptr,
-    const util::CancellationToken* cancel = nullptr);
+    const std::vector<FactoredKey>& factored);
 
 }  // namespace weakkeys::analysis

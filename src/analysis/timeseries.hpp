@@ -14,10 +14,6 @@ namespace weakkeys::analysis {
 /// The set of factored (vulnerable) moduli, keyed by hex.
 class VulnerableSet {
  public:
-  VulnerableSet() = default;
-  explicit VulnerableSet(std::unordered_set<std::string> hex)
-      : hex_(std::move(hex)) {}
-
   void insert(const bn::BigInt& n) { hex_.insert(n.to_hex()); }
   [[nodiscard]] bool contains(const bn::BigInt& n) const {
     return hex_.contains(n.to_hex());

@@ -1,9 +1,9 @@
 #include "core/ingest.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cert/certificate.hpp"
@@ -216,14 +216,23 @@ IngestResult ingest_dataset(const netsim::ScanDataset& raw,
   // degenerate moduli in the order their first records appear.
   IngestResult result;
   SerialRegistry serials;
-  std::unordered_set<std::string> degenerate_seen;
+  // A degenerate modulus is listed once, told apart by its id in `index`;
+  // only a decoded raw record's modulus can lack one, and it is compared
+  // with those already listed.
+  std::vector<std::uint8_t> listed(index.moduli());
+  const auto first_listing = [&](const bn::BigInt& n) {
+    const std::uint32_t m = index.find_modulus(raw, n);
+    if (m != CertificateIndex::kNone) return std::exchange(listed[m], 1) == 0;
+    const auto& all = result.degenerate_moduli;
+    return std::find(all.begin(), all.end(), n) == all.end();
+  };
   const auto check = [&](Screened& c, const cert::Certificate& cert,
                          bool claim_serial) {
     if (!c.verdict) {
       c.verdict = serials.check(cert.serial, c.subject, claim_serial);
     }
     if (c.verdict && is_degenerate_modulus(*c.verdict) &&
-        degenerate_seen.insert(cert.key.n.to_hex()).second) {
+        first_listing(cert.key.n)) {
       result.degenerate_moduli.push_back(cert.key.n);
     }
   };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
+#include <stdexcept>
 
 #include "analysis/chains.hpp"
 #include "batchgcd/distributed.hpp"
@@ -228,7 +228,8 @@ void write_bigint(util::BinaryWriter& w, const bn::BigInt& v) {
 
 }  // namespace
 
-bool Study::load_factor_cache(const std::string& path) {
+bool Study::load_factor_cache(const std::string& path,
+                              const netsim::CertificateIndex& index) {
   // Truncated or bit-flipped caches fail the length+CRC footer and fall
   // back to recomputation, mirroring the dataset cache's truncation safety.
   if (!util::verify_checksum_footer(path)) return false;
@@ -258,6 +259,10 @@ bool Study::load_factor_cache(const std::string& path) {
       f.p = read_bigint(r);
       f.q = read_bigint(r);
       f.divisor_class = static_cast<fingerprint::DivisorClass>(r.u32());
+      f.modulus = index.find_modulus(dataset_, f.n);
+      if (f.modulus == netsim::CertificateIndex::kNone) {
+        throw std::runtime_error("factored modulus not in the corpus");
+      }
       vulnerable_.insert(f.n);
       factored_.push_back(std::move(f));
     }
@@ -340,7 +345,8 @@ DivisorPass classify_divisors(const std::vector<bn::BigInt>& moduli,
     switch (verdicts[k].cls) {
       case DivisorClass::kSharedPrime:
         out.factored.push_back({moduli[i], verdicts[k].split->p,
-                                verdicts[k].split->q, verdicts[k].cls});
+                                verdicts[k].split->q, verdicts[k].cls,
+                                static_cast<std::uint32_t>(i)});
         ++out.counts.shared_prime;
         break;
       case DivisorClass::kFullModulus:
@@ -364,7 +370,7 @@ void Study::factor_moduli(util::ThreadPool& pool,
   auto& metrics = telemetry_.metrics();
   const std::string factor_cache =
       config_.cache_path.empty() ? "" : config_.cache_path + ".factors";
-  if (!factor_cache.empty() && load_factor_cache(factor_cache)) {
+  if (!factor_cache.empty() && load_factor_cache(factor_cache, index)) {
     metrics.counter("cache.factors.hit").inc();
     record_factor_metrics();
     log("loaded " + std::to_string(factored_.size()) +
@@ -374,8 +380,7 @@ void Study::factor_moduli(util::ThreadPool& pool,
   if (!factor_cache.empty()) metrics.counter("cache.factors.miss").inc();
 
   obs::Span distinct_span = telemetry_.tracer().span("study.distinct_moduli");
-  const std::vector<bn::BigInt> moduli =
-      dataset_.distinct_moduli(&pool, &index);
+  const std::vector<bn::BigInt> moduli = dataset_.distinct_moduli(&index);
   distinct_span.end();
   stats_.distinct_moduli = moduli.size();
   log("running batch GCD over " + std::to_string(moduli.size()) +
@@ -484,7 +489,8 @@ void Study::factor_moduli(util::ThreadPool& pool,
       const bn::BigInt g = bn::gcd(moduli[i], moduli[j]);
       if (g > bn::BigInt(1) && g < moduli[i]) {
         factored_.push_back({moduli[i], g, moduli[i] / g,
-                             fingerprint::DivisorClass::kFullModulus});
+                             fingerprint::DivisorClass::kFullModulus,
+                             static_cast<std::uint32_t>(i)});
         vulnerable_.insert(moduli[i]);
         ++stats_.second_pass_factored;
         break;
@@ -548,9 +554,11 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   triples.reserve(factored_.size());
   for (const auto& f : factored_) triples.push_back({f.p, f.q, f.n});
   cliques_ = fingerprint::find_degenerate_cliques(triples);
-  analysis::VulnerableSet clique_moduli;
+  std::vector<std::uint8_t> in_clique(index.moduli());
   for (const auto& clique : cliques_) {
-    for (const auto& n : clique.moduli) clique_moduli.insert(n);
+    for (const auto& n : clique.moduli) {
+      in_clique[index.find_modulus(dataset_, n)] = 1;
+    }
   }
   log("found " + std::to_string(cliques_.size()) +
       " degenerate-generator cliques");
@@ -566,11 +574,10 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   // banner of the first record that shows it.
   const auto labels =
       subject_rules_.classify_all(dataset_, index, &pool, &token_);
-  std::unordered_map<std::string, std::set<std::string>> subject_vendors;
+  std::vector<std::set<std::string>> subject_vendors(index.moduli());
   for (std::size_t i = 0; i < index.size(); ++i) {
     if (!labels[i]) continue;
-    const cert::Certificate& c = index.first_record(dataset_, i).cert();
-    subject_vendors[c.key.n.to_hex()].insert(labels[i]->vendor);
+    subject_vendors[index.modulus_of[i]].insert(labels[i]->vendor);
   }
 
   subject_span.end();
@@ -581,17 +588,15 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
   obs::Span pools_span = telemetry_.tracer().span("fingerprint.prime_pools");
   // factored_vendor_ records each modulus's vendor as it is settled.
   std::vector<analysis::FactoredKey> keys;
-  std::vector<bool> subject_labeled(factored_.size());
   factored_vendor_.assign(factored_.size(), "");
   for (std::size_t i = 0; i < factored_.size(); ++i) {
     const FactorRecord& f = factored_[i];
-    keys.push_back({f.n, clique_moduli.contains(f.n), ""});
-    const auto it = subject_vendors.find(f.n.to_hex());
-    subject_labeled[i] = it != subject_vendors.end();
+    keys.push_back({f.modulus, in_clique[f.modulus] != 0, ""});
+    const std::set<std::string>& vendors = subject_vendors[f.modulus];
     if (keys[i].clique) {
       factored_vendor_[i] = "IBM";
-    } else if (subject_labeled[i] && it->second.size() == 1) {
-      factored_vendor_[i] = *it->second.begin();
+    } else if (vendors.size() == 1) {
+      factored_vendor_[i] = *vendors.begin();
       pools_.add(factored_vendor_[i], f.p);
       pools_.add(factored_vendor_[i], f.q);
     }
@@ -604,9 +609,9 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
       telemetry_.tracer().span("fingerprint.extrapolate");
   std::size_t extrapolated = 0;
   for (std::size_t i = 0; i < factored_.size(); ++i) {
-    if (keys[i].clique || subject_labeled[i]) continue;
-    keys[i].extrapolated = factored_vendor_[i] =
-        pools_.extrapolate(factored_[i].p, factored_[i].q);
+    const FactorRecord& f = factored_[i];
+    if (keys[i].clique || !subject_vendors[f.modulus].empty()) continue;
+    keys[i].extrapolated = factored_vendor_[i] = pools_.extrapolate(f.p, f.q);
     extrapolated += !keys[i].extrapolated.empty();
   }
   log("shared-prime extrapolation labeled " + std::to_string(extrapolated) +
@@ -628,8 +633,7 @@ void Study::fingerprint_corpus(util::ThreadPool& pool,
 
   // Every output's per-certificate facts, once.
   obs::Span facts_span = telemetry_.tracer().span("study.facts");
-  facts_ = analysis::build_certificate_facts(dataset_, std::move(index), labels,
-                                             keys, &pool, &token_);
+  facts_ = analysis::build_certificate_facts(std::move(index), labels, keys);
 }
 
 std::map<std::string, std::vector<bn::BigInt>>

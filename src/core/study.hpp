@@ -149,6 +149,8 @@ struct FactorRecord {
   bn::BigInt p;
   bn::BigInt q;
   fingerprint::DivisorClass divisor_class;
+  /// n's modulus id in the run's certificate index (Study::facts().index).
+  std::uint32_t modulus = netsim::CertificateIndex::kNone;
 };
 
 struct FactorStats {
@@ -174,7 +176,8 @@ struct DivisorPass {
 /// Classifies each nontrivial `divisors[i]` of `moduli[i]` and splits the
 /// shared-prime moduli, on `pool` when one is given (polling `cancel`),
 /// then commits the results in modulus-index order, so the pass does not
-/// depend on the pool.
+/// depend on the pool. A record's `modulus` is its index i, which is its
+/// modulus id when `moduli` is distinct_moduli().
 DivisorPass classify_divisors(const std::vector<bn::BigInt>& moduli,
                               const std::vector<bn::BigInt>& divisors,
                               util::ThreadPool* pool = nullptr,
@@ -270,7 +273,9 @@ class Study {
   // Builds facts_ over `index` last.
   void fingerprint_corpus(util::ThreadPool& pool,
                           netsim::CertificateIndex index);
-  bool load_factor_cache(const std::string& path);
+  // Looks each loaded modulus's id up in `index`.
+  bool load_factor_cache(const std::string& path,
+                         const netsim::CertificateIndex& index);
   void save_factor_cache(const std::string& path) const;
   void write_factor_cache_payload(util::BinaryWriter& w) const;
   void log(const std::string& message);

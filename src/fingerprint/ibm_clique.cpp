@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
 
 namespace weakkeys::fingerprint {
 
@@ -26,9 +25,6 @@ std::vector<PrimeClique> find_degenerate_cliques(
   };
 
   std::map<std::string, bn::BigInt> prime_by_key;
-  // Deduplicate moduli: the same clique modulus shows up many times.
-  std::set<std::string> seen_moduli;
-  std::vector<const FactoredModulus*> unique_factored;
   for (const auto& f : factored) {
     const std::string pk = f.p.to_hex(), qk = f.q.to_hex();
     prime_by_key.emplace(pk, f.p);
@@ -36,9 +32,6 @@ std::vector<PrimeClique> find_degenerate_cliques(
     parent.emplace(pk, pk);
     parent.emplace(qk, qk);
     unite(pk, qk);
-    if (seen_moduli.insert(f.n.to_hex()).second) {
-      unique_factored.push_back(&f);
-    }
   }
 
   // Group primes and moduli by component root.
@@ -46,19 +39,22 @@ std::vector<PrimeClique> find_degenerate_cliques(
   for (const auto& [key, prime] : prime_by_key) {
     components[find(key)].primes.push_back(prime);
   }
-  for (const auto* f : unique_factored) {
-    components[find(f->p.to_hex())].moduli.push_back(f->n);
+  for (const auto& f : factored) {
+    components[find(f.p.to_hex())].moduli.push_back(f.n);
   }
 
   std::vector<PrimeClique> out;
   for (auto& [root, clique] : components) {
+    // The same clique modulus may be listed many times: count it once.
+    std::sort(clique.moduli.begin(), clique.moduli.end());
+    clique.moduli.erase(std::unique(clique.moduli.begin(), clique.moduli.end()),
+                        clique.moduli.end());
     const std::size_t k = clique.primes.size();
     if (k < min_primes || k > max_primes) continue;
     const double possible = static_cast<double>(k) * (k - 1) / 2.0;
     clique.density = possible > 0 ? clique.moduli.size() / possible : 0.0;
     if (clique.density < min_density) continue;
     std::sort(clique.primes.begin(), clique.primes.end());
-    std::sort(clique.moduli.begin(), clique.moduli.end());
     out.push_back(std::move(clique));
   }
   std::sort(out.begin(), out.end(),

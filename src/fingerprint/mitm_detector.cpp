@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/thread_pool.hpp"
@@ -40,39 +39,28 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
   }
   const std::size_t n = certs.size();
 
-  // Records share certificates: render each certificate's modulus and
-  // subject once, and group the certificates by modulus.
-  std::vector<std::string> hex(n);
+  // Records share certificates: render each certificate's subject once,
+  // and group the certificates by modulus id.
   std::vector<std::string> subject(n);
   util::parallel_for_blocks(
       pool, n, 256,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const auto& c = index->first_record(dataset, certs[i]).cert();
-          hex[i] = c.key.n.to_hex();
-          subject[i] = c.subject.to_string();
+          subject[i] =
+              index->first_record(dataset, certs[i]).cert().subject.to_string();
         }
       },
       cancel);
   struct Stats {
-    std::string_view hex;
-    const bn::BigInt* modulus = nullptr;
     std::set<std::string_view> subjects;
+    // The rest is set for candidates only.
+    const bn::BigInt* modulus = nullptr;
+    std::string hex;
     std::vector<std::uint32_t> ips;  // one per record; made distinct below
   };
-  std::vector<Stats> by_modulus;
-  std::unordered_map<std::string_view, std::uint32_t> slot_of_hex;
-  // Per index slot; only the slots of `certs` are read.
-  std::vector<std::uint32_t> modulus_of(index->size());
+  std::vector<Stats> by_modulus(index->moduli());
   for (std::size_t i = 0; i < n; ++i) {
-    const auto [slot, fresh] = slot_of_hex.try_emplace(
-        hex[i], static_cast<std::uint32_t>(by_modulus.size()));
-    if (fresh) {
-      const auto& c = index->first_record(dataset, certs[i]).cert();
-      by_modulus.push_back({hex[i], &c.key.n, {}, {}});
-    }
-    modulus_of[certs[i]] = slot->second;
-    by_modulus[slot->second].subjects.insert(subject[i]);
+    by_modulus[index->modulus_of[certs[i]]].subjects.insert(subject[i]);
   }
 
   // Only a modulus seen under enough subjects can be a candidate, so only
@@ -80,10 +68,12 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
   std::vector<std::uint32_t> candidate_of(by_modulus.size(),
                                           CertificateIndex::kNone);
   std::vector<Stats*> candidates;
-  for (auto& stats : by_modulus) {
+  for (std::uint32_t m = 0; m < by_modulus.size(); ++m) {
+    Stats& stats = by_modulus[m];
     if (stats.subjects.size() < options.min_subjects) continue;
-    candidate_of[&stats - by_modulus.data()] =
-        static_cast<std::uint32_t>(candidates.size());
+    candidate_of[m] = static_cast<std::uint32_t>(candidates.size());
+    stats.modulus = &index->modulus(dataset, m);
+    stats.hex = stats.modulus->to_hex();
     candidates.push_back(&stats);
   }
   if (!candidates.empty()) {
@@ -99,7 +89,8 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
           const auto& slots = index->slots[s];
           for (std::size_t r = 0; r < records.size(); ++r) {
             if (slots[r] == CertificateIndex::kNone) continue;
-            const std::uint32_t c = candidate_of[modulus_of[slots[r]]];
+            const std::uint32_t c =
+                candidate_of[index->modulus_of[slots[r]]];
             if (c != CertificateIndex::kNone) {
               hits[s].emplace_back(c, records[r].ip.value());
             }
@@ -126,7 +117,7 @@ std::vector<MitmCandidate> detect_fixed_key_mitm(
     if (distinct_ips < options.min_ips) continue;
     out.push_back(MitmCandidate{*stats->modulus, distinct_ips,
                                 stats->subjects.size(), records,
-                                factored.contains(std::string(stats->hex))});
+                                factored.contains(stats->hex)});
   }
   std::sort(out.begin(), out.end(),
             [](const MitmCandidate& a, const MitmCandidate& b) {

@@ -32,7 +32,8 @@ struct MitmOptions {
 /// Scans all HTTPS records for fixed-key substitution candidates. Moduli in
 /// `factored_hex` (batch-GCD hits, e.g. the IBM clique) are reported with
 /// ever_factored=true so callers can separate degenerate generators from
-/// middleboxes. Renders each certificate once and scans the snapshots on
+/// middleboxes. Renders each certificate's subject once, groups the
+/// certificates by the index's modulus ids, and scans the snapshots on
 /// `pool` when one is given, polling `cancel`; the result does not depend
 /// on the pool. `index`, when given, must index `dataset`'s HTTPS snapshots
 /// (index_certificates with or without the HTTPS filter); without one the

@@ -1,10 +1,9 @@
 #include "netsim/dataset.hpp"
 
+#include <bit>
+#include <functional>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
-
-#include "util/thread_pool.hpp"
 
 namespace weakkeys::netsim {
 
@@ -40,6 +39,20 @@ std::size_t ScanDataset::total_host_records() const {
   return total;
 }
 
+std::size_t CertificateIndex::entry(const ScanDataset& ds,
+                                    const bn::BigInt& n) const {
+  // Linear probing from a hash of the limbs' bytes.
+  const auto limbs = n.limbs();
+  const std::size_t hash = std::hash<std::string_view>{}(std::string_view(
+      reinterpret_cast<const char*>(limbs.data()), limbs.size_bytes()));
+  const std::size_t mask = modulus_table.size() - 1;
+  for (std::size_t e = hash & mask;; e = (e + 1) & mask) {
+    if (modulus_table[e] == kNone || modulus(ds, modulus_table[e]) == n) {
+      return e;
+    }
+  }
+}
+
 CertificateIndex index_certificates(const ScanDataset& ds,
                                     const Protocol* protocol) {
   CertificateIndex index;
@@ -62,43 +75,34 @@ CertificateIndex index_certificates(const ScanDataset& ds,
       slots[r] = it->second;
     }
   }
+
+  // Certificates are in first-seen order, so numbering their moduli in
+  // that order numbers them by first record. The table stays half empty.
+  index.modulus_table.assign(std::bit_ceil(2 * index.size() + 1),
+                             CertificateIndex::kNone);
+  index.modulus_of.reserve(index.size());
+  for (std::size_t c = 0; c < index.size(); ++c) {
+    const bn::BigInt& n = index.first_record(ds, c).cert().key.n;
+    std::uint32_t& m = index.modulus_table[index.entry(ds, n)];
+    if (m == CertificateIndex::kNone) {
+      m = static_cast<std::uint32_t>(index.moduli());
+      index.modulus_first.push_back(static_cast<std::uint32_t>(c));
+    }
+    index.modulus_of.push_back(m);
+  }
   return index;
 }
 
-namespace {
-
-std::vector<bn::BigInt> collect_moduli(const ScanDataset& ds,
-                                       const CertificateIndex& index,
-                                       util::ThreadPool* pool) {
-  std::vector<std::string> hex(index.size());
-  util::parallel_for_blocks(pool, index.size(), 256,
-                            [&](std::size_t begin, std::size_t end) {
-                              for (std::size_t i = begin; i < end; ++i) {
-                                hex[i] = index.first_record(ds, i)
-                                             .cert()
-                                             .key.n.to_hex();
-                              }
-                            });
-  std::unordered_set<std::string_view> seen;
+std::vector<bn::BigInt> ScanDataset::distinct_moduli(
+    const CertificateIndex* index) const {
+  const CertificateIndex own =
+      index ? CertificateIndex{} : index_certificates(*this);
+  if (index == nullptr) index = &own;
   std::vector<bn::BigInt> out;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    if (seen.insert(hex[i]).second) {
-      out.push_back(index.first_record(ds, i).cert().key.n);
-    }
+  for (std::uint32_t m = 0; m < index->moduli(); ++m) {
+    out.push_back(index->modulus(*this, m));
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<bn::BigInt> ScanDataset::distinct_moduli(
-    util::ThreadPool* pool, const CertificateIndex* index) const {
-  if (index != nullptr) return collect_moduli(*this, *index, pool);
-  return collect_moduli(*this, index_certificates(*this), pool);
-}
-
-std::vector<bn::BigInt> ScanDataset::distinct_moduli(Protocol p) const {
-  return collect_moduli(*this, index_certificates(*this, &p), nullptr);
 }
 
 }  // namespace weakkeys::netsim

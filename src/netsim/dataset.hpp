@@ -73,23 +73,20 @@ class ScanDataset {
 
   [[nodiscard]] std::size_t total_host_records() const;
 
-  /// Distinct RSA moduli across all snapshots (hex-keyed), in the order
-  /// their first records appear. Renders the moduli on `pool` when given.
-  /// `index`, when given, must be index_certificates(*this); without one
-  /// the call builds it.
+  /// Distinct RSA moduli across all snapshots, in modulus-id order (the
+  /// order their first records appear). `index`, when given, must be
+  /// index_certificates(*this); without one the call builds it.
   [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(
-      util::ThreadPool* pool = nullptr,
       const CertificateIndex* index = nullptr) const;
-
-  /// Distinct moduli restricted to one protocol.
-  [[nodiscard]] std::vector<bn::BigInt> distinct_moduli(Protocol p) const;
 };
 
 /// Every distinct certificate object of a dataset once, in the order of
 /// the first record that shows it, and each record's index into that list.
 /// A host shows the same certificate handle scan after scan, so a pass
 /// computes what it needs once per certificate and reads it per record by
-/// index, with no per-record hashing or rendering.
+/// index, with no per-record hashing or rendering. It is also the one place
+/// that decides modulus identity: each distinct modulus gets a dense id, in
+/// first-seen order, and passes count and group keys by id.
 struct CertificateIndex {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   struct Position {
@@ -102,18 +99,44 @@ struct CertificateIndex {
   /// certificate: kNone for a record without one, or in a snapshot the
   /// index left out.
   std::vector<std::vector<std::uint32_t>> slots;
+  /// modulus_of[c] is certificate c's modulus id.
+  std::vector<std::uint32_t> modulus_of;
+  /// modulus_first[m] is the first certificate with modulus id m.
+  std::vector<std::uint32_t> modulus_first;
+  /// Modulus ids open-addressed by limb hash (kNone = empty entry).
+  std::vector<std::uint32_t> modulus_table;
 
   [[nodiscard]] std::size_t size() const { return first.size(); }
+  [[nodiscard]] std::size_t moduli() const { return modulus_first.size(); }
   [[nodiscard]] const HostRecord& first_record(const ScanDataset& ds,
                                                std::size_t i) const {
     return ds.snapshots[first[i].snapshot].records[first[i].record];
   }
+  /// The value of modulus id `m`.
+  [[nodiscard]] const bn::BigInt& modulus(const ScanDataset& ds,
+                                          std::uint32_t m) const {
+    return first_record(ds, modulus_first[m]).cert().key.n;
+  }
+  /// The id of modulus `n`, or kNone when no indexed certificate has it.
+  [[nodiscard]] std::uint32_t find_modulus(const ScanDataset& ds,
+                                           const bn::BigInt& n) const {
+    return modulus_table.empty() ? kNone : modulus_table[entry(ds, n)];
+  }
+
+ private:
+  friend CertificateIndex index_certificates(const ScanDataset&,
+                                             const Protocol*);
+  /// The modulus_table entry holding `n`'s id, or the empty entry where it
+  /// belongs. The table is never full.
+  [[nodiscard]] std::size_t entry(const ScanDataset& ds,
+                                  const bn::BigInt& n) const;
 };
 
 /// Indexes `ds` (only `protocol`'s snapshots when one is given). One
-/// serial pass of pointer lookups: the first-seen order is the index's
-/// contract, and each pass that uses it does its per-certificate and
-/// per-snapshot work on its own pool.
+/// serial pass of pointer lookups, then one of limb hashes over the
+/// certificates: the first-seen orders are the index's contract, and each
+/// pass that uses it does its per-certificate and per-snapshot work on its
+/// own pool.
 CertificateIndex index_certificates(const ScanDataset& ds,
                                     const Protocol* protocol = nullptr);
 

@@ -104,13 +104,14 @@ TEST(CertificateFacts, LabelPrecedenceIsCliqueThenSubjectThenExtrapolation) {
     const std::string org = index.first_record(ds, c).cert().subject.get("O");
     if (!org.empty()) subject[c] = fingerprint::VendorLabel{org, "", "subject"};
   }
+  const auto id = [&](std::uint64_t n) {
+    return index.find_modulus(ds, BigInt(n));
+  };
   const std::vector<FactoredKey> factored = {
-      {BigInt(11), true, "X"},
-      {BigInt(13), false, "X"},
-      {BigInt(17), false, ""}};
+      {id(11), true, "X"}, {id(13), false, "X"}, {id(17), false, ""}};
 
   const CertificateFacts facts =
-      build_certificate_facts(ds, std::move(index), subject, factored);
+      build_certificate_facts(std::move(index), subject, factored);
   const std::vector<fingerprint::VendorLabel> labels = {
       {"IBM", "RSA-II", "prime-clique"},
       {"V", "", "subject"},

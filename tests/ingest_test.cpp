@@ -105,6 +105,31 @@ TEST(Ingest, QuarantinesEachSemanticReason) {
   EXPECT_NE(summary.find("duplicate-serial=1"), std::string::npos) << summary;
 }
 
+TEST(Ingest, DegenerateModulusListedOnceAcrossCertificatesAndRawRecords) {
+  const auto good = make_cert(8, 60, "host");
+  const auto with = [&](std::uint64_t serial, const bn::BigInt& n) {
+    auto c = good;
+    c.serial = serial;
+    c.key.n = n;
+    return c;
+  };
+  const bn::BigInt even = good.key.n - bn::BigInt(1);
+  const bn::BigInt tiny(12345);
+  const auto raw_of = [](const cert::Certificate& c) {
+    netsim::HostRecord rec;
+    rec.raw_der = c.encode();
+    return rec;
+  };
+  // Two certificate objects and a decoded raw record share the even
+  // modulus; two raw records carry a tiny one no certificate object has.
+  auto ds = dataset_of({record_for(with(61, even)), record_for(with(62, even)),
+                        raw_of(with(63, even)), raw_of(with(64, tiny)),
+                        raw_of(with(65, tiny))});
+  const auto result = ingest_dataset(ds);
+  EXPECT_EQ(result.stats.records_quarantined, 5u);
+  EXPECT_EQ(result.degenerate_moduli, (std::vector<bn::BigInt>{even, tiny}));
+}
+
 TEST(Ingest, SameSerialSameSubjectIsKept) {
   // Per-observation variants (bit flips, MITM substitution) reuse the serial
   // under the victim's own subject and must not trip the duplicate check.

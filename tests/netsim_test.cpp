@@ -644,6 +644,55 @@ TEST_F(InternetSim, CancelDuringInitialBatchThrowsOnceAndDrainsThePool) {
   EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
+// --------------------------------------------------- CertificateIndex ----
+
+TEST(CertificateIndex, ModulusIdsAreSharedAndFirstSeen) {
+  const auto with_modulus = [](std::uint64_t n) {
+    auto c = std::make_shared<cert::Certificate>();
+    c->key.n = bn::BigInt(n);
+    return CertHandle(c);
+  };
+  // a and b are two certificate objects with one modulus.
+  const CertHandle a = with_modulus(35), b = with_modulus(35),
+                   c = with_modulus(77), d = with_modulus(143);
+  const util::Date date(2014, 1, 15);
+  const auto record = [&](Protocol p, CertHandle cert) {
+    return HostRecord{date, "Test", Ipv4(1), p, std::move(cert), "", {}};
+  };
+  ScanDataset ds;
+  ds.snapshots = {
+      {date, "Test", Protocol::kSsh,
+       {record(Protocol::kSsh, c), record(Protocol::kSsh, a)}},
+      {date, "Test", Protocol::kHttps,
+       {record(Protocol::kHttps, b), record(Protocol::kHttps, nullptr),
+        record(Protocol::kHttps, d), record(Protocol::kHttps, a)}},
+  };
+
+  // Certificates c, a, b, d; moduli 77, 35, 143.
+  const CertificateIndex all = index_certificates(ds);
+  EXPECT_EQ(all.modulus_of, (std::vector<std::uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(all.modulus_first, (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(all.slots[1][1], CertificateIndex::kNone);
+  EXPECT_EQ(all.find_modulus(ds, bn::BigInt(35)), 1u);
+  EXPECT_EQ(all.find_modulus(ds, bn::BigInt(36)), CertificateIndex::kNone);
+  const std::vector<bn::BigInt> by_id = {bn::BigInt(77), bn::BigInt(35),
+                                         bn::BigInt(143)};
+  EXPECT_EQ(ds.distinct_moduli(), by_id);
+  EXPECT_EQ(ds.distinct_moduli(&all), by_id);
+  for (std::uint32_t m = 0; m < all.moduli(); ++m) {
+    EXPECT_EQ(all.modulus(ds, m), by_id[m]);
+  }
+
+  // The HTTPS index numbers only its own certificates b, d, a.
+  const Protocol https = Protocol::kHttps;
+  const CertificateIndex own = index_certificates(ds, &https);
+  EXPECT_EQ(own.modulus_of, (std::vector<std::uint32_t>{0, 1, 0}));
+  EXPECT_EQ(own.modulus_first, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(own.find_modulus(ds, bn::BigInt(77)), CertificateIndex::kNone);
+  EXPECT_EQ(ds.distinct_moduli(&own),
+            (std::vector<bn::BigInt>{bn::BigInt(35), bn::BigInt(143)}));
+}
+
 // ----------------------------------------------------------- Protocol ----
 
 TEST(Protocol, ToStringIsTotal) {

@@ -11,7 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
+#include <memory>
 #include <set>
 #include <optional>
 #include <string>
@@ -32,6 +32,7 @@
 #include "netsim/catalog.hpp"
 #include "netsim/internet.hpp"
 #include "netsim/noise.hpp"
+#include "rsa/ibm_nine_primes.hpp"
 #include "util/thread_pool.hpp"
 
 namespace weakkeys {
@@ -117,7 +118,7 @@ PassOutput run_passes(std::optional<std::size_t> threads) {
 
   const netsim::CertificateIndex index = netsim::index_certificates(dataset);
   const netsim::CertificateIndex* shared = pool ? &index : nullptr;
-  const std::vector<bn::BigInt> moduli = dataset.distinct_moduli(pool, shared);
+  const std::vector<bn::BigInt> moduli = dataset.distinct_moduli(shared);
   out.distinct_moduli = hex_of(moduli);
   const batchgcd::BatchGcdResult gcd = batchgcd::batch_gcd(moduli);
   const core::DivisorPass divisors =
@@ -178,61 +179,97 @@ TEST(PooledPasses, OutputIsIdenticalAcrossPoolSizes) {
   }
 }
 
-/// The fact table's inputs over the noisy corpus, computed once without a
-/// pool (the passes that produce them are checked above): the dataset, its
-/// subject labels, and the factored moduli with their clique flags and
-/// extrapolated vendors, found as Study::run() finds them.
-struct FactInputs {
-  netsim::ScanDataset dataset;
-  std::vector<std::optional<fingerprint::VendorLabel>> labels;
-  std::vector<analysis::FactoredKey> factored;
-};
-
-const FactInputs& fact_inputs() {
-  static const FactInputs inputs = [] {
-    FactInputs in;
-    in.dataset = analysis::exclude_intermediates(
+/// The corpus the fact table is built over: the noisy corpus after ingest
+/// and chain exclusion, plus a degenerate-generator clique. Every HTTPS
+/// snapshot gains hosts serving all 36 moduli of one nine-prime pool, every
+/// third under a Siemens subject, so the clique label both overrides a
+/// subject label and labels unnamed hosts.
+const netsim::ScanDataset& fact_corpus() {
+  static const netsim::ScanDataset corpus = [] {
+    netsim::ScanDataset ds = analysis::exclude_intermediates(
         core::ingest_dataset(noisy_corpus()).kept);
-    const netsim::CertificateIndex index =
-        netsim::index_certificates(in.dataset);
-    in.labels =
-        fingerprint::SubjectRules::standard().classify_all(in.dataset, index);
-    const std::vector<bn::BigInt> moduli = in.dataset.distinct_moduli();
-    const core::DivisorPass divisors = core::classify_divisors(
-        moduli, batchgcd::batch_gcd(moduli).divisors);
-
-    std::vector<fingerprint::FactoredModulus> triples;
-    for (const auto& f : divisors.factored) triples.push_back({f.p, f.q, f.n});
-    std::set<std::string> clique;
-    for (const auto& c : fingerprint::find_degenerate_cliques(triples)) {
-      for (const auto& n : c.moduli) clique.insert(n.to_hex());
-    }
-    std::map<std::string, std::set<std::string>> subject_vendors;
-    for (std::size_t i = 0; i < index.size(); ++i) {
-      if (!in.labels[i]) continue;
-      subject_vendors[index.first_record(in.dataset, i).cert().key.n.to_hex()]
-          .insert(in.labels[i]->vendor);
-    }
-    fingerprint::PrimePools pools;
-    for (const auto& f : divisors.factored) {
-      const auto it = subject_vendors.find(f.n.to_hex());
-      if (clique.contains(f.n.to_hex()) || it == subject_vendors.end() ||
-          it->second.size() != 1) {
-        continue;
+    const rsa::IbmNinePrimeGenerator ibm(512, 7);
+    std::vector<netsim::CertHandle> certs;
+    for (const bn::BigInt& n : ibm.possible_moduli()) {
+      auto c = std::make_shared<cert::Certificate>();
+      c->serial = 0x1b30000 + certs.size();
+      if (certs.size() % 3 == 0) {
+        c->subject.add("O", "Siemens");
+        c->subject.add("OU", "BACnet");
+      } else {
+        c->subject.add("CN", "rsa-ii-" + std::to_string(certs.size()));
       }
-      pools.add(*it->second.begin(), f.p);
-      pools.add(*it->second.begin(), f.q);
+      c->issuer = c->subject;
+      c->key.n = n;
+      c->key.e = bn::BigInt(65537);
+      certs.push_back(std::move(c));
     }
-    for (const auto& f : divisors.factored) {
-      analysis::FactoredKey key{f.n, clique.contains(f.n.to_hex()), ""};
-      if (!key.clique && !subject_vendors.contains(f.n.to_hex())) {
-        key.extrapolated = pools.extrapolate(f.p, f.q);
+    for (auto& snap : ds.snapshots) {
+      if (snap.protocol != netsim::Protocol::kHttps) continue;
+      for (std::size_t i = 0; i < certs.size(); ++i) {
+        snap.records.push_back(
+            {snap.date, snap.source,
+             netsim::Ipv4(0x0a0b0000 + static_cast<std::uint32_t>(i)),
+             netsim::Protocol::kHttps, certs[i], "", {}});
       }
-      in.factored.push_back(std::move(key));
     }
-    return in;
+    return ds;
   }();
-  return inputs;
+  return corpus;
+}
+
+/// The fact table over fact_corpus(), from the passes that feed it run as
+/// Study::run() runs them: subject labels and the divisor pass on `pool`,
+/// the pairwise second pass, then each factored modulus settled by id
+/// (clique flag, subject vendors, extrapolated vendor).
+analysis::CertificateFacts corpus_facts(util::ThreadPool* pool,
+                                        const util::CancellationToken& token) {
+  const netsim::ScanDataset& ds = fact_corpus();
+  netsim::CertificateIndex index = netsim::index_certificates(ds);
+  const auto labels = fingerprint::SubjectRules::standard().classify_all(
+      ds, index, pool, &token);
+  const std::vector<bn::BigInt> moduli = ds.distinct_moduli(&index);
+  core::DivisorPass divisors = core::classify_divisors(
+      moduli, batchgcd::batch_gcd(moduli).divisors, pool, &token);
+  std::vector<core::FactorRecord> factored = std::move(divisors.factored);
+  for (const std::size_t i : divisors.full_modulus) {
+    for (const std::size_t j : divisors.full_modulus) {
+      if (i == j) continue;
+      const bn::BigInt g = bn::gcd(moduli[i], moduli[j]);
+      if (g > bn::BigInt(1) && g < moduli[i]) {
+        factored.push_back({moduli[i], g, moduli[i] / g,
+                            fingerprint::DivisorClass::kFullModulus,
+                            static_cast<std::uint32_t>(i)});
+        break;
+      }
+    }
+  }
+
+  std::vector<fingerprint::FactoredModulus> triples;
+  for (const auto& f : factored) triples.push_back({f.p, f.q, f.n});
+  std::vector<std::uint8_t> in_clique(index.moduli());
+  for (const auto& c : fingerprint::find_degenerate_cliques(triples)) {
+    for (const auto& n : c.moduli) in_clique[index.find_modulus(ds, n)] = 1;
+  }
+  std::vector<std::set<std::string>> vendors(index.moduli());
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (labels[i]) vendors[index.modulus_of[i]].insert(labels[i]->vendor);
+  }
+  fingerprint::PrimePools pools;
+  for (const auto& f : factored) {
+    if (in_clique[f.modulus] || vendors[f.modulus].size() != 1) continue;
+    pools.add(*vendors[f.modulus].begin(), f.p);
+    pools.add(*vendors[f.modulus].begin(), f.q);
+  }
+  std::vector<analysis::FactoredKey> keys;
+  for (const auto& f : factored) {
+    analysis::FactoredKey key{f.modulus, in_clique[f.modulus] != 0, ""};
+    if (!key.clique && vendors[f.modulus].empty()) {
+      key.extrapolated = pools.extrapolate(f.p, f.q);
+    }
+    keys.push_back(std::move(key));
+  }
+  return analysis::build_certificate_facts(std::move(index), labels, keys);
 }
 
 std::vector<std::string> rows_of(const analysis::VendorSeries& series) {
@@ -259,13 +296,10 @@ FactsOutput build_facts(std::optional<std::size_t> threads) {
   if (threads) pool_storage.emplace(*threads);
   util::ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
   const util::CancellationToken token;
-  const FactInputs& in = fact_inputs();
 
-  const analysis::CertificateFacts facts = analysis::build_certificate_facts(
-      in.dataset, netsim::index_certificates(in.dataset), in.labels,
-      in.factored, pool, &token);
+  const analysis::CertificateFacts facts = corpus_facts(pool, token);
   FactsOutput out{facts.labels, facts.label_of, facts.vulnerable, {}};
-  const analysis::TimeSeriesBuilder builder(in.dataset, facts);
+  const analysis::TimeSeriesBuilder builder(fact_corpus(), facts);
   std::vector<analysis::VendorSeries> series = {builder.overall_series()};
   for (const auto& vendor : builder.vendors()) {
     series.push_back(builder.vendor_series(vendor));
@@ -284,12 +318,12 @@ FactsOutput build_facts(std::optional<std::size_t> threads) {
 
 TEST(PooledPasses, FactsAreIdenticalAcrossPoolSizes) {
   const FactsOutput serial = build_facts(std::nullopt);
-  // Subject and extrapolated labels both occur (this small corpus has no
-  // clique; CertificateFacts.LabelPrecedence* covers that rule).
+  // Subject, extrapolated and clique labels all occur.
   std::set<std::string> methods;
   for (const auto& label : serial.labels) methods.insert(label.method);
+  EXPECT_TRUE(methods.contains("subject"));
   EXPECT_TRUE(methods.contains("shared-prime"));
-  EXPECT_GT(methods.size(), 1u);
+  EXPECT_TRUE(methods.contains("prime-clique"));
   EXPECT_GT(std::count(serial.vulnerable.begin(), serial.vulnerable.end(), 1),
             0);
   EXPECT_GT(std::count(serial.label_of.begin(), serial.label_of.end(),
