@@ -56,8 +56,15 @@ void BM_Mul(benchmark::State& state) {
   }
 }
 // Above kNttMinLimbs the product is NTTs (over Karatsuba levels above the
-// transform cap).
-BENCHMARK(BM_Mul)->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384);
+// transform cap). 8,300 is just past a power-of-two step (a 2^15 transform)
+// and 19,116 the study's root size (one 2^16 transform).
+BENCHMARK(BM_Mul)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(8192)
+    ->Arg(8300)
+    ->Arg(16384)
+    ->Arg(19116);
 
 /// BM_Mul below the NTT crossover, where the product is Karatsuba.
 void BM_MulKaratsuba(benchmark::State& state) { BM_Mul(state); }
@@ -75,7 +82,26 @@ void BM_MulMiddle(benchmark::State& state) {
         bn::BigIntOps::limbs(a), bn::BigIntOps::limbs(b)));
   }
 }
-BENCHMARK(BM_MulMiddle)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_MulMiddle)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(8300)
+    ->Arg(16384)
+    ->Arg(19116);
+
+/// An a x b product with a far longer than b: a in chunks of one transform
+/// each against all of b.
+void BM_MulLopsided(benchmark::State& state) {
+  const auto an = static_cast<std::size_t>(state.range(0));
+  const auto bn = static_cast<std::size_t>(state.range(1));
+  const BigInt a = random_bits_of(1, an * 64);
+  const BigInt b = random_bits_of(2, bn * 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bn::detail::mul_karatsuba(
+        bn::BigIntOps::limbs(a), bn::BigIntOps::limbs(b)));
+  }
+}
+BENCHMARK(BM_MulLopsided)->Args({65536, 512});
 
 void BM_DivKnuth(benchmark::State& state) {
   const auto limbs = static_cast<std::size_t>(state.range(0));
@@ -112,7 +138,12 @@ void BM_Reciprocal(benchmark::State& state) {
     benchmark::DoNotOptimize(bn::reciprocal(d, 2 * d.bit_length() + 64));
   }
 }
-BENCHMARK(BM_Reciprocal)->Arg(64)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_Reciprocal)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(19116);
 
 #if WEAKKEYS_BENCH_GMP
 /// A GMP copy of `v`.
@@ -144,7 +175,9 @@ BENCHMARK(BM_Mul_Gmp)
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(8192)
-    ->Arg(16384);
+    ->Arg(8300)
+    ->Arg(16384)
+    ->Arg(19116);
 
 /// 2n / n limbs, as BM_DivKnuth and BM_DivNewton.
 void BM_Div_Gmp(benchmark::State& state) {

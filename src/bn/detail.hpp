@@ -84,11 +84,12 @@ inline constexpr std::size_t kNttMinLimbs = 448;
 /// The same crossover for a middle product, on the shorter of its band and
 /// its short operand.
 inline constexpr std::size_t kNttMiddleMinLimbs = 256;
-/// The longest transform. A product of more than this many coefficients (a
-/// middle product over a longer operand) is split by Karatsuba (transposed
-/// Karatsuba) levels onto transforms of at most this length, which bounds
-/// the NTT scratch at 4 * kNttMaxLength limbs per product.
-inline constexpr std::size_t kNttMaxLength = std::size_t{1} << 13;
+/// The longest transform: a bench-scale tree root (about 19,000 limbs) is
+/// one. A product of more than this many coefficients (a middle product
+/// over a longer operand) is split by Karatsuba (transposed Karatsuba)
+/// levels onto transforms of at most this length, which bounds the NTT
+/// scratch near 3 * kNttMaxLength limbs (1.5 MiB) per product.
+inline constexpr std::size_t kNttMaxLength = std::size_t{1} << 16;
 
 /// Scratch limbs mul_into needs for an an x bn product (an >= bn); a square
 /// needs sqr_scratch_limbs(an), which is never more.
@@ -127,8 +128,13 @@ inline constexpr std::size_t kNttWrapLimbs = 32;
 std::size_t ntt_product_length(std::size_t an, std::size_t bn);
 std::size_t ntt_middle_length(std::size_t an, std::size_t bn);
 
-/// Scratch limbs of one NTT product (square) of transform length `length`.
-std::size_t ntt_scratch_limbs(std::size_t length, bool square);
+/// Scratch limbs of one NTT product (square) of transform length `length`
+/// that keeps `count` coefficients (an + bn - 1 for a product, the band's
+/// an - bn + 1 for a middle product): one transform, b's transform (not for
+/// a square) and one prime's kept residues; another prime's are kept in
+/// the output.
+std::size_t ntt_scratch_limbs(std::size_t length, bool square,
+                              std::size_t count);
 
 /// r[0, an + bn) = a * b, for an >= bn >= 1 and a transform length of at
 /// most kNttMaxLength.

@@ -22,6 +22,7 @@
 // takes Karatsuba (transposed Karatsuba) levels, or chunks of a lopsided
 // operand, down to pieces that fit (DESIGN.md §5p).
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "bn/detail.hpp"
@@ -150,9 +151,12 @@ bool ntt_product(std::size_t an, std::size_t bn) {
 
 /// The chunk of a that a lopsided product multiplies by all of b at a
 /// time: bn, or, when b is wide enough for the NTT, the widest chunk whose
-/// product is still one transform.
+/// product is one transform of length 8 * bit_ceil(bn) (at most the cap),
+/// the length that measured fastest (DESIGN.md §5p).
 std::size_t lopsided_chunk(std::size_t bn) {
-  return ntt_product(bn, bn) ? kNttMaxLength + kNttWrapLimbs + 1 - bn : bn;
+  if (!ntt_product(bn, bn)) return bn;
+  const std::size_t length = std::min(kNttMaxLength, 8 * std::bit_ceil(bn));
+  return length + kNttWrapLimbs + 1 - bn;
 }
 
 void sqr_basecase(Limb* r, const Limb* a, std::size_t n) {
@@ -406,7 +410,8 @@ void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
 std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn) {
   if (bn < threshold()) return 0;
   if (ntt_product(an, bn)) {
-    return ntt_scratch_limbs(ntt_product_length(an, bn), /*square=*/false);
+    return ntt_scratch_limbs(ntt_product_length(an, bn), /*square=*/false,
+                             an + bn - 1);
   }
   const std::size_t m = (an + 1) / 2;
   if (bn <= m) {
@@ -428,7 +433,8 @@ std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn) {
 std::size_t sqr_scratch_limbs(std::size_t n) {
   if (n < threshold()) return 0;
   if (ntt_product(n, n)) {
-    return ntt_scratch_limbs(ntt_product_length(n, n), /*square=*/true);
+    return ntt_scratch_limbs(ntt_product_length(n, n), /*square=*/true,
+                             2 * n - 1);
   }
   const std::size_t m = (n + 1) / 2;
   return 4 * m + 2 + std::max(sqr_scratch_limbs(m), sqr_scratch_limbs(n - m));
@@ -551,7 +557,8 @@ std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn) {
   const std::size_t n = an - bn + 1;
   if (std::min(n, bn) < threshold()) return 0;
   if (ntt_middle(an, bn)) {
-    return ntt_scratch_limbs(ntt_middle_length(an, bn), /*square=*/false);
+    return ntt_scratch_limbs(ntt_middle_length(an, bn), /*square=*/false,
+                             an - bn + 1);
   }
   if (n > bn) {
     const std::size_t tail = n % bn;

@@ -377,13 +377,18 @@ TEST(GmpEdgeCases, AssembledPrivateKeyMatchesGmpInverses) {
 // The NTT kernels against GMP's mpn layer at the sizes where the dispatch
 // changes: the crossover T - 1, T and T + 1 (kNttMinLimbs for products,
 // kNttMiddleMinLimbs for middle products), the widest operands whose
-// coefficients still wrap past a power of two and one limb more, half the
-// transform cap, the cap and one past it, and twice the cap plus three
-// (Karatsuba levels over NTT leaves). Operands are all-ones limbs, whose
-// convolution coefficients are the largest the CRT must recover, or runs
-// of all-ones limbs next to runs of zeros, whose carries run far. Results
-// are compared whole (EXPECT_TRUE): printing a mismatch of thousands of
-// limbs would bury the sizes that failed.
+// coefficients still wrap past a power of two and one limb more, the same
+// pair at each transform length from 2^14 to the cap (the lengths whose
+// outer stages take side-table roots), half the transform cap, the cap and
+// one past it, and twice the cap plus three (Karatsuba levels over NTT
+// leaves). Operands are all-ones limbs, whose convolution coefficients are
+// the largest the CRT must recover, or runs of all-ones limbs next to runs
+// of zeros, whose carries run far. Past the crossover region only the
+// all-ones operands run, in the shapes the tree and the descent use: the
+// carry runs and the wider shapes test logic that does not change with the
+// size, and checking every shape there would take minutes. Results are
+// compared whole, as limbs (EXPECT_TRUE): printing a mismatch of thousands
+// of limbs would bury the sizes that failed.
 
 using detail::LimbVec;
 
@@ -408,22 +413,49 @@ LimbVec ntt_operand(util::Xoshiro256& rng, std::size_t n, int fill) {
 
 BigInt big_of(const LimbVec& v) { return BigIntOps::make(v, 1); }
 
-/// The hex of limbs, as GMP prints it.
-std::string hex_of(const LimbVec& v) {
-  Mpz z;
-  mpz_import(z.v, v.size(), -1, sizeof(Limb), 0, 0, v.data());
-  return z.hex();
+/// z = the value of limbs x[0, n).
+void set_limbs(mpz_t z, const Limb* x, std::size_t n) {
+  mpz_import(z, n, -1, sizeof(Limb), 0, 0, x);
 }
 
-/// The sizes above for crossover t. An s x s product (a (2s - 1) x s
-/// middle product) with s = wrap still fits the transform of length L, at
-/// most kNttWrapLimbs past it; s = wrap + 1 takes 2L.
+/// The limbs of z, trimmed.
+LimbVec limbs_of(const mpz_t z) {
+  LimbVec v(mpz_size(z));
+  std::size_t count = 0;
+  mpz_export(v.data(), &count, -1, sizeof(Limb), 0, 0, z);
+  v.resize(count);
+  return v;
+}
+
+/// The widest s x s product (a (2s - 1) x s middle product) on the
+/// transform length of crossover t's product: s = L / 2 + kNttWrapLimbs / 2
+/// still fits L, at most kNttWrapLimbs past it; one limb more takes 2L.
+std::size_t wrap_edge(std::size_t t) {
+  return (std::bit_ceil(2 * t - 1) + detail::kNttWrapLimbs) / 2;
+}
+
+/// The sizes above for crossover t.
 std::vector<std::size_t> ntt_sizes(std::size_t t) {
   const std::size_t cap = detail::kNttMaxLength;
-  const std::size_t wrap =
-      (std::bit_ceil(2 * t - 1) + detail::kNttWrapLimbs) / 2;
-  return {t - 1, t, t + 1, wrap, wrap + 1, cap / 2, cap, cap + 1, 2 * cap + 3};
+  const std::size_t wrap = wrap_edge(t);
+  std::vector<std::size_t> sizes = {t - 1, t, t + 1, wrap, wrap + 1};
+  for (std::size_t length = std::size_t{1} << 14; length <= cap; length *= 2) {
+    const std::size_t edge = (length + detail::kNttWrapLimbs) / 2;
+    sizes.insert(sizes.end(), {edge, edge + 1});
+  }
+  sizes.insert(sizes.end(), {cap / 2, cap, cap + 1, 2 * cap + 3});
+  return sizes;
 }
+
+/// The operand fills a size s checks for crossover t: both in the
+/// crossover region, all ones past it.
+int ntt_fills(std::size_t s, std::size_t t) {
+  return s <= wrap_edge(t) + 1 ? 2 : 1;
+}
+
+/// The widest s x s product that is one transform.
+constexpr std::size_t kOneTransform =
+    (detail::kNttMaxLength + detail::kNttWrapLimbs) / 2;
 
 /// GMP's product, trimmed.
 LimbVec gmp_product(const LimbVec& a, const LimbVec& b) {
@@ -440,45 +472,97 @@ LimbVec gmp_product(const LimbVec& a, const LimbVec& b) {
 
 TEST(NttGmp, ProductsAndSquaresAgree) {
   util::Xoshiro256 rng(27);
-  for (const std::size_t s : ntt_sizes(detail::kNttMinLimbs)) {
-    for (int fill = 0; fill < 2; ++fill) {
+  constexpr std::size_t t = detail::kNttMinLimbs;
+  for (const std::size_t s : ntt_sizes(t)) {
+    for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec a = ntt_operand(rng, s, fill);
       const LimbVec b = ntt_operand(rng, s, fill);
-      const LimbVec wide = ntt_operand(rng, 3 * s + 7, fill);
       EXPECT_TRUE(detail::mul_karatsuba(a, b) == gmp_product(a, b))
           << "balanced " << s << " fill " << fill;
-      EXPECT_TRUE(detail::mul_karatsuba(wide, b) == gmp_product(wide, b))
-          << "lopsided " << s << " fill " << fill;
-      EXPECT_TRUE(detail::mul_karatsuba(a, a) == gmp_product(a, a))
+      const LimbVec square = gmp_product(a, a);
+      EXPECT_TRUE(detail::mul_karatsuba(a, a) == square)
           << "square " << s << " fill " << fill;
-      const BigInt x = big_of(a);
-      EXPECT_TRUE((x * x).to_hex() == hex_of(gmp_product(a, a)))
-          << "BigInt square " << s << " fill " << fill;
+      if (ntt_fills(s, t) == 2) {
+        EXPECT_TRUE(BigIntOps::limbs(big_of(a) * big_of(a)) == square)
+            << "BigInt square " << s << " fill " << fill;
+      }
+      if (s <= kOneTransform) {
+        // Past the cap: chunks of one transform each, and a shorter tail.
+        const LimbVec wide =
+            ntt_operand(rng, 2 * detail::kNttMaxLength + 7, fill);
+        EXPECT_TRUE(detail::mul_karatsuba(wide, b) == gmp_product(wide, b))
+            << "lopsided " << s << " fill " << fill;
+      }
     }
   }
 }
 
-/// The middle product by its definition on GMP's addmul: the n-limb slice
-/// of a that meets b_j in the band, times b_j, summed over j.
-LimbVec gmp_middle(const LimbVec& a, const LimbVec& b) {
-  const std::size_t n = a.size() - b.size() + 1;
-  LimbVec r(n + 2, 0);
-  for (std::size_t j = 0; j < b.size(); ++j) {
-    const Limb carry = mpn_addmul_1(r.data(), a.data() + b.size() - 1 - j,
-                                    static_cast<mp_size_t>(n), b[j]);
-    mpn_add_1(r.data() + n, r.data() + n, 2, carry);
+/// r = the lower triangle of x[0, m) * y[0, m): the sum of x_i y_j B^(i+j)
+/// over i + j < m. A rectangle x[0, k) * y[0, m - k) and two triangles of
+/// about m / 2 (x shifted by k, y shifted by m - k) cover it, so it costs
+/// O(M(m) log m) on GMP's products; below 32 limbs it is GMP's addmul.
+void gmp_triangle(mpz_t r, const Limb* x, const Limb* y, std::size_t m) {
+  if (m <= 32) {
+    LimbVec t(m + 2, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const Limb carry = mpn_addmul_1(t.data() + i, y,
+                                      static_cast<mp_size_t>(m - i), x[i]);
+      mpn_add_1(t.data() + m, t.data() + m, 2, carry);
+    }
+    set_limbs(r, t.data(), t.size());
+    return;
   }
-  detail::trim(r);
-  return r;
+  const std::size_t k = m / 2;
+  LimbVec rect(m);
+  mpn_mul(rect.data(), y, static_cast<mp_size_t>(m - k), x,
+          static_cast<mp_size_t>(k));
+  set_limbs(r, rect.data(), rect.size());
+  Mpz t;
+  gmp_triangle(t.v, x + k, y, m - k);
+  mpz_mul_2exp(t.v, t.v, 64 * k);
+  mpz_add(r, r, t.v);
+  gmp_triangle(t.v, x, y + m - k, k);
+  mpz_mul_2exp(t.v, t.v, 64 * (m - k));
+  mpz_add(r, r, t.v);
+}
+
+/// The middle product by its definition, on GMP's products: of a * b, drop
+/// the diagonals below bn - 1 (the lower triangle of a[0, bn - 1) and
+/// b[0, bn - 1)) and those from an up, then shift the band down. The pairs
+/// i + j >= an are a[an - bn + 1, an) against b[1, bn) off their own lower
+/// triangle of bn - 2 diagonals, at B^(an - bn + 2).
+LimbVec gmp_middle(const LimbVec& a, const LimbVec& b) {
+  const std::size_t an = a.size();
+  const std::size_t bn = b.size();
+  Mpz band, part, high;
+  set_limbs(band.v, gmp_product(a, b).data(), an + bn);
+  gmp_triangle(part.v, a.data(), b.data(), bn - 1);
+  mpz_sub(band.v, band.v, part.v);
+  if (bn >= 2) {
+    const Limb* x = a.data() + an - bn + 1;
+    const Limb* y = b.data() + 1;
+    LimbVec square(2 * (bn - 1));
+    mpn_mul_n(square.data(), x, y, static_cast<mp_size_t>(bn - 1));
+    set_limbs(high.v, square.data(), square.size());
+    gmp_triangle(part.v, x, y, bn - 2);
+    mpz_sub(high.v, high.v, part.v);
+    mpz_mul_2exp(high.v, high.v, 64 * (an - bn + 2));
+    mpz_sub(band.v, band.v, high.v);
+  }
+  mpz_fdiv_q_2exp(band.v, band.v, 64 * (bn - 1));
+  return limbs_of(band.v);
 }
 
 TEST(NttGmp, MiddleProductsAgree) {
   util::Xoshiro256 rng(28);
-  for (const std::size_t s : ntt_sizes(detail::kNttMiddleMinLimbs)) {
-    for (int fill = 0; fill < 2; ++fill) {
+  constexpr std::size_t t = detail::kNttMiddleMinLimbs;
+  for (const std::size_t s : ntt_sizes(t)) {
+    for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec b = ntt_operand(rng, s, fill);
-      // The descent's shape (n = bn) and a band three times wider than b.
+      // The descent's shape (n = bn) and, in the crossover region, a band
+      // three times wider than b.
       for (const std::size_t an : {2 * s - 1, 4 * s + 5}) {
+        if (an > 2 * s && ntt_fills(s, t) == 1) break;
         const LimbVec a = ntt_operand(rng, an, fill);
         EXPECT_TRUE(detail::mul_middle(a, b) == gmp_middle(a, b))
             << "an " << an << " bn " << s << " fill " << fill;
@@ -487,17 +571,21 @@ TEST(NttGmp, MiddleProductsAgree) {
   }
 }
 
+// Up to the widest single transform: past it mul_window runs the product
+// and band kernels that the tests above check at the cap.
 TEST(NttGmp, MulWindowsAgree) {
   util::Xoshiro256 rng(29);
-  for (const std::size_t s : ntt_sizes(detail::kNttMiddleMinLimbs)) {
-    for (int fill = 0; fill < 2; ++fill) {
+  constexpr std::size_t t = detail::kNttMiddleMinLimbs;
+  for (const std::size_t s : ntt_sizes(t)) {
+    if (s > kOneTransform) continue;
+    for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec y = ntt_operand(rng, s, fill);
       for (const std::size_t xn : {2 * s + 1, 3 * s + 7}) {
+        if (xn > 3 * s && ntt_fills(s, t) == 1) break;
         const LimbVec x = ntt_operand(rng, xn, fill);
         Mpz product;
         const LimbVec full = gmp_product(x, y);
-        mpz_import(product.v, full.size(), -1, sizeof(Limb), 0, 0,
-                   full.data());
+        set_limbs(product.v, full.data(), full.size());
         // The descent's window (the fraction bits above y's width), one
         // narrow band, and the top of the product.
         const std::size_t total = 64 * (xn + s);
@@ -511,8 +599,9 @@ TEST(NttGmp, MulWindowsAgree) {
           Mpz expected;
           mpz_fdiv_q_2exp(expected.v, product.v, at);
           mpz_fdiv_r_2exp(expected.v, expected.v, bits);
-          EXPECT_TRUE(mul_window(big_of(x), big_of(y), at, bits).to_hex() ==
-                      expected.hex())
+          EXPECT_TRUE(BigIntOps::limbs(mul_window(big_of(x), big_of(y), at,
+                                                  bits)) ==
+                      limbs_of(expected.v))
               << "xn " << xn << " yn " << s << " shift " << at << " bits "
               << bits << " fill " << fill;
         }
@@ -523,8 +612,9 @@ TEST(NttGmp, MulWindowsAgree) {
 
 TEST(NttGmp, ReciprocalsAgree) {
   util::Xoshiro256 rng(30);
-  for (const std::size_t s : ntt_sizes(detail::kNttMinLimbs)) {
-    for (int fill = 0; fill < 2; ++fill) {
+  constexpr std::size_t t = detail::kNttMinLimbs;
+  for (const std::size_t s : ntt_sizes(t)) {
+    for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec limbs = ntt_operand(rng, s, fill);
       // A wrong product can keep invert_into's exact corrections from
       // ending, so a product of the size it takes last ((n + 1) x n, n a
@@ -537,10 +627,11 @@ TEST(NttGmp, ReciprocalsAgree) {
       const BigInt d = big_of(limbs);
       // The root reciprocal's precision (ProductTree::root_reciprocal).
       const std::size_t bits = 2 * d.bit_length() + 64;
-      Mpz one, q, dz(d.to_hex());
+      Mpz one, q, dz;
+      set_limbs(dz.v, limbs.data(), limbs.size());
       mpz_setbit(one.v, bits);
       mpz_fdiv_q(q.v, one.v, dz.v);
-      EXPECT_TRUE(reciprocal(d, bits).to_hex() == q.hex())
+      EXPECT_TRUE(BigIntOps::limbs(reciprocal(d, bits)) == limbs_of(q.v))
           << s << " limbs, fill " << fill;
     }
   }

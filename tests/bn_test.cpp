@@ -563,6 +563,60 @@ TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
   kara = saved;
 }
 
+// Transforms longer than the root table (2^13 roots) take their outer
+// stages' roots from the side tables. Eight, four, two and one fresh
+// threads at once (eight first, so the tables' first use is concurrent)
+// run a product and a square of one 2^16 transform, a band of one 2^14
+// transform and a reciprocal whose Newton steps are 2^14 transforms; each
+// must equal the results the main thread computes afterwards. Under TSan
+// this checks the tables' one-time build and each call's scratch.
+TEST(NttThreads, AboveTheRootTableMatchesSerialOnEveryThreadCount) {
+  util::Xoshiro256 rng(36);
+  const auto operand = [&](std::size_t n) {
+    detail::LimbVec v(n);
+    for (auto& limb : v) limb = rng();
+    v.back() |= 1;
+    return v;
+  };
+  const detail::LimbVec a = operand(16400);  // 32,799 coefficients
+  const detail::LimbVec b = operand(16400);
+  const detail::LimbVec wide = operand(8400);  // band of 4,201 over 4,200
+  const detail::LimbVec narrow = operand(4200);
+  const BigInt d = BigIntOps::make(operand(4200), 1);
+  const std::size_t bits = 2 * d.bit_length() + 64;
+  struct Results {
+    detail::LimbVec product, square, band;
+    BigInt inverse;
+  };
+  const auto run = [&] {
+    return Results{detail::mul_karatsuba(a, b), detail::mul_karatsuba(a, a),
+                   detail::mul_middle(wide, narrow), reciprocal(d, bits)};
+  };
+
+  std::vector<std::pair<int, Results>> runs;
+  for (const int count : {8, 4, 2, 1}) {
+    std::vector<Results> results(count);
+    std::latch start(count);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < count; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        results[t] = run();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (auto& r : results) runs.emplace_back(count, std::move(r));
+  }
+  const Results serial = run();
+  ASSERT_EQ(serial.product.size(), 32800u);
+  for (const auto& [count, r] : runs) {
+    EXPECT_TRUE(r.product == serial.product) << count << " threads";
+    EXPECT_TRUE(r.square == serial.square) << count << " threads";
+    EXPECT_TRUE(r.band == serial.band) << count << " threads";
+    EXPECT_EQ(r.inverse, serial.inverse) << count << " threads";
+  }
+}
+
 // ---------------------------------------------------- tuning knobs ----
 
 TEST(Tuning, KaratsubaMatchesSchoolbookAcrossThresholds) {
