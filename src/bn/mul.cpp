@@ -22,7 +22,6 @@
 // takes Karatsuba (transposed Karatsuba) levels, or chunks of a lopsided
 // operand, down to pieces that fit (DESIGN.md §5p).
 #include <algorithm>
-#include <bit>
 #include <memory>
 
 #include "bn/detail.hpp"
@@ -151,12 +150,9 @@ bool ntt_product(std::size_t an, std::size_t bn) {
 
 /// The chunk of a that a lopsided product multiplies by all of b at a
 /// time: bn, or, when b is wide enough for the NTT, the widest chunk whose
-/// product is one transform of length 8 * bit_ceil(bn) (at most the cap),
-/// the length that measured fastest (DESIGN.md §5p).
+/// product is still one transform.
 std::size_t lopsided_chunk(std::size_t bn) {
-  if (!ntt_product(bn, bn)) return bn;
-  const std::size_t length = std::min(kNttMaxLength, 8 * std::bit_ceil(bn));
-  return length + kNttWrapLimbs + 1 - bn;
+  return ntt_product(bn, bn) ? kNttMaxLength + kNttWrapLimbs + 1 - bn : bn;
 }
 
 void sqr_basecase(Limb* r, const Limb* a, std::size_t n) {

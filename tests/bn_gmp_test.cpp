@@ -379,14 +379,14 @@ TEST(GmpEdgeCases, AssembledPrivateKeyMatchesGmpInverses) {
 // kNttMiddleMinLimbs for middle products), the widest operands whose
 // coefficients still wrap past a power of two and one limb more, the same
 // pair at each transform length from 2^14 to the cap (the lengths whose
-// outer stages take side-table roots), half the transform cap, the cap and
-// one past it, and twice the cap plus three (Karatsuba levels over NTT
-// leaves). Operands are all-ones limbs, whose convolution coefficients are
+// outer stages take side-table roots), the cap and one past it (one
+// Karatsuba level over NTT leaves), and twice the cap plus three (two
+// levels). Operands are all-ones limbs, whose convolution coefficients are
 // the largest the CRT must recover, or runs of all-ones limbs next to runs
-// of zeros, whose carries run far. Past the crossover region only the
-// all-ones operands run, in the shapes the tree and the descent use: the
-// carry runs and the wider shapes test logic that does not change with the
-// size, and checking every shape there would take minutes. Results are
+// of zeros, whose carries run far. Both fills and every shape run in the
+// crossover region, at the 2^15 wrap edge and at cap + 1; the other sizes
+// run all-ones operands in the shapes the tree and the descent use, since
+// every shape at every size would take about half a minute. Results are
 // compared whole, as limbs (EXPECT_TRUE): printing a mismatch of thousands
 // of limbs would bury the sizes that failed.
 
@@ -443,14 +443,20 @@ std::vector<std::size_t> ntt_sizes(std::size_t t) {
     const std::size_t edge = (length + detail::kNttWrapLimbs) / 2;
     sizes.insert(sizes.end(), {edge, edge + 1});
   }
-  sizes.insert(sizes.end(), {cap / 2, cap, cap + 1, 2 * cap + 3});
+  sizes.insert(sizes.end(), {cap, cap + 1, 2 * cap + 3});
   return sizes;
 }
 
-/// The operand fills a size s checks for crossover t: both in the
-/// crossover region, all ones past it.
+/// Whether size s runs both fills and every shape for crossover t.
+bool every_shape(std::size_t s, std::size_t t) {
+  return s <= wrap_edge(t) + 1 ||
+         s == ((std::size_t{1} << 15) + detail::kNttWrapLimbs) / 2 ||
+         s == detail::kNttMaxLength + 1;
+}
+
+/// The operand fills size s checks for crossover t.
 int ntt_fills(std::size_t s, std::size_t t) {
-  return s <= wrap_edge(t) + 1 ? 2 : 1;
+  return every_shape(s, t) ? 2 : 1;
 }
 
 /// The widest s x s product that is one transform.
@@ -482,7 +488,7 @@ TEST(NttGmp, ProductsAndSquaresAgree) {
       const LimbVec square = gmp_product(a, a);
       EXPECT_TRUE(detail::mul_karatsuba(a, a) == square)
           << "square " << s << " fill " << fill;
-      if (ntt_fills(s, t) == 2) {
+      if (every_shape(s, t)) {
         EXPECT_TRUE(BigIntOps::limbs(big_of(a) * big_of(a)) == square)
             << "BigInt square " << s << " fill " << fill;
       }
@@ -526,30 +532,37 @@ void gmp_triangle(mpz_t r, const Limb* x, const Limb* y, std::size_t m) {
   mpz_add(r, r, t.v);
 }
 
-/// The middle product by its definition, on GMP's products: of a * b, drop
-/// the diagonals below bn - 1 (the lower triangle of a[0, bn - 1) and
-/// b[0, bn - 1)) and those from an up, then shift the band down. The pairs
-/// i + j >= an are a[an - bn + 1, an) against b[1, bn) off their own lower
-/// triangle of bn - 2 diagonals, at B^(an - bn + 2).
+/// The middle product by its definition, on GMP's products. Of a * b,
+/// drop the diagonals below bn - 1 (the lower triangle of a[0, bn - 1) and
+/// b[0, bn - 1)) and shift the rest down by bn - 1 limbs: the band, plus
+/// each diagonal k >= an at B^(k - bn + 1), which is B^n or above. Of those
+/// only diagonals an and an + 1 reach the n + 2 limbs the band fills, so
+/// subtracting them mod B^(n + 2) leaves the band.
 LimbVec gmp_middle(const LimbVec& a, const LimbVec& b) {
   const std::size_t an = a.size();
   const std::size_t bn = b.size();
-  Mpz band, part, high;
-  set_limbs(band.v, gmp_product(a, b).data(), an + bn);
+  const std::size_t n = an - bn + 1;
+  const LimbVec product = gmp_product(a, b);
+  Mpz band, part;
+  set_limbs(band.v, product.data(), product.size());
   gmp_triangle(part.v, a.data(), b.data(), bn - 1);
   mpz_sub(band.v, band.v, part.v);
-  if (bn >= 2) {
-    const Limb* x = a.data() + an - bn + 1;
-    const Limb* y = b.data() + 1;
-    LimbVec square(2 * (bn - 1));
-    mpn_mul_n(square.data(), x, y, static_cast<mp_size_t>(bn - 1));
-    set_limbs(high.v, square.data(), square.size());
-    gmp_triangle(part.v, x, y, bn - 2);
-    mpz_sub(high.v, high.v, part.v);
-    mpz_mul_2exp(high.v, high.v, 64 * (an - bn + 2));
-    mpz_sub(band.v, band.v, high.v);
-  }
   mpz_fdiv_q_2exp(band.v, band.v, 64 * (bn - 1));
+  // c_an + c_(an+1) * B, the pairs a_i b_j with i + j = an or an + 1.
+  Limb past[4] = {0, 0, 0, 0};
+  for (std::size_t shift = 0; shift < 2; ++shift) {
+    for (std::size_t j = shift + 1; j < bn; ++j) {
+      const unsigned __int128 t =
+          static_cast<unsigned __int128>(a[an + shift - j]) * b[j];
+      const Limb term[2] = {static_cast<Limb>(t), static_cast<Limb>(t >> 64)};
+      mpn_add(past + shift, past + shift,
+              static_cast<mp_size_t>(4 - shift), term, 2);
+    }
+  }
+  set_limbs(part.v, past, 2);
+  mpz_mul_2exp(part.v, part.v, 64 * n);
+  mpz_sub(band.v, band.v, part.v);
+  mpz_fdiv_r_2exp(band.v, band.v, 64 * (n + 2));
   return limbs_of(band.v);
 }
 
@@ -559,10 +572,9 @@ TEST(NttGmp, MiddleProductsAgree) {
   for (const std::size_t s : ntt_sizes(t)) {
     for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec b = ntt_operand(rng, s, fill);
-      // The descent's shape (n = bn) and, in the crossover region, a band
-      // three times wider than b.
+      // The descent's shape (n = bn) and a band three times wider than b.
       for (const std::size_t an : {2 * s - 1, 4 * s + 5}) {
-        if (an > 2 * s && ntt_fills(s, t) == 1) break;
+        if (an > 2 * s && !every_shape(s, t)) break;
         const LimbVec a = ntt_operand(rng, an, fill);
         EXPECT_TRUE(detail::mul_middle(a, b) == gmp_middle(a, b))
             << "an " << an << " bn " << s << " fill " << fill;
@@ -571,17 +583,17 @@ TEST(NttGmp, MiddleProductsAgree) {
   }
 }
 
-// Up to the widest single transform: past it mul_window runs the product
-// and band kernels that the tests above check at the cap.
+// Past the widest single transform only at cap + 1: there mul_window runs
+// the product and band kernels that the tests above check at every size.
 TEST(NttGmp, MulWindowsAgree) {
   util::Xoshiro256 rng(29);
   constexpr std::size_t t = detail::kNttMiddleMinLimbs;
   for (const std::size_t s : ntt_sizes(t)) {
-    if (s > kOneTransform) continue;
+    if (s > kOneTransform && !every_shape(s, t)) continue;
     for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec y = ntt_operand(rng, s, fill);
       for (const std::size_t xn : {2 * s + 1, 3 * s + 7}) {
-        if (xn > 3 * s && ntt_fills(s, t) == 1) break;
+        if (xn > 3 * s && !every_shape(s, t)) break;
         const LimbVec x = ntt_operand(rng, xn, fill);
         Mpz product;
         const LimbVec full = gmp_product(x, y);

@@ -523,98 +523,75 @@ TEST(MiddleProduct, MulWindowTakesTheFullProductWhenTheGuardCouldCarry) {
 
 // ------------------------------------------------------- NTT tables ----
 
-// The NTT's root tables are built on the first product above its
-// crossover. Four threads start theirs at once (each test runs in its own
-// process under ctest, so this is the first use); every product and middle
-// product must equal the schoolbook one. Under TSan this also checks the
-// one-time build for races.
+// The NTT's root tables, and the side tables of the transforms longer
+// than them (2^13 roots), are built on first use. Eight threads start at
+// once (each test runs in its own process under ctest, so this is the
+// first use): each runs a product and a middle product just past the
+// crossover, which must equal the schoolbook ones, and a product and a
+// square of one 2^16 transform, a band of one 2^14 transform and a
+// reciprocal whose Newton steps are 2^14 transforms, which must equal the
+// main thread's results afterwards. Under TSan this also checks the
+// one-time builds and each call's scratch for races.
 TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
-  constexpr int kThreads = 4;
+  constexpr int kThreads = 8;
   const std::size_t n = detail::kNttMinLimbs + 5;
-  std::vector<detail::LimbVec> a(kThreads), b(kThreads), mid(kThreads);
   util::Xoshiro256 rng(35);
-  for (int t = 0; t < kThreads; ++t) {
-    a[t].resize(n);
-    b[t].resize(n);
-    mid[t].resize(3 * n);
-    for (auto& v : a[t]) v = rng();
-    for (auto& v : b[t]) v = rng();
-    for (auto& v : mid[t]) v = rng();
-  }
-  std::vector<detail::LimbVec> products(kThreads), middles(kThreads);
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      products[t] = detail::mul_karatsuba(a[t], b[t]);
-      middles[t] = detail::mul_middle(mid[t], b[t]);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  auto& kara = Tuning::karatsuba_threshold();
-  const std::size_t saved = kara;
-  kara = 1000000;  // schoolbook, no transform
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(products[t], detail::mul_schoolbook(a[t], b[t])) << t;
-    EXPECT_EQ(middles[t], detail::mul_middle(mid[t], b[t])) << t;
-  }
-  kara = saved;
-}
-
-// Transforms longer than the root table (2^13 roots) take their outer
-// stages' roots from the side tables. Eight, four, two and one fresh
-// threads at once (eight first, so the tables' first use is concurrent)
-// run a product and a square of one 2^16 transform, a band of one 2^14
-// transform and a reciprocal whose Newton steps are 2^14 transforms; each
-// must equal the results the main thread computes afterwards. Under TSan
-// this checks the tables' one-time build and each call's scratch.
-TEST(NttThreads, AboveTheRootTableMatchesSerialOnEveryThreadCount) {
-  util::Xoshiro256 rng(36);
-  const auto operand = [&](std::size_t n) {
-    detail::LimbVec v(n);
+  const auto operand = [&](std::size_t size) {
+    detail::LimbVec v(size);
     for (auto& limb : v) limb = rng();
     v.back() |= 1;
     return v;
   };
-  const detail::LimbVec a = operand(16400);  // 32,799 coefficients
-  const detail::LimbVec b = operand(16400);
+  std::vector<detail::LimbVec> a(kThreads), b(kThreads), mid(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    a[t] = operand(n);
+    b[t] = operand(n);
+    mid[t] = operand(3 * n);
+  }
+  const detail::LimbVec x = operand(16400);  // 32,799 coefficients
+  const detail::LimbVec y = operand(16400);
   const detail::LimbVec wide = operand(8400);  // band of 4,201 over 4,200
   const detail::LimbVec narrow = operand(4200);
   const BigInt d = BigIntOps::make(operand(4200), 1);
   const std::size_t bits = 2 * d.bit_length() + 64;
   struct Results {
-    detail::LimbVec product, square, band;
+    detail::LimbVec product, middle, long_product, square, band;
     BigInt inverse;
   };
-  const auto run = [&] {
-    return Results{detail::mul_karatsuba(a, b), detail::mul_karatsuba(a, a),
-                   detail::mul_middle(wide, narrow), reciprocal(d, bits)};
+  const auto run = [&](int t) {
+    return Results{detail::mul_karatsuba(a[t], b[t]),
+                   detail::mul_middle(mid[t], b[t]),
+                   detail::mul_karatsuba(x, y),
+                   detail::mul_karatsuba(x, x),
+                   detail::mul_middle(wide, narrow),
+                   reciprocal(d, bits)};
   };
+  std::vector<Results> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[t] = run(t);
+    });
+  }
+  for (auto& thread : threads) thread.join();
 
-  std::vector<std::pair<int, Results>> runs;
-  for (const int count : {8, 4, 2, 1}) {
-    std::vector<Results> results(count);
-    std::latch start(count);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < count; ++t) {
-      threads.emplace_back([&, t] {
-        start.arrive_and_wait();
-        results[t] = run();
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    for (auto& r : results) runs.emplace_back(count, std::move(r));
+  const Results serial = run(0);
+  ASSERT_EQ(serial.long_product.size(), 32800u);
+  auto& kara = Tuning::karatsuba_threshold();
+  const std::size_t saved = kara;
+  kara = 1000000;  // schoolbook, no transform
+  for (int t = 0; t < kThreads; ++t) {
+    const Results& r = results[t];
+    EXPECT_EQ(r.product, detail::mul_schoolbook(a[t], b[t])) << t;
+    EXPECT_EQ(r.middle, detail::mul_middle(mid[t], b[t])) << t;
+    EXPECT_TRUE(r.long_product == serial.long_product) << t;
+    EXPECT_TRUE(r.square == serial.square) << t;
+    EXPECT_TRUE(r.band == serial.band) << t;
+    EXPECT_EQ(r.inverse, serial.inverse) << t;
   }
-  const Results serial = run();
-  ASSERT_EQ(serial.product.size(), 32800u);
-  for (const auto& [count, r] : runs) {
-    EXPECT_TRUE(r.product == serial.product) << count << " threads";
-    EXPECT_TRUE(r.square == serial.square) << count << " threads";
-    EXPECT_TRUE(r.band == serial.band) << count << " threads";
-    EXPECT_EQ(r.inverse, serial.inverse) << count << " threads";
-  }
+  kara = saved;
 }
 
 // ---------------------------------------------------- tuning knobs ----
