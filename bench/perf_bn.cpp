@@ -2,7 +2,8 @@
 // DESIGN.md calls out:
 //   * schoolbook vs Karatsuba vs NTT multiplication (BM_MulSchoolbook,
 //     BM_MulKaratsuba below the NTT crossover, BM_Mul above it), and the
-//     middle product the scaled remainder tree keeps,
+//     middle product the scaled remainder tree keeps, and the wrapped
+//     product (mod B^L - 1) of its row arithmetic and reciprocal,
 //   * Newton-reciprocal vs Knuth Algorithm D division,
 // the Newton reciprocal the scaled remainder tree starts from, Montgomery
 // modexp, gcd (on one fixed pair and over varying pairs) and RSA keygen
@@ -89,6 +90,30 @@ BENCHMARK(BM_MulMiddle)
     ->Arg(16384)
     ->Arg(19116);
 
+/// a * b mod (B^L - 1) for n-limb a and b at the wrap length of an
+/// (n + 1)-limb answer (detail::wrap_length): a row's Barrett remainder or
+/// R0 at a root of n limbs, beside BM_Mul's full n x n product. 16,356 is
+/// factor_inproc's root size (one 2^14 transform against 2^15 for the
+/// product), 19,116 the study's (2^15 against 2^16).
+void BM_MulWrapped(benchmark::State& state) {
+  const auto limbs = static_cast<std::size_t>(state.range(0));
+  const BigInt a = random_bits_of(1, limbs * 64);
+  const BigInt b = random_bits_of(2, limbs * 64);
+  const auto& al = bn::BigIntOps::limbs(a);
+  const auto& bl = bn::BigIntOps::limbs(b);
+  const std::size_t length = bn::detail::wrap_length(limbs + 1);
+  std::vector<bn::Limb> r(length);
+  std::vector<bn::Limb> scratch(bn::detail::mul_wrapped_scratch_limbs(
+      length, al.size(), bl.size(), /*kept=*/false));
+  for (auto _ : state) {
+    bn::detail::mul_wrapped_into(r.data(), length, {al.data(), al.size()},
+                                 {bl.data(), bl.size()}, scratch.data());
+    benchmark::DoNotOptimize(r.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MulWrapped)->Arg(16356)->Arg(19116);
+
 /// An a x b product with a far longer than b: a in chunks of one transform
 /// each against all of b.
 void BM_MulLopsided(benchmark::State& state) {
@@ -130,7 +155,8 @@ void BM_DivNewton(benchmark::State& state) {
 BENCHMARK(BM_DivNewton)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 /// floor(2^(2b+64) / d) for a b-bit d: the root reciprocal of a k-subset
-/// tree (ProductTree::root_reciprocal), by limbs of d.
+/// tree (ProductTree::root_reciprocal), by limbs of d. 16,356 is
+/// factor_inproc's root size, 19,116 the study's.
 void BM_Reciprocal(benchmark::State& state) {
   const auto limbs = static_cast<std::size_t>(state.range(0));
   const BigInt d = random_bits_of(4, limbs * 64);
@@ -142,6 +168,7 @@ BENCHMARK(BM_Reciprocal)
     ->Arg(64)
     ->Arg(1024)
     ->Arg(4096)
+    ->Arg(16356)
     ->Arg(16384)
     ->Arg(19116);
 

@@ -48,6 +48,9 @@ constexpr int kBarrettMaxRaise = 2;
 /// fraction. Every reduction is a Barrett step through
 /// mu = J >> 64 = floor(2^(2b) / P), the limbs of the tree's cached root
 /// reciprocal J above its lowest, so nothing here computes a reciprocal.
+/// Products whose answer is known to lie below B^L - 1 for the wrap length
+/// L >= n + 1 (a Barrett remainder, R0) are wrapped products mod B^L - 1,
+/// half the transform of the full product (DESIGN.md §5p).
 class RootArith {
  public:
   explicit RootArith(const ProductTree& tree)
@@ -57,16 +60,20 @@ class RootArith {
         n_(root_.limb_count()),
         jn_(tree.root_reciprocal().limb_count()),
         b_(root_.bit_length()),
+        wrap_(bn::detail::wrap_length(n_ + 1)),
         w_(kRootPadLimbs + jn_ + n_) {
-    using bn::detail::mul_scratch_limbs;
-    const std::size_t scratch =
-        std::max({mul_scratch_limbs(n_, n_), mul_scratch_limbs(n_ + 1, jn_ - 1),
-                  mul_scratch_limbs(n_ + 1, n_), mul_scratch_limbs(jn_, n_)});
-    // q (n + 1) | low (n + 1) | acc (n) | scratch.
-    block_ = std::make_unique_for_overwrite<Limb[]>(3 * n_ + 2 + scratch);
+    using namespace bn::detail;
+    const std::size_t scratch = std::max(
+        {mul_scratch_limbs(n_, n_), mul_scratch_limbs(n_ + 1, jn_ - 1),
+         mul_scratch_limbs(jn_, n_),
+         mul_wrapped_scratch_limbs(wrap_, jn_, n_, /*kept=*/false),
+         mul_wrapped_scratch_limbs(wrap_, n_ + 1, n_, /*kept=*/false)});
+    // q (n + 1) | low (L) | acc (n) | scratch.
+    block_ = std::make_unique_for_overwrite<Limb[]>(2 * n_ + 1 + wrap_ +
+                                                    scratch);
     q_ = block_.get();
     low_ = q_ + n_ + 1;
-    acc_ = low_ + n_ + 1;
+    acc_ = low_ + wrap_;
     scratch_ = acc_ + n_;
   }
 
@@ -100,13 +107,11 @@ class RootArith {
   [[nodiscard]] BigInt fraction() && {
     using namespace bn::detail;
     Limb* w = w_.data();
-    // R0 < P < B^n, and B^n divides 2^(2b+64), so R0 = -J * P mod B^n.
-    mul_into(w, j_, jn_, p_, n_, scratch_);
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      low_[i] = Limb{0} - w[i] - borrow;
-      borrow = (w[i] != 0 || borrow != 0) ? 1 : 0;
-    }
+    // R0 < P < B^L - 1, so it is 2^(2b+64) - J * P mod B^L - 1.
+    mul_wrapped_into(w, wrap_, {j_, jn_}, {p_, n_}, scratch_);
+    sub_from_power_wrapped(w, wrap_, (2 * b_ + 64) % (64 * wrap_));
+    expect_below(w, n_, "row fraction: R0 past P");
+    std::copy(w, w + n_, low_);
     mul_into(w, acc_, n_, low_, n_, scratch_);
     reduce();  // q = floor(acc * R0 / P)
     Limb* y = w + kRootPadLimbs;
@@ -168,18 +173,28 @@ class RootArith {
     return !std::all_of(low_, low_ + n_, [](Limb l) { return l == 0; });
   }
 
+  /// Checks that the wrapped result v[0, L) lies below B^limbs: a larger
+  /// one means a wrong product.
+  void expect_below(const Limb* v, std::size_t limbs, const char* what) const {
+    if (!std::all_of(v + limbs, v + wrap_, [](Limb l) { return l == 0; })) {
+      throw std::logic_error(what);
+    }
+  }
+
   /// Divides w[0, 2n) (below P^2 < 2^(2b)) by P: q[0, n + 1) gets the
-  /// quotient and low[0, n) the remainder.
+  /// quotient and low[0, n) the remainder. The estimate q never passes the
+  /// quotient, so the remainder w - q * P lies in [0, 3P), below B^(n+1):
+  /// it is w - q * P mod B^L - 1, from a wrapped q * P.
   void reduce() {
     using namespace bn::detail;
     Limb* w = w_.data();
     shift_right(q_, n_ + 1, w, 2 * n_, b_ - 1);
-    // The remainder is below 3P < B^(n+1): the low n + 1 limbs suffice.
-    std::copy(w, w + n_ + 1, low_);
+    fold_wrapped(low_, wrap_, w, 2 * n_);
     mul_into(w, q_, n_ + 1, j_ + 1, jn_ - 1, scratch_);  // q1 * mu
     shift_right(q_, n_ + 1, w, n_ + jn_, b_ + 1);
-    mul_into(w, q_, n_ + 1, p_, n_, scratch_);
-    sub_n(low_, low_, w, n_ + 1);
+    mul_wrapped_into(w, wrap_, {q_, n_ + 1}, {p_, n_}, scratch_);
+    sub_wrapped(low_, low_, w, wrap_);
+    expect_below(low_, n_ + 1, "row Barrett step: remainder past 3P");
     int raised = 0;
     while (low_[n_] != 0 || cmp_n(low_, p_, n_) >= 0) {
       if (++raised > kBarrettMaxRaise) {
@@ -196,6 +211,7 @@ class RootArith {
   std::size_t n_;
   std::size_t jn_;
   std::size_t b_;
+  std::size_t wrap_;     ///< L: wrapped products are mod B^L - 1
   std::vector<Limb> w_;  ///< products; the fraction's limbs at the end
   std::unique_ptr<Limb[]> block_;
   Limb* q_ = nullptr;
@@ -254,11 +270,17 @@ std::vector<BigInt> descend(const ProductTree& tree, BigInt y_root,
         next_prec[i] = prec[parent];
         continue;
       }
+      // Both children's windows of the parent's fraction, against each
+      // other's square: the fraction's slice is transformed once for both.
       for (std::size_t c = i; c < i + 2; ++c) {
         next_prec[c] = precision(nodes[c].bit_length());
-        next[c] = bn::mul_window(y[parent], nodes[c ^ 1].squared(),
-                                 prec[parent] - next_prec[c], next_prec[c]);
       }
+      auto windows = bn::detail::mul_window_pair(
+          y[parent], nodes[i + 1].squared(), prec[parent] - next_prec[i],
+          next_prec[i], nodes[i].squared(), prec[parent] - next_prec[i + 1],
+          next_prec[i + 1]);
+      next[i] = std::move(windows[0]);
+      next[i + 1] = std::move(windows[1]);
     }
     if (li == 0) {
       leaves = level;

@@ -89,8 +89,12 @@ bool TaskSet::done(std::size_t task) const {
 BatchGcdResult TaskSet::combine() const {
   BatchGcdResult result;
   result.divisors.reserve(moduli_.size());
+  const BigInt one(1);
   for (std::size_t i = 0; i < moduli_.size(); ++i) {
-    result.divisors.push_back(bn::gcd(moduli_[i], partial_[i]));
+    // An accumulator no claim folded into is 1, whose gcd with anything is 1.
+    result.divisors.push_back(partial_[i] == one
+                                  ? one
+                                  : bn::gcd(moduli_[i], partial_[i]));
   }
   return result;
 }

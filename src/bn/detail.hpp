@@ -128,13 +128,29 @@ inline constexpr std::size_t kNttWrapLimbs = 32;
 std::size_t ntt_product_length(std::size_t an, std::size_t bn);
 std::size_t ntt_middle_length(std::size_t an, std::size_t bn);
 
-/// Scratch limbs of one NTT product (square) of transform length `length`
-/// that keeps `count` coefficients (an + bn - 1 for a product, the band's
-/// an - bn + 1 for a middle product): one transform, b's transform (not for
-/// a square) and one prime's kept residues; another prime's are kept in
-/// the output.
-std::size_t ntt_scratch_limbs(std::size_t length, bool square,
+/// Scratch limbs of one NTT product of transform length `length` that
+/// keeps `count` coefficients (an + bn - 1 for a product, the band's
+/// an - bn + 1 for a middle product, L for a wrapped product): one
+/// transform, b's transform unless the product is `single` (a square, or
+/// an operand's transforms are kept), and one prime's kept residues;
+/// another prime's are kept in the output.
+std::size_t ntt_scratch_limbs(std::size_t length, bool single,
                               std::size_t count);
+
+/// One operand of a product: its limbs and, when `transforms` is set, its
+/// three per-prime forward transforms at transform length `length`
+/// (3 * length limbs of caller storage, ntt_keep), which a product at that
+/// length reads instead of transforming the limbs again.
+struct Operand {
+  const Limb* limbs = nullptr;
+  std::size_t size = 0;
+  const Limb* transforms = nullptr;
+  std::size_t length = 0;
+};
+
+/// t[0, 3L) = the forward transforms of a[0, an) reduced mod X^L - 1
+/// (an <= 2L), one per prime, for L = length.
+void ntt_keep(Limb* t, const Limb* a, std::size_t an, std::size_t length);
 
 /// r[0, an + bn) = a * b, for an >= bn >= 1 and a transform length of at
 /// most kNttMaxLength.
@@ -148,6 +164,91 @@ void ntt_sqr(Limb* r, const Limb* a, std::size_t n, Limb* scratch);
 /// an >= bn >= 1 and a transform length of at most kNttMaxLength.
 void ntt_mulmid(Limb* r, const Limb* a, std::size_t an, const Limb* b,
                 std::size_t bn, Limb* scratch);
+
+/// The middle product at transform length L, for an <= L + kNttWrapLimbs
+/// and an + bn - 1 <= 2L; either operand's transforms may be kept at L.
+void ntt_mulmid_at(Limb* r, const Operand& a, const Operand& b,
+                   std::size_t length, Limb* scratch);
+
+/// r[0, L) = a * b mod (B^L - 1), a value in [0, B^L - 1], for a and b of
+/// at most 2L limbs each (longer ones are folded): the cyclic
+/// convolution at L, recombined with an end-around carry and no wrap
+/// correction. Either operand's transforms may be kept at L.
+void ntt_mul_wrapped(Limb* r, const Operand& a, const Operand& b,
+                     std::size_t length, Limb* scratch);
+
+/// The middle products r0[0, an - bn0 + 3) of a and b0 and r1[0,
+/// an - bn1 + 3) of a and b1 at one transform length L valid for both
+/// (ntt_mulmid_at), a's transform computed once per prime for the two.
+/// ws holds 2L + (an - bn0 + 1) + (an - bn1 + 1) limbs.
+void ntt_mulmid_pair(Limb* r0, Limb* r1, const Limb* a, std::size_t an,
+                     const Limb* b0, std::size_t bn0, const Limb* b1,
+                     std::size_t bn1, std::size_t length, Limb* scratch);
+
+// -- Wrapped products and kept operands (mul.cpp) -----------------------------
+// The same products at every size: above the NTT crossover they run on the
+// kernels above, below it on the Karatsuba span kernels. An operand kept
+// below the crossover keeps nothing (Operand::transforms stays null).
+
+/// r[0, n) += a[0, n) * b; returns the carry limb.
+Limb addmul_1(Limb* r, const Limb* a, std::size_t n, Limb b);
+
+/// The modulus length L of a wrapped product whose answer is known to fit
+/// `limbs` limbs (B^L - 1 > that answer): the next power of two when the
+/// product is one NTT, else `limbs` itself.
+std::size_t wrap_length(std::size_t limbs);
+
+/// Storage limbs keep_wrapped() takes at wrap length L (0 below the NTT).
+std::size_t keep_wrapped_limbs(std::size_t length);
+
+/// b[0, bn) kept for wrapped products at wrap length L, its transforms in
+/// storage[0, keep_wrapped_limbs(L)).
+Operand keep_wrapped(const Limb* b, std::size_t bn, std::size_t length,
+                     Limb* storage);
+
+/// Scratch limbs of mul_wrapped_into at wrap length L for an an-limb and a
+/// bn-limb operand, `kept` when either operand's transforms are kept.
+std::size_t mul_wrapped_scratch_limbs(std::size_t length, std::size_t an,
+                                      std::size_t bn, bool kept);
+
+/// r[0, L) = a * b mod (B^L - 1), a value in [0, B^L - 1], for L =
+/// wrap_length(...): one NTT at L (a and b of at most 2L limbs each), or
+/// the full product folded by end-around carries.
+void mul_wrapped_into(Limb* r, std::size_t length, const Operand& a,
+                      const Operand& b, Limb* scratch);
+
+/// Scratch limbs of mulmid_kept_into for an an-limb a against a bn-limb b
+/// kept at transform length L (0: not kept).
+std::size_t mulmid_kept_scratch_limbs(std::size_t an, std::size_t bn,
+                                      std::size_t length);
+
+/// r[0, an - bn + 3) = the middle product of a and b (mulmid_into), for
+/// an >= bn; one NTT on b's kept transforms when their length suits the
+/// band (an <= L + kNttWrapLimbs, an + bn - 1 <= 2L), else mulmid_into.
+void mulmid_kept_into(Limb* r, const Limb* a, std::size_t an,
+                      const Operand& b, Limb* scratch);
+
+/// {mul_window(a, b0, shift0, bits0), mul_window(a, b1, shift1, bits1)}:
+/// two windows of products of one a, as a descent node's two children take
+/// them from their parent's fraction. When both are bands of one NTT
+/// length, the slice of a that meets either band is transformed once per
+/// prime for both (ntt_mulmid_pair); otherwise two mul_window calls.
+std::array<BigInt, 2> mul_window_pair(const BigInt& a, const BigInt& b0,
+                                      std::size_t shift0, std::size_t bits0,
+                                      const BigInt& b1, std::size_t shift1,
+                                      std::size_t bits1);
+
+/// r[0, L) = x[0, xn) mod (B^L - 1), in [0, B^L - 1): L-limb pieces
+/// summed with end-around carries.
+void fold_wrapped(Limb* r, std::size_t length, const Limb* x,
+                  std::size_t xn);
+
+/// r[0, L) = (a - b) mod (B^L - 1), in [0, B^L - 1); r may alias a or b.
+void sub_wrapped(Limb* r, const Limb* a, const Limb* b, std::size_t length);
+
+/// r[0, L) = (2^bit - r) mod (B^L - 1), in [0, B^L - 1), for bit < 64 L:
+/// a residual 2^bit - x from the wrapped product x.
+void sub_from_power_wrapped(Limb* r, std::size_t length, std::size_t bit);
 
 /// Floor division of magnitudes: a = q*b + r, 0 <= r < b. b must be nonzero.
 /// Dispatches Knuth Algorithm D vs Newton-reciprocal division on size.

@@ -16,6 +16,13 @@
 // never depends on the error analysis. The analysis bounds the loops'
 // iterations, and a loop that passes its bound throws std::logic_error: only
 // a wrong product gets there, and it must fail rather than spin.
+//
+// The same bounds size the products. Each Newton level's two residuals,
+// beta^(n+h) - Ih * d and beta^(2n) - X1 * d, lie below 9 beta^n in
+// magnitude, so each is read off the product mod B^L - 1 for the wrap
+// length L >= n + 1 (a wrapped product, half the transform of the full
+// one), both on d's transforms, kept for the level; the correction uses
+// only the top limbs of Ih * |E'|, a band on Ih's kept transforms.
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
@@ -140,11 +147,12 @@ constexpr std::size_t kInvertBaseLimbs = 16;
 /// E' = beta^(n+h) - Ih * d lies in (-2 beta^n, beta^n), so
 /// eps = E' / beta^(n+h) has |eps| < 2 beta^-h. The step's real value
 /// X0 (1 + eps) = (beta^(2n) / d)(1 - eps^2) is below beta^(2n) / d by
-/// less than 8 (less than 2 when E' >= 0), and truncating the correction
-/// moves X1 by less than 1, down when E' >= 0 and up when E' < 0. So X1
-/// lies in [X - 7, X + 1].
-constexpr int kInvertMaxLower = 1;
-constexpr int kInvertMaxRaise = 7;
+/// less than 8 (less than 2 when E' >= 0). Truncating the correction moves
+/// X1 by less than 1, and the band it is read from (diagonals 2h - 2 and
+/// up) by at most 1 more, down when E' >= 0 and up when E' < 0. So X1 lies
+/// in [X - 8, X + 2].
+constexpr int kInvertMaxLower = 2;
+constexpr int kInvertMaxRaise = 8;
 /// Barrett's estimate floor(floor(A / beta^n) * I / beta^n) is never above
 /// the quotient and, for A < beta^(2n) and B >= beta^n / 2, at most 3
 /// below it: A / beta^(2n) < 1 and beta^n / B <= 2 bound the two dropped
@@ -170,15 +178,37 @@ void negate(Limb* r, const Limb* a, std::size_t n) {
   }
 }
 
-/// Scratch limbs invert_into needs for an n-limb divisor: its own three
-/// buffers and its three products', or its recursive call's.
+/// Scratch limbs invert_into needs at one level for an n-limb divisor
+/// (n > kInvertBaseLimbs): d's and Ih's kept transforms, the wrapped
+/// products (L limbs, the band's output too), the residual with the band's
+/// slice (n + 3) and the products' own scratch.
+std::size_t invert_level_limbs(std::size_t n) {
+  const std::size_t h = (n + 1) / 2;
+  const std::size_t length = wrap_length(n + 1);
+  const std::size_t kept = keep_wrapped_limbs(length);
+  return 2 * kept + length + n + 3 +
+         std::max({mul_wrapped_scratch_limbs(length, h + 1, n, kept != 0),
+                   mul_wrapped_scratch_limbs(length, n + 1, n, kept != 0),
+                   mulmid_kept_scratch_limbs(n + 3, h + 1,
+                                             kept != 0 ? length : 0)});
+}
+
+/// Scratch limbs invert_into needs for an n-limb divisor: its own level's
+/// or its recursive call's.
 std::size_t invert_scratch_limbs(std::size_t n) {
   if (n <= kInvertBaseLimbs) return 0;
-  const std::size_t h = (n + 1) / 2;
-  return std::max(invert_scratch_limbs(h),
-                  3 * (n + 1) + std::max({mul_scratch_limbs(n, h + 1),
-                                          mul_scratch_limbs(n + 1, h + 1),
-                                          mul_scratch_limbs(n + 1, n)}));
+  return std::max(invert_scratch_limbs((n + 1) / 2), invert_level_limbs(n));
+}
+
+/// e[0, n + 1) = the residual 2^bit - x as n + 1 limbs of two's
+/// complement, from w[0, L) = x mod (B^L - 1), for a residual known to lie
+/// in [-B^L / 2, B^L / 2). Overwrites w.
+void wrapped_residual(Limb* e, std::size_t n, Limb* w, std::size_t length,
+                      std::size_t bit) {
+  sub_from_power_wrapped(w, length, bit);
+  // A negative residual v reads B^L - 1 + v: add the 1 back.
+  if ((w[length - 1] >> 63) != 0) add_1(w, length, 1);
+  std::copy(w, w + n + 1, e);
 }
 
 /// out[0, n] = floor(beta^(2n) / d) for a normalized n-limb d (top bit
@@ -187,9 +217,12 @@ std::size_t invert_scratch_limbs(std::size_t n) {
 /// case. Each level refines the top half's reciprocal once,
 ///   X1 = X0 + X0 * (beta^(2n) - X0 * d) / beta^(2n),
 /// then corrects X1 exactly, so the next level starts from an exact value
-/// and the correction loops run O(1) times. The residuals are all below
-/// 2 beta^n in magnitude, so they are computed mod beta^(n+1) from the low
-/// limbs of the products.
+/// and the correction loops run O(1) times. Both residuals are known to lie
+/// below 9 beta^n in magnitude (E' in (-2 beta^n, beta^n), R in [-2d, 9d)),
+/// far inside [-B^L / 2, B^L / 2) for L >= n + 1, so each is read off a
+/// wrapped product mod B^L - 1 (half the transform of the full product),
+/// both against d's kept transforms. The correction's top l + 2 limbs are a
+/// band of Ih * |E'| on Ih's kept transforms.
 void invert_into(Limb* out, const Limb* d, std::size_t n, Limb* ws) {
   if (n <= kInvertBaseLimbs) {
     LimbVec num(2 * n + 1, 0);
@@ -206,26 +239,34 @@ void invert_into(Limb* out, const Limb* d, std::size_t n, Limb* ws) {
   invert_into(out + l, d + l, h, ws);
   std::fill(out, out + l, Limb{0});
   const Limb* ih = out + l;  // h + 1 limbs
-  Limb* prod = ws;            // 2n + 2 limbs
-  Limb* e = ws + 2 * n + 2;   // n + 1 limbs
-  Limb* scratch = e + n + 1;
+  const std::size_t length = wrap_length(n + 1);
+  const std::size_t kept = keep_wrapped_limbs(length);
+  const Operand dk = keep_wrapped(d, n, length, ws);
+  const Operand ik = keep_wrapped(ih, h + 1, length, ws + kept);
+  Limb* w = ws + 2 * kept;  // L limbs: the wrapped products and the band
+  Limb* e = w + length;     // n + 3 limbs: E' and the band's slice, then R
+  Limb* scratch = e + n + 3;
 
   // E' = beta^(n+h) - Ih * d (= (beta^(2n) - X0 * d) / beta^l).
-  mul_into(prod, d, n, ih, h + 1, scratch);
-  negate(e, prod, n + 1);
+  mul_wrapped_into(w, length, ik, dk, scratch);
+  wrapped_residual(e, n, w, length, 64 * ((n + h) % length));
   const bool e_negative = (e[n] >> 63) != 0;
   if (e_negative) negate(e, e, n + 1);
-  // X1 = X0 +- floor(Ih * |E'| / beta^(2h)), an (l + 2)-limb correction.
-  mul_into(prod, e, n + 1, ih, h + 1, scratch);
+  // X1 = X0 +- floor(Ih * |E'| / beta^(2h)), an (l + 2)-limb correction:
+  // the band of diagonals 2h - 2 and up, which meet |E'| from limb h - 2,
+  // with two guard limbs below beta^(2h).
+  std::copy(e + h - 2, e + n + 1, e);
+  std::fill(e + l + 3, e + n + 3, Limb{0});
+  mulmid_kept_into(w, e, n + 3, ik, scratch);
   if (e_negative) {
-    sub_1(out + l + 2, h - 1, sub_n(out, out, prod + 2 * h, l + 2));
+    sub_1(out + l + 2, h - 1, sub_n(out, out, w + 2, l + 2));
   } else {
-    add_1(out + l + 2, h - 1, add_n(out, out, prod + 2 * h, l + 2));
+    add_1(out + l + 2, h - 1, add_n(out, out, w + 2, l + 2));
   }
 
   // Exact correction: R = beta^(2n) - X1 * d must land in [0, d).
-  mul_into(prod, out, n + 1, d, n, scratch);
-  negate(e, prod, n + 1);  // R, two's complement over n + 1 limbs
+  mul_wrapped_into(w, length, {out, n + 1}, dk, scratch);
+  wrapped_residual(e, n, w, length, 64 * ((2 * n) % length));
   int lowered = 0;
   while ((e[n] >> 63) != 0) {
     correction_step(lowered, kInvertMaxLower, "invert_into");
@@ -343,9 +384,7 @@ BigInt reciprocal(const BigInt& d, std::size_t bits) {
       static_cast<std::size_t>(std::countl_zero(limbs.back()));
   const std::size_t want = bits + s;
   const std::size_t t = want > 128 * n ? (want - 128 * n + 63) / 64 : 0;
-  LimbVec padded(t, 0);
-  const LimbVec shifted = detail::shl(limbs, s);
-  padded.insert(padded.end(), shifted.begin(), shifted.end());
+  const LimbVec padded = detail::shl(limbs, s + 64 * t);
   // One allocation for the result and the Newton scratch.
   LimbVec buf(n + t + 1 + detail::invert_scratch_limbs(n + t));
   detail::invert_into(buf.data(), padded.data(), n + t,

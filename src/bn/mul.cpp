@@ -22,6 +22,7 @@
 // takes Karatsuba (transposed Karatsuba) levels, or chunks of a lopsided
 // operand, down to pieces that fit (DESIGN.md §5p).
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "bn/detail.hpp"
@@ -83,6 +84,16 @@ int cmp_n(const Limb* a, const Limb* b, std::size_t n) {
   return 0;
 }
 
+Limb addmul_1(Limb* r, const Limb* a, std::size_t n, Limb b) {
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    carry += static_cast<unsigned __int128>(a[i]) * b + r[i];
+    r[i] = static_cast<Limb>(carry);
+    carry >>= 64;
+  }
+  return static_cast<Limb>(carry);
+}
+
 namespace {
 
 /// The Karatsuba threshold, never below the 2 limbs the split needs.
@@ -101,17 +112,6 @@ Limb mul_1(Limb* r, const Limb* a, std::size_t n, Limb b) {
   unsigned __int128 carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     carry += static_cast<unsigned __int128>(a[i]) * b;
-    r[i] = static_cast<Limb>(carry);
-    carry >>= 64;
-  }
-  return static_cast<Limb>(carry);
-}
-
-/// r[0, n) += a[0, n) * b; returns the carry limb.
-Limb addmul_1(Limb* r, const Limb* a, std::size_t n, Limb b) {
-  unsigned __int128 carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    carry += static_cast<unsigned __int128>(a[i]) * b + r[i];
     r[i] = static_cast<Limb>(carry);
     carry >>= 64;
   }
@@ -406,7 +406,7 @@ void mul_basecase(Limb* r, const Limb* a, std::size_t an, const Limb* b,
 std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn) {
   if (bn < threshold()) return 0;
   if (ntt_product(an, bn)) {
-    return ntt_scratch_limbs(ntt_product_length(an, bn), /*square=*/false,
+    return ntt_scratch_limbs(ntt_product_length(an, bn), /*single=*/false,
                              an + bn - 1);
   }
   const std::size_t m = (an + 1) / 2;
@@ -429,7 +429,7 @@ std::size_t mul_scratch_limbs(std::size_t an, std::size_t bn) {
 std::size_t sqr_scratch_limbs(std::size_t n) {
   if (n < threshold()) return 0;
   if (ntt_product(n, n)) {
-    return ntt_scratch_limbs(ntt_product_length(n, n), /*square=*/true,
+    return ntt_scratch_limbs(ntt_product_length(n, n), /*single=*/true,
                              2 * n - 1);
   }
   const std::size_t m = (n + 1) / 2;
@@ -553,7 +553,7 @@ std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn) {
   const std::size_t n = an - bn + 1;
   if (std::min(n, bn) < threshold()) return 0;
   if (ntt_middle(an, bn)) {
-    return ntt_scratch_limbs(ntt_middle_length(an, bn), /*square=*/false,
+    return ntt_scratch_limbs(ntt_middle_length(an, bn), /*single=*/false,
                              an - bn + 1);
   }
   if (n > bn) {
@@ -570,6 +570,121 @@ std::size_t mulmid_scratch_limbs(std::size_t an, std::size_t bn) {
   if (bn % 2 != 0) return mulmid_scratch_limbs(an - 2, bn - 1);
   const std::size_t m = bn / 2;
   return 4 * m + 1 + mulmid_scratch_limbs(2 * m - 1, m);
+}
+
+// -- Wrapped products and kept operands ---------------------------------------
+
+namespace {
+
+/// Whether a wrapped product at L is one NTT: wrap_length() gave a
+/// transform length.
+bool ntt_wrapped(std::size_t length) {
+  return length >= kNttMinLimbs && length <= kNttMaxLength &&
+         std::has_single_bit(length);
+}
+
+/// Whether transforms kept at L serve the middle product of an an-limb a
+/// and a bn-limb b.
+bool kept_band(std::size_t an, std::size_t bn, std::size_t length) {
+  return length != 0 && an <= length + kNttWrapLimbs &&
+         an + bn - 1 <= 2 * length;
+}
+
+}  // namespace
+
+std::size_t wrap_length(std::size_t limbs) {
+  const std::size_t length = std::bit_ceil(limbs);
+  return limbs >= kNttMinLimbs && length <= kNttMaxLength ? length : limbs;
+}
+
+std::size_t keep_wrapped_limbs(std::size_t length) {
+  return ntt_wrapped(length) ? 3 * length : 0;
+}
+
+Operand keep_wrapped(const Limb* b, std::size_t bn, std::size_t length,
+                     Limb* storage) {
+  if (!ntt_wrapped(length)) return {b, bn};
+  ntt_keep(storage, b, bn, length);
+  return {b, bn, storage, length};
+}
+
+std::size_t mul_wrapped_scratch_limbs(std::size_t length, std::size_t an,
+                                      std::size_t bn, bool kept) {
+  if (ntt_wrapped(length)) return ntt_scratch_limbs(length, kept, length);
+  return an + bn + mul_scratch_limbs(std::max(an, bn), std::min(an, bn));
+}
+
+void mul_wrapped_into(Limb* r, std::size_t length, const Operand& a,
+                      const Operand& b, Limb* scratch) {
+  if (ntt_wrapped(length)) {
+    ntt_mul_wrapped(r, a, b, length, scratch);
+    return;
+  }
+  const bool swap = a.size < b.size;
+  const Operand& x = swap ? b : a;
+  const Operand& y = swap ? a : b;
+  Limb* prod = scratch;
+  mul_into(prod, x.limbs, x.size, y.limbs, y.size, prod + x.size + y.size);
+  fold_wrapped(r, length, prod, x.size + y.size);
+}
+
+std::size_t mulmid_kept_scratch_limbs(std::size_t an, std::size_t bn,
+                                      std::size_t length) {
+  if (kept_band(an, bn, length)) {
+    return ntt_scratch_limbs(length, /*single=*/true, an - bn + 1);
+  }
+  return mulmid_scratch_limbs(an, bn);
+}
+
+void mulmid_kept_into(Limb* r, const Limb* a, std::size_t an,
+                      const Operand& b, Limb* scratch) {
+  if (b.transforms != nullptr && kept_band(an, b.size, b.length)) {
+    ntt_mulmid_at(r, {a, an}, b, b.length, scratch);
+  } else {
+    mulmid_into(r, a, an, b.limbs, b.size, scratch);
+  }
+}
+
+namespace {
+
+/// r[0, L) = B^L - 1 (all ones) -> 0: the one value with two forms.
+void normalize_wrapped(Limb* r, std::size_t length) {
+  if (std::all_of(r, r + length, [](Limb l) { return l == ~Limb{0}; })) {
+    std::fill(r, r + length, Limb{0});
+  }
+}
+
+}  // namespace
+
+void fold_wrapped(Limb* r, std::size_t length, const Limb* x,
+                  std::size_t xn) {
+  const std::size_t first = std::min(xn, length);
+  std::copy(x, x + first, r);
+  std::fill(r + first, r + length, Limb{0});
+  for (std::size_t off = length; off < xn; off += length) {
+    const std::size_t len = std::min(length, xn - off);
+    Limb carry = add_n(r, r, x + off, len);
+    carry = add_1(r + len, length - len, carry);
+    // A carry out is worth B^L = 1; after it the sum is below the carry.
+    if (carry != 0) add_1(r, length, 1);
+  }
+  normalize_wrapped(r, length);
+}
+
+void sub_wrapped(Limb* r, const Limb* a, const Limb* b, std::size_t length) {
+  // A borrow out took B^L = 1 + (B^L - 1): one more to give back.
+  if (sub_n(r, a, b, length) != 0) sub_1(r, length, 1);
+  normalize_wrapped(r, length);
+}
+
+void sub_from_power_wrapped(Limb* r, std::size_t length, std::size_t bit) {
+  // 2^bit - x = ~(x - 2^bit), as ~y = B^L - 1 - y = -y.
+  const std::size_t limb = bit / 64;
+  if (sub_1(r + limb, length - limb, Limb{1} << (bit % 64)) != 0) {
+    sub_1(r, length, 1);
+  }
+  for (std::size_t i = 0; i < length; ++i) r[i] = ~r[i];
+  normalize_wrapped(r, length);
 }
 
 LimbVec mul_middle(const LimbVec& a, const LimbVec& b) {
@@ -640,6 +755,39 @@ BigInt window_of(const Limb* src, std::size_t n, unsigned bit_shift,
   return BigIntOps::make(std::move(out), 1);
 }
 
+/// Where mul_window's window of an xn x yn product (xn >= yn >= 1) lies:
+/// limbs [lo, hi) of the product, read off the band of diagonals
+/// [base, hi), two guard limbs below the window. `band` is whether that
+/// band is at most two thirds of the full product's work (n vs xn rows of
+/// yn limbs).
+struct WindowBand {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::size_t base = 0;
+  unsigned bit_shift = 0;
+  bool band = false;
+};
+
+WindowBand window_band(std::size_t xn, std::size_t yn, std::size_t shift,
+                       std::size_t bits) {
+  WindowBand w;
+  w.lo = shift / 64;
+  w.bit_shift = shift % 64;
+  w.hi = std::min(xn + yn, w.lo + (bits + w.bit_shift + 63) / 64);
+  w.base = w.lo >= 2 ? w.lo - 2 : 0;
+  w.band = 3 * (w.hi - w.base) <= 2 * xn;
+  return w;
+}
+
+/// Whether a band whose lowest diagonal is `bottom` (negative: zero
+/// diagonals below the product) and whose two lowest limbs are band[0, 2)
+/// is exact from its third limb on: the diagonals below it add less than
+/// yn * B to those two limbs, so their carry reaches further only if the
+/// upper one is at least B - yn (about yn in 2^64 bands).
+bool band_exact(std::ptrdiff_t bottom, const Limb* band, std::size_t yn) {
+  return bottom <= 0 || band[1] < Limb{0} - yn;
+}
+
 }  // namespace
 
 BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
@@ -651,25 +799,19 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
   const std::size_t xn = x.size();
   const std::size_t yn = y.size();
   const std::size_t rn = xn + yn;
-  const std::size_t lo = shift / 64;
-  if (yn == 0 || bits == 0 || lo >= rn) return BigInt{};
+  if (yn == 0 || bits == 0 || shift / 64 >= rn) return BigInt{};
+  const WindowBand w = window_band(xn, yn, shift, bits);
 
-  const unsigned bit_shift = shift % 64;
-  const std::size_t hi = std::min(rn, lo + (bits + bit_shift + 63) / 64);
-
-  // The band: diagonals [base, hi) of x * y, from two guard limbs below the
-  // window, as a middle product of y and the slice of x (zero-padded past
-  // its ends) that meets them. Used when it is at most two thirds of the
-  // full product's work (n vs xn rows of yn limbs).
-  const std::size_t base = lo >= 2 ? lo - 2 : 0;
-  const std::size_t n = hi - base;
-  if (3 * n <= 2 * xn) {
+  // The band: diagonals [base, hi) of x * y as a middle product of y and
+  // the slice of x (zero-padded past its ends) that meets them.
+  if (w.band) {
     obs::prof::Frame frame("bn.mul.middle");
+    const std::size_t n = w.hi - w.base;
     const std::size_t an = n + yn - 1;
     // slice[t] = x[base - (yn - 1) + t], zero outside [0, xn). When it lies
     // inside x, the kernel reads x in place; otherwise a zero-padded copy.
-    const std::size_t pad = base + 1 < yn ? yn - 1 - base : 0;
-    const std::size_t from = base + 1 < yn ? 0 : base + 1 - yn;
+    const std::size_t pad = w.base + 1 < yn ? yn - 1 - w.base : 0;
+    const std::size_t from = w.base + 1 < yn ? 0 : w.base + 1 - yn;
     const std::size_t count = std::min(an - pad, xn > from ? xn - from : 0);
     const bool in_place = pad == 0 && count == an;
     const auto buf = std::make_unique_for_overwrite<Limb[]>(
@@ -684,12 +826,8 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
       slice = copy;
     }
     detail::mulmid_into(band, slice, an, y.data(), yn, band + n + 2);
-    // The diagonals below base add less than yn * B to the two guard limbs
-    // band[0, 2), so their carry reaches the window only if the upper guard
-    // limb is at least B - yn. Then (about yn in 2^64 windows) take the full
-    // product instead.
-    if (base == 0 || band[1] < Limb{0} - yn) {
-      return window_of(band + (lo - base), rn - lo, bit_shift, bits);
+    if (band_exact(static_cast<std::ptrdiff_t>(w.base), band, yn)) {
+      return window_of(band + (w.lo - w.base), rn - w.lo, w.bit_shift, bits);
     }
   }
 
@@ -699,7 +837,90 @@ BigInt mul_window(const BigInt& a, const BigInt& b, std::size_t shift,
   const auto prod = std::make_unique_for_overwrite<Limb[]>(
       rn + detail::mul_scratch_limbs(xn, yn));
   detail::mul_into(prod.get(), x.data(), xn, y.data(), yn, prod.get() + rn);
-  return window_of(prod.get() + lo, rn - lo, bit_shift, bits);
+  return window_of(prod.get() + w.lo, rn - w.lo, w.bit_shift, bits);
 }
+
+namespace detail {
+
+std::array<BigInt, 2> mul_window_pair(const BigInt& a, const BigInt& b0,
+                                      std::size_t shift0, std::size_t bits0,
+                                      const BigInt& b1, std::size_t shift1,
+                                      std::size_t bits1) {
+  const LimbVec& x = BigIntOps::limbs(a);
+  const LimbVec* const y[] = {&BigIntOps::limbs(b0), &BigIntOps::limbs(b1)};
+  const std::size_t shift[] = {shift0, shift1};
+  const std::size_t bits[] = {bits0, bits1};
+  const std::size_t xn = x.size();
+  const std::size_t yn[] = {y[0]->size(), y[1]->size()};
+  // Both windows as bands of one slice of x: diagonals [bottom_c, top) of
+  // x * y_c for the union slice x[start, top) (zero outside [0, xn)).
+  WindowBand w[2];
+  bool paired = true;
+  std::ptrdiff_t start = 0;
+  std::size_t top = 0;
+  for (std::size_t c = 0; c < 2 && paired; ++c) {
+    paired = yn[c] != 0 && yn[c] <= xn && bits[c] != 0 &&
+             shift[c] / 64 < xn + yn[c];
+    if (!paired) break;
+    w[c] = window_band(xn, yn[c], shift[c], bits[c]);
+    const std::ptrdiff_t from = static_cast<std::ptrdiff_t>(w[c].base) -
+                                static_cast<std::ptrdiff_t>(yn[c] - 1);
+    start = c == 0 ? from : std::min(start, from);
+    top = std::max(top, w[c].hi);
+    paired = w[c].band;
+  }
+  const std::size_t an =
+      paired ? static_cast<std::size_t>(static_cast<std::ptrdiff_t>(top) -
+                                        start)
+             : 0;
+  const std::size_t length =
+      paired ? ntt_middle_length(an, std::max(yn[0], yn[1])) : 0;
+  for (std::size_t c = 0; c < 2 && paired; ++c) {
+    paired = std::min(an - yn[c] + 1, yn[c]) >=
+                 std::max(kNttMiddleMinLimbs, threshold()) &&
+             length <= kNttMaxLength;
+  }
+  if (!paired) {
+    return {mul_window(a, b0, shift0, bits0), mul_window(a, b1, shift1, bits1)};
+  }
+
+  obs::prof::Frame frame("bn.mul.middle");
+  const std::size_t count[] = {an - yn[0] + 1, an - yn[1] + 1};
+  const bool in_place =
+      start >= 0 && static_cast<std::size_t>(start) + an <= xn;
+  // copy (an, unless in place) | band 0 (count0 + 2) | band 1 | scratch.
+  const auto buf = std::make_unique_for_overwrite<Limb[]>(
+      (in_place ? 0 : an) + 2 * (count[0] + count[1] + 2 + length));
+  Limb* band[2];
+  band[0] = buf.get() + (in_place ? 0 : an);
+  band[1] = band[0] + count[0] + 2;
+  Limb* scratch = band[1] + count[1] + 2;
+  const Limb* slice = x.data() + (in_place ? start : 0);
+  if (!in_place) {
+    Limb* copy = buf.get();
+    for (std::size_t t = 0; t < an; ++t) {
+      const std::ptrdiff_t i = start + static_cast<std::ptrdiff_t>(t);
+      copy[t] = i >= 0 && static_cast<std::size_t>(i) < xn ? x[i] : 0;
+    }
+    slice = copy;
+  }
+  ntt_mulmid_pair(band[0], band[1], slice, an, y[0]->data(), yn[0],
+                  y[1]->data(), yn[1], length, scratch);
+  std::array<BigInt, 2> out;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const std::ptrdiff_t bottom =
+        start + static_cast<std::ptrdiff_t>(yn[c] - 1);
+    if (!band_exact(bottom, band[c], yn[c])) {
+      out[c] = mul_window(a, c == 0 ? b0 : b1, shift[c], bits[c]);
+      continue;
+    }
+    out[c] = window_of(band[c] + (static_cast<std::ptrdiff_t>(w[c].lo) -
+                                  bottom),
+                       xn + yn[c] - w[c].lo, w[c].bit_shift, bits[c]);
+  }
+  return out;
+}
+
+}  // namespace detail
 
 }  // namespace weakkeys::bn

@@ -3,9 +3,11 @@
 // A product of limb vectors is a convolution of their limbs followed by
 // carry propagation. Each output coefficient c_k = sum a_i b_j (i + j = k)
 // is below min(an, bn) * 2^128 < 2^144 for the sizes dispatched here
-// (min(an, bn) < 2^16), and a pair sharing a cyclic index below 2^145, so it
-// is recovered exactly from its residues modulo three 62-bit primes
-// p = c * 2^32 + 1 (product ~2^186) by Garner's CRT. Each residue
+// (min(an, bn) < 2^16), and a pair sharing a cyclic index below 2^145 (a
+// cyclic coefficient of a wrapped product, over at most L folded limb
+// pairs below 2^130 each, below 2^146), so it is recovered exactly from
+// its residues modulo three 62-bit primes p = c * 2^32 + 1 (product
+// ~2^186) by Garner's CRT. Each residue
 // convolution is a cyclic convolution of power-of-two length L <= the cap:
 // a decimation-in-frequency forward transform (natural order in,
 // bit-reversed out), a pointwise Montgomery product, and a
@@ -15,6 +17,12 @@
 // limb because p < 2^62. The root tables stop at kTableLength; the few
 // stages of a longer transform multiply by a table root and a side-table
 // root in turn.
+//
+// A wrapped product a * b mod (B^L - 1) is the cyclic convolution itself,
+// recombined with an end-around carry. An operand's forward transforms may
+// be kept by the caller (ntt_keep) and read by every product at that
+// length, and two middle products of one a transform a once per prime
+// (ntt_mulmid_pair).
 //
 // D. Harvey, "Faster arithmetic for number-theoretic transforms",
 // J. Symb. Comp. 60 (2014); V. Shoup, NTL's MulModPrecon.
@@ -301,31 +309,40 @@ void transform(Limb* x, const Limb* a, std::size_t an, std::size_t length,
   forward(x, length, q);
 }
 
-/// The cyclic convolution of a[0, an) and b[0, bn) (b == nullptr: a with
-/// itself) modulo each prime, times 2^-64 / L, kept at the indices k mod L
-/// for k in [first, first + count) that recombine reads: the first prime's
-/// in r[0, count), the second's in ws[w, w + count) and the third's in
-/// ws[0, L), by k mod L, for w = L (a square) or 2L (ws[L, 2L) holds b's
-/// transform). ws holds ntt_scratch_limbs(L, square, count) limbs. Returns
-/// ws + w.
-const Limb* convolve(Limb* r, const Limb* a, std::size_t an, const Limb* b,
-                     std::size_t bn, std::size_t first, std::size_t count,
+/// The cyclic convolution of a and b (b == nullptr: a with itself) modulo
+/// each prime, times 2^-64 / L, kept at the indices k mod L for k in
+/// [first, first + count) that recombine reads: the first prime's in
+/// r[0, count), the second's in ws[w, w + count) and the third's in
+/// ws[0, L), by k mod L. An operand with kept transforms is read, not
+/// transformed; b's transform takes ws[L, 2L) when neither operand is kept
+/// and this is not a square, so w = 2L then and L otherwise (ws holds
+/// ntt_scratch_limbs(L, w == L, count) limbs). Returns ws + w.
+const Limb* convolve(Limb* r, const Operand& a, const Operand* b,
+                     std::size_t first, std::size_t count,
                      std::size_t length, Limb* ws) {
   const Tables& t = tables();
   Limb* x = ws;
-  Limb* other = ws + length;  // b's transform
-  Limb* const kept[] = {r, ws + (b == nullptr ? 1 : 2) * length};
+  const bool both_fresh = b != nullptr && a.transforms == nullptr &&
+                          b->transforms == nullptr;
+  Limb* other = ws + length;  // b's transform when both are fresh
+  Limb* const kept[] = {r, ws + (both_fresh ? 2 : 1) * length};
   for (std::size_t i = 0; i < kPrimeCount; ++i) {
     const Prime& q = t.primes[i];
-    transform(x, a, an, length, q);
-    if (b == nullptr) {
-      for (std::size_t k = 0; k < length; ++k) x[k] = q.mont_mul(x[k], x[k]);
+    const Limb* ta = x;
+    if (a.transforms != nullptr) {
+      ta = a.transforms + i * length;
     } else {
-      transform(other, b, bn, length, q);
-      for (std::size_t k = 0; k < length; ++k) {
-        x[k] = q.mont_mul(x[k], other[k]);
-      }
+      transform(x, a.limbs, a.size, length, q);
     }
+    const Limb* tb = ta;  // a square
+    if (b != nullptr && b->transforms != nullptr) {
+      tb = b->transforms + i * length;
+    } else if (b != nullptr) {
+      Limb* dst = both_fresh ? other : x;
+      transform(dst, b->limbs, b->size, length, q);
+      tb = dst;
+    }
+    for (std::size_t k = 0; k < length; ++k) x[k] = q.mont_mul(ta[k], tb[k]);
     inverse(x, length, q);
     if (i + 1 < kPrimeCount) {
       for (std::size_t k = 0; k < count; ++k) {
@@ -359,17 +376,17 @@ Coefficient diagonal(const Limb* a, std::size_t an, const Limb* b,
   return c;
 }
 
-/// r[0, count + extra) = the sum of c_k B^(k - first) over k in
-/// [first, first + count) for c = a * b, with carries into the extra limbs.
-/// Each c_k is its cyclic coefficient k mod L, recovered by CRT from the
-/// three residue convolutions that convolve left in r, x2 and x3, less the
-/// one other coefficient of a * b that wraps onto the same index, if any
-/// (an + bn - 1 <= 2L, so there is at most one). Limb k - first of r is
-/// read before it is written.
-void recombine(Limb* r, const Limb* a, std::size_t an, const Limb* b,
+/// r[0, count) = the sum of c_k B^(k - first) over k in [first,
+/// first + count) for c = a * b, less the carry out, which is returned
+/// (below 2^82). Each c_k is its cyclic coefficient k mod L, recovered by
+/// CRT from the three residue convolutions that convolve left in r, x2 and
+/// x3, less the one other coefficient of a * b that wraps onto the same
+/// index, if any (an + bn - 1 <= 2L, so there is at most one). A wrapped
+/// product (a == nullptr) wants the cyclic coefficients themselves and
+/// subtracts nothing. Limb k - first of r is read before it is written.
+Wide recombine(Limb* r, const Limb* a, std::size_t an, const Limb* b,
                std::size_t bn, std::size_t first, std::size_t count,
-               std::size_t extra, std::size_t length, const Limb* x2,
-               const Limb* x3) {
+               std::size_t length, const Limb* x2, const Limb* x3) {
   const Tables& t = tables();
   const Prime& q1 = t.primes[0];
   const Prime& q2 = t.primes[1];
@@ -379,8 +396,8 @@ void recombine(Limb* r, const Limb* a, std::size_t an, const Limb* b,
   const Factor s2 = q2.scale[log];
   const Factor s3 = q3.scale[log];
   const Limb p1 = q1.p, p2 = q2.p, p3 = q3.p;
-  const std::size_t total = an + bn - 1;
-  Wide carry = 0;  // below 2^81, as every c_k is below 2^144
+  const std::size_t total = a == nullptr ? 0 : an + bn - 1;
+  Wide carry = 0;  // below 2^82, as every c_k is below 2^146
   for (std::size_t k = first; k < first + count; ++k) {
     const Limb v1 = reduce_once(s1.times(r[k - first], p1), p1);
     const Limb y2 = reduce_once(s2.times(x2[k - first], p2), p2);
@@ -412,8 +429,13 @@ void recombine(Limb* r, const Limb* a, std::size_t an, const Limb* b,
     r[k - first] = static_cast<Limb>(s0);
     carry = c12 + (carry >> 64) + static_cast<Limb>(s0 >> 64);
   }
+  return carry;
+}
+
+/// r[0, extra) = carry, limb by limb.
+void write_carry(Limb* r, std::size_t extra, Wide carry) {
   for (std::size_t i = 0; i < extra; ++i) {
-    r[count + i] = static_cast<Limb>(carry);
+    r[i] = static_cast<Limb>(carry);
     carry >>= 64;
   }
 }
@@ -440,32 +462,95 @@ std::size_t ntt_middle_length(std::size_t an, std::size_t bn) {
   return an + bn - 1 <= 2 * length ? length : std::bit_ceil(an);
 }
 
-std::size_t ntt_scratch_limbs(std::size_t length, bool square,
+std::size_t ntt_scratch_limbs(std::size_t length, bool single,
                               std::size_t count) {
-  return (square ? 1 : 2) * length + count;
+  return (single ? 1 : 2) * length + count;
+}
+
+void ntt_keep(Limb* t, const Limb* a, std::size_t an, std::size_t length) {
+  const Tables& tab = tables();
+  for (std::size_t i = 0; i < kPrimeCount; ++i) {
+    transform(t + i * length, a, an, length, tab.primes[i]);
+  }
 }
 
 void ntt_mul(Limb* r, const Limb* a, std::size_t an, const Limb* b,
              std::size_t bn, Limb* ws) {
   const std::size_t length = ntt_product_length(an, bn);
-  const Limb* x2 = convolve(r, a, an, b, bn, 0, an + bn - 1, length, ws);
-  recombine(r, a, an, b, bn, 0, an + bn - 1, 1, length, x2, ws);
+  const Operand other{b, bn};
+  const Limb* x2 = convolve(r, {a, an}, &other, 0, an + bn - 1, length, ws);
+  write_carry(r + an + bn - 1, 1,
+              recombine(r, a, an, b, bn, 0, an + bn - 1, length, x2, ws));
 }
 
 void ntt_sqr(Limb* r, const Limb* a, std::size_t n, Limb* ws) {
   const std::size_t length = ntt_product_length(n, n);
-  const Limb* x2 = convolve(r, a, n, nullptr, 0, 0, 2 * n - 1, length, ws);
-  recombine(r, a, n, a, n, 0, 2 * n - 1, 1, length, x2, ws);
+  const Limb* x2 = convolve(r, {a, n}, nullptr, 0, 2 * n - 1, length, ws);
+  write_carry(r + 2 * n - 1, 1,
+              recombine(r, a, n, a, n, 0, 2 * n - 1, length, x2, ws));
 }
 
 void ntt_mulmid(Limb* r, const Limb* a, std::size_t an, const Limb* b,
                 std::size_t bn, Limb* ws) {
+  ntt_mulmid_at(r, {a, an}, {b, bn}, ntt_middle_length(an, bn), ws);
+}
+
+void ntt_mulmid_at(Limb* r, const Operand& a, const Operand& b,
+                   std::size_t length, Limb* ws) {
   // With L >= an, the diagonals k >= L wrap to k - L <= an + bn - 2 - L <=
   // bn - 2, below the band [bn - 1, an - 1]; a shorter L leaves a few band
   // coefficients for recombine to separate.
-  const std::size_t length = ntt_middle_length(an, bn);
-  const Limb* x2 = convolve(r, a, an, b, bn, bn - 1, an - bn + 1, length, ws);
-  recombine(r, a, an, b, bn, bn - 1, an - bn + 1, 2, length, x2, ws);
+  const std::size_t count = a.size - b.size + 1;
+  const Limb* x2 = convolve(r, a, &b, b.size - 1, count, length, ws);
+  write_carry(r + count, 2,
+              recombine(r, a.limbs, a.size, b.limbs, b.size, b.size - 1,
+                        count, length, x2, ws));
+}
+
+void ntt_mulmid_pair(Limb* r0, Limb* r1, const Limb* a, std::size_t an,
+                     const Limb* b0, std::size_t bn0, const Limb* b1,
+                     std::size_t bn1, std::size_t length, Limb* ws) {
+  const Tables& t = tables();
+  Limb* x = ws;           // a's transform, once per prime
+  Limb* y = ws + length;  // each b's transform, then its product with a
+  const Limb* const b[] = {b0, b1};
+  const std::size_t bn[] = {bn0, bn1};
+  Limb* const r[] = {r0, r1};
+  Limb* const kept2[] = {ws + 2 * length, ws + 2 * length + an - bn0 + 1};
+  for (std::size_t i = 0; i < kPrimeCount; ++i) {
+    const Prime& q = t.primes[i];
+    transform(x, a, an, length, q);
+    for (std::size_t c = 0; c < 2; ++c) {
+      transform(y, b[c], bn[c], length, q);
+      for (std::size_t k = 0; k < length; ++k) y[k] = q.mont_mul(x[k], y[k]);
+      inverse(y, length, q);
+      const std::size_t first = bn[c] - 1;
+      const std::size_t count = an - bn[c] + 1;
+      if (i + 1 < kPrimeCount) {
+        Limb* kept = i == 0 ? r[c] : kept2[c];
+        for (std::size_t k = 0; k < count; ++k) {
+          kept[k] = y[(first + k) & (length - 1)];
+        }
+      } else {
+        // The last prime's residues are in y until the next b's transform.
+        write_carry(r[c] + count, 2,
+                    recombine(r[c], a, an, b[c], bn[c], first, count, length,
+                              kept2[c], y));
+      }
+    }
+  }
+}
+
+void ntt_mul_wrapped(Limb* r, const Operand& a, const Operand& b,
+                     std::size_t length, Limb* ws) {
+  // Every cyclic coefficient is wanted as it is; the carry out of limb
+  // L - 1 is worth B^L = 1, so it goes back in at the bottom, and a second
+  // carry can only follow a sum that left at most the carry behind.
+  const Limb* x2 = convolve(r, a, &b, 0, length, length, ws);
+  const Wide carry =
+      recombine(r, nullptr, 0, nullptr, 0, 0, length, length, x2, ws);
+  const Limb c[2] = {static_cast<Limb>(carry), static_cast<Limb>(carry >> 64)};
+  if (add_1(r + 2, length - 2, add_n(r, r, c, 2)) != 0) add_1(r, length, 1);
 }
 
 }  // namespace weakkeys::bn::detail

@@ -170,6 +170,60 @@ TEST_P(ScaledDescentGmp, RowFractionMatchesMpzFloor) {
                std::invalid_argument);
 }
 
+// The row arithmetic wraps its Barrett remainders and R0 mod B^L - 1 for
+// the power of two L >= n + 1 over an n-limb root (bn::detail::wrap_length;
+// below the NTT crossover, L = n + 1). Roots of 2^k - 3 limbs wrap at about
+// half the full product's transform, 2^k - 1 at the longest root on 2^k,
+// and 2^k limbs at the next length.
+TEST_P(ScaledDescentGmp, RowArithmeticAtWrapEdges) {
+  for (const std::size_t limbs :
+       {std::size_t{61}, std::size_t{1021}, std::size_t{1023},
+        std::size_t{1024}, std::size_t{8189}, std::size_t{8191},
+        std::size_t{8192}}) {
+    // Two subsets of four moduli whose bits sum to 64 * limbs - 1: each
+    // product has 64 * limbs - 4 to 64 * limbs - 1 bits.
+    std::vector<BigInt> moduli;
+    const std::size_t total = 64 * limbs - 1;
+    for (int subset = 0; subset < 2; ++subset) {
+      for (std::size_t i = 0; i < 4; ++i) {
+        moduli.push_back(draw((total + i) / 4, /*odd=*/true));
+      }
+    }
+    const TaskSet rows(moduli, 2);
+    const ProductTree tree(rows.subset(0));
+    const ProductTree other(rows.subset(1));
+    ASSERT_EQ(tree.root().limb_count(), limbs);
+    const Mpz P(tree.root());
+    const std::size_t shift = 2 * tree.root().bit_length() + kFractionGuardBits;
+    Mpz row_x(other.root());
+    mpz_mod(row_x.v, row_x.v, P.v);
+    for (const BigInt& x : {row_x.big(), tree.root() - BigInt(1),
+                            draw(64 * limbs - 70, false)}) {
+      const Mpz X(x);
+      Mpz expected;
+      mpz_mul_2exp(expected.v, X.v, shift);
+      mpz_fdiv_q(expected.v, expected.v, P.v);
+      ASSERT_EQ(row_fraction(tree, x), expected.big()) << limbs << " limbs";
+    }
+    // Both others of a three-subset row: the chain takes one Barrett step.
+    const BigInt* const others[] = {&other.root(), &other.root()};
+    const auto u = remainder_row_residues(tree, others);
+    const auto leaves = rows.subset(0);
+    ASSERT_EQ(u.size(), leaves.size());
+    Mpz all(tree.root());
+    const Mpz Q(other.root());
+    mpz_mul(all.v, all.v, Q.v);
+    mpz_mul(all.v, all.v, Q.v);
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      const Mpz N(leaves[i]);
+      Mpz expected;
+      mpz_divexact(expected.v, all.v, N.v);
+      mpz_mod(expected.v, expected.v, N.v);
+      ASSERT_EQ(u[i], expected.big()) << limbs << " limbs, leaf " << i;
+    }
+  }
+}
+
 TEST_P(ScaledDescentGmp, RootReciprocalMatchesMpzQuotient) {
   std::vector<BigInt> moduli;
   for (int i = 0; i < 300; ++i) moduli.push_back(draw(256, /*odd=*/true));

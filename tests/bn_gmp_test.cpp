@@ -622,19 +622,160 @@ TEST(NttGmp, MulWindowsAgree) {
   }
 }
 
+/// z = x mod (B^L - 1).
+void gmp_mod_wrapped(mpz_t z, const mpz_t x, std::size_t length) {
+  Mpz m;
+  mpz_setbit(m.v, 64 * length);
+  mpz_sub_ui(m.v, m.v, 1);
+  mpz_mod(z, x, m.v);
+}
+
+/// Whether mul_wrapped_into's r[0, L) = a * b mod (B^L - 1) for a and b
+/// kept or not, as `kept` says (bit 0: a, bit 1: b).
+bool wrapped_agrees(const LimbVec& a, const LimbVec& b, std::size_t length,
+                    int kept) {
+  LimbVec ta(3 * length), tb(3 * length);
+  const detail::Operand ao = (kept & 1) != 0
+                                 ? detail::keep_wrapped(a.data(), a.size(),
+                                                        length, ta.data())
+                                 : detail::Operand{a.data(), a.size()};
+  const detail::Operand bo = (kept & 2) != 0
+                                 ? detail::keep_wrapped(b.data(), b.size(),
+                                                        length, tb.data())
+                                 : detail::Operand{b.data(), b.size()};
+  LimbVec r(length);
+  LimbVec scratch(detail::mul_wrapped_scratch_limbs(length, a.size(),
+                                                    b.size(), kept != 0));
+  detail::mul_wrapped_into(r.data(), length, ao, bo, scratch.data());
+  Mpz x, y, want, got;
+  set_limbs(x.v, a.data(), a.size());
+  set_limbs(y.v, b.data(), b.size());
+  mpz_mul(want.v, x.v, y.v);
+  gmp_mod_wrapped(want.v, want.v, length);
+  set_limbs(got.v, r.data(), r.size());
+  gmp_mod_wrapped(got.v, got.v, length);  // B^L - 1 is a form of 0
+  return mpz_cmp(want.v, got.v) == 0;
+}
+
+// Wrapped products at the lengths the reciprocal and the row arithmetic
+// take: below the NTT (the full product folded), just below and at the
+// crossover, factor_inproc's roots (2^14) and the cap, with operands of
+// L - 2 limbs (a residual's n + 2), L and L / 2 + 1, and 2L (folded into
+// the transform), fresh, one kept and both kept. From 2^14 on, one kept
+// operand and no folding, which the shorter lengths cover, to keep the
+// suite short.
+TEST(NttGmp, WrappedProductsAgree) {
+  util::Xoshiro256 rng(31);
+  for (const std::size_t limbs :
+       {std::size_t{5}, detail::kNttMinLimbs - 1, detail::kNttMinLimbs,
+        std::size_t{16357}, detail::kNttMaxLength}) {
+    const std::size_t length = detail::wrap_length(limbs);
+    const int fills = length <= 2 * detail::kNttMinLimbs ? 2 : 1;
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {length - 2, length - 2}, {length, length / 2 + 1},
+        {2 * length, length}};
+    for (int fill = 0; fill < fills; ++fill) {
+      for (const auto& [an, bn] : shapes) {
+        const bool long_length = length >= (std::size_t{1} << 14);
+        if (long_length && an > length) continue;
+        const LimbVec a = ntt_operand(rng, an, fill);
+        const LimbVec b = ntt_operand(rng, bn, fill);
+        for (const int kept : {0, 2, 3}) {
+          if (long_length && kept != 2) continue;
+          EXPECT_TRUE(wrapped_agrees(a, b, length, kept))
+              << "L " << length << " an " << an << " bn " << bn << " kept "
+              << kept << " fill " << fill;
+        }
+      }
+    }
+  }
+  // A product that is 0 mod B^L - 1, one that is B^L - 1 itself, and
+  // (B^L - 2)^2 = 1 mod B^L - 1, whose recombined limbs sum past B^L only
+  // after the first end-around carry.
+  const std::size_t length = detail::wrap_length(detail::kNttMinLimbs);
+  const LimbVec ones(length, ~Limb{0});
+  const LimbVec one = {1};
+  LimbVec minus_one = ones;
+  minus_one[0] = ~Limb{1};
+  EXPECT_TRUE(wrapped_agrees(ones, ones, length, 0));
+  EXPECT_TRUE(wrapped_agrees(ones, one, length, 2));
+  EXPECT_TRUE(wrapped_agrees(minus_one, minus_one, length, 3));
+}
+
+// Products against kept transforms equal the plain kernels: the band the
+// reciprocal forms on its kept Ih (an = n + 3 over bn = h + 1 at the wrap
+// length of n + 1, which it passes by two limbs when n + 1 is a power of
+// two), and the descent's two windows of one fraction (mul_window_pair)
+// against two mul_window calls and GMP.
+TEST(NttGmp, KeptBandsAndPairedWindowsAgree) {
+  util::Xoshiro256 rng(32);
+  for (const std::size_t n : {std::size_t{600}, std::size_t{1023},
+                              std::size_t{4094}, std::size_t{16357}}) {
+    const std::size_t h = (n + 1) / 2;
+    const std::size_t length = detail::wrap_length(n + 1);
+    const LimbVec a = ntt_operand(rng, n + 3, 1);
+    const LimbVec b = ntt_operand(rng, h + 1, 0);
+    LimbVec kept(3 * length);
+    const detail::Operand bo =
+        detail::keep_wrapped(b.data(), b.size(), length, kept.data());
+    LimbVec r(n - h + 5);
+    LimbVec scratch(
+        detail::mulmid_kept_scratch_limbs(a.size(), b.size(), length));
+    detail::mulmid_kept_into(r.data(), a.data(), a.size(), bo, scratch.data());
+    detail::trim(r);
+    EXPECT_TRUE(r == gmp_middle(a, b)) << "band n " << n;
+  }
+  for (const std::size_t m : {std::size_t{130}, std::size_t{2000},
+                              std::size_t{8178}}) {
+    // A parent of two children of m and m + 1 limbs: its fraction carries
+    // 2 * bits(parent) + 64 bits, each child's 2 * bits(child) + 64.
+    const LimbVec c0 = ntt_operand(rng, m, 1);
+    const LimbVec c1 = ntt_operand(rng, m + 1, 1);
+    const BigInt parent = big_of(c0) * big_of(c1);
+    const std::size_t prec = 2 * parent.bit_length() + 64;
+    const BigInt y = big_of(ntt_operand(rng, (prec + 63) / 64, 1)) >>
+                     (64 - prec % 64) % 64;
+    const BigInt s0 = big_of(c1).squared();
+    const BigInt s1 = big_of(c0).squared();
+    const std::size_t p0 = 2 * big_of(c0).bit_length() + 64;
+    const std::size_t p1 = 2 * big_of(c1).bit_length() + 64;
+    const auto pair =
+        detail::mul_window_pair(y, s0, prec - p0, p0, s1, prec - p1, p1);
+    const BigInt w0 = mul_window(y, s0, prec - p0, p0);
+    const BigInt w1 = mul_window(y, s1, prec - p1, p1);
+    EXPECT_EQ(pair[0], w0) << "m " << m;
+    EXPECT_EQ(pair[1], w1) << "m " << m;
+    Mpz expected, yz, sz;
+    set_limbs(yz.v, BigIntOps::limbs(y).data(), y.limb_count());
+    set_limbs(sz.v, BigIntOps::limbs(s0).data(), s0.limb_count());
+    mpz_mul(expected.v, yz.v, sz.v);
+    mpz_fdiv_q_2exp(expected.v, expected.v, prec - p0);
+    mpz_fdiv_r_2exp(expected.v, expected.v, p0);
+    EXPECT_TRUE(BigIntOps::limbs(w0) == limbs_of(expected.v)) << "m " << m;
+  }
+}
+
 TEST(NttGmp, ReciprocalsAgree) {
   util::Xoshiro256 rng(30);
   constexpr std::size_t t = detail::kNttMinLimbs;
-  for (const std::size_t s : ntt_sizes(t)) {
+  std::vector<std::size_t> sizes = ntt_sizes(t);
+  // A reciprocal of s limbs inverts s + 1 (one padding limb), and its top
+  // Newton step wraps at the power of two of s + 2: s = 2^k - 2 is the
+  // longest on 2^k, s = 2^k - 1 the first on 2^(k+1).
+  for (const std::size_t k : {11, 15}) {
+    sizes.insert(sizes.end(),
+                 {(std::size_t{1} << k) - 2, (std::size_t{1} << k) - 1});
+  }
+  for (const std::size_t s : sizes) {
     for (int fill = 0; fill < ntt_fills(s, t); ++fill) {
       const LimbVec limbs = ntt_operand(rng, s, fill);
       // A wrong product can keep invert_into's exact corrections from
-      // ending, so a product of the size it takes last ((n + 1) x n, n a
-      // limb or two past s) is checked first.
+      // ending (they throw past their bound), so the wrapped product it
+      // takes last ((n + 1) x n mod B^L - 1, n a limb past s) is checked
+      // first.
       LimbVec wider = limbs;
       wider.push_back(limbs.back());
-      ASSERT_TRUE(detail::mul_karatsuba(wider, wider) ==
-                  gmp_product(wider, wider))
+      ASSERT_TRUE(wrapped_agrees(wider, limbs, detail::wrap_length(s + 2), 2))
           << s << " limbs, fill " << fill;
       const BigInt d = big_of(limbs);
       // The root reciprocal's precision (ProductTree::root_reciprocal).

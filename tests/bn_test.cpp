@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <latch>
 #include <set>
 #include <thread>
@@ -521,17 +523,93 @@ TEST(MiddleProduct, MulWindowTakesTheFullProductWhenTheGuardCouldCarry) {
   EXPECT_EQ(mul_window(from_limbs(y), from_limbs(x), 64 * lo, bits), window);
 }
 
+// The end-around limb arithmetic around wrapped products, against BigInt
+// mod B^L - 1: random and extreme limbs, whose sums and differences carry
+// and borrow across the wrap, B^L - 1 (the second form of 0) and 0.
+TEST(WrappedArithmetic, MatchesBigIntModuloBToTheLMinusOne) {
+  util::Xoshiro256 rng(55);
+  const auto value = [](LimbVec v) {
+    detail::trim(v);
+    return from_limbs(v);
+  };
+  for (const std::size_t length : {1, 2, 3, 7}) {
+    const BigInt m = (BigInt(1) << (64 * length)) - BigInt(1);
+    for (int iter = 0; iter < 300; ++iter) {
+      const Fill fill = iter % 2 == 0 ? Fill::kRandom : Fill::kExtreme;
+      LimbVec a = limbs_of(rng, length, fill);
+      LimbVec b = limbs_of(rng, length, fill);
+      if (iter % 60 == 1) a.assign(length, ~Limb{0});
+      if (iter % 60 == 3) b.assign(length, ~Limb{0});
+      if (iter % 60 == 5) b.assign(length, 0);
+      LimbVec r(length);
+      detail::sub_wrapped(r.data(), a.data(), b.data(), length);
+      EXPECT_EQ(value(r), (value(a) % m + m - value(b) % m) % m) << length;
+      const LimbVec x = limbs_of(rng, 1 + rng.below(3 * length), fill);
+      detail::fold_wrapped(r.data(), length, x.data(), x.size());
+      EXPECT_EQ(value(r), value(x) % m) << length;
+      const std::size_t bit = rng.below(64 * length);
+      r = a;
+      detail::sub_from_power_wrapped(r.data(), length, bit);
+      EXPECT_EQ(value(r), ((BigInt(1) << bit) + m - value(a) % m) % m)
+          << length << " bit " << bit;
+    }
+  }
+}
+
+TEST(MiddleProduct, PairedWindowsTakeTheFullProductWhenTheGuardCouldCarry) {
+  // The same guard, at NTT sizes, for the first of two windows that share
+  // one transform of x (detail::mul_window_pair): both b's have yn limbs,
+  // so the shared band of each starts at base, two limbs below the window.
+  util::Xoshiro256 rng(54);
+  constexpr Limb kOnes = ~Limb{0};
+  const std::size_t xn = 1000, yn = 300, lo = 400, bits = 64 * 300;
+  const std::size_t base = lo - 2, hi = lo + bits / 64;
+  LimbVec x = limbs_of(rng, xn, Fill::kRandom);
+  LimbVec y = limbs_of(rng, yn, Fill::kRandom);
+  const LimbVec other = limbs_of(rng, yn, Fill::kRandom);
+  y[0] = 1;
+  auto rest = [&](std::size_t k) {
+    BigInt sum;
+    for (std::size_t j = 1; j < yn && j <= k; ++j) {
+      sum += BigInt(x[k - j]) * BigInt(y[j]);
+    }
+    return sum;
+  };
+  const BigInt limb_mod = BigInt(1) << 64;
+  const auto low_limb = [&](const BigInt& v) {
+    return (v % limb_mod).to_uint64();
+  };
+  x[base] = kOnes - low_limb(rest(base));
+  const BigInt carry = (BigInt(x[base]) + rest(base)) >> 64;
+  x[base + 1] = kOnes - low_limb(carry + rest(base + 1));
+
+  const BigInt band = band_sum(x, y, base, hi);
+  ASSERT_EQ(band % (limb_mod * limb_mod), limb_mod * limb_mod - BigInt(1));
+  const BigInt modulus = BigInt(1) << bits;
+  const BigInt window =
+      ((from_limbs(x) * from_limbs(y)) >> (64 * lo)) % modulus;
+  ASSERT_NE((band >> 128) % modulus, window);  // the band alone is wrong
+  const auto pair = detail::mul_window_pair(
+      from_limbs(x), from_limbs(y), 64 * lo, bits, from_limbs(other),
+      64 * lo, bits);
+  EXPECT_EQ(pair[0], window);
+  EXPECT_EQ(pair[1], mul_window(from_limbs(x), from_limbs(other), 64 * lo,
+                                bits));
+}
+
 // ------------------------------------------------------- NTT tables ----
 
 // The NTT's root tables, and the side tables of the transforms longer
 // than them (2^13 roots), are built on first use. Eight threads start at
 // once (each test runs in its own process under ctest, so this is the
-// first use): each runs a product and a middle product just past the
-// crossover, which must equal the schoolbook ones, and a product and a
-// square of one 2^16 transform, a band of one 2^14 transform and a
-// reciprocal whose Newton steps are 2^14 transforms, which must equal the
-// main thread's results afterwards. Under TSan this also checks the
-// one-time builds and each call's scratch for races.
+// first use): each runs a product, a middle product, a wrapped product and
+// a band against kept transforms just past the crossover, which must equal
+// the schoolbook ones, and a product and a square of one 2^16 transform, a
+// band of one 2^14 transform, two windows of one operand on a shared
+// transform and a reciprocal whose Newton steps are wrapped 2^13
+// transforms, which must equal the main thread's results afterwards. Under
+// TSan this also checks the one-time builds and each call's scratch for
+// races.
 TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
   constexpr int kThreads = 8;
   const std::size_t n = detail::kNttMinLimbs + 5;
@@ -554,17 +632,42 @@ TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
   const detail::LimbVec narrow = operand(4200);
   const BigInt d = BigIntOps::make(operand(4200), 1);
   const std::size_t bits = 2 * d.bit_length() + 64;
+  const BigInt fraction = BigIntOps::make(wide, 1);
+  const BigInt square0 = BigIntOps::make(narrow, 1);
+  const BigInt square1 = BigIntOps::make(operand(4201), 1);
+  const std::size_t wrap = detail::wrap_length(n);
+  const std::size_t band_length = std::bit_ceil(3 * n);
   struct Results {
-    detail::LimbVec product, middle, long_product, square, band;
+    detail::LimbVec product, middle, wrapped, kept_band, long_product, square,
+        band;
+    std::array<BigInt, 2> windows;
     BigInt inverse;
   };
   const auto run = [&](int t) {
-    return Results{detail::mul_karatsuba(a[t], b[t]),
-                   detail::mul_middle(mid[t], b[t]),
-                   detail::mul_karatsuba(x, y),
-                   detail::mul_karatsuba(x, x),
-                   detail::mul_middle(wide, narrow),
-                   reciprocal(d, bits)};
+    Results r;
+    r.product = detail::mul_karatsuba(a[t], b[t]);
+    r.middle = detail::mul_middle(mid[t], b[t]);
+    detail::LimbVec scratch(
+        std::max(detail::mul_wrapped_scratch_limbs(wrap, n, n, false),
+                 detail::mulmid_kept_scratch_limbs(3 * n, n, band_length)));
+    r.wrapped.resize(wrap);
+    detail::mul_wrapped_into(r.wrapped.data(), wrap, {a[t].data(), n},
+                             {b[t].data(), n}, scratch.data());
+    detail::LimbVec kept(3 * band_length);
+    const detail::Operand bk =
+        detail::keep_wrapped(b[t].data(), n, band_length, kept.data());
+    r.kept_band.resize(2 * n + 3);
+    detail::mulmid_kept_into(r.kept_band.data(), mid[t].data(), 3 * n, bk,
+                             scratch.data());
+    detail::trim(r.kept_band);
+    r.long_product = detail::mul_karatsuba(x, y);
+    r.square = detail::mul_karatsuba(x, x);
+    r.band = detail::mul_middle(wide, narrow);
+    r.windows = detail::mul_window_pair(fraction, square0, 64 * 4200 - 9,
+                                        64 * 4200 + 70, square1,
+                                        64 * 4200 + 5, 64 * 4200 + 64);
+    r.inverse = reciprocal(d, bits);
+    return r;
   };
   std::vector<Results> results(kThreads);
   std::latch start(kThreads);
@@ -586,11 +689,21 @@ TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
     const Results& r = results[t];
     EXPECT_EQ(r.product, detail::mul_schoolbook(a[t], b[t])) << t;
     EXPECT_EQ(r.middle, detail::mul_middle(mid[t], b[t])) << t;
+    detail::LimbVec folded(wrap);
+    const detail::LimbVec full = detail::mul_schoolbook(a[t], b[t]);
+    detail::fold_wrapped(folded.data(), wrap, full.data(), full.size());
+    EXPECT_EQ(r.wrapped, folded) << t;
+    EXPECT_EQ(r.kept_band, r.middle) << t;
+    EXPECT_TRUE(r.windows == serial.windows) << t;
     EXPECT_TRUE(r.long_product == serial.long_product) << t;
     EXPECT_TRUE(r.square == serial.square) << t;
     EXPECT_TRUE(r.band == serial.band) << t;
     EXPECT_EQ(r.inverse, serial.inverse) << t;
   }
+  EXPECT_EQ(serial.windows[0],
+            mul_window(fraction, square0, 64 * 4200 - 9, 64 * 4200 + 70));
+  EXPECT_EQ(serial.windows[1],
+            mul_window(fraction, square1, 64 * 4200 + 5, 64 * 4200 + 64));
   kara = saved;
 }
 
