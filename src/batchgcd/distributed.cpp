@@ -71,6 +71,7 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
       const std::vector<BigInt> u = remainder_row_residues(*trees[a], others);
       tasks.commit(a, leaf_claims(tasks.subset(a), u));
       if (executed) executed->inc();
+      if (options.on_commit) options.on_commit();
     }, cancel);
 
     if (stats) {

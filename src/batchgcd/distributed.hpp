@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 
 #include "batchgcd/batch_gcd.hpp"
@@ -54,6 +55,9 @@ struct DistributedOptions {
   /// unfinished rows. Replayed records are verified; fresh in-process
   /// claims are not. Success deletes the journal.
   std::string journal_path;
+  /// Runs on the committing thread after each row this call computes; a
+  /// caller that cancels from it stops the run at a row boundary.
+  std::function<void()> on_commit;
 };
 
 /// k-subset batch GCD. Output is element-for-element identical to

@@ -193,12 +193,12 @@ IngestResult ingest_dataset(const netsim::ScanDataset& raw,
   util::parallel_for(
       pool, snapshot_count,
       [&](std::size_t s) {
-        const auto& records = raw.snapshots[s].records;
-        for (std::size_t r = 0; r < records.size(); ++r) {
-          const auto& rec = records[r];
-          if (rec.has_cert() || rec.raw_der.empty()) continue;
+        const auto& snap = raw.snapshots[s];
+        // In record order; bytes count only for a certificate-less record.
+        for (const auto& [r, der] : snap.undecoded) {
+          if (r >= snap.records.size() || snap.records[r].has_cert()) continue;
           RawOutcome out{r, nullptr, {}};
-          auto decoded = cert::Certificate::try_decode(rec.raw_der);
+          auto decoded = cert::Certificate::try_decode(der);
           if (decoded.ok()) {
             out.decoded = std::make_shared<const cert::Certificate>(
                 *std::move(decoded.cert));
@@ -284,7 +284,7 @@ IngestResult ingest_dataset(const netsim::ScanDataset& raw,
             ++st.records_kept;
             continue;
           }
-          if (rec.raw_der.empty()) {
+          if (raw_it == raw_outcomes[s].end() || raw_it->record != r) {
             quarantine(st, QuarantineReason::kMissingCertificate);
             continue;
           }
@@ -294,10 +294,7 @@ IngestResult ingest_dataset(const netsim::ScanDataset& raw,
             quarantine(st, *out.screen.verdict);
             continue;
           }
-          netsim::HostRecord recovered = rec;
-          recovered.certificate = std::move(out.decoded);
-          recovered.raw_der.clear();
-          kept.records.push_back(std::move(recovered));
+          kept.records.push_back({rec.ip, std::move(out.decoded), rec.banner});
           ++st.records_kept;
           ++st.raw_recovered;
         }

@@ -80,8 +80,10 @@ struct IngestResult {
   std::vector<bn::BigInt> degenerate_moduli;
 };
 
-/// Validates every record of `raw`. Total: never throws on any input
-/// dataset, and a clean dataset passes through with kept == raw. The one
+/// Validates every record of `raw`, decoding a certificate-less record's
+/// bytes from its snapshot's `undecoded` list (an entry naming no such
+/// record is ignored). Total: never throws on any input dataset, and a
+/// clean dataset passes through with kept == raw. The one
 /// exception is cooperative cancellation: when `cancel` is non-null it is
 /// polled per snapshot and per pool task, and a trip throws
 /// util::Cancelled.

@@ -60,16 +60,19 @@ void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
     w.u32(static_cast<std::uint32_t>(dataset.snapshots.size()));
     for (std::size_t s = 0; s < dataset.snapshots.size(); ++s) {
       const auto& snap = dataset.snapshots[s];
-      w.i64(snap.date.days_since_epoch());
+      const std::int64_t day = snap.date.days_since_epoch();
+      w.i64(day);
       w.str(snap.source);
       w.u32(static_cast<std::uint32_t>(snap.protocol));
       std::uint32_t kept = 0;
       for (const auto& rec : snap.records) kept += rec.has_cert() ? 1 : 0;
       w.u32(kept);
+      // Each record repeats its snapshot's date: the format predates
+      // records without one.
       for (std::size_t r = 0; r < snap.records.size(); ++r) {
         const auto& rec = snap.records[r];
         if (!rec.has_cert()) continue;
-        w.i64(rec.date.days_since_epoch());
+        w.i64(day);
         w.u32(rec.ip.value());
         w.u32(index.slots[s][r]);
         w.str(rec.banner);
@@ -124,7 +127,8 @@ std::optional<netsim::ScanDataset> load_dataset(const StoreKey& key,
     dataset.snapshots.reserve(snap_count);
     for (std::uint32_t s = 0; s < snap_count; ++s) {
       netsim::ScanSnapshot snap;
-      snap.date = util::Date::from_days_since_epoch(r.i64());
+      const std::int64_t day = r.i64();
+      snap.date = util::Date::from_days_since_epoch(day);
       snap.source = r.str();
       const auto protocol = netsim::protocol_from_index(r.u32());
       if (!protocol) throw std::runtime_error("invalid protocol index");
@@ -132,11 +136,11 @@ std::optional<netsim::ScanDataset> load_dataset(const StoreKey& key,
       const std::uint32_t rec_count = r.u32();
       snap.records.reserve(rec_count);
       for (std::uint32_t i = 0; i < rec_count; ++i) {
+        if (r.i64() != day) {
+          throw std::runtime_error("record date differs from its snapshot's");
+        }
         netsim::HostRecord rec;
-        rec.date = util::Date::from_days_since_epoch(r.i64());
-        rec.source = snap.source;
         rec.ip = netsim::Ipv4(r.u32());
-        rec.protocol = snap.protocol;
         rec.certificate = certs.at(r.u32());
         rec.banner = r.str();
         snap.records.push_back(std::move(rec));

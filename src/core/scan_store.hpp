@@ -39,9 +39,10 @@ enum class DatasetLoadStatus {
 
 const char* to_string(DatasetLoadStatus s);
 
-/// Writes `dataset` to `path`, guarded by a length+CRC-32 footer. Records
-/// holding only raw (undecoded) bytes are quarantine input, not corpus, and
-/// are not persisted. Throws std::runtime_error on I/O failure.
+/// Writes `dataset` to `path`, guarded by a length+CRC-32 footer.
+/// Certificate-less records and their undecoded bytes are quarantine input,
+/// not corpus, and are not persisted. Throws std::runtime_error on I/O
+/// failure.
 void save_dataset(const netsim::ScanDataset& dataset, const StoreKey& key,
                   const std::string& path);
 

@@ -156,9 +156,8 @@ void Study::build_dataset(util::ThreadPool& pool) {
     sim.telemetry = &telemetry_;
     sim.cancel = &token_;
     sim.log = [this](const std::string& message) { log("sim: " + message); };
-    internet_ = std::make_unique<netsim::Internet>(
-        netsim::standard_models(config_.sim.scale), sim);
-    raw_dataset_ = internet_->run(netsim::standard_campaigns(), &pool);
+    netsim::Internet internet(netsim::standard_models(config_.sim.scale), sim);
+    raw_dataset_ = internet.run(netsim::standard_campaigns(), &pool);
     log("simulated " + std::to_string(raw_dataset_.total_host_records()) +
         " host records");
     if (!config_.cache_path.empty()) {
@@ -673,6 +672,5 @@ const fingerprint::PrimePools& Study::prime_pools() const { return pools_; }
 const std::vector<fingerprint::MitmCandidate>& Study::mitm_candidates() const {
   return mitm_;
 }
-const netsim::Internet* Study::ground_truth() const { return internet_.get(); }
 
 }  // namespace weakkeys::core

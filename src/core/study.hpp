@@ -254,10 +254,6 @@ class Study {
   /// Convenience: a TimeSeriesBuilder over dataset() and facts().
   [[nodiscard]] analysis::TimeSeriesBuilder series_builder() const;
 
-  /// Ground-truth device list — only available when the corpus was simulated
-  /// this run (not loaded from cache). For tests and validation only.
-  [[nodiscard]] const netsim::Internet* ground_truth() const;
-
   // -- Telemetry -----------------------------------------------------------
   /// The run's metrics registry and span tracer.
   /// Live from construction; populated by run(). Metric names and the span
@@ -300,7 +296,6 @@ class Study {
 
   netsim::ScanDataset raw_dataset_;
   netsim::ScanDataset dataset_;
-  std::unique_ptr<netsim::Internet> internet_;
   IngestStats ingest_stats_;
   netsim::NoiseSummary noise_summary_;
   DatasetLoadStatus dataset_cache_status_ = DatasetLoadStatus::kMissing;

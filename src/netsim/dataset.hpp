@@ -1,7 +1,8 @@
 // Scan records and datasets: the schema the analysis pipeline consumes.
 //
-// A HostRecord is exactly what one TLS handshake (or SSH key exchange) with
-// one IP on one date yields — the paper's "host record" unit (Table 1).
+// A HostRecord is what one TLS handshake (or SSH key exchange) with one IP
+// yields — the paper's "host record" unit (Table 1) — under the snapshot
+// that dates it.
 #pragma once
 
 #include <cstdint>
@@ -26,19 +27,12 @@ namespace weakkeys::netsim {
 /// a record therefore holds a shared handle, not a copy.
 using CertHandle = std::shared_ptr<const cert::Certificate>;
 
+/// What one handshake with one host yields; everything the host's scan
+/// shares with its other records (date, source, protocol) is its snapshot's.
 struct HostRecord {
-  util::Date date;
-  std::string source;  ///< "EFF", "PQ", "Ecosystem", "Rapid7", "Censys"
   Ipv4 ip;
-  Protocol protocol = Protocol::kHttps;
   CertHandle certificate;
   std::string banner;  ///< HTTPS landing-page hint (may be empty)
-  /// Undecoded wire bytes for records whose certificate did not (or may
-  /// not) decode — the dirty-corpus representation of truncated/mangled
-  /// handshakes. When non-empty and `certificate` is null, the ingest
-  /// quarantine pass owns the decode attempt; such records never reach the
-  /// analysis pipeline directly.
-  std::vector<std::uint8_t> raw_der;
 
   [[nodiscard]] const cert::Certificate& cert() const { return *certificate; }
   /// True when the record carries a decoded certificate (the only records
@@ -49,9 +43,14 @@ struct HostRecord {
 /// One scan: every host record collected in a single campaign pass.
 struct ScanSnapshot {
   util::Date date;
-  std::string source;
+  std::string source;  ///< "EFF", "PQ", "Ecosystem", "Rapid7", "Censys"
   Protocol protocol = Protocol::kHttps;
   std::vector<HostRecord> records;
+  /// Undecoded wire bytes of certificate-less records, keyed by record
+  /// index: the dirty-corpus form of truncated or mangled handshakes.
+  /// apply_noise writes them and the ingest quarantine pass alone decodes
+  /// them, so such records never reach the analysis pipeline directly.
+  std::map<std::uint32_t, std::vector<std::uint8_t>> undecoded;
 };
 
 /// A scan campaign: one historical data source with its cadence and quirks.

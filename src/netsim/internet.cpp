@@ -172,16 +172,12 @@ ScanSnapshot Internet::scan(const ScanCampaign& campaign, const Date& when) {
           presented->with_modulus_bit_flipped(events_rng_.below(bits)));
     }
 
-    snap.records.push_back(HostRecord{when, campaign.name, device.ip,
-                                      campaign.protocol, presented,
-                                      model.banner, {}});
+    snap.records.push_back(HostRecord{device.ip, presented, model.banner});
 
     // Rapid7 surfaced unchained intermediates alongside some leaves.
     if (campaign.name == "Rapid7" && device.issuer_cert &&
         events_rng_.chance(config_.rapid7_intermediate_rate)) {
-      snap.records.push_back(HostRecord{when, campaign.name, device.ip,
-                                        campaign.protocol, device.issuer_cert,
-                                        "", {}});
+      snap.records.push_back(HostRecord{device.ip, device.issuer_cert, ""});
     }
   }
   return snap;

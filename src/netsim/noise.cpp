@@ -110,10 +110,7 @@ NoiseSummary apply_noise(ScanDataset& dataset, const NoiseConfig& config) {
 
       const auto inject = [&](Corruption kind) {
         HostRecord rec;
-        rec.date = victim.date;
-        rec.source = victim.source;
         rec.ip = Ipv4(static_cast<std::uint32_t>(rng()));
-        rec.protocol = victim.protocol;
         if (kind == Corruption::kTruncated || kind == Corruption::kBitflip) {
           auto bytes = victim.cert().encode();
           if (kind == Corruption::kTruncated) {
@@ -125,7 +122,9 @@ NoiseSummary apply_noise(ScanDataset& dataset, const NoiseConfig& config) {
                   static_cast<std::uint8_t>(1 + rng.below(255));
             }
           }
-          rec.raw_der = std::move(bytes);
+          snap.undecoded.emplace(
+              static_cast<std::uint32_t>(original + junk.size()),
+              std::move(bytes));
         } else {
           rec.certificate = std::make_shared<cert::Certificate>(
               degrade(victim.cert(), kind, rng, junk_id++));

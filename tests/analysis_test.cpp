@@ -17,7 +17,6 @@ namespace {
 using bn::BigInt;
 using netsim::HostRecord;
 using netsim::Ipv4;
-using netsim::Protocol;
 using netsim::ScanDataset;
 using netsim::ScanSnapshot;
 using util::Date;
@@ -37,9 +36,15 @@ netsim::CertHandle make_cert(const std::string& vendor, std::uint64_t modulus,
   return c;
 }
 
-HostRecord record(const Date& date, std::uint32_t ip, netsim::CertHandle cert) {
-  return HostRecord{date, "Test", Ipv4(ip), Protocol::kHttps, std::move(cert),
-                    "", {}};
+ScanSnapshot snapshot(const Date& date, const char* source) {
+  ScanSnapshot snap;
+  snap.date = date;
+  snap.source = source;
+  return snap;
+}
+
+HostRecord record(std::uint32_t ip, netsim::CertHandle cert) {
+  return HostRecord{Ipv4(ip), std::move(cert), ""};
 }
 
 /// Hand-built facts over `ds`: each certificate labeled by its O= field,
@@ -67,14 +72,14 @@ ScanDataset sample_dataset() {
   const auto clean3 = make_cert("V", 2005);
   const auto other = make_cert("W", 3001);
 
-  ScanSnapshot s1{Date(2014, 1, 15), "Test", Protocol::kHttps, {}};
-  s1.records = {record(s1.date, 1, vuln), record(s1.date, 2, clean1),
-                record(s1.date, 3, clean2), record(s1.date, 9, other)};
-  ScanSnapshot s2{Date(2014, 2, 15), "Test", Protocol::kHttps, {}};
-  s2.records = {record(s2.date, 1, vuln), record(s2.date, 2, clean1),
-                record(s2.date, 3, clean2), record(s2.date, 4, clean3)};
-  ScanSnapshot s3{Date(2014, 6, 15), "Test", Protocol::kHttps, {}};
-  s3.records = {record(s3.date, 1, vuln), record(s3.date, 2, clean1)};
+  ScanSnapshot s1 = snapshot(Date(2014, 1, 15), "Test");
+  s1.records = {record(1, vuln), record(2, clean1), record(3, clean2),
+                record(9, other)};
+  ScanSnapshot s2 = snapshot(Date(2014, 2, 15), "Test");
+  s2.records = {record(1, vuln), record(2, clean1), record(3, clean2),
+                record(4, clean3)};
+  ScanSnapshot s3 = snapshot(Date(2014, 6, 15), "Test");
+  s3.records = {record(1, vuln), record(2, clean1)};
   ds.snapshots = {s1, s2, s3};
   return ds;
 }
@@ -82,7 +87,7 @@ ScanDataset sample_dataset() {
 // ---------------------------------------------------------------- facts ----
 
 TEST(CertificateFacts, LabelPrecedenceIsCliqueThenSubjectThenExtrapolation) {
-  ScanSnapshot snap{Date(2014, 1, 15), "Test", Protocol::kHttps, {}};
+  ScanSnapshot snap = snapshot(Date(2014, 1, 15), "Test");
   const auto unnamed = [](std::uint64_t modulus) {
     auto c = std::make_shared<cert::Certificate>();
     c->subject.add("CN", "host");
@@ -90,11 +95,11 @@ TEST(CertificateFacts, LabelPrecedenceIsCliqueThenSubjectThenExtrapolation) {
     return netsim::CertHandle(c);
   };
   snap.records = {
-      record(snap.date, 1, make_cert("Siemens", 11)),  // clique member
-      record(snap.date, 2, make_cert("V", 13)),        // subject beats pool
-      record(snap.date, 3, unnamed(13)),               // extrapolated
-      record(snap.date, 4, unnamed(17)),               // factored, no vendor
-      record(snap.date, 5, make_cert("V", 19)),        // not factored
+      record(1, make_cert("Siemens", 11)),  // clique member
+      record(2, make_cert("V", 13)),        // subject beats pool
+      record(3, unnamed(13)),               // extrapolated
+      record(4, unnamed(17)),               // factored, no vendor
+      record(5, make_cert("V", 19)),        // not factored
   };
   ScanDataset ds;
   ds.snapshots = {snap};
@@ -167,7 +172,7 @@ TEST(TimeSeries, AtOrBefore) {
 // ------------------------------------------------------------- chains ----
 
 TEST(Chains, DropsIntermediateAtSameIp) {
-  ScanSnapshot snap{Date(2014, 1, 15), "Rapid7", Protocol::kHttps, {}};
+  ScanSnapshot snap = snapshot(Date(2014, 1, 15), "Rapid7");
   const auto ca = make_cert("CA Org", 5001);        // self-signed CA
   auto ca_subject_cn = ca->subject.to_string();
   auto leaf = std::make_shared<cert::Certificate>();
@@ -176,8 +181,8 @@ TEST(Chains, DropsIntermediateAtSameIp) {
   leaf->key.n = BigInt(7001);
   leaf->key.e = BigInt(65537);
 
-  snap.records = {record(snap.date, 1, leaf), record(snap.date, 1, ca),
-                  record(snap.date, 2, make_cert("V", 1001))};
+  snap.records = {record(1, leaf), record(1, ca),
+                  record(2, make_cert("V", 1001))};
   const ScanSnapshot filtered = exclude_intermediates(snap);
   ASSERT_EQ(filtered.records.size(), 2u);
   for (const auto& rec : filtered.records) {
@@ -186,7 +191,7 @@ TEST(Chains, DropsIntermediateAtSameIp) {
 }
 
 TEST(Chains, KeepsCaCertAtUnrelatedIp) {
-  ScanSnapshot snap{Date(2014, 1, 15), "Rapid7", Protocol::kHttps, {}};
+  ScanSnapshot snap = snapshot(Date(2014, 1, 15), "Rapid7");
   const auto ca = make_cert("CA Org", 5001);
   auto leaf = std::make_shared<cert::Certificate>();
   leaf->subject.add("CN", "www.example.com");
@@ -194,7 +199,7 @@ TEST(Chains, KeepsCaCertAtUnrelatedIp) {
   leaf->key.n = BigInt(7001);
   leaf->key.e = BigInt(65537);
   // CA appears at a *different* IP: no chain there, keep it.
-  snap.records = {record(snap.date, 1, leaf), record(snap.date, 2, ca)};
+  snap.records = {record(1, leaf), record(2, ca)};
   EXPECT_EQ(exclude_intermediates(snap).records.size(), 2u);
 }
 
@@ -207,12 +212,12 @@ TEST(Transitions, CountsDirectionalSwitches) {
   // ip 1: vulnerable -> clean. ip 2: clean -> vulnerable.
   // ip 3: vulnerable throughout. ip 4: flaps twice.
   for (int month = 0; month < 4; ++month) {
-    ScanSnapshot snap{Date(2014, 1 + month, 15), "Test", Protocol::kHttps, {}};
+    ScanSnapshot snap = snapshot(Date(2014, 1 + month, 15), "Test");
     snap.records = {
-        record(snap.date, 1, month < 2 ? vuln_cert : clean_cert),
-        record(snap.date, 2, month < 2 ? clean_cert : vuln_cert),
-        record(snap.date, 3, vuln_cert),
-        record(snap.date, 4, month % 2 == 0 ? vuln_cert : clean_cert),
+        record(1, month < 2 ? vuln_cert : clean_cert),
+        record(2, month < 2 ? clean_cert : vuln_cert),
+        record(3, vuln_cert),
+        record(4, month % 2 == 0 ? vuln_cert : clean_cert),
     };
     ds.snapshots.push_back(std::move(snap));
   }

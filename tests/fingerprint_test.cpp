@@ -303,8 +303,8 @@ TEST(MitmDetector, FlagsFixedKeyAcrossManyIps) {
     c->key.n = fixed_n;
     c->key.e = BigInt(65537);
     snap.records.push_back(netsim::HostRecord{
-        snap.date, snap.source, netsim::Ipv4(static_cast<std::uint32_t>(0x0a000000 + i)),
-        snap.protocol, std::move(c), "", {}});
+        netsim::Ipv4(static_cast<std::uint32_t>(0x0a000000 + i)), std::move(c),
+        ""});
   }
   // One ordinary host, unique key.
   auto ordinary = std::make_shared<cert::Certificate>();
@@ -312,9 +312,8 @@ TEST(MitmDetector, FlagsFixedKeyAcrossManyIps) {
   ordinary->issuer = ordinary->subject;
   ordinary->key.n = BigInt(std::uint64_t{0x9999999999ULL});
   ordinary->key.e = BigInt(65537);
-  snap.records.push_back(netsim::HostRecord{snap.date, snap.source,
-                                            netsim::Ipv4(0x0b000001),
-                                            snap.protocol, ordinary, "", {}});
+  snap.records.push_back(
+      netsim::HostRecord{netsim::Ipv4(0x0b000001), ordinary, ""});
   dataset.snapshots.push_back(std::move(snap));
 
   const auto candidates = detect_fixed_key_mitm(dataset, {}, MitmOptions{});
@@ -338,8 +337,8 @@ TEST(MitmDetector, FactoredCliqueMarked) {
     c->key.n = clique_n;
     c->key.e = BigInt(65537);
     snap.records.push_back(netsim::HostRecord{
-        snap.date, snap.source, netsim::Ipv4(static_cast<std::uint32_t>(0x0c000000 + i)),
-        netsim::Protocol::kHttps, std::move(c), "", {}});
+        netsim::Ipv4(static_cast<std::uint32_t>(0x0c000000 + i)), std::move(c),
+        ""});
   }
   dataset.snapshots.push_back(std::move(snap));
   const auto candidates =
@@ -362,8 +361,8 @@ TEST(MitmDetector, SameSubjectEverywhereNotFlagged) {
   shared_cert->key.e = BigInt(65537);
   for (int i = 0; i < 20; ++i) {
     snap.records.push_back(netsim::HostRecord{
-        snap.date, snap.source, netsim::Ipv4(static_cast<std::uint32_t>(0x0d000000 + i)),
-        netsim::Protocol::kHttps, shared_cert, "", {}});
+        netsim::Ipv4(static_cast<std::uint32_t>(0x0d000000 + i)), shared_cert,
+        ""});
   }
   dataset.snapshots.push_back(std::move(snap));
   EXPECT_TRUE(detect_fixed_key_mitm(dataset, {}, MitmOptions{}).empty());
@@ -394,16 +393,13 @@ TEST(MitmDetector, SharedIndexScansOnlyHttpsRecords) {
   mail.protocol = netsim::Protocol::kSmtps;
   for (int i = 0; i < 12; ++i) {
     mail.records.push_back(netsim::HostRecord{
-        mail.date, mail.source,
         netsim::Ipv4(static_cast<std::uint32_t>(0x0e000000 + i)),
-        mail.protocol, make_cert("mail-" + std::to_string(i), mail_n), "",
-        {}});
+        make_cert("mail-" + std::to_string(i), mail_n), ""});
   }
   for (int i = 0; i < 6; ++i) {
     mail.records.push_back(netsim::HostRecord{
-        mail.date, mail.source,
         netsim::Ipv4(static_cast<std::uint32_t>(0x0f000000 + i)),
-        mail.protocol, https_certs[i], "", {}});
+        https_certs[i], ""});
   }
   netsim::ScanSnapshot web;
   web.date = util::Date(2015, 2, 15);
@@ -411,9 +407,8 @@ TEST(MitmDetector, SharedIndexScansOnlyHttpsRecords) {
   web.protocol = netsim::Protocol::kHttps;
   for (int i = 0; i < 12; ++i) {
     web.records.push_back(netsim::HostRecord{
-        web.date, web.source,
         netsim::Ipv4(static_cast<std::uint32_t>(0x0a000000 + i)),
-        web.protocol, https_certs[i], "", {}});
+        https_certs[i], ""});
   }
   dataset.snapshots.push_back(std::move(mail));
   dataset.snapshots.push_back(std::move(web));

@@ -221,7 +221,6 @@ TEST(FuzzSmoke, LoadDatasetNeverThrowsOnMutatedStores) {
   snap.source = "fuzz";
   for (std::uint32_t i = 0; i < 4; ++i) {
     netsim::HostRecord rec;
-    rec.date = snap.date;
     rec.ip = netsim::Ipv4(i);
     rec.certificate = std::make_shared<const Certificate>(cert);
     snap.records.push_back(std::move(rec));

@@ -36,18 +36,22 @@ cert::Certificate make_cert(std::uint64_t seed, std::uint64_t serial,
 
 netsim::HostRecord record_for(cert::Certificate c, std::uint32_t ip = 1) {
   netsim::HostRecord rec;
-  rec.date = util::Date(2013, 6, 1);
-  rec.source = "test";
   rec.ip = netsim::Ipv4(ip);
   rec.certificate = std::make_shared<const cert::Certificate>(std::move(c));
   return rec;
 }
 
-netsim::ScanDataset dataset_of(std::vector<netsim::HostRecord> records) {
+using Undecoded = decltype(netsim::ScanSnapshot::undecoded);
+
+/// One snapshot of `records`, with `undecoded` as its side list of wire
+/// bytes (keyed by record index).
+netsim::ScanDataset dataset_of(std::vector<netsim::HostRecord> records,
+                               Undecoded undecoded = {}) {
   netsim::ScanSnapshot snap;
   snap.date = util::Date(2013, 6, 1);
   snap.source = "test";
   snap.records = std::move(records);
+  snap.undecoded = std::move(undecoded);
   netsim::ScanDataset ds;
   ds.snapshots.push_back(std::move(snap));
   return ds;
@@ -115,16 +119,13 @@ TEST(Ingest, DegenerateModulusListedOnceAcrossCertificatesAndRawRecords) {
   };
   const bn::BigInt even = good.key.n - bn::BigInt(1);
   const bn::BigInt tiny(12345);
-  const auto raw_of = [](const cert::Certificate& c) {
-    netsim::HostRecord rec;
-    rec.raw_der = c.encode();
-    return rec;
-  };
   // Two certificate objects and a decoded raw record share the even
   // modulus; two raw records carry a tiny one no certificate object has.
   auto ds = dataset_of({record_for(with(61, even)), record_for(with(62, even)),
-                        raw_of(with(63, even)), raw_of(with(64, tiny)),
-                        raw_of(with(65, tiny))});
+                        {}, {}, {}},
+                       {{2, with(63, even).encode()},
+                        {3, with(64, tiny).encode()},
+                        {4, with(65, tiny).encode()}});
   const auto result = ingest_dataset(ds);
   EXPECT_EQ(result.stats.records_quarantined, 5u);
   EXPECT_EQ(result.degenerate_moduli, (std::vector<bn::BigInt>{even, tiny}));
@@ -144,7 +145,6 @@ TEST(Ingest, SameSerialSameSubjectIsKept) {
 
 TEST(Ingest, MissingCertificateQuarantined) {
   netsim::HostRecord empty;
-  empty.date = util::Date(2013, 6, 1);
   empty.ip = netsim::Ipv4(9);
   auto ds = dataset_of({std::move(empty)});
   const auto result = ingest_dataset(ds);
@@ -156,10 +156,8 @@ TEST(Ingest, MissingCertificateQuarantined) {
 TEST(Ingest, RawBytesRecoveredWhenValid) {
   const auto original = make_cert(6, 40, "raw-host");
   netsim::HostRecord raw;
-  raw.date = util::Date(2013, 6, 1);
   raw.ip = netsim::Ipv4(10);
-  raw.raw_der = original.encode();
-  auto ds = dataset_of({std::move(raw)});
+  auto ds = dataset_of({std::move(raw)}, {{0, original.encode()}});
 
   const auto result = ingest_dataset(ds);
   EXPECT_EQ(result.stats.raw_records, 1u);
@@ -168,18 +166,60 @@ TEST(Ingest, RawBytesRecoveredWhenValid) {
   const auto& rec = result.kept.snapshots.at(0).records.at(0);
   ASSERT_TRUE(rec.has_cert());
   EXPECT_EQ(rec.cert(), original);
-  EXPECT_TRUE(rec.raw_der.empty());
+  EXPECT_EQ(rec.ip, netsim::Ipv4(10));
+}
+
+TEST(Ingest, KeptDatasetCarriesNoUndecodedBytes) {
+  // A recovered record, a garbage one and a clean one: whatever the bytes
+  // became, the kept snapshots hold decoded certificates only.
+  const auto original = make_cert(6, 40, "raw-host");
+  auto garbage = original.encode();
+  garbage.resize(3);
+  auto ds = dataset_of({{}, {}, record_for(make_cert(9, 41, "clean"))},
+                       {{0, original.encode()}, {1, std::move(garbage)}});
+  const auto result = ingest_dataset(ds);
+  EXPECT_EQ(result.stats.raw_records, 2u);
+  EXPECT_EQ(result.stats.records_kept, 2u);
+  ASSERT_EQ(result.kept.snapshots.size(), 1u);
+  EXPECT_TRUE(result.kept.snapshots[0].undecoded.empty());
+}
+
+TEST(Ingest, SideListEntriesWithoutACertificateLessRecordAreIgnored) {
+  // Entry 0 names a record that has a certificate and entry 9 names no
+  // record; both carry bytes that would be quarantined (tiny modulus,
+  // duplicate serial) if read. Ingest stays total and counts exactly as
+  // without them.
+  const auto original = make_cert(6, 40, "raw-host");
+  auto tiny = make_cert(9, 41, "clean");
+  tiny.key.n = bn::BigInt(12345);
+  const auto records = [&] {
+    return std::vector<netsim::HostRecord>{
+        record_for(make_cert(9, 41, "clean")), {}};
+  };
+  const auto plain =
+      ingest_dataset(dataset_of(records(), {{1, original.encode()}}));
+  const auto stray = ingest_dataset(
+      dataset_of(records(), {{0, tiny.encode()},
+                             {1, original.encode()},
+                             {9, make_cert(10, 41, "junk").encode()}}));
+  EXPECT_EQ(stray.stats, plain.stats);
+  EXPECT_EQ(stray.stats.records_kept, 2u);
+  EXPECT_EQ(stray.stats.raw_records, 1u);
+  EXPECT_TRUE(stray.degenerate_moduli.empty());
+  ASSERT_EQ(stray.kept.total_host_records(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(stray.kept.snapshots[0].records[r].cert(),
+              plain.kept.snapshots[0].records[r].cert());
+  }
 }
 
 TEST(Ingest, RawGarbageQuarantinedByParseReason) {
   const auto bytes = make_cert(7, 50, "victim").encode();
 
-  netsim::HostRecord truncated;
-  truncated.raw_der = {bytes.begin(), bytes.begin() + 3};
-  netsim::HostRecord wrong_tag;
-  wrong_tag.raw_der = bytes;
-  wrong_tag.raw_der[0] = 0x77;
-  auto ds = dataset_of({std::move(truncated), std::move(wrong_tag)});
+  auto wrong_tag = bytes;
+  wrong_tag[0] = 0x77;
+  auto ds = dataset_of({{}, {}}, {{0, {bytes.begin(), bytes.begin() + 3}},
+                                  {1, std::move(wrong_tag)}});
 
   const auto result = ingest_dataset(ds);
   EXPECT_EQ(result.stats.records_kept, 0u);
@@ -244,12 +284,12 @@ TEST(Noise, DeterministicFromSeed) {
 
   EXPECT_GT(sa.total(), 0u);
   EXPECT_EQ(sa.total(), sb.total());
+  EXPECT_EQ(a.snapshots[0].undecoded, b.snapshots[0].undecoded);
   ASSERT_EQ(a.snapshots[0].records.size(), b.snapshots[0].records.size());
   for (std::size_t i = 0; i < a.snapshots[0].records.size(); ++i) {
     const auto& ra = a.snapshots[0].records[i];
     const auto& rb = b.snapshots[0].records[i];
     EXPECT_EQ(ra.ip, rb.ip);
-    EXPECT_EQ(ra.raw_der, rb.raw_der);
     ASSERT_EQ(ra.has_cert(), rb.has_cert());
     if (ra.has_cert()) {
       EXPECT_EQ(ra.cert(), rb.cert());
@@ -269,11 +309,16 @@ TEST(Noise, AppendsJunkWithoutTouchingCleanRecords) {
     EXPECT_EQ(noisy[i].ip, orig[i].ip);
     EXPECT_EQ(noisy[i].cert(), orig[i].cert());
   }
-  std::size_t raw = 0;
-  for (std::size_t i = orig.size(); i < noisy.size(); ++i) {
-    raw += noisy[i].raw_der.empty() ? 0 : 1;
+  // Each wire-damage record is certificate-less, with its bytes in the
+  // side list.
+  const auto& undecoded = after.snapshots[0].undecoded;
+  EXPECT_EQ(undecoded.size(), summary.raw_records());
+  for (const auto& [r, der] : undecoded) {
+    ASSERT_GE(r, orig.size());
+    ASSERT_LT(r, noisy.size());
+    EXPECT_FALSE(noisy[r].has_cert());
+    EXPECT_FALSE(der.empty());
   }
-  EXPECT_EQ(raw, summary.raw_records());
 }
 
 TEST(Noise, FingerprintSeparatesConfigs) {

@@ -230,9 +230,9 @@ TEST(CoordinatorCancel, MidRunCancelRetainsJournalAndResumes) {
   std::remove(ckpt.c_str());
   const auto reference = batchgcd::batch_gcd(moduli);
 
-  // Spill every tree level with each storage operation stalled 5 ms: that
-  // keeps the run busy long enough that the cancel deterministically lands
-  // mid-flight; the tiny 128-bit tasks alone finish in a few milliseconds.
+  // Spill every tree level with each storage operation stalled 5 ms. The
+  // cancel comes from the committing thread once two rows have committed,
+  // so it lands mid-flight however the threads are scheduled.
   util::FaultConfig faults;
   faults.seed = 3;
   faults.storage_slow_probability = 1.0;
@@ -252,14 +252,12 @@ TEST(CoordinatorCancel, MidRunCancelRetainsJournalAndResumes) {
   options.storage = &storage;
   options.journal_path = ckpt;
   auto& executed = registry.counter("coordinator.tasks_executed");
-  std::thread canceller([&] {
-    while (executed.value() < 2) std::this_thread::yield();
-    token.cancel("mid-run cancel");
-  });
+  options.on_commit = [&] {
+    if (executed.value() >= 2) token.cancel("mid-run cancel");
+  };
   EXPECT_THROW(batchgcd::batch_gcd_distributed(moduli, 8, &pool, nullptr,
                                                options),
                util::Cancelled);
-  canceller.join();
   EXPECT_GT(executed.value(), 0u);
   EXPECT_LT(executed.value(), 8u);
   {

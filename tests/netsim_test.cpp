@@ -425,13 +425,11 @@ TEST_F(InternetSim, ProtocolScansCoverTheirPopulations) {
 
   std::size_t https_records = 0, ssh_records = 0, imaps_records = 0;
   for (const auto& snap : ds.snapshots) {
-    for (const auto& rec : snap.records) {
-      switch (rec.protocol) {
-        case Protocol::kHttps: ++https_records; break;
-        case Protocol::kSsh: ++ssh_records; break;
-        case Protocol::kImaps: ++imaps_records; break;
-        default: break;
-      }
+    switch (snap.protocol) {
+      case Protocol::kHttps: https_records += snap.records.size(); break;
+      case Protocol::kSsh: ssh_records += snap.records.size(); break;
+      case Protocol::kImaps: imaps_records += snap.records.size(); break;
+      default: break;
     }
   }
   EXPECT_GT(https_records, 0u);
@@ -646,6 +644,11 @@ TEST_F(InternetSim, CancelDuringInitialBatchThrowsOnceAndDrainsThePool) {
 
 // --------------------------------------------------- CertificateIndex ----
 
+// A record holds only what differs per host: its date, source and protocol
+// are its snapshot's, and undecoded bytes sit in the snapshot's side list.
+static_assert(sizeof(HostRecord) <=
+              8 + sizeof(CertHandle) + sizeof(std::string));
+
 TEST(CertificateIndex, ModulusIdsAreSharedAndFirstSeen) {
   const auto with_modulus = [](std::uint64_t n) {
     auto c = std::make_shared<cert::Certificate>();
@@ -656,17 +659,15 @@ TEST(CertificateIndex, ModulusIdsAreSharedAndFirstSeen) {
   const CertHandle a = with_modulus(35), b = with_modulus(35),
                    c = with_modulus(77), d = with_modulus(143);
   const util::Date date(2014, 1, 15);
-  const auto record = [&](Protocol p, CertHandle cert) {
-    return HostRecord{date, "Test", Ipv4(1), p, std::move(cert), "", {}};
+  const auto record = [](CertHandle cert) {
+    return HostRecord{Ipv4(1), std::move(cert), ""};
   };
   ScanDataset ds;
-  ds.snapshots = {
-      {date, "Test", Protocol::kSsh,
-       {record(Protocol::kSsh, c), record(Protocol::kSsh, a)}},
-      {date, "Test", Protocol::kHttps,
-       {record(Protocol::kHttps, b), record(Protocol::kHttps, nullptr),
-        record(Protocol::kHttps, d), record(Protocol::kHttps, a)}},
-  };
+  ds.snapshots.resize(2);
+  ds.snapshots[0].date = ds.snapshots[1].date = date;
+  ds.snapshots[0].protocol = Protocol::kSsh;
+  ds.snapshots[0].records = {record(c), record(a)};
+  ds.snapshots[1].records = {record(b), record(nullptr), record(d), record(a)};
 
   // Certificates c, a, b, d; moduli 77, 35, 143.
   const CertificateIndex all = index_certificates(ds);

@@ -208,9 +208,8 @@ const netsim::ScanDataset& fact_corpus() {
       if (snap.protocol != netsim::Protocol::kHttps) continue;
       for (std::size_t i = 0; i < certs.size(); ++i) {
         snap.records.push_back(
-            {snap.date, snap.source,
-             netsim::Ipv4(0x0a0b0000 + static_cast<std::uint32_t>(i)),
-             netsim::Protocol::kHttps, certs[i], "", {}});
+            {netsim::Ipv4(0x0a0b0000 + static_cast<std::uint32_t>(i)),
+             certs[i], ""});
       }
     }
     return ds;

@@ -31,26 +31,24 @@ netsim::ScanDataset dataset() {
   }
   const auto c_clean = cert_for("C", 301);
 
-  netsim::ScanSnapshot peak{util::Date(2013, 1, 15), "Test",
-                            netsim::Protocol::kHttps, {}};
+  netsim::ScanSnapshot peak;
+  peak.date = util::Date(2013, 1, 15);
+  peak.source = "Test";
   std::uint32_t ip = 1;
-  for (const auto& c : a_vuln)
-    peak.records.push_back({peak.date, "Test", netsim::Ipv4(ip++),
-                            netsim::Protocol::kHttps, c, "", {}});
-  for (const auto& c : b_vuln)
-    peak.records.push_back({peak.date, "Test", netsim::Ipv4(ip++),
-                            netsim::Protocol::kHttps, c, "", {}});
-  peak.records.push_back({peak.date, "Test", netsim::Ipv4(ip++),
-                          netsim::Protocol::kHttps, c_clean, "", {}});
+  for (const auto& c : a_vuln) {
+    peak.records.push_back({netsim::Ipv4(ip++), c, ""});
+  }
+  for (const auto& c : b_vuln) {
+    peak.records.push_back({netsim::Ipv4(ip++), c, ""});
+  }
+  peak.records.push_back({netsim::Ipv4(ip++), c_clean, ""});
 
-  netsim::ScanSnapshot end{util::Date(2016, 1, 15), "Test",
-                           netsim::Protocol::kHttps, {}};
-  end.records.push_back({end.date, "Test", netsim::Ipv4(1),
-                         netsim::Protocol::kHttps, a_vuln[0], "", {}});
-  end.records.push_back({end.date, "Test", netsim::Ipv4(5),
-                         netsim::Protocol::kHttps, b_vuln[0], "", {}});
-  end.records.push_back({end.date, "Test", netsim::Ipv4(9),
-                         netsim::Protocol::kHttps, c_clean, "", {}});
+  netsim::ScanSnapshot end;
+  end.date = util::Date(2016, 1, 15);
+  end.source = "Test";
+  end.records.push_back({netsim::Ipv4(1), a_vuln[0], ""});
+  end.records.push_back({netsim::Ipv4(5), b_vuln[0], ""});
+  end.records.push_back({netsim::Ipv4(9), c_clean, ""});
   ds.snapshots = {peak, end};
   return ds;
 }

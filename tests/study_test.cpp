@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -24,6 +26,8 @@
 #include "crypto/sha256.hpp"
 #include "fingerprint/openssl_fingerprint.hpp"
 #include "netsim/catalog.hpp"
+#include "util/binary_io.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::core {
 namespace {
@@ -32,7 +36,7 @@ namespace {
 /// expensive part; the assertions are read-only).
 class StudyIntegration : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  static StudyConfig config() {
     StudyConfig config;
     config.sim.seed = 424242;
     config.sim.scale = 0.03;
@@ -40,7 +44,10 @@ class StudyIntegration : public ::testing::Test {
     config.batch_gcd_subsets = 3;
     config.threads = 2;
     config.cache_path = "";  // always fresh
-    study_ = new Study(config);
+    return config;
+  }
+  static void SetUpTestSuite() {
+    study_ = new Study(config());
     study_->run();
   }
   static void TearDownTestSuite() {
@@ -72,12 +79,19 @@ TEST_F(StudyIntegration, FactoredKeysActuallyFactor) {
 
 TEST_F(StudyIntegration, GroundTruthAgreesWithFactoring) {
   // Every factored HTTPS modulus must belong to a device the simulation
-  // marked flawed (or to the IBM pool family) — no false positives.
-  const auto* net = study_->ground_truth();
-  ASSERT_NE(net, nullptr);
+  // marked flawed (or to the IBM pool family) — no false positives. The
+  // simulation is deterministic, so simulating the study's SimConfig again
+  // yields the devices behind its corpus.
+  const netsim::SimConfig sim = config().sim;
+  netsim::Internet net(netsim::standard_models(sim.scale), sim);
+  util::ThreadPool pool(2);
+  const netsim::ScanDataset corpus =
+      net.run(netsim::standard_campaigns(), &pool);
+  ASSERT_EQ(corpus.total_host_records(),
+            study_->raw_dataset().total_host_records());
   std::set<std::string> flawed_moduli;
   std::set<std::string> all_moduli;
-  for (const auto& device : net->devices()) {
+  for (const auto& device : net.devices()) {
     if (device.https_cert) {
       const std::string hex = device.https_cert->key.n.to_hex();
       all_moduli.insert(hex);
@@ -319,9 +333,6 @@ TEST(StudyCache, SecondRunLoadsIdenticalResults) {
     EXPECT_EQ(second.factored()[i].n, first.factored()[i].n);
     EXPECT_EQ(second.factored()[i].p, first.factored()[i].p);
   }
-  // Loaded-from-cache runs have no simulation ground truth.
-  EXPECT_EQ(second.ground_truth(), nullptr);
-  EXPECT_NE(first.ground_truth(), nullptr);
 
   std::remove(cache.c_str());
   std::remove((cache + ".factors").c_str());
@@ -376,12 +387,16 @@ TEST(StudyCache, RebuildReasonIsLoggedAndExposed) {
 
 class ScanStoreTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(copy_.c_str());
+  }
   // Unique per test: parallel ctest runs sibling tests as separate
   // processes in the same directory, so a shared name would collide.
   const std::string path_ =
       std::string("test_scan_store_") +
       ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".tmp";
+  const std::string copy_ = path_ + ".copy.tmp";
 };
 
 TEST_F(ScanStoreTest, RoundTripsDataset) {
@@ -411,6 +426,57 @@ TEST_F(ScanStoreTest, RoundTripsDataset) {
       EXPECT_EQ(a.records[i].cert(), b.records[i].cert());
     }
   }
+}
+
+TEST_F(ScanStoreTest, LoadThenSaveReproducesTheFile) {
+  netsim::SimConfig sim;
+  sim.seed = 8;
+  sim.miller_rabin_rounds = 4;
+  netsim::Internet net(netsim::standard_models(0.003), sim);
+  const StoreKey key{8, 3000, 4, 1};
+  save_dataset(net.run(netsim::standard_campaigns()), key, path_);
+  const auto loaded = load_dataset(key, path_);
+  ASSERT_TRUE(loaded.has_value());
+  save_dataset(*loaded, key, copy_);
+  const auto written = util::read_file_bytes(path_);
+  const auto rewritten = util::read_file_bytes(copy_);
+  ASSERT_TRUE(written && rewritten);
+  EXPECT_EQ(*written, *rewritten);
+}
+
+TEST_F(ScanStoreTest, RecordDatedOtherThanItsSnapshotIsAParseError) {
+  // The format keeps a date field per record; it must repeat the
+  // snapshot's, which is the only date a loaded record has.
+  const auto cert = std::make_shared<cert::Certificate>();
+  cert->key.n = bn::BigInt(35);
+  cert->key.e = bn::BigInt(65537);
+  netsim::ScanDataset ds;
+  ds.snapshots.resize(1);
+  ds.snapshots[0].date = util::Date(2014, 1, 15);
+  ds.snapshots[0].records.push_back({netsim::Ipv4(1), cert, ""});
+  const StoreKey key{9, 1000, 4, 1};
+  save_dataset(ds, key, path_);
+  DatasetLoadStatus status = DatasetLoadStatus::kMissing;
+  ASSERT_TRUE(load_dataset(key, path_, &status).has_value());
+
+  // The file ends with the record (date, ip, certificate slot, empty
+  // banner) and the checksum footer; move the date one day on.
+  auto bytes = *util::read_file_bytes(path_);
+  bytes.resize(bytes.size() - util::kChecksumFooterSize);
+  std::uint8_t* date = bytes.data() + bytes.size() - (8 + 4 + 4 + 4);
+  std::int64_t day = 0;
+  std::memcpy(&day, date, sizeof day);
+  ASSERT_EQ(day, ds.snapshots[0].date.days_since_epoch());
+  ++day;
+  std::memcpy(date, &day, sizeof day);
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  util::append_checksum_footer(path_);
+  EXPECT_FALSE(load_dataset(key, path_, &status).has_value());
+  EXPECT_EQ(status, DatasetLoadStatus::kParseError);
 }
 
 TEST_F(ScanStoreTest, KeyMismatchForcesRebuild) {

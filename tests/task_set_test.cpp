@@ -5,13 +5,11 @@
 // k^2-task format, cancellation, and Study integration.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "batchgcd/batch_gcd.hpp"
@@ -95,11 +93,12 @@ Outcome journaled_run(std::span<const BigInt> moduli, std::size_t k,
   return run;
 }
 
-/// The in-process stand-in for a killed run: a journaled run cancelled from
-/// its own `coordinator.tasks_executed` counter once `after` tasks have
-/// committed. Every spill operation stalls 5 ms (spill threshold 0, slow
-/// storage tier), which stretches each row well past the canceller's
-/// reaction time, so the cancel lands mid-run. Returns the number of tasks
+/// The in-process stand-in for a killed run: a journaled run cancelled on
+/// the committing thread as its `coordinator.tasks_executed` counter
+/// reaches `after`, so rows not yet started see the token and the cancel
+/// lands mid-run however the threads are scheduled (the other pool thread
+/// may still commit the row it is in). Every spill operation stalls 5 ms
+/// (spill threshold 0, slow storage tier). Returns the number of tasks
 /// that committed — and so reached the journal — before the run unwound.
 std::uint64_t cancelled_run(std::span<const BigInt> moduli, std::size_t k,
                             const std::string& journal, std::uint64_t after,
@@ -123,13 +122,11 @@ std::uint64_t cancelled_run(std::span<const BigInt> moduli, std::size_t k,
   options.registry = &registry;
   options.storage = &storage;
   options.journal_path = journal;
-  std::thread canceller([&] {
-    while (executed.value() < after) std::this_thread::yield();
-    token.cancel("simulated kill");
-  });
+  options.on_commit = [&] {
+    if (executed.value() >= after) token.cancel("simulated kill");
+  };
   EXPECT_THROW(batch_gcd_distributed(moduli, k, &pool, nullptr, options),
                util::Cancelled);
-  canceller.join();
   std::filesystem::remove_all(dir);
   EXPECT_GE(executed.value(), after);
   EXPECT_LT(executed.value(), k) << "the cancel landed after the run";
