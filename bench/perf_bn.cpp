@@ -6,8 +6,9 @@
 //     product (mod B^L - 1) of its row arithmetic and reciprocal,
 //   * Newton-reciprocal vs Knuth Algorithm D division,
 // the Newton reciprocal the scaled remainder tree starts from, Montgomery
-// modexp, gcd (on one fixed pair and over varying pairs) and RSA keygen
-// throughput, and — when GMP is found at configure time — GMP's multiply,
+// modexp, gcd (on one fixed pair and over varying pairs), RSA keygen
+// throughput (healthy and flawed RNG, one prime of each style) with the
+// SHA-256 work a flawed RNG's fills cost, and — when GMP is found at configure time — GMP's multiply,
 // divide, powm and gcd on the same operands as a yardstick for how far the
 // kernels are from the hardware (BM_*_Gmp).
 #include <benchmark/benchmark.h>
@@ -20,7 +21,10 @@
 
 #include "bench_json.hpp"
 #include "bn/detail.hpp"
+#include "crypto/sha256.hpp"
+#include "rng/entropy_pool.hpp"
 #include "rng/prng_source.hpp"
+#include "rng/urandom.hpp"
 #include "rsa/keygen.hpp"
 
 namespace {
@@ -327,6 +331,66 @@ void BM_RsaKeygen(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaKeygen)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+
+/// A flawed device's key, as the simulator makes it: a fresh SimulatedUrandom
+/// per key (boot mixes included) and the mid-keygen stir. Every fill is
+/// SHA-256 extraction, so this row prices the SHA rounds beside the sieve.
+void BM_RsaKeygenFlawed(benchmark::State& state) {
+  rsa::KeygenOptions opts;
+  opts.modulus_bits = static_cast<std::size_t>(state.range(0));
+  opts.miller_rabin_rounds = 5;
+  const rng::RngFlawModel flaw{.boot_entropy_bits = 20,
+                               .divergence_entropy_bits = 40};
+  std::uint64_t device = 0;
+  for (auto _ : state) {
+    ++device;
+    rng::SimulatedUrandom urandom("bench-fw", flaw, device, device * 31);
+    const rsa::KeygenEvents events{[&urandom](int prime) {
+      if (prime == 1) urandom.stir_divergence_event();
+    }};
+    benchmark::DoNotOptimize(rsa::generate_key(urandom, opts, &events));
+  }
+}
+BENCHMARK(BM_RsaKeygenFlawed)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+/// One prime: sieve windows, trial division and Miller-Rabin, in both
+/// prime styles.
+void BM_GeneratePrime(benchmark::State& state, rsa::PrimeStyle style) {
+  rng::PrngRandomSource src(11);
+  rsa::KeygenOptions opts;
+  opts.style = style;
+  opts.miller_rabin_rounds = 5;
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa::generate_prime(src, bits, opts));
+  }
+}
+BENCHMARK_CAPTURE(BM_GeneratePrime, openssl, rsa::PrimeStyle::kOpenSsl)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GeneratePrime, plain, rsa::PrimeStyle::kPlain)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+
+/// One SimulatedUrandom-sized fill: three SHA-256 compressions.
+void BM_EntropyExtract(benchmark::State& state) {
+  rng::EntropyPool pool;
+  pool.mix_u64(42, 64.0);
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    pool.extract(out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_EntropyExtract)->Arg(16);
+
+void BM_Sha256(benchmark::State& state) {
+  const std::vector<std::uint8_t> message(static_cast<std::size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Sha256::hash(message));
+  }
+}
+BENCHMARK(BM_Sha256)->Arg(64);
 
 }  // namespace
 

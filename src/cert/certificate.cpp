@@ -1,5 +1,6 @@
 #include "cert/certificate.hpp"
 
+#include "obs/prof_stack.hpp"
 #include "rsa/pkcs1.hpp"
 #include "util/hex.hpp"
 
@@ -224,6 +225,7 @@ Certificate make_issued(const DistinguishedName& subject,
                         const DistinguishedName& issuer,
                         const rsa::RsaPrivateKey& issuer_key,
                         std::uint64_t serial) {
+  obs::prof::Frame frame("cert.sign");
   Certificate cert;
   cert.serial = serial;
   cert.subject = subject;
@@ -240,6 +242,7 @@ Certificate make_self_signed(const DistinguishedName& subject,
                              const Validity& validity,
                              const rsa::RsaPrivateKey& key,
                              std::uint64_t serial) {
+  obs::prof::Frame frame("cert.sign");
   Certificate cert;
   cert.serial = serial;
   cert.subject = subject;

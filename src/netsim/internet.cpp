@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/prof_stack.hpp"
 #include "util/thread_pool.hpp"
 
 namespace weakkeys::netsim {
@@ -69,6 +70,7 @@ void Internet::materialize_queued(util::ThreadPool* pool) {
   util::parallel_for(
       pool, queued_.size(),
       [this](std::size_t i) {
+        obs::prof::Frame frame("netsim.materialize");
         if (config_.cancel) config_.cancel->throw_if_cancelled();
         const auto& [index, recipe] = queued_[i];
         factory_.materialize(recipe, devices_[index]);

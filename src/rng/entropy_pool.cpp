@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "obs/prof_stack.hpp"
+
 namespace weakkeys::rng {
 
 void EntropyPool::mix(std::span<const std::uint8_t> data, double entropy_bits) {
@@ -25,6 +27,7 @@ void EntropyPool::mix_u64(std::uint64_t value, double entropy_bits) {
 }
 
 void EntropyPool::extract(std::span<std::uint8_t> out) {
+  obs::prof::Frame frame("rng.extract");
   std::size_t produced = 0;
   while (produced < out.size()) {
     crypto::Sha256 h;

@@ -13,8 +13,10 @@
 // factorable-key corpus.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "bn/bigint.hpp"
 #include "rsa/key.hpp"
@@ -53,5 +55,33 @@ bn::BigInt generate_prime(bn::RandomSource& rng, std::size_t bits,
 /// unsupported option combinations (modulus under 64 bits, even exponent).
 RsaPrivateKey generate_key(bn::RandomSource& rng, const KeygenOptions& opts,
                            const KeygenEvents* events = nullptr);
+
+namespace detail {
+
+/// Odd candidates base + 2t, t in [0, kWindow), sieved per random base.
+inline constexpr std::size_t kWindow = 2048;
+
+/// Deepest sieve (`KeygenOptions::sieve_primes`): small_primes(3512) ends
+/// at 32749, the last prime below 2^15, the bound the sieve's 32-bit lanes
+/// need. A deeper option throws std::invalid_argument.
+inline constexpr std::size_t kMaxSieveDepth = 3512;
+
+/// For each odd prime q among the first `depth` primes, ascending: the
+/// offsets t in [0, q) with base + 2t == 0 (zero) and == 1 (one) mod q.
+/// Exposed for tests, like sieve_window.
+struct SieveOffsets {
+  std::vector<std::uint32_t> zero;
+  std::vector<std::uint32_t> one;
+};
+SieveOffsets sieve_offsets(const bn::BigInt& base, std::size_t depth);
+
+/// alive[t] == 0 when base + 2t has a factor among the first `depth`
+/// primes, or (kOpenSsl) base + 2t - 1 has an odd one; the byte past the
+/// window is scratch.
+using SieveWindow = std::array<std::uint8_t, kWindow + 1>;
+SieveWindow sieve_window(const bn::BigInt& base, PrimeStyle style,
+                         std::size_t depth);
+
+}  // namespace detail
 
 }  // namespace weakkeys::rsa

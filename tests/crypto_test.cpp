@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <vector>
+
 #include "crypto/sha256.hpp"
 
 namespace weakkeys::crypto {
@@ -68,6 +71,39 @@ TEST(Sha256, ObjectReusableAfterFinish) {
 TEST(Sha256, DistinctInputsDistinctDigests) {
   EXPECT_NE(hex("abc"), hex("abd"));
   EXPECT_NE(hex("abc"), hex("abc "));
+}
+
+// The SHA-NI rounds against the portable ones, called explicitly: every
+// message length from 0 to 300 bytes (every padding case, up to five
+// blocks), and every two-way streaming split of a 200-byte message.
+TEST(Sha256, HardwareRoundsMatchPortable) {
+  const detail::BlockFunction hardware = detail::hardware_blocks();
+  std::cout << "[ sha256   ] default block function: "
+            << (detail::default_blocks() == detail::portable_blocks ? "portable"
+                                                                    : "sha-ni")
+            << std::endl;
+  if (hardware == nullptr) GTEST_SKIP() << "CPU lacks SHA extensions";
+
+  std::vector<std::uint8_t> message(300);
+  for (std::size_t i = 0; i < message.size(); ++i) {
+    message[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  auto digest = [&message](detail::BlockFunction blocks, std::size_t len,
+                           std::size_t split) {
+    Sha256 h(blocks);
+    const std::span<const std::uint8_t> bytes(message.data(), len);
+    h.update(bytes.first(split));
+    h.update(bytes.subspan(split));
+    return h.finish();
+  };
+  for (std::size_t len = 0; len <= message.size(); ++len) {
+    EXPECT_EQ(digest(hardware, len, 0), digest(detail::portable_blocks, len, 0))
+        << "len=" << len;
+  }
+  for (std::size_t split = 0; split <= 200; ++split) {
+    EXPECT_EQ(digest(hardware, 200, split), digest(detail::portable_blocks, 200, 0))
+        << "split=" << split;
+  }
 }
 
 }  // namespace

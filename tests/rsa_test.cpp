@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "bn/bigint.hpp"
 #include "crypto/sha256.hpp"
@@ -63,6 +66,112 @@ TEST(Keygen, RejectsBadOptions) {
   opts = small_opts();
   opts.public_exponent = 4;
   EXPECT_THROW(generate_key(rng, opts), std::invalid_argument);
+
+  // One prime past the sieve's 2^15 lane bound. Twice: a rejected depth
+  // must leave no partly built table for the next call to sieve with.
+  opts = small_opts();
+  opts.sieve_primes = detail::kMaxSieveDepth + 1;
+  EXPECT_THROW(generate_key(rng, opts), std::invalid_argument);
+  EXPECT_THROW(generate_key(rng, opts), std::invalid_argument);
+  for (const std::size_t depth : {std::size_t{16}, std::size_t{128}, std::size_t{256},
+                                  std::size_t{2048}, detail::kMaxSieveDepth}) {
+    opts.sieve_primes = depth;
+    EXPECT_TRUE(generate_key(rng, opts).is_consistent()) << "depth=" << depth;
+  }
+}
+
+// The sieve's 32-bit lanes against a scalar 64-bit reference: residues by
+// bn::mod_small, offsets t with base + 2t == 0 (and == 1 in OpenSSL style)
+// mod q by modular halving, every multiple marked. The test checks each
+// lane's offsets as well as the window, since a wrong offset often hides
+// under another prime's mark.
+detail::SieveWindow reference_window(const BigInt& base, PrimeStyle style,
+                                     std::size_t depth) {
+  detail::SieveWindow alive;
+  alive.fill(1);
+  for (const std::uint64_t q : bn::small_primes(depth)) {
+    if (q == 2) continue;
+    const std::uint64_t r = bn::mod_small(base, q);
+    const std::uint64_t half = (q + 1) / 2;
+    for (const std::uint64_t v : {0, 1}) {
+      if (v == 1 && style != PrimeStyle::kOpenSsl) continue;
+      const std::uint64_t first = (v + q - r) % q * half % q;
+      for (std::uint64_t t = first; t < detail::kWindow; t += q) alive[t] = 0;
+    }
+  }
+  return alive;
+}
+
+TEST(Keygen, SieveLanesMatchScalarResidues) {
+  EXPECT_LT(bn::small_primes(detail::kMaxSieveDepth).back(), 1u << 15);
+  EXPECT_GT(bn::small_primes(detail::kMaxSieveDepth + 1).back(), 1u << 15);
+
+  PrngRandomSource rng(17);
+  // Depth 4 covers fewer odd primes than the window's wheel of five.
+  for (const std::size_t depth : {std::size_t{4}, std::size_t{16}, std::size_t{128},
+                                  std::size_t{256}, std::size_t{2048}}) {
+    const auto& primes = bn::small_primes(depth);
+    std::vector<BigInt> bases;
+    for (const std::size_t bits : {std::size_t{128}, std::size_t{256}}) {
+      for (int i = 0; i < 32; ++i) bases.push_back(bn::random_bits(rng, bits));
+      const BigInt top = BigInt(1) << bits;
+      bases.push_back(top - BigInt(1));    // all-ones limbs
+      bases.push_back(top - BigInt(101));  // t_end < kWindow in generate_prime
+      // == 0 and == 1 mod a small, a middle and the largest sieve prime.
+      for (const std::uint32_t q : {primes[1], primes[primes.size() / 2], primes.back()}) {
+        const BigInt multiple = (bn::random_bits(rng, bits - 16) + BigInt(1)) * BigInt(std::uint64_t{q});
+        bases.push_back(multiple);
+        bases.push_back(multiple + BigInt(1));
+      }
+    }
+    std::vector<std::uint32_t> odd_primes(primes.begin() + 1, primes.end());
+    for (const BigInt& base : bases) {
+      const detail::SieveOffsets offsets = detail::sieve_offsets(base, depth);
+      ASSERT_EQ(offsets.zero.size(), odd_primes.size());
+      for (std::size_t i = 0; i < odd_primes.size(); ++i) {
+        const std::uint64_t q = odd_primes[i];
+        const std::uint64_t r = bn::mod_small(base, q);
+        ASSERT_EQ((r + 2 * std::uint64_t{offsets.zero[i]}) % q, 0u)
+            << "q=" << q << " base=" << base.to_hex();
+        ASSERT_EQ((r + 2 * std::uint64_t{offsets.one[i]}) % q, 1u)
+            << "q=" << q << " base=" << base.to_hex();
+        ASSERT_LT(offsets.zero[i], q);
+        ASSERT_LT(offsets.one[i], q);
+      }
+      for (const PrimeStyle style : {PrimeStyle::kOpenSsl, PrimeStyle::kPlain}) {
+        const detail::SieveWindow lanes = detail::sieve_window(base, style, depth);
+        const detail::SieveWindow reference = reference_window(base, style, depth);
+        ASSERT_TRUE(std::equal(lanes.begin(), lanes.begin() + detail::kWindow,
+                               reference.begin()))
+            << "depth=" << depth << " base=" << base.to_hex()
+            << " openssl=" << (style == PrimeStyle::kOpenSsl);
+      }
+    }
+  }
+}
+
+// Pool threads resolve the sieve tables, the sieve clone and the SHA-256
+// block function on their first key, concurrently; a depth no other test
+// uses makes that first use happen here. Each thread's key must equal the
+// one a serial run makes from the same stream.
+TEST(Keygen, ConcurrentFirstUseMatchesSerial) {
+  KeygenOptions opts = small_opts();
+  opts.sieve_primes = 333;
+  const rng::RngFlawModel flaw{.boot_entropy_bits = 8, .divergence_entropy_bits = 40};
+  auto key_of = [&](std::uint64_t device) {
+    rng::SimulatedUrandom urandom("concurrent-fw", flaw, device, device * 7);
+    return generate_key(urandom, opts).pub.n;
+  };
+  constexpr std::uint64_t kThreads = 4;
+  std::vector<BigInt> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint64_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] { concurrent[i] = key_of(i); });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::uint64_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(concurrent[i], key_of(i)) << "device=" << i;
+  }
 }
 
 TEST(Keygen, PrimesAreProbablePrimes) {
