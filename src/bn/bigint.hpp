@@ -154,7 +154,9 @@ std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
 // -- Number theory ----------------------------------------------------------
 
-/// Greatest common divisor of |a| and |b| (binary GCD); gcd(0,0) == 0.
+/// Greatest common divisor of |a| and |b| (binary GCD); gcd(0,0) == 0. An
+/// operand more than twice the other's length is first reduced modulo the
+/// other's odd part by Montgomery steps, n multiplies per limb.
 BigInt gcd(const BigInt& a, const BigInt& b);
 
 /// Extended GCD: returns g = gcd(a, b) and x, y with a*x + b*y == g.

@@ -185,6 +185,31 @@ void ntt_mulmid_pair(Limb* r0, Limb* r1, const Limb* a, std::size_t an,
                      const Limb* b0, std::size_t bn0, const Limb* b1,
                      std::size_t bn1, std::size_t length, Limb* scratch);
 
+/// The NTT's butterfly and pointwise kernels (DESIGN.md §5p, "Lanes"): the
+/// scalar reference, and the same formulas in 8 x 64-bit AVX-512 lanes,
+/// which write the same limbs. Products run the lanes where CPUID reports
+/// AVX-512F and DQ, picked once when the NTT tables are built.
+enum class NttKernel { scalar, avx512 };
+enum class NttStep { forward, inverse, pointwise };
+
+/// The kernel every NTT product runs.
+NttKernel ntt_kernel();
+
+/// Whether this CPU and build can run `kernel`.
+bool ntt_kernel_available(NttKernel kernel);
+
+/// The NTT's prime number `prime` (0, 1 or 2).
+Limb ntt_prime(std::size_t prime);
+
+/// A test hook: one step of prime `prime`'s transform on x[0, L) in place,
+/// by the named kernel (std::invalid_argument if it is unavailable). The
+/// forward transform takes entries below 2p, natural order in and
+/// bit-reversed out; the inverse takes entries below 4p, bit-reversed in
+/// and natural out, unscaled; pointwise sets x[k] = x[k] y[k] 2^-64 mod p
+/// in (0, 2p) for entries below 2p.
+void ntt_run_kernel(NttKernel kernel, NttStep step, std::size_t prime,
+                    Limb* x, const Limb* y, std::size_t length);
+
 // -- Wrapped products and kept operands (mul.cpp) -----------------------------
 // The same products at every size: above the NTT crossover they run on the
 // kernels above, below it on the Karatsuba span kernels. An operand kept

@@ -6,11 +6,14 @@
 // Inversion", 2020) on raw limbs: 31 binary steps at a time run on one-word
 // approximations (top 33 and low 31 bits), then one pass applies them to
 // the full operands. Operands of up to kSmallLimbs limbs stay on the
-// stack. Extended GCD (classic Euclid on quotients) backs modular
-// inversion for RSA private exponents.
+// stack. An operand more than twice the other's length (a divisor against
+// a product of small primes) is first brought to the other's length by
+// Montgomery reduction. Extended GCD (classic Euclid on quotients) backs
+// modular inversion for RSA private exponents.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -74,10 +77,27 @@ void take_abs_and_shift(Limb* x, std::size_t n, Limb top) {
   x[n - 1] = (x[n - 1] >> kSteps) | (top << (64 - kSteps));
 }
 
-}  // namespace
+/// l beta^-(len - n) mod m for an odd m of n limbs and l of len > n limbs,
+/// up to a multiple of m: Montgomery steps clear l's low limbs one at a
+/// time, n multiplies each. What is left is below beta^n + m.
+BigInt montgomery_residue(std::span<const Limb> l, const BigInt& m) {
+  const std::size_t n = m.limb_count();
+  const std::size_t len = l.size();
+  detail::LimbVec t(l.begin(), l.end());
+  t.push_back(0);
+  const Limb* mv = m.limbs().data();
+  Limb inv = mv[0];  // m^-1 mod 2^64 by Newton's iteration
+  for (int i = 0; i < 5; ++i) inv *= 2 - mv[0] * inv;
+  for (std::size_t i = 0; i + n < len; ++i) {
+    const Limb carry =
+        detail::addmul_1(t.data() + i, mv, n, t[i] * (0 - inv));
+    detail::add_1(t.data() + i + n, len + 1 - i - n, carry);
+  }
+  t.erase(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(len - n));
+  return BigIntOps::make(std::move(t), 1);
+}
 
-BigInt gcd(const BigInt& a_in, const BigInt& b_in) {
-  obs::prof::Frame frame("bn.gcd");
+BigInt binary_gcd(const BigInt& a_in, const BigInt& b_in) {
   if (a_in.is_zero()) return b_in.abs();
   if (b_in.is_zero()) return a_in.abs();
 
@@ -166,6 +186,27 @@ BigInt gcd(const BigInt& a_in, const BigInt& b_in) {
 
   detail::LimbVec out(b, b + len);
   return BigIntOps::make(std::move(out), 1) << std::min(za, zb);
+}
+
+}  // namespace
+
+BigInt gcd(const BigInt& a, const BigInt& b) {
+  obs::prof::Frame frame("bn.gcd");
+  // An operand more than twice the other's length is first reduced modulo
+  // the other's odd part s (beta is a unit mod s, so gcd(s, l) is kept);
+  // the power of two is the smaller of the operands' own.
+  const bool a_short = a.limb_count() <= b.limb_count();
+  const BigInt& shorter = a_short ? a : b;
+  const BigInt& longer = a_short ? b : a;
+  if (shorter.is_zero() || longer.limb_count() <= 2 * shorter.limb_count()) {
+    return binary_gcd(a, b);
+  }
+  const auto zeros = [](const BigInt& x) {
+    return trailing_zero_bits(x.limbs().data(), x.limb_count());
+  };
+  const std::size_t twos = std::min(zeros(shorter), zeros(longer));
+  const BigInt odd = shorter.abs() >> zeros(shorter);
+  return binary_gcd(odd, montgomery_residue(longer.limbs(), odd)) << twos;
 }
 
 ExtendedGcd extended_gcd(const BigInt& a, const BigInt& b) {

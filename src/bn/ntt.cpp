@@ -24,13 +24,26 @@
 // length, and two middle products of one a transform a once per prime
 // (ntt_mulmid_pair).
 //
+// The transforms and the pointwise product run in 8 x 64-bit AVX-512 lanes
+// where CPUID reports AVX-512F and DQ; the scalar kernels stay as the
+// reference, and both write the same limbs.
+//
 // D. Harvey, "Faster arithmetic for number-theoretic transforms",
 // J. Symb. Comp. 60 (2014); V. Shoup, NTL's MulModPrecon.
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
+#include <stdexcept>
 
 #include "bn/detail.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define WEAKKEYS_NTT_LANES 1
+#include <immintrin.h>
+#else
+#define WEAKKEYS_NTT_LANES 0
+#endif
 
 namespace weakkeys::bn::detail {
 namespace {
@@ -157,32 +170,6 @@ struct Prime {
   std::array<Factor, kMaxLog + 1> scale{};
 };
 
-/// Garner's constants: x = v1 + p1 (v2 + p2 v3) with v2 = (x2 - v1) / p1
-/// mod p2 and v3 = ((x3 - v1) / p1 - v2) / p2 mod p3.
-struct Tables {
-  /// a^-1 mod p, by Fermat.
-  static Factor inverse_of(Limb a, Limb p) {
-    return factor(pow_mod(a % p, p - 2, p), p);
-  }
-
-  Tables()
-      : primes{Prime(kPrimes[0]), Prime(kPrimes[1]), Prime(kPrimes[2])},
-        inv_p1_mod_p2(inverse_of(kPrimes[0], kPrimes[1])),
-        inv_p1_mod_p3(inverse_of(kPrimes[0], kPrimes[2])),
-        inv_p2_mod_p3(inverse_of(kPrimes[1], kPrimes[2])) {}
-
-  std::array<Prime, kPrimeCount> primes;
-  Factor inv_p1_mod_p2;
-  Factor inv_p1_mod_p3;
-  Factor inv_p2_mod_p3;
-};
-
-/// Built on first use; C++ makes that initialization thread-safe.
-const Tables& tables() {
-  static const Tables t;
-  return t;
-}
-
 /// In-place forward transform of x[0, L), entries in [0, 2p) before and
 /// after; the output is in bit-reversed order.
 void forward(Limb* x, std::size_t length, const Prime& q) {
@@ -294,10 +281,414 @@ void inverse(Limb* x, std::size_t length, const Prime& q) {
   }
 }
 
+/// x[k] = a[k] * b[k] * 2^-64 mod p in (0, 2p) for k < L, for entries of
+/// a and b below 2p; x may be a or b.
+void pointwise(Limb* x, const Limb* a, const Limb* b, std::size_t length,
+               const Prime& q) {
+  for (std::size_t k = 0; k < length; ++k) x[k] = q.mont_mul(a[k], b[k]);
+}
+
+#if WEAKKEYS_NTT_LANES
+// -- The same kernels in 8 x 64-bit AVX-512 lanes (DESIGN.md §5p, "Lanes") --
+// Each lane runs the scalar formulas on its own coefficient, so every
+// output limb is the scalar kernel's. The 64-bit high product is four
+// 32 x 32-bit products, and q * p mod 2^64 is q + (q c mod 2^32) 2^32 for
+// p = c 2^32 + 1. Stages h >= 8 read eight consecutive butterflies; the
+// three shortest stages run on a 16-coefficient block held in two vectors,
+// permuted between stages. GCC's vector extensions do the arithmetic, and
+// the only intrinsics are ones whose headers leave no lane undefined
+// (those raise -Wmaybe-uninitialized in GCC 12).
+
+#define WEAKKEYS_LANES __attribute__((target("avx512f,avx512dq")))
+
+typedef Limb Lanes __attribute__((vector_size(64)));
+constexpr std::size_t kLanes = 8;
+
+WEAKKEYS_LANES Lanes splat(Limb x) { return Lanes{} + x; }
+
+WEAKKEYS_LANES Lanes load(const Limb* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+WEAKKEYS_LANES void store(Limb* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+/// p[0, count) in lanes 0 to count - 1 and zeros above; reads nothing past.
+WEAKKEYS_LANES Lanes load_first(const Limb* p, std::size_t count) {
+  return reinterpret_cast<Lanes>(_mm512_maskz_loadu_epi64(
+      static_cast<__mmask8>((1u << count) - 1), p));
+}
+
+/// Lane l is lane index[l] of a for index[l] < 8, else lane index[l] - 8
+/// of b.
+WEAKKEYS_LANES Lanes permute(Lanes a, Lanes index, Lanes b) {
+  return reinterpret_cast<Lanes>(_mm512_permutex2var_epi64(
+      reinterpret_cast<__m512i>(a), reinterpret_cast<__m512i>(index),
+      reinterpret_cast<__m512i>(b)));
+}
+
+/// Lane l of `chosen` where bit l of `mask` is set, else of `other`.
+WEAKKEYS_LANES Lanes select(unsigned mask, Lanes chosen, Lanes other) {
+  return reinterpret_cast<Lanes>(_mm512_mask_blend_epi64(
+      static_cast<__mmask8>(mask), reinterpret_cast<__m512i>(other),
+      reinterpret_cast<__m512i>(chosen)));
+}
+
+/// The 64-bit products of the lanes' low 32 bits.
+WEAKKEYS_LANES Lanes mul_32(Lanes a, Lanes b) {
+  return reinterpret_cast<Lanes>(_mm512_maskz_mul_epu32(
+      0xFF, reinterpret_cast<__m512i>(a), reinterpret_cast<__m512i>(b)));
+}
+
+WEAKKEYS_LANES Lanes mul_hi(Lanes a, Lanes b) {
+  const Lanes low = splat(0xffffffff);
+  const Lanes ah = a >> 32;
+  const Lanes bh = b >> 32;
+  const Lanes lh = mul_32(a, bh);
+  const Lanes hl = mul_32(ah, b);
+  const Lanes mid = (mul_32(a, b) >> 32) + (lh & low) + (hl & low);
+  return mul_32(ah, bh) + (lh >> 32) + (hl >> 32) + (mid >> 32);
+}
+
+WEAKKEYS_LANES Lanes reduce(Lanes x, Lanes bound) {
+  return x >= bound ? x - bound : x;
+}
+
+/// One prime's constants in every lane.
+struct LanePrime {
+  WEAKKEYS_LANES explicit LanePrime(const Prime& q)
+      : p(splat(q.p)), p2(splat(2 * q.p)), c(splat(q.p >> 32)),
+        inv(splat(q.inv)) {}
+
+  /// x * p mod 2^64.
+  WEAKKEYS_LANES Lanes times_p(Lanes x) const {
+    return x + (mul_32(x, c) << 32);
+  }
+
+  /// mul_shoup in each lane.
+  WEAKKEYS_LANES Lanes shoup(Lanes w, Lanes wp, Lanes y) const {
+    return w * y - times_p(mul_hi(wp, y));
+  }
+
+  /// Prime::mont_mul in each lane; mul_hi(m, p) takes two 32-bit products,
+  /// as p's low half is 1.
+  WEAKKEYS_LANES Lanes mont_mul(Lanes a, Lanes b) const {
+    const Lanes m = a * b * inv;
+    const Lanes mc = mul_32(m, c);
+    const Lanes mid = (mc & splat(0xffffffff)) + (m >> 32);
+    const Lanes mp_hi = mul_32(m >> 32, c) + (mc >> 32) + (mid >> 32);
+    return mul_hi(a, b) - mp_hi + p;
+  }
+
+  /// forward()'s butterfly on u and v: entries below 2p in and out.
+  WEAKKEYS_LANES void forward(Lanes& u, Lanes& v, Lanes w, Lanes wp) const {
+    const Lanes a = u;
+    u = reduce(a + v, p2);
+    v = shoup(w, wp, a - v + p2);
+  }
+
+  /// inverse()'s butterfly: entries below 4p in and out.
+  WEAKKEYS_LANES void inverse(Lanes& u, Lanes& v, Lanes w, Lanes wp) const {
+    const Lanes a = reduce(u, p2);
+    const Lanes t = shoup(w, wp, v);
+    u = a + t;
+    v = a - t + p2;
+  }
+
+  Lanes p, p2, c, inv;
+};
+
+/// A stage above the root table, at m = 2h / T <= 8: lane l of the
+/// butterflies at j = 8g + l has j1 = 8g / m + l / m and j0 = l mod m, so
+/// 8 / m table roots spread over the lanes and one side-table pattern
+/// repeats.
+struct SideLanes {
+  static_assert(kSideEntries / 2 <= kLanes,
+                "m <= 8: one side-table pattern per group of lanes");
+
+  WEAKKEYS_LANES SideLanes(const Factor* side, std::size_t m)
+      : count(kLanes / m) {
+    alignas(64) Limb ws[kLanes], wps[kLanes], spreads[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ws[l] = side[m + l % m].w;
+      wps[l] = side[m + l % m].wp;
+      spreads[l] = l / m;
+      if (l % m == 0) first |= 1u << l;
+    }
+    w = load(ws);
+    wp = load(wps);
+    spread = load(spreads);
+  }
+
+  /// Lane l = t[l / m], reading t[0, count).
+  WEAKKEYS_LANES Lanes roots(const Limb* t) const {
+    const Lanes r = load_first(t, count);
+    return permute(r, spread, r);
+  }
+
+  /// Lane l = t[-(l / m)], reading t[1 - count, 1 - skip); lanes that would
+  /// read t[0] read 0 when skip is 1.
+  WEAKKEYS_LANES Lanes roots_reversed(const Limb* t, std::size_t skip) const {
+    const Lanes r = load_first(t + 1 - count, count - skip);
+    return permute(r, splat(count - 1) - spread, r);
+  }
+
+  std::size_t count;
+  unsigned first = 0;  // lanes with j0 = 0, which take no side product
+  Lanes w, wp, spread;
+};
+
+const Lanes kLow4 = {0, 1, 2, 3, 8, 9, 10, 11};
+const Lanes kHigh4 = {4, 5, 6, 7, 12, 13, 14, 15};
+const Lanes kLow2 = {0, 1, 8, 9, 4, 5, 12, 13};
+const Lanes kHigh2 = {2, 3, 10, 11, 6, 7, 14, 15};
+const Lanes kEven = {0, 8, 2, 10, 4, 12, 6, 14};
+const Lanes kOdd = {1, 9, 3, 11, 5, 13, 7, 15};
+const Lanes kSplitEven = {0, 2, 4, 6, 8, 10, 12, 14};
+const Lanes kSplitOdd = {1, 3, 5, 7, 9, 11, 13, 15};
+const Lanes kMergeLow = {0, 8, 1, 9, 2, 10, 3, 11};
+const Lanes kMergeHigh = {4, 12, 5, 13, 6, 14, 7, 15};
+const Lanes kReverse = {7, 6, 5, 4, 3, 2, 1, 0};
+
+/// forward() in lanes, for L >= 16.
+WEAKKEYS_LANES void forward_lanes(Limb* x, std::size_t length,
+                                  const Prime& q) {
+  if (length < 2 * kLanes) return forward(x, length, q);
+  const LanePrime lp(q);
+  std::size_t h = length / 2;
+  for (; 2 * h > kTableLength; h /= 2) {
+    const std::size_t m = 2 * h / kTableLength;
+    const SideLanes side(q.side.data(), m);
+    const Limb* w = q.root.data() + kTableLength / 2;
+    const Limb* wp = q.root_companion.data() + kTableLength / 2;
+    for (std::size_t s = 0; s < length; s += 2 * h) {
+      Limb* u = x + s;
+      Limb* v = u + h;
+      for (std::size_t j = 0; j < h; j += kLanes) {
+        const std::size_t j1 = j / m;
+        Lanes a = load(u + j);
+        Lanes b = load(v + j);
+        lp.forward(a, b, side.roots(w + j1), side.roots(wp + j1));
+        store(u + j, a);
+        store(v + j, select(side.first, b, lp.shoup(side.w, side.wp, b)));
+      }
+    }
+  }
+  for (; h >= kLanes; h /= 2) {
+    const Limb* w = q.root.data() + h;
+    const Limb* wp = q.root_companion.data() + h;
+    for (std::size_t s = 0; s < length; s += 2 * h) {
+      Limb* u = x + s;
+      Limb* v = u + h;
+      for (std::size_t j = 0; j < h; j += kLanes) {
+        Lanes a = load(u + j);
+        Lanes b = load(v + j);
+        lp.forward(a, b, load(w + j), load(wp + j));
+        store(u + j, a);
+        store(v + j, b);
+      }
+    }
+  }
+  // h = 4, 2, 1 on two blocks of 8 at once: a and b hold the butterflies'
+  // halves, whose roots are w_8^(l mod 4), w_4^(l mod 2) and w_2^0.
+  const Limb* r = q.root.data();
+  const Limb* rc = q.root_companion.data();
+  const Lanes w4 = {r[4], r[5], r[6], r[7], r[4], r[5], r[6], r[7]};
+  const Lanes wp4 = {rc[4], rc[5], rc[6], rc[7], rc[4], rc[5], rc[6], rc[7]};
+  const Lanes w2 = {r[2], r[3], r[2], r[3], r[2], r[3], r[2], r[3]};
+  const Lanes wp2 = {rc[2], rc[3], rc[2], rc[3], rc[2], rc[3], rc[2], rc[3]};
+  for (std::size_t s = 0; s < length; s += 2 * kLanes) {
+    const Lanes lo = load(x + s);
+    const Lanes hi = load(x + s + kLanes);
+    Lanes a = permute(lo, kLow4, hi);
+    Lanes b = permute(lo, kHigh4, hi);
+    lp.forward(a, b, w4, wp4);
+    Lanes c = permute(a, kLow2, b);
+    Lanes d = permute(a, kHigh2, b);
+    lp.forward(c, d, w2, wp2);
+    a = permute(c, kEven, d);
+    b = permute(c, kOdd, d);
+    lp.forward(a, b, splat(r[1]), splat(rc[1]));
+    store(x + s, permute(a, kMergeLow, b));
+    store(x + s + kLanes, permute(a, kMergeHigh, b));
+  }
+}
+
+/// inverse() in lanes, for L >= 16.
+WEAKKEYS_LANES void inverse_lanes(Limb* x, std::size_t length,
+                                  const Prime& q) {
+  if (length < 2 * kLanes) return inverse(x, length, q);
+  const LanePrime lp(q);
+  const Factor one = factor(1, q.p);
+  // h = 1, 2, 4 on two blocks of 8 at once, the forward's permutes undone;
+  // the roots are w_2^0, w_4^-(l mod 2) and w_8^-(l mod 4), where w^0 is
+  // `one` and w_2h^-j = p - root[2h - j] with companion ~root_companion.
+  {
+    const Limb* r = q.root.data();
+    const Limb* rc = q.root_companion.data();
+    const Limb w41 = q.p - r[7], w42 = q.p - r[6], w43 = q.p - r[5];
+    const Lanes w4 = {one.w, w41, w42, w43, one.w, w41, w42, w43};
+    const Lanes wp4 = {one.wp, ~rc[7], ~rc[6], ~rc[5],
+                       one.wp, ~rc[7], ~rc[6], ~rc[5]};
+    const Limb w21 = q.p - r[3];
+    const Lanes w2 = {one.w, w21, one.w, w21, one.w, w21, one.w, w21};
+    const Lanes wp2 = {one.wp, ~rc[3], one.wp, ~rc[3],
+                       one.wp, ~rc[3], one.wp, ~rc[3]};
+    for (std::size_t s = 0; s < length; s += 2 * kLanes) {
+      const Lanes lo = load(x + s);
+      const Lanes hi = load(x + s + kLanes);
+      Lanes a = permute(lo, kSplitEven, hi);
+      Lanes b = permute(lo, kSplitOdd, hi);
+      lp.inverse(a, b, splat(one.w), splat(one.wp));
+      Lanes c = permute(a, kEven, b);
+      Lanes d = permute(a, kOdd, b);
+      lp.inverse(c, d, w2, wp2);
+      a = permute(c, kLow2, d);
+      b = permute(c, kHigh2, d);
+      lp.inverse(a, b, w4, wp4);
+      store(x + s, permute(a, kLow4, b));
+      store(x + s + kLanes, permute(a, kHigh4, b));
+    }
+  }
+  // Lanes j to j + 7 read root[2h - j - 7, 2h - j] reversed; at j = 0 the
+  // lane with w^0 reads nothing and takes `one`.
+  std::size_t h = kLanes;
+  for (; h < length && 2 * h <= kTableLength; h *= 2) {
+    const Limb* w = q.root.data() + 2 * h - (kLanes - 1);
+    const Limb* wp = q.root_companion.data() + 2 * h - (kLanes - 1);
+    for (std::size_t s = 0; s < length; s += 2 * h) {
+      Limb* u = x + s;
+      Limb* v = u + h;
+      for (std::size_t j = 0; j < h; j += kLanes) {
+        const std::size_t count = j == 0 ? kLanes - 1 : kLanes;
+        Lanes r = load_first(w - j, count);
+        Lanes rc = load_first(wp - j, count);
+        r = lp.p - permute(r, kReverse, r);
+        rc = ~permute(rc, kReverse, rc);
+        if (j == 0) {
+          r = select(1, splat(one.w), r);
+          rc = select(1, splat(one.wp), rc);
+        }
+        Lanes a = load(u + j);
+        Lanes b = load(v + j);
+        lp.inverse(a, b, r, rc);
+        store(u + j, a);
+        store(v + j, b);
+      }
+    }
+  }
+  // Above the table: w_T^-j1 = p - root[T - j1] for j1 >= 1, read reversed
+  // and spread; j1 = 0 (the lanes l < m of j = 0) takes `one`.
+  for (; h < length; h *= 2) {
+    const std::size_t m = 2 * h / kTableLength;
+    const SideLanes side(q.side_inverse.data(), m);
+    const Limb* w = q.root.data() + kTableLength;
+    const Limb* wp = q.root_companion.data() + kTableLength;
+    const unsigned unit = (1u << m) - 1;
+    for (std::size_t s = 0; s < length; s += 2 * h) {
+      Limb* u = x + s;
+      Limb* v = u + h;
+      for (std::size_t j = 0; j < h; j += kLanes) {
+        const std::size_t j1 = j / m;
+        const std::size_t skip = j1 == 0 ? 1 : 0;
+        Lanes r = lp.p - side.roots_reversed(w - j1, skip);
+        Lanes rc = ~side.roots_reversed(wp - j1, skip);
+        if (skip != 0) {
+          r = select(unit, splat(one.w), r);
+          rc = select(unit, splat(one.wp), rc);
+        }
+        const Lanes a = reduce(load(u + j), lp.p2);
+        Lanes t = lp.shoup(r, rc, load(v + j));
+        t = select(side.first, t, lp.shoup(side.w, side.wp, t));
+        store(u + j, a + t);
+        store(v + j, a - t + lp.p2);
+      }
+    }
+  }
+}
+
+/// pointwise() in lanes.
+WEAKKEYS_LANES void pointwise_lanes(Limb* x, const Limb* a, const Limb* b,
+                                    std::size_t length, const Prime& q) {
+  const LanePrime lp(q);
+  std::size_t k = 0;
+  for (; k + kLanes <= length; k += kLanes) {
+    store(x + k, lp.mont_mul(load(a + k), load(b + k)));
+  }
+  for (; k < length; ++k) x[k] = q.mont_mul(a[k], b[k]);
+}
+
+bool cpu_has_lanes() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq");
+}
+
+#endif  // WEAKKEYS_NTT_LANES
+
+/// One set of the three kernels a product runs.
+struct Kernel {
+  NttKernel id;
+  void (*forward)(Limb* x, std::size_t length, const Prime& q);
+  void (*inverse)(Limb* x, std::size_t length, const Prime& q);
+  void (*pointwise)(Limb* x, const Limb* a, const Limb* b,
+                    std::size_t length, const Prime& q);
+};
+
+constexpr Kernel kScalarKernel{NttKernel::scalar, forward, inverse,
+                               pointwise};
+#if WEAKKEYS_NTT_LANES
+constexpr Kernel kLaneKernel{NttKernel::avx512, forward_lanes, inverse_lanes,
+                             pointwise_lanes};
+#endif
+
+/// The kernel named `id`, or null when this CPU or build cannot run it.
+const Kernel* kernel_for(NttKernel id) {
+  if (id == NttKernel::scalar) return &kScalarKernel;
+#if WEAKKEYS_NTT_LANES
+  static const bool lanes = cpu_has_lanes();
+  if (id == NttKernel::avx512 && lanes) return &kLaneKernel;
+#endif
+  return nullptr;
+}
+
+/// Garner's constants: x = v1 + p1 (v2 + p2 v3) with v2 = (x2 - v1) / p1
+/// mod p2 and v3 = ((x3 - v1) / p1 - v2) / p2 mod p3.
+struct Tables {
+  /// a^-1 mod p, by Fermat.
+  static Factor inverse_of(Limb a, Limb p) {
+    return factor(pow_mod(a % p, p - 2, p), p);
+  }
+
+  Tables()
+      : primes{Prime(kPrimes[0]), Prime(kPrimes[1]), Prime(kPrimes[2])},
+        inv_p1_mod_p2(inverse_of(kPrimes[0], kPrimes[1])),
+        inv_p1_mod_p3(inverse_of(kPrimes[0], kPrimes[2])),
+        inv_p2_mod_p3(inverse_of(kPrimes[1], kPrimes[2])),
+        kernel(kernel_for(NttKernel::avx512)) {
+    if (kernel == nullptr) kernel = &kScalarKernel;
+  }
+
+  std::array<Prime, kPrimeCount> primes;
+  Factor inv_p1_mod_p2;
+  Factor inv_p1_mod_p3;
+  Factor inv_p2_mod_p3;
+  /// What every product runs: the lanes where CPUID reports them.
+  const Kernel* kernel;
+};
+
+/// Built on first use; C++ makes that initialization thread-safe.
+const Tables& tables() {
+  static const Tables t;
+  return t;
+}
+
+
 /// x[0, L) = the transform of a[0, an) reduced mod X^L - 1 (an <= 2L):
 /// limbs past L fold onto the bottom, the rest is zero-padded.
 void transform(Limb* x, const Limb* a, std::size_t an, std::size_t length,
-               const Prime& q) {
+               const Prime& q, const Kernel& kernel) {
   const std::size_t low = std::min(an, length);
   for (std::size_t i = 0; i < low; ++i) x[i] = q.load(a[i]);
   std::fill(x + low, x + length, Limb{0});
@@ -306,7 +697,7 @@ void transform(Limb* x, const Limb* a, std::size_t an, std::size_t length,
     const Limb v = x[i - length] + q.load(a[i]);
     x[i - length] = v >= p2 ? v - p2 : v;
   }
-  forward(x, length, q);
+  kernel.forward(x, length, q);
 }
 
 /// The cyclic convolution of a and b (b == nullptr: a with itself) modulo
@@ -321,6 +712,7 @@ const Limb* convolve(Limb* r, const Operand& a, const Operand* b,
                      std::size_t first, std::size_t count,
                      std::size_t length, Limb* ws) {
   const Tables& t = tables();
+  const Kernel& kernel = *t.kernel;
   Limb* x = ws;
   const bool both_fresh = b != nullptr && a.transforms == nullptr &&
                           b->transforms == nullptr;
@@ -332,18 +724,18 @@ const Limb* convolve(Limb* r, const Operand& a, const Operand* b,
     if (a.transforms != nullptr) {
       ta = a.transforms + i * length;
     } else {
-      transform(x, a.limbs, a.size, length, q);
+      transform(x, a.limbs, a.size, length, q, kernel);
     }
     const Limb* tb = ta;  // a square
     if (b != nullptr && b->transforms != nullptr) {
       tb = b->transforms + i * length;
     } else if (b != nullptr) {
       Limb* dst = both_fresh ? other : x;
-      transform(dst, b->limbs, b->size, length, q);
+      transform(dst, b->limbs, b->size, length, q, kernel);
       tb = dst;
     }
-    for (std::size_t k = 0; k < length; ++k) x[k] = q.mont_mul(ta[k], tb[k]);
-    inverse(x, length, q);
+    kernel.pointwise(x, ta, tb, length, q);
+    kernel.inverse(x, length, q);
     if (i + 1 < kPrimeCount) {
       for (std::size_t k = 0; k < count; ++k) {
         kept[i][k] = x[(first + k) & (length - 1)];
@@ -470,7 +862,7 @@ std::size_t ntt_scratch_limbs(std::size_t length, bool single,
 void ntt_keep(Limb* t, const Limb* a, std::size_t an, std::size_t length) {
   const Tables& tab = tables();
   for (std::size_t i = 0; i < kPrimeCount; ++i) {
-    transform(t + i * length, a, an, length, tab.primes[i]);
+    transform(t + i * length, a, an, length, tab.primes[i], *tab.kernel);
   }
 }
 
@@ -511,6 +903,7 @@ void ntt_mulmid_pair(Limb* r0, Limb* r1, const Limb* a, std::size_t an,
                      const Limb* b0, std::size_t bn0, const Limb* b1,
                      std::size_t bn1, std::size_t length, Limb* ws) {
   const Tables& t = tables();
+  const Kernel& kernel = *t.kernel;
   Limb* x = ws;           // a's transform, once per prime
   Limb* y = ws + length;  // each b's transform, then its product with a
   const Limb* const b[] = {b0, b1};
@@ -519,11 +912,11 @@ void ntt_mulmid_pair(Limb* r0, Limb* r1, const Limb* a, std::size_t an,
   Limb* const kept2[] = {ws + 2 * length, ws + 2 * length + an - bn0 + 1};
   for (std::size_t i = 0; i < kPrimeCount; ++i) {
     const Prime& q = t.primes[i];
-    transform(x, a, an, length, q);
+    transform(x, a, an, length, q, kernel);
     for (std::size_t c = 0; c < 2; ++c) {
-      transform(y, b[c], bn[c], length, q);
-      for (std::size_t k = 0; k < length; ++k) y[k] = q.mont_mul(x[k], y[k]);
-      inverse(y, length, q);
+      transform(y, b[c], bn[c], length, q, kernel);
+      kernel.pointwise(y, x, y, length, q);
+      kernel.inverse(y, length, q);
       const std::size_t first = bn[c] - 1;
       const std::size_t count = an - bn[c] + 1;
       if (i + 1 < kPrimeCount) {
@@ -551,6 +944,32 @@ void ntt_mul_wrapped(Limb* r, const Operand& a, const Operand& b,
       recombine(r, nullptr, 0, nullptr, 0, 0, length, length, x2, ws);
   const Limb c[2] = {static_cast<Limb>(carry), static_cast<Limb>(carry >> 64)};
   if (add_1(r + 2, length - 2, add_n(r, r, c, 2)) != 0) add_1(r, length, 1);
+}
+
+NttKernel ntt_kernel() { return tables().kernel->id; }
+
+bool ntt_kernel_available(NttKernel kernel) {
+  return kernel_for(kernel) != nullptr;
+}
+
+Limb ntt_prime(std::size_t prime) { return kPrimes.at(prime); }
+
+void ntt_run_kernel(NttKernel kernel, NttStep step, std::size_t prime,
+                    Limb* x, const Limb* y, std::size_t length) {
+  const Kernel* k = kernel_for(kernel);
+  if (k == nullptr) throw std::invalid_argument("NTT kernel unavailable");
+  const Prime& q = tables().primes.at(prime);
+  switch (step) {
+    case NttStep::forward:
+      k->forward(x, length, q);
+      break;
+    case NttStep::inverse:
+      k->inverse(x, length, q);
+      break;
+    case NttStep::pointwise:
+      k->pointwise(x, x, y, length, q);
+      break;
+  }
 }
 
 }  // namespace weakkeys::bn::detail

@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "bn/detail.hpp"
+#include "obs/prof_stack.hpp"
 
 namespace weakkeys::bn {
 
@@ -98,6 +99,7 @@ BigInt random_range(RandomSource& src, const BigInt& low, const BigInt& high) {
 }
 
 bool miller_rabin(const BigInt& n, RandomSource& src, int rounds) {
+  obs::prof::Frame frame("bn.miller_rabin");
   if (!n.is_odd() || n.is_negative() ||
       (n.limb_count() == 1 && n.limbs()[0] < 5)) {
     throw std::domain_error("miller_rabin needs an odd n >= 5");

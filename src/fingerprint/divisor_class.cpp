@@ -1,6 +1,9 @@
 #include "fingerprint/divisor_class.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <vector>
 
 #include "rng/prng_source.hpp"
 
@@ -30,11 +33,48 @@ std::size_t prime_count_below(std::uint32_t bound) {
   return static_cast<std::size_t>(1.3 * b / std::log(b)) + 16;
 }
 
+/// The product of the primes <= bound, by a product tree.
+BigInt product_of_primes(std::uint32_t bound) {
+  std::vector<BigInt> level;
+  if (bound >= 2) {
+    for (const std::uint32_t p : bn::small_primes(prime_count_below(bound))) {
+      if (p > bound) break;
+      level.emplace_back(std::uint64_t{p});
+    }
+  }
+  if (level.empty()) return BigInt(1);
+  while (level.size() > 1) {
+    std::vector<BigInt> next;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(level[i] * level[i + 1]);
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+  }
+  return std::move(level.front());
+}
+
+/// product_of_primes(bound), built once per bound: the default bound's
+/// without a lock after its first use, any other under a mutex.
+const BigInt& primorial(std::uint32_t bound) {
+  static const BigInt common = product_of_primes(kSmoothBound);
+  if (bound == kSmoothBound) return common;
+  static std::mutex mutex;
+  static std::map<std::uint32_t, BigInt> others;
+  std::lock_guard lock(mutex);
+  auto it = others.find(bound);
+  if (it == others.end()) {
+    it = others.emplace(bound, product_of_primes(bound)).first;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 SmoothSplit smooth_split(const BigInt& x, std::uint32_t bound) {
   SmoothSplit out{BigInt(1), x.abs()};
   if (out.cofactor.is_zero()) return out;
+  if (bn::gcd(out.cofactor, primorial(bound)).is_one()) return out;
   for (const std::uint32_t p : bn::small_primes(prime_count_below(bound))) {
     if (p > bound) break;
     while (bn::mod_small(out.cofactor, p) == 0) {

@@ -7,6 +7,7 @@
 // and excluded them from the vulnerable counts.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "bn/bigint.hpp"
@@ -22,6 +23,9 @@ enum class DivisorClass {
 
 std::string to_string(DivisorClass c);
 
+/// The default smoothness bound: primes up to 100,000.
+inline constexpr std::uint32_t kSmoothBound = 100000;
+
 struct DivisorVerdict {
   DivisorClass cls = DivisorClass::kOther;
   /// The part of the divisor composed of primes <= smooth_bound.
@@ -31,10 +35,11 @@ struct DivisorVerdict {
 /// Classifies divisor `d` of modulus `n` (both from a batch-GCD result).
 /// `smooth_bound` is the trial-division limit for the smoothness test.
 DivisorVerdict classify_divisor(const bn::BigInt& n, const bn::BigInt& d,
-                                std::uint32_t smooth_bound = 100000);
+                                std::uint32_t smooth_bound = kSmoothBound);
 
 /// Removes all prime factors <= bound from x, returning {smooth part,
-/// remaining cofactor}.
+/// remaining cofactor}. Trial division runs only when gcd(x, the product
+/// of the primes <= bound) > 1.
 struct SmoothSplit {
   bn::BigInt smooth;
   bn::BigInt cofactor;
@@ -44,14 +49,15 @@ SmoothSplit smooth_split(const bn::BigInt& x, std::uint32_t bound);
 /// A modulus is well-formed if it is odd, composite-sized, and has no small
 /// prime factors — cheap necessary conditions for being a product of two
 /// large primes.
-bool plausibly_well_formed(const bn::BigInt& n, std::uint32_t bound = 100000);
+bool plausibly_well_formed(const bn::BigInt& n,
+                           std::uint32_t bound = kSmoothBound);
 
 /// Triage for moduli the ingest quarantine rejected before batch GCD (zero,
 /// even, or tiny): routes them into the same buckets the paper used for
 /// non-well-formed moduli. Anything degenerate (n <= 1) or carrying a
 /// small-prime factor lands in the smooth/bit-error bucket; the remainder
 /// (e.g. a tiny odd prime) in kOther. Total — never throws, any input.
-DivisorClass triage_degenerate_modulus(const bn::BigInt& n,
-                                       std::uint32_t smooth_bound = 100000);
+DivisorClass triage_degenerate_modulus(
+    const bn::BigInt& n, std::uint32_t smooth_bound = kSmoothBound);
 
 }  // namespace weakkeys::fingerprint

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <iostream>
 #include <latch>
 #include <set>
 #include <thread>
@@ -229,6 +230,37 @@ TEST(Gcd, RecoversPlantedCommonFactor) {
   const BigInt a = p * big("999999999999999989");
   const BigInt b = p * big("999999999999999967");
   EXPECT_EQ(gcd(a, b), p);
+}
+
+// gcd with one operand more than twice the other's length (reduced by
+// Montgomery steps first) against the plain binary gcd of the short
+// operand and the long one's remainder: short operands of 1 to 4 limbs,
+// odd and times powers of two, long ones of up to 40 limbs, a shared factor
+// planted in half the pairs, either argument order, signs, and zero.
+TEST(Gcd, UnbalancedOperandsMatchRemainder) {
+  util::Xoshiro256 rng(39);
+  for (int iter = 0; iter < 400; ++iter) {
+    BigInt a = random_value(rng, 256) + BigInt(1);
+    BigInt b = random_value(rng, 64 * 40);
+    if (iter % 4 == 1) a = a * (BigInt(2) << rng.below(70));
+    if (iter % 8 == 1) b = b << rng.below(70);
+    if (iter % 2 == 0) {
+      const BigInt f = random_value(rng, 40) + BigInt(2);
+      a = a * f;
+      b = b * f;
+    }
+    if (iter % 3 == 0) b = -b;
+    const BigInt want = gcd(a, b % a);
+    EXPECT_EQ(gcd(a, b), want) << a.to_hex() << " " << b.to_hex();
+    EXPECT_EQ(gcd(b, a), want) << a.to_hex() << " " << b.to_hex();
+  }
+  const BigInt odd = big("1000000000000000003");
+  const BigInt long_odd = odd * odd * odd * odd * odd + BigInt(2);
+  EXPECT_EQ(gcd(BigInt(0), long_odd), long_odd);
+  EXPECT_EQ(gcd(BigInt(6), long_odd * BigInt(3)), BigInt(3));
+  EXPECT_EQ(gcd(BigInt(8), long_odd << 2), BigInt(4));
+  EXPECT_EQ(gcd(odd, long_odd * odd), odd);
+  EXPECT_EQ(gcd(odd, long_odd), BigInt(1));
 }
 
 TEST(Gcd, ExtendedGcdBezout) {
@@ -705,6 +737,59 @@ TEST(NttTables, ConcurrentFirstUseMatchesSerial) {
   EXPECT_EQ(serial.windows[1],
             mul_window(fraction, square1, 64 * 4200 + 5, 64 * 4200 + 64));
   kara = saved;
+}
+
+// The AVX-512 lane kernels against the scalar ones they replace: every
+// forward transform, inverse transform and pointwise product at every
+// power-of-two length up to the 2^16 cap, for each prime, on random entries
+// of the kernel's input range, on that range's edges (0 and its top,
+// 2p - 1 or 4p - 1) sprinkled among random ones, and on the top alone.
+// The outputs must agree limb for limb. Its first line names the kernel
+// products run.
+TEST(NttKernels, LanesMatchScalarLimbForLimb) {
+  std::cout << "[ ntt      ] product kernel: "
+            << (detail::ntt_kernel() == detail::NttKernel::avx512 ? "avx512"
+                                                                  : "scalar")
+            << std::endl;
+  if (!detail::ntt_kernel_available(detail::NttKernel::avx512)) {
+    GTEST_SKIP() << "CPU lacks AVX-512F/DQ";
+  }
+  using detail::NttStep;
+  util::Xoshiro256 rng(39);
+  for (std::size_t prime = 0; prime < 3; ++prime) {
+    const Limb p = detail::ntt_prime(prime);
+    for (std::size_t length = 2; length <= detail::kNttMaxLength;
+         length *= 2) {
+      for (const NttStep step :
+           {NttStep::forward, NttStep::inverse, NttStep::pointwise}) {
+        const Limb bound = step == NttStep::inverse ? 4 * p : 2 * p;
+        for (int fill = 0; fill < 3; ++fill) {
+          const auto entries = [&] {
+            detail::LimbVec v(length);
+            for (std::size_t k = 0; k < length; ++k) {
+              const Limb r = rng();
+              v[k] = fill == 2 ? bound - 1
+                     : fill == 1 && r % 5 == 0 ? 0
+                     : fill == 1 && r % 5 == 1 ? bound - 1
+                                                : r % bound;
+            }
+            return v;
+          };
+          const detail::LimbVec x = entries();
+          const detail::LimbVec y = entries();
+          detail::LimbVec lanes = x;
+          detail::LimbVec scalar = x;
+          detail::ntt_run_kernel(detail::NttKernel::avx512, step, prime,
+                                 lanes.data(), y.data(), length);
+          detail::ntt_run_kernel(detail::NttKernel::scalar, step, prime,
+                                 scalar.data(), y.data(), length);
+          ASSERT_EQ(lanes, scalar)
+              << "prime " << prime << " length " << length << " step "
+              << static_cast<int>(step) << " fill " << fill;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- tuning knobs ----

@@ -13,6 +13,7 @@
 #include "rng/prng_source.hpp"
 #include "rsa/ibm_nine_primes.hpp"
 #include "rsa/keygen.hpp"
+#include "util/prng.hpp"
 
 namespace weakkeys::fingerprint {
 namespace {
@@ -188,6 +189,65 @@ TEST(SmoothSplit, FullySmoothValue) {
   const auto split = smooth_split(BigInt(720), 10);
   EXPECT_EQ(split.smooth, BigInt(720));
   EXPECT_EQ(split.cofactor, BigInt(1));
+}
+
+// smooth_split skips trial division when x shares no factor with the
+// product of the primes <= bound. Against plain trial division by every
+// integer up to the bound: primes of 128 and 256 bits alone, times 2^5 3^2,
+// and times 99,991 (the largest prime <= 100,000) and 100,003 (the first
+// above it), products of those two, small smooth values and random
+// 256-bit values, at the bounds 10, 1,000 and 100,000.
+TEST(SmoothSplit, GcdFilterMatchesTrialDivision) {
+  const auto trial_split = [](const BigInt& x, std::uint32_t bound) {
+    SmoothSplit out{BigInt(1), x.abs()};
+    for (std::uint32_t d = 2; d <= bound && !out.cofactor.is_one(); ++d) {
+      while (bn::mod_small(out.cofactor, d) == 0) {
+        out.cofactor /= BigInt(std::uint64_t{d});
+        out.smooth *= BigInt(std::uint64_t{d});
+      }
+    }
+    return out;
+  };
+  rng::PrngRandomSource rng(39);
+  rsa::KeygenOptions opts;
+  opts.style = rsa::PrimeStyle::kPlain;
+  opts.modulus_bits = 256;
+  const BigInt p128 = rsa::generate_prime(rng, 128, opts);
+  opts.modulus_bits = 512;
+  const BigInt p256 = rsa::generate_prime(rng, 256, opts);
+  const BigInt below(99991);
+  const BigInt above(100003);
+  const BigInt smooth = BigInt(2 * 3 * 5 * 7 * 11) * BigInt(13 * 17 * 19);
+  std::vector<BigInt> values = {p128,
+                                p256,
+                                BigInt(32 * 9) * p128,
+                                BigInt(32 * 9) * p256,
+                                below * p128,
+                                above * p128,
+                                below * above * p256,
+                                below * below * above,
+                                above,
+                                BigInt(720),
+                                BigInt(1),
+                                smooth};
+  util::Xoshiro256 words(39);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    BigInt v;
+    for (int limb = 0; limb < 4; ++limb) v = (v << 64) + BigInt(words());
+    values.push_back(v);
+    values.push_back(v * BigInt(i + 2));
+  }
+  for (const std::uint32_t bound : {10u, 1000u, kSmoothBound}) {
+    for (const BigInt& x : values) {
+      const SmoothSplit got = smooth_split(x, bound);
+      const SmoothSplit want = trial_split(x, bound);
+      EXPECT_EQ(got.smooth, want.smooth) << x.to_hex() << " bound " << bound;
+      EXPECT_EQ(got.cofactor, want.cofactor)
+          << x.to_hex() << " bound " << bound;
+    }
+  }
+  EXPECT_EQ(smooth_split(below * p128, kSmoothBound).smooth, below);
+  EXPECT_TRUE(smooth_split(above * p128, kSmoothBound).smooth.is_one());
 }
 
 TEST(WellFormedness, ChecksNecessaryConditions) {
